@@ -4,13 +4,14 @@
 # replicated-serving chaos drills + a coverage floor on the sharded
 # execution layer + a short fuzz smoke over the snapshot loader + a
 # five-second open-loop load smoke with the result cache enabled + the
-# hot-path bench gate against the committed BENCH_10.json baseline.
+# hot-path bench gate against the committed BENCH_10.json baseline + a vet
+# and build of the separate benchmark/ module.
 
 GO ?= go
 
-.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath bench-gate fmt-check stress chaos cover fuzz-smoke loadsmoke
+.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath bench-gate benchmark-build fmt-check stress chaos cover fuzz-smoke loadsmoke
 
-check: lint build race stress chaos cover fuzz-smoke loadsmoke bench-gate
+check: lint build benchmark-build race stress chaos cover fuzz-smoke loadsmoke bench-gate
 
 # The static-analysis gate: formatting, go vet, and the project's own
 # analyzers (see cmd/tixlint and DESIGN.md §9 + §14). tixlint compares
@@ -35,6 +36,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# benchmark/ is its own module (BENCHMARK.json runs it through
+# benchmark/run.sh), so `go build ./...` never compiles it: vet and build
+# it here, so an internal API change that breaks it fails in CI rather
+# than at measurement time.
+benchmark-build:
+	$(GO) -C benchmark vet . && $(GO) -C benchmark build -o /dev/null .
 
 test:
 	$(GO) test ./...

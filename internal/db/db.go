@@ -408,28 +408,10 @@ func (d *DB) TermSearch(terms []string, opts TermSearchOptions) ([]exec.ScoredNo
 // resource budgets: the scan stops within one check interval of ctx being
 // canceled, the deadline passing, or a budget running out.
 func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSearchOptions) (results []exec.ScoredNode, err error) {
-	mode := exec.ChildCountNavigate
-	if opts.Enhanced {
-		mode = exec.ChildCountIndexed
-	}
-	q := exec.TermQuery{
-		Terms:   terms,
-		Complex: opts.Complex,
-		Scorer: exec.DefaultScorer{
-			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
-			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
-		},
-	}
 	start := time.Now()
 	eff := d.limitsOr(opts.Limits)
-	var reporter exec.AccessReporter
-	defer func() {
-		var stats storage.AccessStats
-		if reporter != nil {
-			stats = reporter.AccessStats()
-		}
-		d.observe(opTerms, start, len(results), stats, err)
-	}()
+	var stats storage.AccessStats
+	defer func() { d.observe(opTerms, start, len(results), stats, err) }()
 	if c, tok, ok := d.queryCache(); ok {
 		key := rescache.TermKey(tok, terms, rescache.TermOpts{
 			Complex: opts.Complex, TopK: opts.TopK, MinScore: opts.MinScore,
@@ -446,38 +428,88 @@ func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSea
 		}()
 	}
 	defer recoverPanic(&err)
-	guard := exec.NewGuard(ctx, eff)
+	results, err = SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, eff), &stats)
+	return results, err
+}
+
+// SearchTerms evaluates one term search over an index snapshot under
+// guard and returns the results best-first under exec.RankedBefore,
+// adding the evaluation's store traffic to stats (on failure too). It is
+// the per-segment evaluation both facades share.
+//
+// A top-k search runs the pruned TopKTermJoin — block-max over flat block
+// lists, document-at-a-time over a live snapshot's merged lists — and
+// applies MinScore to its k results, which is exact because the elements
+// above a threshold are a prefix of the ranking. A negative or NaN
+// weight, for which the pruning bound does not hold, keeps the exhaustive
+// scan feeding a TopK. Every path returns the same elements.
+func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard *exec.Guard, stats *storage.AccessStats) ([]exec.ScoredNode, error) {
+	mode := exec.ChildCountNavigate
+	if opts.Enhanced {
+		mode = exec.ChildCountIndexed
+	}
+	q := exec.TermQuery{
+		Terms:   terms,
+		Complex: opts.Complex,
+		Scorer: exec.DefaultScorer{
+			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
+			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
+		},
+	}
+	var reporter exec.AccessReporter
+	defer func() {
+		if reporter != nil {
+			stats.Add(reporter.AccessStats())
+		}
+	}()
+	if opts.TopK > 0 && nonNegative(opts.Weights) {
+		tk := &exec.TopKTermJoin{Index: idx, Query: q, K: opts.TopK, ChildCounts: mode, Guard: guard}
+		reporter = tk
+		results, err := tk.Run()
+		if err != nil {
+			return nil, err
+		}
+		return exec.AboveMinScore(results, opts.MinScore), nil
+	}
 	run := func(emit exec.Emit) error {
 		if opts.MinScore > 0 {
 			emit = exec.FilterMinScore(opts.MinScore, emit)
 		}
 		if opts.Parallel > 0 {
-			p := &exec.ParallelTermJoin{Index: d.Index(), Query: q, Workers: opts.Parallel, ChildCounts: mode, Guard: guard}
+			p := &exec.ParallelTermJoin{Index: idx, Query: q, Workers: opts.Parallel, ChildCounts: mode, Guard: guard}
 			reporter = p
 			return p.Run(emit)
 		}
-		tj := &exec.TermJoin{Index: d.Index(), Acc: storage.NewAccessor(d.store), Query: q, ChildCounts: mode, Guard: guard}
+		// The accessor is made after the caller took idx, so its view of
+		// the document table covers every document idx can name.
+		acc := guard.NewAccessor(idx.Store())
+		tj := &exec.TermJoin{Index: idx, Acc: acc, Query: q, ChildCounts: mode, Guard: guard}
 		reporter = tj
 		return tj.Run(emit)
 	}
 	if opts.TopK > 0 {
 		tk := exec.NewTopK(opts.TopK)
-		if err = run(tk.Emit()); err != nil {
+		if err := run(tk.Emit()); err != nil {
 			return nil, err
 		}
-		results = tk.Results()
-		return results, nil
+		return tk.Results(), nil
 	}
 	out, err := exec.Collect(run)
 	if err != nil {
 		return nil, err
 	}
-	tk := exec.NewTopK(len(out))
-	for _, n := range out {
-		tk.Offer(n)
+	exec.SortRanked(out)
+	return out, nil
+}
+
+// nonNegative reports whether every weight is ≥ 0 (NaN is not).
+func nonNegative(weights []float64) bool {
+	for _, w := range weights {
+		if !(w >= 0) {
+			return false
+		}
 	}
-	results = tk.Results()
-	return results, nil
+	return true
 }
 
 // PhraseSearch returns every occurrence of the phrase via PhraseFinder.

@@ -55,18 +55,25 @@ func TestQueryRecordsMetrics(t *testing.T) {
 
 func TestTermAndPhraseSearchRecordMetrics(t *testing.T) {
 	d, reg := newMeteredDB(t)
-	for _, parallel := range []int{0, 2} {
-		if _, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{TopK: 5, Parallel: parallel}); err != nil {
-			t.Fatal(err)
-		}
+	reads := reg.Counter(`tix_access_node_reads_total{op="terms"}`)
+	// A top-k search runs the pruned TopKTermJoin; a search without one
+	// runs ParallelTermJoin. Both must surface access stats through the
+	// shared AccessReporter interface.
+	if _, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{TopK: 5}); err != nil {
+		t.Fatal(err)
+	}
+	pruned := reads.Value()
+	if pruned == 0 {
+		t.Error("pruned top-k term search recorded no node reads")
+	}
+	if _, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{Parallel: 2}); err != nil {
+		t.Fatal(err)
 	}
 	if got := reg.Counter(`tix_queries_total{op="terms"}`).Value(); got != 2 {
 		t.Errorf("terms total = %d, want 2", got)
 	}
-	// Both the sequential and the parallel path must surface access stats
-	// through the shared AccessReporter interface.
-	if got := reg.Counter(`tix_access_node_reads_total{op="terms"}`).Value(); got == 0 {
-		t.Error("term search recorded no node reads")
+	if reads.Value() == pruned {
+		t.Error("parallel term search recorded no node reads")
 	}
 
 	if _, err := d.PhraseSearch([]string{"information", "retrieval"}); err != nil {

@@ -201,7 +201,7 @@ func (c *Comp2) Run(emit Emit) error {
 		lists[i] = c.Query.list(c.Index, terms, i)
 	}
 
-	for _, doc := range c.Index.Store().Docs() {
+	for _, doc := range c.Index.Docs() {
 		elements := doc.Elements()
 		// Per-term structural join against the full element extent.
 		perTerm := make([][]OrdCount, nTerms)

@@ -50,7 +50,7 @@ func (g *GenMeet) Run(emit Emit) error {
 		lists[i] = g.Query.list(g.Index, terms, i)
 	}
 
-	for _, doc := range g.Index.Store().Docs() {
+	for _, doc := range g.Index.Docs() {
 		type acc struct {
 			counts         []int
 			occs           []scoring.Occ

@@ -22,6 +22,10 @@ func accStats(a *storage.Accessor) storage.AccessStats {
 // AccessStats reports the store traffic of the last Run.
 func (t *TermJoin) AccessStats() storage.AccessStats { return accStats(t.Acc) }
 
+// AccessStats reports the store traffic of the last Run: the per-document
+// joins of every document the bounds did not prune.
+func (t *TopKTermJoin) AccessStats() storage.AccessStats { return accStats(t.acc) }
+
 // AccessStats reports the combined worker store traffic of the last Run.
 func (p *ParallelTermJoin) AccessStats() storage.AccessStats { return p.Stats }
 

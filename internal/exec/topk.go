@@ -58,13 +58,14 @@ func (t *TopK) Offer(n ScoredNode) {
 	}
 }
 
-// Threshold returns the k-th best score when the heap is full — the
-// pruning cut-off — and false while fewer than k elements are retained.
-func (t *TopK) Threshold() (float64, bool) {
+// last returns the retained element that ranks last — the k-th best, the
+// one the next better offer displaces, whose score is the pruning cut-off
+// — and false while fewer than k elements are retained.
+func (t *TopK) last() (ScoredNode, bool) {
 	if t.k <= 0 || t.h.Len() < t.k {
-		return 0, false
+		return ScoredNode{}, false
 	}
-	return t.h[0].Score, true
+	return t.h[0], true
 }
 
 // Results returns the retained elements in the RankedBefore order.
@@ -104,6 +105,19 @@ func FilterMinScore(min float64, next Emit) Emit {
 			next(n)
 		}
 	}
+}
+
+// AboveMinScore returns the prefix of ranked (best-first under
+// RankedBefore) whose scores are strictly greater than min; min <= 0 keeps
+// everything, as FilterMinScore's callers do. Because the order is score
+// descending, the survivors of the V condition are always a prefix, so
+// applying it after a top-k selection equals applying it before.
+func AboveMinScore(ranked []ScoredNode, min float64) []ScoredNode {
+	if min <= 0 {
+		return ranked
+	}
+	n := sort.Search(len(ranked), func(i int) bool { return ranked[i].Score <= min })
+	return ranked[:n]
 }
 
 // ScoreHistogram is the auxiliary data Sec. 5.3 proposes for Pick: an

@@ -17,7 +17,8 @@ import (
 // attain — for the simple scoring function the weighted whole-document
 // term counts; for the complex function that base plus the maximal
 // proximity bonus (each adjacent occurrence pair contributes at most
-// 1/(1+1), and the child ratio is at most 1) — and skips every document
+// 1/(1+1) — or 1/(1+0) when two lists can hold the same position, see
+// pairMax — and the child ratio is at most 1) — and skips every document
 // whose bound cannot displace the current k-th best score.
 //
 // When every posting list is block-compressed the bounds come straight
@@ -52,8 +53,12 @@ type TopKTermJoin struct {
 	Bound func(counts []int, totalOcc int) float64
 	// Guard, when non-nil, is the cooperative cancellation and resource
 	// budget, checked during the bound-building pass, between documents,
-	// and inside every per-document TermJoin.
+	// and inside every per-document TermJoin; the run's accessor charges
+	// its store accesses to the guard's shared budget.
 	Guard *Guard
+
+	acc     *storage.Accessor // the last Run's accessor, for AccessStats
+	pairMax float64           // largest proximity bonus one occurrence pair adds
 }
 
 // Run evaluates and returns the top-k elements, best first.
@@ -69,8 +74,17 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	}
 	t.DocsEvaluated = 0
 	t.BlocksSkipped = 0
+	t.acc = t.Guard.NewAccessor(t.Index.Store())
 
 	terms := normalizeTerms(t.Index, t.Query.Terms)
+	// A pair of occurrences adds 1/(1+distance) to a complex score.
+	// Distinct index terms never share a position, so the distance is at
+	// least 1; a repeated term or caller-supplied lists can put two
+	// occurrences at the same position, distance 0.
+	t.pairMax = 0.5
+	if t.Query.Lists != nil || t.Query.PostingLists != nil || repeats(terms) {
+		t.pairMax = 1
+	}
 	lists := make([]index.List, len(terms))
 	blocked := true
 	for i := range terms {
@@ -93,7 +107,7 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 		emit:  tk.Emit(),
 		tj: TermJoin{
 			Index:       t.Index,
-			Acc:         storage.NewAccessor(t.Index.Store()),
+			Acc:         t.acc,
 			Query:       q,
 			ChildCounts: t.ChildCounts,
 			Guard:       t.Guard,
@@ -180,7 +194,10 @@ func (t *TopKTermJoin) runExhaustive(lists []index.List, ev *topkEval, tk *TopK)
 			return err
 		}
 		if !t.DisablePruning {
-			if cut, full := tk.Threshold(); full && di.bound <= cut {
+			// Documents come by decreasing bound, then ascending id. One whose
+			// bound ties the k-th score can still displace it from a lower
+			// document id, so only a tie from a higher id ends the scan.
+			if kth, full := tk.last(); full && (di.bound < kth.Score || di.bound == kth.Score && di.doc > kth.Doc) {
 				break // no element of any remaining document can displace the k-th
 			}
 		}
@@ -275,7 +292,7 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 			continue
 		}
 		if !t.DisablePruning {
-			if cut, full := tk.Threshold(); full && t.defaultBound(counts, ubOcc) <= cut {
+			if kth, full := tk.last(); full && t.defaultBound(counts, ubOcc) <= kth.Score {
 				// Nothing in the interval can displace the k-th: skip it
 				// without decoding. Blocks wholly consumed by the skip are
 				// the pruning payoff.
@@ -333,7 +350,7 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 			}
 			di := byDoc[doc]
 			if !t.DisablePruning {
-				if cut, full := tk.Threshold(); full && t.defaultBound(di.counts, di.occ) <= cut {
+				if kth, full := tk.last(); full && t.defaultBound(di.counts, di.occ) <= kth.Score {
 					continue // exact bound says this document cannot place
 				}
 			}
@@ -352,9 +369,21 @@ func (t *TopKTermJoin) defaultBound(counts []int, totalOcc int) float64 {
 		return base
 	}
 	// Complex score ≤ (base + proximity bonus) × 1; each of the at most
-	// occ-1 adjacent pairs contributes at most 1/(1+minDistance) = 1/2.
+	// occ-1 adjacent pairs contributes at most pairMax.
 	if totalOcc > 1 {
-		base += 0.5 * float64(totalOcc-1)
+		base += t.pairMax * float64(totalOcc-1)
 	}
 	return base
+}
+
+// repeats reports whether any term occurs twice in terms.
+func repeats(terms []string) bool {
+	for i := range terms {
+		for j := i + 1; j < len(terms); j++ {
+			if terms[i] == terms[j] {
+				return true
+			}
+		}
+	}
+	return false
 }

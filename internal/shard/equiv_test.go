@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/exec"
+	"repro/internal/metrics"
+	"repro/internal/scoring"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/synth"
@@ -51,10 +53,11 @@ func corpusDocs(t testing.TB, n int, seed int64) (names []string, roots []*xmltr
 
 // newOracle loads the documents into a monolithic database. Because the
 // sharded facade numbers documents globally in load order, the oracle's
-// document ids coincide with the sharded global ids.
+// document ids coincide with the sharded global ids. It records into a
+// registry of its own, so tests can read its exact access counts.
 func newOracle(t testing.TB, names []string, roots []*xmltree.Node) *db.DB {
 	t.Helper()
-	d := db.New(db.Options{})
+	d := db.New(db.Options{Metrics: metrics.NewRegistry()})
 	for i, name := range names {
 		if err := d.LoadTree(name, roots[i]); err != nil {
 			t.Fatal(err)
@@ -92,42 +95,24 @@ func sameScored(t *testing.T, label string, got, want []exec.ScoredNode) {
 	}
 }
 
+// TestShardedTermSearchMatchesUnsharded holds the monolithic facade and
+// every sharded one to the exhaustive TermJoin+TopK oracle on a
+// bulk-loaded corpus — flat block lists, so top-k runs block-max.
 func TestShardedTermSearchMatchesUnsharded(t *testing.T) {
 	names, roots := corpusDocs(t, 9, 42)
-	oracle := newOracle(t, names, roots)
-	terms := []string{"ctla", "ctlb"}
-	cases := []struct {
-		label string
-		opts  db.TermSearchOptions
-	}{
-		{"simple", db.TermSearchOptions{}},
-		{"complex", db.TermSearchOptions{Complex: true}},
-		{"enhanced", db.TermSearchOptions{Complex: true, Enhanced: true}},
-		{"topk", db.TermSearchOptions{TopK: 10}},
-		{"topk-complex", db.TermSearchOptions{Complex: true, TopK: 7}},
-		{"minscore", db.TermSearchOptions{MinScore: 1.5}},
-		{"minscore-topk", db.TermSearchOptions{MinScore: 1.0, TopK: 5}},
-		{"weights", db.TermSearchOptions{Complex: true, Weights: []float64{0.9, 0.3}}},
+	mono := newOracle(t, names, roots)
+	// The K = 100 case must cut inside a tie to mean anything.
+	all, _ := exhaustiveTopK(t, mono, []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	if len(all) <= 100 || all[99].Score != all[100].Score {
+		t.Fatalf("no tie at the 100th score among %d results", len(all))
 	}
-	for _, tc := range cases {
-		want, err := oracle.TermSearchContext(context.Background(), terms, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", tc.label, err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("%s: oracle returned no results", tc.label)
-		}
-		for _, n := range equivShardCounts {
-			for _, strat := range []Strategy{ByHash, RoundRobin} {
-				s := newSharded(t, n, strat, names, roots)
-				got, err := s.TermSearchContext(context.Background(), terms, tc.opts)
-				if err != nil {
-					t.Fatalf("%s shards=%d %s: %v", tc.label, n, strat, err)
-				}
-				sameScored(t, fmt.Sprintf("%s shards=%d %s", tc.label, n, strat), got, want)
-			}
+	sharded := map[string]*DB{}
+	for _, n := range equivShardCounts {
+		for _, strat := range []Strategy{ByHash, RoundRobin} {
+			sharded[fmt.Sprintf("shards=%d %s", n, strat)] = newSharded(t, n, strat, names, roots)
 		}
 	}
+	checkTermCases(t, "bulk", mono, sharded)
 }
 
 func TestShardedMethodsMatchMonolithic(t *testing.T) {
@@ -359,4 +344,134 @@ func TestShardedStatsMatchUnsharded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exhaustiveTopK is the oracle the term-search facades are held to: the
+// full TermJoin over d's current snapshot, the MinScore filter, then a
+// TopK (or a full sort when opts.TopK is 0). It also returns the join's
+// store traffic, the cost an exhaustive facade would report.
+func exhaustiveTopK(t *testing.T, d *db.DB, terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, storage.AccessStats) {
+	t.Helper()
+	mode := exec.ChildCountNavigate
+	if opts.Enhanced {
+		mode = exec.ChildCountIndexed
+	}
+	idx := d.Index()
+	tj := &exec.TermJoin{
+		Index: idx,
+		Acc:   storage.NewAccessor(idx.Store()),
+		Query: exec.TermQuery{Terms: terms, Complex: opts.Complex, Scorer: exec.DefaultScorer{
+			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
+			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
+		}},
+		ChildCounts: mode,
+	}
+	all, err := exec.Collect(tj.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := opts.TopK
+	if k <= 0 {
+		k = len(all)
+	}
+	tk := exec.NewTopK(k)
+	for _, n := range all {
+		if opts.MinScore <= 0 || n.Score > opts.MinScore {
+			tk.Offer(n)
+		}
+	}
+	return tk.Results(), tj.AccessStats()
+}
+
+// termCases are the TermSearch shapes the differential suites sweep. The
+// top-k shapes run the pruned TopKTermJoin, except the negative-weight
+// one, which must stay the exhaustive join.
+var termCases = []struct {
+	label      string
+	opts       db.TermSearchOptions
+	exhaustive bool // answered by the exhaustive join, never pruned
+}{
+	{"simple", db.TermSearchOptions{}, true},
+	{"complex", db.TermSearchOptions{Complex: true}, true},
+	{"enhanced", db.TermSearchOptions{Complex: true, Enhanced: true}, true},
+	{"minscore", db.TermSearchOptions{MinScore: 1.5}, true},
+	{"weights", db.TermSearchOptions{Complex: true, Weights: []float64{0.9, 0.3}}, true},
+	{"topk", db.TermSearchOptions{TopK: 10}, false},
+	{"topk-complex", db.TermSearchOptions{Complex: true, TopK: 7}, false},
+	{"topk-enhanced", db.TermSearchOptions{Complex: true, Enhanced: true, TopK: 8}, false},
+	{"topk-weights", db.TermSearchOptions{TopK: 6, Weights: []float64{0.9, 0.3}}, false},
+	{"topk-weights-complex", db.TermSearchOptions{Complex: true, TopK: 6, Weights: []float64{0.9, 0.3}}, false},
+	{"topk-100-ties", db.TermSearchOptions{TopK: 100}, false},
+	{"minscore-topk", db.TermSearchOptions{MinScore: 1.0, TopK: 5}, false},
+	{"negative-weight", db.TermSearchOptions{TopK: 10, Weights: []float64{1, -0.5}}, true},
+}
+
+// checkTermCases runs every case through the monolithic facade and the
+// sharded ones and holds each to the exhaustive oracle over mono.
+func checkTermCases(t *testing.T, label string, mono *db.DB, sharded map[string]*DB) {
+	t.Helper()
+	terms := []string{"ctla", "ctlb"}
+	reads := func() int64 {
+		return mono.MetricsRegistry().Counter(`tix_access_node_reads_total{op="terms"}`).Value()
+	}
+	for _, tc := range termCases {
+		want, cost := exhaustiveTopK(t, mono, terms, tc.opts)
+		if len(want) == 0 {
+			t.Fatalf("%s %s: oracle returned no results", label, tc.label)
+		}
+		before := reads()
+		got, err := mono.TermSearchContext(context.Background(), terms, tc.opts)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, tc.label, err)
+		}
+		sameScored(t, fmt.Sprintf("%s %s mono", label, tc.label), got, want)
+		// A pruned search reads no node the exhaustive join would not.
+		switch used := reads() - before; {
+		case tc.exhaustive && used != cost.NodeReads:
+			t.Errorf("%s %s: %d node reads, want the exhaustive %d", label, tc.label, used, cost.NodeReads)
+		case used > cost.NodeReads:
+			t.Errorf("%s %s: %d node reads, more than the exhaustive %d", label, tc.label, used, cost.NodeReads)
+		}
+		for name, s := range sharded {
+			got, err := s.TermSearchContext(context.Background(), terms, tc.opts)
+			if err != nil {
+				t.Fatalf("%s %s %s: %v", label, tc.label, name, err)
+			}
+			sameScored(t, fmt.Sprintf("%s %s %s", label, tc.label, name), got, want)
+		}
+	}
+}
+
+// TestPrunedTermSearchOnLiveSnapshot repeats the cases after Adds and a
+// Delete, when every list is a merged memtable/segment view with a
+// tombstone and top-k runs document-at-a-time.
+func TestPrunedTermSearchOnLiveSnapshot(t *testing.T) {
+	names, roots := corpusDocs(t, 6, 314)
+	mono := newOracle(t, names, roots)
+	mono.Warm()
+	sharded := map[string]*DB{}
+	for _, n := range []int{1, 3} {
+		s := newSharded(t, n, ByHash, names, roots)
+		s.Warm()
+		sharded[fmt.Sprintf("shards=%d", n)] = s
+	}
+	targets := []interface {
+		Add(name, src string) error
+		Delete(name string) error
+	}{mono}
+	for _, s := range sharded {
+		targets = append(targets, s)
+	}
+	for _, d := range targets {
+		for i := 0; i < 4; i++ {
+			src := fmt.Sprintf(`<article><p>ctla ctlb ctla w%d</p><sec><p>ctlb</p><p>ctla ctlb</p></sec></article>`, i)
+			if err := d.Add(fmt.Sprintf("live%d.xml", i), src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Delete(names[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkTermCases(t, "live", mono, sharded)
 }

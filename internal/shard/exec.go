@@ -10,7 +10,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/rescache"
-	"repro/internal/scoring"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 	"repro/internal/xq"
@@ -82,10 +81,12 @@ func (s *DB) TermSearch(terms []string, opts db.TermSearchOptions) ([]exec.Score
 }
 
 // TermSearchContext is TermSearch with cooperative cancellation and
-// resource budgets shared across the shard workers. With TopK set, the
-// limit is pushed down — each shard retains its own k best — and the
-// merger re-thresholds to the global k, which is exact because any
-// globally top-k element is in its shard's top k.
+// resource budgets shared across the shard workers. Each shard runs
+// db.SearchTerms over its own snapshot. With TopK set, the limit is pushed
+// down — each shard retains its own k best, through the pruned
+// TopKTermJoin where its bound holds — and the merger re-thresholds to the
+// global k, which is exact because any globally top-k element is in its
+// shard's top k.
 func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) (results []exec.ScoredNode, err error) {
 	start := time.Now()
 	per := make([][]exec.ScoredNode, len(s.segs))
@@ -119,38 +120,10 @@ func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.Term
 	cctx, cancel := fanoutCtx(ctx)
 	defer cancel()
 	guard := exec.NewGuard(cctx, eff)
-	mode := exec.ChildCountNavigate
-	if opts.Enhanced {
-		mode = exec.ChildCountIndexed
-	}
-	q := exec.TermQuery{
-		Terms:   terms,
-		Complex: opts.Complex,
-		Scorer: exec.DefaultScorer{
-			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
-			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
-		},
-	}
+	segOpts := opts
+	segOpts.Parallel = 0
 	err = s.runShards(opTerms, cancel, func(i int, seg *db.DB) error {
-		acc := guard.NewAccessor(seg.Store())
-		tj := &exec.TermJoin{Index: seg.Index(), Acc: acc, Query: q, ChildCounts: mode, Guard: guard}
-		run := func(emit exec.Emit) error {
-			if opts.MinScore > 0 {
-				emit = exec.FilterMinScore(opts.MinScore, emit)
-			}
-			return tj.Run(emit)
-		}
-		var out []exec.ScoredNode
-		var rerr error
-		if opts.TopK > 0 {
-			tk := exec.NewTopK(opts.TopK)
-			rerr = run(tk.Emit())
-			out = tk.Results()
-		} else {
-			out, rerr = exec.Collect(run)
-			exec.SortRanked(out)
-		}
-		stats[i] = acc.Stats
+		out, rerr := db.SearchTerms(seg.Index(), terms, segOpts, guard, &stats[i])
 		if rerr != nil {
 			return rerr
 		}
@@ -203,19 +176,23 @@ func (s *DB) RunTermMethod(ctx context.Context, method Method, terms []string, c
 	guard := exec.NewGuard(cctx, s.opts.Limits)
 	q := exec.TermQuery{Terms: terms, Complex: complex, Scorer: exec.DefaultScorer{}}
 	err = s.runShards(opTerms, cancel, func(i int, seg *db.DB) error {
-		acc := guard.NewAccessor(seg.Store())
+		// Snapshot first, accessor second: the accessor's view of the
+		// document table then covers every document the snapshot names,
+		// even when an Add lands between the two lines.
+		idx := seg.Index()
+		acc := guard.NewAccessor(idx.Store())
 		var runner interface{ Run(exec.Emit) error }
 		switch method {
 		case MethodTermJoin:
-			runner = &exec.TermJoin{Index: seg.Index(), Acc: acc, Query: q, ChildCounts: exec.ChildCountNavigate, Guard: guard}
+			runner = &exec.TermJoin{Index: idx, Acc: acc, Query: q, ChildCounts: exec.ChildCountNavigate, Guard: guard}
 		case MethodEnhancedTermJoin:
-			runner = &exec.TermJoin{Index: seg.Index(), Acc: acc, Query: q, ChildCounts: exec.ChildCountIndexed, Guard: guard}
+			runner = &exec.TermJoin{Index: idx, Acc: acc, Query: q, ChildCounts: exec.ChildCountIndexed, Guard: guard}
 		case MethodComp1:
-			runner = &exec.Comp1{Index: seg.Index(), Acc: acc, Query: q, Guard: guard}
+			runner = &exec.Comp1{Index: idx, Acc: acc, Query: q, Guard: guard}
 		case MethodComp2:
-			runner = &exec.Comp2{Index: seg.Index(), Acc: acc, Query: q, Guard: guard}
+			runner = &exec.Comp2{Index: idx, Acc: acc, Query: q, Guard: guard}
 		case MethodGenMeet:
-			runner = &exec.GenMeet{Index: seg.Index(), Acc: acc, Query: q, Guard: guard}
+			runner = &exec.GenMeet{Index: idx, Acc: acc, Query: q, Guard: guard}
 		default:
 			return fmt.Errorf("shard: unknown term method %q", method)
 		}

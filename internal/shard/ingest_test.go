@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/exec"
 	"repro/internal/xmltree"
 )
 
@@ -157,4 +159,60 @@ func TestShardIngestWhileQuerying(t *testing.T) {
 	if len(res) == 0 {
 		t.Fatal("no results after concurrent ingest")
 	}
+}
+
+// TestShardReadersDuringAdd runs one writer doing Add against two readers
+// on the facade — one on TermSearchContext, one cycling RunTermMethod
+// through every method — and requires every reply to succeed and
+// materialize. A reader that made its
+// accessor before taking the segment's index snapshot could be handed a
+// posting for a document its accessor had never seen: an Add landing
+// between the two statements panicked with "index out of range", which
+// the facade returned as an error. Run under -race (make race / stress).
+func TestShardReadersDuringAdd(t *testing.T) {
+	s := New(Options{Shards: 2, Strategy: RoundRobin})
+	if err := s.Add("seed.xml", `<d><t>stable seed</t></d>`); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	read := func(name string, query func() ([]exec.ScoredNode, error)) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := query()
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			for _, r := range res {
+				if s.Materialize(r.Doc, r.Ord) == nil {
+					t.Errorf("%s: result (doc %d, ord %d) does not materialize", name, r.Doc, r.Ord)
+					return
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go read("TermSearchContext", func() ([]exec.ScoredNode, error) {
+		return s.TermSearchContext(context.Background(), []string{"stable"}, db.TermSearchOptions{})
+	})
+	methods := []Method{MethodTermJoin, MethodEnhancedTermJoin, MethodComp1, MethodComp2, MethodGenMeet}
+	calls := 0
+	go read("RunTermMethod", func() ([]exec.ScoredNode, error) {
+		calls++
+		return s.RunTermMethod(context.Background(), methods[calls%len(methods)], []string{"stable"}, false)
+	})
+	for i := 0; i < 400; i++ {
+		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t>stable w%d</t></d>`, i%7)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"repro/internal/db"
+	"repro/internal/storage"
 )
 
 // Sharded database file format (version 1):
@@ -188,9 +189,15 @@ func Load(r io.Reader) (*DB, error) {
 		Stopwords: base.Stopwords,
 	})
 	s.segs = segs
+	// One table per segment, taken once: the placement check must stay
+	// linear in the document count.
+	tables := make([][]*storage.Document, nShards)
+	for i, seg := range segs {
+		tables[i] = seg.Store().Docs()
+	}
 	cursors := make([]int, nShards)
 	for _, p := range placements {
-		segDocs := segs[p.shard].Store().Docs()
+		segDocs := tables[p.shard]
 		k := cursors[p.shard]
 		if k >= len(segDocs) || segDocs[k].Name != p.name {
 			return nil, fmt.Errorf("shard: load: placement of %q does not match segment %d contents: %w",
@@ -202,10 +209,10 @@ func Load(r io.Reader) (*DB, error) {
 		}
 		s.track(p.name, p.shard, segDocs[k].ID)
 	}
-	for i, seg := range segs {
-		if cursors[i] != len(seg.Store().Docs()) {
+	for i, table := range tables {
+		if cursors[i] != len(table) {
 			return nil, fmt.Errorf("shard: load: segment %d holds %d documents, placement lists %d: %w",
-				i, len(seg.Store().Docs()), cursors[i], ErrCorruptSnapshot)
+				i, len(table), cursors[i], ErrCorruptSnapshot)
 		}
 	}
 	return s, nil

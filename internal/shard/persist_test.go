@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/db"
@@ -188,5 +190,37 @@ func TestWrapExposesMonolithicDB(t *testing.T) {
 	// The facade rejects duplicate names just like db does.
 	if err := w.LoadTree(names[0], roots[0]); err == nil {
 		t.Error("duplicate load accepted")
+	}
+}
+
+// TestLoadAllocatesLinearly is the machine-independent guard on snapshot
+// open cost: doubling the corpus must roughly double the bytes Load
+// allocates. A placement check that copies a segment's document table per
+// document allocates quadratically — 4× per doubling.
+func TestLoadAllocatesLinearly(t *testing.T) {
+	loadBytes := func(docs int) uint64 {
+		s := New(Options{Shards: 2, Strategy: RoundRobin})
+		for i := 0; i < docs; i++ {
+			if err := s.LoadString(fmt.Sprintf("d%05d.xml", i), fmt.Sprintf(`<d><t>w%d x</t></d>`, i%13)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := loadBytes(2000), loadBytes(4000)
+	t.Logf("Load allocated %d B for 2000 documents, %d B for 4000", small, large)
+	if large >= 3*small {
+		t.Fatalf("Load allocated %d B for 4000 documents, %d B for 2000: %.2f×, want < 3×",
+			large, small, float64(large)/float64(small))
 	}
 }

@@ -14,7 +14,7 @@ import "repro/internal/xmltree"
 // costs.
 type Accessor struct {
 	store *Store
-	docs  []*Document // document table snapshot, stable under concurrent loads
+	docs  []*Document // capped view of the document table (see Store.viewLocked)
 	Stats AccessStats
 	// Budget, when non-nil, additionally meters every node-record fetch
 	// into a query-wide shared counter (see AccessBudget); exec.Guard
@@ -25,10 +25,15 @@ type Accessor struct {
 }
 
 // NewAccessor returns an accessor over s. It inherits the store's fault
-// injector, if one is installed, and snapshots the document table so
-// concurrent ingestion cannot move it mid-query.
+// injector, if one is installed, and reads the documents loaded when it was
+// created through a zero-copy view, so concurrent ingestion cannot move the
+// table mid-query. Creating one costs a lock round trip, not a table copy:
+// take the index snapshot first and the accessor second, and every document
+// the snapshot can name is in the view.
 func NewAccessor(s *Store) *Accessor {
-	return &Accessor{store: s, docs: s.Docs(), faults: s.Faults()}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Accessor{store: s, docs: s.viewLocked(), faults: s.faults}
 }
 
 // Store returns the underlying store.

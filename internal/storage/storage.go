@@ -14,7 +14,9 @@
 // The store is append-only and internally synchronized: documents may be
 // added (and names released for re-add) concurrently with readers, which
 // is what live ingestion requires. Individual Document records are
-// immutable once loaded, so holding a *Document across mutations is safe.
+// immutable once loaded, so holding a *Document across mutations is safe,
+// and so is holding a prefix of the document table: an Accessor reads
+// through such a prefix instead of copying the table.
 // Deleted documents keep their slots — the index layer hides them behind
 // tombstones — and are only reclaimed by a full rebuild.
 package storage
@@ -297,10 +299,24 @@ func (s *Store) DocByName(name string) *Document {
 	return s.docs[id]
 }
 
+// viewLocked returns the document table as loaded so far, without copying:
+// a header over the store's backing array, capped at its current length.
+// The table is append-only — AddTree is its only writer and never rewrites
+// an element below len — so the view's elements are immutable, and the cap
+// makes any append the caller might do reallocate instead of writing into
+// the store's spare capacity. Caller holds s.mu (either mode).
+func (s *Store) viewLocked() []*Document {
+	n := len(s.docs)
+	return s.docs[:n:n]
+}
+
 // Docs returns a copy of the document table in load order. The *Document
 // records are shared (they are immutable once loaded) but the slice is the
 // caller's: reordering or truncating it cannot corrupt the store's table,
-// and it stays stable while concurrent loads append.
+// and it stays stable while concurrent loads append. The copy is the
+// exported contract (index.Docs filters its result in place, and the
+// aliasret analyzer rejects an exported accessor that aliases the table);
+// per-query readers go through an Accessor, which holds the zero-copy view.
 func (s *Store) Docs() []*Document {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -135,13 +135,7 @@ Threshold $a/@score > 4 stop after 5`
 	}
 	if save != "" {
 		d.Warm() // persist the indexes too
-		if d.Shards() == 1 {
-			// Keep single-shard snapshots in the legacy v1 format so they
-			// stay readable by older builds; OpenFile accepts both.
-			if err := d.Segment(0).SaveFile(save); err != nil {
-				return err
-			}
-		} else if err := d.SaveFile(save); err != nil {
+		if err := d.SaveFile(save); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "saved %s\n", save)

@@ -1,8 +1,15 @@
-// Package db is the database facade of the reproduction — the stand-in for
-// the Timber system the paper ran on. It owns document loading, index
-// construction, and query evaluation: extended-XQuery strings (internal/xq)
-// for the paper's Query 1/2 shapes, and programmatic APIs for term search,
-// phrase search, and the Query 3 similarity join.
+// Package db is one single-store segment of the reproduction's database —
+// the stand-in for the Timber system the paper ran on. A segment owns a
+// node store, its tokenizer, the live inverted index and query evaluation
+// over one snapshot: extended-XQuery strings (internal/xq) for the
+// paper's Query 1/2 shapes, and programmatic APIs for term search, phrase
+// search, twig search and the Query 3 similarity join.
+//
+// Serving concerns live one layer up, in the sharded facade
+// (internal/shard): the result cache, per-operation metrics, global
+// document numbering and the snapshot container. A segment records no
+// metrics and caches nothing, so it is also usable on its own as an
+// embedded library.
 package db
 
 import (
@@ -13,15 +20,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/rescache"
 	"repro/internal/scoring"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
@@ -29,9 +32,9 @@ import (
 	"repro/internal/xq"
 )
 
-// DB is an XML database instance. Queries may run concurrently with the
+// DB is one database segment. Queries may run concurrently with the
 // document mutation API (Add/Update/Delete): readers work over immutable
-// index snapshots, writers are serialized by the facade's mutation lock.
+// index snapshots, writers are serialized by the segment's mutation lock.
 type DB struct {
 	store *storage.Store
 	tok   *tokenize.Tokenizer
@@ -39,10 +42,6 @@ type DB struct {
 
 	mu   sync.Mutex  // serializes mutations and live-index creation
 	live *index.Live // created on first Index()/Warm()/mutation
-
-	// cache, when set, memoizes successful term/phrase/query results per
-	// generation token (see cache.go).
-	cache atomic.Pointer[rescache.Cache]
 }
 
 // Options configures a database.
@@ -54,35 +53,26 @@ type Options struct {
 	// Stopwords, when non-empty, are dropped from the index (they still
 	// consume word offsets so phrase adjacency is preserved).
 	Stopwords []string
-	// Metrics, when non-nil, receives the per-query instrumentation
-	// (latency histograms, result counts, store-access counters) instead
-	// of the process-wide metrics.Default registry.
-	Metrics *metrics.Registry
 	// Limits is the default per-query resource budget (wall-clock
 	// timeout, result cap, store-access cap) applied by every Context
-	// entry point. The zero value means unlimited. Per-call budgets
-	// (e.g. QueryLimited, TermSearchOptions.Limits) take precedence.
+	// entry point. The zero value means unlimited. A per-call budget
+	// (TermSearchOptions.Limits) takes precedence.
 	Limits exec.Limits
 	// Ingest tunes the live-index LSM behaviour (memtable seal size,
 	// segment fold bound, background compaction). The zero value selects
 	// the defaults; see index.LiveConfig.
 	Ingest index.LiveConfig
-	// CacheBytes, when positive, attaches a generation-keyed result cache
-	// with that total byte budget (see internal/rescache and cache.go).
-	CacheBytes int64
 }
 
-// ErrPanic marks errors produced by recovering a panic at the facade
-// boundary; db.observe classifies them into tix_query_panics_total, and
-// the fleet layer treats them as replica faults eligible for retry on a
-// healthy twin.
+// ErrPanic marks errors produced by recovering a panic at a segment entry
+// point; the fleet layer treats them as replica faults eligible for retry
+// on a healthy twin.
 var ErrPanic = errors.New("db: recovered panic")
 
 // recoverPanic converts a panic inside the evaluation engine into a
 // returned error, so injected storage faults and operator bugs degrade to
-// errors instead of crashing the process. Deferred at every facade entry
-// point, after the metrics defer (defers run LIFO, so the observation sees
-// the recovered error).
+// errors instead of crashing the process. Deferred at every segment entry
+// point.
 func recoverPanic(errp *error) {
 	r := recover()
 	if r == nil {
@@ -118,11 +108,7 @@ func New(opts Options) *DB {
 	default:
 		tok = tokenize.New()
 	}
-	d := &DB{store: storage.NewStore(), tok: tok, opts: opts}
-	if opts.CacheBytes > 0 {
-		d.EnableResultCache(opts.CacheBytes)
-	}
-	return d
+	return &DB{store: storage.NewStore(), tok: tok, opts: opts}
 }
 
 // Store exposes the underlying node store.
@@ -204,33 +190,6 @@ func (d *DB) LoadFile(path string) error {
 	return d.LoadReader(filepath.Base(path), f)
 }
 
-// RemoveDocument unloads a document by name. Because document ids are
-// positional, the store is rebuilt from the remaining documents (an O(N)
-// operation) and the inverted index is invalidated; ids of later documents
-// shift down, exactly as if the database had been loaded without the
-// removed document.
-func (d *DB) RemoveDocument(name string) error {
-	old := d.store
-	if old.DocByName(name) == nil {
-		return fmt.Errorf("db: document %q not loaded", name)
-	}
-	fresh := storage.NewStore()
-	for _, doc := range old.Docs() {
-		if doc.Name == name {
-			continue
-		}
-		if _, err := fresh.AddTree(doc.Name, doc.Root); err != nil {
-			return fmt.Errorf("db: rebuild after remove: %w", err)
-		}
-	}
-	d.store = fresh
-	d.live = nil
-	// The rebuilt live index restarts its generation counter; stale
-	// entries must not survive to collide with the fresh numbering.
-	d.purgeCache()
-	return nil
-}
-
 // Index returns an immutable snapshot of the inverted index, building the
 // live index on first use after a load. Snapshots are cached per mutation
 // generation: with no writes in flight repeated calls return the same
@@ -267,9 +226,6 @@ func (d *DB) adoptIndex(idx *index.Index) {
 	d.mu.Lock()
 	d.live = index.LiveFromIndex(idx, d.opts.Ingest)
 	d.mu.Unlock()
-	// The adopted index restarts the generation counter: purge, as in
-	// RemoveDocument.
-	d.purgeCache()
 }
 
 // Stats summarizes the database contents.
@@ -306,81 +262,35 @@ func (d *DB) Query(src string) ([]xq.Result, error) {
 // QueryContext is Query with cooperative cancellation: the evaluation
 // stops within one check interval of ctx being canceled or its deadline
 // passing, and respects the database's default resource limits.
-func (d *DB) QueryContext(ctx context.Context, src string) ([]xq.Result, error) {
-	return d.QueryLimited(ctx, src, d.opts.Limits)
-}
-
-// QueryLimited is QueryContext with an explicit per-call resource budget.
-func (d *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) (results []xq.Result, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { d.observe(opQuery, start, len(results), stats, err) }()
-	if c, tok, ok := d.queryCache(); ok {
-		key := rescache.QueryKey(tok, src, limits)
-		if hit, found := rescache.GetSlice[xq.Result](c, key); found {
-			results = hit
-			return results, nil
-		}
-		// Registered before recoverPanic so a recovered panic reaches err
-		// first and poisoned results are never cached.
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, results)
-			}
-		}()
-	}
-	defer recoverPanic(&err)
-	e := &xq.Engine{Store: d.store, Index: d.Index(), Stats: &stats, Guard: exec.NewGuard(ctx, limits)}
-	results, err = e.EvalString(src)
-	return results, err
-}
-
-// QueryRendered evaluates a query and renders each result through the
-// query's Return template (or the canonical <result> shape when the query
-// has none).
-func (d *DB) QueryRendered(src string) ([]string, []xq.Result, error) {
-	return d.QueryRenderedContext(context.Background(), src)
-}
-
-// QueryRenderedContext is QueryRendered with cooperative cancellation and
-// the database's default resource limits.
-func (d *DB) QueryRenderedContext(ctx context.Context, src string) (rendered []string, results []xq.Result, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { d.observe(opQuery, start, len(results), stats, err) }()
+func (d *DB) QueryContext(ctx context.Context, src string) (results []xq.Result, err error) {
 	defer recoverPanic(&err)
 	q, err := xq.Parse(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	e := &xq.Engine{Store: d.store, Index: d.Index(), Stats: &stats, Guard: exec.NewGuard(ctx, d.opts.Limits)}
-	results, err = e.Eval(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	rendered = make([]string, len(results))
-	for i, r := range results {
-		rendered[i] = q.Render(r)
-	}
-	return rendered, results, nil
+	return EvalQuery(d.Index(), q, exec.NewGuard(ctx, d.opts.Limits), nil)
+}
+
+// EvalQuery evaluates a parsed query over an index snapshot under guard,
+// adding the evaluation's store traffic to stats when it is non-nil. The
+// engine reads the snapshot's own store, so every document the snapshot
+// names is visible to the evaluation.
+func EvalQuery(idx *index.Index, q *xq.Query, guard *exec.Guard, stats *storage.AccessStats) ([]xq.Result, error) {
+	e := &xq.Engine{Store: idx.Store(), Index: idx, Stats: stats, Guard: guard}
+	return e.Eval(q)
 }
 
 // Explain renders the physical plan for a query without executing it.
 func (d *DB) Explain(src string) (string, error) {
-	start := time.Now()
-	e := &xq.Engine{Store: d.store, Index: d.Index()}
-	plan, err := e.Explain(src)
-	d.observe(opExplain, start, 0, storage.AccessStats{}, err)
-	return plan, err
+	idx := d.Index()
+	e := &xq.Engine{Store: idx.Store(), Index: idx}
+	return e.Explain(src)
 }
 
 // TermSearchOptions configures TermSearch.
 type TermSearchOptions struct {
 	// Complex selects the complex scoring function of Sec. 6.1.
 	Complex bool
-	// Enhanced uses the child-count index (Enhanced TermJoin); only
-	// meaningful with Complex.
-	Enhanced bool
 	// TopK limits results to the k best scores (0 = all).
 	TopK int
 	// MinScore drops elements whose score is not strictly greater than
@@ -390,9 +300,6 @@ type TermSearchOptions struct {
 	MinScore float64
 	// Weights per term (defaults to 1 each).
 	Weights []float64
-	// Parallel partitions the evaluation across this many worker
-	// goroutines, one document range each (0 = sequential).
-	Parallel int
 	// Limits is the per-call resource budget; the zero value falls back
 	// to the database's default (Options.Limits).
 	Limits exec.Limits
@@ -408,46 +315,26 @@ func (d *DB) TermSearch(terms []string, opts TermSearchOptions) ([]exec.ScoredNo
 // resource budgets: the scan stops within one check interval of ctx being
 // canceled, the deadline passing, or a budget running out.
 func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSearchOptions) (results []exec.ScoredNode, err error) {
-	start := time.Now()
-	eff := d.limitsOr(opts.Limits)
-	var stats storage.AccessStats
-	defer func() { d.observe(opTerms, start, len(results), stats, err) }()
-	if c, tok, ok := d.queryCache(); ok {
-		key := rescache.TermKey(tok, terms, rescache.TermOpts{
-			Complex: opts.Complex, TopK: opts.TopK, MinScore: opts.MinScore,
-			Weights: opts.Weights, Limits: eff,
-		})
-		if hit, found := rescache.GetSlice[exec.ScoredNode](c, key); found {
-			results = hit
-			return results, nil
-		}
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, results)
-			}
-		}()
-	}
 	defer recoverPanic(&err)
-	results, err = SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, eff), &stats)
-	return results, err
+	return SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, d.limitsOr(opts.Limits)), nil)
 }
 
 // SearchTerms evaluates one term search over an index snapshot under
 // guard and returns the results best-first under exec.RankedBefore,
-// adding the evaluation's store traffic to stats (on failure too). It is
-// the per-segment evaluation both facades share.
+// adding the evaluation's store traffic to stats when it is non-nil (on
+// failure too). It is the term-search evaluation of one segment.
 //
-// A top-k search runs the pruned TopKTermJoin — block-max over flat block
-// lists, document-at-a-time over a live snapshot's merged lists — and
-// applies MinScore to its k results, which is exact because the elements
-// above a threshold are a prefix of the ranking. A negative or NaN
-// weight, for which the pruning bound does not hold, keeps the exhaustive
-// scan feeding a TopK. Every path returns the same elements.
+// There is one rule. A top-k search with non-negative weights runs the
+// pruned TopKTermJoin — block-max over flat block lists,
+// document-at-a-time over a live snapshot's merged lists — and applies
+// MinScore to its k results, which is exact because the elements above a
+// threshold are a prefix of the ranking. Anything else (no top-k, or a
+// negative or NaN weight, for which the pruning bound does not hold) runs
+// the exhaustive TermJoin, feeding a TopK when one is asked for. Every
+// path returns the same elements. Child counts come from navigation; the
+// paper's Enhanced TermJoin stays reachable through the benchmark entry
+// points (shard.RunTermMethod, internal/bench).
 func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard *exec.Guard, stats *storage.AccessStats) ([]exec.ScoredNode, error) {
-	mode := exec.ChildCountNavigate
-	if opts.Enhanced {
-		mode = exec.ChildCountIndexed
-	}
 	q := exec.TermQuery{
 		Terms:   terms,
 		Complex: opts.Complex,
@@ -456,37 +343,25 @@ func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard
 			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
 		},
 	}
-	var reporter exec.AccessReporter
-	defer func() {
-		if reporter != nil {
-			stats.Add(reporter.AccessStats())
-		}
-	}()
 	if opts.TopK > 0 && nonNegative(opts.Weights) {
-		tk := &exec.TopKTermJoin{Index: idx, Query: q, K: opts.TopK, ChildCounts: mode, Guard: guard}
-		reporter = tk
+		tk := &exec.TopKTermJoin{Index: idx, Query: q, K: opts.TopK, ChildCounts: exec.ChildCountNavigate, Guard: guard}
 		results, err := tk.Run()
+		addStats(stats, tk)
 		if err != nil {
 			return nil, err
 		}
 		return exec.AboveMinScore(results, opts.MinScore), nil
 	}
+	// The accessor is made after the caller took idx, so its view of the
+	// document table covers every document idx can name.
+	tj := &exec.TermJoin{Index: idx, Acc: guard.NewAccessor(idx.Store()), Query: q, ChildCounts: exec.ChildCountNavigate, Guard: guard}
 	run := func(emit exec.Emit) error {
 		if opts.MinScore > 0 {
 			emit = exec.FilterMinScore(opts.MinScore, emit)
 		}
-		if opts.Parallel > 0 {
-			p := &exec.ParallelTermJoin{Index: idx, Query: q, Workers: opts.Parallel, ChildCounts: mode, Guard: guard}
-			reporter = p
-			return p.Run(emit)
-		}
-		// The accessor is made after the caller took idx, so its view of
-		// the document table covers every document idx can name.
-		acc := guard.NewAccessor(idx.Store())
-		tj := &exec.TermJoin{Index: idx, Acc: acc, Query: q, ChildCounts: mode, Guard: guard}
-		reporter = tj
 		return tj.Run(emit)
 	}
+	defer addStats(stats, tj)
 	if opts.TopK > 0 {
 		tk := exec.NewTopK(opts.TopK)
 		if err := run(tk.Emit()); err != nil {
@@ -500,6 +375,13 @@ func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard
 	}
 	exec.SortRanked(out)
 	return out, nil
+}
+
+// addStats adds an operator's store traffic to an optional stats sink.
+func addStats(stats *storage.AccessStats, op exec.AccessReporter) {
+	if stats != nil {
+		stats.Add(op.AccessStats())
+	}
 }
 
 // nonNegative reports whether every weight is ≥ 0 (NaN is not).
@@ -520,31 +402,9 @@ func (d *DB) PhraseSearch(phrase []string) ([]exec.PhraseMatch, error) {
 // PhraseSearchContext is PhraseSearch with cooperative cancellation and
 // the database's default resource limits.
 func (d *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exec.PhraseMatch, err error) {
-	start := time.Now()
-	var pf *exec.PhraseFinder
-	defer func() {
-		var stats storage.AccessStats
-		if pf != nil {
-			stats = pf.AccessStats()
-		}
-		d.observe(opPhrase, start, len(ms), stats, err)
-	}()
-	if c, tok, ok := d.queryCache(); ok {
-		key := rescache.PhraseKey(tok, phrase, d.opts.Limits)
-		if hit, found := rescache.GetSlice[exec.PhraseMatch](c, key); found {
-			ms = hit
-			return ms, nil
-		}
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, ms)
-			}
-		}()
-	}
 	defer recoverPanic(&err)
-	pf = &exec.PhraseFinder{Index: d.Index(), Phrase: phrase, Guard: exec.NewGuard(ctx, d.opts.Limits)}
-	ms, err = exec.CollectPhrase(pf.Run)
-	return ms, err
+	pf := &exec.PhraseFinder{Index: d.Index(), Phrase: phrase, Guard: exec.NewGuard(ctx, d.opts.Limits)}
+	return exec.CollectPhrase(pf.Run)
 }
 
 // Materialize returns the xmltree subtree for a result element.
@@ -596,15 +456,21 @@ type TwigRef struct {
 // TwigRefsContext runs the holistic twig join and returns the pattern
 // root's bindings as refs, deduplicated, in document order.
 func (d *DB) TwigRefsContext(ctx context.Context, pattern *exec.TwigNode) (out []TwigRef, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { d.observe(opTwig, start, len(out), stats, err) }()
 	defer recoverPanic(&err)
-	guard := exec.NewGuard(ctx, d.opts.Limits)
-	for _, doc := range d.Index().Docs() {
-		ts := &exec.TwigStack{Store: d.store, Doc: doc.ID, Root: pattern, Guard: guard}
+	return SearchTwig(d.Index(), pattern, exec.NewGuard(ctx, d.opts.Limits), nil)
+}
+
+// SearchTwig runs the holistic twig join over every live document of an
+// index snapshot under guard, adding the evaluation's store traffic to
+// stats when it is non-nil, and returns the pattern root's bindings as
+// refs, deduplicated, in document order. Tombstoned documents are not in
+// the snapshot, so they never match.
+func SearchTwig(idx *index.Index, pattern *exec.TwigNode, guard *exec.Guard, stats *storage.AccessStats) ([]TwigRef, error) {
+	var out []TwigRef
+	for _, doc := range idx.Docs() {
+		ts := &exec.TwigStack{Store: idx.Store(), Doc: doc.ID, Root: pattern, Guard: guard}
 		matches, terr := ts.Run()
-		stats.Add(ts.AccessStats())
+		addStats(stats, ts)
 		if terr != nil {
 			return nil, terr
 		}
@@ -664,10 +530,6 @@ func (d *DB) SimilarityJoin(spec SimilarityJoinSpec) ([]JoinedResult, error) {
 // entry, not mid-join; use the extended-XQuery join shape (QueryContext)
 // for cooperatively cancellable joins.
 func (d *DB) SimilarityJoinContext(ctx context.Context, spec SimilarityJoinSpec) (results []JoinedResult, err error) {
-	start := time.Now()
-	// The algebra path evaluates over xmltree values directly, so there is
-	// no accounting accessor; latency and result counts still record.
-	defer func() { d.observe(opJoin, start, len(results), storage.AccessStats{}, err) }()
 	defer recoverPanic(&err)
 	if cerr := ctx.Err(); cerr != nil {
 		if errors.Is(cerr, context.DeadlineExceeded) {

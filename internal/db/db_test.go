@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -151,43 +152,6 @@ func TestTermSearch(t *testing.T) {
 	if d.NameOf(results[0]) != "article" {
 		t.Errorf("best = %s, want article", d.NameOf(results[0]))
 	}
-	// Complex and Enhanced agree.
-	c1, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{Complex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{Complex: true, Enhanced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c1) != len(c2) {
-		t.Fatalf("enhanced disagrees: %d vs %d", len(c1), len(c2))
-	}
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Errorf("enhanced result %d differs", i)
-		}
-	}
-}
-
-func TestTermSearchParallelMatchesSequential(t *testing.T) {
-	d := newFixtureDB(t)
-	seq, err := d.TermSearch([]string{"search", "retrieval"}, TermSearchOptions{Complex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := d.TermSearch([]string{"search", "retrieval"}, TermSearchOptions{Complex: true, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel %d vs sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("result %d differs: %+v vs %+v", i, seq[i], par[i])
-		}
-	}
 }
 
 func TestPhraseSearchAndMaterialize(t *testing.T) {
@@ -256,24 +220,27 @@ func TestStopwordsOption(t *testing.T) {
 	}
 }
 
+// TestRemoveDocument deletes documents from a bulk-loaded database: the
+// removed one stops matching, the rest keeps answering, and the name can
+// be loaded again.
 func TestRemoveDocument(t *testing.T) {
 	d := newFixtureDB(t)
 	if d.Stats().Documents != 2 {
 		t.Fatalf("documents = %d", d.Stats().Documents)
 	}
-	if err := d.RemoveDocument("reviews.xml"); err != nil {
+	if err := d.Delete("reviews.xml"); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
 	if st.Documents != 1 {
 		t.Fatalf("documents after remove = %d", st.Documents)
 	}
-	// Terms only present in reviews.xml are gone from the rebuilt index.
-	if d.Index().TermFreq("anonymous") != 0 {
-		t.Errorf("removed document's terms still indexed")
+	// Terms only present in reviews.xml no longer match anything.
+	if res, err := d.TermSearch([]string{"anonymous"}, TermSearchOptions{}); err != nil || len(res) != 0 {
+		t.Errorf("removed document still matches: %v, %v", res, err)
 	}
-	if d.Index().TermFreq("search") == 0 {
-		t.Errorf("remaining document's terms lost")
+	if res, err := d.TermSearch([]string{"search"}, TermSearchOptions{}); err != nil || len(res) == 0 {
+		t.Errorf("remaining document's terms lost: %v, %v", res, err)
 	}
 	// Queries over the remaining document still work.
 	results, err := d.Query(`
@@ -288,10 +255,10 @@ func TestRemoveDocument(t *testing.T) {
 		t.Errorf("query after removal broken")
 	}
 	// Removing an unknown document errors; removing the last works.
-	if err := d.RemoveDocument("nope.xml"); err == nil {
-		t.Errorf("unknown removal accepted")
+	if err := d.Delete("nope.xml"); !errors.Is(err, ErrDocumentNotFound) {
+		t.Errorf("unknown removal: err = %v, want ErrDocumentNotFound", err)
 	}
-	if err := d.RemoveDocument("articles.xml"); err != nil {
+	if err := d.Delete("articles.xml"); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().Documents != 0 {

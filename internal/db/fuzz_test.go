@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/fixture"
@@ -10,8 +11,9 @@ import (
 // FuzzLoad drives the snapshot loader over corrupted byte streams. Load
 // must either return a database or an error — never panic, hang, or
 // allocate unboundedly from a lying length prefix. Seeds cover the valid
-// snapshot (with and without its integrity trailer), its prefixes, and the
-// bare magic, so mutation starts from structurally interesting inputs.
+// snapshot (with and without its integrity trailer), its prefixes, the
+// legacy v1 fixture and the bare magics, so mutation starts from
+// structurally interesting inputs.
 func FuzzLoad(f *testing.F) {
 	d := New(Options{Stemming: true})
 	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
@@ -26,14 +28,14 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	var bufV1 bytes.Buffer
-	if err := d.SaveV1(&bufV1); err != nil {
+	v1, err := os.ReadFile(v1Fixture)
+	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-trailerLen]) // legacy, no trailer
 	f.Add(valid[:len(valid)/2])
-	f.Add(bufV1.Bytes()) // v1 raw-posting format
+	f.Add(v1) // legacy v1 raw-posting format
 	f.Add([]byte(fileMagic))
 	f.Add([]byte(fileMagicV2))
 	f.Add([]byte{})

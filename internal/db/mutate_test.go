@@ -2,105 +2,18 @@ package db
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
-
-	"repro/internal/metrics"
 )
-
-func TestMutateSentinelsAndMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	d := New(Options{Metrics: reg})
-	if got := d.Generation(); got != 0 {
-		t.Fatalf("fresh database generation = %d, want 0", got)
-	}
-
-	if err := d.Add("a.xml", `<d><t>alpha beta</t></d>`); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Add("a.xml", `<d><t>dup</t></d>`); !errors.Is(err, ErrDocumentExists) {
-		t.Fatalf("duplicate Add err = %v, want ErrDocumentExists", err)
-	}
-	if err := d.Update("missing.xml", `<d/>`); !errors.Is(err, ErrDocumentNotFound) {
-		t.Fatalf("Update of unknown doc err = %v, want ErrDocumentNotFound", err)
-	}
-	if err := d.Delete("missing.xml"); !errors.Is(err, ErrDocumentNotFound) {
-		t.Fatalf("Delete of unknown doc err = %v, want ErrDocumentNotFound", err)
-	}
-	if err := d.Add("bad.xml", `<d><open`); err == nil {
-		t.Fatal("Add of malformed XML succeeded")
-	}
-
-	// Update tombstones the old id and allocates a fresh one.
-	oldID := d.Store().DocByName("a.xml").ID
-	if err := d.Update("a.xml", `<d><t>gamma</t></d>`); err != nil {
-		t.Fatal(err)
-	}
-	newID := d.Store().DocByName("a.xml").ID
-	if newID == oldID {
-		t.Fatalf("Update reused document id %d", oldID)
-	}
-	if !d.IsDeleted(oldID) {
-		t.Fatalf("old id %d not tombstoned after Update", oldID)
-	}
-	if d.IsDeleted(newID) {
-		t.Fatalf("fresh id %d reported deleted", newID)
-	}
-	if res, err := d.TermSearch([]string{"alpha"}, TermSearchOptions{}); err != nil || len(res) != 0 {
-		t.Fatalf("old content after Update: %v, %v", res, err)
-	}
-	if res, err := d.TermSearch([]string{"gamma"}, TermSearchOptions{}); err != nil || len(res) == 0 {
-		t.Fatalf("new content missing after Update: %v, %v", res, err)
-	}
-
-	gen := d.Generation()
-	if gen == 0 {
-		t.Fatal("mutations did not advance the generation")
-	}
-	if err := d.Delete("a.xml"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Generation() <= gen {
-		t.Fatal("Delete did not advance the generation")
-	}
-	if got := d.DocumentCount(); got != 0 {
-		t.Fatalf("DocumentCount = %d after deleting everything, want 0", got)
-	}
-
-	// CompactNow folds the (now empty) corpus back to a flat index.
-	d.CompactNow()
-	d.WaitCompaction()
-	if res, err := d.TermSearch([]string{"gamma"}, TermSearchOptions{}); err != nil || len(res) != 0 {
-		t.Fatalf("deleted content after compaction: %v, %v", res, err)
-	}
-
-	// Per-op counters saw every attempt, successful or not.
-	wantTotals := map[string]int64{"add": 3, "update": 2, "delete": 2}
-	wantErrs := map[string]int64{"add": 2, "update": 1, "delete": 1}
-	ops := []string{"add", "update", "delete"}
-	for _, op := range ops {
-		lbl := `{op="` + op + `"}`
-		if got := reg.Counter("tix_ingest_total" + lbl).Value(); got != wantTotals[op] {
-			t.Errorf("tix_ingest_total%s = %d, want %d", lbl, got, wantTotals[op])
-		}
-		if got := reg.Counter("tix_ingest_errors_total" + lbl).Value(); got != wantErrs[op] {
-			t.Errorf("tix_ingest_errors_total%s = %d, want %d", lbl, got, wantErrs[op])
-		}
-	}
-	if got := reg.Gauge("tix_index_generation").Value(); got == 0 {
-		t.Error("tix_index_generation gauge not published")
-	}
-}
 
 // mutatedFixture builds a database that exercised every mutation: adds,
 // an update, and a delete, leaving live documents b and c (c updated).
 func mutatedFixture(t *testing.T) *DB {
 	t.Helper()
-	d := New(Options{Metrics: metrics.NewRegistry()})
+	d := New(Options{})
 	for _, c := range []struct{ name, src string }{
 		{"a.xml", `<d><t>apple orchard</t></d>`},
 		{"b.xml", `<d><t>banana grove</t></d>`},
@@ -197,7 +110,7 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 	}
 	probe := []string{"w3", "q7"}
 
-	grown := New(Options{Metrics: metrics.NewRegistry()})
+	grown := New(Options{})
 	grown.Warm()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -236,7 +149,7 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 	}
 	grown.WaitCompaction()
 
-	scratch := New(Options{Metrics: metrics.NewRegistry()})
+	scratch := New(Options{})
 	for i := 0; i < nDocs; i++ {
 		if err := scratch.LoadString(fmt.Sprintf("doc%06d.xml", i), docSrc(i)); err != nil {
 			t.Fatal(err)

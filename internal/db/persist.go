@@ -48,9 +48,11 @@ import (
 // accepted as legacy), and old loaders that stop at the payload simply
 // never read the trailing 12 bytes. A present-but-partial trailer, a
 // checksum mismatch, or bytes after the trailer are rejected with an error
-// wrapping ErrCorruptSnapshot. Load dispatches on the magic, so v1
-// snapshots keep loading (their postings are block-encoded on restore);
-// SaveV1 keeps writing them for older readers.
+// wrapping ErrCorruptSnapshot. Save writes v2 only; the binaries persist
+// through the sharded container (internal/shard), which embeds one v2
+// segment per shard. Load dispatches on the magic, so legacy v1 and v2
+// single-store files keep loading (v1 postings are block-encoded on
+// restore).
 const fileMagic = "TIXDB1\n"
 
 // fileMagicV2 marks snapshots whose index section stores encoded
@@ -64,19 +66,6 @@ const sumMagic = "TIXSUM1\n"
 // trailer, a checksum mismatch, trailing garbage, or an invalid encoded
 // posting block. Test with errors.Is.
 var ErrCorruptSnapshot = errors.New("db: corrupt database file")
-
-// Save writes the database — documents, options and the inverted index —
-// to w in the v2 format (encoded posting blocks verbatim), followed by
-// the CRC32 integrity trailer.
-func (d *DB) Save(w io.Writer) error {
-	return d.save(w, fileMagicV2, writeIndexV2)
-}
-
-// SaveV1 writes the database in the v1 format (raw uvarint postings), for
-// readers that predate the block-compressed index section.
-func (d *DB) SaveV1(w io.Writer) error {
-	return d.save(w, fileMagic, writeIndexV1)
-}
 
 // persistViewLocked resolves the mutable live layer into a persistable
 // (documents, flat index) pair. Caller holds d.mu, so the view is a
@@ -114,7 +103,10 @@ func (d *DB) persistViewLocked() ([]*storage.Document, *index.Index, error) {
 	return fresh.Docs(), idx, nil
 }
 
-func (d *DB) save(w io.Writer, magic string, writeIndex func(*bufio.Writer, *index.Index) error) error {
+// Save writes the database — documents, options and the inverted index —
+// to w in the v2 format (encoded posting blocks verbatim), followed by
+// the CRC32 integrity trailer.
+func (d *DB) Save(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	docs, idx, err := d.persistViewLocked()
@@ -125,17 +117,7 @@ func (d *DB) save(w io.Writer, magic string, writeIndex func(*bufio.Writer, *ind
 	// Everything flushed through bw is hashed; the trailer itself is
 	// written to w directly afterwards, so it stays outside its own sum.
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	finish := func() error {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		var tr [len(sumMagic) + 4]byte
-		copy(tr[:], sumMagic)
-		binary.LittleEndian.PutUint32(tr[len(sumMagic):], h.Sum32())
-		_, err := w.Write(tr[:])
-		return err
-	}
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(fileMagicV2); err != nil {
 		return err
 	}
 	// Options.
@@ -161,42 +143,22 @@ func (d *DB) save(w io.Writer, magic string, writeIndex func(*bufio.Writer, *ind
 		if err := bw.WriteByte(0); err != nil {
 			return err
 		}
-		return finish()
-	}
-	if err := bw.WriteByte(1); err != nil {
-		return err
-	}
-	if err := writeIndex(bw, idx); err != nil {
-		return err
-	}
-	return finish()
-}
-
-// writeIndexV1 emits the raw-posting index section (one uvarint tuple per
-// posting, materialized from the block storage).
-func writeIndexV1(bw *bufio.Writer, idx *index.Index) error {
-	terms := idx.TermsByFreq()
-	writeUvarint(bw, uint64(len(terms)))
-	for _, term := range terms {
-		writeString(bw, term)
-		ps := idx.Postings(term)
-		writeUvarint(bw, uint64(len(ps)))
-		lastDoc := storage.DocID(-1)
-		lastPos := uint32(0)
-		for _, p := range ps {
-			writeUvarint(bw, uint64(p.Doc))
-			writeUvarint(bw, uint64(p.Node))
-			if p.Doc != lastDoc {
-				writeUvarint(bw, uint64(p.Pos))
-				lastDoc, lastPos = p.Doc, p.Pos
-			} else {
-				writeUvarint(bw, uint64(p.Pos-lastPos))
-				lastPos = p.Pos
-			}
-			writeUvarint(bw, uint64(p.Offset))
+	} else {
+		if err := bw.WriteByte(1); err != nil {
+			return err
+		}
+		if err := writeIndexV2(bw, idx); err != nil {
+			return err
 		}
 	}
-	return nil
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	var tr [len(sumMagic) + 4]byte
+	copy(tr[:], sumMagic)
+	binary.LittleEndian.PutUint32(tr[len(sumMagic):], h.Sum32())
+	_, err = w.Write(tr[:])
+	return err
 }
 
 // writeIndexV2 emits the block-compressed index section: skip tables as
@@ -235,19 +197,6 @@ func writeIndexV2(bw *bufio.Writer, idx *index.Index) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the database to path.
-func (d *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("db: %w", err)
-	}
-	if err := d.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // byteReader is the reading interface the loader consumes through: bulk
@@ -304,8 +253,9 @@ func verifyTrailer(br *bufio.Reader, h hash.Hash32) error {
 	return nil
 }
 
-// Load reads a database written by Save or SaveV1, dispatching on the
-// magic and verifying the integrity trailer when present.
+// Load reads a single-store snapshot — a segment written by Save, or a
+// legacy v1 file — dispatching on the magic and verifying the integrity
+// trailer when present.
 func Load(r io.Reader) (*DB, error) {
 	raw := bufio.NewReader(r)
 	br := &crcReader{r: raw, h: crc32.NewIEEE()}
@@ -524,7 +474,7 @@ func loadIndexV2(d *DB, br *crcReader) error {
 	return nil
 }
 
-// LoadDBFile reads a database file written by SaveFile.
+// LoadDBFile reads a legacy single-store snapshot file (see Load).
 func LoadDBFile(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {

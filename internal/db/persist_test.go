@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -115,7 +116,14 @@ func TestSaveFileLoadDBFile(t *testing.T) {
 	d := newFixtureDB(t)
 	d.Index()
 	path := filepath.Join(t.TempDir(), "db.tix")
-	if err := d.SaveFile(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := LoadDBFile(path)

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
@@ -10,9 +11,30 @@ import (
 	"repro/internal/synth"
 )
 
-// The v2 snapshot persists the block-compressed postings verbatim; v1
-// stays readable (and writable via SaveV1) for old files. These tests pin
-// the two-way compatibility and the v2-specific corruption defenses.
+// The v2 snapshot persists the block-compressed postings verbatim; v1 is
+// load-only, pinned by a file a v1 writer produced from the Figure 1
+// database (Stemming on, index built). These tests pin that compatibility
+// and the v2-specific corruption defenses.
+
+// v1Fixture is a TIXDB1 snapshot of newFixtureDB.
+const v1Fixture = "testdata/fig1.v1.tix"
+
+// loadV1Fixture loads the committed v1 snapshot.
+func loadV1Fixture(t *testing.T) *DB {
+	t.Helper()
+	data, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(fileMagic)) {
+		t.Fatalf("%s has magic %q, want %q", v1Fixture, data[:len(fileMagic)], fileMagic)
+	}
+	d, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load of v1 snapshot: %v", err)
+	}
+	return d
+}
 
 func TestSaveWritesV2Magic(t *testing.T) {
 	data := savedFixture(t)
@@ -23,18 +45,7 @@ func TestSaveWritesV2Magic(t *testing.T) {
 
 func TestSaveV1LoadCompat(t *testing.T) {
 	d := newFixtureDB(t)
-	d.Index()
-	var buf bytes.Buffer
-	if err := d.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(fileMagic)) {
-		t.Fatalf("SaveV1 wrote magic %q, want %q", buf.Bytes()[:len(fileMagic)], fileMagic)
-	}
-	d2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load of v1 snapshot: %v", err)
-	}
+	d2 := loadV1Fixture(t)
 	if got, want := d2.Stats(), d.Stats(); got != want {
 		t.Errorf("v1 reload stats = %+v, want %+v", got, want)
 	}
@@ -67,19 +78,8 @@ func synthDB(t *testing.T) *DB {
 }
 
 func TestV1AndV2SnapshotsLoadIdentically(t *testing.T) {
-	d := synthDB(t)
-	var v1, v2 bytes.Buffer
-	if err := d.SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := Load(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(&v2)
+	d1 := loadV1Fixture(t)
+	d2, err := Load(bytes.NewReader(savedFixture(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +91,14 @@ func TestV1AndV2SnapshotsLoadIdentically(t *testing.T) {
 		if !reflect.DeepEqual(d1.Index().Postings(term), d2.Index().Postings(term)) {
 			t.Errorf("postings for %q differ between v1 and v2 loads", term)
 		}
+	}
+	// Re-saving the v1 load writes v2, byte-identical to the v2 save.
+	var buf bytes.Buffer
+	if err := d1.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), savedFixture(t)) {
+		t.Error("v1 load re-saved differs from the v2 snapshot of the same corpus")
 	}
 }
 

@@ -61,7 +61,7 @@ func TestScaleSmoke(t *testing.T) {
 		st.Elements, elapsed, results[0].Score)
 
 	// TopK term search at scale through the early-terminating path.
-	results2, err := d.TermSearch([]string{"needle", "haystack"}, TermSearchOptions{TopK: 5, Parallel: 4})
+	results2, err := d.TermSearch([]string{"needle", "haystack"}, TermSearchOptions{TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,55 +214,6 @@ func TestTermJoinMaxAccesses(t *testing.T) {
 	}
 }
 
-// TestParallelTermJoinCancel verifies that one shared guard stops every
-// worker: all partitions observe the same latched error.
-func TestParallelTermJoinCancel(t *testing.T) {
-	idx := plantedIndex(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g := NewGuard(ctx, Limits{CheckEvery: 64})
-	p := &ParallelTermJoin{
-		Index:   idx,
-		Query:   TermQuery{Terms: []string{plantedTerm}, Scorer: DefaultScorer{}},
-		Workers: 4,
-		Guard:   g,
-	}
-	var mu sync.Mutex
-	var emitted int
-	err := p.Run(func(ScoredNode) {
-		mu.Lock()
-		emitted++
-		if emitted == 3 {
-			cancel()
-		}
-		mu.Unlock()
-	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestParallelTermJoinSharedResultBudget: the MaxResults budget is shared
-// across workers, not per worker.
-func TestParallelTermJoinSharedResultBudget(t *testing.T) {
-	idx := plantedIndex(t)
-	const max = 10
-	g := NewGuard(context.Background(), Limits{MaxResults: max})
-	p := &ParallelTermJoin{
-		Index:   idx,
-		Query:   TermQuery{Terms: []string{plantedTerm}, Scorer: DefaultScorer{}},
-		Workers: 4,
-		Guard:   g,
-	}
-	err := p.Run(func(ScoredNode) {})
-	if !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("err = %v, want ErrLimitExceeded", err)
-	}
-	if got := g.Emitted(); got > max+4 {
-		t.Errorf("workers reserved %d result slots against a shared budget of %d", got, max)
-	}
-}
-
 // TestGuardLatchIsSticky: after the first failure every subsequent call
 // reports the same error, even between full checks.
 func TestGuardLatchIsSticky(t *testing.T) {

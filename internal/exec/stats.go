@@ -4,10 +4,11 @@ import "repro/internal/storage"
 
 // AccessReporter is implemented by every access method that accounts its
 // store traffic, exposing the storage.AccessStats accumulated by the most
-// recent Run uniformly — so harnesses (internal/bench, internal/db's
-// per-query metrics) can report store touches without knowing which
-// operator ran. Methods that never touch the node store (PhraseFinder
-// resolves phrases entirely from the inverted index) report zero stats.
+// recent Run uniformly — so harnesses (internal/bench, the sharded
+// facade's per-query metrics) can report store touches without knowing
+// which operator ran. Methods that never touch the node store
+// (PhraseFinder resolves phrases entirely from the inverted index) report
+// zero stats.
 type AccessReporter interface {
 	AccessStats() storage.AccessStats
 }
@@ -25,9 +26,6 @@ func (t *TermJoin) AccessStats() storage.AccessStats { return accStats(t.Acc) }
 // AccessStats reports the store traffic of the last Run: the per-document
 // joins of every document the bounds did not prune.
 func (t *TopKTermJoin) AccessStats() storage.AccessStats { return accStats(t.acc) }
-
-// AccessStats reports the combined worker store traffic of the last Run.
-func (p *ParallelTermJoin) AccessStats() storage.AccessStats { return p.Stats }
 
 // AccessStats reports the store traffic of the last Run.
 func (c *Comp1) AccessStats() storage.AccessStats { return accStats(c.Acc) }

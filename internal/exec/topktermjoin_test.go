@@ -10,8 +10,30 @@ import (
 	"repro/internal/index"
 	"repro/internal/scoring"
 	"repro/internal/storage"
+	"repro/internal/synth"
 	"repro/internal/tokenize"
 )
+
+// buildMultiDocIndex loads several generated documents, so top-k pruning
+// has whole documents to skip.
+func buildMultiDocIndex(t testing.TB, docs int) *index.Index {
+	t.Helper()
+	s := storage.NewStore()
+	for i := 0; i < docs; i++ {
+		cfg := synth.DefaultConfig()
+		cfg.Articles = 6
+		cfg.Seed = int64(100 + i)
+		cfg.ControlTerms = map[string]int{"ctla": 30, "ctlb": 20}
+		c, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AddTree(fmt.Sprintf("doc%02d.xml", i), c.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return index.Build(s, tokenize.New())
+}
 
 // fullTopK is the exhaustive oracle: the whole TermJoin through a TopK.
 func fullTopK(t *testing.T, idx *index.Index, q TermQuery, k int) []ScoredNode {

@@ -255,26 +255,28 @@ func (a *Admission) Admit(ctx context.Context, client string) (release func(), e
 	default:
 	}
 
-	// No free slot: reserve the queue slot atomically BEFORE any check, so
-	// concurrent arrivals cannot all pass a check-then-act race and
-	// collectively overshoot MaxQueue. A shed rejection undoes the
-	// reservation and refunds the token the request never used.
-	shed := func(retryAfter time.Duration, reason string) (func(), error) {
-		a.queued.Add(-1)
+	// No free slot: claim a queue slot with a compare-and-swap that never
+	// takes the counter past MaxQueue, so concurrent arrivals cannot
+	// overshoot it even transiently. A shed rejection releases any slot it
+	// claimed and refunds the token the request never used.
+	shed := func(reserved bool, retryAfter time.Duration, reason string) (func(), error) {
+		if reserved {
+			a.queued.Add(-1)
+		}
 		a.refundToken(client)
 		reg.Counter("tix_admission_shed_total").Inc()
 		return nil, &AdmissionError{Sentinel: ErrOverloaded, RetryAfter: retryAfter, Reason: reason}
 	}
-	q := a.queued.Add(1)
+	q, reserved := a.reserveQueue()
 	predicted := a.predictWait(q)
-	if int64(a.cfg.MaxQueue) < q {
-		return shed(maxDuration(predicted, 50*time.Millisecond),
+	if !reserved {
+		return shed(false, maxDuration(predicted, 50*time.Millisecond),
 			fmt.Sprintf("admission queue full (%d waiting)", a.cfg.MaxQueue))
 	}
 	// Deadline-aware shedding: a request whose predicted queue wait cannot
 	// fit inside its own deadline would only time out in line.
 	if dl, ok := ctx.Deadline(); ok && predicted > 0 && time.Now().Add(predicted).After(dl) {
-		return shed(predicted, fmt.Sprintf("predicted queue wait %s exceeds request deadline",
+		return shed(true, predicted, fmt.Sprintf("predicted queue wait %s exceeds request deadline",
 			predicted.Round(time.Millisecond)))
 	}
 
@@ -290,6 +292,21 @@ func (a *Admission) Admit(ctx context.Context, client string) (release func(), e
 	case <-ctx.Done():
 		reg.Counter("tix_admission_abandoned_total").Inc()
 		return nil, ctx.Err()
+	}
+}
+
+// reserveQueue claims one queue slot unless MaxQueue are taken already. It
+// returns the queue length counting the caller, so a full queue reports
+// MaxQueue+1 without the counter ever holding that value.
+func (a *Admission) reserveQueue() (int64, bool) {
+	for {
+		q := a.queued.Load()
+		if q >= int64(a.cfg.MaxQueue) {
+			return q + 1, false
+		}
+		if a.queued.CompareAndSwap(q, q+1) {
+			return q + 1, true
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func runDrillScenario(t *testing.T, degraded int) (errRate float64, p50, p99v ti
 	t.Helper()
 	cf := newChaosFleet(t, Config{MaxRetries: 3})
 	for i := 0; i < degraded; i++ {
-		cf.replicas[i].Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+		cf.replicas[i].SetFaults(&storage.FaultInjector{FailEvery: 1})
 	}
 
 	const workers, perWorker = 4, 50

@@ -1,8 +1,7 @@
 // Package fleet is the replicated, self-healing serving tier: it fronts
-// N identical backend replicas (each a *db.DB or sharded *shard.DB
-// loaded with the same corpus in the same order) and makes the query
-// surface degrade gracefully instead of failing when a replica stalls or
-// dies.
+// N identical backend replicas (each a sharded *shard.DB loaded with the
+// same corpus in the same order) and makes the query surface degrade
+// gracefully instead of failing when a replica stalls or dies.
 //
 // Three mechanisms compose:
 //
@@ -50,9 +49,9 @@ import (
 	"repro/internal/xq"
 )
 
-// Backend is the replica surface the fleet routes over — structurally
-// identical to server.Backend, so *db.DB and *shard.DB satisfy both, and
-// *Fleet itself satisfies server.Backend.
+// Backend is the replica surface the fleet routes over. server.Backend is
+// an alias of it: *shard.DB satisfies it, and so does *Fleet itself, so
+// the server fronts either.
 type Backend interface {
 	Stats() db.Stats
 	DocumentCount() int
@@ -65,7 +64,7 @@ type Backend interface {
 	NameOf(n exec.ScoredNode) string
 }
 
-// Ingestor is the replica mutation surface (mirrors server.Ingestor).
+// Ingestor is the replica mutation surface (server.Ingestor aliases it).
 type Ingestor interface {
 	Add(name, src string) error
 	Update(name, src string) error
@@ -618,7 +617,7 @@ func (f *Fleet) CompactionBacklog() int {
 // idAllocator is the optional replica surface the numbering repair
 // needs: AllocatedDocIDs exposes the document-id allocation cursor (ids
 // ever handed out, live or tombstoned) and BurnDocID consumes one id
-// without adding a document. *db.DB and *shard.DB both implement it.
+// without adding a document. *shard.DB implements it.
 type idAllocator interface {
 	AllocatedDocIDs() int
 	BurnDocID() error

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -21,7 +22,7 @@ import (
 // first (mimicking a half-indexed document that the live index
 // tombstoned before surfacing the error).
 type scriptedIngestor struct {
-	*db.DB
+	*shard.DB
 	failAdd       error
 	consumeOnFail bool
 	failUpdate    error
@@ -59,7 +60,7 @@ func newIngestFleet(t *testing.T) (*Fleet, []*scriptedIngestor) {
 	wraps := make([]*scriptedIngestor, 3)
 	backends := make([]Backend, 3)
 	for i := range wraps {
-		d := db.New(db.Options{Metrics: metrics.NewRegistry()})
+		d := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 		if err := d.LoadString("seed.xml", "<doc><p>seed text</p></doc>"); err != nil {
 			t.Fatal(err)
 		}
@@ -74,22 +75,36 @@ func newIngestFleet(t *testing.T) (*Fleet, []*scriptedIngestor) {
 	return f, wraps
 }
 
+// docID returns the global id a replica numbered a live document with.
+// Ids are never reused, so the newest slot carrying the name is its own.
+func docID(d *shard.DB, name string) (storage.DocID, bool) {
+	if _, live := d.ShardOf(name); !live {
+		return 0, false
+	}
+	for id := storage.DocID(d.AllocatedDocIDs() - 1); id >= 0; id-- {
+		if d.DocName(id) == name {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
 // assertAligned checks every replica assigned the same id to name and
 // that the allocation cursors agree.
 func assertAligned(t *testing.T, wraps []*scriptedIngestor, name string) {
 	t.Helper()
 	wantID, wantCur := storage.DocID(0), -1
 	for i, w := range wraps {
-		doc := w.Store().DocByName(name)
-		if doc == nil {
+		id, ok := docID(w.DB, name)
+		if !ok {
 			t.Fatalf("replica %d is missing %q", i, name)
 		}
 		if i == 0 {
-			wantID, wantCur = doc.ID, w.AllocatedDocIDs()
+			wantID, wantCur = id, w.AllocatedDocIDs()
 			continue
 		}
-		if doc.ID != wantID {
-			t.Errorf("replica %d numbered %q as %d, replica 0 as %d", i, name, doc.ID, wantID)
+		if id != wantID {
+			t.Errorf("replica %d numbered %q as %d, replica 0 as %d", i, name, id, wantID)
 		}
 		if cur := w.AllocatedDocIDs(); cur != wantCur {
 			t.Errorf("replica %d allocation cursor = %d, replica 0 = %d", i, cur, wantCur)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/rescache"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
@@ -26,7 +25,8 @@ import (
 // cache (asserted via the hit counter), which is the path that would
 // expose a stale or corrupted entry.
 
-// backend is the common surface of db.DB and shard.DB the suite drives.
+// backend is the surface the suite drives: the serving facade (shard.DB)
+// and, as an independent uncached oracle, a bare segment (db.DB).
 type backend interface {
 	LoadString(name, src string) error
 	Warm()
@@ -38,7 +38,6 @@ type backend interface {
 	TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, error)
 	PhraseSearchContext(ctx context.Context, phrase []string) ([]exec.PhraseMatch, error)
 	QueryContext(ctx context.Context, src string) ([]xq.Result, error)
-	ResultCache() *rescache.Cache
 }
 
 func diffDocName(i int) string { return fmt.Sprintf("doc%06d.xml", i) }
@@ -168,7 +167,7 @@ func diffStages() []struct {
 // its uncached oracle twin, requiring byte-identical results from the
 // computed (first) and cached (second) call of every family at every
 // stage, and that the cache genuinely served the repeats.
-func runDifferential(t *testing.T, cached, oracle backend) {
+func runDifferential(t *testing.T, cached, oracle *shard.DB) {
 	t.Helper()
 	ctx := context.Background()
 	c := cached.ResultCache()
@@ -219,10 +218,13 @@ func runDifferential(t *testing.T, cached, oracle backend) {
 	}
 }
 
+// TestDifferentialMonolithic runs the ladder on one shard. The oracle is
+// the same facade without a cache: an Update keeps the facade's global
+// id, so only the same topology numbers updated documents alike.
 func TestDifferentialMonolithic(t *testing.T) {
-	cached := db.New(db.Options{CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
+	cached := shard.New(shard.Options{Shards: 1, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
-	oracle := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	oracle := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 	runDifferential(t, cached, oracle)
 }
 
@@ -234,17 +236,16 @@ func TestDifferentialSharded(t *testing.T) {
 }
 
 // TestDifferentialShardedVsMonolithic closes the triangle on a static
-// corpus: the cached sharded facade must agree with an uncached
-// monolithic oracle (global-id rewriting happens before results enter
-// the cache, so cached entries must already be in facade coordinates).
-// Static only — after updates the facade's name table reuses freed
-// global-id slots while the monolithic store allocates fresh ids, so
-// cross-topology id equality is only guaranteed for identical load
-// histories (same scope as the shard equivalence suite).
+// corpus: the cached 3-shard facade must agree with an uncached bare
+// segment (global-id rewriting happens before results enter the cache,
+// so cached entries must already be in facade coordinates). Static only —
+// an Update keeps the facade's global id while a segment allocates a
+// fresh one, so cross-topology id equality is only guaranteed for
+// identical load histories (same scope as the shard equivalence suite).
 func TestDifferentialShardedVsMonolithic(t *testing.T) {
-	cached := shard.New(shard.Options{Shards: 1, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
+	cached := shard.New(shard.Options{Shards: 3, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
-	oracle := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	oracle := db.New(db.Options{})
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {
 		for _, b := range []backend{cached, oracle} {
@@ -292,7 +293,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	if testing.Short() {
 		nDocs = 2_000
 	}
-	cached := db.New(db.Options{CacheBytes: 8 << 20, Metrics: metrics.NewRegistry()})
+	cached := shard.New(shard.Options{Shards: 1, CacheBytes: 8 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
 	// Seed one document and warm so the live index (and with it the
 	// cache's generation token) exists before readers start.
@@ -349,7 +350,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	}
 	cached.WaitCompaction()
 
-	scratch := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	scratch := db.New(db.Options{})
 	for i := 0; i < nDocs; i++ {
 		if err := scratch.LoadString(diffDocName(i), diffDocSrc(i)); err != nil {
 			t.Fatal(err)

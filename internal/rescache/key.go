@@ -29,10 +29,11 @@ import (
 //     ComplexScorer default every out-of-range weight to 1.
 //   - TopK and MinScore at or below zero mean "disabled" and fold to 0.
 //
-// Execution hints that cannot change results stay out of the key: the
-// Parallel worker count (exec.SortRanked's total order makes worker
-// scheduling invisible) and the Enhanced child-count mode (proven
-// result-equivalent to navigation by the exec differential suites).
+// The key holds exactly the request fields that can change results.
+// Which operator answers (pruned TopKTermJoin or exhaustive TermJoin) and
+// how many shard workers run it are not request fields: db.SearchTerms
+// chooses the operator by rule, and exec.RankedBefore's total order makes
+// the fan-out's scheduling invisible.
 
 // Family tags the query family a key belongs to, so identical payloads
 // from different entry points can never collide.

@@ -6,11 +6,13 @@ import (
 	"net/http"
 
 	"repro/internal/db"
+	"repro/internal/fleet"
 )
 
-// Ingestor is the optional mutation surface of a Backend. Both *db.DB and
-// the sharded *shard.DB satisfy it; a backend without it (or a server with
-// ingestion disabled) answers the document endpoints with 501.
+// Ingestor is the optional mutation surface of a Backend — the fleet's
+// replica mutation surface, which *shard.DB and *fleet.Fleet satisfy; a
+// backend without it (or a server with ingestion disabled) answers the
+// document endpoints with 501.
 //
 //	POST   /docs          {"name": "...", "xml": "..."}  add a document
 //	PUT    /docs/{name}   {"xml": "..."}                 replace a document
@@ -21,12 +23,7 @@ import (
 // conflict (409) for adding an existing name, not_found (404) for
 // updating or deleting an unknown one, unprocessable (422) for XML that
 // does not parse, not_implemented (501) when ingestion is unavailable.
-type Ingestor interface {
-	Add(name, src string) error
-	Update(name, src string) error
-	Delete(name string) error
-	Generation() uint64
-}
+type Ingestor = fleet.Ingestor
 
 // ingestor returns the mutation surface, or nil when the backend does not
 // support ingestion or the server has it disabled.

@@ -16,16 +16,16 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/db"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
 // ingestServer is newIsolatedServer with mutations enabled.
-func ingestServer(t *testing.T) (*Server, string, *db.DB) {
+func ingestServer(t *testing.T) (*Server, string, *shard.DB) {
 	t.Helper()
 	s, ts, _ := newIsolatedServer(t)
 	s.EnableIngest = true
-	d := s.DB.(*db.DB)
+	d := s.DB.(*shard.DB)
 	d.Stats() // build the index before any fault arming
 	return s, ts.URL, d
 }
@@ -71,7 +71,7 @@ func TestIngestConsistentAcrossQueryFaults(t *testing.T) {
 
 	// Arm the injector: queries fail, mutations (which bypass the metered
 	// read path) must keep working and stay atomic.
-	d.Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+	d.SetFaults(&storage.FaultInjector{FailEvery: 1})
 
 	const docs = 8
 	var wg sync.WaitGroup
@@ -102,7 +102,7 @@ func TestIngestConsistentAcrossQueryFaults(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	d.Store().SetFaults(nil)
+	d.SetFaults(nil)
 
 	acked := 0
 	for i, ok := range acks {
@@ -234,7 +234,7 @@ func TestUpdateDeleteUnderFaults(t *testing.T) {
 	}
 
 	// Update while queries are faulting.
-	d.Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+	d.SetFaults(&storage.FaultInjector{FailEvery: 1})
 	body, _ := json.Marshal(IngestRequest{XML: "<note>secondphase</note>"})
 	req, err := http.NewRequest(http.MethodPut, url+"/docs/life.xml", strings.NewReader(string(body)))
 	if err != nil {
@@ -249,7 +249,7 @@ func TestUpdateDeleteUnderFaults(t *testing.T) {
 	if putResp.StatusCode != http.StatusOK {
 		t.Fatalf("update under faults: status %d", putResp.StatusCode)
 	}
-	d.Store().SetFaults(nil)
+	d.SetFaults(nil)
 
 	// The replacement is atomic: old term gone, new term present.
 	if got := countTermHits(t, url, "firstphase"); got != 0 {
@@ -260,7 +260,7 @@ func TestUpdateDeleteUnderFaults(t *testing.T) {
 	}
 
 	// Delete, again with faults armed mid-lifecycle.
-	d.Store().SetFaults(&storage.FaultInjector{FailEvery: 1, Seed: 3})
+	d.SetFaults(&storage.FaultInjector{FailEvery: 1, Seed: 3})
 	delReq, err := http.NewRequest(http.MethodDelete, url+"/docs/life.xml", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestUpdateDeleteUnderFaults(t *testing.T) {
 	if delResp.StatusCode != http.StatusOK {
 		t.Fatalf("delete under faults: status %d", delResp.StatusCode)
 	}
-	d.Store().SetFaults(nil)
+	d.SetFaults(nil)
 
 	if got := countTermHits(t, url, "secondphase"); got != 0 {
 		t.Errorf("deleted content still queryable: %d hits", got)

@@ -10,15 +10,16 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 )
 
-// The monolithic database must satisfy the optional mutation surface.
-var _ Ingestor = (*db.DB)(nil)
+// The serving facade must satisfy the optional mutation surface.
+var _ Ingestor = (*shard.DB)(nil)
 
 // newIngestServer builds a mutable server over a small live corpus.
-func newIngestServer(t *testing.T) (*httptest.Server, *db.DB) {
+func newIngestServer(t *testing.T) (*httptest.Server, *shard.DB) {
 	t.Helper()
-	d := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	d := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 	if err := d.LoadString("seed.xml", `<d><t>seed text here</t></d>`); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestIngestErrorMapping(t *testing.T) {
 }
 
 func TestIngestDisabledReturns501(t *testing.T) {
-	d := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	d := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 	s := New(d) // EnableIngest left false
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -45,13 +46,13 @@ func TestReadyzSingleBackend(t *testing.T) {
 
 // newFleetServer builds a server over a 2-replica fleet loaded with the
 // fixture corpus, with fast breaker tunings for drills.
-func newFleetServer(t *testing.T) (*Server, *fleet.Fleet, []*db.DB, string) {
+func newFleetServer(t *testing.T) (*Server, *fleet.Fleet, []*shard.DB, string) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	var replicas []*db.DB
+	var replicas []*shard.DB
 	var backends []fleet.Backend
 	for i := 0; i < 2; i++ {
-		d := db.New(db.Options{Metrics: metrics.NewRegistry()})
+		d := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 		for _, doc := range []struct{ name, xml string }{
 			{"articles.xml", fixture.ArticlesXML},
 			{"reviews.xml", fixture.ReviewsXML},
@@ -93,7 +94,7 @@ func TestReadyzFleetDegradesToUnavailable(t *testing.T) {
 
 	// Kill both replicas and drive traffic until every breaker opens.
 	for _, d := range replicas {
-		d.Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+		d.SetFaults(&storage.FaultInjector{FailEvery: 1})
 	}
 	for i := 0; i < 30; i++ {
 		f.TermSearchContext(context.Background(), []string{"search"}, db.TermSearchOptions{}) //nolint:errcheck — driving breakers open

@@ -72,24 +72,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
-	"repro/internal/xq"
 )
 
-// Backend is the database surface the server runs on: the monolithic
-// *db.DB and the sharded *shard.DB both satisfy it, so one server binary
-// fronts either layout. All methods must be safe for concurrent read use
-// once the backend is fully loaded.
-type Backend interface {
-	Stats() db.Stats
-	DocumentCount() int
-	MetricsRegistry() *metrics.Registry
-	QueryContext(ctx context.Context, src string) ([]xq.Result, error)
-	Explain(src string) (string, error)
-	TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, error)
-	PhraseSearchContext(ctx context.Context, phrase []string) ([]exec.PhraseMatch, error)
-	Materialize(doc storage.DocID, ord int32) *xmltree.Node
-	NameOf(n exec.ScoredNode) string
-}
+// Backend is the database surface the server runs on — the fleet's
+// replica surface, so one server binary fronts a sharded *shard.DB or a
+// replicated *fleet.Fleet of them. All methods must be safe for concurrent
+// read use once the backend is fully loaded.
+type Backend = fleet.Backend
 
 // Server wraps a database with HTTP handlers. The database must be fully
 // loaded before serving; handlers only read, so concurrent requests are
@@ -138,7 +127,7 @@ type Server struct {
 	started time.Time
 }
 
-// New returns a server over a backend (a *db.DB or a sharded *shard.DB).
+// New returns a server over a backend (a *shard.DB or a *fleet.Fleet).
 func New(d Backend) *Server {
 	return &Server{DB: d, MaxResults: 100, started: time.Now()}
 }
@@ -438,7 +427,7 @@ type readinessProber interface {
 }
 
 // compactionBackloger is the optional backend surface reporting
-// outstanding compaction work (db.DB, shard.DB and the fleet expose it).
+// outstanding compaction work (shard.DB and the fleet expose it).
 type compactionBackloger interface {
 	CompactionBacklog() int
 }
@@ -550,10 +539,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // TermsRequest is the /terms payload.
 type TermsRequest struct {
-	Terms    []string `json:"terms"`
-	TopK     int      `json:"topK"`
-	Complex  bool     `json:"complex"`
-	Parallel int      `json:"parallel"`
+	Terms   []string `json:"terms"`
+	TopK    int      `json:"topK"`
+	Complex bool     `json:"complex"`
 }
 
 // TermResult is one result of /terms.
@@ -579,9 +567,7 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	results, err := s.DB.TermSearchContext(ctx, req.Terms, db.TermSearchOptions{
-		TopK: topK, Complex: req.Complex, Parallel: req.Parallel,
-	})
+	results, err := s.DB.TermSearchContext(ctx, req.Terms, db.TermSearchOptions{TopK: topK, Complex: req.Complex})
 	if err != nil {
 		evalError(w, err)
 		return

@@ -4,12 +4,14 @@ import (
 	"repro/internal/rescache"
 )
 
-// Facade-level result caching: the sharded counterparts of the db cache
-// hooks (db/cache.go). The cache lives on the facade only — segments are
-// constructed without caches — so one logical query is cached once, after
-// the per-shard merge and the local→global id translation. Cached slices
-// are copied on both put and get, so the facade's in-place id rewrites
-// can never corrupt a cached master.
+// Result caching. The cache sits at the facade: TermSearchContext,
+// PhraseSearchContext and QueryLimited consult it before evaluating, keyed
+// by (canonicalized request, effective limits, generation token), so one
+// logical query is cached once, after the per-shard merge and the
+// local→global id translation. Only successful evaluations are cached;
+// hits still flow through the per-op metrics with zero store accesses.
+// Cached slices are copied on both put and get, so the facade's in-place
+// id rewrites can never corrupt a cached master.
 
 // CacheToken returns the generation token facade cache keys are minted
 // under: the sum of the segment generations, which advances on every
@@ -46,14 +48,11 @@ func (s *DB) EnableResultCache(maxBytes int64) {
 // ResultCache returns the attached facade cache, or nil.
 func (s *DB) ResultCache() *rescache.Cache { return s.cache.Load() }
 
-// Close releases background resources: the facade cache sweeper and the
-// segments' own resources.
+// Close releases background resources (today: the result-cache
+// sweeper). The database remains usable for queries afterwards.
 func (s *DB) Close() {
 	if c := s.cache.Load(); c != nil {
 		c.Close()
-	}
-	for _, seg := range s.segs {
-		seg.Close()
 	}
 }
 

@@ -17,11 +17,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// The sharded facade must satisfy the same server surface as db.DB.
-var (
-	_ server.Backend = (*DB)(nil)
-	_ server.Backend = (*db.DB)(nil)
-)
+// The facade is what the server fronts.
+var _ server.Backend = (*DB)(nil)
 
 // equivShardCounts is the sweep the differential suite runs: the trivial
 // single-shard case, counts that divide the corpus unevenly, and more
@@ -51,13 +48,12 @@ func corpusDocs(t testing.TB, n int, seed int64) (names []string, roots []*xmltr
 	return names, roots
 }
 
-// newOracle loads the documents into a monolithic database. Because the
+// newOracle loads the documents into one unsharded segment. Because the
 // sharded facade numbers documents globally in load order, the oracle's
-// document ids coincide with the sharded global ids. It records into a
-// registry of its own, so tests can read its exact access counts.
+// document ids coincide with the sharded global ids.
 func newOracle(t testing.TB, names []string, roots []*xmltree.Node) *db.DB {
 	t.Helper()
-	d := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	d := db.New(db.Options{})
 	for i, name := range names {
 		if err := d.LoadTree(name, roots[i]); err != nil {
 			t.Fatal(err)
@@ -95,19 +91,32 @@ func sameScored(t *testing.T, label string, got, want []exec.ScoredNode) {
 	}
 }
 
-// TestShardedTermSearchMatchesUnsharded holds the monolithic facade and
+// newMetered loads the documents into a single-shard facade recording
+// into a registry of its own, so tests can read its exact access counts.
+func newMetered(t testing.TB, names []string, roots []*xmltree.Node) *DB {
+	t.Helper()
+	s := New(Options{Shards: 1, Metrics: metrics.NewRegistry()})
+	for i, name := range names {
+		if err := s.LoadTree(name, roots[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestShardedTermSearchMatchesUnsharded holds the single-shard facade and
 // every sharded one to the exhaustive TermJoin+TopK oracle on a
 // bulk-loaded corpus — flat block lists, so top-k runs block-max.
 func TestShardedTermSearchMatchesUnsharded(t *testing.T) {
 	names, roots := corpusDocs(t, 9, 42)
-	mono := newOracle(t, names, roots)
+	mono := newMetered(t, names, roots)
 	// The K = 100 case must cut inside a tie to mean anything.
-	all, _ := exhaustiveTopK(t, mono, []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	all, _ := exhaustiveTopK(t, mono.Segment(0), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if len(all) <= 100 || all[99].Score != all[100].Score {
 		t.Fatalf("no tie at the 100th score among %d results", len(all))
 	}
 	sharded := map[string]*DB{}
-	for _, n := range equivShardCounts {
+	for _, n := range equivShardCounts[1:] {
 		for _, strat := range []Strategy{ByHash, RoundRobin} {
 			sharded[fmt.Sprintf("shards=%d %s", n, strat)] = newSharded(t, n, strat, names, roots)
 		}
@@ -352,10 +361,6 @@ func TestShardedStatsMatchUnsharded(t *testing.T) {
 // store traffic, the cost an exhaustive facade would report.
 func exhaustiveTopK(t *testing.T, d *db.DB, terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, storage.AccessStats) {
 	t.Helper()
-	mode := exec.ChildCountNavigate
-	if opts.Enhanced {
-		mode = exec.ChildCountIndexed
-	}
 	idx := d.Index()
 	tj := &exec.TermJoin{
 		Index: idx,
@@ -364,7 +369,7 @@ func exhaustiveTopK(t *testing.T, d *db.DB, terms []string, opts db.TermSearchOp
 			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
 			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
 		}},
-		ChildCounts: mode,
+		ChildCounts: exec.ChildCountNavigate,
 	}
 	all, err := exec.Collect(tj.Run)
 	if err != nil {
@@ -393,12 +398,10 @@ var termCases = []struct {
 }{
 	{"simple", db.TermSearchOptions{}, true},
 	{"complex", db.TermSearchOptions{Complex: true}, true},
-	{"enhanced", db.TermSearchOptions{Complex: true, Enhanced: true}, true},
 	{"minscore", db.TermSearchOptions{MinScore: 1.5}, true},
 	{"weights", db.TermSearchOptions{Complex: true, Weights: []float64{0.9, 0.3}}, true},
 	{"topk", db.TermSearchOptions{TopK: 10}, false},
 	{"topk-complex", db.TermSearchOptions{Complex: true, TopK: 7}, false},
-	{"topk-enhanced", db.TermSearchOptions{Complex: true, Enhanced: true, TopK: 8}, false},
 	{"topk-weights", db.TermSearchOptions{TopK: 6, Weights: []float64{0.9, 0.3}}, false},
 	{"topk-weights-complex", db.TermSearchOptions{Complex: true, TopK: 6, Weights: []float64{0.9, 0.3}}, false},
 	{"topk-100-ties", db.TermSearchOptions{TopK: 100}, false},
@@ -406,16 +409,17 @@ var termCases = []struct {
 	{"negative-weight", db.TermSearchOptions{TopK: 10, Weights: []float64{1, -0.5}}, true},
 }
 
-// checkTermCases runs every case through the monolithic facade and the
-// sharded ones and holds each to the exhaustive oracle over mono.
-func checkTermCases(t *testing.T, label string, mono *db.DB, sharded map[string]*DB) {
+// checkTermCases runs every case through the single-shard facade mono and
+// the sharded ones and holds each to the exhaustive oracle over mono's
+// segment; mono's node reads are held to the oracle's.
+func checkTermCases(t *testing.T, label string, mono *DB, sharded map[string]*DB) {
 	t.Helper()
 	terms := []string{"ctla", "ctlb"}
 	reads := func() int64 {
 		return mono.MetricsRegistry().Counter(`tix_access_node_reads_total{op="terms"}`).Value()
 	}
 	for _, tc := range termCases {
-		want, cost := exhaustiveTopK(t, mono, terms, tc.opts)
+		want, cost := exhaustiveTopK(t, mono.Segment(0), terms, tc.opts)
 		if len(want) == 0 {
 			t.Fatalf("%s %s: oracle returned no results", label, tc.label)
 		}
@@ -442,27 +446,19 @@ func checkTermCases(t *testing.T, label string, mono *db.DB, sharded map[string]
 	}
 }
 
-// TestPrunedTermSearchOnLiveSnapshot repeats the cases after Adds and a
-// Delete, when every list is a merged memtable/segment view with a
-// tombstone and top-k runs document-at-a-time.
-func TestPrunedTermSearchOnLiveSnapshot(t *testing.T) {
+// liveCorpus builds the single-shard facade and 2- and 3-shard ones over
+// the same corpus, then applies the same Adds and Delete to each, so every
+// list is a merged memtable/segment view with a tombstone.
+func liveCorpus(t *testing.T) (mono *DB, sharded map[string]*DB) {
+	t.Helper()
 	names, roots := corpusDocs(t, 6, 314)
-	mono := newOracle(t, names, roots)
-	mono.Warm()
-	sharded := map[string]*DB{}
-	for _, n := range []int{1, 3} {
-		s := newSharded(t, n, ByHash, names, roots)
-		s.Warm()
-		sharded[fmt.Sprintf("shards=%d", n)] = s
+	mono = newMetered(t, names, roots)
+	sharded = map[string]*DB{}
+	for _, n := range []int{2, 3} {
+		sharded[fmt.Sprintf("shards=%d", n)] = newSharded(t, n, ByHash, names, roots)
 	}
-	targets := []interface {
-		Add(name, src string) error
-		Delete(name string) error
-	}{mono}
-	for _, s := range sharded {
-		targets = append(targets, s)
-	}
-	for _, d := range targets {
+	for _, d := range append([]*DB{mono}, sharded["shards=2"], sharded["shards=3"]) {
+		d.Warm()
 		for i := 0; i < 4; i++ {
 			src := fmt.Sprintf(`<article><p>ctla ctlb ctla w%d</p><sec><p>ctlb</p><p>ctla ctlb</p></sec></article>`, i)
 			if err := d.Add(fmt.Sprintf("live%d.xml", i), src); err != nil {
@@ -473,5 +469,43 @@ func TestPrunedTermSearchOnLiveSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return mono, sharded
+}
+
+// TestPrunedTermSearchOnLiveSnapshot repeats the cases on the live corpus,
+// where top-k runs document-at-a-time.
+func TestPrunedTermSearchOnLiveSnapshot(t *testing.T) {
+	mono, sharded := liveCorpus(t)
 	checkTermCases(t, "live", mono, sharded)
+}
+
+// TestShardedTwigOnLiveSnapshot holds every facade's twig search on the
+// live corpus to the segment oracle: the deleted document must not match.
+func TestShardedTwigOnLiveSnapshot(t *testing.T) {
+	mono, sharded := liveCorpus(t)
+	sharded["shards=1"] = mono
+	pattern := exec.Twig("article", exec.Twig("p"))
+	want, err := mono.Segment(0).TwigRefsContext(context.Background(), pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range want {
+		if ref.Doc == 2 {
+			t.Fatalf("oracle matched the deleted document: %+v", ref)
+		}
+	}
+	for name, s := range sharded {
+		got, err := s.TwigRefsContext(context.Background(), pattern)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d refs, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: ref %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
 }

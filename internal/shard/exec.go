@@ -74,8 +74,7 @@ func fanoutCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 
 // TermSearch scores every element containing at least one of the terms,
 // fanning the TermJoin out across shards, and returns results best-first
-// under the exec.RankedBefore contract. See db.TermSearchOptions; the
-// Parallel option is ignored — shard workers are the parallelism here.
+// under the exec.RankedBefore contract (see db.TermSearchOptions).
 func (s *DB) TermSearch(terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, error) {
 	return s.TermSearchContext(context.Background(), terms, opts)
 }
@@ -120,10 +119,8 @@ func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.Term
 	cctx, cancel := fanoutCtx(ctx)
 	defer cancel()
 	guard := exec.NewGuard(cctx, eff)
-	segOpts := opts
-	segOpts.Parallel = 0
 	err = s.runShards(opTerms, cancel, func(i int, seg *db.DB) error {
-		out, rerr := db.SearchTerms(seg.Index(), terms, segOpts, guard, &stats[i])
+		out, rerr := db.SearchTerms(seg.Index(), terms, opts, guard, &stats[i])
 		if rerr != nil {
 			return rerr
 		}
@@ -289,24 +286,15 @@ func (s *DB) TwigRefsContext(ctx context.Context, pattern *exec.TwigNode) (out [
 	defer cancel()
 	guard := exec.NewGuard(cctx, s.opts.Limits)
 	err = s.runShards(opTwig, cancel, func(i int, seg *db.DB) error {
+		// Over the segment's snapshot, so tombstoned documents never match;
+		// the id table is read after it and covers every document it names.
+		refs, rerr := db.SearchTwig(seg.Index(), pattern, guard, &stats[i])
+		if rerr != nil {
+			return rerr
+		}
 		ids := s.globalIDs(i)
-		var refs []db.TwigRef
-		for _, doc := range seg.Store().Docs() {
-			ts := &exec.TwigStack{Store: seg.Store(), Doc: doc.ID, Root: pattern, Guard: guard}
-			matches, terr := ts.Run()
-			stats[i].Add(ts.AccessStats())
-			if terr != nil {
-				return terr
-			}
-			seen := map[int32]bool{}
-			for _, m := range matches {
-				root := m[0]
-				if seen[root] {
-					continue
-				}
-				seen[root] = true
-				refs = append(refs, db.TwigRef{Doc: ids[doc.ID], Ord: root})
-			}
+		for j := range refs {
+			refs[j].Doc = ids[refs[j].Doc]
 		}
 		per[i] = refs
 		return nil
@@ -343,12 +331,12 @@ func (s *DB) TwigSearchContext(ctx context.Context, pattern *exec.TwigNode) ([]*
 // (or evaluated unsharded).
 var ErrCrossShard = fmt.Errorf("shard: query references documents on different shards")
 
-// routeQuery parses src and returns the shard owning every document the
-// query references.
-func (s *DB) routeQuery(src string) (int, error) {
+// routeQuery parses src and returns the query with the shard owning every
+// document it references.
+func (s *DB) routeQuery(src string) (*xq.Query, int, error) {
 	q, err := xq.Parse(src)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	shard := -1
 	for _, f := range q.Fors {
@@ -358,18 +346,37 @@ func (s *DB) routeQuery(src string) (int, error) {
 		}
 		owner, ok := s.ShardOf(name)
 		if !ok {
-			return 0, fmt.Errorf("shard: document %q not loaded", name)
+			return nil, 0, fmt.Errorf("shard: document %q not loaded", name)
 		}
 		if shard == -1 {
 			shard = owner
 		} else if owner != shard {
-			return 0, ErrCrossShard
+			return nil, 0, ErrCrossShard
 		}
 	}
 	if shard == -1 {
 		shard = 0
 	}
-	return shard, nil
+	return q, shard, nil
+}
+
+// evalQuery parses and routes src, evaluates it over the owning segment's
+// snapshot under limits, adding the evaluation's store traffic to stats,
+// and returns the parsed query with its results in global document ids.
+func (s *DB) evalQuery(ctx context.Context, src string, limits exec.Limits, stats *storage.AccessStats) (*xq.Query, []xq.Result, error) {
+	q, i, err := s.routeQuery(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := db.EvalQuery(s.segs[i].Index(), q, exec.NewGuard(ctx, limits), stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := s.globalIDs(i)
+	for j := range results {
+		results[j].Doc = ids[results[j].Doc]
+	}
+	return q, results, nil
 }
 
 // Query parses and evaluates an extended-XQuery query against the shard
@@ -385,55 +392,55 @@ func (s *DB) QueryContext(ctx context.Context, src string) ([]xq.Result, error) 
 }
 
 // QueryLimited is QueryContext with an explicit per-call resource budget.
-func (s *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) ([]xq.Result, error) {
+func (s *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) (results []xq.Result, err error) {
+	start := time.Now()
+	var stats storage.AccessStats
+	defer func() { s.observe(opQuery, start, len(results), stats, err) }()
 	eff := s.limitsOr(limits)
-	c, tok, cacheable := s.queryCache()
-	var key rescache.Key
-	if cacheable {
-		key = rescache.QueryKey(tok, src, eff)
+	if c, tok, ok := s.queryCache(); ok {
+		key := rescache.QueryKey(tok, src, eff)
 		if hit, found := rescache.GetSlice[xq.Result](c, key); found {
-			return hit, nil
+			results = hit
+			return results, nil
 		}
+		// Registered before recoverPanic so a recovered panic reaches err
+		// first and poisoned results are never cached.
+		defer func() {
+			if err == nil {
+				rescache.PutSlice(c, key, results)
+			}
+		}()
 	}
-	i, err := s.routeQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	results, err := s.segs[i].QueryLimited(ctx, src, eff)
-	if err != nil {
-		return nil, err
-	}
-	ids := s.globalIDs(i)
-	for j := range results {
-		results[j].Doc = ids[results[j].Doc]
-	}
-	if cacheable {
-		rescache.PutSlice(c, key, results)
-	}
-	return results, nil
+	defer recoverPanic(&err)
+	_, results, err = s.evalQuery(ctx, src, eff, &stats)
+	return results, err
 }
 
-// QueryRenderedContext evaluates a query on its owning shard and renders
-// each result through the query's Return template.
-func (s *DB) QueryRenderedContext(ctx context.Context, src string) ([]string, []xq.Result, error) {
-	i, err := s.routeQuery(src)
+// QueryRenderedContext evaluates a query and renders each result through
+// the query's Return template (or the canonical <result> shape when the
+// query has none), under the default resource limits.
+func (s *DB) QueryRenderedContext(ctx context.Context, src string) (rendered []string, results []xq.Result, err error) {
+	start := time.Now()
+	var stats storage.AccessStats
+	defer func() { s.observe(opQuery, start, len(results), stats, err) }()
+	defer recoverPanic(&err)
+	q, results, err := s.evalQuery(ctx, src, s.opts.Limits, &stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	rendered, results, err := s.segs[i].QueryRenderedContext(ctx, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := s.globalIDs(i)
-	for j := range results {
-		results[j].Doc = ids[results[j].Doc]
+	rendered = make([]string, len(results))
+	for i, r := range results {
+		rendered[i] = q.Render(r)
 	}
 	return rendered, results, nil
 }
 
 // Explain renders the physical plan for a query on its owning shard.
-func (s *DB) Explain(src string) (string, error) {
-	i, err := s.routeQuery(src)
+func (s *DB) Explain(src string) (plan string, err error) {
+	start := time.Now()
+	defer func() { s.observe(opExplain, start, 0, storage.AccessStats{}, err) }()
+	defer recoverPanic(&err)
+	_, i, err := s.routeQuery(src)
 	if err != nil {
 		return "", err
 	}

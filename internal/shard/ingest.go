@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/db"
 	"repro/internal/storage"
@@ -13,6 +14,8 @@ import (
 // corpus grown through Add matches one bulk-loaded from the same names.
 // Mutations are serialized by the facade lock; queries keep running
 // against per-segment snapshots and translate ids under the read lock.
+// Every attempt is observed (see metrics.go) while the lock is held, so
+// tix_index_generation is published in mutation order.
 //
 // Global ids are never reused. An Update keeps the document's global id
 // (results for the new content carry the old identity) while the segment
@@ -39,9 +42,11 @@ func (s *DB) syncTables(i int, popDocs bool) {
 // Add parses src and ingests it into the segment the document's name
 // routes to. The document is queryable across the facade as soon as Add
 // returns. Adding a loaded name fails with db.ErrDocumentExists.
-func (s *DB) Add(name, src string) error {
+func (s *DB) Add(name, src string) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	start := time.Now()
+	defer func() { s.observeIngest(opAdd, start, err) }()
 	if _, dup := s.byName[name]; dup {
 		return fmt.Errorf("shard: add %q: %w", name, db.ErrDocumentExists)
 	}
@@ -67,9 +72,11 @@ func (s *DB) Add(name, src string) error {
 
 // Update replaces the named document in place: same global id, same
 // segment, fresh content (and a fresh segment-local id underneath).
-func (s *DB) Update(name, src string) error {
+func (s *DB) Update(name, src string) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	start := time.Now()
+	defer func() { s.observeIngest(opUpdate, start, err) }()
 	gid, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("shard: update %q: %w", name, db.ErrDocumentNotFound)
@@ -98,9 +105,11 @@ func (s *DB) Update(name, src string) error {
 // Delete tombstones the named document in its segment and retires its
 // global id (the slot is never reused). The name becomes available for a
 // future Add, which may route it to the same segment again.
-func (s *DB) Delete(name string) error {
+func (s *DB) Delete(name string) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	start := time.Now()
+	defer func() { s.observeIngest(opDelete, start, err) }()
 	gid, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("shard: delete %q: %w", name, db.ErrDocumentNotFound)

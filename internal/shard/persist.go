@@ -22,8 +22,8 @@ import (
 //	docs     uvarint count; per doc (global order): name, uvarint shard
 //	segments per shard: uvarint byte length, then a complete segment
 //	         snapshot (db.Save output — TIXDB2 with block-compressed
-//	         postings, or TIXDB1 from older writers; its own
-//	         "TIXSUM1\n"+CRC32 trailer intact)
+//	         postings and its own "TIXSUM1\n"+CRC32 trailer intact;
+//	         the loader also accepts TIXDB1 segments)
 //	trailer  "TIXSUM1\n" + 4-byte little-endian IEEE CRC32 of every byte
 //	         before the trailer
 //
@@ -50,9 +50,9 @@ const maxShards = 1 << 16
 
 // Save writes the sharded database — layout, document placement, and one
 // complete db.Save snapshot per segment — to w, followed by the container
-// integrity trailer. Segments are embedded verbatim, so the segment
-// format (v2 block-compressed, or v1 when re-wrapping an old file) flows
-// through unchanged.
+// integrity trailer. It is the only snapshot writer the binaries use: a
+// legacy file opened through OpenFile is re-saved as a one-shard
+// container.
 func (s *DB) Save(w io.Writer) error {
 	h := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
@@ -229,7 +229,7 @@ func LoadFile(path string) (*DB, error) {
 }
 
 // IsShardedFile reports whether path begins with the sharded container
-// magic (as opposed to a legacy single-store v1 snapshot).
+// magic (as opposed to a legacy single-store TIXDB1/TIXDB2 snapshot).
 func IsShardedFile(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -244,8 +244,8 @@ func IsShardedFile(path string) (bool, error) {
 }
 
 // OpenFile opens either snapshot format behind the sharded facade: a
-// sharded container loads directly; a legacy v1 single-store snapshot is
-// wrapped as one segment.
+// sharded container loads directly; a legacy single-store snapshot
+// (TIXDB1 or TIXDB2) is wrapped as one segment.
 func OpenFile(path string) (*DB, error) {
 	sharded, err := IsShardedFile(path)
 	if err != nil {
@@ -285,7 +285,7 @@ func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 	return out, nil
 }
 
-// --- container primitives (mirroring the v1 segment format's) ---
+// --- container primitives (mirroring the segment format's) ---
 
 // byteReader is the reading interface the loader consumes through.
 type byteReader interface {

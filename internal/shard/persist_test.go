@@ -105,10 +105,15 @@ func TestOpenFileSniffsBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A legacy single-store file: one segment snapshot on its own.
 	legacyPath := filepath.Join(dir, "legacy.tix")
 	mono := newOracle(t, names, roots)
 	mono.Index()
-	if err := mono.SaveFile(legacyPath); err != nil {
+	var legacy bytes.Buffer
+	if err := mono.Save(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,6 +138,15 @@ func TestOpenFileSniffsBothFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameScored(t, "OpenFile "+filepath.Base(path), got, want)
+	}
+
+	// The oldest format, TIXDB1, still opens.
+	v1, err := OpenFile(filepath.Join("..", "db", "testdata", "fig1.v1.tix"))
+	if err != nil {
+		t.Fatalf("OpenFile(v1): %v", err)
+	}
+	if v1.DocumentCount() != 2 || v1.DocName(0) != "articles.xml" {
+		t.Fatalf("v1 file opened with %d documents, first %q", v1.DocumentCount(), v1.DocName(0))
 	}
 
 	// Sniffing tolerates short files (reports not-sharded, not an error).

@@ -1,7 +1,10 @@
-// Package shard partitions a corpus across N independent
-// storage.Store+index.Index segments and executes the paper's access
-// methods per shard in parallel behind a facade with the same surface as
-// internal/db. Each document lives wholly in one segment, chosen by a
+// Package shard is the serving facade: it partitions a corpus across N
+// independent db.DB segments (each one storage.Store plus its live index),
+// executes the paper's access methods per shard in parallel, and owns
+// everything a served request needs beyond evaluation — the result cache,
+// the per-operation and ingest metrics, global document numbering and the
+// snapshot container. Every binary serves through it; one shard is the
+// single-store case. Each document lives wholly in one segment, chosen by a
 // stable hash of its name (or round-robin); because region encodings and
 // node ordinals are per-document, an element's (doc, ord, score) identity
 // is independent of which segment holds it, so a deterministic scored
@@ -65,16 +68,18 @@ type Options struct {
 	Shards int
 	// Strategy selects the document partitioner (default ByHash).
 	Strategy Strategy
-	// Stemming, Stopwords, Metrics and Limits apply to every segment,
-	// with the same meanings as db.Options.
+	// Stemming and Stopwords apply to every segment, with the same
+	// meanings as db.Options.
 	Stemming  bool
 	Stopwords []string
-	Metrics   *metrics.Registry
+	// Metrics, when non-nil, receives the facade's instrumentation (see
+	// metrics.go) instead of the process-wide metrics.Default registry.
+	Metrics *metrics.Registry
 	// Limits is the default per-query resource budget. It is shared
 	// across the shard workers of one query, not multiplied per shard.
 	Limits exec.Limits
 	// CacheBytes, when positive, attaches a generation-keyed result cache
-	// to the facade (never to the segments; see cache.go).
+	// to the facade (see cache.go).
 	CacheBytes int64
 }
 
@@ -122,12 +127,9 @@ func New(opts Options) *DB {
 		globalOf: make([][]storage.DocID, opts.Shards),
 	}
 	for i := range s.segs {
-		// Segments get no CacheBytes: caching happens once, at the facade,
-		// after the merge and the global-id translation.
 		s.segs[i] = db.New(db.Options{
 			Stemming:  opts.Stemming,
 			Stopwords: opts.Stopwords,
-			Metrics:   opts.Metrics,
 			Limits:    opts.Limits,
 		})
 	}
@@ -145,7 +147,6 @@ func Wrap(d *db.DB) *DB {
 		Shards:    1,
 		Stemming:  o.Stemming,
 		Stopwords: o.Stopwords,
-		Metrics:   o.Metrics,
 		Limits:    o.Limits,
 	})
 	s.segs[0] = d
@@ -167,7 +168,7 @@ func (s *DB) Strategy() Strategy { return s.opts.Strategy }
 // persistence).
 func (s *DB) Segment(i int) *db.DB { return s.segs[i] }
 
-// MetricsRegistry returns the registry shard-level metrics record into.
+// MetricsRegistry returns the registry the facade records into.
 func (s *DB) MetricsRegistry() *metrics.Registry {
 	if s.opts.Metrics != nil {
 		return s.opts.Metrics

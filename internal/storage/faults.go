@@ -9,7 +9,7 @@ import (
 
 // AccessBudget is a shared store-access meter. Every Accessor attached to
 // the same budget adds its node-record fetches to one atomic counter, so a
-// query that fans out across goroutines (ParallelTermJoin workers) is
+// query that fans out across goroutines (the shard workers) is
 // metered as a whole. Enforcement lives in exec.Guard, which compares
 // Used() against the query's MaxAccesses limit at every cooperative check;
 // the budget itself only counts.

@@ -55,9 +55,10 @@ race:
 # the shared Guard (and the shard fan-out shares one Guard across worker
 # goroutines), so repetition shakes out scheduling-dependent bugs. The
 # shard differential-equivalence suite runs here too — its results must be
-# schedule-independent by construction.
+# schedule-independent by construction — and so do the top-k suites,
+# including pruned reads racing ingest, seals and background folds.
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard' \
+	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK' \
 		./internal/exec ./internal/db ./internal/server ./internal/shard
 
 # The replicated-serving chaos drills (DESIGN.md §12): a 3-replica fleet

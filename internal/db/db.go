@@ -319,22 +319,41 @@ func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSea
 	return SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, d.limitsOr(opts.Limits)), nil)
 }
 
+// SearchStats is what a term search cost: its store traffic and, when the
+// pruned top-k answered it, the documents that top-k scored and the blocks
+// its sweep passed over undecoded.
+type SearchStats struct {
+	Access        storage.AccessStats
+	DocsEvaluated int64
+	BlocksSkipped int64
+}
+
+// Add accumulates o into s.
+func (s *SearchStats) Add(o SearchStats) {
+	s.Access.Add(o.Access)
+	s.DocsEvaluated += o.DocsEvaluated
+	s.BlocksSkipped += o.BlocksSkipped
+}
+
 // SearchTerms evaluates one term search over an index snapshot under
 // guard and returns the results best-first under exec.RankedBefore,
-// adding the evaluation's store traffic to stats when it is non-nil (on
-// failure too). It is the term-search evaluation of one segment.
+// adding the evaluation's cost to stats when it is non-nil (on failure
+// too). It is the term-search evaluation of one segment.
 //
 // There is one rule. A top-k search with non-negative weights runs the
-// pruned TopKTermJoin — block-max over flat block lists,
-// document-at-a-time over a live snapshot's merged lists — and applies
-// MinScore to its k results, which is exact because the elements above a
-// threshold are a prefix of the ranking. Anything else (no top-k, or a
-// negative or NaN weight, for which the pruning bound does not hold) runs
-// the exhaustive TermJoin, feeding a TopK when one is asked for. Every
-// path returns the same elements. Child counts come from navigation; the
-// paper's Enhanced TermJoin stays reachable through the benchmark entry
-// points (shard.RunTermMethod, internal/bench).
-func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard *exec.Guard, stats *storage.AccessStats) ([]exec.ScoredNode, error) {
+// pruned TopKTermJoin — the block-max sweep, over flat block lists and a
+// live snapshot's merged lists alike — and applies MinScore to its k
+// results, which is exact because the elements above a threshold are a
+// prefix of the ranking. Anything else (no top-k, or a negative or NaN
+// weight, for which the pruning bound does not hold) runs the exhaustive
+// TermJoin, feeding a TopK when one is asked for. Every path returns the
+// same elements. Child counts come from navigation; the paper's Enhanced
+// TermJoin stays reachable through the benchmark entry points
+// (shard.RunTermMethod, internal/bench).
+func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard *exec.Guard, stats *SearchStats) ([]exec.ScoredNode, error) {
+	if stats == nil {
+		stats = new(SearchStats)
+	}
 	q := exec.TermQuery{
 		Terms:   terms,
 		Complex: opts.Complex,
@@ -346,7 +365,7 @@ func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard
 	if opts.TopK > 0 && nonNegative(opts.Weights) {
 		tk := &exec.TopKTermJoin{Index: idx, Query: q, K: opts.TopK, ChildCounts: exec.ChildCountNavigate, Guard: guard}
 		results, err := tk.Run()
-		addStats(stats, tk)
+		stats.Add(SearchStats{Access: tk.AccessStats(), DocsEvaluated: int64(tk.DocsEvaluated), BlocksSkipped: int64(tk.BlocksSkipped)})
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +380,7 @@ func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard
 		}
 		return tj.Run(emit)
 	}
-	defer addStats(stats, tj)
+	defer addStats(&stats.Access, tj)
 	if opts.TopK > 0 {
 		tk := exec.NewTopK(opts.TopK)
 		if err := run(tk.Emit()); err != nil {

@@ -127,8 +127,8 @@ func (d *DB) Delete(name string) error {
 
 // CompactNow synchronously folds the live index's memtables and segments
 // into a single fresh segment, dropping tombstoned postings. Queries stay
-// consistent throughout; afterwards a mutation-free database serves flat,
-// block-max-prunable lists again.
+// consistent throughout; afterwards a mutation-free database serves flat
+// single-part lists again.
 func (d *DB) CompactNow() {
 	d.liveIndex().Compact()
 }

@@ -114,15 +114,16 @@ func TestTopKBlockMaxMatchesUnprunedOracle(t *testing.T) {
 			}
 			diffScored(t, label+" pruned vs full TermJoin", got, tk.Results())
 
-			// The raw-slice exhaustive path must agree too.
-			ex := &TopKTermJoin{Index: idx, Query: rawQuery(idx, q), K: k}
-			exGot, err := ex.Run()
+			// Raw slices run the same sweep, each list one pseudo-block, so
+			// they can skip at most one block per list.
+			raw := &TopKTermJoin{Index: idx, Query: rawQuery(idx, q), K: k}
+			rawGot, err := raw.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffScored(t, label+" block-max vs raw exhaustive", got, exGot)
-			if ex.BlocksSkipped != 0 {
-				t.Errorf("%s: raw path reported %d skipped blocks", label, ex.BlocksSkipped)
+			diffScored(t, label+" block lists vs raw slices", got, rawGot)
+			if raw.BlocksSkipped > len(q.Terms) {
+				t.Errorf("%s: raw slices reported %d skipped blocks, more than their %d pseudo-blocks", label, raw.BlocksSkipped, len(q.Terms))
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"repro/internal/index"
 	"repro/internal/postings"
 	"repro/internal/storage"
@@ -21,15 +19,17 @@ import (
 // pairMax — and the child ratio is at most 1) — and skips every document
 // whose bound cannot displace the current k-th best score.
 //
-// When every posting list is block-compressed the bounds come straight
-// from the skip tables (WAND-style block-max pruning): the document space
-// is swept in ascending order as a sequence of intervals over which the
-// set of candidate blocks is constant, each interval is bounded by the
-// sum of its blocks' MaxFreq statistics, and intervals that cannot beat
-// the k-th score are skipped without decoding a single block. Documents
-// inside a surviving interval are still bounded exactly (via a
-// document-stream-only scan) before the full per-document TermJoin runs.
-// The result is exactly the full TermJoin's top k in both modes.
+// The bounds come from each list's block-max view (postings.BlockMax:
+// skip tables, one pseudo-block per memtable run), so flat block lists and
+// a live snapshot's merged lists run the same WAND-style sweep: the
+// document space is swept in ascending order as a sequence of intervals
+// over which the set of candidate blocks is constant, each interval is
+// bounded by the sum of its blocks' MaxFreq statistics, and intervals that
+// cannot beat the k-th score are skipped without decoding a single block.
+// Documents inside a surviving interval are still bounded exactly (via a
+// document-stream-only scan that never reports a deleted document) before
+// the full per-document TermJoin runs. The result is exactly the full
+// TermJoin's top k.
 type TopKTermJoin struct {
 	Index *index.Index
 	Query TermQuery
@@ -43,18 +43,12 @@ type TopKTermJoin struct {
 	// block-max sweep passed over without decoding.
 	BlocksSkipped int
 	// DisablePruning evaluates every candidate document — the oracle the
-	// differential tests compare the pruned paths against.
+	// differential tests compare the pruned sweep against.
 	DisablePruning bool
-	// Bound overrides the per-document upper bound: given the per-term
-	// whole-document counts and the total occurrence count, it must return
-	// a value ≥ any element score in that document. Nil uses the default
-	// described above. A custom Bound forces the document-at-a-time path
-	// (block-max statistics only bound the default).
-	Bound func(counts []int, totalOcc int) float64
 	// Guard, when non-nil, is the cooperative cancellation and resource
-	// budget, checked during the bound-building pass, between documents,
-	// and inside every per-document TermJoin; the run's accessor charges
-	// its store accesses to the guard's shared budget.
+	// budget, ticked once per interval of the sweep and for every posting
+	// counted, and checked inside every per-document TermJoin; the run's
+	// accessor charges its store accesses to the guard's shared budget.
 	Guard *Guard
 
 	acc     *storage.Accessor // the last Run's accessor, for AccessStats
@@ -86,12 +80,8 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 		t.pairMax = 1
 	}
 	lists := make([]index.List, len(terms))
-	blocked := true
 	for i := range terms {
 		lists[i] = t.Query.list(t.Index, terms, i)
-		if lists[i].Len() > 0 && lists[i].Blocks() == nil {
-			blocked = false
-		}
 	}
 	tk := NewTopK(t.K)
 	// One evaluation context for the whole run: the accessor, the inner
@@ -114,14 +104,8 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 			Arena:       &TJArena{},
 		},
 	}
-	if t.Bound == nil && blocked {
-		if err := t.runBlockMax(lists, ev, tk); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := t.runExhaustive(lists, ev, tk); err != nil {
-			return nil, err
-		}
+	if err := t.runBlockMax(lists, ev, tk); err != nil {
+		return nil, err
 	}
 	return tk.Results(), nil
 }
@@ -146,94 +130,32 @@ func (t *TopKTermJoin) evalDoc(ev *topkEval, doc storage.DocID) error {
 	return ev.tj.Run(ev.emit)
 }
 
-// runExhaustive is the document-at-a-time path: one counting pass over
-// every posting, documents ordered by decreasing bound, stop at the first
-// bound the k-th score beats. It serves custom Bound functions, raw
-// posting lists, and the unpruned oracle (DisablePruning).
-func (t *TopKTermJoin) runExhaustive(lists []index.List, ev *topkEval, tk *TopK) error {
-	type docInfo struct {
-		doc    storage.DocID
-		counts []int
-		occ    int
-		bound  float64
-	}
-	byDoc := map[storage.DocID]*docInfo{}
-	for ti, l := range lists {
-		for cur := l.Cursor(); cur.Valid(); cur.Advance() {
-			if err := t.Guard.Tick(); err != nil {
-				return err
-			}
-			p := cur.Cur()
-			di := byDoc[p.Doc]
-			if di == nil {
-				di = &docInfo{doc: p.Doc, counts: make([]int, len(lists))}
-				byDoc[p.Doc] = di
-			}
-			di.counts[ti]++
-			di.occ++
-		}
-	}
-	docs := make([]*docInfo, 0, len(byDoc))
-	bound := t.Bound
-	if bound == nil {
-		bound = t.defaultBound
-	}
-	for _, di := range byDoc {
-		di.bound = bound(di.counts, di.occ)
-		docs = append(docs, di)
-	}
-	sort.Slice(docs, func(i, j int) bool {
-		if docs[i].bound != docs[j].bound {
-			return docs[i].bound > docs[j].bound
-		}
-		return docs[i].doc < docs[j].doc
-	})
-
-	for _, di := range docs {
-		if err := t.Guard.Check(); err != nil {
-			return err
-		}
-		if !t.DisablePruning {
-			// Documents come by decreasing bound, then ascending id. One whose
-			// bound ties the k-th score can still displace it from a lower
-			// document id, so only a tie from a higher id ends the scan.
-			if kth, full := tk.last(); full && (di.bound < kth.Score || di.bound == kth.Score && di.doc > kth.Doc) {
-				break // no element of any remaining document can displace the k-th
-			}
-		}
-		if err := t.evalDoc(ev, di.doc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runBlockMax is the block-max path: sweep the document space in
-// ascending order as intervals over which every list's candidate block
-// set is constant, bound each interval by skip-table MaxFreq sums alone,
-// and decode only intervals that can still displace the k-th score.
+// runBlockMax sweeps the document space in ascending order as intervals
+// over which every list's candidate block set is constant, bounds each
+// interval by the block-max view's MaxFreq sums alone, and decodes only
+// intervals that can still displace the k-th score.
 //
 // Exactness: documents are handled in strictly ascending order and the
 // heap's tie-break prefers lower document ids, so an element from a later
 // document tying the k-th score can never displace it — a skip under
-// bound ≤ k-th is therefore lossless, matching the exhaustive path.
+// bound ≤ k-th is therefore lossless. Deleted documents only remove
+// postings, so every bound stays an upper bound, and DocCounts never
+// reports them, so they are never evaluated.
 func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) error {
-	skips := make([][]postings.Skip, len(lists))
-	ptr := make([]int, len(lists))
+	views := make([]postings.BlockMax, len(lists))
 	for i, l := range lists {
-		skips[i] = l.Blocks().Skips() // nil for empty lists
+		views[i] = l.BlockMax()
 	}
 	counts := make([]int, len(lists))
-
-	// Per-interval document statistics, reused across intervals: the map
-	// is cleared (not reallocated) and docInfos recycle through a freelist.
-	type docInfo struct {
-		counts []int
-		occ    int
+	// Per-list (document, count) runs of a surviving interval, ascending by
+	// document, and each run's merge position; the buffers are reused
+	// across intervals.
+	type docCount struct {
+		doc storage.DocID
+		n   int
 	}
-	byDoc := map[storage.DocID]*docInfo{}
-	var diUsed, diFree []*docInfo
-	var docs []storage.DocID
+	runs := make([][]docCount, len(lists))
+	heads := make([]int, len(lists))
 
 	next := storage.DocID(0) // all documents < next are fully handled
 	for {
@@ -243,17 +165,15 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 		// Advance past blocks wholly before the frontier and find the
 		// interval [d, B) on which every list's block set is constant.
 		d := storage.DocID(-1)
-		for i := range skips {
-			for ptr[i] < len(skips[i]) && skips[i][ptr[i]].LastDoc < next {
-				ptr[i]++
+		for i := range views {
+			v := &views[i]
+			for v.Valid() && v.Block().LastDoc < next {
+				v.Next()
 			}
-			if ptr[i] == len(skips[i]) {
+			if !v.Valid() {
 				continue
 			}
-			lo := skips[i][ptr[i]].FirstDoc
-			if lo < next {
-				lo = next
-			}
+			lo := max(v.Block().FirstDoc, next)
 			if d < 0 || lo < d {
 				d = lo
 			}
@@ -262,28 +182,28 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 			return nil // every list exhausted
 		}
 		B := storage.DocID(-1)
-		for i := range skips {
-			if ptr[i] == len(skips[i]) {
+		for i := range views {
+			if !views[i].Valid() {
 				continue
 			}
-			sk := skips[i][ptr[i]]
-			edge := sk.LastDoc + 1
-			if sk.FirstDoc > d {
-				edge = sk.FirstDoc
+			blk := views[i].Block()
+			edge := blk.LastDoc + 1
+			if blk.FirstDoc > d {
+				edge = blk.FirstDoc
 			}
 			if B < 0 || edge < B {
 				B = edge
 			}
 		}
 
-		// Upper-bound the interval from the skip tables alone: a document
-		// in [d, B) may span several consecutive blocks, so sum MaxFreq
-		// over every block starting before B.
+		// Upper-bound the interval from the block-max views alone: a
+		// document in [d, B) may span several consecutive blocks, so sum
+		// MaxFreq over every block starting before B.
 		ubOcc := 0
-		for i := range skips {
+		for i := range views {
 			counts[i] = 0
-			for j := ptr[i]; j < len(skips[i]) && skips[i][j].FirstDoc < B; j++ {
-				counts[i] += int(skips[i][j].MaxFreq)
+			for v := views[i]; v.Valid() && v.Block().FirstDoc < B; v.Next() {
+				counts[i] += int(v.Block().MaxFreq)
 			}
 			ubOcc += counts[i]
 		}
@@ -292,12 +212,12 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 			continue
 		}
 		if !t.DisablePruning {
-			if kth, full := tk.last(); full && t.defaultBound(counts, ubOcc) <= kth.Score {
+			if kth, full := tk.last(); full && t.bound(counts, ubOcc) <= kth.Score {
 				// Nothing in the interval can displace the k-th: skip it
 				// without decoding. Blocks wholly consumed by the skip are
 				// the pruning payoff.
-				for i := range skips {
-					for j := ptr[i]; j < len(skips[i]) && skips[i][j].LastDoc < B; j++ {
+				for i := range views {
+					for v := views[i]; v.Valid() && v.Block().LastDoc < B; v.Next() {
 						t.BlocksSkipped++
 					}
 				}
@@ -307,50 +227,44 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 		}
 
 		// The interval survives: resolve exact per-document counts with a
-		// document-stream-only scan, then bound and evaluate each document
-		// in ascending order.
-		for _, di := range diUsed {
-			diFree = append(diFree, di)
-		}
-		diUsed = diUsed[:0]
-		clear(byDoc)
-		docs = docs[:0]
+		// document-stream-only scan of each list, then merge the lists'
+		// ascending runs to bound and evaluate each document in order.
 		for i, l := range lists {
-			bl := l.Blocks()
-			err := bl.DocCounts(d, B, func(doc storage.DocID, n int) error {
-				if err := t.Guard.TickN(n); err != nil {
-					return err
-				}
-				di := byDoc[doc]
-				if di == nil {
-					if k := len(diFree); k > 0 {
-						di = diFree[k-1]
-						diFree = diFree[:k-1]
-						clear(di.counts)
-						di.occ = 0
-					} else {
-						di = &docInfo{counts: make([]int, len(lists))}
-					}
-					diUsed = append(diUsed, di)
-					byDoc[doc] = di
-					docs = append(docs, doc)
-				}
-				di.counts[i] += n
-				di.occ += n
+			runs[i], heads[i] = runs[i][:0], 0
+			occ := 0
+			err := l.DocCounts(d, B, func(doc storage.DocID, n int) error {
+				runs[i] = append(runs[i], docCount{doc, n})
+				occ += n
 				return nil
 			})
+			if err == nil {
+				err = t.Guard.TickN(occ)
+			}
 			if err != nil {
 				return err
 			}
 		}
-		sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-		for _, doc := range docs {
-			if err := t.Guard.Check(); err != nil {
-				return err
+		for {
+			doc := storage.DocID(-1)
+			for i, run := range runs {
+				if h := heads[i]; h < len(run) && (doc < 0 || run[h].doc < doc) {
+					doc = run[h].doc
+				}
 			}
-			di := byDoc[doc]
+			if doc < 0 {
+				break
+			}
+			occ := 0
+			for i, run := range runs {
+				counts[i] = 0
+				if h := heads[i]; h < len(run) && run[h].doc == doc {
+					counts[i] = run[h].n
+					heads[i]++
+				}
+				occ += counts[i]
+			}
 			if !t.DisablePruning {
-				if kth, full := tk.last(); full && t.defaultBound(di.counts, di.occ) <= kth.Score {
+				if kth, full := tk.last(); full && t.bound(counts, occ) <= kth.Score {
 					continue // exact bound says this document cannot place
 				}
 			}
@@ -362,8 +276,8 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 	}
 }
 
-// defaultBound upper-bounds any element score in a document.
-func (t *TopKTermJoin) defaultBound(counts []int, totalOcc int) float64 {
+// bound upper-bounds any element score in a document.
+func (t *TopKTermJoin) bound(counts []int, totalOcc int) float64 {
 	base := t.Query.Scorer.Simple(counts)
 	if !t.Query.Complex {
 		return base

@@ -259,10 +259,11 @@ func (idx *Index) List(term string) List {
 	return postings.Union(idx.tomb, parts...)
 }
 
-// BlockList exposes term's encoded blocks for persistence and block-max
-// pruning; nil for unknown terms. Only a flat (static) index has a single
-// block list per term — live snapshots return nil, which makes top-k fall
-// back to its exhaustive path and persistence flatten first.
+// BlockList exposes term's encoded blocks for persistence; nil for unknown
+// terms. Only a flat (static) index has a single block list per term —
+// live snapshots return nil, which makes persistence flatten first.
+// Operators read a live snapshot's blocks through List (BlockMax,
+// DocCounts).
 func (idx *Index) BlockList(term string) *postings.BlockList {
 	if idx.live() {
 		return nil

@@ -169,7 +169,7 @@ func (l *Live) DeadCount() int {
 // Snapshots are cached per generation: an unchanged live index hands out
 // the same *Index, and a live index that has seen no mutations since its
 // last fold hands out a flat one — preserving the static fast paths
-// (block-max pruning, direct persistence).
+// (single-part cursors, direct persistence).
 func (l *Live) Snapshot() *Index {
 	if s := l.snap.Load(); s != nil && s.gen == l.gen.Load() {
 		return s
@@ -249,7 +249,7 @@ func (l *Live) WaitCompaction() { l.wg.Wait() }
 // memtables waiting to be folded plus segments beyond the single flat
 // list a fully-compacted index serves from. Readiness probes compare it
 // against a threshold — a large backlog means queries are paying for
-// many-way merge cursors and block-max pruning is disabled.
+// many-way merge cursors and scanning raw memtable runs.
 func (l *Live) Backlog() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -176,8 +176,9 @@ func (bm *bitmapRep) nextDoc(d storage.DocID) storage.DocID {
 	return bm.base + storage.DocID(w<<6+bits.TrailingZeros64(word))
 }
 
-// docCounts is the bitmap fast path of BlockList.DocCounts: iterate set
-// bits in [lo, hi), posting counts straight from the cum boundaries.
+// docCounts is the bitmap fast path of List.DocCounts over a whole list:
+// iterate set bits in [lo, hi), posting counts straight from the cum
+// boundaries.
 func (bm *bitmapRep) docCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
 	d := lo - 1
 	if d < bm.base-1 {

@@ -156,10 +156,10 @@ func TestBitmapRangeDifferential(t *testing.T) {
 				return nil
 			}
 		}
-		if err := plain.DocCounts(lo, hi, collect(&pc)); err != nil {
+		if err := plain.All().DocCounts(lo, hi, collect(&pc)); err != nil {
 			t.Fatal(err)
 		}
-		if err := dense.DocCounts(lo, hi, collect(&dc)); err != nil {
+		if err := dense.All().DocCounts(lo, hi, collect(&dc)); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(pc, dc) {

@@ -451,29 +451,26 @@ func (b *BlockList) decodeDocs(i int, dst []storage.DocID) []storage.DocID {
 	return dst
 }
 
-// DocCounts calls fn once per document in [lo, hi) that has at least one
-// posting, in ascending document order, with that document's posting
-// count — decoding only the document streams of the overlapping blocks.
-// fn returning an error aborts the scan with that error.
-func (b *BlockList) DocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
-	if b == nil || b.n == 0 || lo >= hi {
-		return nil
-	}
-	if b.bitmap != nil {
+// docCounts is List.DocCounts over the posting window [from, to) of b:
+// it decodes only the document streams of the blocks overlapping both the
+// window and [lo, hi).
+func (b *BlockList) docCounts(lo, hi storage.DocID, from, to int, fn func(doc storage.DocID, n int) error) error {
+	if b.bitmap != nil && from == 0 && to == b.n {
 		return b.bitmap.docCounts(lo, hi, fn)
 	}
-	// First block that can contain lo.
-	i := sort.Search(len(b.skips), func(k int) bool { return b.skips[k].LastDoc >= lo })
+	// First block that can contain lo, not before the window's first.
+	i := max(b.blockFor(from), sort.Search(len(b.skips), func(k int) bool { return b.skips[k].LastDoc >= lo }))
 	var docs []storage.DocID
 	curDoc := storage.DocID(-1)
 	cnt := 0
-	for ; i < len(b.skips) && b.skips[i].FirstDoc < hi; i++ {
+	for ; i < len(b.skips) && b.skips[i].FirstDoc < hi && b.blockStart(i) < to; i++ {
+		start := b.blockStart(i)
 		docs = b.decodeDocs(i, docs[:0])
-		for _, d := range docs {
-			if d < lo {
+		for k, d := range docs {
+			if d < lo || start+k < from {
 				continue
 			}
-			if d >= hi {
+			if d >= hi || start+k >= to {
 				break
 			}
 			if d != curDoc {

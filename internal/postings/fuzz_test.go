@@ -113,7 +113,7 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		if len(ps) > 0 {
 			total := 0
-			err := bl.DocCounts(0, ps[len(ps)-1].Doc+1, func(d storage.DocID, n int) error {
+			err := bl.All().DocCounts(0, ps[len(ps)-1].Doc+1, func(d storage.DocID, n int) error {
 				total += n
 				return nil
 			})

@@ -15,8 +15,9 @@ type List struct {
 	bl     *BlockList
 	lo, hi int // posting-index window into bl (block mode only)
 
-	sub  []List      // merged mode: the unioned parts (non-nil)
-	tomb *Tombstones // merged mode: documents filtered out of the union
+	sub     []List      // merged mode: the unioned parts (non-nil)
+	tomb    *Tombstones // merged mode: documents filtered out of the union
+	ordered bool        // merged mode: parts cover disjoint, ascending document ranges
 }
 
 // NewRawList wraps an already-materialized posting slice (which must be
@@ -47,13 +48,115 @@ func (l List) Len() int {
 }
 
 // Blocks returns the underlying BlockList when the view is block-backed
-// and spans the entire list — the precondition for skip-table pruning —
-// and nil otherwise.
+// and spans the entire list, and nil otherwise.
 func (l List) Blocks() *BlockList {
 	if l.bl != nil && l.lo == 0 && l.hi == l.bl.n {
 		return l.bl
 	}
 	return nil
+}
+
+// span returns bounds on the documents a non-empty view holds: exact for
+// raw and whole block lists, widened to the enclosing blocks for a block
+// window, and the parts' hull for a merged view.
+func (l List) span() (first, last storage.DocID) {
+	switch {
+	case l.sub != nil:
+		first, last = l.sub[0].span()
+		for _, p := range l.sub[1:] {
+			f, la := p.span()
+			first, last = min(first, f), max(last, la)
+		}
+		return first, last
+	case l.bl != nil:
+		return l.bl.skips[l.bl.blockFor(l.lo)].FirstDoc, l.bl.skips[l.bl.blockFor(l.hi-1)].LastDoc
+	}
+	return l.raw[0].Doc, l.raw[len(l.raw)-1].Doc
+}
+
+// BlockMax is a cursor over a List's block-max view: blocks in ascending
+// document order, each bounding how many postings any one document has
+// inside it (MaxFreq). Every posting the list yields lies in a block of the
+// view; a document spanning consecutive blocks is bounded by the sum of
+// their MaxFreqs. Tombstones only remove postings, so the bounds stay upper
+// bounds under deletion. Only FirstDoc, LastDoc and MaxFreq of a view
+// block are meaningful.
+type BlockMax struct {
+	parts [][]Skip // per part: its skip table (shared, never copied) or one pseudo-block
+	p, j  int      // the current block is parts[p][j]
+}
+
+// BlockMax returns the block-max view of l, positioned at its first block.
+// A block-backed part contributes the skip entries of the blocks its window
+// overlaps. A raw part — a memtable run, a phrase pseudo-term — is one
+// pseudo-block bounded by its exact per-document maximum. A merged view
+// concatenates its parts' views when the parts cover disjoint ascending
+// document ranges, as the live index's segments and memtable runs do, and
+// is otherwise one coarse block bounded by Len().
+func (l List) BlockMax() BlockMax {
+	return BlockMax{parts: l.appendMaxParts(nil)}
+}
+
+func (l List) appendMaxParts(dst [][]Skip) [][]Skip {
+	switch {
+	case l.Len() == 0:
+		return dst
+	case l.sub != nil && l.ordered:
+		for _, p := range l.sub {
+			dst = p.appendMaxParts(dst)
+		}
+		return dst
+	case l.sub != nil:
+		first, last := l.span()
+		return append(dst, []Skip{{FirstDoc: first, LastDoc: last, MaxFreq: uint32(l.Len())}})
+	case l.bl != nil:
+		return append(dst, l.bl.skips[l.bl.blockFor(l.lo):l.bl.blockFor(l.hi-1)+1])
+	}
+	return append(dst, []Skip{{FirstDoc: l.raw[0].Doc, LastDoc: l.raw[len(l.raw)-1].Doc, MaxFreq: maxRun(l.raw)}})
+}
+
+// maxRun returns the largest number of postings one document has in ps.
+func maxRun(ps []Posting) uint32 {
+	var best, run uint32
+	for i, p := range ps {
+		if i == 0 || p.Doc != ps[i-1].Doc {
+			run = 0
+		}
+		run++
+		best = max(best, run)
+	}
+	return best
+}
+
+// Valid reports whether the cursor is on a block.
+func (b *BlockMax) Valid() bool { return b.p < len(b.parts) }
+
+// Block returns the current block. Call only when Valid.
+func (b *BlockMax) Block() Skip { return b.parts[b.p][b.j] }
+
+// Next moves to the following block.
+func (b *BlockMax) Next() {
+	if b.j++; b.j == len(b.parts[b.p]) {
+		b.p, b.j = b.p+1, 0
+	}
+}
+
+// DocCounts calls fn once per live document in [lo, hi) with at least one
+// posting in the view, in ascending document order, with that document's
+// posting count. Tombstoned documents are never reported. Block-backed
+// parts decode only the document streams of the blocks they touch. fn
+// returning an error aborts the scan with that error.
+func (l List) DocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
+	switch {
+	case lo >= hi || l.Len() == 0:
+		return nil
+	case l.sub != nil:
+		return l.mergedDocCounts(lo, hi, fn)
+	case l.bl != nil:
+		return l.bl.docCounts(lo, hi, l.lo, l.hi, fn)
+	}
+	w := l.Range(lo, hi)
+	return countRuns(&Cursor{raw: w.raw, hi: len(w.raw)}, fn)
 }
 
 // Cursor returns a fresh cursor positioned at the first posting.
@@ -148,7 +251,8 @@ func (b *BlockList) lowerBound(doc storage.DocID) int {
 		return b.blockStart(lo)
 	}
 	// The boundary falls inside block lo: resolve with a doc-only decode.
-	docs := b.decodeDocs(lo, nil)
+	var buf [BlockSize]storage.DocID
+	docs := b.decodeDocs(lo, buf[:0])
 	start := b.blockStart(lo)
 	j := sort.Search(len(docs), func(k int) bool { return docs[k] >= doc })
 	return start + j

@@ -1,7 +1,8 @@
 package postings
 
 import (
-	"sort"
+	"fmt"
+	"math/bits"
 
 	"repro/internal/storage"
 )
@@ -18,11 +19,14 @@ import (
 // implementation nevertheless handles arbitrary interleaving, which the
 // fuzz target exercises.
 
-// Tombstones is an immutable set of deleted documents. A nil *Tombstones
-// is a valid empty set. Mutation is copy-on-write (WithDead), so readers
-// holding a snapshot never observe changes.
+// Tombstones is an immutable set of deleted documents: a bitset over
+// document ids, which the store allocates densely from zero, so membership
+// is one word test. A nil *Tombstones is a valid empty set. Mutation is
+// copy-on-write (WithDead), so readers holding a snapshot never observe
+// changes.
 type Tombstones struct {
-	dead map[storage.DocID]struct{}
+	words []uint64 // bit d&63 of words[d>>6] is set when document d is dead
+	n     int      // set bits
 }
 
 // NewTombstones returns a set containing ids (nil when ids is empty).
@@ -32,11 +36,31 @@ func NewTombstones(ids ...storage.DocID) *Tombstones {
 
 // Dead reports whether doc is tombstoned. Safe on a nil receiver.
 func (t *Tombstones) Dead(doc storage.DocID) bool {
+	if t == nil || doc < 0 {
+		return false
+	}
+	w := int(doc >> 6)
+	return w < len(t.words) && t.words[w]&(1<<(uint(doc)&63)) != 0
+}
+
+// DeadIn reports whether any document in [lo, hi) is tombstoned. Safe on a
+// nil receiver.
+func (t *Tombstones) DeadIn(lo, hi storage.DocID) bool {
 	if t == nil {
 		return false
 	}
-	_, ok := t.dead[doc]
-	return ok
+	a, b := max(int(lo), 0), min(int(hi), len(t.words)<<6)
+	for a < b {
+		word := t.words[a>>6] >> (a & 63) // bits a, a+1, … of a's word
+		if n := b - a; n < 64 {
+			word &= 1<<n - 1
+		}
+		if word != 0 {
+			return true
+		}
+		a = (a>>6 + 1) << 6
+	}
+	return false
 }
 
 // Len returns the number of tombstoned documents. Safe on a nil receiver.
@@ -44,32 +68,41 @@ func (t *Tombstones) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.dead)
+	return t.n
 }
 
 // WithDead returns a set additionally containing ids. The receiver is not
 // modified; when ids adds nothing new the receiver is returned unchanged.
+// Document ids are never negative; a negative id is a caller bug and
+// panics.
 func (t *Tombstones) WithDead(ids ...storage.DocID) *Tombstones {
-	fresh := 0
+	top := -1 // largest id not yet in the set
 	for _, id := range ids {
+		if id < 0 {
+			panic(fmt.Sprintf("postings: tombstone for negative document id %d", id))
+		}
 		if !t.Dead(id) {
-			fresh++
+			top = max(top, int(id))
 		}
 	}
-	if fresh == 0 {
+	if top < 0 {
 		return t
 	}
-	dead := make(map[storage.DocID]struct{}, t.Len()+fresh)
+	var old []uint64
+	out := &Tombstones{}
 	if t != nil {
-		//tixlint:ignore mapiter set copy; insertion order does not affect the resulting set
-		for id := range t.dead {
-			dead[id] = struct{}{}
+		old, out.n = t.words, t.n
+	}
+	out.words = make([]uint64, max(len(old), top>>6+1))
+	copy(out.words, old)
+	for _, id := range ids {
+		w, bit := id>>6, uint64(1)<<(uint(id)&63)
+		if out.words[w]&bit == 0 {
+			out.words[w] |= bit
+			out.n++
 		}
 	}
-	for _, id := range ids {
-		dead[id] = struct{}{}
-	}
-	return &Tombstones{dead: dead}
+	return out
 }
 
 // IDs returns the tombstoned documents in ascending order.
@@ -77,11 +110,12 @@ func (t *Tombstones) IDs() []storage.DocID {
 	if t == nil {
 		return nil
 	}
-	out := make([]storage.DocID, 0, len(t.dead))
-	for id := range t.dead {
-		out = append(out, id)
+	out := make([]storage.DocID, 0, t.n)
+	for w, word := range t.words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, storage.DocID(w<<6+bits.TrailingZeros64(word)))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -89,12 +123,11 @@ func (t *Tombstones) IDs() []storage.DocID {
 // documents in tomb filtered out. Empty parts are dropped and nested
 // unions with a compatible tombstone set are flattened; a single surviving
 // part with no tombstones is returned directly, so a live index that has
-// seen no mutations keeps the block-backed fast paths (Blocks, skip-table
-// seeks, block-max pruning) of a static one.
+// seen no mutations keeps the flat single-part cursors of a static one.
 //
 // Under tombstones, Len and Remaining count suppressed postings too — they
-// become upper bounds, which is the same contract block-max pruning already
-// assumes of its statistics.
+// become upper bounds, which is the same contract the block-max view
+// (BlockMax) assumes of its statistics.
 func Union(tomb *Tombstones, parts ...List) List {
 	kept := make([]List, 0, len(parts))
 	for _, p := range parts {
@@ -116,7 +149,22 @@ func Union(tomb *Tombstones, parts ...List) List {
 	case len(kept) == 1 && tomb == nil:
 		return kept[0]
 	}
-	return List{sub: kept, tomb: tomb}
+	return List{sub: kept, tomb: tomb, ordered: ascending(kept)}
+}
+
+// ascending reports whether non-empty parts cover disjoint document ranges
+// in ascending order. The live index's segments and memtable runs always
+// do: document ids are allocated monotonically and never reused.
+func ascending(parts []List) bool {
+	prev := storage.DocID(-1)
+	for _, p := range parts {
+		first, last := p.span()
+		if first <= prev {
+			return false
+		}
+		prev = last
+	}
+	return true
 }
 
 // mergedLen sums the part sizes (an upper bound under tombstones).
@@ -140,13 +188,85 @@ func (l List) mergedCursor() *Cursor {
 	return c
 }
 
-// mergedRange narrows every part and re-unions, keeping the tombstone set.
+// mergedRange narrows every part and re-unions. The tombstone set is kept
+// only when a dead document falls in [lo, hi), so a window inside one part
+// with no deletions — top-k's per-document Range — comes back as that
+// part's flat view rather than a merge cursor testing every posting.
 func (l List) mergedRange(lo, hi storage.DocID) List {
-	parts := make([]List, 0, len(l.sub))
-	for _, p := range l.sub {
-		parts = append(parts, p.Range(lo, hi))
+	tomb := l.tomb
+	if !tomb.DeadIn(lo, hi) {
+		tomb = nil
 	}
-	return Union(l.tomb, parts...)
+	// The overlapping parts; nothing is allocated while at most one part
+	// overlaps, the per-document case.
+	var one List
+	var parts []List
+	for _, p := range l.sub {
+		r := p.Range(lo, hi)
+		switch {
+		case r.Len() == 0:
+		case one.Len() == 0:
+			one = r
+		default:
+			if parts == nil {
+				parts = append(make([]List, 0, len(l.sub)), one)
+			}
+			parts = append(parts, r)
+		}
+	}
+	if parts == nil {
+		if tomb == nil {
+			return one
+		}
+		parts = []List{one}
+	}
+	return Union(tomb, parts...)
+}
+
+// mergedDocCounts is DocCounts over a merged view.
+func (l List) mergedDocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
+	if !l.ordered {
+		// Interleaved parts: count document runs off the merge cursor, which
+		// already filters tombstones.
+		return countRuns(l.Range(lo, hi).Cursor(), fn)
+	}
+	if l.tomb.DeadIn(lo, hi) {
+		report := fn
+		fn = func(doc storage.DocID, n int) error {
+			if l.tomb.Dead(doc) {
+				return nil
+			}
+			return report(doc, n)
+		}
+	}
+	// Disjoint ascending parts: each document lives in exactly one part, and
+	// the parts come in document order.
+	for _, p := range l.sub {
+		if err := p.DocCounts(lo, hi, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countRuns calls fn with each document's run length on c, in order.
+func countRuns(c *Cursor, fn func(doc storage.DocID, n int) error) error {
+	doc, n := storage.DocID(-1), 0
+	for ; c.Valid(); c.Advance() {
+		if d := c.Cur().Doc; d != doc {
+			if n > 0 {
+				if err := fn(doc, n); err != nil {
+					return err
+				}
+			}
+			doc, n = d, 0
+		}
+		n++
+	}
+	if n > 0 {
+		return fn(doc, n)
+	}
+	return nil
 }
 
 // mergedMaterialize drains the merge cursor into a fresh slice.

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -26,6 +27,26 @@ func splitParts(ps []Posting, k int, encodeEven bool) []List {
 		} else {
 			parts = append(parts, NewRawList(sub))
 		}
+	}
+	return parts
+}
+
+// splitRuns cuts a sorted posting stream into up to k document-disjoint
+// runs in ascending order — the shape of the live index's segments and
+// memtables — block-encoding alternate runs.
+func splitRuns(ps []Posting, k int) []List {
+	var parts []List
+	for start, j := 0, 0; start < len(ps); j++ {
+		end := min(start+max(len(ps)/k, 1), len(ps))
+		for end < len(ps) && ps[end].Doc == ps[end-1].Doc {
+			end++
+		}
+		if j%2 == 0 {
+			parts = append(parts, Encode(ps[start:end]).All())
+		} else {
+			parts = append(parts, NewRawList(ps[start:end]))
+		}
+		start = end
 	}
 	return parts
 }
@@ -209,14 +230,39 @@ func TestTombstonesCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestTombstonesDeadIn holds the word-at-a-time range test to a naive scan
+// over windows crossing word boundaries.
+func TestTombstonesDeadIn(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		var tomb *Tombstones
+		for i := r.Intn(4); i > 0; i-- {
+			tomb = tomb.WithDead(storage.DocID(r.Intn(300)))
+		}
+		lo := storage.DocID(r.Intn(320) - 10)
+		hi := lo + storage.DocID(r.Intn(150))
+		want := false
+		for d := lo; d < hi; d++ {
+			want = want || tomb.Dead(d)
+		}
+		if got := tomb.DeadIn(lo, hi); got != want {
+			t.Fatalf("DeadIn(%d, %d) over %v = %v, want %v", lo, hi, tomb.IDs(), got, want)
+		}
+	}
+}
+
 // FuzzMemtableMerge drives the memtable/segment merge path with arbitrary
 // posting streams, part counts, tombstone sets and seek targets: the
 // merged cursor must yield exactly the sorted input minus tombstoned
-// documents, in order, under iteration, seeking and ranging alike.
+// documents, in order, under iteration, seeking and ranging alike. The
+// parts interleave, or (nParts ≥ 128) are document-disjoint runs as the
+// live index builds them. DocCounts must report exactly the live
+// documents' counts, and the block-max view must bound every one of them.
 func FuzzMemtableMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint32(0), uint16(0), uint16(0))
 	f.Add([]byte{1, 2, 3, 4, 200, 201, 202}, uint8(3), uint32(0b1010), uint16(2), uint16(1))
 	f.Add([]byte{255, 254, 0, 0, 0, 7, 9}, uint8(5), uint32(1<<31), uint16(9), uint16(300))
+	f.Add([]byte{1, 2, 3, 33, 1, 2, 64, 5, 6, 7, 96, 1, 200, 2, 3}, uint8(128+5), uint32(0b1001000), uint16(3), uint16(5))
 
 	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, tombMask uint32, seekDoc, seekPos uint16) {
 		if len(data) > 1<<12 {
@@ -242,8 +288,16 @@ func FuzzMemtableMerge(f *testing.F) {
 			}
 		}
 		k := int(nParts%6) + 1
-		u := Union(tomb, splitParts(ps, k, true)...)
+		parts := splitParts(ps, k, true)
+		if nParts >= 128 {
+			parts = splitRuns(ps, k)
+		}
+		u := Union(tomb, parts...)
 		want := filterDead(ps, tomb)
+		if got, wantCounts := docCounts(t, u, 0, doc+1), runCounts(want, 0, doc+1); !reflect.DeepEqual(got, wantCounts) {
+			t.Fatalf("DocCounts = %v, want %v", got, wantCounts)
+		}
+		checkBlockMax(t, u, want)
 
 		got := drain(u.Cursor())
 		if !reflect.DeepEqual(got, want) {
@@ -290,5 +344,66 @@ func FuzzMemtableMerge(f *testing.F) {
 		if !reflect.DeepEqual(gotRange, wantRange) {
 			t.Fatalf("Range(%d,%d): %d postings, want %d", lo, hi, len(gotRange), len(wantRange))
 		}
+		if got, wantCounts := docCounts(t, u, lo, hi), runCounts(want, lo, hi); !reflect.DeepEqual(got, wantCounts) {
+			t.Fatalf("DocCounts(%d,%d) = %v, want %v", lo, hi, got, wantCounts)
+		}
 	})
+}
+
+// runCounts is the DocCounts oracle: the per-document posting counts of
+// the sorted ps within [lo, hi), in document order, as (doc, count) pairs.
+func runCounts(ps []Posting, lo, hi storage.DocID) [][2]int {
+	out := [][2]int{}
+	for _, p := range ps {
+		if p.Doc < lo || p.Doc >= hi {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1][0] == int(p.Doc) {
+			out[n-1][1]++
+		} else {
+			out = append(out, [2]int{int(p.Doc), 1})
+		}
+	}
+	return out
+}
+
+// docCounts collects l.DocCounts(lo, hi) as (doc, count) pairs.
+func docCounts(t *testing.T, l List, lo, hi storage.DocID) [][2]int {
+	t.Helper()
+	out := [][2]int{}
+	err := l.DocCounts(lo, hi, func(d storage.DocID, n int) error {
+		out = append(out, [2]int{int(d), n})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkBlockMax holds l's block-max view to its contract: blocks come in
+// ascending document order (consecutive blocks may share a boundary
+// document), and every live document's count is at most the sum of
+// MaxFreq over the blocks covering it.
+func checkBlockMax(t *testing.T, l List, live []Posting) {
+	t.Helper()
+	var blocks []Skip
+	for bm := l.BlockMax(); bm.Valid(); bm.Next() {
+		b := bm.Block()
+		if b.FirstDoc > b.LastDoc || len(blocks) > 0 && b.FirstDoc < blocks[len(blocks)-1].LastDoc {
+			t.Fatalf("block-max view out of order at block %d: %+v after %+v", len(blocks), b, blocks)
+		}
+		blocks = append(blocks, b)
+	}
+	for _, c := range runCounts(live, 0, math.MaxInt32) {
+		bound := 0
+		for _, b := range blocks {
+			if int(b.FirstDoc) <= c[0] && c[0] <= int(b.LastDoc) {
+				bound += int(b.MaxFreq)
+			}
+		}
+		if c[1] > bound {
+			t.Fatalf("document %d has %d postings, above its block-max bound %d", c[0], c[1], bound)
+		}
+	}
 }

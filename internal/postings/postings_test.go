@@ -364,37 +364,50 @@ func TestBlocksPrecondition(t *testing.T) {
 }
 
 // TestDocCountsMatchesRaw checks the doc-stream-only counting scan against
-// a naive count over the raw slice for every window.
+// a naive count over the raw slice for every window, on a whole block
+// list, a raw list and a block window cutting through blocks.
 func TestDocCountsMatchesRaw(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ps := genList(r, 3*BlockSize+11)
 	bl := Encode(ps)
+	wlo, whi := ps[BlockSize/2].Doc, ps[2*BlockSize+5].Doc
+	views := []struct {
+		name string
+		List
+	}{
+		{"block", bl.All()},
+		{"raw", NewRawList(ps)},
+		{"window", bl.All().Range(wlo, whi)},
+	}
 	maxDoc := ps[len(ps)-1].Doc + 2
-	for lo := storage.DocID(0); lo <= maxDoc; lo++ {
-		for _, span := range []storage.DocID{0, 1, 3, maxDoc} {
-			hi := lo + span
-			want := map[storage.DocID]int{}
-			for _, p := range ps {
-				if p.Doc >= lo && p.Doc < hi {
-					want[p.Doc]++
+	for _, view := range views {
+		name := view.name
+		for lo := storage.DocID(0); lo <= maxDoc; lo++ {
+			for _, span := range []storage.DocID{0, 1, 3, maxDoc} {
+				hi := lo + span
+				want := map[storage.DocID]int{}
+				for _, p := range ps {
+					if p.Doc >= lo && p.Doc < hi && (name != "window" || p.Doc >= wlo && p.Doc < whi) {
+						want[p.Doc]++
+					}
 				}
-			}
-			var gotDocs []storage.DocID
-			got := map[storage.DocID]int{}
-			err := bl.DocCounts(lo, hi, func(d storage.DocID, n int) error {
-				gotDocs = append(gotDocs, d)
-				got[d] = n
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("DocCounts(%d, %d) = %v, want %v", lo, hi, got, want)
-			}
-			for i := 1; i < len(gotDocs); i++ {
-				if gotDocs[i] <= gotDocs[i-1] {
-					t.Fatalf("DocCounts(%d, %d) out of order: %v", lo, hi, gotDocs)
+				var gotDocs []storage.DocID
+				got := map[storage.DocID]int{}
+				err := view.DocCounts(lo, hi, func(d storage.DocID, n int) error {
+					gotDocs = append(gotDocs, d)
+					got[d] = n
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s DocCounts(%d, %d) = %v, want %v", name, lo, hi, got, want)
+				}
+				for i := 1; i < len(gotDocs); i++ {
+					if gotDocs[i] <= gotDocs[i-1] {
+						t.Fatalf("%s DocCounts(%d, %d) out of order: %v", name, lo, hi, gotDocs)
+					}
 				}
 			}
 		}
@@ -407,7 +420,7 @@ func TestDocCountsAbortsOnError(t *testing.T) {
 	bl := Encode(ps)
 	sentinel := errors.New("stop")
 	calls := 0
-	err := bl.DocCounts(0, ps[len(ps)-1].Doc+1, func(storage.DocID, int) error {
+	err := bl.All().DocCounts(0, ps[len(ps)-1].Doc+1, func(storage.DocID, int) error {
 		calls++
 		return sentinel
 	})

@@ -89,13 +89,18 @@ func (s *DB) TermSearch(terms []string, opts db.TermSearchOptions) ([]exec.Score
 func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) (results []exec.ScoredNode, err error) {
 	start := time.Now()
 	per := make([][]exec.ScoredNode, len(s.segs))
-	stats := make([]storage.AccessStats, len(s.segs))
+	stats := make([]db.SearchStats, len(s.segs))
 	defer func() {
-		var total storage.AccessStats
+		var total db.SearchStats
 		for _, st := range stats {
 			total.Add(st)
 		}
-		s.observe(opTerms, start, len(results), total, err)
+		s.observe(opTerms, start, len(results), total.Access, err)
+		if err == nil {
+			reg := s.MetricsRegistry()
+			reg.Counter(`tix_topk_docs_evaluated_total{op="terms"}`).Add(total.DocsEvaluated)
+			reg.Counter(`tix_topk_blocks_skipped_total{op="terms"}`).Add(total.BlocksSkipped)
+		}
 	}()
 	eff := s.limitsOr(opts.Limits)
 	if c, tok, ok := s.queryCache(); ok {

@@ -33,6 +33,12 @@ import (
 // The access-stat counters are the paper's cost accounting (the numbers
 // behind Tables 1–5) surfaced as a runtime feature: a scrape after a
 // production query shows *why* it was expensive, not only that it was.
+// Term searches answered by the pruned top-k also record, summed over the
+// shard fan-out, whether it pruned:
+//
+//	tix_topk_docs_evaluated_total{op="terms"}  documents the top-k scored
+//	tix_topk_blocks_skipped_total{op="terms"}  blocks its sweep skipped undecoded
+//
 // Fan-out ops record the workers' combined access stats, plus per-shard
 // worker instrumentation:
 //

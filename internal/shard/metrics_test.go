@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/metrics"
 )
 
@@ -42,6 +43,50 @@ func TestQueryMetricsCountCacheHitsAndErrors(t *testing.T) {
 	}
 	if got := reg.Histogram(`tix_query_seconds{op="query"}`).Count(); got != 4 {
 		t.Errorf("query latency observations = %d, want 4", got)
+	}
+}
+
+// TestTopKPruningCountersSumOverShards: a pruned /terms search on a live
+// corpus records the documents its top-k scored and the blocks it skipped,
+// summed over the shard fan-out; a search the exhaustive join answers
+// records neither.
+func TestTopKPruningCountersSumOverShards(t *testing.T) {
+	names, roots := corpusDocs(t, 24, 7)
+	reg := metrics.NewRegistry()
+	s := New(Options{Shards: 2, Metrics: reg})
+	for i, name := range names {
+		if err := s.LoadTree(name, roots[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Warm()
+	if err := s.Add("live.xml", `<article><p>ctla ctlb ctla</p></article>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(names[3]); err != nil {
+		t.Fatal(err)
+	}
+	terms := []string{"ctla", "ctlb"}
+	opts := db.TermSearchOptions{TopK: 1}
+	var want db.SearchStats
+	for i := 0; i < 2; i++ {
+		if _, err := db.SearchTerms(s.Segment(i).Index(), terms, opts, nil, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want.DocsEvaluated == 0 || want.BlocksSkipped == 0 {
+		t.Fatalf("segments evaluated %d documents and skipped %d blocks: the corpus does not exercise pruning", want.DocsEvaluated, want.BlocksSkipped)
+	}
+	docs := reg.Counter(`tix_topk_docs_evaluated_total{op="terms"}`)
+	blocks := reg.Counter(`tix_topk_blocks_skipped_total{op="terms"}`)
+	for _, o := range []db.TermSearchOptions{opts, {}} {
+		if _, err := s.TermSearchContext(context.Background(), terms, o); err != nil {
+			t.Fatal(err)
+		}
+		if docs.Value() != want.DocsEvaluated || blocks.Value() != want.BlocksSkipped {
+			t.Errorf("TopK=%d: counters = %d documents, %d blocks; want the segments' %d, %d",
+				o.TopK, docs.Value(), blocks.Value(), want.DocsEvaluated, want.BlocksSkipped)
+		}
 	}
 }
 

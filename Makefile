@@ -81,8 +81,10 @@ cover:
 
 # Ten seconds of coverage-guided fuzzing each over db.Load (corrupted
 # snapshots), postings.FuzzBlockDecode (corrupted block payloads and skip
-# tables), and postings.FuzzMemtableMerge (merged memtable/segment views
-# vs. the flat oracle): enough to catch regressions in the
+# tables), postings.FuzzBatchDecode (batch vs. scalar block decode),
+# postings.FuzzMemtableMerge (merged views over ordered parts —
+# document-disjoint memtable runs and segments — vs. the flat oracle) and
+# rescache.FuzzCacheKey: enough to catch regressions in the
 # corrupted-input and merge-cursor handling without slowing CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/db

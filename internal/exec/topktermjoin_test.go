@@ -208,10 +208,9 @@ func TestTopKTermJoinPrunesLiveSnapshot(t *testing.T) {
 	}
 	candidates := map[storage.DocID]bool{}
 	for _, term := range terms {
-		idx.List(term).Each(func(p index.Posting) bool {
-			candidates[p.Doc] = true
-			return true
-		})
+		for c := idx.List(term).Cursor(); c.Valid(); c.Advance() {
+			candidates[c.Cur().Doc] = true
+		}
 	}
 	if tkj.BlocksSkipped == 0 {
 		t.Error("block-max sweep skipped no block of the live snapshot at k=1")

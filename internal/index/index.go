@@ -14,8 +14,8 @@
 // encoded into 128-posting delta+varint blocks with a skip table, cutting
 // postings memory several-fold. Cursors decode lazily and seek via the
 // skip table; the legacy []Posting surface remains available through
-// Postings (which materializes) and NewRawList/NewCursor (which wrap raw
-// slices), so both representations flow through the same operators.
+// Postings (which materializes) and NewRawList (which wraps a raw slice),
+// so both representations flow through the same operators.
 package index
 
 import (
@@ -40,9 +40,6 @@ type Cursor = postings.Cursor
 // List is a read-only view over one term's postings, raw or
 // block-compressed.
 type List = postings.List
-
-// NewCursor returns a cursor over a raw, (Doc, Pos)-sorted posting slice.
-func NewCursor(ps []Posting) *Cursor { return postings.NewCursor(ps) }
 
 // NewRawList wraps a raw, (Doc, Pos)-sorted posting slice as a List
 // without copying.

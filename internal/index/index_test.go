@@ -149,10 +149,7 @@ func TestCursor(t *testing.T) {
 	_, idx := buildIndex(t, map[string]string{
 		"a.xml": `<a>w a w b w c w</a>`,
 	})
-	c := NewCursor(idx.Postings("w"))
-	if c.Remaining() != 4 {
-		t.Fatalf("Remaining = %d", c.Remaining())
-	}
+	c := NewRawList(idx.Postings("w")).Cursor()
 	var seen []uint32
 	for c.Valid() {
 		seen = append(seen, c.Cur().Pos)
@@ -162,7 +159,7 @@ func TestCursor(t *testing.T) {
 		t.Fatalf("iterated %d", len(seen))
 	}
 	// SeekPos lands on the first posting at or after the target.
-	c2 := NewCursor(idx.Postings("w"))
+	c2 := NewRawList(idx.Postings("w")).Cursor()
 	c2.SeekPos(0, seen[2])
 	if !c2.Valid() || c2.Cur().Pos != seen[2] {
 		t.Errorf("SeekPos exact failed")
@@ -183,7 +180,7 @@ func TestCursorSeekAcrossDocuments(t *testing.T) {
 	if len(ps) != 6 {
 		t.Fatalf("postings = %d", len(ps))
 	}
-	c := NewCursor(ps)
+	c := NewRawList(ps).Cursor()
 	// Seek straight into the second document.
 	c.SeekPos(1, 0)
 	if !c.Valid() || c.Cur().Doc != 1 {

@@ -248,8 +248,8 @@ func (l *Live) WaitCompaction() { l.wg.Wait() }
 // Backlog returns the amount of compaction work outstanding: sealed
 // memtables waiting to be folded plus segments beyond the single flat
 // list a fully-compacted index serves from. Readiness probes compare it
-// against a threshold — a large backlog means queries are paying for
-// many-way merge cursors and scanning raw memtable runs.
+// against a threshold — a large backlog means queries are walking many
+// parts per term and scanning raw memtable runs.
 func (l *Live) Backlog() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -116,16 +116,7 @@ func (v *memView) encode(tomb *postings.Tombstones) *segment {
 	seg := &segment{lists: make(map[string]*postings.BlockList, len(v.lists))}
 	//tixlint:ignore mapiter per-key encode writing only seg.lists[term]; no cross-key state
 	for term, run := range v.lists {
-		ps := run.ps
-		if tomb.Len() > 0 {
-			kept := make([]postings.Posting, 0, len(ps))
-			for _, p := range ps {
-				if !tomb.Dead(p.Doc) {
-					kept = append(kept, p)
-				}
-			}
-			ps = kept
-		}
+		ps := postings.Union(tomb, postings.NewRawList(run.ps)).Materialize()
 		if len(ps) == 0 {
 			continue
 		}

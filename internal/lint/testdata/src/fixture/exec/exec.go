@@ -101,35 +101,6 @@ func DecodeUnguarded(lists []postings.List) int {
 	return total
 }
 
-// EachUnguarded streams merged views inside a loop without a guard: Each
-// walks the whole view, decoding blocks as it goes.
-func EachUnguarded(lists []postings.List) uint32 {
-	var total uint32
-	for _, l := range lists { // want "guardcheck: loop calls storage accessor List.Each without consulting exec.Guard"
-		l.Each(func(p postings.Posting) bool {
-			total += p.Pos
-			return true
-		})
-	}
-	return total
-}
-
-// EachGuarded ticks once per streamed posting inside the callback, which
-// counts as consultation for the enclosing loop.
-func EachGuarded(g *Guard, lists []postings.List) uint32 {
-	var total uint32
-	for _, l := range lists {
-		l.Each(func(p postings.Posting) bool {
-			if g.Tick() != nil {
-				return false
-			}
-			total += p.Pos
-			return true
-		})
-	}
-	return total
-}
-
 // GallopUnguarded mirrors the galloping phrase intersection: a driver
 // cursor scanned occurrence by occurrence, verifier cursors skipped
 // forward with SeekPos. The verifier seeks may each decode a block (or

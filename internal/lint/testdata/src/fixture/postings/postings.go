@@ -24,16 +24,6 @@ func (l List) Len() int { return len(l.ps) }
 // Materialize decodes the whole list; charged.
 func (l List) Materialize() []Posting { return l.ps }
 
-// Each streams every posting through fn, stopping when fn returns false;
-// charged — it walks (and decodes) the whole view.
-func (l List) Each(fn func(Posting) bool) {
-	for _, p := range l.ps {
-		if !fn(p) {
-			return
-		}
-	}
-}
-
 // DocCounts decodes per-document frequencies; charged.
 func (l List) DocCounts() map[int32]int {
 	m := make(map[int32]int)

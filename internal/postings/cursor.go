@@ -12,7 +12,7 @@ import (
 // the skip table and galloping within the decoded block.
 //
 // The contract matches the original uncompressed cursor exactly:
-// Valid/Cur/Advance/Remaining/SeekPos with (Doc, Pos) ordering.
+// Valid/Cur/Advance/SeekPos with (Doc, Pos) ordering.
 type Cursor struct {
 	raw []Posting
 
@@ -32,32 +32,19 @@ type Cursor struct {
 	bmDoc  storage.DocID
 	bmRank int
 
-	// Merged mode (see Union): the cursor is a settled k-way merge over
-	// sub-cursors with tombstoned documents skipped.
-	subs []*Cursor
+	// Merged mode (see Union): the fields above walk the current part and
+	// rest holds the parts after it. dead is set while the current part's
+	// span holds a document of tomb; only then is each document tested.
+	rest []List
 	tomb *Tombstones
-	cur  int // index of the sub-cursor holding the minimum, -1 if exhausted
-}
-
-// NewCursor returns a cursor over a raw posting slice (sorted by
-// (Doc, Pos)), preserving the historical constructor.
-func NewCursor(ps []Posting) *Cursor {
-	return &Cursor{raw: ps, hi: len(ps)}
+	dead bool
 }
 
 // Valid reports whether the cursor points at a posting.
-func (c *Cursor) Valid() bool {
-	if c.subs != nil {
-		return c.mergedValid()
-	}
-	return c.i < c.hi
-}
+func (c *Cursor) Valid() bool { return c.i < c.hi }
 
 // Cur returns the current posting. Call only when Valid.
 func (c *Cursor) Cur() Posting {
-	if c.subs != nil {
-		return c.mergedCur()
-	}
 	if c.bm != nil {
 		return c.bmCur()
 	}
@@ -72,20 +59,10 @@ func (c *Cursor) Cur() Posting {
 
 // Advance moves to the next posting.
 func (c *Cursor) Advance() {
-	if c.subs != nil {
-		c.mergedAdvance()
-		return
-	}
 	c.i++
-}
-
-// Remaining returns the number of postings left, including the current.
-// Merged cursors report an upper bound when tombstones are in play.
-func (c *Cursor) Remaining() int {
-	if c.subs != nil {
-		return c.mergedRemaining()
+	if c.dead || c.i >= c.hi && len(c.rest) > 0 {
+		c.settle()
 	}
-	return c.hi - c.i
 }
 
 // loadBlock decodes block b into the cursor's buffer.
@@ -97,12 +74,28 @@ func (c *Cursor) loadBlock(b int) {
 
 // SeekPos advances the cursor to the first posting p at or after the
 // current position with p.Doc > doc, or p.Doc == doc and p.Pos >= pos.
-// The cursor never moves backward.
+// The cursor never moves backward. A merged cursor skips whole parts that
+// end before doc and seeks within the one part that can hold the target.
 func (c *Cursor) SeekPos(doc storage.DocID, pos uint32) {
-	if c.subs != nil {
-		c.mergedSeekPos(doc, pos)
+	c.seek(doc, pos)
+	if !c.dead && len(c.rest) == 0 {
 		return
 	}
+	for c.i >= c.hi && len(c.rest) > 0 {
+		for len(c.rest) > 1 {
+			if _, last := c.rest[0].span(); last >= doc {
+				break
+			}
+			c.rest = c.rest[1:]
+		}
+		c.next()
+		c.seek(doc, pos)
+	}
+	c.settle()
+}
+
+// seek is SeekPos within the current part.
+func (c *Cursor) seek(doc storage.DocID, pos uint32) {
 	if c.i >= c.hi {
 		return
 	}

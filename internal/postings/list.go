@@ -15,9 +15,8 @@ type List struct {
 	bl     *BlockList
 	lo, hi int // posting-index window into bl (block mode only)
 
-	sub     []List      // merged mode: the unioned parts (non-nil)
-	tomb    *Tombstones // merged mode: documents filtered out of the union
-	ordered bool        // merged mode: parts cover disjoint, ascending document ranges
+	sub  []List      // merged mode: the flat parts, disjoint and document-ascending
+	tomb *Tombstones // merged mode: documents filtered out of the union
 }
 
 // NewRawList wraps an already-materialized posting slice (which must be
@@ -58,15 +57,12 @@ func (l List) Blocks() *BlockList {
 
 // span returns bounds on the documents a non-empty view holds: exact for
 // raw and whole block lists, widened to the enclosing blocks for a block
-// window, and the parts' hull for a merged view.
+// window, and first part to last part for a merged view.
 func (l List) span() (first, last storage.DocID) {
 	switch {
 	case l.sub != nil:
-		first, last = l.sub[0].span()
-		for _, p := range l.sub[1:] {
-			f, la := p.span()
-			first, last = min(first, f), max(last, la)
-		}
+		first, _ = l.sub[0].span()
+		_, last = l.sub[len(l.sub)-1].span()
 		return first, last
 	case l.bl != nil:
 		return l.bl.skips[l.bl.blockFor(l.lo)].FirstDoc, l.bl.skips[l.bl.blockFor(l.hi-1)].LastDoc
@@ -90,9 +86,7 @@ type BlockMax struct {
 // A block-backed part contributes the skip entries of the blocks its window
 // overlaps. A raw part — a memtable run, a phrase pseudo-term — is one
 // pseudo-block bounded by its exact per-document maximum. A merged view
-// concatenates its parts' views when the parts cover disjoint ascending
-// document ranges, as the live index's segments and memtable runs do, and
-// is otherwise one coarse block bounded by Len().
+// concatenates its parts' views, which Union keeps document-ascending.
 func (l List) BlockMax() BlockMax {
 	return BlockMax{parts: l.appendMaxParts(nil)}
 }
@@ -101,14 +95,11 @@ func (l List) appendMaxParts(dst [][]Skip) [][]Skip {
 	switch {
 	case l.Len() == 0:
 		return dst
-	case l.sub != nil && l.ordered:
+	case l.sub != nil:
 		for _, p := range l.sub {
 			dst = p.appendMaxParts(dst)
 		}
 		return dst
-	case l.sub != nil:
-		first, last := l.span()
-		return append(dst, []Skip{{FirstDoc: first, LastDoc: last, MaxFreq: uint32(l.Len())}})
 	case l.bl != nil:
 		return append(dst, l.bl.skips[l.bl.blockFor(l.lo):l.bl.blockFor(l.hi-1)+1])
 	}
@@ -155,42 +146,39 @@ func (l List) DocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) 
 	case l.bl != nil:
 		return l.bl.docCounts(lo, hi, l.lo, l.hi, fn)
 	}
-	w := l.Range(lo, hi)
-	return countRuns(&Cursor{raw: w.raw, hi: len(w.raw)}, fn)
+	return countRuns(l.Range(lo, hi).Cursor(), fn)
 }
 
 // Cursor returns a fresh cursor positioned at the first posting.
 func (l List) Cursor() *Cursor {
-	if l.sub != nil {
-		return l.mergedCursor()
-	}
-	if l.bl != nil {
-		return &Cursor{bl: l.bl, lo: l.lo, hi: l.hi, i: l.lo, blk: -1, bm: l.bl.bitmap, bmRank: -1}
-	}
-	return &Cursor{raw: l.raw, hi: len(l.raw)}
+	c := &Cursor{}
+	l.Reset(c)
+	return c
 }
 
 // Reset repositions an existing cursor at the first posting of l, reusing
 // the decode buffer it accumulated in earlier runs — the arena-reuse hook
 // for operators that run many short cursor passes (one per document in
-// top-k evaluation). Merged views fall back to a fresh cursor structure.
+// top-k evaluation). Any list shape may follow any other.
 func (l List) Reset(c *Cursor) {
-	if l.sub != nil {
-		*c = *l.mergedCursor()
+	*c = Cursor{dec: c.dec[:0]}
+	if l.sub == nil {
+		c.open(l)
 		return
 	}
-	dec := c.dec
-	*c = Cursor{}
+	c.rest, c.tomb = l.sub, l.tomb
+	c.next()
+	c.settle()
+}
+
+// open positions c at the first posting of the flat view l, keeping the
+// decode buffer and any merged-mode state.
+func (c *Cursor) open(l List) {
+	c.raw, c.bl, c.bm, c.blk, c.bmRank = l.raw, l.bl, nil, -1, -1
+	c.lo, c.hi, c.i = 0, len(l.raw), 0
 	if l.bl != nil {
-		c.bl, c.lo, c.hi, c.i, c.blk = l.bl, l.lo, l.hi, l.lo, -1
-		c.dec = dec[:0]
-		c.bm = l.bl.bitmap
-		c.bmRank = -1
-		return
+		c.lo, c.hi, c.i, c.bm = l.lo, l.hi, l.lo, l.bl.bitmap
 	}
-	c.raw = l.raw
-	c.hi = len(l.raw)
-	c.dec = dec[:0]
 }
 
 // Range narrows the view to postings with lo <= Doc < hi. Block-backed

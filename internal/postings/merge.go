@@ -10,14 +10,13 @@ import (
 // This file adds the LSM read path: a merged List view that unions the
 // postings of several underlying views (immutable block segments plus
 // in-memory memtable runs) behind the exact cursor contract of a single
-// list, with tombstone filtering applied during the merge so deleted
+// list, with tombstone filtering applied as the cursor walks so deleted
 // documents vanish from every operator without the operators changing.
 //
-// Segments produced by the live index cover disjoint, ascending document
-// ranges (document ids are allocated monotonically and never reused), so
-// the k-way merge is effectively a concatenation with cheap min-scans; the
-// implementation nevertheless handles arbitrary interleaving, which the
-// fuzz target exercises.
+// The parts cover disjoint, ascending document ranges (Union enforces it),
+// so the merged cursor is a concatenation: it walks one part at a time
+// with that part's own batch decode and bitmap seek, and tests tombstones
+// only inside parts whose span holds a dead document.
 
 // Tombstones is an immutable set of deleted documents: a bitset over
 // document ids, which the store allocates densely from zero, so membership
@@ -120,51 +119,54 @@ func (t *Tombstones) IDs() []storage.DocID {
 }
 
 // Union returns a view over the (Doc, Pos)-ordered union of parts with
-// documents in tomb filtered out. Empty parts are dropped and nested
-// unions with a compatible tombstone set are flattened; a single surviving
-// part with no tombstones is returned directly, so a live index that has
-// seen no mutations keeps the flat single-part cursors of a static one.
+// documents in tomb filtered out. The parts must cover disjoint document
+// ranges in ascending order — the live index's segments and memtable runs
+// always do, since document ids are allocated monotonically and never
+// reused — and Union panics otherwise: like a negative id in WithDead,
+// disorder is a caller bug. Spans are compared at block granularity, so two
+// windows of one block list that share a block count as overlapping.
 //
-// Under tombstones, Len and Remaining count suppressed postings too — they
-// become upper bounds, which is the same contract the block-max view
-// (BlockMax) assumes of its statistics.
+// Empty parts are dropped and nested unions with a compatible tombstone set
+// are flattened. The tombstone set is kept only when a dead document falls
+// inside the parts' hull, and a single surviving part without one is
+// returned directly: a term whose postings avoid every deleted document
+// keeps the flat single-part cursor of a static index.
+//
+// Under tombstones, Len counts suppressed postings too — it becomes an
+// upper bound, which is the same contract the block-max view (BlockMax)
+// assumes of its statistics.
 func Union(tomb *Tombstones, parts ...List) List {
 	kept := make([]List, 0, len(parts))
 	for _, p := range parts {
-		if p.Len() == 0 {
-			continue
-		}
-		if p.sub != nil && (p.tomb == nil || p.tomb == tomb) {
+		switch {
+		case p.Len() == 0:
+		case p.sub == nil:
+			kept = append(kept, p)
+		case p.tomb == nil || p.tomb == tomb:
 			kept = append(kept, p.sub...)
-			continue
+		default:
+			panic("postings: Union over a merged part with a different tombstone set")
 		}
-		kept = append(kept, p)
 	}
-	if tomb.Len() == 0 {
-		tomb = nil
-	}
-	switch {
-	case len(kept) == 0:
+	if len(kept) == 0 {
 		return List{}
-	case len(kept) == 1 && tomb == nil:
-		return kept[0]
 	}
-	return List{sub: kept, tomb: tomb, ordered: ascending(kept)}
-}
-
-// ascending reports whether non-empty parts cover disjoint document ranges
-// in ascending order. The live index's segments and memtable runs always
-// do: document ids are allocated monotonically and never reused.
-func ascending(parts []List) bool {
 	prev := storage.DocID(-1)
-	for _, p := range parts {
+	for _, p := range kept {
 		first, last := p.span()
 		if first <= prev {
-			return false
+			panic(fmt.Sprintf("postings: Union parts overlap or are out of order: document %d after %d", first, prev))
 		}
 		prev = last
 	}
-	return true
+	first, _ := kept[0].span()
+	if !tomb.DeadIn(first, prev+1) {
+		tomb = nil
+	}
+	if len(kept) == 1 && tomb == nil {
+		return kept[0]
+	}
+	return List{sub: kept, tomb: tomb}
 }
 
 // mergedLen sums the part sizes (an upper bound under tombstones).
@@ -176,22 +178,10 @@ func (l List) mergedLen() int {
 	return n
 }
 
-// mergedCursor builds the k-way merge cursor and settles it on the first
-// live posting.
-func (l List) mergedCursor() *Cursor {
-	subs := make([]*Cursor, len(l.sub))
-	for i, p := range l.sub {
-		subs[i] = p.Cursor()
-	}
-	c := &Cursor{subs: subs, tomb: l.tomb}
-	c.settle()
-	return c
-}
-
 // mergedRange narrows every part and re-unions. The tombstone set is kept
 // only when a dead document falls in [lo, hi), so a window inside one part
 // with no deletions — top-k's per-document Range — comes back as that
-// part's flat view rather than a merge cursor testing every posting.
+// part's flat view.
 func (l List) mergedRange(lo, hi storage.DocID) List {
 	tomb := l.tomb
 	if !tomb.DeadIn(lo, hi) {
@@ -223,13 +213,11 @@ func (l List) mergedRange(lo, hi storage.DocID) List {
 	return Union(tomb, parts...)
 }
 
-// mergedDocCounts is DocCounts over a merged view.
+// mergedDocCounts is DocCounts over a merged view: each document lives in
+// exactly one part and the parts come in document order, so the parts are
+// counted in turn, behind a dead-document filter only when a tombstone falls
+// in [lo, hi).
 func (l List) mergedDocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
-	if !l.ordered {
-		// Interleaved parts: count document runs off the merge cursor, which
-		// already filters tombstones.
-		return countRuns(l.Range(lo, hi).Cursor(), fn)
-	}
 	if l.tomb.DeadIn(lo, hi) {
 		report := fn
 		fn = func(doc storage.DocID, n int) error {
@@ -239,8 +227,6 @@ func (l List) mergedDocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n
 			return report(doc, n)
 		}
 	}
-	// Disjoint ascending parts: each document lives in exactly one part, and
-	// the parts come in document order.
 	for _, p := range l.sub {
 		if err := p.DocCounts(lo, hi, fn); err != nil {
 			return err
@@ -269,86 +255,45 @@ func countRuns(c *Cursor, fn func(doc storage.DocID, n int) error) error {
 	return nil
 }
 
-// mergedMaterialize drains the merge cursor into a fresh slice.
+// mergedMaterialize drains the cursor into a fresh slice.
 func (l List) mergedMaterialize() []Posting {
 	out := make([]Posting, 0, l.mergedLen())
-	for c := l.mergedCursor(); c.Valid(); c.Advance() {
+	for c := l.Cursor(); c.Valid(); c.Advance() {
 		out = append(out, c.Cur())
 	}
 	return out
 }
 
-// Each calls fn for every posting in the view in (Doc, Pos) order,
-// stopping early when fn returns false. It is the bulk consumption path
-// for merged views: unlike Materialize it never allocates the full slice,
-// and tombstoned documents are already filtered out.
-func (l List) Each(fn func(Posting) bool) {
-	for c := l.Cursor(); c.Valid(); c.Advance() {
-		if !fn(c.Cur()) {
-			return
-		}
-	}
+// next moves a merged cursor onto the first posting of its next part,
+// reusing the decode buffer, and decides whether that part needs the
+// tombstone test.
+func (c *Cursor) next() {
+	p := c.rest[0]
+	c.rest = c.rest[1:]
+	c.open(p)
+	first, last := p.span()
+	c.dead = c.tomb.DeadIn(first, last+1)
 }
 
-// settle positions the merge cursor on the minimum live posting across the
-// sub-cursors, skipping whole tombstoned documents via SeekPos so a dead
-// run costs one skip-table seek per sub-cursor instead of a posting-by-
-// posting walk.
+// settle restores the merged cursor's invariant: on a live posting of the
+// current part, or exhausted with no part left. An exhausted part hands
+// over to the next one, and a dead document costs one seek past it.
 func (c *Cursor) settle() {
 	for {
-		best := -1
-		for i, s := range c.subs {
-			if !s.Valid() {
-				continue
+		switch {
+		case c.i >= c.hi:
+			if len(c.rest) == 0 {
+				return
 			}
-			if best < 0 || s.Cur().Less(c.subs[best].Cur()) {
-				best = i
+			c.next()
+		case c.dead:
+			doc := c.Cur().Doc
+			if !c.tomb.Dead(doc) {
+				return
 			}
-		}
-		c.cur = best
-		if best < 0 {
+			c.seek(doc+1, 0)
+		default:
 			return
 		}
-		doc := c.subs[best].Cur().Doc
-		if !c.tomb.Dead(doc) {
-			return
-		}
-		for _, s := range c.subs {
-			if s.Valid() && s.Cur().Doc <= doc {
-				s.SeekPos(doc+1, 0)
-			}
-		}
 	}
-}
-
-func (c *Cursor) mergedValid() bool { return c.cur >= 0 }
-
-func (c *Cursor) mergedCur() Posting { return c.subs[c.cur].Cur() }
-
-func (c *Cursor) mergedAdvance() {
-	if c.cur < 0 {
-		return
-	}
-	c.subs[c.cur].Advance()
-	c.settle()
-}
-
-// mergedRemaining sums the sub-cursor remainders — exact without
-// tombstones, an upper bound with them.
-func (c *Cursor) mergedRemaining() int {
-	n := 0
-	for _, s := range c.subs {
-		n += s.Remaining()
-	}
-	return n
-}
-
-func (c *Cursor) mergedSeekPos(doc storage.DocID, pos uint32) {
-	if c.cur < 0 {
-		return
-	}
-	for _, s := range c.subs {
-		s.SeekPos(doc, pos)
-	}
-	c.settle()
 }

@@ -10,27 +10,6 @@ import (
 	"repro/internal/storage"
 )
 
-// splitParts deals a sorted posting stream into k sorted sub-streams the
-// way the live index produces them (each part is a subsequence, so it
-// stays sorted), optionally block-encoding alternate parts to mix
-// representations.
-func splitParts(ps []Posting, k int, encodeEven bool) []List {
-	raw := make([][]Posting, k)
-	for i, p := range ps {
-		j := i % k
-		raw[j] = append(raw[j], p)
-	}
-	parts := make([]List, 0, k)
-	for j, sub := range raw {
-		if encodeEven && j%2 == 0 {
-			parts = append(parts, Encode(sub).All())
-		} else {
-			parts = append(parts, NewRawList(sub))
-		}
-	}
-	return parts
-}
-
 // splitRuns cuts a sorted posting stream into up to k document-disjoint
 // runs in ascending order — the shape of the live index's segments and
 // memtables — block-encoding alternate runs.
@@ -83,7 +62,7 @@ func TestUnionMatchesOracle(t *testing.T) {
 			}
 		}
 		tomb := NewTombstones(dead...)
-		u := Union(tomb, splitParts(ps, k, trial%2 == 0)...)
+		u := Union(tomb, splitRuns(ps, k)...)
 		want := filterDead(ps, tomb)
 
 		if got := append([]Posting{}, u.Materialize()...); !reflect.DeepEqual(got, want) {
@@ -156,7 +135,7 @@ func TestMergedSeekPosInsideTombstonedRun(t *testing.T) {
 		}
 	}
 	tomb := NewTombstones(4, 5, 6)
-	u := Union(tomb, splitParts(ps, 3, true)...)
+	u := Union(tomb, splitRuns(ps, 3)...)
 
 	c := u.Cursor()
 	c.SeekPos(5, 2)
@@ -180,7 +159,7 @@ func TestMergedRangeMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	ps := genList(r, 400)
 	tomb := NewTombstones(ps[len(ps)/2].Doc)
-	u := Union(tomb, splitParts(ps, 3, true)...)
+	u := Union(tomb, splitRuns(ps, 3)...)
 	maxDoc := ps[len(ps)-1].Doc
 	for lo := storage.DocID(0); lo <= maxDoc; lo += 3 {
 		hi := lo + 5
@@ -197,17 +176,40 @@ func TestMergedRangeMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestListEachStopsEarly(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	ps := genList(r, 200)
-	u := Union(nil, splitParts(ps, 2, true)...)
-	seen := 0
-	u.Each(func(Posting) bool {
-		seen++
-		return seen < 10
-	})
-	if seen != 10 {
-		t.Fatalf("Each visited %d postings after early stop, want 10", seen)
+// TestUnionRejectsDisorder: parts must cover disjoint, ascending document
+// ranges, and a nested union must share the outer tombstone set; anything
+// else is a caller bug and panics.
+func TestUnionRejectsDisorder(t *testing.T) {
+	a := NewRawList([]Posting{{Doc: 1, Pos: 1}, {Doc: 4, Pos: 2}})
+	b := NewRawList([]Posting{{Doc: 4, Pos: 7}, {Doc: 6, Pos: 1}})
+	c := NewRawList([]Posting{{Doc: 9, Pos: 3}})
+	for name, union := range map[string]func(){
+		"overlapping":  func() { Union(nil, a, b) },
+		"reversed":     func() { Union(nil, c, a) },
+		"retombstoned": func() { Union(NewTombstones(9), Union(NewTombstones(1), a), c) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s parts: Union did not panic", name)
+				}
+			}()
+			union()
+		}()
+	}
+}
+
+// TestUnionScopesTombstonesToParts: a tombstone outside every part's span
+// leaves a single part flat, with its block-backed fast paths intact.
+func TestUnionScopesTombstonesToParts(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	base := Encode(genList(r, 300))
+	_, last := base.All().span()
+	if u := Union(NewTombstones(last+1), base.All()); u.Blocks() != base {
+		t.Fatal("tombstone past the only part turned its flat view into a merged one")
+	}
+	if u := Union(NewTombstones(last), base.All()); u.Blocks() != nil {
+		t.Fatal("tombstone inside the part was dropped")
 	}
 }
 
@@ -254,15 +256,16 @@ func TestTombstonesDeadIn(t *testing.T) {
 // FuzzMemtableMerge drives the memtable/segment merge path with arbitrary
 // posting streams, part counts, tombstone sets and seek targets: the
 // merged cursor must yield exactly the sorted input minus tombstoned
-// documents, in order, under iteration, seeking and ranging alike. The
-// parts interleave, or (nParts ≥ 128) are document-disjoint runs as the
-// live index builds them. DocCounts must report exactly the live
-// documents' counts, and the block-max view must bound every one of them.
+// documents, in order, under iteration, seeking, ranging and cursor reuse
+// alike. The parts are document-disjoint runs, as the live index builds
+// them. DocCounts must report exactly the live documents' counts, and the
+// block-max view must bound every one of them.
 func FuzzMemtableMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint32(0), uint16(0), uint16(0))
 	f.Add([]byte{1, 2, 3, 4, 200, 201, 202}, uint8(3), uint32(0b1010), uint16(2), uint16(1))
 	f.Add([]byte{255, 254, 0, 0, 0, 7, 9}, uint8(5), uint32(1<<31), uint16(9), uint16(300))
-	f.Add([]byte{1, 2, 3, 33, 1, 2, 64, 5, 6, 7, 96, 1, 200, 2, 3}, uint8(128+5), uint32(0b1001000), uint16(3), uint16(5))
+	f.Add([]byte{1, 2, 3, 33, 1, 2, 64, 5, 6, 7, 96, 1, 200, 2, 3}, uint8(5), uint32(0b1001000), uint16(3), uint16(5))
+	f.Add([]byte{32, 33, 64, 65, 96, 97, 128, 129, 160, 161, 192, 193, 224, 225}, uint8(5), uint32(0b10100100), uint16(19), uint16(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, tombMask uint32, seekDoc, seekPos uint16) {
 		if len(data) > 1<<12 {
@@ -288,11 +291,7 @@ func FuzzMemtableMerge(f *testing.F) {
 			}
 		}
 		k := int(nParts%6) + 1
-		parts := splitParts(ps, k, true)
-		if nParts >= 128 {
-			parts = splitRuns(ps, k)
-		}
-		u := Union(tomb, parts...)
+		u := Union(tomb, splitRuns(ps, k)...)
 		want := filterDead(ps, tomb)
 		if got, wantCounts := docCounts(t, u, 0, doc+1), runCounts(want, 0, doc+1); !reflect.DeepEqual(got, wantCounts) {
 			t.Fatalf("DocCounts = %v, want %v", got, wantCounts)
@@ -327,9 +326,14 @@ func FuzzMemtableMerge(f *testing.F) {
 		} else if !c.Valid() || c.Cur() != want[wantIdx] {
 			t.Fatalf("seek (%d,%d) landed wrong: want %+v", target.Doc, target.Pos, want[wantIdx])
 		}
-		// Remaining never under-reports.
-		if c.Valid() && c.Remaining() < len(want)-wantIdx {
-			t.Fatalf("Remaining() = %d below live remainder %d", c.Remaining(), len(want)-wantIdx)
+		// One cursor reset across two different unions yields each in full.
+		Union(nil, splitRuns(ps, k+1)...).Reset(c)
+		if got := drain(c); !reflect.DeepEqual(got, append([]Posting{}, ps...)) {
+			t.Fatalf("reset onto an untombstoned union: %d postings, want %d", len(got), len(ps))
+		}
+		u.Reset(c)
+		if got := drain(c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reset back onto the merged view: %d postings, want %d", len(got), len(want))
 		}
 
 		// Range by document window agrees with the oracle.

@@ -12,7 +12,7 @@
 // that cannot beat the current k-th score.
 //
 // Cursors decode lazily, one block at a time, and preserve the exact
-// Valid/Cur/Advance/Remaining/SeekPos contract of the uncompressed
+// Valid/Cur/Advance/SeekPos contract of the uncompressed
 // cursor, so the merge-based access methods of internal/exec run
 // unchanged over either representation.
 package postings

@@ -227,7 +227,7 @@ func TestCursorMatchesRaw(t *testing.T) {
 		ps := genList(r, n)
 		bl := Encode(ps)
 		cb := bl.All().Cursor()
-		cr := NewCursor(ps)
+		cr := NewRawList(ps).Cursor()
 		maxDoc := storage.DocID(1)
 		if n > 0 {
 			maxDoc = ps[n-1].Doc + 2
@@ -235,9 +235,6 @@ func TestCursorMatchesRaw(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			if cb.Valid() != cr.Valid() {
 				t.Fatalf("seed %d step %d: Valid %v vs raw %v", seed, step, cb.Valid(), cr.Valid())
-			}
-			if cb.Remaining() != cr.Remaining() {
-				t.Fatalf("seed %d step %d: Remaining %d vs raw %d", seed, step, cb.Remaining(), cr.Remaining())
 			}
 			if !cr.Valid() {
 				// Past the end: further seeks and advances must stay there.
@@ -265,12 +262,9 @@ func TestCursorMatchesRaw(t *testing.T) {
 }
 
 func TestCursorEmptyList(t *testing.T) {
-	for _, c := range []*Cursor{Encode(nil).All().Cursor(), NewCursor(nil)} {
+	for _, c := range []*Cursor{Encode(nil).All().Cursor(), NewRawList(nil).Cursor()} {
 		if c.Valid() {
 			t.Fatal("empty cursor is valid")
-		}
-		if c.Remaining() != 0 {
-			t.Fatalf("empty cursor Remaining = %d", c.Remaining())
 		}
 		c.SeekPos(100, 5)
 		c.Advance()

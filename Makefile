@@ -3,15 +3,17 @@
 # build + race-enabled tests + a cancellation/fault stress pass + the
 # replicated-serving chaos drills + a coverage floor on the sharded
 # execution layer + a short fuzz smoke over the snapshot loader + a
-# five-second open-loop load smoke with the result cache enabled + the
-# hot-path bench gate against the committed BENCH_10.json baseline + a vet
-# and build of the separate benchmark/ module.
+# five-second open-loop load smoke with the result cache enabled + a vet,
+# build and race-enabled test run of the separate benchmark/ module. The
+# performance gate is part of the tests: internal/bench's golden suite
+# pins the paper's per-operator access counts and the hot paths'
+# allocation ceilings (see internal/bench/golden_test.go).
 
 GO ?= go
 
-.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath bench-gate benchmark-build fmt-check stress chaos cover fuzz-smoke loadsmoke
+.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
 
-check: lint build benchmark-build race stress chaos cover fuzz-smoke loadsmoke bench-gate
+check: lint build benchmark-build benchmark-test race stress chaos cover fuzz-smoke loadsmoke
 
 # The static-analysis gate: formatting, go vet, and the project's own
 # analyzers (see cmd/tixlint and DESIGN.md §9 + §14). tixlint compares
@@ -43,6 +45,11 @@ build:
 # than at measurement time.
 benchmark-build:
 	$(GO) -C benchmark vet . && $(GO) -C benchmark build -o /dev/null .
+
+# The benchmark module's own tests, which smoke-run every workload
+# through the socket.
+benchmark-test:
+	$(GO) -C benchmark test -race .
 
 test:
 	$(GO) test ./...
@@ -111,25 +118,17 @@ bench:
 # The shards experiment's extra planted pair is scaled to what 150
 # articles can absorb (the default 150,000 only fits the full corpus).
 # Override BENCH_OUT to write a different trajectory file.
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= bench-tables.json
 bench-json:
 	$(GO) run ./cmd/tixbench -small -articles 150 -runs 1 -shard-freq 2000 -json > $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 
-# Regenerate the hot-path baseline: both rig tiers (the 20k-doc gate tier
-# and the million-document tier), with ns/op + allocs/op + bytes/op per
-# method, as the committed BENCH_10.json the gate compares against. The
-# 1M tier takes a few minutes; run after intentional perf changes.
+# The exec-layer timing table: both hot-path rig tiers (20k and 1M
+# documents) with ns/op, allocs/op and bytes/op per method. The 1M tier
+# takes a few minutes. Timings gate nothing; CI uploads the file.
 bench-hotpath:
-	$(GO) run ./cmd/tixbench -table hotpath -json > BENCH_10.json
-	@echo "wrote BENCH_10.json"
-
-# The perf regression gate (wired into `make check`): re-measure the
-# cheap gate tier and compare against the committed baseline, normalized
-# by the in-file calibration loop; fails on >10% normalized-time or
-# allocs/op regression.
-bench-gate:
-	$(GO) run ./cmd/tixbench -gate BENCH_10.json
+	$(GO) run ./cmd/tixbench -table hotpath -json > bench-hotpath.json
+	@echo "wrote bench-hotpath.json"
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

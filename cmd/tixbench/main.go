@@ -7,6 +7,7 @@
 //
 //	tixbench [-table all|1|2|3|4|5|pick|shards|index|ingest] [-articles N] [-seed S] [-runs R] [-json]
 //	tixbench -table shards -shards 1,2,4,8 -json
+//	tixbench -table hotpath|hotpath-gate|hotpath-1m [-json]
 //
 // The "index" table reports the block-compressed index itself: the
 // postings-memory accounting (encoded vs raw bytes and the compression
@@ -23,6 +24,11 @@
 // TermJoin fan-out (scored merge included) — including a planted
 // high-frequency pair (-shard-freq) beyond the Table 1 sweep. On a
 // single-core host expect parity rather than speedup.
+//
+// The "hotpath" tables time TermJoin, TopKTermJoin and PhraseFinder over
+// streamed 20k- and 1M-document corpora (seconds, allocs and bytes per
+// op). They gate nothing; internal/bench's golden test pins the 20k
+// tier's access counts and allocation ceilings.
 //
 // With -json, the selected tables are emitted to stdout as one JSON array
 // of table objects (id, caption, columns, rows with per-cell seconds,
@@ -45,7 +51,6 @@ import (
 func main() {
 	var (
 		table    = flag.String("table", "all", "which experiment: all, 1, 2, 3, 4, 5, pick, shards, index, ingest, hotpath (or hotpath-<tier>)")
-		gateFile = flag.String("gate", "", "bench-gate mode: re-run the gate hotpath tier and compare against this baseline JSON; exits nonzero on >10% regression")
 		articles = flag.Int("articles", 5000, "synthetic corpus size in articles (~90 elements each)")
 		seed     = flag.Int64("seed", 42, "corpus generation seed")
 		runs     = flag.Int("runs", 3, "timed runs per cell (trimmed mean)")
@@ -66,29 +71,10 @@ func main() {
 		os.Exit(1)
 	}
 	shardCounts = counts
-	if *gateFile != "" {
-		if err := runGate(*gateFile, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "tixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*table, *articles, *seed, *runs, *small, *shardFq); err != nil {
 		fmt.Fprintln(os.Stderr, "tixbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runGate re-measures the cheap hotpath tier and compares it against the
-// committed baseline (the regression gate `make check` runs).
-func runGate(baseline string, seed int64) error {
-	f, err := os.Open(baseline)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(os.Stderr, "bench gate: re-measuring hotpath gate tier against %s...\n", baseline)
-	return bench.RunGate(f, "gate", seed, os.Stderr)
 }
 
 func run(table string, articles int, seed int64, runs int, small bool, shardFreq int) error {

@@ -289,3 +289,29 @@ func TestShapeHolds(t *testing.T) {
 		t.Errorf("PhraseFinder (%.4fs) should beat Comp3 (%.4fs)", pf.Seconds, c3.Seconds)
 	}
 }
+
+// TestHotpathTableEndToEnd runs the full rig on a miniature tier: the
+// streamed corpus builds, every method measures without error, and the
+// per-op measurements carry allocation data.
+func TestHotpathTableEndToEnd(t *testing.T) {
+	tab, err := HotpathTable(HotpathTierSpec{Name: "test", Docs: 400}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.ID != "hotpath-test" || len(tab.Rows) == 0 {
+		t.Fatalf("table = %+v", tab)
+	}
+	for _, row := range tab.Rows {
+		for _, c := range row.Cells {
+			if c.Err != nil {
+				t.Fatalf("row %s method %s: %v", row.Label, c.Method, c.Err)
+			}
+			if c.M.Seconds <= 0 {
+				t.Errorf("row %s method %s: non-positive seconds", row.Label, c.Method)
+			}
+			if c.M.Results <= 0 {
+				t.Errorf("row %s method %s: no results", row.Label, c.Method)
+			}
+		}
+	}
+}

@@ -6,25 +6,46 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// The golden suite pins the deterministic outputs of the benchmark
-// pipeline — result counts per table cell at the test-scale configuration
-// (seed 42) — so a regression in any access method, the corpus generator,
-// or the planted workload shows up as a diff against testdata/golden.json.
-// Timings are machine-dependent and are never pinned.
+// The golden suite is the repository's performance gate. It pins the
+// deterministic outputs of the benchmark pipeline at the test-scale
+// configuration (seed 42) in testdata/golden.json:
 //
-// Regenerate after an intentional workload change with:
+//   - per paper-table cell (Tables 1–5 and shards): the result count and
+//     the store traffic (storage.AccessStats), the paper's own cost
+//     measure;
+//   - per hot-path row of the 20k-document gate tier: the TermJoin,
+//     TopKTermJoin and PhraseFinder result counts, the two joins' store
+//     traffic, TopKTermJoin's DocsEvaluated and BlocksSkipped, and a
+//     testing.AllocsPerRun ceiling per method (not measured under -race).
+//
+// Any change to a pinned count, or an allocation count above its ceiling,
+// fails; so does any row that breaks one of the paper's shape claims (see
+// checkShapes). Timings are machine-dependent and are never pinned.
+//
+// Regenerate after an intentional change with:
 //
 //	go test ./internal/bench -run TestGoldenTables -update
 
 var update = flag.Bool("update", false, "regenerate golden files")
 
-// goldenRow pins one workload row: the per-method result counts.
+// raceEnabled is set in race builds, where allocation counts are not
+// representative and the ceilings are skipped.
+var raceEnabled bool
+
+// goldenRow pins one workload row.
 type goldenRow struct {
-	Label   string         `json:"label"`
-	Results map[string]int `json:"results"`
+	Label   string               `json:"label"`
+	Results map[string]int       `json:"results"`
+	Stats   map[string]StatsJSON `json:"stats"`
+	// Hot-path rows only: TopKTermJoin's pruning counters and the
+	// per-method allocs/op ceilings.
+	DocsEvaluated int                `json:"docsEvaluated,omitempty"`
+	BlocksSkipped int                `json:"blocksSkipped,omitempty"`
+	Allocs        map[string]float64 `json:"allocs,omitempty"`
 }
 
 // goldenTable pins one table.
@@ -54,29 +75,148 @@ func snapshotTables(t *testing.T, c *Corpus) []goldenTable {
 		}
 		gt := goldenTable{ID: tab.ID}
 		for _, row := range tab.Rows {
-			gr := goldenRow{Label: row.Label, Results: map[string]int{}}
+			gr := goldenRow{Label: row.Label, Results: map[string]int{}, Stats: map[string]StatsJSON{}}
 			for _, cell := range row.Cells {
 				if cell.Err != nil {
 					t.Fatalf("table %s row %s method %s: %v", tab.ID, row.Label, cell.Method, cell.Err)
 				}
 				gr.Results[string(cell.Method)] = cell.M.Results
+				gr.Stats[string(cell.Method)] = statsJSON(cell.M.Stats)
 			}
 			gt.Rows = append(gt.Rows, gr)
 		}
 		out = append(out, gt)
 	}
-	return out
+	return append(out, snapshotHotpath(t, c.Cfg.Seed))
+}
+
+// snapshotHotpath runs the gate tier's hot paths once each for their
+// counts and, outside -race, again under testing.AllocsPerRun.
+func snapshotHotpath(t *testing.T, seed int64) goldenTable {
+	t.Helper()
+	spec, err := HotpathTier("gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, _, err := HotpathCorpus(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := goldenTable{ID: "hotpath-" + spec.Name}
+	for _, w := range hotpathWorkloads(spec.Docs) {
+		tjN, tjStats, err := w.termJoin(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, tkN, err := w.topK(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pfN, err := w.phrase(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr := goldenRow{
+			Label:   w.label,
+			Results: map[string]int{string(MTermJoin): tjN, string(MTopKTermJoin): tkN, string(MPhraseFinder): pfN},
+			Stats: map[string]StatsJSON{
+				string(MTermJoin):     statsJSON(tjStats),
+				string(MTopKTermJoin): statsJSON(tk.AccessStats()),
+			},
+			DocsEvaluated: tk.DocsEvaluated,
+			BlocksSkipped: tk.BlocksSkipped,
+		}
+		if !raceEnabled {
+			// Errors were checked by the counted runs above.
+			gr.Allocs = map[string]float64{
+				string(MTermJoin):     testing.AllocsPerRun(5, func() { _, _, _ = w.termJoin(idx) }),
+				string(MTopKTermJoin): testing.AllocsPerRun(5, func() { _, _, _ = w.topK(idx) }),
+				string(MPhraseFinder): testing.AllocsPerRun(5, func() { _, _ = w.phrase(idx) }),
+			}
+		}
+		gt.Rows = append(gt.Rows, gr)
+	}
+	return gt
+}
+
+// checkShapes asserts the paper's access-count claims on every row that
+// carries the methods involved:
+//
+//   - Comp2 reads more nodes than TermJoin (Tables 1–4);
+//   - EnhTermJoin, which appears only in the complex-scoring Tables 2–4,
+//     reads no more nodes than TermJoin;
+//   - Comp3 reads at least as many nodes as PhraseFinder (Table 5);
+//   - TopKTermJoin's block-max sweep skips blocks on every hot-path row.
+func checkShapes(t *testing.T, tables []goldenTable) {
+	t.Helper()
+	for _, gt := range tables {
+		for _, r := range gt.Rows {
+			reads := func(m Method) (int64, bool) {
+				s, ok := r.Stats[string(m)]
+				return s.NodeReads, ok
+			}
+			tj, okTJ := reads(MTermJoin)
+			if c2, ok := reads(MComp2); ok && okTJ && c2 <= tj {
+				t.Errorf("table %s row %s: Comp2 reads %d nodes, TermJoin %d; Comp2 must read more", gt.ID, r.Label, c2, tj)
+			}
+			if enh, ok := reads(MEnhancedTermJoin); ok && okTJ && enh > tj {
+				t.Errorf("table %s row %s: EnhTermJoin reads %d nodes, more than TermJoin's %d", gt.ID, r.Label, enh, tj)
+			}
+			c3, okC3 := reads(MComp3)
+			if pf, ok := reads(MPhraseFinder); ok && okC3 && c3 < pf {
+				t.Errorf("table %s row %s: Comp3 reads %d nodes, fewer than PhraseFinder's %d", gt.ID, r.Label, c3, pf)
+			}
+			if strings.HasPrefix(gt.ID, "hotpath-") && r.BlocksSkipped == 0 {
+				t.Errorf("table %s row %s: TopKTermJoin skipped no blocks", gt.ID, r.Label)
+			}
+		}
+	}
+}
+
+// compareRow reports every pinned count of want that got does not match,
+// and every allocation count above its ceiling.
+func compareRow(t *testing.T, table string, got, want goldenRow) {
+	t.Helper()
+	for method, count := range want.Results {
+		if got.Results[method] != count {
+			t.Errorf("table %s row %s method %s: %d results, want %d",
+				table, got.Label, method, got.Results[method], count)
+		}
+	}
+	for method, stats := range want.Stats {
+		if got.Stats[method] != stats {
+			t.Errorf("table %s row %s method %s: access stats %+v, want %+v",
+				table, got.Label, method, got.Stats[method], stats)
+		}
+	}
+	if got.DocsEvaluated != want.DocsEvaluated || got.BlocksSkipped != want.BlocksSkipped {
+		t.Errorf("table %s row %s: TopKTermJoin evaluated %d documents and skipped %d blocks, want %d and %d",
+			table, got.Label, got.DocsEvaluated, got.BlocksSkipped, want.DocsEvaluated, want.BlocksSkipped)
+	}
+	if got.Allocs == nil {
+		return // race build: not measured
+	}
+	for method, ceiling := range want.Allocs {
+		if got.Allocs[method] > ceiling {
+			t.Errorf("table %s row %s method %s: %.0f allocs/op, ceiling %.0f",
+				table, got.Label, method, got.Allocs[method], ceiling)
+		}
+	}
 }
 
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden tables build the full test corpus")
 	}
+	if *update && raceEnabled {
+		t.Fatal("-update records allocation ceilings; run it without -race")
+	}
 	c, err := Build(goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := snapshotTables(t, c)
+	checkShapes(t, got)
 
 	path := filepath.Join("testdata", "golden.json")
 	if *update {
@@ -121,12 +261,7 @@ func TestGoldenTables(t *testing.T) {
 				t.Errorf("table %s row %d label = %q, want %q", gt.ID, j, gr.Label, wr.Label)
 				continue
 			}
-			for method, count := range wr.Results {
-				if gr.Results[method] != count {
-					t.Errorf("table %s row %s method %s: %d results, want %d",
-						gt.ID, gr.Label, method, gr.Results[method], count)
-				}
-			}
+			compareRow(t, gt.ID, gr, wr)
 		}
 	}
 }

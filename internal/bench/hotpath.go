@@ -18,8 +18,9 @@ import (
 // documents, streamed into the store so no bulk tree is ever
 // materialized) over which the three uncached hot paths — TermJoin,
 // TopKTermJoin, PhraseFinder — are measured in ns/op, allocs/op and
-// bytes/op. The committed BENCH_10.json holds the baseline; `make
-// bench-gate` re-runs the gate tier and fails on regression (see gate.go).
+// bytes/op (`tixbench -table hotpath`). Timings gate nothing; the gate
+// tier's result counts, node reads, pruning counters and allocation
+// ceilings are pinned by the golden suite (golden_test.go).
 
 // HotpathTierSpec names one corpus tier of the hot-path rig.
 type HotpathTierSpec struct {
@@ -30,8 +31,8 @@ type HotpathTierSpec struct {
 }
 
 // HotpathTiers are the standard tiers: a small one cheap enough for the
-// bench-gate run inside `make check`, and the million-document tier the
-// acceptance numbers come from.
+// golden count gate inside tier-1 tests, and the million-document tier
+// the acceptance numbers come from.
 var HotpathTiers = []HotpathTierSpec{
 	{Name: "gate", Docs: 20000},
 	{Name: "1m", Docs: 1000000},
@@ -46,11 +47,6 @@ func HotpathTier(name string) (HotpathTierSpec, error) {
 	}
 	return HotpathTierSpec{}, fmt.Errorf("bench: unknown hotpath tier %q", name)
 }
-
-// MCalibrate is the machine-speed reference column: a fixed CPU-bound
-// loop whose ns/op lets the gate normalize timings measured on different
-// hardware before comparing them.
-const MCalibrate Method = "Calibrate"
 
 // MTopKTermJoin is the top-k column of the hot-path table.
 const MTopKTermJoin Method = "TopKTermJoin"
@@ -91,6 +87,37 @@ func hotpathWorkloads(docs int) []hotpathWorkload {
 	}
 }
 
+func (w hotpathWorkload) query() exec.TermQuery {
+	return exec.TermQuery{Terms: []string{w.pairA, w.pairB}, Scorer: exec.DefaultScorer{}}
+}
+
+// termJoin runs one exhaustive TermJoin over the row's pair through a
+// fresh accessor, as an uncached request does, and reports its result
+// count and store traffic.
+func (w hotpathWorkload) termJoin(idx *index.Index) (int, storage.AccessStats, error) {
+	acc := storage.NewAccessor(idx.Store())
+	tj := &exec.TermJoin{Index: idx, Acc: acc, Query: w.query()}
+	n := 0
+	err := tj.Run(func(exec.ScoredNode) { n++ })
+	return n, acc.Stats, err
+}
+
+// topK runs TopKTermJoin over the row's pair and returns the operator,
+// whose pruning counters describe the run, with the result count.
+func (w hotpathWorkload) topK(idx *index.Index) (*exec.TopKTermJoin, int, error) {
+	tk := &exec.TopKTermJoin{Index: idx, Query: w.query(), K: 10}
+	res, err := tk.Run()
+	return tk, len(res), err
+}
+
+// phrase runs PhraseFinder over the row's skewed phrase.
+func (w hotpathWorkload) phrase(idx *index.Index) (int, error) {
+	pf := &exec.PhraseFinder{Index: idx, Phrase: []string{w.pr, w.pc}}
+	n := 0
+	err := pf.Run(func(exec.PhraseMatch) { n++ })
+	return n, err
+}
+
 // HotpathCorpus builds one tier's corpus: documents are generated and
 // ingested one at a time, then indexed once.
 func HotpathCorpus(spec HotpathTierSpec, seed int64) (*index.Index, *synth.StreamStats, error) {
@@ -126,8 +153,7 @@ func HotpathCorpus(spec HotpathTierSpec, seed int64) (*index.Index, *synth.Strea
 // numbers keep the fastest batch. Minimum-of-N is the robust estimator
 // here: scheduler preemption, GC assists, and neighbor load only ever
 // make a batch slower, so the minimum tracks the code while the mean
-// tracks the machine's mood — and the gate needs run-to-run stability
-// well inside its 10% tolerance.
+// tracks the machine's mood.
 const hotpathBatches = 3
 
 // hotpathMeasure times one operation: a GC-settled warm-up run sizes the
@@ -141,7 +167,7 @@ const hotpathBatches = 3
 // whether a given batch overlaps a cycle is phase alignment — a coin
 // flip that swings per-op time several-fold and poisons any committed
 // baseline. With GC off, time measures the algorithm deterministically;
-// GC *pressure* is still gated, separately and machine-independently,
+// GC *pressure* is reported separately, and machine-independently,
 // through allocs/op.
 func hotpathMeasure(f func() (int, error)) (Measurement, error) {
 	var m Measurement
@@ -195,41 +221,6 @@ func hotpathMeasure(f func() (int, error)) (Measurement, error) {
 	return m, nil
 }
 
-// calArena backs the calibration loop's random reads. Allocated once, on
-// the warm-up run, so it never lands inside a measured interval.
-var calArena []uint64
-
-const calArenaWords = 1 << 22 // 32 MiB — far beyond L3, so reads hit DRAM
-
-// hotpathCalibrate is the fixed machine-speed reference. It deliberately
-// mixes the two resources query execution spends: a dependent xorshift
-// chain (scalar core speed) and a random read over a 32 MiB arena per
-// step (memory bandwidth/latency). A pure-register spin is useless as a
-// normalizer on shared hardware — noisy neighbors steal memory bandwidth
-// without touching register IPC, so the methods slow down while a
-// register-only reference stays flat and the gate reads contention as a
-// code regression. This blend slows down with the methods.
-func hotpathCalibrate() (int, error) {
-	if calArena == nil {
-		calArena = make([]uint64, calArenaWords)
-		for i := range calArena {
-			calArena[i] = uint64(i) * 0x9e3779b97f4a7c15
-		}
-	}
-	x := uint64(0x2545f4914f6cdd1d)
-	var sum uint64
-	for i := 0; i < 1<<19; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		sum += calArena[x&(calArenaWords-1)]
-	}
-	if x == 0 && sum == 0 { // unreachable; keeps the loop live
-		return 0, fmt.Errorf("bench: calibration collapsed")
-	}
-	return 1, nil
-}
-
 // HotpathTable builds the tier's corpus and measures every hot path over
 // it. The table's per-cell Seconds are per-operation (not per-table-run),
 // with AllocsPerOp/BytesPerOp filled in.
@@ -238,50 +229,27 @@ func HotpathTable(spec HotpathTierSpec, seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return hotpathMeasureTable(idx, spec), nil
-}
-
-// hotpathMeasureTable measures every hot path over an already-built tier
-// corpus, so a caller can re-measure without paying the build again.
-func hotpathMeasureTable(idx *index.Index, spec HotpathTierSpec) *Table {
 	t := &Table{
 		ID:      "hotpath-" + spec.Name,
 		Caption: fmt.Sprintf("Uncached hot paths, %d-document streamed tier (seconds per op)", spec.Docs),
-		Columns: []Method{MTermJoin, MTopKTermJoin, MPhraseFinder, MCalibrate},
+		Columns: []Method{MTermJoin, MTopKTermJoin, MPhraseFinder},
 	}
 	for _, w := range hotpathWorkloads(spec.Docs) {
 		row := Row{Label: w.label, Extra: fmt.Sprintf("pairFreq=%d rare=%d common=%d together=%d", w.pairFreq, w.rareFreq, w.commonFreq, w.together)}
-		q := exec.TermQuery{Terms: []string{w.pairA, w.pairB}, Scorer: exec.DefaultScorer{}}
 		tjM, tjErr := hotpathMeasure(func() (int, error) {
-			tj := &exec.TermJoin{Index: idx, Acc: storage.NewAccessor(idx.Store()), Query: q}
-			n := 0
-			if err := tj.Run(func(exec.ScoredNode) { n++ }); err != nil {
-				return 0, err
-			}
-			return n, nil
+			n, _, err := w.termJoin(idx)
+			return n, err
 		})
-		row.Cells = append(row.Cells, Cell{Method: MTermJoin, M: tjM, Err: tjErr})
 		tkM, tkErr := hotpathMeasure(func() (int, error) {
-			tk := &exec.TopKTermJoin{Index: idx, Query: q, K: 10}
-			res, err := tk.Run()
-			if err != nil {
-				return 0, err
-			}
-			return len(res), nil
+			_, n, err := w.topK(idx)
+			return n, err
 		})
-		row.Cells = append(row.Cells, Cell{Method: MTopKTermJoin, M: tkM, Err: tkErr})
-		pfM, pfErr := hotpathMeasure(func() (int, error) {
-			pf := &exec.PhraseFinder{Index: idx, Phrase: []string{w.pr, w.pc}}
-			n := 0
-			if err := pf.Run(func(exec.PhraseMatch) { n++ }); err != nil {
-				return 0, err
-			}
-			return n, nil
-		})
-		row.Cells = append(row.Cells, Cell{Method: MPhraseFinder, M: pfM, Err: pfErr})
-		calM, calErr := hotpathMeasure(hotpathCalibrate)
-		row.Cells = append(row.Cells, Cell{Method: MCalibrate, M: calM, Err: calErr})
+		pfM, pfErr := hotpathMeasure(func() (int, error) { return w.phrase(idx) })
+		row.Cells = append(row.Cells,
+			Cell{Method: MTermJoin, M: tjM, Err: tjErr},
+			Cell{Method: MTopKTermJoin, M: tkM, Err: tkErr},
+			Cell{Method: MPhraseFinder, M: pfM, Err: pfErr})
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return t, nil
 }

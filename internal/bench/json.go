@@ -3,6 +3,8 @@ package bench
 import (
 	"encoding/json"
 	"io"
+
+	"repro/internal/storage"
 )
 
 // JSON DTOs for machine-readable benchmark output (`tixbench -json`).
@@ -45,6 +47,10 @@ type StatsJSON struct {
 	NavSteps  int64 `json:"navSteps"`
 }
 
+func statsJSON(s storage.AccessStats) StatsJSON {
+	return StatsJSON{NodeReads: s.NodeReads, PageReads: s.PageReads, TextReads: s.TextReads, NavSteps: s.NavSteps}
+}
+
 // JSON converts the table to its JSON shape.
 func (t *Table) JSON() TableJSON {
 	out := TableJSON{ID: t.ID, Caption: t.Caption}
@@ -62,12 +68,7 @@ func (t *Table) JSON() TableJSON {
 				cell.Results = c.M.Results
 				cell.AllocsPerOp = c.M.AllocsPerOp
 				cell.BytesPerOp = c.M.BytesPerOp
-				cell.Stats = StatsJSON{
-					NodeReads: c.M.Stats.NodeReads,
-					PageReads: c.M.Stats.PageReads,
-					TextReads: c.M.Stats.TextReads,
-					NavSteps:  c.M.Stats.NavSteps,
-				}
+				cell.Stats = statsJSON(c.M.Stats)
 			}
 			row.Cells = append(row.Cells, cell)
 		}

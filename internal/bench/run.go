@@ -117,17 +117,13 @@ func (c *Corpus) RunTermMethod(method Method, terms []string, complex bool) (Mea
 }
 
 // RunShardTermMethod times the sharded TermJoin fan-out (scored merge
-// included) over an already-built sharded database. Store-access stats are
-// not reported here — the sharded facade aggregates them into its metrics
-// registry instead.
+// included) over an already-built sharded database; the store-access
+// stats are summed over the shards.
 func (c *Corpus) RunShardTermMethod(s *shard.DB, terms []string, complex bool) (Measurement, error) {
 	m, err := timeIt(c.runs(), func() (int, storage.AccessStats, error) {
 		//tixlint:ignore ctxhygiene the bench harness is the root caller: there is no ambient context to propagate, and measured runs must not inherit one
-		res, rerr := s.RunTermMethod(context.Background(), shard.MethodTermJoin, terms, complex)
-		if rerr != nil {
-			return 0, storage.AccessStats{}, rerr
-		}
-		return len(res), storage.AccessStats{}, nil
+		res, stats, rerr := s.RunTermMethod(context.Background(), shard.MethodTermJoin, terms, complex)
+		return len(res), stats, rerr
 	})
 	if err != nil {
 		return m, err

@@ -28,7 +28,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Same postings for a sample of terms.
 	for _, term := range []string{"search", "engine", "internet", "doe"} {
-		if !reflect.DeepEqual(d2.Index().Postings(term), d.Index().Postings(term)) {
+		if !reflect.DeepEqual(d2.Index().List(term).Materialize(), d.Index().List(term).Materialize()) {
 			t.Errorf("postings for %q differ after reload", term)
 		}
 	}

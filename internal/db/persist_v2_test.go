@@ -50,7 +50,7 @@ func TestSaveV1LoadCompat(t *testing.T) {
 		t.Errorf("v1 reload stats = %+v, want %+v", got, want)
 	}
 	for _, term := range []string{"search", "engine", "internet", "doe"} {
-		if !reflect.DeepEqual(d2.Index().Postings(term), d.Index().Postings(term)) {
+		if !reflect.DeepEqual(d2.Index().List(term).Materialize(), d.Index().List(term).Materialize()) {
 			t.Errorf("postings for %q differ after v1 reload", term)
 		}
 	}
@@ -88,7 +88,7 @@ func TestV1AndV2SnapshotsLoadIdentically(t *testing.T) {
 		t.Fatal("vocabularies differ between v1 and v2 loads")
 	}
 	for _, term := range t1 {
-		if !reflect.DeepEqual(d1.Index().Postings(term), d2.Index().Postings(term)) {
+		if !reflect.DeepEqual(d1.Index().List(term).Materialize(), d2.Index().List(term).Materialize()) {
 			t.Errorf("postings for %q differ between v1 and v2 loads", term)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 func rawQuery(idx *index.Index, q TermQuery) TermQuery {
 	raw := make([][]index.Posting, len(q.Terms))
 	for i, term := range q.Terms {
-		raw[i] = idx.Postings(idx.Tokenizer().Normalize(term))
+		raw[i] = idx.List(idx.Tokenizer().Normalize(term)).Materialize()
 	}
 	q.PostingLists = raw
 	return q

@@ -43,7 +43,7 @@ func plantedIndex(t testing.TB) *index.Index {
 			return
 		}
 		plantedIdx = index.Build(s, tokenize.New())
-		plantedPosts = len(plantedIdx.Postings(plantedTerm))
+		plantedPosts = len(plantedIdx.List(plantedTerm).Materialize())
 	})
 	if plantedErr != nil {
 		t.Fatal(plantedErr)

@@ -19,7 +19,7 @@ func TestStructuralJoinCountAgainstNaive(t *testing.T) {
 	acc := storage.NewAccessor(s)
 
 	var positions []uint32
-	for _, p := range idx.Postings("search") {
+	for _, p := range idx.List("search").Materialize() {
 		if p.Doc == doc.ID {
 			positions = append(positions, p.Pos)
 		}
@@ -56,7 +56,7 @@ func TestStructuralJoinSubsetAncestors(t *testing.T) {
 	tid, _ := s.Tags.Lookup("chapter")
 	chapters := doc.TagExtent(tid)
 	var positions []uint32
-	for _, p := range idx.Postings("search") {
+	for _, p := range idx.List("search").Materialize() {
 		if p.Doc == doc.ID {
 			positions = append(positions, p.Pos)
 		}
@@ -152,7 +152,7 @@ func TestQuickStructuralJoinRandom(t *testing.T) {
 		idx := index.Build(s, tokenize.New())
 		acc := storage.NewAccessor(s)
 		var positions []uint32
-		for _, p := range idx.Postings("tix") {
+		for _, p := range idx.List("tix").Materialize() {
 			positions = append(positions, p.Pos)
 		}
 		got := StructuralJoinCount(acc, doc.ID, doc.Elements(), positions)

@@ -118,7 +118,7 @@ func naiveComplex(idx *index.Index, terms []string, scorer Scorer) map[key]float
 		// All occurrences in this doc.
 		var occs []scoring.Occ
 		for ti, term := range norm {
-			for _, p := range idx.Postings(term) {
+			for _, p := range idx.List(term).Materialize() {
 				if p.Doc == doc.ID {
 					occs = append(occs, scoring.Occ{Term: ti, Pos: p.Pos, Node: p.Node})
 				}

@@ -13,9 +13,8 @@
 // Storage is block-compressed (internal/postings): each term's list is
 // encoded into 128-posting delta+varint blocks with a skip table, cutting
 // postings memory several-fold. Cursors decode lazily and seek via the
-// skip table; the legacy []Posting surface remains available through
-// Postings (which materializes) and NewRawList (which wraps a raw slice),
-// so both representations flow through the same operators.
+// skip table. A raw []Posting enters the same operators through
+// NewRawList, and List(term).Materialize() decodes a list back into one.
 package index
 
 import (
@@ -266,14 +265,6 @@ func (idx *Index) BlockList(term string) *postings.BlockList {
 		return nil
 	}
 	return idx.lists[term]
-}
-
-// Postings returns the posting list for term (lowercased exact match),
-// ordered by (Doc, Pos). It materializes (decodes) the block-compressed
-// list on every call — use List for query execution and keep Postings
-// for compatibility and tests. The returned slice must not be modified.
-func (idx *Index) Postings(term string) []Posting {
-	return idx.List(term).Materialize()
 }
 
 // TermFreq returns the total number of occurrences of term. Over a live

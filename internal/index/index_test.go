@@ -50,7 +50,7 @@ func TestPostingsOrderAndPositions(t *testing.T) {
 		"a.xml": `<a><b>one two</b><c>two one two</c></a>`,
 	})
 	doc := s.DocByName("a.xml")
-	ps := idx.Postings("two")
+	ps := idx.List("two").Materialize()
 	if len(ps) != 3 {
 		t.Fatalf("postings = %d, want 3", len(ps))
 	}
@@ -80,7 +80,7 @@ func TestPositionsContainedInAncestors(t *testing.T) {
 		"a.xml": `<article><chapter><p>tix is a bulk algebra</p></chapter><p>algebra again</p></article>`,
 	})
 	doc := s.DocByName("a.xml")
-	for _, p := range idx.Postings("algebra") {
+	for _, p := range idx.List("algebra").Materialize() {
 		// Every ancestor element region must contain the position.
 		acc := storage.NewAccessor(s)
 		for _, anc := range acc.Ancestors(doc.ID, p.Node) {
@@ -97,7 +97,7 @@ func TestMultiDocOrdering(t *testing.T) {
 		"a.xml": `<a>shared term</a>`,
 		"b.xml": `<b>shared again shared</b>`,
 	})
-	ps := idx.Postings("shared")
+	ps := idx.List("shared").Materialize()
 	if len(ps) != 3 {
 		t.Fatalf("postings = %d, want 3", len(ps))
 	}
@@ -149,7 +149,7 @@ func TestCursor(t *testing.T) {
 	_, idx := buildIndex(t, map[string]string{
 		"a.xml": `<a>w a w b w c w</a>`,
 	})
-	c := NewRawList(idx.Postings("w")).Cursor()
+	c := NewRawList(idx.List("w").Materialize()).Cursor()
 	var seen []uint32
 	for c.Valid() {
 		seen = append(seen, c.Cur().Pos)
@@ -159,7 +159,7 @@ func TestCursor(t *testing.T) {
 		t.Fatalf("iterated %d", len(seen))
 	}
 	// SeekPos lands on the first posting at or after the target.
-	c2 := NewRawList(idx.Postings("w")).Cursor()
+	c2 := NewRawList(idx.List("w").Materialize()).Cursor()
 	c2.SeekPos(0, seen[2])
 	if !c2.Valid() || c2.Cur().Pos != seen[2] {
 		t.Errorf("SeekPos exact failed")
@@ -176,7 +176,7 @@ func TestCursorSeekAcrossDocuments(t *testing.T) {
 		"b.xml": `<b>w w</b>`,
 		"c.xml": `<c>w</c>`,
 	})
-	ps := idx.Postings("w")
+	ps := idx.List("w").Materialize()
 	if len(ps) != 6 {
 		t.Fatalf("postings = %d", len(ps))
 	}
@@ -203,8 +203,8 @@ func TestRestoreValidation(t *testing.T) {
 	s, idx := buildIndex(t, map[string]string{"a.xml": `<a>x y x</a>`})
 	// A valid restore reproduces the statistics.
 	postings := map[string][]Posting{
-		"x": append([]Posting(nil), idx.Postings("x")...),
-		"y": append([]Posting(nil), idx.Postings("y")...),
+		"x": append([]Posting(nil), idx.List("x").Materialize()...),
+		"y": append([]Posting(nil), idx.List("y").Materialize()...),
 	}
 	r, err := Restore(s, idx.Tokenizer(), postings)
 	if err != nil {

@@ -119,7 +119,7 @@ func assertSameIndex(t *testing.T, got, want *Index) {
 		t.Fatalf("vocabularies differ: got %d terms, want %d", len(gotTerms), len(terms))
 	}
 	for _, term := range terms {
-		if !reflect.DeepEqual(got.Postings(term), want.Postings(term)) {
+		if !reflect.DeepEqual(got.List(term).Materialize(), want.List(term).Materialize()) {
 			t.Fatalf("postings for %q differ", term)
 		}
 		if got.TermFreq(term) != want.TermFreq(term) {
@@ -184,12 +184,12 @@ func TestLiveDeleteAndReAdd(t *testing.T) {
 	s.ReleaseName("doc001.xml")
 
 	snap := l.Snapshot()
-	for _, p := range snap.Postings("alpha") {
+	for _, p := range snap.List("alpha").Materialize() {
 		if p.Doc == id {
 			t.Fatalf("tombstoned doc %d still visible", id)
 		}
 	}
-	if got := len(snap.Postings("drop")); got != 0 {
+	if got := len(snap.List("drop").Materialize()); got != 0 {
 		t.Fatalf("term of a deleted doc yields %d postings", got)
 	}
 	if docs := snap.Docs(); len(docs) != 1 || docs[0].Name != "doc000.xml" {
@@ -203,19 +203,19 @@ func TestLiveDeleteAndReAdd(t *testing.T) {
 		t.Fatalf("re-added doc reused id %d", id)
 	}
 	snap = l.Snapshot()
-	ps := snap.Postings("alpha")
+	ps := snap.List("alpha").Materialize()
 	if len(ps) != 2 || ps[0].Doc == id || ps[1].Doc == id {
 		t.Fatalf("postings after re-add = %+v", ps)
 	}
-	if got := len(snap.Postings("back")); got != 1 {
+	if got := len(snap.List("back").Materialize()); got != 1 {
 		t.Fatalf("re-added content invisible: %d postings for 'back'", got)
 	}
 
 	// Compaction physically drops the tombstoned postings; results are
 	// unchanged.
-	before := snap.Postings("alpha")
+	before := snap.List("alpha").Materialize()
 	l.Compact()
-	after := l.Snapshot().Postings("alpha")
+	after := l.Snapshot().List("alpha").Materialize()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("compaction changed results: %+v -> %+v", before, after)
 	}
@@ -252,7 +252,7 @@ func TestLiveIndexDocFailureTombstonesDoc(t *testing.T) {
 	if !l.IsDead(id) {
 		t.Fatal("half-indexed document was not tombstoned")
 	}
-	if got := len(l.Snapshot().Postings("qq")); got != 0 {
+	if got := len(l.Snapshot().List("qq").Materialize()); got != 0 {
 		t.Fatalf("half-indexed doc leaked %d postings", got)
 	}
 }

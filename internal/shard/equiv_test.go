@@ -157,7 +157,7 @@ func TestShardedMethodsMatchMonolithic(t *testing.T) {
 		}
 		for _, n := range equivShardCounts {
 			s := newSharded(t, n, ByHash, names, roots)
-			got, err := s.RunTermMethod(context.Background(), method, terms, false)
+			got, _, err := s.RunTermMethod(context.Background(), method, terms, false)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", method, n, err)
 			}

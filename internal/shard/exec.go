@@ -158,15 +158,15 @@ const (
 
 // RunTermMethod executes one term access method — TermJoin, the Enhanced
 // variant, or the Comp1/Comp2/GenMeet baselines — per shard in parallel
-// and returns the merged results under the RankedBefore contract. It is
-// the benchmark and differential-test entry point; TermSearchContext is
-// the production facade.
-func (s *DB) RunTermMethod(ctx context.Context, method Method, terms []string, complex bool) (results []exec.ScoredNode, err error) {
+// and returns the merged results under the RankedBefore contract, with
+// the store traffic summed over the shards. It is the benchmark and
+// differential-test entry point; TermSearchContext is the production
+// facade.
+func (s *DB) RunTermMethod(ctx context.Context, method Method, terms []string, complex bool) (results []exec.ScoredNode, total storage.AccessStats, err error) {
 	start := time.Now()
 	per := make([][]exec.ScoredNode, len(s.segs))
 	stats := make([]storage.AccessStats, len(s.segs))
 	defer func() {
-		var total storage.AccessStats
 		for _, st := range stats {
 			total.Add(st)
 		}
@@ -209,10 +209,10 @@ func (s *DB) RunTermMethod(ctx context.Context, method Method, terms []string, c
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, total, err
 	}
 	results = mergeRanked(per)
-	return results, nil
+	return results, total, nil
 }
 
 // PhraseSearch returns every occurrence of the phrase via per-shard

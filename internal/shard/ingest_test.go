@@ -205,7 +205,8 @@ func TestShardReadersDuringAdd(t *testing.T) {
 	calls := 0
 	go read("RunTermMethod", func() ([]exec.ScoredNode, error) {
 		calls++
-		return s.RunTermMethod(context.Background(), methods[calls%len(methods)], []string{"stable"}, false)
+		res, _, err := s.RunTermMethod(context.Background(), methods[calls%len(methods)], []string{"stable"}, false)
+		return res, err
 	})
 	for i := 0; i < 400; i++ {
 		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t>stable w%d</t></d>`, i%7)); err != nil {

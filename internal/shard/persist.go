@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/db"
 	"repro/internal/storage"
@@ -91,17 +92,46 @@ func (s *DB) Save(w io.Writer) error {
 	return err
 }
 
-// SaveFile writes the sharded database to path.
+// SaveFile writes the sharded database to path without ever exposing a
+// partial file there: the snapshot goes to a temporary file in the same
+// directory, which is synced, closed and renamed over path, and then the
+// directory is synced so the rename survives a crash. A failed save
+// leaves any previous snapshot at path untouched and removes the
+// temporary file.
 func (s *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
+	// CreateTemp creates the file 0600; a snapshot keeps the mode a plain
+	// create would give it under the usual umask.
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = s.Save(f)
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // the save already failed; this only tidies up
+		return fmt.Errorf("shard: save %s: %w", path, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	return nil
 }
 
 // Load reads a sharded database written by Save, verifying the container

@@ -159,6 +159,51 @@ func TestOpenFileSniffsBothFormats(t *testing.T) {
 	}
 }
 
+// TestSaveFileFailureKeepsPreviousSnapshot pins crash-safe saving: a save
+// that fails after it has started writing (here on a burned id slot,
+// after the header) leaves the previous snapshot byte-identical and
+// openable, and no temporary file behind.
+func TestSaveFileFailureKeepsPreviousSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.tix")
+	names, roots := corpusDocs(t, 5, 4)
+	s := newSharded(t, 2, RoundRobin, names, roots)
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BurnDocID(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFile(path); err == nil {
+		t.Fatal("SaveFile over a burned id slot succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the previous snapshot: %d bytes, was %d", len(after), len(before))
+	}
+	if _, err := OpenFile(path); err != nil {
+		t.Fatalf("previous snapshot no longer opens: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var left []string
+		for _, e := range entries {
+			left = append(left, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only db.tix", left)
+	}
+}
+
 func TestReshardPreservesResults(t *testing.T) {
 	names, roots := corpusDocs(t, 6, 13)
 	s := newSharded(t, 2, ByHash, names, roots)

@@ -1,37 +1,32 @@
 # The canonical check: what CI runs, and what a change must pass before
-# merging. `make check` == the full lint gate (gofmt + vet + tixlint) +
-# build + race-enabled tests + a cancellation/fault stress pass + the
-# replicated-serving chaos drills + a coverage floor on the sharded
-# execution layer + a short fuzz smoke over the snapshot loader + a
-# five-second open-loop load smoke with the result cache enabled + a vet,
-# build and race-enabled test run of the separate benchmark/ module. The
-# performance gate is part of the tests: internal/bench's golden suite
+# merging. `make check` runs, in order:
+#   lint             gofmt + go vet + tixlint, failing on any finding
+#   build            the root module
+#   benchmark-build  vet and build of the separate benchmark/ module
+#   benchmark-test   the benchmark/ module's tests under -race
+#   race             every test under the race detector
+#   stress, chaos    the cancellation/fault and replicated-serving drills
+#   cover            the 70% coverage floor on internal/shard
+#   fuzz-smoke       ten seconds per fuzz target
+#   loadsmoke        five seconds of open-loop load with the result cache on
+# The performance gate is part of the tests: internal/bench's golden suite
 # pins the paper's per-operator access counts and the hot paths'
 # allocation ceilings (see internal/bench/golden_test.go).
 
 GO ?= go
 
-.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
+.PHONY: check lint tixlint vet build test race bench bench-json bench-hotpath benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
 
 check: lint build benchmark-build benchmark-test race stress chaos cover fuzz-smoke loadsmoke
 
 # The static-analysis gate: formatting, go vet, and the project's own
-# analyzers (see cmd/tixlint and DESIGN.md §9 + §14). tixlint compares
-# per-analyzer finding counts against the committed ratchet baseline
-# (all zeros), so any new finding — at any severity — fails the gate;
-# re-baseline deliberately with `go run ./cmd/tixlint -ratchet
-# .tixlint-ratchet.json -ratchet-write ./...`.
+# analyzers (see cmd/tixlint and DESIGN.md §9 + §14). tixlint runs the
+# full registry and exits 1 on any finding, at any severity, including a
+# suppression directive that no longer matches a finding.
 lint: fmt-check vet tixlint
 
 tixlint:
-	$(GO) run ./cmd/tixlint -ratchet .tixlint-ratchet.json ./...
-
-# Fast pre-merge scope: the whole-program analysis still runs (the
-# flow-aware analyzers need every package), but only findings in files
-# changed since BASE_REF (plus untracked files) are reported.
-BASE_REF ?= origin/main
-lint-changed:
-	$(GO) run ./cmd/tixlint -changed $(BASE_REF) ./...
+	$(GO) run ./cmd/tixlint ./...
 
 vet:
 	$(GO) vet ./...

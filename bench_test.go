@@ -184,37 +184,6 @@ func BenchmarkPick(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAncestorWalk measures the stack discipline of TermJoin
-// (each element pushed once) against re-deriving the full ancestor chain
-// per occurrence (DESIGN.md §5).
-func BenchmarkAblationAncestorWalk(b *testing.B) {
-	c := benchCorpus(b)
-	t1, t2, err := c.PairTerms(1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := exec.TermQuery{Terms: []string{t1, t2}, Scorer: exec.DefaultScorer{}}
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"StackDiscipline", false}, {"FullWalkPerOccurrence", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tj := &exec.TermJoin{
-					Index:            c.Index,
-					Acc:              storage.NewAccessor(c.Index.Store()),
-					Query:            q,
-					FullAncestorWalk: mode.full,
-				}
-				if err := tj.Run(func(exec.ScoredNode) {}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationChildCount measures the child-count index of Enhanced
 // TermJoin against store navigation under complex scoring (DESIGN.md §5).
 func BenchmarkAblationChildCount(b *testing.B) {

@@ -10,46 +10,27 @@
 //
 // Usage:
 //
-//	tixlint [flags] [packages]
+//	tixlint [-C dir] [packages]
+//	tixlint -list
 //
-// Packages default to ./... relative to the current directory. Exit
-// status: 0 clean, 1 findings at or above -severity (or a ratchet
-// regression), 2 load failure or bad usage.
-//
-// Two CI modes:
-//
-//	tixlint -changed origin/main ./...
-//
-// runs the whole suite (cross-package analyzers need the whole program)
-// but reports only diagnostics in files that differ from the ref, plus
-// untracked files — the fast pre-merge scope.
-//
-//	tixlint -ratchet .tixlint-ratchet.json ./...
-//
-// compares per-analyzer finding counts against the committed baseline
-// and fails only on regressions; -ratchet-write re-records the baseline
-// after a deliberate change.
+// Packages default to ./... relative to -C (default the current
+// directory). Every run applies the full registry, including the check
+// for suppression directives that match no finding. Exit status: 0 clean,
+// 1 any finding, 2 load failure or bad usage.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
 	var (
-		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		severity     = flag.String("severity", "warning", "minimum severity that fails the run: info, warning, or error")
-		list         = flag.Bool("list", false, "list the registered analyzers and exit")
-		analyzers    = flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
-		dir          = flag.String("C", ".", "directory of the module to analyze")
-		changed      = flag.String("changed", "", "report only findings in files changed since this git ref (plus untracked files)")
-		ratchetPath  = flag.String("ratchet", "", "compare per-analyzer finding counts against this baseline file; fail only on regressions")
-		ratchetWrite = flag.Bool("ratchet-write", false, "with -ratchet: record the current counts as the new baseline")
+		list = flag.Bool("list", false, "list the registered analyzers and exit")
+		dir  = flag.String("C", ".", "directory of the module to analyze")
 	)
 	flag.Parse()
 
@@ -57,111 +38,24 @@ func main() {
 		lint.WriteList(os.Stdout)
 		return
 	}
-	if *changed != "" && *ratchetPath != "" {
-		fmt.Fprintln(os.Stderr, "tixlint: -changed and -ratchet are mutually exclusive: the ratchet pins whole-module counts, which a changed-files subset cannot reproduce")
-		os.Exit(2)
-	}
-	if *ratchetWrite && *ratchetPath == "" {
-		fmt.Fprintln(os.Stderr, "tixlint: -ratchet-write requires -ratchet FILE")
-		os.Exit(2)
-	}
-
-	threshold, err := lint.ParseSeverity(*severity)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	selected := lint.Analyzers()
-	fullSet := true
-	if *analyzers != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range selected {
-			byName[a.Name] = a
-		}
-		selected = nil
-		for _, name := range strings.Split(*analyzers, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "tixlint: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
-			}
-			selected = append(selected, a)
-		}
-		fullSet = len(selected) == len(byName)
-	}
 
 	prog, err := lint.Load(*dir, flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tixlint: %v\n", err)
 		os.Exit(2)
 	}
-
-	runner := &lint.Runner{Analyzers: selected, CheckUnused: fullSet}
-	diags, stale := runner.RunAll(prog)
-
-	if *changed != "" {
-		set, cerr := lint.ChangedFiles(*dir, *changed)
-		if cerr != nil {
-			fmt.Fprintf(os.Stderr, "tixlint: %v\n", cerr)
-			os.Exit(2)
-		}
-		diags = lint.FilterChanged(diags, set)
-		stale = lint.FilterStaleChanged(stale, set)
+	runner := &lint.Runner{Analyzers: lint.Analyzers()}
+	diags := runner.Run(prog)
+	for _, e := range prog.LoadErrors {
+		fmt.Fprintf(os.Stderr, "tixlint: load: %s\n", e)
 	}
-
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, lint.ReportAll(diags, stale, prog.LoadErrors)); err != nil {
-			fmt.Fprintf(os.Stderr, "tixlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, e := range prog.LoadErrors {
-			fmt.Fprintf(os.Stderr, "tixlint: load: %s\n", e)
-		}
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-
 	if len(prog.LoadErrors) > 0 {
 		os.Exit(2)
 	}
-
-	if *ratchetPath != "" {
-		counts := lint.CountByAnalyzer(diags)
-		if *ratchetWrite {
-			if err := lint.WriteRatchet(*ratchetPath, counts); err != nil {
-				fmt.Fprintf(os.Stderr, "tixlint: %v\n", err)
-				os.Exit(2)
-			}
-			return
-		}
-		base, err := lint.ReadRatchet(*ratchetPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tixlint: %v\n", err)
-			os.Exit(2)
-		}
-		regressions := lint.CheckRatchet(base, counts)
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "tixlint: ratchet: %s\n", r)
-		}
-		if len(regressions) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if failsThreshold(diags, threshold) {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-func failsThreshold(diags []lint.Diagnostic, threshold lint.Severity) bool {
-	for _, d := range diags {
-		if d.Severity >= threshold {
-			return true
-		}
-	}
-	return false
 }

@@ -61,9 +61,9 @@ func main() {
 		Index: idx,
 		Acc:   storage.NewAccessor(store),
 		Query: exec.TermQuery{
-			Terms:        []string{"vector space"},
-			PostingLists: [][]index.Posting{exec.PhrasePostings(matches)},
-			Scorer:       exec.DefaultScorer{SimpleFn: scoring.SimpleScorer{}},
+			Terms:  []string{"vector space"},
+			Lists:  []index.List{exec.PhrasePostings(matches)},
+			Scorer: exec.DefaultScorer{SimpleFn: scoring.SimpleScorer{}},
 		},
 	}
 	topk := exec.NewTopK(5)

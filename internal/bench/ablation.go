@@ -9,9 +9,8 @@ import (
 )
 
 // Ablations regenerates the design-choice ablations of DESIGN.md §5 at the
-// corpus's full scale: the TermJoin stack discipline vs re-deriving
-// ancestors per occurrence, the child-count index vs store navigation, and
-// the histogram-assisted threshold vs an exact sort quantile.
+// corpus's full scale: the child-count index vs store navigation, and the
+// histogram-assisted threshold vs an exact sort quantile.
 func (c *Corpus) Ablations() (*Table, error) {
 	t := &Table{
 		ID:      "ablation",
@@ -24,37 +23,8 @@ func (c *Corpus) Ablations() (*Table, error) {
 	}
 	terms := []string{a, b}
 
-	// 1. Stack discipline vs full ancestor walk per occurrence.
-	row := Row{Label: "ancestor-walk"}
-	for _, full := range []bool{false, true} {
-		m, err := timeIt(c.runs(), func() (int, storage.AccessStats, error) {
-			acc := storage.NewAccessor(c.Index.Store())
-			tj := &exec.TermJoin{
-				Index:            c.Index,
-				Acc:              acc,
-				Query:            exec.TermQuery{Terms: terms, Scorer: exec.DefaultScorer{}},
-				FullAncestorWalk: full,
-			}
-			n := 0
-			if err := tj.Run(func(exec.ScoredNode) { n++ }); err != nil {
-				return 0, storage.AccessStats{}, err
-			}
-			return n, acc.Stats, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		name := Method("Optimized")
-		if full {
-			name = "Ablated"
-		}
-		m.Method = name
-		row.Cells = append(row.Cells, Cell{Method: name, M: m})
-	}
-	t.Rows = append(t.Rows, row)
-
-	// 2. Child-count index vs navigation (complex scoring).
-	row = Row{Label: "child-count"}
+	// 1. Child-count index vs navigation (complex scoring).
+	row := Row{Label: "child-count"}
 	for _, mode := range []exec.ChildCountMode{exec.ChildCountIndexed, exec.ChildCountNavigate} {
 		m, err := timeIt(c.runs(), func() (int, storage.AccessStats, error) {
 			acc := storage.NewAccessor(c.Index.Store())
@@ -82,7 +52,7 @@ func (c *Corpus) Ablations() (*Table, error) {
 	}
 	t.Rows = append(t.Rows, row)
 
-	// 3. Histogram threshold vs exact quantile over the scored output.
+	// 2. Histogram threshold vs exact quantile over the scored output.
 	tjOut, err := exec.RunTermJoin(c.Index, exec.TermQuery{Terms: terms, Scorer: exec.DefaultScorer{}}, exec.ChildCountNavigate)
 	if err != nil {
 		return nil, err

@@ -190,7 +190,7 @@ func TestAblationsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
+	if len(tbl.Rows) != 2 {
 		t.Fatalf("ablation rows = %d", len(tbl.Rows))
 	}
 	for _, r := range tbl.Rows {
@@ -207,7 +207,7 @@ func TestAblationsTable(t *testing.T) {
 	if err := tbl.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "ancestor-walk") {
+	if !strings.Contains(sb.String(), "child-count") {
 		t.Errorf("rendered ablation table wrong:\n%s", sb.String())
 	}
 	// CSV rendering works for every table kind.

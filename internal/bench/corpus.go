@@ -301,10 +301,11 @@ func Build(cfg Config) (*Corpus, error) {
 	return c, nil
 }
 
-// Snapshot writes the corpus database (store and index) in the v1 snapshot
-// format. Because synth generation, loading, and index construction are
-// all deterministic in Config.Seed, two corpora built from the same Config
-// snapshot to identical bytes — the determinism test pins exactly that.
+// Snapshot writes the corpus database (store and index) in the segment
+// snapshot format db.Save writes (TIXDB2). Because synth generation,
+// loading, and index construction are all deterministic in Config.Seed,
+// two corpora built from the same Config snapshot to identical bytes — the
+// determinism test pins exactly that.
 func (c *Corpus) Snapshot(w io.Writer) error {
 	c.DB.Index() // persist the index too
 	return c.DB.Save(w)

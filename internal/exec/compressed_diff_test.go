@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/postings"
 	"repro/internal/scoring"
 )
 
@@ -20,11 +21,11 @@ import (
 // rawQuery returns q with the index lookup replaced by materialized raw
 // posting slices for each term.
 func rawQuery(idx *index.Index, q TermQuery) TermQuery {
-	raw := make([][]index.Posting, len(q.Terms))
+	raw := make([]index.List, len(q.Terms))
 	for i, term := range q.Terms {
-		raw[i] = idx.List(idx.Tokenizer().Normalize(term)).Materialize()
+		raw[i] = postings.NewRawList(idx.List(idx.Tokenizer().Normalize(term)).Materialize())
 	}
-	q.PostingLists = raw
+	q.Lists = raw
 	return q
 }
 
@@ -96,7 +97,7 @@ func TestTopKBlockMaxMatchesUnprunedOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			oracle := &TopKTermJoin{Index: idx, Query: q, K: k, DisablePruning: true}
+			oracle := unprunedTopK(idx, q, k)
 			want, err := oracle.Run()
 			if err != nil {
 				t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/index"
+	"repro/internal/postings"
 	"repro/internal/scoring"
 	"repro/internal/storage"
 )
@@ -58,9 +59,6 @@ type DefaultScorer struct {
 	ComplexFn scoring.ComplexScorer
 }
 
-// NewDefaultScorer returns a scorer with uniform weights.
-func NewDefaultScorer() DefaultScorer { return DefaultScorer{} }
-
 // Simple applies the weighted-sum scoring function.
 func (d DefaultScorer) Simple(counts []int) float64 { return d.SimpleFn.Score(counts) }
 
@@ -75,17 +73,11 @@ func (d DefaultScorer) Complex(counts []int, occs []scoring.Occ, nz, total int) 
 type TermQuery struct {
 	Terms []string
 	// Lists, when non-nil, supplies the posting list for each term as a
-	// zero-copy view (raw or block-compressed) instead of an index lookup.
-	// Its length must equal len(Terms). Takes precedence over
-	// PostingLists.
+	// zero-copy view instead of an index lookup — this is how phrase
+	// matches from PhraseFinder feed TermJoin as pseudo-terms (Sec. 5.1.2:
+	// "counts of phrase occurrences are then used to generate appropriate
+	// score values"; see PhrasePostings). Its length must equal len(Terms).
 	Lists []index.List
-	// PostingLists, when non-nil, supplies the posting list for each term
-	// directly instead of an index lookup — this is how phrase matches
-	// from PhraseFinder feed TermJoin as pseudo-terms (Sec. 5.1.2: "counts
-	// of phrase occurrences are then used to generate appropriate score
-	// values"). Its length must equal len(Terms); entries must be in
-	// (doc, pos) order.
-	PostingLists [][]index.Posting
 	// Complex selects the complex scoring function (the paper's s flag,
 	// inverted: Fig. 11 guards the extra bookkeeping with if(!s)).
 	Complex bool
@@ -104,33 +96,27 @@ func (q *TermQuery) validate(method string) error {
 	if q.Lists != nil && len(q.Lists) != len(q.Terms) {
 		return fmt.Errorf("exec: %s: %d lists for %d terms", method, len(q.Lists), len(q.Terms))
 	}
-	if q.Lists == nil && q.PostingLists != nil && len(q.PostingLists) != len(q.Terms) {
-		return fmt.Errorf("exec: %s: %d posting lists for %d terms", method, len(q.PostingLists), len(q.Terms))
-	}
 	return nil
 }
 
 // list resolves term i of the query to its posting-list view: explicit
-// Lists first, then PostingLists (wrapped raw), then the index's
-// block-compressed list.
+// Lists first, then the index's list for the normalized term.
 func (q *TermQuery) list(idx *index.Index, normalized []string, i int) index.List {
 	if q.Lists != nil {
 		return q.Lists[i]
 	}
-	if q.PostingLists != nil {
-		return index.NewRawList(q.PostingLists[i])
-	}
 	return idx.List(normalized[i])
 }
 
-// PhrasePostings converts phrase matches into a posting list usable as a
-// pseudo-term in a TermQuery.
-func PhrasePostings(ms []PhraseMatch) []index.Posting {
+// PhrasePostings converts phrase matches, which PhraseFinder emits in
+// (doc, pos) order, into a posting list usable as a pseudo-term in
+// TermQuery.Lists.
+func PhrasePostings(ms []PhraseMatch) index.List {
 	out := make([]index.Posting, len(ms))
 	for i, m := range ms {
 		out[i] = index.Posting{Doc: m.Doc, Node: m.Node, Pos: m.Pos}
 	}
-	return out
+	return postings.NewRawList(out)
 }
 
 // normalizeTerms maps the query terms through the index tokenizer so that

@@ -13,7 +13,7 @@ type OrdCount struct {
 	Count int
 }
 
-// StructuralJoinCount performs the stack-based ancestor-descendant
+// StructuralJoinCountGuarded performs the stack-based ancestor-descendant
 // structural join of Al-Khalifa et al. (ICDE 2001) between an ancestor
 // list (element ordinals in document order) and a descendant list (word
 // positions in document order), grouped by ancestor: it returns, for every
@@ -21,15 +21,9 @@ type OrdCount struct {
 // the number of contained positions, in document order.
 //
 // Every ancestor-list element is read through the accessor — this is what
-// makes the Comp2 baseline's cost proportional to the extent it scans.
-func StructuralJoinCount(acc *storage.Accessor, doc storage.DocID, ancestors []int32, positions []uint32) []OrdCount {
-	out, _ := StructuralJoinCountGuarded(acc, doc, ancestors, positions, nil)
-	return out
-}
-
-// StructuralJoinCountGuarded is StructuralJoinCount with a cooperative
-// guard, checked once per ancestor element scanned and per position merged
-// — the loops whose size Comp2 cannot bound ahead of time.
+// makes the Comp2 baseline's cost proportional to the extent it scans. The
+// guard (nil for none) is checked once per ancestor element scanned and per
+// position merged — the loops whose size Comp2 cannot bound ahead of time.
 func StructuralJoinCountGuarded(acc *storage.Accessor, doc storage.DocID, ancestors []int32, positions []uint32, g *Guard) ([]OrdCount, error) {
 	type frame struct {
 		ord   int32
@@ -82,18 +76,13 @@ func StructuralJoinCountGuarded(acc *storage.Accessor, doc storage.DocID, ancest
 	return out, nil
 }
 
-// AncDescPairs performs the pair-producing variant of the structural join:
-// it returns every (ancestor, descendant) ordinal pair where an element of
-// alist contains an element of dlist. Both lists must be in document
-// order. Used by the query compiler for structural predicates.
-func AncDescPairs(acc *storage.Accessor, doc storage.DocID, alist, dlist []int32) [][2]int32 {
-	out, _ := AncDescPairsGuarded(acc, doc, alist, dlist, nil)
-	return out
-}
-
-// AncDescPairsGuarded is AncDescPairs with a cooperative guard, checked
-// once per merged list element — the loop scans both full input lists, so
-// an unguarded run over a large document cannot be cancelled or budgeted.
+// AncDescPairsGuarded performs the pair-producing variant of the
+// structural join: it returns every (ancestor, descendant) ordinal pair
+// where an element of alist contains an element of dlist. Both lists must
+// be in document order. Used by the query compiler for structural
+// predicates. The guard (nil for none) is checked once per merged list
+// element — the loop scans both full input lists, so an unguarded run over
+// a large document could not be cancelled or budgeted.
 func AncDescPairsGuarded(acc *storage.Accessor, doc storage.DocID, alist, dlist []int32, g *Guard) ([][2]int32, error) {
 	type frame struct {
 		ord int32

@@ -24,7 +24,7 @@ func TestStructuralJoinCountAgainstNaive(t *testing.T) {
 			positions = append(positions, p.Pos)
 		}
 	}
-	got := StructuralJoinCount(acc, doc.ID, doc.Elements(), positions)
+	got, _ := StructuralJoinCountGuarded(acc, doc.ID, doc.Elements(), positions, nil)
 
 	// Naive containment count.
 	var want []OrdCount
@@ -61,7 +61,7 @@ func TestStructuralJoinSubsetAncestors(t *testing.T) {
 			positions = append(positions, p.Pos)
 		}
 	}
-	got := StructuralJoinCount(acc, doc.ID, chapters, positions)
+	got, _ := StructuralJoinCountGuarded(acc, doc.ID, chapters, positions, nil)
 	// Only the third chapter contains "search" occurrences (5 of them:
 	// ct, section-title, and three paragraphs — with stemming, "search"
 	// appears in ct #a11, #a13, #a18, #a19, #a20).
@@ -81,10 +81,10 @@ func TestStructuralJoinEmptyInputs(t *testing.T) {
 	s := idx.Store()
 	doc := s.DocByName("articles.xml")
 	acc := storage.NewAccessor(s)
-	if got := StructuralJoinCount(acc, doc.ID, nil, []uint32{5, 6}); len(got) != 0 {
+	if got, _ := StructuralJoinCountGuarded(acc, doc.ID, nil, []uint32{5, 6}, nil); len(got) != 0 {
 		t.Errorf("no ancestors should produce nothing: %v", got)
 	}
-	if got := StructuralJoinCount(acc, doc.ID, doc.Elements(), nil); len(got) != 0 {
+	if got, _ := StructuralJoinCountGuarded(acc, doc.ID, doc.Elements(), nil, nil); len(got) != 0 {
 		t.Errorf("no positions should produce nothing: %v", got)
 	}
 }
@@ -110,7 +110,7 @@ func TestAncDescPairsAgainstNaive(t *testing.T) {
 				dlist = append(dlist, ord)
 			}
 		}
-		got := AncDescPairs(acc, doc.ID, alist, dlist)
+		got, _ := AncDescPairsGuarded(acc, doc.ID, alist, dlist, nil)
 		var want [][2]int32
 		for _, d := range dlist {
 			for _, a := range alist {
@@ -155,7 +155,7 @@ func TestQuickStructuralJoinRandom(t *testing.T) {
 		for _, p := range idx.List("tix").Materialize() {
 			positions = append(positions, p.Pos)
 		}
-		got := StructuralJoinCount(acc, doc.ID, doc.Elements(), positions)
+		got, _ := StructuralJoinCountGuarded(acc, doc.ID, doc.Elements(), positions, nil)
 		gotMap := map[int32]int{}
 		for _, oc := range got {
 			gotMap[oc.Ord] = oc.Count

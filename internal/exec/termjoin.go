@@ -33,12 +33,6 @@ type TermJoin struct {
 	Query TermQuery
 	// ChildCounts is consulted only for complex scoring.
 	ChildCounts ChildCountMode
-	// FullAncestorWalk disables the stack-discipline optimization: the
-	// ancestor chain of every occurrence is re-derived all the way to the
-	// root instead of stopping at the deepest element already on stack.
-	// Results are identical; the extra store walks are what the ablation
-	// benchmark BenchmarkAblationAncestorWalk measures.
-	FullAncestorWalk bool
 	// Guard, when non-nil, is the cooperative cancellation and resource
 	// budget: checked once per posting merged and once per emitted
 	// element, so a canceled or over-budget join stops within one check
@@ -68,7 +62,6 @@ type TJArena struct {
 	stack   []*tjEntry
 	free    []*tjEntry
 	toPush  []tjPush
-	chain   []tjPush
 }
 
 // tjEntry is one stack frame: an open element with the occurrence
@@ -96,7 +89,7 @@ func (t *TermJoin) Run(emit Emit) error {
 	}
 	nTerms := len(t.Query.Terms)
 	var terms []string
-	if t.Query.Lists == nil && t.Query.PostingLists == nil {
+	if t.Query.Lists == nil {
 		// Only the index-lookup path reads the normalized terms; skipping
 		// the remap keeps repeated list-fed runs (top-k) allocation-free.
 		terms = normalizeTerms(t.Index, t.Query.Terms)
@@ -184,13 +177,10 @@ func (t *TermJoin) Run(emit Emit) error {
 	}
 
 	// Pending-push scratch, reused across occurrences (and, via the arena,
-	// across runs): declaring these in the loop body would allocate once
-	// per merged posting.
-	toPush, chain := ar.toPush, ar.chain
-	defer func() {
-		ar.toPush = toPush[:0]
-		ar.chain = chain[:0]
-	}()
+	// across runs): declaring it in the loop body would allocate once per
+	// merged posting.
+	toPush := ar.toPush
+	defer func() { ar.toPush = toPush[:0] }()
 
 	for {
 		if err := t.Guard.Tick(); err != nil {
@@ -232,27 +222,10 @@ func (t *TermJoin) Run(emit Emit) error {
 		// second store access is needed at push time.
 		toPush = toPush[:0]
 		a := t.Acc.Node(p.Doc, p.Node).Parent
-		if t.FullAncestorWalk {
-			// Ablation mode: derive the entire chain to the root on every
-			// occurrence, then discard the part already on stack.
-			chain = chain[:0]
-			for a != storage.NoNode {
-				rec := t.Acc.Node(p.Doc, a)
-				chain = append(chain, tjPush{a, rec.End})
-				a = rec.Parent
-			}
-			for _, anc := range chain {
-				if len(stack) > 0 && stack[len(stack)-1].ord == anc.ord {
-					break
-				}
-				toPush = append(toPush, anc)
-			}
-		} else {
-			for a != storage.NoNode && (len(stack) == 0 || stack[len(stack)-1].ord != a) {
-				rec := t.Acc.Node(p.Doc, a)
-				toPush = append(toPush, tjPush{a, rec.End})
-				a = rec.Parent
-			}
+		for a != storage.NoNode && (len(stack) == 0 || stack[len(stack)-1].ord != a) {
+			rec := t.Acc.Node(p.Doc, a)
+			toPush = append(toPush, tjPush{a, rec.End})
+			a = rec.Parent
 		}
 		for i := len(toPush) - 1; i >= 0; i-- {
 			stack = append(stack, alloc(toPush[i].ord, toPush[i].end))

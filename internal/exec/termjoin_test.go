@@ -346,9 +346,9 @@ func TestTermJoinErrors(t *testing.T) {
 func TestTermJoinRejectsMismatchedPostingLists(t *testing.T) {
 	idx := buildFixtureIndex(t)
 	q := TermQuery{
-		Terms:        []string{"a", "b"},
-		PostingLists: [][]index.Posting{nil}, // 1 list for 2 terms
-		Scorer:       DefaultScorer{},
+		Terms:  []string{"a", "b"},
+		Lists:  []index.List{{}}, // 1 list for 2 terms
+		Scorer: DefaultScorer{},
 	}
 	if _, err := RunTermJoin(idx, q, ChildCountNavigate); err == nil {
 		t.Errorf("mismatched posting lists accepted")
@@ -377,26 +377,6 @@ func TestTermJoinUnknownTerm(t *testing.T) {
 	}
 	want := naiveSimple(idx, q.Terms, q.Scorer)
 	sameResults(t, "mixed", asMap(t, got), want)
-}
-
-func TestFullAncestorWalkSameResultsMoreReads(t *testing.T) {
-	idx := buildSynthIndex(t, map[string]int{"ctla": 200, "ctlb": 120}, 8)
-	q := TermQuery{Terms: []string{"ctla", "ctlb"}, Scorer: DefaultScorer{}}
-	fast := &TermJoin{Index: idx, Acc: storage.NewAccessor(idx.Store()), Query: q}
-	rFast, err := Collect(fast.Run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := &TermJoin{Index: idx, Acc: storage.NewAccessor(idx.Store()), Query: q, FullAncestorWalk: true}
-	rSlow, err := Collect(slow.Run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "FullAncestorWalk", asMap(t, rSlow), asMap(t, rFast))
-	if slow.Acc.Stats.NodeReads <= fast.Acc.Stats.NodeReads {
-		t.Errorf("ablation mode should read more: %d vs %d",
-			slow.Acc.Stats.NodeReads, fast.Acc.Stats.NodeReads)
-	}
 }
 
 func TestTermJoinEmitsPostorderPerDoc(t *testing.T) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,29 @@ func TestQuickTopKMatchesSort(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortStability pins SortRanked's tie-break, which the facade's merged
+// results depend on: equal scores order by document, then ordinal.
+func TestSortStability(t *testing.T) {
+	got := []ScoredNode{{Doc: 1, Ord: 5, Score: 2}, {Doc: 0, Ord: 9, Score: 2}, {Doc: 0, Ord: 1, Score: 2}}
+	SortRanked(got)
+	want := []ScoredNode{{Doc: 0, Ord: 1, Score: 2}, {Doc: 0, Ord: 9, Score: 2}, {Doc: 1, Ord: 5, Score: 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tie-break order = %v", got)
+	}
+	rng := rand.New(rand.NewSource(2))
+	big := make([]ScoredNode, 100)
+	for i := range big {
+		big[i] = ScoredNode{Ord: int32(i), Score: float64(rng.Intn(20))}
+	}
+	rng.Shuffle(len(big), func(i, j int) { big[i], big[j] = big[j], big[i] })
+	SortRanked(big)
+	if !sort.SliceIsSorted(big, func(i, j int) bool {
+		return big[i].Score > big[j].Score || (big[i].Score == big[j].Score && big[i].Ord < big[j].Ord)
+	}) {
+		t.Errorf("not sorted by score desc, ordinal asc")
 	}
 }
 

@@ -42,9 +42,6 @@ type TopKTermJoin struct {
 	// BlocksSkipped reports, after Run, how many encoded blocks the
 	// block-max sweep passed over without decoding.
 	BlocksSkipped int
-	// DisablePruning evaluates every candidate document — the oracle the
-	// differential tests compare the pruned sweep against.
-	DisablePruning bool
 	// Guard, when non-nil, is the cooperative cancellation and resource
 	// budget, ticked once per interval of the sweep and for every posting
 	// counted, and checked inside every per-document TermJoin; the run's
@@ -53,6 +50,9 @@ type TopKTermJoin struct {
 
 	acc     *storage.Accessor // the last Run's accessor, for AccessStats
 	pairMax float64           // largest proximity bonus one occurrence pair adds
+	// disablePruning evaluates every candidate document — the oracle the
+	// differential tests compare the pruned sweep against (export_test.go).
+	disablePruning bool
 }
 
 // Run evaluates and returns the top-k elements, best first.
@@ -76,7 +76,7 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	// least 1; a repeated term or caller-supplied lists can put two
 	// occurrences at the same position, distance 0.
 	t.pairMax = 0.5
-	if t.Query.Lists != nil || t.Query.PostingLists != nil || repeats(terms) {
+	if t.Query.Lists != nil || repeats(terms) {
 		t.pairMax = 1
 	}
 	lists := make([]index.List, len(terms))
@@ -90,7 +90,6 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	// so the per-document cost is the join itself, not its setup.
 	q := t.Query
 	q.Lists = nil
-	q.PostingLists = nil
 	ev := &topkEval{
 		lists: lists,
 		sub:   make([]index.List, len(lists)),
@@ -211,7 +210,7 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 			next = B
 			continue
 		}
-		if !t.DisablePruning {
+		if !t.disablePruning {
 			if kth, full := tk.last(); full && t.bound(counts, ubOcc) <= kth.Score {
 				// Nothing in the interval can displace the k-th: skip it
 				// without decoding. Blocks wholly consumed by the skip are
@@ -263,7 +262,7 @@ func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) e
 				}
 				occ += counts[i]
 			}
-			if !t.DisablePruning {
+			if !t.disablePruning {
 				if kth, full := tk.last(); full && t.bound(counts, occ) <= kth.Score {
 					continue // exact bound says this document cannot place
 				}

@@ -202,7 +202,7 @@ func TestTopKTermJoinPrunesLiveSnapshot(t *testing.T) {
 	if _, err := tkj.Run(); err != nil {
 		t.Fatal(err)
 	}
-	unpruned := &TopKTermJoin{Index: idx, Query: tkj.Query, K: 1, DisablePruning: true}
+	unpruned := unprunedTopK(idx, tkj.Query, 1)
 	if _, err := unpruned.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // 2002) — reference [6] of the paper and part of the stack-based family of
 // structural join access methods TermJoin generalizes. The paper's query
 // engine evaluates the structural part of scored pattern trees with such
-// joins; internal/xq uses binary AncDescPairs for its simple paths, and
+// joins; internal/xq uses binary AncDescPairsGuarded for its simple paths, and
 // TwigStack is provided for whole-twig matching of tag patterns.
 //
 // The core algorithm covers twigs whose edges are all ancestor-descendant

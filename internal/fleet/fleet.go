@@ -201,9 +201,6 @@ func (f *Fleet) observeTransition(id int) func(from, to BreakerState) {
 // Size returns the number of replicas.
 func (f *Fleet) Size() int { return len(f.replicas) }
 
-// Replica exposes one backend (tests, fault drills).
-func (f *Fleet) Replica(i int) Backend { return f.replicas[i].backend }
-
 // BreakerState returns replica i's current breaker state.
 func (f *Fleet) BreakerState(i int) BreakerState { return f.replicas[i].breaker.State() }
 

@@ -13,8 +13,8 @@
 // Storage is block-compressed (internal/postings): each term's list is
 // encoded into 128-posting delta+varint blocks with a skip table, cutting
 // postings memory several-fold. Cursors decode lazily and seek via the
-// skip table. A raw []Posting enters the same operators through
-// NewRawList, and List(term).Materialize() decodes a list back into one.
+// skip table. List(term).Materialize() decodes a list back into a raw
+// []Posting.
 package index
 
 import (
@@ -39,10 +39,6 @@ type Cursor = postings.Cursor
 // List is a read-only view over one term's postings, raw or
 // block-compressed.
 type List = postings.List
-
-// NewRawList wraps a raw, (Doc, Pos)-sorted posting slice as a List
-// without copying.
-func NewRawList(ps []Posting) List { return postings.NewRawList(ps) }
 
 // Index is a positional inverted index over the documents of a store. A
 // static index (Build/Restore) is a single flat segment of block lists. A

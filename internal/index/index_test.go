@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/postings"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
 	"repro/internal/xmltree"
@@ -149,7 +150,7 @@ func TestCursor(t *testing.T) {
 	_, idx := buildIndex(t, map[string]string{
 		"a.xml": `<a>w a w b w c w</a>`,
 	})
-	c := NewRawList(idx.List("w").Materialize()).Cursor()
+	c := postings.NewRawList(idx.List("w").Materialize()).Cursor()
 	var seen []uint32
 	for c.Valid() {
 		seen = append(seen, c.Cur().Pos)
@@ -159,7 +160,7 @@ func TestCursor(t *testing.T) {
 		t.Fatalf("iterated %d", len(seen))
 	}
 	// SeekPos lands on the first posting at or after the target.
-	c2 := NewRawList(idx.List("w").Materialize()).Cursor()
+	c2 := postings.NewRawList(idx.List("w").Materialize()).Cursor()
 	c2.SeekPos(0, seen[2])
 	if !c2.Valid() || c2.Cur().Pos != seen[2] {
 		t.Errorf("SeekPos exact failed")
@@ -180,7 +181,7 @@ func TestCursorSeekAcrossDocuments(t *testing.T) {
 	if len(ps) != 6 {
 		t.Fatalf("postings = %d", len(ps))
 	}
-	c := NewRawList(ps).Cursor()
+	c := postings.NewRawList(ps).Cursor()
 	// Seek straight into the second document.
 	c.SeekPos(1, 0)
 	if !c.Valid() || c.Cur().Doc != 1 {

@@ -30,8 +30,8 @@ import (
 	"strings"
 )
 
-// Severity classifies a finding. tixlint exits nonzero when any finding
-// reaches the threshold severity (default warning).
+// Severity classifies a finding. tixlint exits nonzero on any finding,
+// whatever its severity.
 type Severity int
 
 const (
@@ -40,7 +40,7 @@ const (
 	SeverityError
 )
 
-// String returns the lowercase name used in text and JSON output.
+// String returns the lowercase name used in text output.
 func (s Severity) String() string {
 	switch s {
 	case SeverityInfo:
@@ -51,19 +51,6 @@ func (s Severity) String() string {
 		return "error"
 	}
 	return fmt.Sprintf("severity(%d)", int(s))
-}
-
-// ParseSeverity parses "info", "warning", or "error".
-func ParseSeverity(name string) (Severity, error) {
-	switch name {
-	case "info":
-		return SeverityInfo, nil
-	case "warning":
-		return SeverityWarning, nil
-	case "error":
-		return SeverityError, nil
-	}
-	return 0, fmt.Errorf("lint: unknown severity %q (want info, warning, or error)", name)
 }
 
 // Diagnostic is one finding at a source position.
@@ -138,8 +125,8 @@ func (p *Pass) Reportf(pos token.Pos, sev Severity, format string, args ...any) 
 	})
 }
 
-// Analyzers returns the full registry sorted by name, so -list output
-// and the ratchet file are byte-stable across builds.
+// Analyzers returns the full registry sorted by name, so -list output is
+// byte-stable across builds.
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		MapIter, GuardCheck, ErrWrap, CtxHygiene, NoDeterm, SleepHygiene,
@@ -163,34 +150,17 @@ const metaAnalyzer = "tixlint"
 
 // Runner executes a set of analyzers over a loaded program.
 type Runner struct {
+	// Analyzers is the set to run: the full registry, Analyzers(). A
+	// suppression directive that matches no finding is reported stale, so
+	// a directive naming an analyzer left out of the set would be too.
 	Analyzers []*Analyzer
-	// CheckUnused reports suppression directives that matched no
-	// finding. Enable only when the full registry runs; with a filtered
-	// analyzer set a directive may legitimately sit idle.
-	CheckUnused bool
-}
-
-// StaleDirective is a //tixlint:ignore comment that suppressed nothing —
-// surfaced both as a tixlint finding and structurally in -json output so
-// CI artifacts capture directive rot.
-type StaleDirective struct {
-	File   string
-	Line   int
-	Names  []string
-	Reason string
 }
 
 // Run executes every analyzer over every package, applies suppression
-// directives, and returns the surviving diagnostics sorted by position.
-// File paths are reported relative to the module root.
+// directives, and returns the surviving diagnostics — plus one finding
+// per malformed or stale directive — sorted by position. File paths are
+// reported relative to the module root.
 func (r *Runner) Run(prog *Program) []Diagnostic {
-	diags, _ := r.RunAll(prog)
-	return diags
-}
-
-// RunAll is Run plus the structured list of stale suppression
-// directives (empty unless CheckUnused is set).
-func (r *Runner) RunAll(prog *Program) ([]Diagnostic, []StaleDirective) {
 	known := map[string]bool{metaAnalyzer: true}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -217,7 +187,6 @@ func (r *Runner) RunAll(prog *Program) ([]Diagnostic, []StaleDirective) {
 			out = append(out, d)
 		}
 	}
-	var stale []StaleDirective
 	for _, dir := range dirs {
 		if dir.malformed != "" {
 			out = append(out, Diagnostic{
@@ -226,28 +195,15 @@ func (r *Runner) RunAll(prog *Program) ([]Diagnostic, []StaleDirective) {
 				Pos:      prog.Fset.Position(dir.pos),
 				Message:  dir.malformed,
 			})
-		} else if r.CheckUnused && !dir.used {
-			pos := prog.Fset.Position(dir.pos)
+		} else if !dir.used {
 			out = append(out, Diagnostic{
 				Analyzer: metaAnalyzer,
 				Severity: SeverityWarning,
-				Pos:      pos,
+				Pos:      prog.Fset.Position(dir.pos),
 				Message:  fmt.Sprintf("suppression for %s matches no finding; delete the stale directive", strings.Join(dir.names, ",")),
-			})
-			stale = append(stale, StaleDirective{
-				File:   relModule(prog, pos.Filename),
-				Line:   pos.Line,
-				Names:  append([]string(nil), dir.names...),
-				Reason: dir.reason,
 			})
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool {
-		if stale[i].File != stale[j].File {
-			return stale[i].File < stale[j].File
-		}
-		return stale[i].Line < stale[j].Line
-	})
 
 	for i := range out {
 		out[i].Pos.Filename = relModule(prog, out[i].Pos.Filename)
@@ -268,7 +224,7 @@ func (r *Runner) RunAll(prog *Program) ([]Diagnostic, []StaleDirective) {
 		}
 		return a.Message < b.Message
 	})
-	return out, stale
+	return out
 }
 
 // relModule rewrites an absolute filename relative to the module root

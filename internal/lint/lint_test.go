@@ -2,9 +2,7 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,7 +20,6 @@ var fixtureRun struct {
 	once  sync.Once
 	prog  *Program
 	diags []Diagnostic
-	stale []StaleDirective
 	err   error
 }
 
@@ -38,22 +35,14 @@ func loadFixture(t *testing.T) (*Program, []Diagnostic) {
 			fixtureRun.err = fmt.Errorf("fixture load errors: %s", strings.Join(prog.LoadErrors, "; "))
 			return
 		}
-		runner := &Runner{Analyzers: Analyzers(), CheckUnused: true}
+		runner := &Runner{Analyzers: Analyzers()}
 		fixtureRun.prog = prog
-		fixtureRun.diags, fixtureRun.stale = runner.RunAll(prog)
+		fixtureRun.diags = runner.Run(prog)
 	})
 	if fixtureRun.err != nil {
 		t.Fatalf("loading fixture module: %v", fixtureRun.err)
 	}
 	return fixtureRun.prog, fixtureRun.diags
-}
-
-// loadFixtureStale returns the stale-directive audit from the shared
-// fixture run.
-func loadFixtureStale(t *testing.T) []StaleDirective {
-	t.Helper()
-	loadFixture(t)
-	return fixtureRun.stale
 }
 
 // wantRe extracts the quoted pattern from a `// want "..."` expectation
@@ -112,9 +101,19 @@ func collectWants(t *testing.T) []*expectation {
 // TestFixtureDiagnostics runs the full registry over the fixture module
 // and checks the findings against the // want comments: every expectation
 // must be met at its exact file:line, and no unexpected finding may appear.
+// Findings must also arrive sorted by (file, line), so output is stable.
 func TestFixtureDiagnostics(t *testing.T) {
 	_, diags := loadFixture(t)
 	wants := collectWants(t)
+
+	for i := 1; i < len(diags); i++ {
+		prev, cur := diags[i-1], diags[i]
+		if prev.Pos.Filename > cur.Pos.Filename ||
+			(prev.Pos.Filename == cur.Pos.Filename && prev.Pos.Line > cur.Pos.Line) {
+			t.Errorf("findings out of order: %s:%d before %s:%d",
+				prev.Pos.Filename, prev.Pos.Line, cur.Pos.Filename, cur.Pos.Line)
+		}
+	}
 
 	for _, d := range diags {
 		if strings.HasPrefix(d.Pos.Filename, "suppress/") {
@@ -215,70 +214,6 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 }
 
-// TestJSONOutput checks the -json document schema and that rendering is
-// byte-stable across repeated encodings of the same run.
-func TestJSONOutput(t *testing.T) {
-	prog, diags := loadFixture(t)
-	stale := loadFixtureStale(t)
-
-	var a, b bytes.Buffer
-	if err := WriteJSON(&a, ReportAll(diags, stale, prog.LoadErrors)); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if err := WriteJSON(&b, ReportAll(diags, stale, prog.LoadErrors)); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("JSON output is not byte-stable across renders of the same run")
-	}
-
-	var doc struct {
-		Findings []map[string]any `json:"findings"`
-		Count    int              `json:"count"`
-		Stale    []StaleJSON      `json:"stale_directives"`
-	}
-	if err := json.Unmarshal(a.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if doc.Count != len(diags) || len(doc.Findings) != len(diags) {
-		t.Errorf("count = %d, findings = %d, want both %d", doc.Count, len(doc.Findings), len(diags))
-	}
-	if len(doc.Findings) == 0 {
-		t.Fatal("fixture run produced no findings to check the schema against")
-	}
-	for _, key := range []string{"analyzer", "severity", "file", "line", "col", "message"} {
-		if _, ok := doc.Findings[0][key]; !ok {
-			t.Errorf("finding object is missing contract field %q", key)
-		}
-	}
-
-	// Findings must arrive sorted by (file, line) so CI diffs are stable.
-	for i := 1; i < len(diags); i++ {
-		prev, cur := diags[i-1], diags[i]
-		if prev.Pos.Filename > cur.Pos.Filename ||
-			(prev.Pos.Filename == cur.Pos.Filename && prev.Pos.Line > cur.Pos.Line) {
-			t.Errorf("findings out of order: %s:%d before %s:%d",
-				prev.Pos.Filename, prev.Pos.Line, cur.Pos.Filename, cur.Pos.Line)
-		}
-	}
-
-	// The stale-directive audit must appear structurally with file:line:
-	// the suppress fixture's deliberately stale mapiter directive is the
-	// known instance.
-	foundStale := false
-	for _, s := range doc.Stale {
-		if s.File == "suppress/suppress.go" && s.Line == 43 && len(s.Names) == 1 && s.Names[0] == "mapiter" {
-			foundStale = true
-			if s.Reason == "" {
-				t.Error("stale directive lost its recorded reason in JSON output")
-			}
-		}
-	}
-	if !foundStale {
-		t.Errorf("stale_directives missing the suppress fixture's known stale entry; got %+v", doc.Stale)
-	}
-}
-
 // TestListOutput checks that -list rendering is sorted by analyzer name
 // and byte-stable across renders.
 func TestListOutput(t *testing.T) {
@@ -301,69 +236,6 @@ func TestListOutput(t *testing.T) {
 	}
 }
 
-// TestRatchet covers the count/compare/round-trip cycle: every analyzer
-// appears in the counts even at zero, regressions are detected against
-// both explicit and absent baselines, and counts at or below baseline
-// pass.
-func TestRatchet(t *testing.T) {
-	diags := []Diagnostic{
-		{Analyzer: "errwrap"}, {Analyzer: "errwrap"}, {Analyzer: "lockorder"},
-	}
-	counts := CountByAnalyzer(diags)
-	if counts["errwrap"] != 2 || counts["lockorder"] != 1 {
-		t.Fatalf("CountByAnalyzer = %v, want errwrap=2 lockorder=1", counts)
-	}
-	for _, a := range Analyzers() {
-		if _, ok := counts[a.Name]; !ok {
-			t.Errorf("CountByAnalyzer omits %s; the ratchet file must be a complete inventory", a.Name)
-		}
-	}
-
-	base := &Ratchet{Counts: map[string]int{"errwrap": 2}}
-	regressions := CheckRatchet(base, counts)
-	if len(regressions) != 1 || !strings.Contains(regressions[0], "lockorder") {
-		t.Errorf("CheckRatchet = %v, want exactly one lockorder regression (absent baseline entries count as zero)", regressions)
-	}
-	if got := CheckRatchet(&Ratchet{Counts: map[string]int{"errwrap": 5, "lockorder": 1}}, counts); len(got) != 0 {
-		t.Errorf("CheckRatchet flagged counts at or below baseline: %v", got)
-	}
-
-	path := filepath.Join(t.TempDir(), "ratchet.json")
-	if err := WriteRatchet(path, counts); err != nil {
-		t.Fatalf("WriteRatchet: %v", err)
-	}
-	loaded, err := ReadRatchet(path)
-	if err != nil {
-		t.Fatalf("ReadRatchet: %v", err)
-	}
-	if got := CheckRatchet(loaded, counts); len(got) != 0 {
-		t.Errorf("round-tripped baseline rejects its own counts: %v", got)
-	}
-}
-
-// TestFilterChanged checks the -changed diagnostic scoping against a
-// changed-file set.
-func TestFilterChanged(t *testing.T) {
-	diags := []Diagnostic{
-		{Analyzer: "errwrap", Pos: token.Position{Filename: "a/a.go", Line: 3}},
-		{Analyzer: "mapiter", Pos: token.Position{Filename: "b/b.go", Line: 9}},
-	}
-	stale := []StaleDirective{
-		{File: "a/a.go", Line: 5, Names: []string{"errwrap"}},
-		{File: "c/c.go", Line: 7, Names: []string{"mapiter"}},
-	}
-	changed := map[string]bool{"a/a.go": true}
-	if got := FilterChanged(diags, changed); len(got) != 1 || got[0].Pos.Filename != "a/a.go" {
-		t.Errorf("FilterChanged = %v, want only a/a.go", got)
-	}
-	if got := FilterStaleChanged(stale, changed); len(got) != 1 || got[0].File != "a/a.go" {
-		t.Errorf("FilterStaleChanged = %v, want only a/a.go", got)
-	}
-	if got := FilterChanged(diags, map[string]bool{}); got != nil {
-		t.Errorf("FilterChanged with empty set = %v, want none", got)
-	}
-}
-
 // TestRepoLintClean is the dogfood gate: the repository itself must lint
 // clean with the full registry, including the unused-suppression check.
 func TestRepoLintClean(t *testing.T) {
@@ -377,31 +249,10 @@ func TestRepoLintClean(t *testing.T) {
 	if len(prog.LoadErrors) > 0 {
 		t.Fatalf("repository load errors:\n%s", strings.Join(prog.LoadErrors, "\n"))
 	}
-	runner := &Runner{Analyzers: Analyzers(), CheckUnused: true}
+	runner := &Runner{Analyzers: Analyzers()}
 	diags := runner.Run(prog)
 	for _, d := range diags {
 		t.Errorf("repository finding: %s", d)
-	}
-}
-
-func TestParseSeverity(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Severity
-		ok   bool
-	}{
-		{"info", SeverityInfo, true},
-		{"warning", SeverityWarning, true},
-		{"error", SeverityError, true},
-		{"ERROR", 0, false},
-		{"", 0, false},
-		{"fatal", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseSeverity(c.in)
-		if c.ok != (err == nil) || (c.ok && got != c.want) {
-			t.Errorf("ParseSeverity(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
 	}
 }
 

@@ -1,14 +1,19 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/db"
 )
@@ -201,6 +206,101 @@ func TestSaveFileFailureKeepsPreviousSnapshot(t *testing.T) {
 			left = append(left, e.Name())
 		}
 		t.Fatalf("directory holds %v, want only db.tix", left)
+	}
+}
+
+// killSaveEnv names the snapshot path in the environment of the child
+// process TestSaveFileSurvivesKill re-executes; its presence makes the
+// test act as that child.
+const killSaveEnv = "TIX_KILL_SAVE_PATH"
+
+// TestSaveFileSurvivesKill pins crash-safe saving against a killed
+// process. A child (this test binary, re-executed) saves a growing corpus
+// in a loop, printing "saving N" before and "saved N" after each save of N
+// documents. The parent SIGKILLs it at a seeded random point after a few
+// acknowledged saves. The file must then open and hold either the last
+// acknowledged save or the one in flight, with only temporary files
+// beside it.
+func TestSaveFileSurvivesKill(t *testing.T) {
+	if path := os.Getenv(killSaveEnv); path != "" {
+		saveUntilKilled(t, path)
+		return
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 4; round++ {
+		killAfter := 1 + rng.Intn(8) // acknowledged saves before the kill
+		delay := time.Duration(rng.Intn(4000)) * time.Microsecond
+		dir := t.TempDir()
+		path := filepath.Join(dir, "db.tix")
+
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSaveFileSurvivesKill$")
+		cmd.Env = append(os.Environ(), killSaveEnv+"="+path)
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		acked, inFlight := 0, 0
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			var verb string
+			var n int
+			if _, err := fmt.Sscanf(sc.Text(), "%s %d", &verb, &n); err != nil {
+				continue
+			}
+			switch verb {
+			case "saving":
+				inFlight = n
+			case "saved":
+				acked, inFlight = n, 0
+				if n == killAfter {
+					time.Sleep(delay)
+					if err := cmd.Process.Kill(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if err := cmd.Wait(); cmd.ProcessState == nil || cmd.ProcessState.Exited() {
+			t.Fatalf("round %d: child was not killed (acked %d): %v", round, acked, err)
+		}
+
+		d, err := OpenFile(path)
+		if err != nil {
+			t.Fatalf("round %d: snapshot after kill (acked %d, in flight %d) does not open: %v", round, acked, inFlight, err)
+		}
+		if n := d.DocumentCount(); n != acked && (inFlight == 0 || n != inFlight) {
+			t.Fatalf("round %d: snapshot holds %d documents, want %d (acknowledged) or %d (in flight)", round, n, acked, inFlight)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() != "db.tix" && !strings.HasPrefix(e.Name(), "db.tix.tmp") {
+				t.Errorf("round %d: unexpected leftover %s", round, e.Name())
+			}
+		}
+	}
+}
+
+// saveUntilKilled is the child side of TestSaveFileSurvivesKill: it adds
+// one document at a time and saves after each, reporting every save on
+// stdout, until it is killed or runs out of documents.
+func saveUntilKilled(t *testing.T, path string) {
+	names, roots := corpusDocs(t, 64, 5)
+	s := New(Options{Shards: 2, Strategy: RoundRobin})
+	for i, name := range names {
+		if err := s.LoadTree(name, roots[i]); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("saving %d\n", i+1)
+		if err := s.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("saved %d\n", i+1)
 	}
 }
 

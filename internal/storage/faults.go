@@ -69,9 +69,6 @@ type FaultInjector struct {
 	n atomic.Int64
 }
 
-// Accesses returns the number of accesses observed so far.
-func (f *FaultInjector) Accesses() int64 { return f.n.Load() }
-
 // onAccess is called by Accessor.charge for every node-record fetch.
 func (f *FaultInjector) onAccess() {
 	n := f.n.Add(1)

@@ -175,13 +175,6 @@ func (s *Store) SetFaults(f *FaultInjector) {
 	s.faults = f
 }
 
-// Faults returns the installed fault injector, or nil.
-func (s *Store) Faults() *FaultInjector {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.faults
-}
-
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{Tags: NewTagDict(), byName: make(map[string]DocID)}

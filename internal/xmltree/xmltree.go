@@ -225,28 +225,12 @@ func (n *Node) AllText() string {
 	return sb.String()
 }
 
-// TextNodes returns every text node of the subtree in document order.
-func (n *Node) TextNodes() []*Node {
-	return n.FindAll(func(m *Node) bool { return m.Kind == Text })
-}
-
 // Size returns the number of nodes (elements and text nodes) in the subtree
 // rooted at n, including n itself.
 func (n *Node) Size() int {
 	c := 0
 	n.Walk(func(*Node) bool { c++; return true })
 	return c
-}
-
-// ChildElements returns only the element children of n, in order.
-func (n *Node) ChildElements() []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		if c.Kind == Element {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Clone deep-copies the subtree rooted at n. The clone's Parent is nil; all

@@ -382,7 +382,7 @@ func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anch
 			if err != nil {
 				return err
 			}
-			l = index.NewRawList(exec.PhrasePostings(ms))
+			l = exec.PhrasePostings(ms)
 		}
 		lists = append(lists, l)
 		weights = append(weights, w)

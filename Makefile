@@ -85,15 +85,18 @@ cover:
 # snapshots), postings.FuzzBlockDecode (corrupted block payloads and skip
 # tables), postings.FuzzBatchDecode (batch vs. scalar block decode),
 # postings.FuzzMemtableMerge (merged views over ordered parts —
-# document-disjoint memtable runs and segments — vs. the flat oracle) and
-# rescache.FuzzCacheKey: enough to catch regressions in the
-# corrupted-input and merge-cursor handling without slowing CI.
+# document-disjoint memtable runs and segments — vs. the flat oracle),
+# rescache.FuzzCacheKey and xmltree.FuzzXMLString (the append-style XML
+# writer vs. the encoding/xml-based reference, plus the parse round trip):
+# enough to catch regressions in the corrupted-input, merge-cursor and
+# serialization handling without slowing CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/postings
 	$(GO) test -run '^$$' -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/postings
 	$(GO) test -run '^$$' -fuzz=FuzzMemtableMerge -fuzztime=10s ./internal/postings
 	$(GO) test -run '^$$' -fuzz=FuzzCacheKey -fuzztime=10s ./internal/rescache
+	$(GO) test -run '^$$' -fuzz=FuzzXMLString -fuzztime=10s ./internal/xmltree
 
 # A five-second open-loop load smoke with the result cache on and ingest
 # churn in the mix: fails on any request error, and the JSON report

@@ -2,12 +2,19 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/db"
+	"repro/internal/exec"
+	"repro/internal/storage"
+	"repro/internal/xq"
 )
 
 // The golden suite is the repository's performance gate. It pins the
@@ -20,7 +27,10 @@ import (
 //   - per hot-path row of the 20k-document gate tier: the TermJoin,
 //     TopKTermJoin and PhraseFinder result counts, the two joins' store
 //     traffic, TopKTermJoin's DocsEvaluated and BlocksSkipped, and a
-//     testing.AllocsPerRun ceiling per method (not measured under -race).
+//     testing.AllocsPerRun ceiling per method (not measured under -race);
+//   - for the paper's Query 1 through db.EvalQuery over query1DB: every
+//     returned (Doc, Ord, Score), the evaluation's store traffic and an
+//     allocs/op ceiling (not measured under -race).
 //
 // Any change to a pinned count, or an allocation count above its ceiling,
 // fails; so does any row that breaks one of the paper's shape claims (see
@@ -46,6 +56,15 @@ type goldenRow struct {
 	DocsEvaluated int                `json:"docsEvaluated,omitempty"`
 	BlocksSkipped int                `json:"blocksSkipped,omitempty"`
 	Allocs        map[string]float64 `json:"allocs,omitempty"`
+	// The Query 1 row only: every returned result, in reply order.
+	Ranked []rankedResult `json:"ranked,omitempty"`
+}
+
+// rankedResult is one pinned query result.
+type rankedResult struct {
+	Doc   int     `json:"doc"`
+	Ord   int32   `json:"ord"`
+	Score float64 `json:"score"`
 }
 
 // goldenTable pins one table.
@@ -87,7 +106,42 @@ func snapshotTables(t *testing.T, c *Corpus) []goldenTable {
 		}
 		out = append(out, gt)
 	}
-	return append(out, snapshotHotpath(t, c.Cfg.Seed))
+	return append(out, snapshotHotpath(t, c.Cfg.Seed), snapshotQuery1(t))
+}
+
+// snapshotQuery1 evaluates Query 1 once for its results and store traffic
+// and, outside -race, again under testing.AllocsPerRun.
+func snapshotQuery1(t *testing.T) goldenTable {
+	t.Helper()
+	d, err := query1DB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := xq.Parse(query1Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := d.Index()
+	eval := func(stats *storage.AccessStats) ([]xq.Result, error) {
+		return db.EvalQuery(idx, q, exec.NewGuard(context.Background(), exec.Limits{}), stats)
+	}
+	var stats storage.AccessStats
+	rs, err := eval(&stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := goldenRow{
+		Label:   "articles=300",
+		Results: map[string]int{"xq": len(rs)},
+		Stats:   map[string]StatsJSON{"xq": statsJSON(stats)},
+	}
+	for _, r := range rs {
+		gr.Ranked = append(gr.Ranked, rankedResult{Doc: int(r.Doc), Ord: r.Ord, Score: r.Score})
+	}
+	if !raceEnabled {
+		gr.Allocs = map[string]float64{"xq": testing.AllocsPerRun(5, func() { _, _ = eval(nil) })}
+	}
+	return goldenTable{ID: "query1", Rows: []goldenRow{gr}}
 }
 
 // snapshotHotpath runs the gate tier's hot paths once each for their
@@ -192,6 +246,9 @@ func compareRow(t *testing.T, table string, got, want goldenRow) {
 	if got.DocsEvaluated != want.DocsEvaluated || got.BlocksSkipped != want.BlocksSkipped {
 		t.Errorf("table %s row %s: TopKTermJoin evaluated %d documents and skipped %d blocks, want %d and %d",
 			table, got.Label, got.DocsEvaluated, got.BlocksSkipped, want.DocsEvaluated, want.BlocksSkipped)
+	}
+	if !slices.Equal(got.Ranked, want.Ranked) {
+		t.Errorf("table %s row %s: results %v, want %v", table, got.Label, got.Ranked, want.Ranked)
 	}
 	if got.Allocs == nil {
 		return // race build: not measured

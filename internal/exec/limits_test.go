@@ -240,7 +240,7 @@ func TestStackPickGuarded(t *testing.T) {
 		{Ord: 0, Start: 0, End: 10, Level: 0, Score: 2.0, HasScore: true},
 		{Ord: 1, Start: 1, End: 4, Level: 1, Score: 1.0, HasScore: true},
 	}
-	if _, err := StackPickGuarded(nodes, DefaultPickFuncs(0.5), g); !errors.Is(err, ErrCanceled) {
+	if _, err := new(PickArena).Pick(nodes, DefaultPickFuncs(0.5), g); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }

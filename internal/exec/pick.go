@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // PickNode is one node of the scored tree streamed into the stack-based
@@ -57,95 +58,101 @@ func DefaultPickFuncs(threshold float64) PickFuncs {
 	}
 }
 
-// StackPick is the stack-based evaluation of the Pick operator (Fig. 12).
-// It makes a single pass over the scored tree's nodes in document order,
+// StackPick is the stack-based evaluation of the Pick operator (Fig. 12)
+// over a fresh arena; see PickArena.Pick.
+func StackPick(nodes []PickNode, f PickFuncs) []PickNode {
+	out, _ := new(PickArena).Pick(nodes, f, nil)
+	return out
+}
+
+// PickArena holds the run state of the stack-based Pick for reuse across
+// runs: the stack of open elements, and two shared stacks the open frames
+// index into — the direct children and the surviving candidates of each
+// open element. A frame's entries sit above its parent's, so closing a
+// frame truncates both stacks to where it started, and survivors it passes
+// up stay in place as the parent's. The zero value is ready; an arena
+// serves one run at a time.
+type PickArena struct {
+	frames    []pickFrame
+	children  []PickNode
+	survivors []PickNode
+	out       []PickNode
+}
+
+// pickFrame is one open element and where its direct children and
+// survivors start on the arena's shared stacks.
+type pickFrame struct {
+	node       PickNode
+	kids, surv int
+}
+
+// Pick makes a single pass over the scored tree's nodes in document order,
 // maintaining a stack of open elements. When a node closes, DetWorth is
 // evaluated with its direct children: a worthy node keeps its surviving
 // candidates (and joins them if relevant); an unworthy node finalizes its
 // survivors — those in a different return class are output, those in the
-// same class are eliminated as redundant. Survivors remaining when the
-// root closes are output.
+// same class are eliminated as redundant. Survivors remaining when a root
+// closes are output.
 //
 // The pass is blocking only in the sense the paper describes: output for a
 // subtree is produced as soon as an ancestor is determined not worth
 // returning (or at end of input); no global materialization beyond the
-// open-ancestor stack and its survivor lists is needed.
+// open-ancestor stack and its survivor lists is needed. The guard is
+// checked once per streamed node.
 //
 // The input must be in document order; the returned picked nodes are in
-// document order.
-func StackPick(nodes []PickNode, f PickFuncs) []PickNode {
-	out, _ := StackPickGuarded(nodes, f, nil)
-	return out
-}
-
-// StackPickGuarded is StackPick with a cooperative guard, checked once per
-// streamed node.
-func StackPickGuarded(nodes []PickNode, f PickFuncs, g *Guard) ([]PickNode, error) {
-	type frame struct {
-		node      PickNode
-		children  []PickNode
-		survivors []PickNode
-	}
-	var stack []*frame
-	var result []PickNode
-
-	close1 := func() {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var parent *frame
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1]
-			parent.children = append(parent.children, e.node)
-		}
-		propagate := func(surv []PickNode) {
-			if parent != nil {
-				parent.survivors = append(parent.survivors, surv...)
-				return
-			}
-			// Final flush (Fig. 12's ending): the remaining survivors are
-			// all potentially worth returning; output the top node and the
-			// nodes in its class, preserving parent/child exclusion.
-			if len(surv) == 0 {
-				return
-			}
-			rep := surv[len(surv)-1]
-			result = append(result, rep)
-			for _, x := range surv[:len(surv)-1] {
-				if f.SameClass(x, rep) {
-					result = append(result, x)
-				}
-			}
-		}
-		if !e.node.HasScore {
-			propagate(e.survivors)
-			return
-		}
-		if f.DetWorth(e.node, e.children) {
-			if f.Relevant(e.node.Score) {
-				e.survivors = append(e.survivors, e.node)
-			}
-			propagate(e.survivors)
-			return
-		}
-		for _, x := range e.survivors {
-			if !f.SameClass(x, e.node) {
-				result = append(result, x)
-			}
-		}
-	}
-
+// document order and valid until the arena's next run.
+func (a *PickArena) Pick(nodes []PickNode, f PickFuncs, g *Guard) ([]PickNode, error) {
+	a.frames, a.children, a.survivors, a.out = a.frames[:0], a.children[:0], a.survivors[:0], a.out[:0]
 	for _, n := range nodes {
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
-		for len(stack) > 0 && stack[len(stack)-1].node.End < n.Start {
-			close1()
+		for len(a.frames) > 0 && a.frames[len(a.frames)-1].node.End < n.Start {
+			a.close(f)
 		}
-		stack = append(stack, &frame{node: n})
+		a.frames = append(a.frames, pickFrame{node: n, kids: len(a.children), surv: len(a.survivors)})
 	}
-	for len(stack) > 0 {
-		close1()
+	for len(a.frames) > 0 {
+		a.close(f)
 	}
-	sort.Slice(result, func(i, j int) bool { return result[i].Start < result[j].Start })
-	return result, nil
+	slices.SortFunc(a.out, func(x, y PickNode) int { return cmp.Compare(x.Start, y.Start) })
+	return a.out, nil
+}
+
+// close pops the top frame and decides its element.
+func (a *PickArena) close(f PickFuncs) {
+	e := a.frames[len(a.frames)-1]
+	a.frames = a.frames[:len(a.frames)-1]
+	worthy := !e.node.HasScore || f.DetWorth(e.node, a.children[e.kids:])
+	// e becomes its parent's child (a root's entry is never read).
+	a.children = append(a.children[:e.kids], e.node)
+	if !worthy {
+		for _, x := range a.survivors[e.surv:] {
+			if !f.SameClass(x, e.node) {
+				a.out = append(a.out, x)
+			}
+		}
+		a.survivors = a.survivors[:e.surv]
+		return
+	}
+	if e.node.HasScore && f.Relevant(e.node.Score) {
+		a.survivors = append(a.survivors, e.node)
+	}
+	if len(a.frames) > 0 {
+		return // the survivors stay in place as the parent's
+	}
+	// A root closed (Fig. 12's ending): the remaining survivors are all
+	// potentially worth returning; output the top node and the nodes in
+	// its class, preserving parent/child exclusion.
+	if surv := a.survivors[e.surv:]; len(surv) > 0 {
+		rep := surv[len(surv)-1]
+		a.out = append(a.out, rep)
+		for _, x := range surv[:len(surv)-1] {
+			if f.SameClass(x, rep) {
+				a.out = append(a.out, x)
+			}
+		}
+	}
+	a.survivors = a.survivors[:e.surv]
 }

@@ -221,3 +221,37 @@ func TestScalePickInputSizes(t *testing.T) {
 		t.Fatalf("large input: physical %d vs logical %d", len(picked), len(logical))
 	}
 }
+
+// TestPickArenaReuse runs random trees through one shared arena: every run
+// must equal the logical Pick, and once the arena has grown to the largest
+// input, a run allocates nothing.
+func TestPickArenaReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var arena PickArena
+	var largest []PickNode
+	for i := 0; i < 200; i++ {
+		st := randomScoredTree(rng, 2+rng.Intn(60))
+		threshold := rng.Float64() * 1.5
+		nodes := flattenScoredTree(st)
+		if len(nodes) > len(largest) {
+			largest = nodes
+		}
+		got, err := arena.Pick(nodes, DefaultPickFuncs(threshold), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := algebra.PickedNodes(st, algebra.DefaultCriterion(threshold))
+		if len(got) != len(want) {
+			t.Fatalf("run %d: picked %d, logical %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].Ord != want[j].Ord {
+				t.Fatalf("run %d: mismatch at %d: %d vs %d", i, j, got[j].Ord, want[j].Ord)
+			}
+		}
+	}
+	f := DefaultPickFuncs(0.8)
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = arena.Pick(largest, f, nil) }); allocs != 0 {
+		t.Errorf("a run on a grown arena allocates %.0f times", allocs)
+	}
+}

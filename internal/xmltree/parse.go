@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -85,54 +86,73 @@ func ParseString(s string) (*Node, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// WriteXML serializes the subtree rooted at n as XML to w. Output is
-// indented with two spaces per level when indent is true.
+// WriteXML serializes the subtree rooted at n as XML to w, in one Write.
+// Output is indented with two spaces per level when indent is true.
 func WriteXML(w io.Writer, n *Node, indent bool) error {
-	return writeXML(w, n, 0, indent)
-}
-
-func writeXML(w io.Writer, n *Node, depth int, indent bool) error {
-	pad := ""
-	nl := ""
-	if indent {
-		pad = strings.Repeat("  ", depth)
-		nl = "\n"
-	}
-	if n.Kind == Text {
-		var b strings.Builder
-		if err := xml.EscapeText(&b, []byte(n.Text)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s%s%s", pad, b.String(), nl)
-		return err
-	}
-	var attrs strings.Builder
-	for _, a := range n.Attrs {
-		attrs.WriteByte(' ')
-		attrs.WriteString(a.Name)
-		attrs.WriteString(`="`)
-		_ = xml.EscapeText(&attrs, []byte(a.Value))
-		attrs.WriteByte('"')
-	}
-	if len(n.Children) == 0 {
-		_, err := fmt.Fprintf(w, "%s<%s%s/>%s", pad, n.Tag, attrs.String(), nl)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s<%s%s>%s", pad, n.Tag, attrs.String(), nl); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := writeXML(w, c, depth+1, indent); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s</%s>%s", pad, n.Tag, nl)
+	var b bytes.Buffer
+	appendXML(&b, n, 0, indent)
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
-// XMLString serializes the subtree rooted at n to a string.
+// XMLString serializes the subtree rooted at n to an indented string.
 func XMLString(n *Node) string {
-	var sb strings.Builder
-	_ = WriteXML(&sb, n, true)
-	return sb.String()
+	var b bytes.Buffer
+	appendXML(&b, n, 0, true)
+	return b.String()
+}
+
+// appendXML writes each node on a line of its own when indenting: padded
+// two spaces per level and ended by a newline.
+func appendXML(b *bytes.Buffer, n *Node, depth int, indent bool) {
+	pad := func() {
+		for i := 0; indent && i < depth; i++ {
+			b.WriteString("  ")
+		}
+	}
+	pad()
+	if n.Kind == Text {
+		escapeText(b, n.Text)
+	} else {
+		b.WriteByte('<')
+		b.WriteString(n.Tag)
+		for _, a := range n.Attrs {
+			b.WriteByte(' ')
+			b.WriteString(a.Name)
+			b.WriteString(`="`)
+			escapeText(b, a.Value)
+			b.WriteByte('"')
+		}
+		if len(n.Children) == 0 {
+			b.WriteString("/>")
+		} else {
+			b.WriteByte('>')
+			if indent {
+				b.WriteByte('\n')
+			}
+			for _, c := range n.Children {
+				appendXML(b, c, depth+1, indent)
+			}
+			pad()
+			b.WriteString("</")
+			b.WriteString(n.Tag)
+			b.WriteByte('>')
+		}
+	}
+	if indent {
+		b.WriteByte('\n')
+	}
+}
+
+// escapeText writes s escaped as xml.EscapeText does. A string with no
+// byte EscapeText could rewrite — a control character, non-ASCII, or one
+// of &<>"' — is copied as it is.
+func escapeText(b *bytes.Buffer, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '&' || c == '<' || c == '>' || c == '"' || c == '\'' {
+			_ = xml.EscapeText(b, []byte(s))
+			return
+		}
+	}
+	b.WriteString(s)
 }

@@ -380,13 +380,16 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
+// failWriter accepts after bytes, then fails.
 type failWriter struct{ after int }
 
 func (f *failWriter) Write(p []byte) (int, error) {
-	if f.after <= 0 {
-		return 0, fmt.Errorf("disk full")
+	if len(p) > f.after {
+		n := f.after
+		f.after = 0
+		return n, fmt.Errorf("disk full")
 	}
-	f.after--
+	f.after -= len(p)
 	return len(p), nil
 }
 
@@ -396,7 +399,7 @@ func TestWriteXMLPropagatesWriterErrors(t *testing.T) {
 	// surface, never be swallowed.
 	for _, after := range []int{0, 1, 5, 20} {
 		if err := WriteXML(&failWriter{after: after}, root, true); err == nil {
-			t.Errorf("writer failing after %d writes: error swallowed", after)
+			t.Errorf("writer failing after %d bytes: error swallowed", after)
 		}
 	}
 	// A writer with enough capacity succeeds.

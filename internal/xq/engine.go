@@ -1,7 +1,9 @@
 package xq
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/exec"
@@ -126,28 +128,7 @@ func (e *Engine) evalSingle(q *Query) ([]Result, error) {
 		}
 	}
 
-	// Threshold V condition (strictly greater, as in the algebra).
-	if q.Threshold != nil && q.Threshold.HasMin {
-		kept := results[:0]
-		for _, r := range results {
-			if r.Score > q.Threshold.MinScore {
-				kept = append(kept, r)
-			}
-		}
-		results = kept
-	}
-	if q.SortBy {
-		sort.SliceStable(results, func(i, j int) bool { return results[i].Score > results[j].Score })
-	}
-	if q.Threshold != nil && q.Threshold.HasStopK {
-		if !q.SortBy {
-			// stop after K is rank-based; rank requires an ordering.
-			sort.SliceStable(results, func(i, j int) bool { return results[i].Score > results[j].Score })
-		}
-		if len(results) > q.Threshold.StopK {
-			results = results[:q.Threshold.StopK]
-		}
-	}
+	results = rank(results, q)
 	// Materialize result subtrees.
 	for i := range results {
 		if err := e.Guard.Tick(); err != nil {
@@ -235,23 +216,19 @@ func (e *Engine) descendants(acc *storage.Accessor, doc *storage.Document, from 
 		return extent, nil
 	}
 	// Structural join: from-as-ancestors × extent-as-descendants.
-	var out []int32
-	seen := map[int32]bool{}
 	pairs, err := exec.AncDescPairsGuarded(acc, doc.ID, from, extent, e.Guard)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]int32, 0, len(pairs))
 	for _, pr := range pairs {
 		if err := e.Guard.Tick(); err != nil {
 			return nil, err
 		}
-		if !seen[pr[1]] {
-			seen[pr[1]] = true
-			out = append(out, pr[1])
-		}
+		out = append(out, pr[1])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 func (e *Engine) tagExtent(doc *storage.Document, name string) []int32 {
@@ -279,7 +256,7 @@ func (e *Engine) children(acc *storage.Accessor, doc *storage.Document, from []i
 			c = rec.NextSibling
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -384,7 +361,7 @@ func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anch
 			}
 			l = exec.PhrasePostings(ms)
 		}
-		lists = append(lists, l)
+		lists = append(lists, l.Range(doc.ID, doc.ID+1)) // the bound document's postings only
 		weights = append(weights, w)
 		names = append(names, phrase)
 		return nil
@@ -414,45 +391,34 @@ func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anch
 	if err != nil {
 		return nil, err
 	}
-	// Keep elements inside this document and sort into document order.
-	inDoc := scored[:0]
-	for _, n := range scored {
-		if n.Doc == doc.ID {
-			inDoc = append(inDoc, n)
-		}
-	}
-	sort.Slice(inDoc, func(i, j int) bool { return inDoc[i].Ord < inDoc[j].Ord })
+	slices.SortFunc(scored, func(a, b exec.ScoredNode) int { return cmp.Compare(a.Ord, b.Ord) })
 
+	// One Pick arena, stream buffer and decision logic serve every anchor.
 	var results []Result
+	var arena exec.PickArena
+	var stream []exec.PickNode
+	funcs := exec.DefaultPickFuncs(0.8)
+	if q.Pick != nil && q.Pick.HasThresh {
+		funcs = exec.DefaultPickFuncs(q.Pick.Threshold)
+	}
 	for _, anchor := range anchors {
 		end := doc.SubtreeEnd(anchor)
 		// Scored elements within the anchor subtree, document order.
-		lo := sort.Search(len(inDoc), func(i int) bool { return inDoc[i].Ord >= anchor })
-		hi := sort.Search(len(inDoc), func(i int) bool { return inDoc[i].Ord >= end })
-		window := inDoc[lo:hi]
+		lo := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= anchor })
+		hi := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= end })
+		window := scored[lo:hi]
 		if q.Pick == nil {
 			for _, n := range window {
 				results = append(results, Result{Doc: doc.ID, Ord: n.Ord, Score: n.Score})
 			}
 			continue
 		}
-		threshold := 0.8
-		if q.Pick.HasThresh {
-			threshold = q.Pick.Threshold
-		}
-		stream := make([]exec.PickNode, len(window))
-		for i, n := range window {
+		stream = stream[:0]
+		for _, n := range window {
 			rec := doc.Nodes[n.Ord]
-			stream[i] = exec.PickNode{
-				Ord:      n.Ord,
-				Start:    rec.Start,
-				End:      rec.End,
-				Level:    rec.Level,
-				Score:    n.Score,
-				HasScore: true,
-			}
+			stream = append(stream, exec.PickNode{Ord: n.Ord, Start: rec.Start, End: rec.End, Level: rec.Level, Score: n.Score, HasScore: true})
 		}
-		picked, err := exec.StackPickGuarded(stream, exec.DefaultPickFuncs(threshold), e.Guard)
+		picked, err := arena.Pick(stream, funcs, e.Guard)
 		if err != nil {
 			return nil, err
 		}
@@ -461,6 +427,39 @@ func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anch
 		}
 	}
 	return results, nil
+}
+
+// rank applies the Threshold clause and Sortby to results in evaluation
+// order: the V condition (strictly greater, as in the algebra), then stop
+// after K as a top-k, else Sortby's stable score-descending sort.
+func rank(rs []Result, q *Query) []Result {
+	th := q.Threshold
+	if th != nil && th.HasMin {
+		rs = slices.DeleteFunc(rs, func(r Result) bool { return r.Score <= th.MinScore })
+	}
+	if th != nil && th.HasStopK {
+		return stopAfter(rs, th.StopK)
+	}
+	if q.SortBy {
+		slices.SortStableFunc(rs, func(a, b Result) int { return cmp.Compare(b.Score, a.Score) })
+	}
+	return rs
+}
+
+// stopAfter returns the first k results of a stable score-descending order
+// of rs without sorting the rest: exec.TopK's bounded heap ranks each
+// result by score and then input position, so ties keep their input order.
+func stopAfter(rs []Result, k int) []Result {
+	tk := exec.NewTopK(k)
+	for i, r := range rs {
+		tk.Offer(exec.ScoredNode{Ord: int32(i), Score: r.Score})
+	}
+	top := tk.Results()
+	out := make([]Result, len(top))
+	for i, n := range top {
+		out[i] = rs[n.Ord]
+	}
+	return out
 }
 
 // scoreAnchorsDirectly scores each anchor element on its whole subtree

@@ -2,7 +2,6 @@ package xq
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/scoring"
 	"repro/internal/storage"
@@ -174,22 +173,8 @@ func (e *Engine) evalJoin(q *Query) ([]Result, error) {
 		if q.Threshold.Var != q.Combine.Var && q.Threshold.Var != comp.Var {
 			return nil, fmt.Errorf("xq: Threshold must reference $%s or $%s", q.Combine.Var, comp.Var)
 		}
-		if q.Threshold.HasMin {
-			kept := out[:0]
-			for _, r := range out {
-				if r.Score > q.Threshold.MinScore {
-					kept = append(kept, r)
-				}
-			}
-			out = kept
-		}
 	}
-	if q.SortBy || (q.Threshold != nil && q.Threshold.HasStopK) {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	}
-	if q.Threshold != nil && q.Threshold.HasStopK && len(out) > q.Threshold.StopK {
-		out = out[:q.Threshold.StopK]
-	}
+	out = rank(out, q)
 	for i := range out {
 		if err := e.Guard.Tick(); err != nil {
 			return nil, err

@@ -1,12 +1,9 @@
-// Command tixlint runs the project's static-analysis suite: twelve
-// analyzers over go/ast + go/types that mechanically enforce the
-// invariants PRs 2–8 introduced by convention. The per-package checks
-// cover deterministic iteration, exec.Guard consultation,
-// errors.Is-compatible error handling, context hygiene, seeded
-// randomness, cancellation-aware waits, atomic-access hygiene,
-// cache-key completeness, and alias-free accessors; the flow-aware
-// program-scope checks cover the module-wide lock-acquisition graph,
-// goroutine shutdown paths, and tix_* metric-name ownership.
+// Command tixlint runs the project's static-analysis suite: six
+// per-package analyzers over go/ast + go/types that mechanically enforce
+// the invariants PRs 2–8 introduced by convention — deterministic
+// iteration, exec.Guard consultation, errors.Is-compatible error
+// handling, context hygiene, cancellation-aware waits, and alias-free
+// accessors. Each finding prints as file:line:col: [analyzer] message.
 //
 // Usage:
 //

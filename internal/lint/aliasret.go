@@ -34,7 +34,10 @@ func runAliasRet(pass *Pass) {
 	if !aliasRetSegs[pass.Pkg.Segment()] {
 		return
 	}
-	forEachNonTestFile(pass, func(file *ast.File) {
+	for _, file := range pass.Pkg.Files {
+		if isTestFilename(pass.Filename(file.Pos())) {
+			continue
+		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || !fd.Name.IsExported() || fd.Body == nil {
@@ -58,7 +61,7 @@ func runAliasRet(pass *Pass) {
 				return true
 			})
 		}
-	})
+	}
 }
 
 // checkAliasedResult flags res when it evaluates to a slice or map that
@@ -90,7 +93,7 @@ func checkAliasedResult(pass *Pass, fd *ast.FuncDecl, recvObj types.Object, res 
 	var desc string
 	switch x := e.(type) {
 	case *ast.SelectorExpr:
-		if fieldVarOf(pass, x) == nil {
+		if sel, ok := pass.Pkg.Info.Selections[x]; !ok || sel.Kind() != types.FieldVal {
 			return
 		}
 		root := rootIdent(x.X)
@@ -124,7 +127,7 @@ func checkAliasedResult(pass *Pass, fd *ast.FuncDecl, recvObj types.Object, res 
 	if !owned {
 		return
 	}
-	pass.Reportf(res.Pos(), SeverityError,
+	pass.Reportf(res.Pos(),
 		"exported %s returns internal %s without copying: callers can read and mutate it outside the owner's lock (the PR 6 Store.Docs aliasing race) — return a copy, or suppress with the caller contract that makes zero-copy safe",
 		fd.Name.Name, desc)
 }

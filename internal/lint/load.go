@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Program is a loaded, type-checked view of one Go module — the unit
@@ -32,11 +31,6 @@ type Program struct {
 	// Analyzers still run over whatever loaded, but a non-empty list
 	// means results may be incomplete and tixlint exits 2.
 	LoadErrors []string
-
-	// The flow-lite layer (flow.go) is built lazily on first use and
-	// shared by every analyzer that consumes it.
-	flowOnce sync.Once
-	flowInfo *flowInfo
 }
 
 // Package is one type-checked package (possibly a test variant, which
@@ -44,10 +38,8 @@ type Program struct {
 type Package struct {
 	ImportPath string // raw go list path, e.g. "repro/internal/shard [repro/internal/shard.test]"
 	PkgPath    string // cleaned import path without the test-variant suffix
-	Dir        string
 	Name       string
 	Files      []*ast.File
-	Types      *types.Package
 	Info       *types.Info
 }
 
@@ -56,11 +48,7 @@ type Package struct {
 // ("synth", "shard", "bench", "index", ...), so the rules apply equally
 // to the real module and to lint's fixture module.
 func (p *Package) Segment() string {
-	seg := p.PkgPath
-	if i := strings.LastIndexByte(seg, '/'); i >= 0 {
-		seg = seg[i+1:]
-	}
-	return strings.TrimSuffix(seg, "_test")
+	return strings.TrimSuffix(lastSegment(p.PkgPath), "_test")
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -89,7 +77,9 @@ func cleanImportPath(p string) string {
 // Load lists, parses, and type-checks the module rooted at (or containing)
 // dir, restricted to patterns (typically "./..."). Test files are included
 // via go list's test variants: the augmented "p [p.test]" package replaces
-// the plain "p", and external "p_test" packages load separately.
+// the plain "p", and external "p_test" packages load separately. Other
+// packages recompiled for p's test ("q [p.test]") are skipped, so every
+// source file is analyzed exactly once.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -142,6 +132,8 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			continue // synthesized test main
 		case lp.ForTest == "" && augmented[clean]:
 			continue // plain package shadowed by its test variant
+		case lp.ForTest != "" && clean != lp.ForTest && clean != lp.ForTest+"_test":
+			continue // dependency recompiled for another package's test
 		}
 		if lp.Error != nil {
 			prog.LoadErrors = append(prog.LoadErrors, fmt.Sprintf("%s: %s", clean, lp.Error.Err))
@@ -203,17 +195,15 @@ func typeCheck(prog *Program, lp *listPkg, meta map[string]*listPkg) (*Package, 
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
 	}
 	clean := cleanImportPath(lp.ImportPath)
-	tpkg, _ := conf.Check(clean, prog.Fset, files, info)
+	// Type errors arrive through conf.Error; analyzers read only info.
+	_, _ = conf.Check(clean, prog.Fset, files, info)
 	pkg := &Package{
 		ImportPath: lp.ImportPath,
 		PkgPath:    clean,
-		Dir:        lp.Dir,
 		Name:       lp.Name,
 		Files:      files,
-		Types:      tpkg,
 		Info:       info,
 	}
 	if len(typeErrs) > 0 {

@@ -69,7 +69,7 @@ func runMapIter(pass *Pass) {
 			if mapRangeIsOrderInsensitive(pass, rs, stack) {
 				return true
 			}
-			pass.Reportf(rs.For, SeverityError,
+			pass.Reportf(rs.For,
 				"range over map in determinism-critical package %q: iteration order is randomized per run — sort the keys first (the PR-3 synth bug planted terms in map order and consumed the RNG run-dependently)",
 				pass.Pkg.Segment())
 			return true

@@ -47,7 +47,7 @@ func runSleepHygiene(pass *Pass) {
 				return true
 			}
 			if pkg == "time" && name == "Sleep" {
-				pass.Reportf(call.Pos(), SeverityError,
+				pass.Reportf(call.Pos(),
 					"bare time.Sleep in library package %q ignores cancellation and holds the caller's goroutine (and admission slot) hostage: wait via a ctx-aware helper (fleet.Sleep, or a time.Timer select against ctx.Done())", pass.Pkg.Segment())
 			}
 			return true

@@ -11,7 +11,7 @@ import (
 // level: multi-analyzer lists, unknown names in any list position, the
 // mandatory reason, and prefix strictness.
 func TestParseDirective(t *testing.T) {
-	known := map[string]bool{"errwrap": true, "mapiter": true, "lockorder": true}
+	known := map[string]bool{"errwrap": true, "mapiter": true, "guardcheck": true}
 	cases := []struct {
 		name      string
 		text      string
@@ -33,8 +33,8 @@ func TestParseDirective(t *testing.T) {
 		},
 		{
 			name:      "three-name list",
-			text:      "//tixlint:ignore errwrap,mapiter,lockorder shared justification",
-			wantNames: []string{"errwrap", "mapiter", "lockorder"},
+			text:      "//tixlint:ignore errwrap,mapiter,guardcheck shared justification",
+			wantNames: []string{"errwrap", "mapiter", "guardcheck"},
 			wantWhy:   "shared justification",
 		},
 		{

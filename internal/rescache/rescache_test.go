@@ -259,6 +259,87 @@ func TestKeyNonEquivalentSpellingsDiffer(t *testing.T) {
 	}
 }
 
+// TestKeyCoversEveryOptionField walks TermOpts and exec.Limits by
+// reflection: setting any exported field, nested ones included, to a
+// non-zero value the encoder does not canonicalize away must change the
+// key. A field added to either struct without extending the encoder fails
+// here — requests differing only in that field would share one entry and
+// serve each other's results.
+func TestKeyCoversEveryOptionField(t *testing.T) {
+	terms := []string{"a", "b"}
+	baseTerm := TermKey(5, terms, TermOpts{})
+	for _, f := range exportedLeaves(reflect.TypeOf(TermOpts{}), nil, "TermOpts") {
+		var o TermOpts
+		setNonCanonical(t, reflect.ValueOf(&o).Elem().FieldByIndex(f.index), f.name)
+		if TermKey(5, terms, o) == baseTerm {
+			t.Errorf("%s does not change TermKey", f.name)
+		}
+	}
+	basePhrase := PhraseKey(5, terms, exec.Limits{})
+	baseQuery := QueryKey(5, "q", exec.Limits{})
+	for _, f := range exportedLeaves(reflect.TypeOf(exec.Limits{}), nil, "Limits") {
+		var l exec.Limits
+		setNonCanonical(t, reflect.ValueOf(&l).Elem().FieldByIndex(f.index), f.name)
+		if PhraseKey(5, terms, l) == basePhrase {
+			t.Errorf("%s does not change PhraseKey", f.name)
+		}
+		if QueryKey(5, "q", l) == baseQuery {
+			t.Errorf("%s does not change QueryKey", f.name)
+		}
+	}
+}
+
+// keyField is one exported leaf field: its dotted name and the index
+// path reflect.Value.FieldByIndex takes.
+type keyField struct {
+	name  string
+	index []int
+}
+
+// exportedLeaves lists the exported fields of struct type t, descending
+// into struct-typed fields.
+func exportedLeaves(t reflect.Type, prefix []int, name string) []keyField {
+	var out []keyField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		index := append(append([]int(nil), prefix...), i)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, exportedLeaves(f.Type, index, name+"."+f.Name)...)
+			continue
+		}
+		out = append(out, keyField{name: name + "." + f.Name, index: index})
+	}
+	return out
+}
+
+// setNonCanonical stores a value in v that the key encoder must keep
+// distinct from zero: positive numbers (TopK and MinScore fold values at
+// or below zero) and weights other than the trailing 1.0 that is trimmed.
+func setNonCanonical(t *testing.T, v reflect.Value, name string) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(0.5)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Slice:
+		elem := reflect.New(v.Type().Elem()).Elem()
+		setNonCanonical(t, elem, name)
+		v.Set(reflect.Append(reflect.MakeSlice(v.Type(), 0, 1), elem))
+	default:
+		t.Fatalf("%s has kind %s, which setNonCanonical cannot set: extend it", name, v.Kind())
+	}
+}
+
 func TestNormalizeQuery(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", ""},

@@ -276,15 +276,8 @@ func (d *DB) QueryContext(ctx context.Context, src string) (results []xq.Result,
 // engine reads the snapshot's own store, so every document the snapshot
 // names is visible to the evaluation.
 func EvalQuery(idx *index.Index, q *xq.Query, guard *exec.Guard, stats *storage.AccessStats) ([]xq.Result, error) {
-	e := &xq.Engine{Store: idx.Store(), Index: idx, Stats: stats, Guard: guard}
+	e := &xq.Engine{Index: idx, Stats: stats, Guard: guard}
 	return e.Eval(q)
-}
-
-// Explain renders the physical plan for a query without executing it.
-func (d *DB) Explain(src string) (string, error) {
-	idx := d.Index()
-	e := &xq.Engine{Store: idx.Store(), Index: idx}
-	return e.Explain(src)
 }
 
 // TermSearchOptions configures TermSearch.

@@ -153,6 +153,31 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainRejectsWhatQueryRejects posts three queries /query rejects to
+// /explain: a join without ScoreBar, a Score clause on a variable the For
+// does not bind, and a descendant-or-self::* that is not the final step.
+// The plan request must fail the same way.
+func TestExplainRejectsWhatQueryRejects(t *testing.T) {
+	ts := newTestServer(t)
+	for _, q := range []string{
+		`For $a in document("articles.xml")//article
+		 For $b in document("reviews.xml")//review
+		 Let $sim := ScoreSim($a/article-title, $b/title)
+		 For $d in $a/descendant-or-self::*
+		 Score $d using ScoreFoo($d, {"search engine"}, {})`,
+		`For $a in document("articles.xml")//article/descendant-or-self::*
+		 Score $x using ScoreFoo($x, {"search engine"}, {})`,
+		`For $a in document("articles.xml")//article/descendant-or-self::*/p`,
+	} {
+		queryResp, _ := postJSON(t, ts.URL+"/query", QueryRequest{Query: q})
+		explainResp, out := postJSON(t, ts.URL+"/explain", QueryRequest{Query: q})
+		if queryResp.StatusCode != http.StatusUnprocessableEntity || explainResp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: /query status %d, /explain status %d (%s), want 422 for both",
+				q, queryResp.StatusCode, explainResp.StatusCode, out["plan"])
+		}
+	}
+}
+
 func TestTermsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	resp, out := postJSON(t, ts.URL+"/terms", TermsRequest{Terms: []string{"search", "engine"}, TopK: 3})

@@ -440,14 +440,19 @@ func (s *DB) QueryRenderedContext(ctx context.Context, src string) (rendered []s
 	return rendered, results, nil
 }
 
-// Explain renders the physical plan for a query on its owning shard.
+// Explain renders the physical plan for a query without running it: the
+// routed query compiled against its owning segment's snapshot.
 func (s *DB) Explain(src string) (plan string, err error) {
 	start := time.Now()
 	defer func() { s.observe(opExplain, start, 0, storage.AccessStats{}, err) }()
 	defer recoverPanic(&err)
-	_, i, err := s.routeQuery(src)
+	q, i, err := s.routeQuery(src)
 	if err != nil {
 		return "", err
 	}
-	return s.segs[i].Explain(src)
+	p, err := xq.Compile(q, s.segs[i].Index())
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
 }

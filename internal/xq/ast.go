@@ -109,8 +109,7 @@ type ScoreClause struct {
 }
 
 // PickClause is "Pick $v using PickFoo($v [, threshold])"; the optional
-// threshold overrides the default relevance cutoff of 0.8 used by the
-// paper's PickFoo.
+// threshold overrides DefaultPickThreshold, the paper's PickFoo cutoff.
 type PickClause struct {
 	Var       string
 	ArgVar    string

@@ -33,7 +33,7 @@ func TestQuickPhysicalMatchesLogical(t *testing.T) {
 		if _, err := s.AddTree("doc.xml", root); err != nil {
 			return false
 		}
-		e := &Engine{Store: s, Index: index.Build(s, tok)}
+		e := &Engine{Index: index.Build(s, tok)}
 		phys, err := e.EvalString(`
 			For $a in document("doc.xml")//article/descendant-or-self::*
 			Score $a using ScoreFoo($a, {"alpha"}, {"beta"})

@@ -2,7 +2,6 @@ package xq
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -14,33 +13,21 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Engine evaluates parsed queries against a store and its inverted index,
-// using the physical access methods of internal/exec: PhraseFinder turns
-// multi-word phrases into pseudo-term posting lists, TermJoin generates
-// scores in one stack-based merge pass, StackPick eliminates redundant
-// granularities, and the Threshold clause maps onto the top-k machinery.
+// Engine evaluates parsed queries against an index snapshot and the store
+// it indexes. Compile turns each query into a Plan of the physical access
+// methods of internal/exec — PhraseFinder turns multi-word phrases into
+// pseudo-term posting lists, TermJoin generates scores in one stack-based
+// merge pass, PickArena eliminates redundant granularities and TopK answers
+// stop after — and Eval runs that plan.
 type Engine struct {
-	Store *storage.Store
 	Index *index.Index
-	// Stats, when non-nil, accumulates the store-access statistics of
-	// every evaluation run through this engine (structural navigation,
-	// TermJoin scoring, and result materialization all read through one
-	// accounting accessor per Eval).
+	// Stats, when non-nil, accumulates the store traffic of every Eval:
+	// navigation, TermJoin and materialization share one accessor.
 	Stats *storage.AccessStats
-	// Guard, when non-nil, is the cooperative cancellation and resource
-	// budget for evaluations run through this engine: it is checked during
-	// structural navigation, passed into every access method the engine
-	// dispatches to, and charged with every store access (the evaluation
-	// accessor is attached to the guard's budget).
+	// Guard, when non-nil, is the cancellation and resource budget of
+	// every Eval: checked during navigation, passed to every access
+	// method, and charged with every store access.
 	Guard *exec.Guard
-}
-
-// noteStats folds an evaluation accessor's counters into the engine's
-// optional Stats sink.
-func (e *Engine) noteStats(acc *storage.Accessor) {
-	if e.Stats != nil {
-		e.Stats.Add(acc.Stats)
-	}
 }
 
 // Result is one query result: the scored element and its materialized
@@ -56,167 +43,115 @@ type Result struct {
 	Right *xmltree.Node
 }
 
-// EvalString parses and evaluates a query.
-func (e *Engine) EvalString(src string) ([]Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(q)
-}
-
-// Eval evaluates a parsed query, dispatching between the single-For
-// (Query 1/2) and the multi-For join (Query 3) shapes.
+// Eval compiles a parsed query against the engine's index and runs the
+// plan.
 func (e *Engine) Eval(q *Query) ([]Result, error) {
 	if err := e.Guard.Check(); err != nil {
 		return nil, err
 	}
-	if len(q.Fors) == 0 {
-		return nil, fmt.Errorf("xq: query has no For clause")
-	}
-	if len(q.Fors) > 1 {
-		return e.evalJoin(q)
-	}
-	if q.Let != nil || q.Where != nil || q.Combine != nil {
-		return nil, fmt.Errorf("xq: Let/Where/ScoreBar clauses require the multi-For join shape")
-	}
-	return e.evalSingle(q)
-}
-
-// evalSingle evaluates the Query 1/2 shape.
-func (e *Engine) evalSingle(q *Query) ([]Result, error) {
-	doc := e.Store.DocByName(q.Fors[0].Path.Document)
-	if doc == nil {
-		return nil, fmt.Errorf("xq: document %q not loaded", q.Fors[0].Path.Document)
-	}
-	acc := e.Guard.Attach(storage.NewAccessor(e.Store))
-	defer e.noteStats(acc)
-
-	anchors, expand, err := e.evalSteps(acc, doc, q.Fors[0].Path.Steps)
+	p, err := Compile(q, e.Index)
 	if err != nil {
 		return nil, err
 	}
+	return e.run(p)
+}
 
-	// Variable sanity: Score/Pick/Threshold must reference the For var.
-	for _, v := range []struct {
-		name string
-		got  string
-	}{
-		{"Score", scoreVar(q)},
-		{"Pick", pickVar(q)},
-		{"Threshold", threshVar(q)},
-	} {
-		if v.got != "" && v.got != q.Fors[0].Var {
-			return nil, fmt.Errorf("xq: %s clause references $%s, but the For clause binds $%s", v.name, v.got, q.Fors[0].Var)
-		}
+// run executes the plan's steps in order, recording the rows each
+// produced. Path steps narrow their binding's node set, PhraseFinder
+// steps fill TermJoin's phrase inputs (Compile already scoped a single
+// term's postings, so its step only reports them), and the rest produce
+// and rank the results.
+func (e *Engine) run(p *Plan) ([]Result, error) {
+	acc := e.Guard.Attach(storage.NewAccessor(p.idx.Store()))
+	if e.Stats != nil {
+		defer func() { e.Stats.Add(acc.Stats) }()
 	}
-
-	var results []Result
-	if q.Score == nil {
-		// Pure structural query: candidates with null scores.
-		cands := anchors
-		if expand {
-			cands = expandDescendantOrSelf(doc, anchors)
+	var (
+		nodes   [2][]int32 // per For binding: the current node set
+		scored  []exec.ScoredNode
+		results []Result
+		pairs   []joinPair
+		err     error
+	)
+	for i := range p.steps {
+		s := &p.steps[i]
+		doc, cur := p.docs[s.side], &nodes[s.side]
+		switch s.op {
+		case opDocument:
+			*cur = []int32{0} // the root element
+		case opExtentScan:
+			*cur = tagExtent(acc.Store(), doc, s.name)
+		case opDescendant:
+			*cur, err = e.descendants(acc, doc, *cur, s.name)
+		case opChild:
+			*cur, err = e.children(acc, doc, *cur, s.name)
+		case opFilter:
+			*cur, err = e.filter(acc, doc, *cur, s.pred)
+		case opPhrase:
+			pf := &exec.PhraseFinder{Index: p.idx, Phrase: s.terms, Guard: e.Guard}
+			var ms []exec.PhraseMatch
+			ms, err = exec.CollectPhrase(pf.Run)
+			p.lists[s.term] = exec.PhrasePostings(ms).Range(doc.ID, doc.ID+1) // the bound document's postings only
+		case opTermJoin:
+			scored, err = e.termJoin(acc, p)
+		case opExpand:
+			results = expand(doc, nodes[0], scored, p.q.Score != nil)
+		case opPick:
+			results, err = e.pick(doc, nodes[0], scored, s.v)
+		case opSubtreeScan:
+			results, err = e.scoreSubtrees(acc, p, nodes[0])
+		case opNullScore:
+			results = make([]Result, len(nodes[0]))
+			for j, ord := range nodes[0] {
+				results[j] = Result{Doc: doc.ID, Ord: ord}
+			}
+		case opJoin:
+			pairs, err = e.join(acc, p, nodes, results, s.v)
+		case opScoreBar:
+			results = nil
+			for _, pr := range pairs {
+				for _, c := range pr.comps {
+					results = append(results, Result{Doc: doc.ID, Ord: c.Ord, Score: scoring.ScoreBar(pr.sim, c.Score), Sim: pr.sim, Right: pr.right})
+				}
+			}
+		case opThreshold:
+			results = slices.DeleteFunc(results, func(r Result) bool { return r.Score <= s.v })
+		case opTopK:
+			results = stopAfter(results, s.k)
+		case opSort:
+			slices.SortStableFunc(results, func(a, b Result) int { return cmp.Compare(b.Score, a.Score) })
+		case opMaterialize:
+			for j := range results {
+				if err = e.Guard.Tick(); err != nil {
+					break
+				}
+				results[j].Node = acc.Materialize(results[j].Doc, results[j].Ord)
+			}
 		}
-		for _, ord := range cands {
-			results = append(results, Result{Doc: doc.ID, Ord: ord, Score: 0})
-		}
-	} else {
-		results, err = e.scoreAndPick(acc, doc, anchors, expand, q)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	results = rank(results, q)
-	// Materialize result subtrees.
-	for i := range results {
-		if err := e.Guard.Tick(); err != nil {
-			return nil, err
+		switch {
+		case s.op <= opFilter:
+			s.rows = len(*cur)
+		case s.op <= opPostings:
+			s.rows = p.lists[s.term].Len()
+		case s.op == opTermJoin:
+			s.rows = len(scored)
+		case s.op == opJoin:
+			s.rows = len(pairs)
+		default:
+			s.rows = len(results)
 		}
-		results[i].Node = acc.Materialize(results[i].Doc, results[i].Ord)
 	}
 	return results, nil
 }
 
-func scoreVar(q *Query) string {
-	if q.Score == nil {
-		return ""
-	}
-	return q.Score.Var
-}
-
-func pickVar(q *Query) string {
-	if q.Pick == nil {
-		return ""
-	}
-	return q.Pick.Var
-}
-
-func threshVar(q *Query) string {
-	if q.Threshold == nil {
-		return ""
-	}
-	return q.Threshold.Var
-}
-
-// evalSteps evaluates the structural steps, returning the anchor node set
-// and whether a trailing descendant-or-self::* step expands each anchor to
-// every element of its subtree.
-func (e *Engine) evalSteps(acc *storage.Accessor, doc *storage.Document, steps []Step) (anchors []int32, expand bool, err error) {
-	cur := []int32{0} // the document root
-	rootSet := true
-	for i, s := range steps {
-		switch s.Kind {
-		case StepDescendantOrSelf:
-			if i != len(steps)-1 {
-				return nil, false, fmt.Errorf("xq: descendant-or-self::* is only supported as the final step")
-			}
-			return cur, true, nil
-		case StepDescendant:
-			cur, err = e.descendants(acc, doc, cur, s.Name, rootSet)
-			if err != nil {
-				return nil, false, err
-			}
-		case StepChild:
-			cur, err = e.children(acc, doc, cur, s.Name)
-			if err != nil {
-				return nil, false, err
-			}
-		case StepPredicate:
-			kept := cur[:0]
-			for _, ord := range cur {
-				if err := e.Guard.Tick(); err != nil {
-					return nil, false, err
-				}
-				ok, perr := e.predicateHolds(acc, doc, ord, s.Pred)
-				if perr != nil {
-					return nil, false, perr
-				}
-				if ok {
-					kept = append(kept, ord)
-				}
-			}
-			cur = kept
-		}
-		rootSet = false
-	}
-	return cur, false, nil
-}
-
-// descendants returns elements with the given tag (or any element for "*")
-// that are descendants of any node in from, in document order. When from
-// is the whole-document root the tag extent answers directly.
-func (e *Engine) descendants(acc *storage.Accessor, doc *storage.Document, from []int32, name string, fromRoot bool) ([]int32, error) {
-	extent := e.tagExtent(doc, name)
-	if fromRoot {
-		// The // axis hangs off the document node, which sits above the
-		// root element, so the whole extent (including the root element)
-		// qualifies.
-		return extent, nil
-	}
-	// Structural join: from-as-ancestors × extent-as-descendants.
-	pairs, err := exec.AncDescPairsGuarded(acc, doc.ID, from, extent, e.Guard)
+// descendants returns the elements with the given tag (or any element for
+// "*") that are proper descendants of any node in from, in document order:
+// a structural join of from as ancestors with the tag extent.
+func (e *Engine) descendants(acc *storage.Accessor, doc *storage.Document, from []int32, name string) ([]int32, error) {
+	pairs, err := exec.AncDescPairsGuarded(acc, doc.ID, from, tagExtent(acc.Store(), doc, name), e.Guard)
 	if err != nil {
 		return nil, err
 	}
@@ -231,11 +166,14 @@ func (e *Engine) descendants(acc *storage.Accessor, doc *storage.Document, from 
 	return slices.Compact(out), nil
 }
 
-func (e *Engine) tagExtent(doc *storage.Document, name string) []int32 {
+// tagExtent returns the document's elements with the given tag (every
+// element for "*"), in document order. The slice is the document's own and
+// must not be modified.
+func tagExtent(s *storage.Store, doc *storage.Document, name string) []int32 {
 	if name == "*" {
 		return doc.Elements()
 	}
-	tid, ok := e.Store.Tags.Lookup(name)
+	tid, ok := s.Tags.Lookup(name)
 	if !ok {
 		return nil
 	}
@@ -250,7 +188,7 @@ func (e *Engine) children(acc *storage.Accessor, doc *storage.Document, from []i
 				return nil, err
 			}
 			rec := acc.Node(doc.ID, c)
-			if rec.Kind == xmltree.Element && (name == "*" || e.Store.Tags.Name(rec.Tag) == name) {
+			if rec.Kind == xmltree.Element && (name == "*" || acc.Store().Tags.Name(rec.Tag) == name) {
 				out = append(out, c)
 			}
 			c = rec.NextSibling
@@ -258,6 +196,25 @@ func (e *Engine) children(acc *storage.Accessor, doc *storage.Document, from []i
 	}
 	slices.Sort(out)
 	return out, nil
+}
+
+// filter returns the nodes of from for which the predicate holds, in a new
+// slice: from may be the document's own tag extent.
+func (e *Engine) filter(acc *storage.Accessor, doc *storage.Document, from []int32, p *Predicate) ([]int32, error) {
+	var kept []int32
+	for _, ord := range from {
+		if err := e.Guard.Tick(); err != nil {
+			return nil, err
+		}
+		ok, err := e.predicateHolds(acc, doc, ord, p)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, ord)
+		}
+	}
+	return kept, nil
 }
 
 // predicateHolds evaluates [path="v"], [path], or [@attr="v"] relative to
@@ -318,72 +275,16 @@ func directTextOf(acc *storage.Accessor, doc *storage.Document, ord int32) strin
 	return out
 }
 
-func expandDescendantOrSelf(doc *storage.Document, anchors []int32) []int32 {
-	var out []int32
-	for _, a := range anchors {
-		end := doc.SubtreeEnd(a)
-		for i := a; i < end; i++ {
-			if doc.Nodes[i].Kind == xmltree.Element {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-// scoreAndPick runs the IR part of the query: score generation via
-// PhraseFinder + TermJoin, then the optional Pick, restricted to the
-// anchors' subtrees.
-func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anchors []int32, expand bool, q *Query) ([]Result, error) {
-	if !expand {
-		// Scoring without granularity expansion: each anchor is scored on
-		// its own subtree.
-		return e.scoreAnchorsDirectly(acc, doc, anchors, q)
-	}
-	// Build the pseudo-term posting lists: 0.8-weighted primary phrases,
-	// 0.6-weighted secondary phrases (ScoreFoo of Fig. 9).
-	var lists []index.List
-	var weights []float64
-	var names []string
-	add := func(phrase string, w float64) error {
-		terms := e.Index.Tokenizer().SplitPhrase(phrase)
-		if len(terms) == 0 {
-			return fmt.Errorf("xq: empty phrase in Score clause")
-		}
-		var l index.List
-		if len(terms) == 1 {
-			l = e.Index.List(e.Index.Tokenizer().Normalize(terms[0]))
-		} else {
-			pf := &exec.PhraseFinder{Index: e.Index, Phrase: terms, Guard: e.Guard}
-			ms, err := exec.CollectPhrase(pf.Run)
-			if err != nil {
-				return err
-			}
-			l = exec.PhrasePostings(ms)
-		}
-		lists = append(lists, l.Range(doc.ID, doc.ID+1)) // the bound document's postings only
-		weights = append(weights, w)
-		names = append(names, phrase)
-		return nil
-	}
-	for _, ph := range q.Score.Primary {
-		if err := add(ph, q.Score.PrimaryWeight); err != nil {
-			return nil, err
-		}
-	}
-	for _, ph := range q.Score.Secondary {
-		if err := add(ph, q.Score.SecondaryWeight); err != nil {
-			return nil, err
-		}
-	}
-
+// termJoin scores every element of the bound document containing a
+// pseudo-term, in document order.
+func (e *Engine) termJoin(acc *storage.Accessor, p *Plan) ([]exec.ScoredNode, error) {
 	tj := &exec.TermJoin{
-		Index: e.Index,
+		Index: p.idx,
 		Acc:   acc,
 		Query: exec.TermQuery{
-			Terms:  names,
-			Lists:  lists,
-			Scorer: weightedScorer(weights),
+			Terms:  p.names,
+			Lists:  p.lists,
+			Scorer: exec.DefaultScorer{SimpleFn: scoring.SimpleScorer{Weights: p.weights}},
 		},
 		Guard: e.Guard,
 	}
@@ -392,29 +293,48 @@ func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anch
 		return nil, err
 	}
 	slices.SortFunc(scored, func(a, b exec.ScoredNode) int { return cmp.Compare(a.Ord, b.Ord) })
+	return scored, nil
+}
 
-	// One Pick arena, stream buffer and decision logic serve every anchor.
-	var results []Result
-	var arena exec.PickArena
-	var stream []exec.PickNode
-	funcs := exec.DefaultPickFuncs(0.8)
-	if q.Pick != nil && q.Pick.HasThresh {
-		funcs = exec.DefaultPickFuncs(q.Pick.Threshold)
-	}
-	for _, anchor := range anchors {
-		end := doc.SubtreeEnd(anchor)
-		// Scored elements within the anchor subtree, document order.
-		lo := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= anchor })
-		hi := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= end })
-		window := scored[lo:hi]
-		if q.Pick == nil {
-			for _, n := range window {
-				results = append(results, Result{Doc: doc.ID, Ord: n.Ord, Score: n.Score})
+// window returns the scored elements (document order) in anchor's subtree.
+func window(doc *storage.Document, scored []exec.ScoredNode, anchor int32) []exec.ScoredNode {
+	end := doc.SubtreeEnd(anchor)
+	lo := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= anchor })
+	hi := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= end })
+	return scored[lo:hi]
+}
+
+// expand returns descendant-or-self::* of each anchor as results: the
+// scored elements of its subtree when the query scores, else every element
+// with a null score.
+func expand(doc *storage.Document, anchors []int32, scored []exec.ScoredNode, scoring bool) []Result {
+	var out []Result
+	for _, a := range anchors {
+		if scoring {
+			for _, n := range window(doc, scored, a) {
+				out = append(out, Result{Doc: doc.ID, Ord: n.Ord, Score: n.Score})
 			}
 			continue
 		}
+		for i, end := a, doc.SubtreeEnd(a); i < end; i++ {
+			if doc.Nodes[i].Kind == xmltree.Element {
+				out = append(out, Result{Doc: doc.ID, Ord: i})
+			}
+		}
+	}
+	return out
+}
+
+// pick runs Pick over each anchor's scored elements; one arena, stream
+// buffer and decision logic serve every anchor.
+func (e *Engine) pick(doc *storage.Document, anchors []int32, scored []exec.ScoredNode, threshold float64) ([]Result, error) {
+	var results []Result
+	var arena exec.PickArena
+	var stream []exec.PickNode
+	funcs := exec.DefaultPickFuncs(threshold)
+	for _, anchor := range anchors {
 		stream = stream[:0]
-		for _, n := range window {
+		for _, n := range window(doc, scored, anchor) {
 			rec := doc.Nodes[n.Ord]
 			stream = append(stream, exec.PickNode{Ord: n.Ord, Start: rec.Start, End: rec.End, Level: rec.Level, Score: n.Score, HasScore: true})
 		}
@@ -427,23 +347,6 @@ func (e *Engine) scoreAndPick(acc *storage.Accessor, doc *storage.Document, anch
 		}
 	}
 	return results, nil
-}
-
-// rank applies the Threshold clause and Sortby to results in evaluation
-// order: the V condition (strictly greater, as in the algebra), then stop
-// after K as a top-k, else Sortby's stable score-descending sort.
-func rank(rs []Result, q *Query) []Result {
-	th := q.Threshold
-	if th != nil && th.HasMin {
-		rs = slices.DeleteFunc(rs, func(r Result) bool { return r.Score <= th.MinScore })
-	}
-	if th != nil && th.HasStopK {
-		return stopAfter(rs, th.StopK)
-	}
-	if q.SortBy {
-		slices.SortStableFunc(rs, func(a, b Result) int { return cmp.Compare(b.Score, a.Score) })
-	}
-	return rs
 }
 
 // stopAfter returns the first k results of a stable score-descending order
@@ -462,22 +365,19 @@ func stopAfter(rs []Result, k int) []Result {
 	return out
 }
 
-// scoreAnchorsDirectly scores each anchor element on its whole subtree
-// content (no granularity expansion).
-func (e *Engine) scoreAnchorsDirectly(acc *storage.Accessor, doc *storage.Document, anchors []int32, q *Query) ([]Result, error) {
+// scoreSubtrees scores each anchor on its whole subtree text (no
+// granularity expansion).
+func (e *Engine) scoreSubtrees(acc *storage.Accessor, p *Plan, anchors []int32) ([]Result, error) {
 	var results []Result
-	tok := e.Index.Tokenizer()
+	doc, tok := p.docs[0], p.idx.Tokenizer()
 	for _, ord := range anchors {
 		if err := e.Guard.Tick(); err != nil {
 			return nil, err
 		}
 		text := acc.SubtreeText(doc.ID, ord)
 		score := 0.0
-		for _, ph := range q.Score.Primary {
-			score += q.Score.PrimaryWeight * float64(countPhraseIn(tok, text, ph))
-		}
-		for _, ph := range q.Score.Secondary {
-			score += q.Score.SecondaryWeight * float64(countPhraseIn(tok, text, ph))
+		for i, ph := range p.names {
+			score += p.weights[i] * float64(countPhraseIn(tok, text, ph))
 		}
 		results = append(results, Result{Doc: doc.ID, Ord: ord, Score: score})
 	}
@@ -493,12 +393,5 @@ func countPhraseIn(tok *tokenize.Tokenizer, text, phrase string) int {
 		return tok.Count(text, terms[0])
 	default:
 		return tok.CountPhrase(text, terms)
-	}
-}
-
-// weightedScorer builds a per-pseudo-term weighted-sum scorer.
-func weightedScorer(weights []float64) exec.Scorer {
-	return exec.DefaultScorer{
-		SimpleFn: scoring.SimpleScorer{Weights: weights},
 	}
 }

@@ -2,12 +2,13 @@ package xq
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/scoring"
 	"repro/internal/storage"
+	"repro/internal/xmltree"
 )
 
-// evalJoin evaluates the Query 3 shape (Fig. 10): two document-bound For
+// compileJoin compiles the Query 3 shape (Fig. 10): two document-bound For
 // clauses joined by a similarity-scored Let condition, an optional Where
 // threshold on the join score, a third For binding result components
 // within the left side, ScoreFoo/Pick over the components, and a ScoreBar
@@ -24,117 +25,113 @@ import (
 //	Pick $d using PickFoo($d)         (optional)
 //	Score $r using ScoreBar($sim, $d)
 //	Sortby(score) / Threshold $r/@score … (optional)
-func (e *Engine) evalJoin(q *Query) ([]Result, error) {
+func (p *Plan) compileJoin() error {
+	q := p.q
 	if len(q.Fors) != 3 {
-		return nil, fmt.Errorf("xq: join queries need exactly three For clauses (left, right, component), got %d", len(q.Fors))
+		return fmt.Errorf("xq: join queries need exactly three For clauses (left, right, component), got %d", len(q.Fors))
 	}
 	left, right, comp := q.Fors[0], q.Fors[1], q.Fors[2]
 	if left.Path.Document == "" || right.Path.Document == "" {
-		return nil, fmt.Errorf("xq: the first two For clauses of a join must bind documents")
+		return fmt.Errorf("xq: the first two For clauses of a join must bind documents")
 	}
 	if comp.Path.BaseVar != left.Var {
-		return nil, fmt.Errorf("xq: the component For must be relative to $%s, got %q", left.Var, comp.Path.BaseVar)
+		return fmt.Errorf("xq: the component For must be relative to $%s, got %q", left.Var, comp.Path.BaseVar)
 	}
 	if q.Let == nil {
-		return nil, fmt.Errorf("xq: join queries need a Let $sim := ScoreSim(...) clause")
+		return fmt.Errorf("xq: join queries need a Let $sim := ScoreSim(...) clause")
 	}
 	if q.Let.LeftVar != left.Var || q.Let.RightVar != right.Var {
-		return nil, fmt.Errorf("xq: ScoreSim must reference $%s and $%s", left.Var, right.Var)
+		return fmt.Errorf("xq: ScoreSim must reference $%s and $%s", left.Var, right.Var)
 	}
 	if q.Where != nil && q.Where.Var != q.Let.Var {
-		return nil, fmt.Errorf("xq: Where must reference the Let variable $%s", q.Let.Var)
+		return fmt.Errorf("xq: Where must reference the Let variable $%s", q.Let.Var)
 	}
 	if q.Score == nil {
-		return nil, fmt.Errorf("xq: join queries need a Score … using ScoreFoo clause on $%s", comp.Var)
+		return fmt.Errorf("xq: join queries need a Score … using ScoreFoo clause on $%s", comp.Var)
 	}
 	if q.Score.Var != comp.Var {
-		return nil, fmt.Errorf("xq: ScoreFoo must score the component variable $%s", comp.Var)
+		return fmt.Errorf("xq: ScoreFoo must score the component variable $%s", comp.Var)
 	}
 	if q.Combine == nil {
-		return nil, fmt.Errorf("xq: join queries need a Score … using ScoreBar($%s, $%s) clause", q.Let.Var, comp.Var)
+		return fmt.Errorf("xq: join queries need a Score … using ScoreBar($%s, $%s) clause", q.Let.Var, comp.Var)
 	}
 	if q.Combine.SimVar != q.Let.Var || q.Combine.CompVar != comp.Var {
-		return nil, fmt.Errorf("xq: ScoreBar must combine $%s with $%s", q.Let.Var, comp.Var)
+		return fmt.Errorf("xq: ScoreBar must combine $%s with $%s", q.Let.Var, comp.Var)
 	}
-
-	leftDoc := e.Store.DocByName(left.Path.Document)
-	if leftDoc == nil {
-		return nil, fmt.Errorf("xq: document %q not loaded", left.Path.Document)
+	for side, f := range q.Fors[:2] {
+		expand, err := p.compilePath(side, f.Path)
+		if err != nil {
+			return err
+		}
+		if expand {
+			return fmt.Errorf("xq: the %s For of a join must bind elements, not descendant-or-self::*", [...]string{"left", "right"}[side])
+		}
 	}
-	rightDoc := e.Store.DocByName(right.Path.Document)
-	if rightDoc == nil {
-		return nil, fmt.Errorf("xq: document %q not loaded", right.Path.Document)
-	}
-	acc := e.Guard.Attach(storage.NewAccessor(e.Store))
-	defer e.noteStats(acc)
-
-	leftAnchors, leftExpand, err := e.evalSteps(acc, leftDoc, left.Path.Steps)
-	if err != nil {
-		return nil, err
-	}
-	if leftExpand {
-		return nil, fmt.Errorf("xq: the left For of a join must bind elements, not descendant-or-self::*")
-	}
-	rightAnchors, rightExpand, err := e.evalSteps(acc, rightDoc, right.Path.Steps)
-	if err != nil {
-		return nil, err
-	}
-	if rightExpand {
-		return nil, fmt.Errorf("xq: the right For of a join must bind elements, not descendant-or-self::*")
-	}
-
 	// Component binding: $a/descendant-or-self::* (further steps are not
 	// supported in the join shape).
 	if len(comp.Path.Steps) != 1 || comp.Path.Steps[0].Kind != StepDescendantOrSelf {
-		return nil, fmt.Errorf("xq: the component For must be $%s/descendant-or-self::*", left.Var)
+		return fmt.Errorf("xq: the component For must be $%s/descendant-or-self::*", left.Var)
 	}
+	if err := p.compileScore(); err != nil {
+		return err
+	}
+	if q.Threshold != nil && q.Threshold.Var != q.Combine.Var && q.Threshold.Var != comp.Var {
+		return fmt.Errorf("xq: Threshold must reference $%s or $%s", q.Combine.Var, comp.Var)
+	}
+	where := math.Inf(-1) // without Where, every pair joins
+	if q.Where != nil {
+		where = q.Where.Min
+	}
+	p.add(step{op: opJoin, v: where})
+	p.add(step{op: opScoreBar})
+	return nil
+}
 
-	// Score and pick the components of each left anchor once.
-	components, err := e.scoreAndPick(acc, leftDoc, leftAnchors, true, q)
-	if err != nil {
-		return nil, err
+// joinPair is one left anchor joined with one right anchor: the left
+// anchor's scored components, their similarity and the right element.
+type joinPair struct {
+	comps []Result
+	sim   float64
+	right *xmltree.Node
+}
+
+// join pairs every left anchor that has scored components with each right
+// anchor whose key children share words with its own — the best key pair
+// when several exist — keeping the pairs whose similarity beats where.
+func (e *Engine) join(acc *storage.Accessor, p *Plan, anchors [2][]int32, comps []Result, where float64) ([]joinPair, error) {
+	let, leftDoc, rightDoc := p.q.Let, p.docs[0], p.docs[1]
+	// Group the components by their containing anchor: the first whose
+	// region holds them, anchors being in document order.
+	groups, ends := make([][]Result, len(anchors[0])), make([]int32, len(anchors[0]))
+	for i, a := range anchors[0] {
+		ends[i] = leftDoc.SubtreeEnd(a)
 	}
-	// Group components by their containing anchor (anchors are disjoint in
-	// document order; recover by region containment).
-	type anchorRange struct {
-		ord      int32
-		end      int32
-		children []Result
-	}
-	ranges := make([]*anchorRange, 0, len(leftAnchors))
-	for _, a := range leftAnchors {
-		ranges = append(ranges, &anchorRange{ord: a, end: leftDoc.SubtreeEnd(a)})
-	}
-	for _, c := range components {
-		for _, r := range ranges {
-			if c.Ord >= r.ord && c.Ord < r.end {
-				r.children = append(r.children, c)
+	for _, c := range comps {
+		for i, a := range anchors[0] {
+			if c.Ord >= a && c.Ord < ends[i] {
+				groups[i] = append(groups[i], c)
 				break
 			}
 		}
 	}
-
-	// Join: similarity between the anchors' key children (best pair when
-	// several keys exist), Where-filtered, combined per component with
-	// ScoreBar.
-	tok := e.Index.Tokenizer()
-	var out []Result
-	for _, r := range ranges {
-		if len(r.children) == 0 {
+	tok := p.idx.Tokenizer()
+	var pairs []joinPair
+	for i, a := range anchors[0] {
+		if len(groups[i]) == 0 {
 			continue
 		}
-		leftKeys, err := e.children(acc, leftDoc, []int32{r.ord}, q.Let.LeftKey)
+		leftKeys, err := e.children(acc, leftDoc, []int32{a}, let.LeftKey)
 		if err != nil {
 			return nil, err
 		}
 		if len(leftKeys) == 0 {
 			continue
 		}
-		for _, b := range rightAnchors {
+		for _, b := range anchors[1] {
 			if err := e.Guard.Tick(); err != nil {
 				return nil, err
 			}
-			rightKeys, err := e.children(acc, rightDoc, []int32{b}, q.Let.RightKey)
+			rightKeys, err := e.children(acc, rightDoc, []int32{b}, let.RightKey)
 			if err != nil {
 				return nil, err
 			}
@@ -151,37 +148,13 @@ func (e *Engine) evalJoin(q *Query) ([]Result, error) {
 					}
 				}
 			}
-			if q.Where != nil && !(sim > q.Where.Min) {
+			if !(sim > where) {
 				continue
 			}
-			rightNode := acc.Materialize(rightDoc.ID, b)
-			for _, c := range r.children {
-				score := scoring.ScoreBar(sim, c.Score)
-				out = append(out, Result{
-					Doc:   leftDoc.ID,
-					Ord:   c.Ord,
-					Score: score,
-					Sim:   sim,
-					Right: rightNode,
-				})
-			}
+			pairs = append(pairs, joinPair{comps: groups[i], sim: sim, right: acc.Materialize(rightDoc.ID, b)})
 		}
 	}
-
-	// Threshold on the combined score, then sort and stop-after.
-	if q.Threshold != nil {
-		if q.Threshold.Var != q.Combine.Var && q.Threshold.Var != comp.Var {
-			return nil, fmt.Errorf("xq: Threshold must reference $%s or $%s", q.Combine.Var, comp.Var)
-		}
-	}
-	out = rank(out, q)
-	for i := range out {
-		if err := e.Guard.Tick(); err != nil {
-			return nil, err
-		}
-		out[i].Node = acc.Materialize(out[i].Doc, out[i].Ord)
-	}
-	return out, nil
+	return pairs, nil
 }
 
 // simOf counts the distinct shared words of two key texts — ScoreSim of

@@ -2,6 +2,7 @@ package xq
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fixture"
@@ -12,14 +13,22 @@ import (
 
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
+	return &Engine{Index: fixtureIndex()}
+}
+
+// fixtureIndex indexes the paper's Fig. 1 documents, articles.xml and
+// reviews.xml.
+func fixtureIndex() *index.Index {
 	s := storage.NewStore()
-	if _, err := s.AddTree("articles.xml", mustParse(fixture.ArticlesXML)); err != nil {
-		t.Fatal(err)
+	for _, d := range []struct{ name, src string }{
+		{"articles.xml", fixture.ArticlesXML},
+		{"reviews.xml", fixture.ReviewsXML},
+	} {
+		if _, err := s.AddTree(d.name, mustParse(d.src)); err != nil {
+			panic(err)
+		}
 	}
-	if _, err := s.AddTree("reviews.xml", mustParse(fixture.ReviewsXML)); err != nil {
-		t.Fatal(err)
-	}
-	return &Engine{Store: s, Index: index.Build(s, tokenize.NewStemming())}
+	return index.Build(s, tokenize.NewStemming())
 }
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -174,19 +183,22 @@ func TestEvalWildcardSteps(t *testing.T) {
 	}
 }
 
+// evalErrorCases are single-For queries Eval must reject: a missing
+// document, a non-final descendant-or-self::*, a Score clause on a variable
+// the For does not bind, and text that does not parse.
+var evalErrorCases = []string{
+	`For $a in document("missing.xml")//x`,
+	`For $a in document("articles.xml")/descendant-or-self::*/p`,
+	`For $a in document("articles.xml")//article Score $b using ScoreFoo($b, {"x"}, {})`,
+	`not a query`,
+}
+
 func TestEvalErrors(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.EvalString(`For $a in document("missing.xml")//x`); err == nil {
-		t.Errorf("missing document should error")
-	}
-	if _, err := e.EvalString(`For $a in document("articles.xml")/descendant-or-self::*/p`); err == nil {
-		t.Errorf("non-final ad* should error")
-	}
-	if _, err := e.EvalString(`For $a in document("articles.xml")//article Score $b using ScoreFoo($b, {"x"}, {})`); err == nil {
-		t.Errorf("mismatched score variable should error")
-	}
-	if _, err := e.EvalString(`not a query`); err == nil {
-		t.Errorf("garbage should error")
+	for _, src := range evalErrorCases {
+		if _, err := e.EvalString(src); err == nil {
+			t.Errorf("%s: expected an error", src)
+		}
 	}
 }
 
@@ -265,5 +277,28 @@ func TestEvalUnknownPhrase(t *testing.T) {
 	}
 	if len(results) != 0 {
 		t.Errorf("unknown phrase produced %d results", len(results))
+	}
+}
+
+// TestFilterLeavesTheTagExtentIntact filters the review extent down to its
+// second review, then scans the extent again: the predicate step must
+// write its survivors to a new slice, never into the document's own
+// extent.
+func TestFilterLeavesTheTagExtentIntact(t *testing.T) {
+	e := newEngine(t)
+	const all = `For $r in document("reviews.xml")//review`
+	want, err := e.EvalString(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EvalString(all + `[@id="2"]`); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.EvalString(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := strings.Join(resultKeys(got), " "), strings.Join(resultKeys(want), " "); g != w {
+		t.Errorf("reviews after a filtered scan %s, before %s", g, w)
 	}
 }

@@ -150,44 +150,46 @@ func TestEvalQuery3Threshold(t *testing.T) {
 	}
 }
 
+// joinShapeErrorCases are multi-For queries that break the join shape.
+var joinShapeErrorCases = []string{
+	// Two Fors only.
+	`For $a in document("articles.xml")//article
+	 For $b in document("reviews.xml")//review
+	 Let $sim := ScoreSim($a/article-title, $b/title)`,
+	// Missing Let.
+	`For $a in document("articles.xml")//article
+	 For $b in document("reviews.xml")//review
+	 For $d in $a/descendant-or-self::*
+	 Score $d using ScoreFoo($d, {"x"}, {})
+	 Score $r using ScoreBar($sim, $d)`,
+	// Component not relative to $a.
+	`For $a in document("articles.xml")//article
+	 For $b in document("reviews.xml")//review
+	 Let $sim := ScoreSim($a/article-title, $b/title)
+	 For $d in $b/descendant-or-self::*
+	 Score $d using ScoreFoo($d, {"x"}, {})
+	 Score $r using ScoreBar($sim, $d)`,
+	// Missing ScoreBar.
+	`For $a in document("articles.xml")//article
+	 For $b in document("reviews.xml")//review
+	 Let $sim := ScoreSim($a/article-title, $b/title)
+	 For $d in $a/descendant-or-self::*
+	 Score $d using ScoreFoo($d, {"x"}, {})`,
+	// ScoreBar referencing the wrong vars.
+	`For $a in document("articles.xml")//article
+	 For $b in document("reviews.xml")//review
+	 Let $sim := ScoreSim($a/article-title, $b/title)
+	 For $d in $a/descendant-or-self::*
+	 Score $d using ScoreFoo($d, {"x"}, {})
+	 Score $r using ScoreBar($d, $sim)`,
+	// Single-For query with a Let clause.
+	`For $a in document("articles.xml")//article
+	 Let $sim := ScoreSim($a/article-title, $a/article-title)`,
+}
+
 func TestEvalJoinShapeErrors(t *testing.T) {
 	e := newEngine(t)
-	cases := []string{
-		// Two Fors only.
-		`For $a in document("articles.xml")//article
-		 For $b in document("reviews.xml")//review
-		 Let $sim := ScoreSim($a/article-title, $b/title)`,
-		// Missing Let.
-		`For $a in document("articles.xml")//article
-		 For $b in document("reviews.xml")//review
-		 For $d in $a/descendant-or-self::*
-		 Score $d using ScoreFoo($d, {"x"}, {})
-		 Score $r using ScoreBar($sim, $d)`,
-		// Component not relative to $a.
-		`For $a in document("articles.xml")//article
-		 For $b in document("reviews.xml")//review
-		 Let $sim := ScoreSim($a/article-title, $b/title)
-		 For $d in $b/descendant-or-self::*
-		 Score $d using ScoreFoo($d, {"x"}, {})
-		 Score $r using ScoreBar($sim, $d)`,
-		// Missing ScoreBar.
-		`For $a in document("articles.xml")//article
-		 For $b in document("reviews.xml")//review
-		 Let $sim := ScoreSim($a/article-title, $b/title)
-		 For $d in $a/descendant-or-self::*
-		 Score $d using ScoreFoo($d, {"x"}, {})`,
-		// ScoreBar referencing the wrong vars.
-		`For $a in document("articles.xml")//article
-		 For $b in document("reviews.xml")//review
-		 Let $sim := ScoreSim($a/article-title, $b/title)
-		 For $d in $a/descendant-or-self::*
-		 Score $d using ScoreFoo($d, {"x"}, {})
-		 Score $r using ScoreBar($d, $sim)`,
-		// Single-For query with a Let clause.
-		`For $a in document("articles.xml")//article
-		 Let $sim := ScoreSim($a/article-title, $a/article-title)`,
-	}
-	for i, src := range cases {
+	for i, src := range joinShapeErrorCases {
 		if _, err := e.EvalString(src); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}

@@ -12,3 +12,12 @@ func mustParse(src string) *xmltree.Node {
 	}
 	return n
 }
+
+// EvalString parses and evaluates a query.
+func (e *Engine) EvalString(src string) ([]Result, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Eval(q)
+}

@@ -16,26 +16,9 @@ import (
 // those on the corpus without that document: the IR step reads only the
 // bound document's postings.
 func TestScoringIsScopedToTheBoundDocument(t *testing.T) {
-	const other = `<notes>
-  <note>search engine internet search engine</note>
-  <note><p>information retrieval for the search engine</p><p>internet</p></note>
-</notes>`
-	run := func(extra bool) ([]string, storage.AccessStats) {
-		s := storage.NewStore()
-		docs := []struct{ name, src string }{
-			{"articles.xml", fixture.ArticlesXML},
-			{"reviews.xml", fixture.ReviewsXML},
-		}
-		if extra {
-			docs = append(docs, struct{ name, src string }{"notes.xml", other})
-		}
-		for _, d := range docs {
-			if _, err := s.AddTree(d.name, mustParse(d.src)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	run := func(e *Engine) ([]string, storage.AccessStats) {
 		var stats storage.AccessStats
-		e := &Engine{Store: s, Index: index.Build(s, tokenize.NewStemming()), Stats: &stats}
+		e.Stats = &stats
 		var keys []string
 		for _, src := range []string{query1Src, stopAfterSingle + stopAfterPick} {
 			rs, err := e.EvalString(src)
@@ -46,8 +29,8 @@ func TestScoringIsScopedToTheBoundDocument(t *testing.T) {
 		}
 		return keys, stats
 	}
-	wantKeys, wantStats := run(false)
-	gotKeys, gotStats := run(true)
+	wantKeys, wantStats := run(newEngine(t))
+	gotKeys, gotStats := run(plantedEngine(t))
 	for i := range wantKeys {
 		if gotKeys[i] != wantKeys[i] {
 			t.Errorf("query %d: results with the planted document %s, without %s", i, gotKeys[i], wantKeys[i])
@@ -56,4 +39,25 @@ func TestScoringIsScopedToTheBoundDocument(t *testing.T) {
 	if gotStats != wantStats {
 		t.Errorf("store traffic with the planted document %+v, without %+v", gotStats, wantStats)
 	}
+}
+
+// plantedEngine is newEngine's corpus plus notes.xml, a third document
+// holding Query 1's phrase and secondary terms.
+func plantedEngine(t testing.TB) *Engine {
+	t.Helper()
+	const notes = `<notes>
+  <note>search engine internet search engine</note>
+  <note><p>information retrieval for the search engine</p><p>internet</p></note>
+</notes>`
+	s := storage.NewStore()
+	for _, d := range []struct{ name, src string }{
+		{"articles.xml", fixture.ArticlesXML},
+		{"reviews.xml", fixture.ReviewsXML},
+		{"notes.xml", notes},
+	} {
+		if _, err := s.AddTree(d.name, mustParse(d.src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Engine{Index: index.Build(s, tokenize.NewStemming())}
 }

@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: check lint tixlint vet build test race bench bench-json bench-hotpath benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
+.PHONY: check lint tixlint vet build test race bench bench-json bench-hotpath bench-topk benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
 
 check: lint build benchmark-build benchmark-test race stress chaos cover fuzz-smoke loadsmoke
 
@@ -132,6 +132,14 @@ bench-json:
 bench-hotpath:
 	$(GO) run ./cmd/tixbench -table hotpath -json > bench-hotpath.json
 	@echo "wrote bench-hotpath.json"
+
+# The top-k layer number: internal/bench's BenchmarkTopKCommon replays
+# /terms-shaped (simple, k = 100) and complex top-k requests over
+# corpus-common words on the gate tier after live churn, and prints
+# ns/op, allocs/op and docs/req (mean DocsEvaluated). Timings gate
+# nothing.
+bench-topk:
+	$(GO) test ./internal/bench -run '^$$' -bench TopKCommon -benchtime 2000x
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

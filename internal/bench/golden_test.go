@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/exec"
+	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/xq"
 )
@@ -30,7 +31,10 @@ import (
 //     testing.AllocsPerRun ceiling per method (not measured under -race);
 //   - for the paper's Query 1 through db.EvalQuery over query1DB: every
 //     returned (Doc, Ord, Score), the evaluation's store traffic and an
-//     allocs/op ceiling (not measured under -race).
+//     allocs/op ceiling (not measured under -race);
+//   - per topk-common row, a TopKTermJoin over corpus-common words of the
+//     gate tier (topkCommonRows): its result count, store traffic,
+//     DocsEvaluated, BlocksSkipped and an allocs/op ceiling.
 //
 // Any change to a pinned count, or an allocation count above its ceiling,
 // fails; so does any row that breaks one of the paper's shape claims (see
@@ -106,7 +110,15 @@ func snapshotTables(t *testing.T, c *Corpus) []goldenTable {
 		}
 		out = append(out, gt)
 	}
-	return append(out, snapshotHotpath(t, c.Cfg.Seed), snapshotQuery1(t))
+	spec, err := HotpathTier("gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, _, err := HotpathCorpus(spec, c.Cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, snapshotHotpath(t, spec, gate), snapshotQuery1(t), snapshotTopKCommon(t, gate))
 }
 
 // snapshotQuery1 evaluates Query 1 once for its results and store traffic
@@ -144,18 +156,11 @@ func snapshotQuery1(t *testing.T) goldenTable {
 	return goldenTable{ID: "query1", Rows: []goldenRow{gr}}
 }
 
-// snapshotHotpath runs the gate tier's hot paths once each for their
-// counts and, outside -race, again under testing.AllocsPerRun.
-func snapshotHotpath(t *testing.T, seed int64) goldenTable {
+// snapshotHotpath runs the gate tier's hot paths over its corpus idx once
+// each for their counts and, outside -race, again under
+// testing.AllocsPerRun.
+func snapshotHotpath(t *testing.T, spec HotpathTierSpec, idx *index.Index) goldenTable {
 	t.Helper()
-	spec, err := HotpathTier("gate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, _, err := HotpathCorpus(spec, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gt := goldenTable{ID: "hotpath-" + spec.Name}
 	for _, w := range hotpathWorkloads(spec.Docs) {
 		tjN, tjStats, err := w.termJoin(idx)
@@ -200,7 +205,7 @@ func snapshotHotpath(t *testing.T, seed int64) goldenTable {
 //   - EnhTermJoin, which appears only in the complex-scoring Tables 2–4,
 //     reads no more nodes than TermJoin;
 //   - Comp3 reads at least as many nodes as PhraseFinder (Table 5);
-//   - TopKTermJoin's block-max sweep skips blocks on every hot-path row.
+//   - TopKTermJoin skips blocks on every hot-path row.
 func checkShapes(t *testing.T, tables []goldenTable) {
 	t.Helper()
 	for _, gt := range tables {

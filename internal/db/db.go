@@ -314,7 +314,7 @@ func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSea
 
 // SearchStats is what a term search cost: its store traffic and, when the
 // pruned top-k answered it, the documents that top-k scored and the blocks
-// its sweep passed over undecoded.
+// it left in intervals it never opened.
 type SearchStats struct {
 	Access        storage.AccessStats
 	DocsEvaluated int64
@@ -334,7 +334,7 @@ func (s *SearchStats) Add(o SearchStats) {
 // too). It is the term-search evaluation of one segment.
 //
 // There is one rule. A top-k search with non-negative weights runs the
-// pruned TopKTermJoin — the block-max sweep, over flat block lists and a
+// pruned TopKTermJoin — best-first block-max, over flat block lists and a
 // live snapshot's merged lists alike — and applies MinScore to its k
 // results, which is exact because the elements above a threshold are a
 // prefix of the ranking. Anything else (no top-k, or a negative or NaN

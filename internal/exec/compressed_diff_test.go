@@ -71,7 +71,7 @@ func TestCompressedListsMatchRawSingleDoc(t *testing.T) {
 
 // TestTopKBlockMaxMatchesUnprunedOracle is the pruning regression test:
 // the block-max path with pruning enabled must return exactly — same
-// elements, same order, same scores — what the unpruned sweep and the
+// elements, same order, same scores — what the unpruned run and the
 // full TermJoin produce on the planted-frequency corpus.
 func TestTopKBlockMaxMatchesUnprunedOracle(t *testing.T) {
 	idx := buildMultiDocIndex(t, 12)
@@ -115,7 +115,7 @@ func TestTopKBlockMaxMatchesUnprunedOracle(t *testing.T) {
 			}
 			diffScored(t, label+" pruned vs full TermJoin", got, tk.Results())
 
-			// Raw slices run the same sweep, each list one pseudo-block, so
+			// Raw slices run the same way, each list one pseudo-block, so
 			// they can skip at most one block per list.
 			raw := &TopKTermJoin{Index: idx, Query: rawQuery(idx, q), K: k}
 			rawGot, err := raw.Run()
@@ -131,7 +131,7 @@ func TestTopKBlockMaxMatchesUnprunedOracle(t *testing.T) {
 }
 
 // TestTopKBlockMaxSkipsBlocks pins the pruning payoff: with k=1 over a
-// corpus where every document attains the same bound, the sweep must pass
+// corpus where every document attains the same bound, the run must pass
 // over later blocks without decoding them.
 func TestTopKBlockMaxSkipsBlocks(t *testing.T) {
 	idx := buildMultiDocIndex(t, 12)
@@ -141,7 +141,7 @@ func TestTopKBlockMaxSkipsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tkj.BlocksSkipped == 0 {
-		t.Error("block-max sweep decoded every block at k=1")
+		t.Error("pruned run decoded every block at k=1")
 	}
 	if tkj.DocsEvaluated >= 12 {
 		t.Errorf("DocsEvaluated = %d, want early termination below 12", tkj.DocsEvaluated)

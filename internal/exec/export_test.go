@@ -7,3 +7,7 @@ import "repro/internal/index"
 func unprunedTopK(idx *index.Index, q TermQuery, k int) *TopKTermJoin {
 	return &TopKTermJoin{Index: idx, Query: q, K: k, disablePruning: true}
 }
+
+// UnprunedTopK is unprunedTopK for the external tests, which reach the
+// sharded facade.
+var UnprunedTopK = unprunedTopK

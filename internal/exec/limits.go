@@ -135,23 +135,6 @@ func NewGuard(ctx context.Context, limits Limits) *Guard {
 	return g
 }
 
-// Limits returns the budget this guard enforces (zero value for nil).
-func (g *Guard) Limits() Limits {
-	if g == nil {
-		return Limits{}
-	}
-	return g.limits
-}
-
-// Budget returns the shared access budget accessors should charge into,
-// or nil for the no-op guard.
-func (g *Guard) Budget() *storage.AccessBudget {
-	if g == nil {
-		return nil
-	}
-	return &g.budget
-}
-
 // Attach points acc's access metering at the guard's shared budget and
 // returns acc, for call-site chaining. No-op on a nil guard or accessor.
 func (g *Guard) Attach(acc *storage.Accessor) *storage.Accessor {
@@ -165,14 +148,6 @@ func (g *Guard) Attach(acc *storage.Accessor) *storage.Accessor {
 // budget. Valid on a nil guard (plain accessor).
 func (g *Guard) NewAccessor(s *storage.Store) *storage.Accessor {
 	return g.Attach(storage.NewAccessor(s))
-}
-
-// Emitted returns the number of results noted so far.
-func (g *Guard) Emitted() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.emitted.Load()
 }
 
 // fail latches the first failure and returns the latched error.

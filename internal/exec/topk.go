@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // RankedBefore reports whether a ranks ahead of b in the result ordering
 // contract shared by every ranked entry point: score descending, then
@@ -32,10 +29,11 @@ func SortRanked(nodes []ScoredNode) {
 // operator's K condition, using the bounded-heap technique the paper cites
 // for global ranking [8, 5]. Ties at the k-th score are broken by the same
 // (doc, ord) contract, so the retained set does not depend on the order
-// elements were offered. The zero value is unusable; create with NewTopK.
+// elements were offered. Offer allocates only to grow the heap towards k.
+// The zero value is unusable; create with NewTopK.
 type TopK struct {
 	k int
-	h scoredHeap
+	h []ScoredNode // heap under rankedAfter: h[0] is the first to be displaced
 }
 
 // NewTopK returns a TopK keeping the k best elements.
@@ -45,24 +43,25 @@ func NewTopK(k int) *TopK {
 
 // Offer considers one element.
 func (t *TopK) Offer(n ScoredNode) {
-	if t.k <= 0 {
-		return
-	}
-	if t.h.Len() < t.k {
-		heap.Push(&t.h, n)
-		return
-	}
-	if RankedBefore(n, t.h[0]) {
+	switch {
+	case len(t.h) < t.k:
+		t.h = append(t.h, n)
+		siftUp(t.h, len(t.h)-1, rankedAfter)
+	case t.k > 0 && RankedBefore(n, t.h[0]):
 		t.h[0] = n
-		heap.Fix(&t.h, 0)
+		siftDown(t.h, 0, rankedAfter)
 	}
 }
+
+// rankedAfter orders TopK's heap so that its root is the retained element
+// that ranks last.
+func rankedAfter(a, b ScoredNode) bool { return RankedBefore(b, a) }
 
 // last returns the retained element that ranks last — the k-th best, the
 // one the next better offer displaces, whose score is the pruning cut-off
 // — and false while fewer than k elements are retained.
 func (t *TopK) last() (ScoredNode, bool) {
-	if t.k <= 0 || t.h.Len() < t.k {
+	if t.k <= 0 || len(t.h) < t.k {
 		return ScoredNode{}, false
 	}
 	return t.h[0], true
@@ -78,23 +77,55 @@ func (t *TopK) Results() []ScoredNode {
 // Emit returns an Emit that feeds the TopK, for composing with the
 // score-generating access methods.
 func (t *TopK) Emit() Emit {
-	return func(n ScoredNode) { t.Offer(n) }
+	return t.Offer
 }
 
-// scoredHeap is a min-heap under RankedBefore: the root is the retained
-// element that ranks last, i.e. the first to be displaced.
-type scoredHeap []ScoredNode
+// siftUp restores the heap order of h after h[i] was set or appended: the
+// root of h is the element that first orders ahead of all the others.
+func siftUp[T any](h []T, i int, first func(a, b T) bool) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !first(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
 
-func (h scoredHeap) Len() int            { return len(h) }
-func (h scoredHeap) Less(i, j int) bool  { return RankedBefore(h[j], h[i]) }
-func (h scoredHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scoredHeap) Push(x interface{}) { *h = append(*h, x.(ScoredNode)) }
-func (h *scoredHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// siftDown restores the heap order of h after h[i] was replaced.
+func siftDown[T any](h []T, i int, first func(a, b T) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && first(h[r], h[c]) {
+			c = r
+		}
+		if !first(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// heapify orders all of h as a heap under first.
+func heapify[T any](h []T, first func(a, b T) bool) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, first)
+	}
+}
+
+// popHeap swaps the root of the heap h to its end and returns the heap
+// without it.
+func popHeap[T any](h []T, first func(a, b T) bool) []T {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h = h[:n]
+	siftDown(h, 0, first)
+	return h
 }
 
 // FilterMinScore returns an Emit that forwards only elements with score

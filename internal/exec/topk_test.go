@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/storage"
 )
 
 func TestTopKBasic(t *testing.T) {
@@ -184,6 +186,26 @@ func TestHistogramThresholdApproximatesExactQuantile(t *testing.T) {
 		want := frac * float64(len(nodes))
 		if float64(n) < want*0.8 || float64(n) > want*1.3+float64(len(nodes))/100 {
 			t.Errorf("frac %.2f: threshold %f selects %d nodes, want ≈ %.0f", frac, th, n, want)
+		}
+	}
+}
+
+// TestTopKOfferAllocatesNothing: once the heap holds k elements, Offer
+// neither boxes nor grows anything, whether the element displaces the
+// k-th (every offer of the first run) or not (every offer of the second).
+func TestTopKOfferAllocatesNothing(t *testing.T) {
+	tk := NewTopK(100)
+	for i := 0; i < 100; i++ {
+		tk.Offer(ScoredNode{Ord: int32(i), Score: float64(i)})
+	}
+	for _, step := range []float64{1, -1} {
+		score := float64(1000 * step)
+		allocs := testing.AllocsPerRun(1000, func() {
+			score += step
+			tk.Offer(ScoredNode{Doc: storage.DocID(score), Score: score})
+		})
+		if allocs != 0 {
+			t.Errorf("Offer allocates %.2f times per call, want 0", allocs)
 		}
 	}
 }

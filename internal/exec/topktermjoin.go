@@ -11,25 +11,18 @@ import (
 // for Threshold evaluation (Chang & Hwang's minimal probing and Bruno et
 // al.'s upper-bound pruning, Sec. 5.3 [8, 5]).
 //
-// It derives an upper bound on the score any element of a document can
-// attain — for the simple scoring function the weighted whole-document
-// term counts; for the complex function that base plus the maximal
-// proximity bonus (each adjacent occurrence pair contributes at most
-// 1/(1+1) — or 1/(1+0) when two lists can hold the same position, see
-// pairMax — and the child ratio is at most 1) — and skips every document
-// whose bound cannot displace the current k-th best score.
-//
-// The bounds come from each list's block-max view (postings.BlockMax:
-// skip tables, one pseudo-block per memtable run), so flat block lists and
-// a live snapshot's merged lists run the same WAND-style sweep: the
-// document space is swept in ascending order as a sequence of intervals
-// over which the set of candidate blocks is constant, each interval is
-// bounded by the sum of its blocks' MaxFreq statistics, and intervals that
-// cannot beat the k-th score are skipped without decoding a single block.
-// Documents inside a surviving interval are still bounded exactly (via a
-// document-stream-only scan that never reports a deleted document) before
-// the full per-document TermJoin runs. The result is exactly the full
-// TermJoin's top k.
+// It works best first under two levels of upper bound, as Block-Max WAND
+// does (Ding & Suel, SIGIR 2011). The document space is cut into block-max
+// intervals, the maximal ranges over which each list's set of overlapping
+// blocks (postings.BlockMax: skip tables, one pseudo-block per memtable
+// run) is constant, and each is bounded from its blocks' MaxFreq alone.
+// Intervals are opened in descending bound order; opening one counts its
+// documents with a document-stream-only scan that never reports a deleted
+// document, which bounds each exactly. A document runs the full TermJoin,
+// restricted to it, once no unopened interval ranks ahead of its bound,
+// and the run stops when neither the next document nor the next interval
+// can displace the k-th element. The result is exactly the full TermJoin's
+// top k (DESIGN.md §17).
 type TopKTermJoin struct {
 	Index *index.Index
 	Query TermQuery
@@ -39,20 +32,96 @@ type TopKTermJoin struct {
 	// DocsEvaluated reports, after Run, how many documents were actually
 	// scored (the early-termination payoff).
 	DocsEvaluated int
-	// BlocksSkipped reports, after Run, how many encoded blocks the
-	// block-max sweep passed over without decoding.
+	// BlocksSkipped reports, after Run, how many blocks of the lists'
+	// block-max views end inside an interval that was never opened.
 	BlocksSkipped int
 	// Guard, when non-nil, is the cooperative cancellation and resource
-	// budget, ticked once per interval of the sweep and for every posting
-	// counted, and checked inside every per-document TermJoin; the run's
-	// accessor charges its store accesses to the guard's shared budget.
+	// budget, ticked once per interval and for every posting counted, and
+	// checked inside every per-document TermJoin; the run's accessor
+	// charges its store accesses to the guard's shared budget.
 	Guard *Guard
 
 	acc     *storage.Accessor // the last Run's accessor, for AccessStats
 	pairMax float64           // largest proximity bonus one occurrence pair adds
 	// disablePruning evaluates every candidate document — the oracle the
-	// differential tests compare the pruned sweep against (export_test.go).
+	// differential tests compare the pruned run against (export_test.go).
 	disablePruning bool
+}
+
+// entry is an item of the best-first heap: the unopened block-max interval
+// [lo, hi), or, when hi is 0, the opened interval groups[g], whose best
+// candidate is the document lo. bound bounds the score of any element the
+// entry still holds.
+type entry struct {
+	lo, hi storage.DocID
+	bound  float64
+	ends   int32 // an unopened interval's blocks whose last document it holds
+	g      int32
+}
+
+// The heaps rank by bound, then by lower document: the order in which
+// RankedBefore breaks a tie at the k-th score.
+func candidateFirst(a, b candidate) bool {
+	return a.bound > b.bound || a.bound == b.bound && a.doc < b.doc
+}
+
+func entryFirst(a, b entry) bool {
+	return candidateFirst(candidate{a.lo, a.bound}, candidate{b.lo, b.bound})
+}
+
+// group is an opened interval [lo, hi): its candidates, cands[from:to],
+// and the offset in wins of each list's window onto it. Until its first
+// document is scored, win is -1 and the candidates are unordered; from
+// then on they are a heap.
+type group struct {
+	lo, hi        storage.DocID
+	from, to, win int32
+}
+
+// candidate is a document of an opened interval with its exact bound.
+type candidate struct {
+	doc   storage.DocID
+	bound float64
+}
+
+// boundMemo is a slot of topkRun's cache of scoreBound by count vector.
+type boundMemo struct {
+	key   uint64 // a 1 byte, then the counts, a byte each; 0 when empty
+	bound float64
+}
+
+type docCount struct {
+	doc storage.DocID
+	n   int
+}
+
+// topkRun is the state of one Run; its buffers are reused by every
+// interval opened and every document scored. The per-term slices are
+// indexed by term.
+type topkRun struct {
+	*TopKTermJoin
+	tk *TopK
+	// floor holds, under simple scoring, the k best bounds of the
+	// documents seen: a document's root contains every occurrence in it,
+	// so it scores exactly its bound, and the k-th of them ranks no better
+	// than the k-th element. Under complex scoring it keeps nothing.
+	floor *TopK
+	// memo caches document bounds: the documents of an interval share few
+	// count vectors.
+	memo    [64]boundMemo
+	heap    []entry
+	groups  []group
+	cands   []candidate
+	lists   []index.List
+	counts  []int
+	runs    [][]docCount // an opened interval's document counts
+	heads   []int        // merge positions in runs
+	wins    []index.List // the scored groups' windows, one per list
+	sub     []index.List // one document's sub-lists
+	cur     int          // the term collect appends to
+	collect func(storage.DocID, int) error
+	emit    Emit
+	tj      TermJoin
 }
 
 // Run evaluates and returns the top-k elements, best first.
@@ -79,214 +148,295 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	if t.Query.Lists != nil || repeats(terms) {
 		t.pairMax = 1
 	}
-	lists := make([]index.List, len(terms))
-	for i := range terms {
-		lists[i] = t.Query.list(t.Index, terms, i)
+	n := len(terms)
+	r := &topkRun{TopKTermJoin: t, tk: NewTopK(t.K), floor: NewTopK(0),
+		lists: make([]index.List, n), counts: make([]int, n), runs: make([][]docCount, n),
+		heads: make([]int, n), sub: make([]index.List, n)}
+	if !t.Query.Complex {
+		r.floor = NewTopK(t.K)
 	}
-	tk := NewTopK(t.K)
+	for i := range terms {
+		r.lists[i] = t.Query.list(t.Index, terms, i)
+		// An interval overlaps one block of a list, as a rule.
+		r.runs[i] = make([]docCount, 0, postings.BlockSize)
+	}
+	r.collect = func(doc storage.DocID, n int) error {
+		r.runs[r.cur] = append(r.runs[r.cur], docCount{doc, n})
+		return nil
+	}
 	// One evaluation context for the whole run: the accessor, the inner
-	// TermJoin with its arena, the per-document sub-list scratch and the
-	// heap's emit closure are all shared across every document evaluated,
-	// so the per-document cost is the join itself, not its setup.
+	// TermJoin with its arena, the sub-list scratch and the heap's emit
+	// are shared by every document evaluated.
+	r.emit = r.tk.Emit()
 	q := t.Query
 	q.Lists = nil
-	ev := &topkEval{
-		lists: lists,
-		sub:   make([]index.List, len(lists)),
-		emit:  tk.Emit(),
-		tj: TermJoin{
-			Index:       t.Index,
-			Acc:         t.acc,
-			Query:       q,
-			ChildCounts: t.ChildCounts,
-			Guard:       t.Guard,
-			Arena:       &TJArena{},
-		},
-	}
-	if err := t.runBlockMax(lists, ev, tk); err != nil {
+	r.tj = TermJoin{Index: t.Index, Acc: t.acc, Query: q, ChildCounts: t.ChildCounts, Guard: t.Guard, Arena: &TJArena{}}
+
+	if err := r.enumerate(); err != nil {
 		return nil, err
 	}
-	return tk.Results(), nil
-}
-
-// topkEval is the reusable per-document evaluation state of one
-// TopKTermJoin run.
-type topkEval struct {
-	lists []index.List
-	sub   []index.List
-	emit  Emit
-	tj    TermJoin
-}
-
-// evalDoc runs the regular TermJoin restricted to one document, feeding
-// the top-k heap.
-func (t *TopKTermJoin) evalDoc(ev *topkEval, doc storage.DocID) error {
-	t.DocsEvaluated++
-	for i, l := range ev.lists {
-		ev.sub[i] = l.Range(doc, doc+1)
+	// Best first: score the best group's best candidate or open the best
+	// interval, until the best entry cannot place — every other ranks
+	// after it.
+	for len(r.heap) > 0 && r.canPlace(r.heap[0].bound, r.heap[0].lo) {
+		e := r.heap[0]
+		r.heap = popHeap(r.heap, entryFirst)
+		var err error
+		if e.hi == 0 {
+			err = r.score(e)
+		} else {
+			err = r.open(e)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	ev.tj.Query.Lists = ev.sub
-	return ev.tj.Run(ev.emit)
+	for _, e := range r.heap {
+		t.BlocksSkipped += int(e.ends)
+	}
+	return r.tk.Results(), nil
 }
 
-// runBlockMax sweeps the document space in ascending order as intervals
-// over which every list's candidate block set is constant, bounds each
-// interval by the block-max view's MaxFreq sums alone, and decodes only
-// intervals that can still displace the k-th score.
-//
-// Exactness: documents are handled in strictly ascending order and the
-// heap's tie-break prefers lower document ids, so an element from a later
-// document tying the k-th score can never displace it — a skip under
-// bound ≤ k-th is therefore lossless. Deleted documents only remove
-// postings, so every bound stays an upper bound, and DocCounts never
-// reports them, so they are never evaluated.
-func (t *TopKTermJoin) runBlockMax(lists []index.List, ev *topkEval, tk *TopK) error {
-	views := make([]postings.BlockMax, len(lists))
-	for i, l := range lists {
+// enumerate fills the heap with the block-max intervals, each bounded
+// from its blocks' MaxFreq alone.
+func (r *topkRun) enumerate() error {
+	views := make([]postings.BlockMax, len(r.lists))
+	// An interval starts at a block's first document or just past a
+	// block's last, so there are at most twice as many as blocks.
+	blocks := 0
+	for i, l := range r.lists {
 		views[i] = l.BlockMax()
+		for v := views[i]; v.Valid(); v.Next() {
+			blocks++
+		}
 	}
-	counts := make([]int, len(lists))
-	// Per-list (document, count) runs of a surviving interval, ascending by
-	// document, and each run's merge position; the buffers are reused
-	// across intervals.
-	type docCount struct {
-		doc storage.DocID
-		n   int
-	}
-	runs := make([][]docCount, len(lists))
-	heads := make([]int, len(lists))
-
-	next := storage.DocID(0) // all documents < next are fully handled
+	r.heap = make([]entry, 0, 2*blocks)
+	next := storage.DocID(0) // the intervals below next are enumerated
 	for {
-		if err := t.Guard.Tick(); err != nil {
+		if err := r.Guard.Tick(); err != nil {
 			return err
 		}
-		// Advance past blocks wholly before the frontier and find the
-		// interval [d, B) on which every list's block set is constant.
-		d := storage.DocID(-1)
+		// The interval [d, B): d is the first document at or after next
+		// that a block covers, B the first block edge after d.
+		d, B := storage.DocID(-1), storage.DocID(-1)
 		for i := range views {
 			v := &views[i]
 			for v.Valid() && v.Block().LastDoc < next {
 				v.Next()
 			}
-			if !v.Valid() {
-				continue
-			}
-			lo := max(v.Block().FirstDoc, next)
-			if d < 0 || lo < d {
-				d = lo
+			if v.Valid() && (d < 0 || max(v.Block().FirstDoc, next) < d) {
+				d = max(v.Block().FirstDoc, next)
 			}
 		}
 		if d < 0 {
-			return nil // every list exhausted
+			heapify(r.heap, entryFirst)
+			return nil
 		}
-		B := storage.DocID(-1)
 		for i := range views {
-			if !views[i].Valid() {
-				continue
-			}
-			blk := views[i].Block()
-			edge := blk.LastDoc + 1
-			if blk.FirstDoc > d {
-				edge = blk.FirstDoc
-			}
-			if B < 0 || edge < B {
-				B = edge
+			if v := &views[i]; v.Valid() {
+				edge := v.Block().LastDoc + 1
+				if v.Block().FirstDoc > d {
+					edge = v.Block().FirstDoc
+				}
+				if B < 0 || edge < B {
+					B = edge
+				}
 			}
 		}
-
-		// Upper-bound the interval from the block-max views alone: a
-		// document in [d, B) may span several consecutive blocks, so sum
-		// MaxFreq over every block starting before B.
-		ubOcc := 0
+		// A document may span consecutive blocks of a list, so a list's
+		// bound sums MaxFreq over every block overlapping the interval.
+		iv := entry{lo: d, hi: B}
 		for i := range views {
-			counts[i] = 0
+			r.counts[i] = 0
 			for v := views[i]; v.Valid() && v.Block().FirstDoc < B; v.Next() {
-				counts[i] += int(v.Block().MaxFreq)
-			}
-			ubOcc += counts[i]
-		}
-		if ubOcc == 0 {
-			next = B
-			continue
-		}
-		if !t.disablePruning {
-			if kth, full := tk.last(); full && t.bound(counts, ubOcc) <= kth.Score {
-				// Nothing in the interval can displace the k-th: skip it
-				// without decoding. Blocks wholly consumed by the skip are
-				// the pruning payoff.
-				for i := range views {
-					for v := views[i]; v.Valid() && v.Block().LastDoc < B; v.Next() {
-						t.BlocksSkipped++
-					}
-				}
-				next = B
-				continue
-			}
-		}
-
-		// The interval survives: resolve exact per-document counts with a
-		// document-stream-only scan of each list, then merge the lists'
-		// ascending runs to bound and evaluate each document in order.
-		for i, l := range lists {
-			runs[i], heads[i] = runs[i][:0], 0
-			occ := 0
-			err := l.DocCounts(d, B, func(doc storage.DocID, n int) error {
-				runs[i] = append(runs[i], docCount{doc, n})
-				occ += n
-				return nil
-			})
-			if err == nil {
-				err = t.Guard.TickN(occ)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		for {
-			doc := storage.DocID(-1)
-			for i, run := range runs {
-				if h := heads[i]; h < len(run) && (doc < 0 || run[h].doc < doc) {
-					doc = run[h].doc
+				r.counts[i] += int(v.Block().MaxFreq)
+				if v.Block().LastDoc < B {
+					iv.ends++
 				}
 			}
-			if doc < 0 {
-				break
-			}
-			occ := 0
-			for i, run := range runs {
-				counts[i] = 0
-				if h := heads[i]; h < len(run) && run[h].doc == doc {
-					counts[i] = run[h].n
-					heads[i]++
-				}
-				occ += counts[i]
-			}
-			if !t.disablePruning {
-				if kth, full := tk.last(); full && t.bound(counts, occ) <= kth.Score {
-					continue // exact bound says this document cannot place
-				}
-			}
-			if err := t.evalDoc(ev, doc); err != nil {
-				return err
-			}
 		}
+		iv.bound = scoreBound(&r.Query, r.pairMax, r.counts)
+		r.heap = append(r.heap, iv)
 		next = B
 	}
 }
 
-// bound upper-bounds any element score in a document.
-func (t *TopKTermJoin) bound(counts []int, totalOcc int) float64 {
-	base := t.Query.Scorer.Simple(counts)
-	if !t.Query.Complex {
+// canPlace reports whether an element scoring at most bound, from doc or a
+// later document, can rank ahead of the k-th element and of the floor's.
+func (r *topkRun) canPlace(bound float64, doc storage.DocID) bool {
+	return r.disablePruning || !below(r.tk, bound, doc) && !below(r.floor, bound, doc)
+}
+
+// below reports whether h is full and an element scoring at most bound,
+// from doc or a later document, ranks after its last element: below its
+// score, or tying it from a higher document (RankedBefore). doc is never
+// the document of a scored element, but may be the floor's.
+func below(h *TopK, bound float64, doc storage.DocID) bool {
+	last, full := h.last()
+	return full && (bound < last.Score || bound == last.Score && doc > last.Doc)
+}
+
+// open counts the documents of iv exactly and keeps those that can still
+// place as a group. While neither the TopK nor the floor is full, it
+// scores the group's best at once, so that a cut-off comes to exist.
+func (r *topkRun) open(iv entry) error {
+	drive := 0
+	for i, l := range r.lists {
+		r.runs[i], r.cur = r.runs[i][:0], i
+		err := l.DocCounts(iv.lo, iv.hi, r.collect)
+		occ, most := 0, 0
+		for _, c := range r.runs[i] {
+			occ, most = occ+c.n, max(most, c.n)
+		}
+		if err == nil {
+			err = r.Guard.TickN(occ)
+		}
+		if err != nil {
+			return err
+		}
+		r.heads[i], r.counts[i] = 0, most
+		if len(r.runs[i]) < len(r.runs[drive]) {
+			drive = i
+		}
+	}
+	// When a document missing from the list with the fewest cannot place,
+	// under the other lists' actual maxima, only that list's documents need
+	// bounding: it drives the merge.
+	if r.counts[drive] = 0; r.canPlace(scoreBound(&r.Query, r.pairMax, r.counts), iv.lo) {
+		drive = -1
+	}
+	g := group{lo: iv.lo, hi: iv.hi, from: int32(len(r.cands)), win: -1}
+	best := candidate{doc: -1}
+	// Merge the lists' ascending runs to bound each document exactly.
+	for {
+		doc := storage.DocID(-1)
+		for i, run := range r.runs {
+			if h := r.heads[i]; h < len(run) && (doc < 0 || run[h].doc < doc) && (drive < 0 || i == drive) {
+				doc = run[h].doc
+			}
+		}
+		if doc < 0 {
+			break
+		}
+		for i, run := range r.runs {
+			h := r.heads[i]
+			for h < len(run) && run[h].doc < doc {
+				h++ // only the driving list's documents are bounded
+			}
+			r.counts[i] = 0
+			if h < len(run) && run[h].doc == doc {
+				r.counts[i] = run[h].n
+				h++
+			}
+			r.heads[i] = h
+		}
+		c := candidate{doc, r.bound()}
+		if r.canPlace(c.bound, doc) {
+			r.floor.Offer(ScoredNode{Doc: doc, Score: c.bound})
+			r.cands = append(r.cands, c)
+			if best.doc < 0 || candidateFirst(c, best) {
+				best = c
+			}
+		}
+	}
+	g.to = int32(len(r.cands))
+	r.groups = append(r.groups, g)
+	e := entry{lo: best.doc, bound: best.bound, g: int32(len(r.groups) - 1)}
+	_, full := r.tk.last()
+	if _, floored := r.floor.last(); e.lo >= 0 && !full && !floored {
+		return r.score(e)
+	}
+	r.push(e)
+	return nil
+}
+
+// bound returns scoreBound of r.counts, through the memo when the counts
+// fit its key: at most seven, each below 256.
+func (r *topkRun) bound() float64 {
+	key := uint64(1)
+	for _, c := range r.counts {
+		if c > 255 || key>>56 != 0 {
+			return scoreBound(&r.Query, r.pairMax, r.counts)
+		}
+		key = key<<8 | uint64(c)
+	}
+	m := &r.memo[key*0x9e3779b97f4a7c15>>58] // Fibonacci hashing
+	if m.key != key {
+		*m = boundMemo{key, scoreBound(&r.Query, r.pairMax, r.counts)}
+	}
+	return m.bound
+}
+
+// push puts e on the heap if it holds a candidate that can place.
+func (r *topkRun) push(e entry) {
+	if e.lo >= 0 && r.canPlace(e.bound, e.lo) {
+		r.heap = append(r.heap, e)
+		siftUp(r.heap, len(r.heap)-1, entryFirst)
+	}
+}
+
+// score runs the regular TermJoin restricted to the best candidate of e's
+// group, feeding the TopK, over sub-lists cut from the lists' windows onto
+// the group's interval, and puts the group back under its next candidate
+// while that can place. The group's first score computes the windows and
+// makes a heap of the candidates that can still place.
+func (r *topkRun) score(e entry) error {
+	r.DocsEvaluated++
+	g := &r.groups[e.g]
+	if g.win < 0 {
+		g.win = int32(len(r.wins))
+		for _, l := range r.lists {
+			r.wins = append(r.wins, l.Range(g.lo, g.hi))
+		}
+		keep := r.cands[g.from:g.from]
+		for _, c := range r.cands[g.from:g.to] {
+			if r.canPlace(c.bound, c.doc) {
+				keep = append(keep, c)
+			}
+		}
+		heapify(keep, candidateFirst)
+		g.to = g.from + int32(len(keep))
+	}
+	for i, w := range r.wins[g.win:][:len(r.lists)] {
+		r.sub[i] = w.Range(e.lo, e.lo+1)
+	}
+	r.tj.Query.Lists = r.sub
+	if err := r.tj.Run(r.emit); err != nil {
+		return err
+	}
+	rest := popHeap(r.cands[g.from:g.to], candidateFirst)
+	if g.to = g.from + int32(len(rest)); len(rest) > 0 {
+		r.push(entry{lo: rest[0].doc, bound: rest[0].bound, g: e.g})
+	}
+	return nil
+}
+
+// scoreBound upper-bounds the score of any element whose per-term
+// occurrence counts are at most counts, under q's scorer, when one
+// adjacent occurrence pair adds at most pairMax. It is monotone in every
+// count, so it bounds every element of a document from the document's
+// counts, and every document of an interval from its block maxima.
+//
+// A complex score is at most (base + proximity bonus) × 1, the child
+// ratio being at most 1. Only a term switch — adjacent occurrences of
+// different terms in position order — adds to the bonus. Every switch has
+// an occurrence of a term other than the most frequent one on one side,
+// and each occurrence borders at most two pairs, so of the occ−1 pairs at
+// most 2·(occ − max_i counts[i]) pay.
+func scoreBound(q *TermQuery, pairMax float64, counts []int) float64 {
+	base := q.Scorer.Simple(counts)
+	if !q.Complex {
 		return base
 	}
-	// Complex score ≤ (base + proximity bonus) × 1; each of the at most
-	// occ-1 adjacent pairs contributes at most pairMax.
-	if totalOcc > 1 {
-		base += t.pairMax * float64(totalOcc-1)
+	occ, most := 0, 0
+	for _, c := range counts {
+		occ += c
+		most = max(most, c)
 	}
-	return base
+	if occ == 0 {
+		return base
+	}
+	return base + pairMax*float64(min(occ-1, 2*(occ-most)))
 }
 
 // repeats reports whether any term occurs twice in terms.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/index"
 	"repro/internal/scoring"
@@ -100,7 +102,7 @@ func fullTopK(t *testing.T, idx *index.Index, q TermQuery, k int) []ScoredNode {
 	return tk.Results()
 }
 
-// TestTopKTermJoinMatchesFullRun pins the pruned sweep to the exhaustive
+// TestTopKTermJoinMatchesFullRun pins the pruned run to the exhaustive
 // oracle element for element, ties at the k-th score included (unit
 // weights make integer scores, so most cut-offs fall inside a tie), on
 // flat block lists and on the same documents served from a memtable plus
@@ -140,8 +142,8 @@ func TestTopKTermJoinMatchesFullRun(t *testing.T) {
 }
 
 // TestTopKTermJoinPlantedCases plants the two inputs the pruned paths
-// used to get wrong, and holds the sweep to the exhaustive oracle on flat
-// lists and on a live snapshot of the same documents.
+// used to get wrong, and holds the pruned run to the exhaustive oracle on
+// flat lists and on a live snapshot of the same documents.
 func TestTopKTermJoinPlantedCases(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -191,10 +193,10 @@ func TestTopKTermJoinPlantedCases(t *testing.T) {
 	}
 }
 
-// TestTopKTermJoinPrunesLiveSnapshot: a live snapshot's merged lists run
-// the block-max sweep too — at k=1 it skips blocks and scores fewer
-// documents than carry the terms — and the deleted document is never
-// scored, even with pruning off.
+// TestTopKTermJoinPrunesLiveSnapshot: a live snapshot's merged lists are
+// pruned too — at k=1 the run skips blocks and scores fewer documents
+// than carry the terms — and the deleted document is never scored, even
+// with pruning off.
 func TestTopKTermJoinPrunesLiveSnapshot(t *testing.T) {
 	terms := []string{"ctla", "ctlb"}
 	idx := liveIndex(t, multiDocRoots(t, 12), 8, terms)
@@ -213,7 +215,7 @@ func TestTopKTermJoinPrunesLiveSnapshot(t *testing.T) {
 		}
 	}
 	if tkj.BlocksSkipped == 0 {
-		t.Error("block-max sweep skipped no block of the live snapshot at k=1")
+		t.Error("pruned run skipped no block of the live snapshot at k=1")
 	}
 	if tkj.DocsEvaluated >= len(candidates) {
 		t.Errorf("DocsEvaluated = %d, want below the %d candidate documents", tkj.DocsEvaluated, len(candidates))
@@ -289,5 +291,110 @@ func TestTopKTermJoinEdgeCases(t *testing.T) {
 	got, err := (&TopKTermJoin{Index: idx, Query: TermQuery{Terms: []string{"zzz"}, Scorer: DefaultScorer{}}, K: 5}).Run()
 	if err != nil || len(got) != 0 {
 		t.Errorf("unknown term: %v, %v", got, err)
+	}
+}
+
+// TestQuickScoreBound: over random occurrence buffers (terms, positions,
+// text nodes), child statistics and non-negative weights, neither
+// DefaultScorer function exceeds the top-k bound of the counts, and the
+// bound is monotone in every count. Distinct terms never share a position
+// (pairMax 1/2); a repeated term or caller-supplied lists can (pairMax 1).
+func TestQuickScoreBound(t *testing.T) {
+	f := func(seed int64, shared bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(4)
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = float64(rng.Intn(4)) * rng.Float64()
+		}
+		scorer := DefaultScorer{SimpleFn: scoring.SimpleScorer{Weights: w}, ComplexFn: scoring.ComplexScorer{Weights: w}}
+		pairMax := 0.5
+		if shared {
+			pairMax = 1
+		}
+		counts := make([]int, n)
+		occs := make([]scoring.Occ, rng.Intn(40))
+		pos := uint32(rng.Intn(10))
+		for i := range occs {
+			if !shared || rng.Intn(2) == 0 {
+				pos += 1 + uint32(rng.Intn(4))
+			}
+			term := rng.Intn(n)
+			occs[i] = scoring.Occ{Term: term, Pos: pos, Node: int32(rng.Intn(3))}
+			counts[term]++
+		}
+		total := rng.Intn(5)
+		nz := 0
+		if total > 0 {
+			nz = rng.Intn(total + 1)
+		}
+		simple := &TermQuery{Scorer: scorer}
+		complex := &TermQuery{Scorer: scorer, Complex: true}
+		if scorer.Simple(counts) > scoreBound(simple, pairMax, counts) ||
+			scorer.Complex(counts, occs, nz, total) > scoreBound(complex, pairMax, counts) {
+			return false
+		}
+		for i := range counts {
+			for _, q := range []*TermQuery{simple, complex} {
+				b := scoreBound(q, pairMax, counts)
+				counts[i]++
+				grown := scoreBound(q, pairMax, counts)
+				counts[i]--
+				if grown < b {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickTopKMatchesFullRun holds the pruned run to the exhaustive
+// TermJoin (and the unpruned run to it too) on random corpora in which
+// terms occur alone, together or not at all, with skewed counts, so a
+// document missing a term can still lead the ranking: flat and live
+// layouts, both scoring functions, random k.
+func TestQuickTopKMatchesFullRun(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var roots []*xmltree.Node
+		kinds := [][]string{{"x ", "f "}, {"y ", "f "}, {"x ", "y ", "z ", "f "}, {"f "}}
+		for d := 0; d < 40; d++ {
+			words := kinds[rng.Intn(len(kinds))]
+			var b strings.Builder
+			b.WriteString("<a>")
+			for p := 1 + rng.Intn(3); p > 0; p-- {
+				b.WriteString("<p>")
+				for w := rng.Intn(12); w > 0; w-- {
+					b.WriteString(words[rng.Intn(len(words))])
+				}
+				b.WriteString("f</p>")
+			}
+			b.WriteString("</a>")
+			roots = append(roots, mustParse(b.String()))
+		}
+		terms := [][]string{{"x", "y"}, {"y", "z", "x"}, {"x"}}[rng.Intn(3)]
+		q := TermQuery{Terms: terms, Complex: rng.Intn(2) == 0, Scorer: DefaultScorer{}}
+		k := 1 + rng.Intn(30)
+		for _, idx := range []*index.Index{flatIndex(t, roots), liveIndex(t, roots, 20, terms)} {
+			want := fullTopK(t, idx, q, k)
+			for _, tk := range []*TopKTermJoin{{Index: idx, Query: q, K: k}, unprunedTopK(idx, q, k)} {
+				got, err := tk.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d terms %v complex=%v k=%d pruned=%v:\n got %v\nwant %v", seed, terms, q.Complex, k, !tk.disablePruning, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -101,7 +101,7 @@ func mixedSnapshot(t *testing.T) *index.Index {
 
 // TestTopKOnEveryLiveListShape holds the pruned top-k over a snapshot
 // mixing every list shape to the exhaustive TermJoin+TopK over the same
-// snapshot, element for element, and checks the sweep did prune.
+// snapshot, element for element, and checks the run did prune.
 func TestTopKOnEveryLiveListShape(t *testing.T) {
 	idx := mixedSnapshot(t)
 	skipped := 0

@@ -460,7 +460,8 @@ func (b *BlockList) docCounts(lo, hi storage.DocID, from, to int, fn func(doc st
 	}
 	// First block that can contain lo, not before the window's first.
 	i := max(b.blockFor(from), sort.Search(len(b.skips), func(k int) bool { return b.skips[k].LastDoc >= lo }))
-	var docs []storage.DocID
+	var buf [BlockSize]storage.DocID
+	docs := buf[:0]
 	curDoc := storage.DocID(-1)
 	cnt := 0
 	for ; i < len(b.skips) && b.skips[i].FirstDoc < hi && b.blockStart(i) < to; i++ {

@@ -193,8 +193,7 @@ func (l List) Range(lo, hi storage.DocID) List {
 		b := a + sort.Search(len(l.raw)-a, func(i int) bool { return l.raw[a+i].Doc >= hi })
 		return List{raw: l.raw[a:b]}
 	}
-	a := l.bl.lowerBound(lo)
-	b := l.bl.lowerBound(hi)
+	a, b := l.bl.lowerBounds(lo, hi)
 	if a < l.lo {
 		a = l.lo
 	}
@@ -207,43 +206,47 @@ func (l List) Range(lo, hi storage.DocID) List {
 	return List{bl: l.bl, lo: a, hi: b}
 }
 
-// lowerBound returns the index of the first posting with Doc >= doc, or
-// b.n if none.
-func (b *BlockList) lowerBound(doc storage.DocID) int {
-	if bm := b.bitmap; bm != nil {
-		if doc <= bm.base {
-			return 0
-		}
-		if doc > bm.last {
-			return b.n
-		}
-		// Whether doc is present or not, the first posting with Doc >= doc
-		// is the first posting of the rank-r document.
-		r, _ := bm.rankOf(doc)
-		return int(bm.cum[r])
-	}
-	// First block whose LastDoc >= doc.
-	lo, hi := 0, len(b.skips)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b.skips[mid].LastDoc < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(b.skips) {
-		return b.n
-	}
-	if b.skips[lo].FirstDoc >= doc {
-		return b.blockStart(lo)
-	}
-	// The boundary falls inside block lo: resolve with a doc-only decode.
+// lowerBounds returns the indexes of the first postings with Doc >= lo
+// and with Doc >= hi, b.n for none. A boundary inside a block is resolved
+// with a doc-only decode, made once when both fall inside the same block.
+func (b *BlockList) lowerBounds(lo, hi storage.DocID) (int, int) {
 	var buf [BlockSize]storage.DocID
-	docs := b.decodeDocs(lo, buf[:0])
-	start := b.blockStart(lo)
-	j := sort.Search(len(docs), func(k int) bool { return docs[k] >= doc })
-	return start + j
+	var docs []storage.DocID
+	decoded := -1
+	at := func(doc storage.DocID) int {
+		if bm := b.bitmap; bm != nil {
+			if doc <= bm.base {
+				return 0
+			}
+			if doc > bm.last {
+				return b.n
+			}
+			// Whether doc is present or not, the first posting with
+			// Doc >= doc is the first posting of the rank-r document.
+			r, _ := bm.rankOf(doc)
+			return int(bm.cum[r])
+		}
+		// First block whose LastDoc >= doc.
+		i, j := 0, len(b.skips)
+		for i < j {
+			mid := int(uint(i+j) >> 1)
+			if b.skips[mid].LastDoc < doc {
+				i = mid + 1
+			} else {
+				j = mid
+			}
+		}
+		switch {
+		case i == len(b.skips):
+			return b.n
+		case b.skips[i].FirstDoc >= doc:
+			return b.blockStart(i)
+		case i != decoded:
+			docs, decoded = b.decodeDocs(i, buf[:0]), i
+		}
+		return b.blockStart(i) + sort.Search(len(docs), func(k int) bool { return docs[k] >= doc })
+	}
+	return at(lo), at(hi)
 }
 
 // Materialize returns the postings as a flat slice. Raw-backed views

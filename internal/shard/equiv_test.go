@@ -473,7 +473,7 @@ func liveCorpus(t *testing.T) (mono *DB, sharded map[string]*DB) {
 }
 
 // TestPrunedTermSearchOnLiveSnapshot repeats the cases on the live corpus,
-// where top-k runs the block-max sweep over merged lists.
+// where top-k runs best-first block-max over merged lists.
 func TestPrunedTermSearchOnLiveSnapshot(t *testing.T) {
 	mono, sharded := liveCorpus(t)
 	checkTermCases(t, "live", mono, sharded)

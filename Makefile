@@ -89,11 +89,13 @@ cover:
 # postings.FuzzMemtableMerge (merged views over ordered parts —
 # document-disjoint memtable runs and segments — vs. the flat oracle),
 # rescache.FuzzCacheKey, xmltree.FuzzXMLString (the append-style XML
-# writer vs. the encoding/xml-based reference, plus the parse round trip)
-# and xq.FuzzQuery (Parse → Compile → plan String → Eval under a small
-# budget; Compile and Eval must reject the same queries): enough to catch
-# regressions in the corrupted-input, merge-cursor, serialization and
-# query front-end handling without slowing CI.
+# writer vs. the encoding/xml-based reference, plus the parse round trip),
+# xq.FuzzQuery (Parse → Compile → plan String → Eval under a small
+# budget; Compile and Eval must reject the same queries) and
+# server.FuzzReplyEncoding (the append-style reply encoder vs.
+# encoding/json on arbitrary strings and float64 bit patterns): enough to
+# catch regressions in the corrupted-input, merge-cursor, serialization
+# and query front-end handling without slowing CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/postings
@@ -102,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzCacheKey -fuzztime=10s ./internal/rescache
 	$(GO) test -run '^$$' -fuzz=FuzzXMLString -fuzztime=10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz=FuzzQuery -fuzztime=10s ./internal/xq
+	$(GO) test -run '^$$' -fuzz=FuzzReplyEncoding -fuzztime=10s ./internal/server
 
 # A five-second open-loop load smoke with the result cache on and ingest
 # churn in the mix: fails on any request error, and the JSON report

@@ -180,8 +180,9 @@ Threshold $a/@score > 4 stop after 5`
 			return err
 		}
 		fmt.Printf("%d result(s) for terms %v\n", len(results), list)
+		tags := d.Render(nil, results)
 		for i, r := range results {
-			fmt.Printf("%2d. <%s> doc=%d ord=%d score=%.3f\n", i+1, d.NameOf(r), r.Doc, r.Ord, r.Score)
+			fmt.Printf("%2d. <%s> doc=%d ord=%d score=%.3f\n", i+1, tags[i], r.Doc, r.Ord, r.Score)
 		}
 	}
 
@@ -192,17 +193,21 @@ Threshold $a/@score > 4 stop after 5`
 			return err
 		}
 		fmt.Printf("%d occurrence(s) of %q\n", len(ms), phrase)
-		for i, m := range ms {
-			if i >= topk {
-				fmt.Printf("... and %d more\n", len(ms)-topk)
-				break
-			}
-			n := d.Materialize(m.Doc, m.Node)
-			text := n.AllText()
+		shown := ms[:min(len(ms), max(topk, 0))]
+		nodes := make([]exec.ScoredNode, len(shown))
+		for i, m := range shown {
+			nodes[i] = exec.ScoredNode{Doc: m.Doc, Ord: m.Node}
+		}
+		texts := d.Render(nil, nodes) // a match is a text node: its label is its text
+		for i, m := range shown {
+			text := texts[i]
 			if len(text) > 70 {
 				text = text[:67] + "..."
 			}
 			fmt.Printf("%2d. doc=%d node=%d pos=%d: %s\n", i+1, m.Doc, m.Node, m.Pos, text)
+		}
+		if len(shown) < len(ms) {
+			fmt.Printf("... and %d more\n", len(ms)-len(shown))
 		}
 	}
 	return nil

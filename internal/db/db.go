@@ -424,13 +424,23 @@ func (d *DB) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 	return storage.NewAccessor(d.store).Materialize(doc, ord)
 }
 
-// NameOf returns the element tag name of a scored node.
+// NameOf returns the element tag name of a scored node (see Render).
 func (d *DB) NameOf(n exec.ScoredNode) string {
-	doc := d.store.Doc(n.Doc)
-	if doc == nil {
-		return ""
+	var one [1]string
+	return d.Render(one[:0], []exec.ScoredNode{n})[0]
+}
+
+// Render appends each node's label to dst and returns the extended slice:
+// an element's tag name, or a text node's text. The whole batch reads one
+// view of the store (storage.LabelView), with no per-node lock or tree
+// walk. An unknown document or an ordinal outside its document renders
+// as "".
+func (d *DB) Render(dst []string, nodes []exec.ScoredNode) []string {
+	v := d.store.LabelView()
+	for _, n := range nodes {
+		dst = append(dst, v.Label(n.Doc, n.Ord))
 	}
-	return d.store.Tags.Name(doc.Nodes[n.Ord].Tag)
+	return dst
 }
 
 // TwigSearch runs the holistic twig join (TwigStack) for a structural tag

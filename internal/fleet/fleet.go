@@ -62,6 +62,10 @@ type Backend interface {
 	PhraseSearchContext(ctx context.Context, phrase []string) ([]exec.PhraseMatch, error)
 	Materialize(doc storage.DocID, ord int32) *xmltree.Node
 	NameOf(n exec.ScoredNode) string
+	// Render appends each node's label to dst and returns the extended
+	// slice: an element's tag name, or a text node's text ("" for a node
+	// the backend does not hold). One call resolves a whole reply.
+	Render(dst []string, nodes []exec.ScoredNode) []string
 }
 
 // Ingestor is the replica mutation surface (server.Ingestor aliases it).
@@ -144,7 +148,7 @@ type replica struct {
 // Fleet fronts N replicas. It must be constructed over fully-loaded,
 // identical replicas: the corpus (and its load order, hence document
 // numbering) must match across them, so any replica can serve any
-// request and Materialize/NameOf agree with query results regardless of
+// request and Materialize/Render agree with query results regardless of
 // which replica produced them.
 type Fleet struct {
 	cfg      Config
@@ -160,7 +164,7 @@ type Fleet struct {
 	// degraded latches when a partial mutation may have left the replicas
 	// non-identical and the damage could not be repaired; Ready() then
 	// reports not-ready so operators re-sync instead of serving silently
-	// inconsistent Materialize/NameOf answers.
+	// inconsistent Materialize/Render answers.
 	degraded       atomic.Bool
 	degradedMu     sync.Mutex
 	degradedReason string
@@ -560,8 +564,16 @@ func (f *Fleet) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 	return f.anyReplica().Materialize(doc, ord)
 }
 
-// NameOf resolves a scored node's element tag on an admitted replica.
-func (f *Fleet) NameOf(n exec.ScoredNode) string { return f.anyReplica().NameOf(n) }
+// NameOf resolves a scored node's element tag on an admitted replica
+// (see Render).
+func (f *Fleet) NameOf(n exec.ScoredNode) string {
+	return f.Render(nil, []exec.ScoredNode{n})[0]
+}
+
+// Render resolves a whole reply's labels on one admitted replica.
+func (f *Fleet) Render(dst []string, nodes []exec.ScoredNode) []string {
+	return f.anyReplica().Render(dst, nodes)
+}
 
 // anyReplica returns a closed-breaker replica for cheap deterministic
 // reads, falling back to the round-robin choice when none is closed.
@@ -633,7 +645,7 @@ func (f *Fleet) ingestorOf(i int) (Ingestor, error) {
 // cursors after a partially-applied mutation: replicas that consumed an
 // id for the failed operation sit ahead of replicas the loop never
 // reached, and every subsequent Add would allocate differently per
-// replica — queries score on one replica while Materialize/NameOf
+// replica — queries score on one replica while Materialize/Render
 // resolve on another, so diverged numbering silently returns the wrong
 // document. Burning placeholder ids on the laggards restores identical
 // numbering. A replica that does not expose its cursor (or whose burn

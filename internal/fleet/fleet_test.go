@@ -66,6 +66,12 @@ func (f *fakeBackend) DocumentCount() int                 { return 1 }
 func (f *fakeBackend) MetricsRegistry() *metrics.Registry { return metrics.NewRegistry() }
 func (f *fakeBackend) Explain(src string) (string, error) { return "plan", nil }
 func (f *fakeBackend) NameOf(n exec.ScoredNode) string    { return "node" }
+func (f *fakeBackend) Render(dst []string, nodes []exec.ScoredNode) []string {
+	for range nodes {
+		dst = append(dst, "node")
+	}
+	return dst
+}
 func (f *fakeBackend) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 	return nil
 }

@@ -98,7 +98,7 @@ const escapesXML = "<note><p>a search engine for &lt;b&gt; &amp; \"quoted\" caf\
 // replyBackends builds the backends every /terms and /phrase golden must
 // answer identically on: one shard, three shards, and a fleet of three
 // replicas, all over the fixture corpus plus escapesXML.
-func replyBackends(t *testing.T) map[string]Backend {
+func replyBackends(t *testing.T) []namedBackend {
 	t.Helper()
 	load := func(shards int) *shard.DB {
 		d := shard.New(shard.Options{Shards: shards, Stemming: true, Metrics: metrics.NewRegistry()})
@@ -121,7 +121,12 @@ func replyBackends(t *testing.T) map[string]Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Backend{"1shard": load(1), "3shards": load(3), "fleet3": f}
+	return []namedBackend{{"1shard", load(1)}, {"3shards", load(3)}, {"fleet3", f}}
+}
+
+type namedBackend struct {
+	name string
+	b    Backend
 }
 
 // TestTermsPhraseReplyGolden pins the exact bytes of /terms and /phrase
@@ -142,18 +147,19 @@ func TestTermsPhraseReplyGolden(t *testing.T) {
 		{"phrase_capped.golden", "/phrase", 2, PhraseRequest{Phrase: []string{"information", "retrieval"}}},
 		{"phrase_empty.golden", "/phrase", 0, PhraseRequest{Phrase: []string{"zyzzyva", "engine"}}},
 	}
-	backends := replyBackends(t)
-	for _, name := range []string{"1shard", "3shards", "fleet3"} {
-		s := New(backends[name])
-		ts := httptest.NewServer(s.Handler())
-		for _, c := range cases {
-			s.MaxResults = c.maxResults
-			got := postReply(t, ts.URL+c.path, c.body)
-			if *update && name != "1shard" {
-				continue // record from one backend; the others must match it
+	for i, nb := range replyBackends(t) {
+		t.Run(nb.name, func(t *testing.T) {
+			s := New(nb.b)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, c := range cases {
+				s.MaxResults = c.maxResults
+				got := postReply(t, ts.URL+c.path, c.body)
+				if *update && i > 0 {
+					continue // record from one backend; the others must match it
+				}
+				checkGolden(t, c.file, got)
 			}
-			checkGolden(t, c.file, got)
-		}
-		ts.Close()
+		})
 	}
 }

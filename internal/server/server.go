@@ -71,7 +71,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/storage"
-	"repro/internal/xmltree"
 )
 
 // Backend is the database surface the server runs on — the fleet's
@@ -364,9 +363,16 @@ func evalError(w http.ResponseWriter, err error) {
 	errorJSON(w, evalStatus(err), err)
 }
 
+// writeJSON writes v as a JSON reply, or a 500 with code "internal" when v
+// cannot be encoded.
 func writeJSON(w http.ResponseWriter, v interface{}) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		errorJSON(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n')) // a failed write means the client is gone
 }
 
 // StatsResponse is the /stats payload.
@@ -481,7 +487,9 @@ type QueryRequest struct {
 	Query string `json:"query"`
 }
 
-// QueryResult is one result of /query.
+// QueryResult is one result of /query. The reply is written by
+// replyEncoder.queryReply, byte for byte as encoding/json writes
+// {"count": n, "results": []QueryResult}.
 type QueryResult struct {
 	Tag   string  `json:"tag"`
 	Score float64 `json:"score"`
@@ -505,19 +513,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		evalError(w, err)
 		return
 	}
-	out := make([]QueryResult, 0, len(results))
-	for i, res := range results {
-		if i >= s.maxResults() {
-			break
-		}
-		out = append(out, QueryResult{
-			Tag:   res.Node.Tag,
-			Score: res.Score,
-			Sim:   res.Sim,
-			XML:   xmltree.XMLString(res.Node),
-		})
-	}
-	writeJSON(w, map[string]interface{}{"count": len(results), "results": out})
+	sc := getReply()
+	defer putReply(sc)
+	sc.enc.queryReply(len(results), results[:min(len(results), s.maxResults())])
+	sc.enc.send(w)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -544,7 +543,8 @@ type TermsRequest struct {
 	Complex bool     `json:"complex"`
 }
 
-// TermResult is one result of /terms.
+// TermResult is one result of /terms (written by
+// replyEncoder.termsReply).
 type TermResult struct {
 	Tag   string  `json:"tag"`
 	Doc   int32   `json:"doc"`
@@ -572,13 +572,11 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 		evalError(w, err)
 		return
 	}
-	out := make([]TermResult, 0, len(results))
-	for _, n := range results {
-		out = append(out, TermResult{
-			Tag: s.DB.NameOf(n), Doc: int32(n.Doc), Ord: n.Ord, Score: n.Score,
-		})
-	}
-	writeJSON(w, map[string]interface{}{"count": len(out), "results": out})
+	sc := getReply()
+	defer putReply(sc)
+	sc.labels = s.DB.Render(sc.labels, results)
+	sc.enc.termsReply(results, sc.labels)
+	sc.enc.send(w)
 }
 
 // PhraseRequest is the /phrase payload.
@@ -586,7 +584,8 @@ type PhraseRequest struct {
 	Phrase []string `json:"phrase"`
 }
 
-// PhraseResult is one phrase occurrence.
+// PhraseResult is one phrase occurrence (written by
+// replyEncoder.phraseReply).
 type PhraseResult struct {
 	Doc  int32  `json:"doc"`
 	Node int32  `json:"node"`
@@ -610,16 +609,15 @@ func (s *Server) handlePhrase(w http.ResponseWriter, r *http.Request) {
 		evalError(w, err)
 		return
 	}
-	out := make([]PhraseResult, 0, len(ms))
-	for i, m := range ms {
-		if i >= s.maxResults() {
-			break
-		}
-		text := ""
-		if n := s.DB.Materialize(m.Doc, m.Node); n != nil {
-			text = n.AllText()
-		}
-		out = append(out, PhraseResult{Doc: int32(m.Doc), Node: m.Node, Pos: m.Pos, Text: text})
+	count := len(ms)
+	ms = ms[:min(count, s.maxResults())]
+	sc := getReply()
+	defer putReply(sc)
+	for _, m := range ms {
+		sc.nodes = append(sc.nodes, exec.ScoredNode{Doc: m.Doc, Ord: m.Node})
 	}
-	writeJSON(w, map[string]interface{}{"count": len(ms), "results": out})
+	// A match is a text node, so its label is its text.
+	sc.labels = s.DB.Render(sc.labels, sc.nodes)
+	sc.enc.phraseReply(count, ms, sc.labels)
+	sc.enc.send(w)
 }

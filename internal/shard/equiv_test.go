@@ -332,6 +332,51 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 	if name := s.NameOf(exec.ScoredNode{Doc: 999}); name != "" {
 		t.Errorf("NameOf unknown doc = %q", name)
 	}
+	// An ordinal outside its document is treated like an unknown
+	// document, on both facades.
+	for _, ord := range []int32{-1, 1 << 30} {
+		bad := exec.ScoredNode{Doc: res[0].Doc, Ord: ord}
+		if gn, wn := s.NameOf(bad), oracle.NameOf(bad); gn != "" || wn != "" {
+			t.Errorf("NameOf(doc %d, ord %d) = %q sharded, %q unsharded; want empty", bad.Doc, ord, gn, wn)
+		}
+	}
+
+	// One Render over the whole batch — hits from every segment, a
+	// phrase match's text node, and the bad references above — answers
+	// what the per-hit calls answer: the tag of an element, the text of a
+	// text node, "" for a reference no segment holds.
+	batch := append([]exec.ScoredNode{}, res...)
+	var want []string
+	for _, r := range res {
+		want = append(want, oracle.NameOf(r))
+	}
+	ms, err := oracle.PhraseSearch([]string{"ctla", "ctlb"})
+	if err != nil || len(ms) == 0 {
+		t.Fatalf("phrase search: %d matches, %v", len(ms), err)
+	}
+	batch = append(batch, exec.ScoredNode{Doc: ms[0].Doc, Ord: ms[0].Node})
+	want = append(want, oracle.Materialize(ms[0].Doc, ms[0].Node).AllText())
+	batch = append(batch, exec.ScoredNode{Doc: 999}, exec.ScoredNode{Doc: res[0].Doc, Ord: -1},
+		exec.ScoredNode{Doc: res[0].Doc, Ord: 1 << 30})
+	want = append(want, "", "", "")
+	prefix := []string{"kept"}
+	for _, c := range []struct {
+		name string
+		got  []string
+	}{
+		{"sharded", s.Render(prefix, batch)},
+		{"unsharded", oracle.Render(prefix, batch)},
+	} {
+		name, got := c.name, c.got
+		if len(got) != 1+len(want) || got[0] != "kept" {
+			t.Fatalf("%s Render returned %d labels after %q, want %d after the kept prefix", name, len(got)-1, got[0], len(want))
+		}
+		for i, w := range want {
+			if got[1+i] != w {
+				t.Errorf("%s Render[%d] (doc %d, ord %d) = %q, want %q", name, i, batch[i].Doc, batch[i].Ord, got[1+i], w)
+			}
+		}
+	}
 }
 
 func TestShardedStatsMatchUnsharded(t *testing.T) {

@@ -145,7 +145,9 @@ func TestShardIngestWhileQuerying(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 80; i++ {
-		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t>stable w%d</t></d>`, i%7)); err != nil {
+		// Each document interns a fresh tag, so Render's tag view races
+		// the dictionary's growth.
+		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t%d>stable w%d</t%d></d>`, i, i%7, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,8 +165,8 @@ func TestShardIngestWhileQuerying(t *testing.T) {
 
 // TestShardReadersDuringAdd runs one writer doing Add against two readers
 // on the facade — one on TermSearchContext, one cycling RunTermMethod
-// through every method — and requires every reply to succeed and
-// materialize. A reader that made its
+// through every method — and requires every reply to succeed,
+// materialize and render. A reader that made its
 // accessor before taking the segment's index snapshot could be handed a
 // posting for a document its accessor had never seen: an Add landing
 // between the two statements panicked with "index out of range", which
@@ -195,6 +197,12 @@ func TestShardReadersDuringAdd(t *testing.T) {
 					return
 				}
 			}
+			for i, tag := range s.Render(nil, res) {
+				if tag == "" {
+					t.Errorf("%s: result (doc %d, ord %d) renders no tag", name, res[i].Doc, res[i].Ord)
+					return
+				}
+			}
 		}
 	}
 	wg.Add(2)
@@ -209,7 +217,9 @@ func TestShardReadersDuringAdd(t *testing.T) {
 		return res, err
 	})
 	for i := 0; i < 400; i++ {
-		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t>stable w%d</t></d>`, i%7)); err != nil {
+		// Each document interns a fresh tag, so Render's tag view races
+		// the dictionary's growth.
+		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t%d>stable w%d</t%d></d>`, i, i%7, i)); err != nil {
 			t.Error(err)
 			break
 		}

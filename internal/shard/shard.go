@@ -244,6 +244,11 @@ func (s *DB) globalIDs(i int) []storage.DocID {
 func (s *DB) refOf(doc storage.DocID) (docRef, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.refLocked(doc)
+}
+
+// refLocked is refOf for a caller holding s.mu.
+func (s *DB) refLocked(doc storage.DocID) (docRef, bool) {
 	if int(doc) < 0 || int(doc) >= len(s.docs) || s.docs[doc].shard < 0 {
 		return docRef{}, false
 	}
@@ -389,11 +394,53 @@ func (s *DB) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 }
 
 // NameOf returns the element tag name of a scored node (global document
-// id).
+// id; see Render).
 func (s *DB) NameOf(n exec.ScoredNode) string {
-	ref, ok := s.refOf(n.Doc)
-	if !ok {
-		return ""
+	var one [1]string
+	return s.Render(one[:0], []exec.ScoredNode{n})[0]
+}
+
+// Render appends each node's label to dst (global document ids; see
+// db.DB.Render). The routing lock is taken once for the batch; the nodes
+// are grouped by segment, and each segment renders its group in one call.
+// A document no segment holds renders as "".
+func (s *DB) Render(dst []string, nodes []exec.ScoredNode) []string {
+	type placed struct {
+		shard int
+		at    int // index into nodes
 	}
-	return s.segs[ref.shard].NameOf(exec.ScoredNode{Doc: ref.local, Ord: n.Ord})
+	base := len(dst)
+	dst = append(dst, make([]string, len(nodes))...)
+	places := make([]placed, 0, len(nodes))
+	local := make([]exec.ScoredNode, 0, len(nodes))
+	s.mu.RLock()
+	for i, n := range nodes {
+		if ref, ok := s.refLocked(n.Doc); ok {
+			places = append(places, placed{ref.shard, i})
+			local = append(local, exec.ScoredNode{Doc: ref.local, Ord: n.Ord})
+		}
+	}
+	s.mu.RUnlock()
+	// Partition in place, one segment at a time: places[lo:hi] and
+	// local[lo:hi] become segment k's group.
+	labels := make([]string, 0, len(local))
+	lo := 0
+	for k, seg := range s.segs {
+		hi := lo
+		for j := lo; j < len(places); j++ {
+			if places[j].shard == k {
+				places[hi], places[j] = places[j], places[hi]
+				local[hi], local[j] = local[j], local[hi]
+				hi++
+			}
+		}
+		if hi > lo {
+			labels = seg.Render(labels, local[lo:hi])
+		}
+		lo = hi
+	}
+	for j, p := range places {
+		dst[base+p.at] = labels[j]
+	}
+	return dst
 }

@@ -303,6 +303,45 @@ func (s *Store) viewLocked() []*Document {
 	return s.docs[:n:n]
 }
 
+// LabelView is one read of the store for labelling many nodes: a
+// zero-copy view of the document table and of the tag names, so each
+// Label is two slice reads with no lock.
+type LabelView struct {
+	docs []*Document
+	tags []string
+}
+
+// LabelView takes the document table, then the tag names. Every tag a
+// viewed document uses was interned before the document was published,
+// so the second view covers the first.
+func (s *Store) LabelView() LabelView {
+	s.mu.RLock()
+	docs := s.viewLocked()
+	s.mu.RUnlock()
+	s.Tags.mu.RLock()
+	defer s.Tags.mu.RUnlock()
+	n := len(s.Tags.names)
+	return LabelView{docs: docs, tags: s.Tags.names[:n:n]}
+}
+
+// Label returns the label of (doc, ord): an element's tag name, or a text
+// node's text. An unknown document or an ordinal outside its document
+// labels as "".
+func (v LabelView) Label(doc DocID, ord int32) string {
+	if int(doc) < 0 || int(doc) >= len(v.docs) {
+		return ""
+	}
+	nodes := v.docs[doc].Nodes
+	if ord < 0 || int(ord) >= len(nodes) {
+		return ""
+	}
+	rec := &nodes[ord]
+	if rec.Kind == xmltree.Element {
+		return v.tags[rec.Tag]
+	}
+	return rec.Text
+}
+
 // Docs returns a copy of the document table in load order. The *Document
 // records are shared (they are immutable once loaded) but the slice is the
 // caller's: reordering or truncating it cannot corrupt the store's table,

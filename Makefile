@@ -60,10 +60,13 @@ race:
 # goroutines), so repetition shakes out scheduling-dependent bugs. The
 # shard differential-equivalence suite runs here too — its results must be
 # schedule-independent by construction — and so do the top-k suites,
-# including pruned reads racing ingest, seals and background folds.
+# including pruned reads racing ingest, seals and background folds, and
+# the result-cache suites: term-keyed reads racing writes, and the
+# ordering rule that a term's generation is never ahead of the snapshot
+# a reader takes after observing it (DESIGN.md §13).
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK' \
-		./internal/exec ./internal/db ./internal/server ./internal/shard
+	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK|Cache|Coherent|TermsGeneration' \
+		./internal/exec ./internal/db ./internal/index ./internal/rescache ./internal/server ./internal/shard
 
 # The replicated-serving chaos drills (DESIGN.md §12): a 3-replica fleet
 # with one replica killed or delayed mid-traffic must show zero

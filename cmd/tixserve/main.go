@@ -49,9 +49,11 @@
 //
 // With -cache-bytes N each replica keeps a generation-keyed result cache
 // (see internal/rescache) of at most N bytes: repeated term, phrase, and
-// query requests are answered from memory while any mutation instantly
-// and exactly invalidates, because the corpus generation is part of every
-// key. Cache traffic is visible on /metrics as tix_rescache_*.
+// query requests are answered from memory, and invalidation is exact
+// because a generation is part of every key. A term or phrase entry is
+// invalidated by a write to a document holding one of its terms; a query
+// entry by any mutation. Cache traffic is visible on /metrics as
+// tix_rescache_*.
 //
 // The -rate-limit and -max-inflight flags enable admission control:
 // per-client token buckets (429 when exhausted) in front of a global

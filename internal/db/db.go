@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
@@ -40,8 +41,8 @@ type DB struct {
 	tok   *tokenize.Tokenizer
 	opts  Options
 
-	mu   sync.Mutex  // serializes mutations and live-index creation
-	live *index.Live // created on first Index()/Warm()/mutation
+	mu   sync.Mutex                 // serializes mutations and live-index creation
+	live atomic.Pointer[index.Live] // set under mu on first Index()/Warm()/mutation; read without it
 }
 
 // Options configures a database.
@@ -118,9 +119,7 @@ func (d *DB) Store() *storage.Store { return d.store }
 // without forcing index construction (the cheap health-probe counterpart
 // of Stats).
 func (d *DB) DocumentCount() int {
-	d.mu.Lock()
-	l := d.live
-	d.mu.Unlock()
+	l := d.live.Load()
 	n := d.store.NumDocs()
 	if l != nil {
 		n -= l.DeadCount()
@@ -153,8 +152,8 @@ func (d *DB) LoadTree(name string, root *xmltree.Node) error {
 	if err != nil {
 		return err
 	}
-	if d.live != nil {
-		if ierr := d.live.IndexDoc(d.store.Doc(id)); ierr != nil {
+	if l := d.live.Load(); l != nil {
+		if ierr := l.IndexDoc(d.store.Doc(id)); ierr != nil {
 			return fmt.Errorf("db: index %s: %w", name, ierr)
 		}
 	}
@@ -210,21 +209,22 @@ func (d *DB) liveIndex() *index.Live {
 }
 
 func (d *DB) liveLocked() *index.Live {
-	if d.live == nil {
-		l, err := index.NewLive(d.store, d.tok, d.opts.Ingest)
-		if err != nil {
-			panic(err)
-		}
-		d.live = l
+	if l := d.live.Load(); l != nil {
+		return l
 	}
-	return d.live
+	l, err := index.NewLive(d.store, d.tok, d.opts.Ingest)
+	if err != nil {
+		panic(err)
+	}
+	d.live.Store(l)
+	return l
 }
 
 // adoptIndex installs an already-restored flat index as the live base
 // segment (the persistence load path).
 func (d *DB) adoptIndex(idx *index.Index) {
 	d.mu.Lock()
-	d.live = index.LiveFromIndex(idx, d.opts.Ingest)
+	d.live.Store(index.LiveFromIndex(idx, d.opts.Ingest))
 	d.mu.Unlock()
 }
 

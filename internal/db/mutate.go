@@ -30,21 +30,32 @@ func (d *DB) Generation() uint64 {
 	return g
 }
 
-// CacheToken returns the generation a cache key over this segment is
-// minted under, with ok=false while the segment cannot produce a stable
-// one. Before the live index exists (bulk loading, or right after a
-// snapshot load), store appends advance no generation counter, so two
+// CacheToken returns the generation a /query cache key over this segment
+// is minted under, with ok=false while the segment cannot produce a
+// stable one. Before the live index exists (bulk loading, or right after
+// a snapshot load), store appends advance no generation counter, so two
 // different corpus states would share generation 0; once it exists, every
 // mutation advances the generation and equal tokens mean an identical
 // visible corpus (DESIGN.md §13).
 func (d *DB) CacheToken() (uint64, bool) {
-	d.mu.Lock()
-	l := d.live
-	d.mu.Unlock()
+	l := d.live.Load()
 	if l == nil {
 		return 0, false
 	}
 	return l.Generation(), true
+}
+
+// TermsGeneration returns the generation a /terms or /phrase cache key
+// over terms is minted under: the live index's TermsGeneration, which
+// moves only when a write touches a document holding one of the terms.
+// ok=false before the live index exists, as for CacheToken. It takes no
+// lock.
+func (d *DB) TermsGeneration(terms []string) (uint64, bool) {
+	l := d.live.Load()
+	if l == nil {
+		return 0, false
+	}
+	return l.TermsGeneration(terms), true
 }
 
 // Add parses src and ingests it under name into the live index. The
@@ -136,9 +147,7 @@ func (d *DB) CompactNow() {
 // WaitCompaction blocks until any in-flight background compaction
 // finishes — deterministic shutdown and test hook.
 func (d *DB) WaitCompaction() {
-	d.mu.Lock()
-	l := d.live
-	d.mu.Unlock()
+	l := d.live.Load()
 	if l != nil {
 		l.WaitCompaction()
 	}
@@ -149,9 +158,7 @@ func (d *DB) WaitCompaction() {
 // before the index is first built. Readiness probes use it to report
 // not-ready when ingestion has outrun folding.
 func (d *DB) CompactionBacklog() int {
-	d.mu.Lock()
-	l := d.live
-	d.mu.Unlock()
+	l := d.live.Load()
 	if l == nil {
 		return 0
 	}
@@ -160,8 +167,6 @@ func (d *DB) CompactionBacklog() int {
 
 // IsDeleted reports whether id is tombstoned in the live index.
 func (d *DB) IsDeleted(id storage.DocID) bool {
-	d.mu.Lock()
-	l := d.live
-	d.mu.Unlock()
+	l := d.live.Load()
 	return l != nil && l.IsDead(id)
 }

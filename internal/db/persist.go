@@ -80,16 +80,17 @@ var ErrCorruptSnapshot = errors.New("db: corrupt database file")
 //     only visible documents (re-densifying ids in original order) and
 //     index it from scratch.
 func (d *DB) persistViewLocked() ([]*storage.Document, *index.Index, error) {
-	if d.live == nil {
+	l := d.live.Load()
+	if l == nil {
 		return d.store.Docs(), nil, nil
 	}
-	if d.live.DeadCount() == 0 {
-		d.live.Compact()
-		return d.store.Docs(), d.live.Snapshot(), nil
+	if l.DeadCount() == 0 {
+		l.Compact()
+		return d.store.Docs(), l.Snapshot(), nil
 	}
 	fresh := storage.NewStore()
 	for _, doc := range d.store.Docs() {
-		if d.live.IsDead(doc.ID) {
+		if l.IsDead(doc.ID) {
 			continue
 		}
 		if _, err := fresh.AddTree(doc.Name, doc.Root); err != nil {

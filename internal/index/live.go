@@ -2,12 +2,14 @@ package index
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/postings"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
+	"repro/internal/xmltree"
 )
 
 // LiveConfig tunes the LSM behaviour of a live index. The zero value
@@ -41,6 +43,14 @@ const (
 // tombstone plus a fresh id. Compaction folds sealed memtables and
 // segments into fresh block lists under a generation counter — a snapshot
 // is rebuilt only when the generation moved.
+//
+// Beside the counter, Live records per term the generation of the last
+// IndexDoc or Delete that touched a document holding the term
+// (TermsGeneration). A writer records it only after publishing the
+// generation that makes its change visible to Snapshot, so a reader that
+// observes a term generation g and then takes a snapshot reads one at
+// least as new as g. Folds move no term generation: they only swap
+// equivalent representations.
 type Live struct {
 	store *storage.Store
 	tok   *tokenize.Tokenizer
@@ -51,10 +61,19 @@ type Live struct {
 	frozen  []*memtable // sealed memtables, oldest first (immutable)
 	active  *memtable
 	tomb    *postings.Tombstones
-	indexed int // documents visible to snapshots (contiguous id prefix)
+	indexed int              // documents visible to snapshots (contiguous id prefix)
+	touched []*atomic.Uint64 // IndexDoc's scratch: one document's term cells
 
 	gen  atomic.Uint64
 	snap atomic.Pointer[Index]
+	// termGen maps a term to the generation of the last write that
+	// touched a document holding it (string → *atomic.Uint64). Writers
+	// store under mu; readers load without a lock. cells is the writers'
+	// copy of the same map, under mu: a plain map, because a write looks
+	// up every term of its document and sync.Map's lookups cost several
+	// cache misses each.
+	termGen sync.Map
+	cells   map[string]*atomic.Uint64
 
 	foldMu      sync.Mutex // serializes folds (background and Compact)
 	foldPending atomic.Bool
@@ -114,14 +133,50 @@ func (l *Live) Tokenizer() *tokenize.Tokenizer { return l.tok }
 // identical visible index.
 func (l *Live) Generation() uint64 { return l.gen.Load() }
 
+// TermsGeneration returns the largest generation recorded for any of the
+// terms (normalized as queries are): the generation of the last IndexDoc
+// or Delete that touched a document holding one of them, or 0 when none
+// has since the live index was built. Equal values mean the terms' posting
+// lists are unchanged. It takes no lock and allocates nothing for terms
+// already in normal form.
+func (l *Live) TermsGeneration(terms []string) uint64 {
+	var g uint64
+	for _, t := range terms {
+		if c, ok := l.termGen.Load(l.tok.Normalize(t)); ok {
+			g = max(g, c.(*atomic.Uint64).Load())
+		}
+	}
+	return g
+}
+
+// cell returns term's generation cell, adding it at 0 (what an absent
+// term reads as) when missing. Caller holds mu.
+func (l *Live) cell(term string) *atomic.Uint64 {
+	if c := l.cells[term]; c != nil {
+		return c
+	}
+	if l.cells == nil {
+		l.cells = make(map[string]*atomic.Uint64)
+	}
+	c := new(atomic.Uint64)
+	// A term is often a substring of a stored text node; the clone keeps
+	// the maps from pinning the node's text.
+	term = strings.Clone(term)
+	l.cells[term] = c
+	l.termGen.Store(term, c)
+	return c
+}
+
 // IndexDoc ingests one already-stored document into the active memtable.
 // Documents must be indexed in id order (the facade's mutation lock
 // guarantees this). On an invariant violation the document is tombstoned —
 // a half-indexed document never becomes visible — and the classified
-// error is returned.
+// error is returned; the terms it reached still move to the new
+// generation.
 func (l *Live) IndexDoc(doc *storage.Document) error {
 	l.mu.Lock()
-	err := l.active.addDoc(doc, l.tok)
+	var err error
+	l.touched, err = l.active.addDoc(doc, l.tok, l.cell, l.touched[:0])
 	if err != nil {
 		l.tomb = l.tomb.WithDead(doc.ID)
 	}
@@ -133,7 +188,10 @@ func (l *Live) IndexDoc(doc *storage.Document) error {
 		l.frozen = append(l.frozen, l.active)
 		l.active = newMemtable()
 	}
-	l.gen.Add(1)
+	g := l.gen.Add(1)
+	for _, c := range l.touched {
+		c.Store(g)
+	}
 	l.mu.Unlock()
 	if seal {
 		l.maybeCompact()
@@ -143,12 +201,22 @@ func (l *Live) IndexDoc(doc *storage.Document) error {
 
 // Delete tombstones a document. Its postings stop flowing out of every
 // cursor immediately; the space is reclaimed when a fold next touches the
-// layers that hold them.
+// layers that hold them. Every term of the document's stored text moves
+// to the new generation, in one tokenizing pass.
 func (l *Live) Delete(id storage.DocID) {
+	doc := l.store.Doc(id)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.tomb = l.tomb.WithDead(id)
-	l.gen.Add(1)
-	l.mu.Unlock()
+	g := l.gen.Add(1)
+	if doc == nil {
+		return
+	}
+	for ord := range doc.Nodes {
+		if rec := &doc.Nodes[ord]; rec.Kind == xmltree.Text {
+			l.tok.Each(rec.Text, func(term string, _ uint32) { l.cell(term).Store(g) })
+		}
+	}
 }
 
 // IsDead reports whether id is tombstoned.

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"sync/atomic"
+
 	"repro/internal/postings"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
@@ -25,6 +27,7 @@ type memList struct {
 	nodeFreq int
 	lastDoc  storage.DocID
 	lastNode int32
+	gen      *atomic.Uint64 // the term's generation cell (Live.TermsGeneration)
 }
 
 // memtable is the mutable in-memory index layer documents are ingested
@@ -43,11 +46,14 @@ func newMemtable() *memtable {
 
 // addDoc tokenizes every text node of doc into the append buffers,
 // enforcing the same invariants as BuildChecked: int32-safe node ordinals
-// and (Doc, Pos)-ordered posting streams. On error the memtable may hold a
-// partial document; the caller is expected to tombstone it.
-func (m *memtable) addDoc(doc *storage.Document, tok *tokenize.Tokenizer) error {
+// and (Doc, Pos)-ordered posting streams. It appends the generation cell
+// of each term the document adds a posting to, once, to touched and
+// returns the slice; cell supplies a new term's cell. On error the
+// memtable may hold a partial document; the caller is expected to
+// tombstone it.
+func (m *memtable) addDoc(doc *storage.Document, tok *tokenize.Tokenizer, cell func(term string) *atomic.Uint64, touched []*atomic.Uint64) ([]*atomic.Uint64, error) {
 	if err := checkOrdinalCap(len(doc.Nodes), doc.Name); err != nil {
-		return err
+		return touched, err
 	}
 	for ord := range doc.Nodes {
 		rec := &doc.Nodes[ord]
@@ -63,11 +69,14 @@ func (m *memtable) addDoc(doc *storage.Document, tok *tokenize.Tokenizer) error 
 			}
 			ml := m.lists[t.Term]
 			if ml == nil {
-				ml = &memList{}
+				ml = &memList{gen: cell(t.Term)}
 				m.lists[t.Term] = ml
 			}
 			if n := len(ml.ps); n > 0 && !ml.ps[n-1].Less(p) {
-				return &BuildError{Term: t.Term, Doc: doc.Name, Err: ErrPostingOrder}
+				return touched, &BuildError{Term: t.Term, Doc: doc.Name, Err: ErrPostingOrder}
+			}
+			if len(ml.ps) == 0 || ml.lastDoc != p.Doc {
+				touched = append(touched, ml.gen)
 			}
 			if len(ml.ps) == 0 || ml.lastDoc != p.Doc || ml.lastNode != p.Node {
 				ml.nodeFreq++
@@ -78,7 +87,7 @@ func (m *memtable) addDoc(doc *storage.Document, tok *tokenize.Tokenizer) error 
 		}
 	}
 	m.docs++
-	return nil
+	return touched, nil
 }
 
 // memRun is one term's postings as captured by a snapshot: a stable

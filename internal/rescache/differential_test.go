@@ -283,11 +283,13 @@ func TestDifferentialShardedVsMonolithic(t *testing.T) {
 // TestDifferentialIngestWhileQuerying is the concurrent variant, modeled
 // on db.TestIngestWhileQueryingMatchesBuild: readers hammer the cached
 // database with a fixed set of repeat queries (so the cache is serving
-// hits continuously) while a writer streams in 100k documents. Every
-// result a reader observes must be error-free; after the dust settles
-// the cached database must agree with a scratch bulk build, and the
-// stale-generation counter must be zero — no reader ever saw a result
-// from a dead generation.
+// hits continuously) while two writers stream in documents: 100k that
+// share terms with the readers' queries, and half as many that share
+// none, whose writes leave the readers' entries reachable. Every result a
+// reader observes must be error-free; after the dust settles the cached
+// database must agree, document name for name, with a scratch bulk build,
+// and the stale-generation counter must be zero — no reader ever saw a
+// result from a dead generation.
 func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	nDocs := 100_000
 	if testing.Short() {
@@ -335,16 +337,34 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 			}
 		}(r)
 	}
+	// The unrelated writer's documents interleave with the related ones in
+	// an unknown order, so results are compared by document name below.
+	unrelated := nDocs / 2
+	writerErr := make(chan error, 1)
+	var writers sync.WaitGroup
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < unrelated; i++ {
+			if err := cached.Add(unrelatedDocName(i), unrelatedDocSrc(i)); err != nil {
+				writerErr <- err
+				return
+			}
+		}
+	}()
 	for i := 1; i < nDocs; i++ {
 		if err := cached.Add(diffDocName(i), diffDocSrc(i)); err != nil {
 			close(stop)
 			t.Fatal(err)
 		}
 	}
+	writers.Wait()
 	close(stop)
 	wg.Wait()
 	select {
 	case err := <-readerErr:
+		t.Fatal(err)
+	case err := <-writerErr:
 		t.Fatal(err)
 	default:
 	}
@@ -356,7 +376,13 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < unrelated; i++ {
+		if err := scratch.LoadString(unrelatedDocName(i), unrelatedDocSrc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	scratch.Warm()
+	scratchName := func(id storage.DocID) string { return scratch.Store().Doc(id).Name }
 
 	probes := []struct {
 		terms []string
@@ -376,7 +402,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(namedHits(cached.DocName, got), namedHits(scratchName, want)) {
 				t.Fatalf("terms %v pass %d: %d results diverge from scratch build (%d)", p.terms, pass, len(got), len(want))
 			}
 		}
@@ -389,7 +415,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotPh, wantPh) {
+	if !reflect.DeepEqual(namedMatches(cached.DocName, gotPh), namedMatches(scratchName, wantPh)) {
 		t.Fatalf("phrase results diverge from scratch build: %d vs %d", len(gotPh), len(wantPh))
 	}
 
@@ -401,4 +427,43 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 		t.Error("no cache hits during concurrent ingest; the test exercised nothing")
 	}
 	t.Logf("ingest-while-querying cache stats: %+v", st)
+}
+
+// unrelatedDocSrc shares no term with the ingest-while-querying readers'
+// queries.
+func unrelatedDocSrc(i int) string {
+	return fmt.Sprintf("<u><v>zeta z%d</v><v>eta</v></u>", i%89)
+}
+
+func unrelatedDocName(i int) string { return fmt.Sprintf("un%06d.xml", i) }
+
+// namedHit is a scored node identified by document name, comparable
+// across databases that numbered their documents differently.
+type namedHit struct {
+	Doc   string
+	Ord   int32
+	Score float64
+}
+
+func namedHits(name func(storage.DocID) string, ns []exec.ScoredNode) []namedHit {
+	out := make([]namedHit, len(ns))
+	for i, n := range ns {
+		out[i] = namedHit{Doc: name(n.Doc), Ord: n.Ord, Score: n.Score}
+	}
+	return out
+}
+
+// namedMatch is a phrase match identified by document name.
+type namedMatch struct {
+	Doc  string
+	Node int32
+	Pos  uint32
+}
+
+func namedMatches(name func(storage.DocID) string, ms []exec.PhraseMatch) []namedMatch {
+	out := make([]namedMatch, len(ms))
+	for i, m := range ms {
+		out[i] = namedMatch{Doc: name(m.Doc), Node: m.Node, Pos: m.Pos}
+	}
+	return out
 }

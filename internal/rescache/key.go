@@ -10,13 +10,19 @@ import (
 	"repro/internal/exec"
 )
 
-// Cache keys. A key is an injective encoding of (query family, snapshot
-// generation, canonicalized query, effective resource limits): two calls
-// share a key exactly when the engine is obliged to return byte-identical
-// results for them. Injectivity is load-bearing — a collision between two
-// non-equivalent queries would serve one query's results for the other —
-// so every variable-length field is length-prefixed (no separator to
-// inject through) and FuzzCacheKey attacks the property directly.
+// Cache keys. A key is an injective encoding of (query family, generation
+// token, canonicalized query, effective resource limits): two calls share
+// a key exactly when the engine is obliged to return byte-identical
+// results for them. The token is the caller's: it must move whenever the
+// data the request reads may have changed, and need move at no other time.
+// The shard facade passes, for TermKey and PhraseKey, the sum over its
+// segments of the largest generation of the request's own terms (a write
+// that touches none of them, or a compaction, leaves it alone), and for
+// QueryKey the sum of the segments' corpus generations. Injectivity is
+// load-bearing — a collision between two non-equivalent queries would
+// serve one query's results for the other — so every variable-length
+// field is length-prefixed (no separator to inject through) and
+// FuzzCacheKey attacks the property directly.
 //
 // Canonicalization goes the other way: spellings the engine provably
 // cannot distinguish are folded together so they share cache entries.
@@ -47,11 +53,11 @@ const (
 
 // Key identifies one cacheable computation. The zero Key is invalid.
 type Key struct {
-	raw string // injective encoding incl. family and generation
+	raw string // injective encoding incl. family and generation token
 	gen uint64
 }
 
-// Generation returns the snapshot generation baked into the key.
+// Generation returns the generation token baked into the key.
 func (k Key) Generation() uint64 { return k.gen }
 
 // shardIndex hashes the key onto one of n cache stripes.

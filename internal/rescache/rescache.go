@@ -1,23 +1,26 @@
 // Package rescache is a sharded, bounded-memory result cache for the
-// query facades, keyed by (normalized query, effective limits, snapshot
-// generation). The generation component makes invalidation exact and
-// free: every mutation advances the live index's generation, callers key
-// lookups by the generation they observe at entry, and so a stale
-// generation is simply never looked up again. A background sweeper
-// reclaims the memory of dead-generation entries; an LRU with per-entry
-// cost accounting bounds the rest.
+// query facades, keyed by (normalized query, effective limits, generation
+// token). The token makes invalidation exact and free: it moves whenever
+// the data a request reads may have changed, callers key lookups by the
+// token they observe at entry, and so a stale entry is simply never looked
+// up again. The owner chooses the token per family (DESIGN.md §13): the
+// shard facade keys /terms and /phrase by the generations of the
+// request's own terms, so a write to unrelated documents or a compaction
+// invalidates nothing, and /query by the corpus generation. Unreachable
+// entries age out of an LRU with per-entry cost accounting, which bounds
+// memory.
 //
-// Coherence argument (DESIGN.md §13): a caller reads the generation g
-// before computing, and the snapshot it then evaluates over is at least
-// as new as g. An entry stored under g therefore never holds results
-// older than g; it can hold results newer than g only when a mutation was
-// in flight during the compute, and the entry is only ever served to
-// callers that also observed g — i.e. whose requests are themselves
-// concurrent with that mutation, for which serving the newer result is a
-// valid linearization. Once the mutation completes, every new caller
-// observes a later generation and the entry is unreachable. In quiescent
-// states cached results are exactly the uncached results; the
-// differential suite asserts byte equality.
+// Coherence argument (DESIGN.md §13): a caller reads the token g before
+// computing, and the snapshot it then evaluates over is at least as new
+// as g. An entry stored under g therefore never holds results older than
+// g; it can hold results newer than g only when a mutation was in flight
+// during the compute, and the entry is only ever served to callers that
+// also observed g — i.e. whose requests are themselves concurrent with
+// that mutation, for which serving the newer result is a valid
+// linearization. Once the mutation completes, every new caller observes
+// a later token and the entry is unreachable. In quiescent states cached
+// results are exactly the uncached results; the differential suite
+// asserts byte equality.
 package rescache
 
 import (
@@ -25,7 +28,6 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -37,13 +39,6 @@ type Config struct {
 	MaxBytes int64
 	// Shards is the number of independently-locked stripes (default 16).
 	Shards int
-	// SweepEvery is the dead-generation sweep interval (default 500ms).
-	// Negative disables the sweeper (tests drive Sweep directly).
-	SweepEvery time.Duration
-	// Generation reports the owner's current generation token; ok=false
-	// means the owner cannot produce a stable token yet (no sweep then).
-	// Nil disables the sweeper.
-	Generation func() (gen uint64, ok bool)
 	// Metrics receives the tix_rescache_* instrumentation (default: the
 	// process-wide registry).
 	Metrics *metrics.Registry
@@ -73,7 +68,6 @@ type stripe struct {
 type Cache struct {
 	stripes  []*stripe
 	perShard int64
-	genFn    func() (uint64, bool)
 
 	// Monotonic counters for Stats; mirrored into the metrics registry.
 	hits, misses, puts, updates  atomic.Int64
@@ -82,10 +76,6 @@ type Cache struct {
 	mHits, mMisses, mEvictions   *metrics.Counter
 	mRejected, mGenMiss          *metrics.Counter
 	mBytes, mEntries             *metrics.Gauge
-
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 // entryOverhead approximates the fixed per-entry bookkeeping cost (entry
@@ -93,9 +83,8 @@ type Cache struct {
 // and value bytes.
 const entryOverhead = 120
 
-// New creates a cache and starts its sweeper (unless disabled). Returns
-// nil when cfg.MaxBytes is not positive — a nil *Cache is not usable, so
-// callers gate on it.
+// New creates a cache. Returns nil when cfg.MaxBytes is not positive — a
+// nil *Cache is not usable, so callers gate on it.
 func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
@@ -106,9 +95,6 @@ func New(cfg Config) *Cache {
 	if int64(cfg.Shards) > cfg.MaxBytes {
 		cfg.Shards = 1
 	}
-	if cfg.SweepEvery == 0 {
-		cfg.SweepEvery = 500 * time.Millisecond
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.Default
@@ -116,9 +102,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		stripes:  make([]*stripe, cfg.Shards),
 		perShard: cfg.MaxBytes / int64(cfg.Shards),
-		genFn:    cfg.Generation,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 
 		mHits:      reg.Counter("tix_rescache_hits_total"),
 		mMisses:    reg.Counter("tix_rescache_misses_total"),
@@ -131,39 +114,12 @@ func New(cfg Config) *Cache {
 	for i := range c.stripes {
 		c.stripes[i] = &stripe{entries: map[string]*entry{}}
 	}
-	if cfg.Generation != nil && cfg.SweepEvery > 0 {
-		go c.sweeper(cfg.SweepEvery)
-	} else {
-		close(c.done)
-	}
 	return c
 }
 
-// sweeper periodically evicts entries whose generation is no longer
-// current, reclaiming memory that exact invalidation alone would strand.
-func (c *Cache) sweeper(every time.Duration) {
-	defer close(c.done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			if gen, ok := c.genFn(); ok {
-				c.Sweep(gen)
-			}
-		}
-	}
-}
-
-// Close stops the sweeper and waits for it to exit. Idempotent; the
-// cache itself remains usable (Get/Put still work), so a Close racing
-// late queries is safe.
-func (c *Cache) Close() {
-	c.closeOnce.Do(func() { close(c.stop) })
-	<-c.done
-}
+// Close is a no-op: the cache owns no goroutine. It remains for callers
+// that release a cache when done with it.
+func (c *Cache) Close() {}
 
 // list manipulation; caller holds s.mu.
 
@@ -222,7 +178,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 		return nil, false
 	}
 	if e.gen != k.gen {
-		// Defense in depth: the generation is part of the encoded key, so
+		// Defense in depth: the token is part of the encoded key, so
 		// a mismatch can only mean a key-encoding bug. Refuse the hit and
 		// drop the entry rather than risk serving a stale result; the
 		// chaos drill asserts this counter stays zero.
@@ -298,49 +254,6 @@ func (c *Cache) accountRemoval(n int, freed int64) {
 	c.mEvictions.Add(int64(n))
 	c.mBytes.Set(c.curBytes.Load())
 	c.mEntries.Set(c.curEntries.Load())
-}
-
-// Sweep evicts every entry whose generation differs from current. The
-// sweeper calls it periodically; tests call it directly.
-func (c *Cache) Sweep(current uint64) {
-	for _, s := range c.stripes {
-		var n int
-		var freed int64
-		s.mu.Lock()
-		for e := s.head; e != nil; {
-			next := e.next
-			if e.gen != current {
-				freed += s.removeLocked(e)
-				n++
-			}
-			e = next
-		}
-		s.mu.Unlock()
-		if n > 0 {
-			c.accountRemoval(n, freed)
-		}
-	}
-}
-
-// Purge evicts everything. Owners call it when their generation counter
-// may regress (index adoption, store rebuild), so entries keyed under the
-// old counter can never collide with keys minted under the new one.
-func (c *Cache) Purge() {
-	for _, s := range c.stripes {
-		var n int
-		var freed int64
-		s.mu.Lock()
-		for e := s.head; e != nil; {
-			next := e.next
-			freed += s.removeLocked(e)
-			n++
-			e = next
-		}
-		s.mu.Unlock()
-		if n > 0 {
-			c.accountRemoval(n, freed)
-		}
-	}
 }
 
 // Stats is a consistent-enough snapshot of the cache counters for tests

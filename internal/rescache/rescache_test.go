@@ -3,22 +3,19 @@ package rescache
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/metrics"
 )
 
-// newTestCache builds a sweeper-less cache for deterministic unit tests.
+// newTestCache builds a cache with a private metrics registry.
 func newTestCache(t *testing.T, maxBytes int64, shards int) *Cache {
 	t.Helper()
 	c := New(Config{
-		MaxBytes:   maxBytes,
-		Shards:     shards,
-		SweepEvery: -1,
-		Metrics:    metrics.NewRegistry(),
+		MaxBytes: maxBytes,
+		Shards:   shards,
+		Metrics:  metrics.NewRegistry(),
 	})
 	if c == nil {
 		t.Fatal("New returned nil for a positive budget")
@@ -133,67 +130,9 @@ func TestOversizeEntryRejected(t *testing.T) {
 	}
 }
 
-func TestSweepEvictsDeadGenerationsOnly(t *testing.T) {
-	c := newTestCache(t, 1<<20, 4)
-	old := TermKey(1, []string{"stale"}, TermOpts{})
-	cur := TermKey(2, []string{"fresh"}, TermOpts{})
-	PutSlice(c, old, make([]exec.ScoredNode, 1))
-	PutSlice(c, cur, make([]exec.ScoredNode, 1))
-	c.Sweep(2)
-	if _, ok := c.Get(old); ok {
-		t.Error("dead-generation entry survived the sweep")
-	}
-	if _, ok := c.Get(cur); !ok {
-		t.Error("current-generation entry swept")
-	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 1 {
-		t.Errorf("stats = %+v, want exactly the stale entry evicted", st)
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPurgeEmptiesEverything(t *testing.T) {
-	c := newTestCache(t, 1<<20, 4)
-	for i := 0; i < 32; i++ {
-		PutSlice(c, TermKey(uint64(i%3), []string{fmt.Sprintf("t%d", i)}, TermOpts{}), make([]exec.ScoredNode, 2))
-	}
-	c.Purge()
-	st := c.Stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("after purge: %d entries / %d bytes, want 0 / 0", st.Entries, st.Bytes)
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBackgroundSweeperEvictsDeadGenerations(t *testing.T) {
-	var gen atomic.Uint64
-	gen.Store(1)
-	c := New(Config{
-		MaxBytes:   1 << 20,
-		SweepEvery: time.Millisecond,
-		Generation: func() (uint64, bool) { return gen.Load(), true },
-		Metrics:    metrics.NewRegistry(),
-	})
-	defer c.Close()
-	PutSlice(c, TermKey(1, []string{"x"}, TermOpts{}), make([]exec.ScoredNode, 1))
-	gen.Store(2)
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Entries != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := c.Stats().Entries; got != 0 {
-		t.Fatalf("sweeper left %d dead-generation entries after 5s", got)
-	}
-}
-
 func TestMetricsMirrorStats(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{MaxBytes: 1 << 20, Shards: 2, SweepEvery: -1, Metrics: reg})
+	c := New(Config{MaxBytes: 1 << 20, Shards: 2, Metrics: reg})
 	defer c.Close()
 	k := TermKey(3, []string{"m"}, TermOpts{})
 	PutSlice(c, k, make([]exec.ScoredNode, 2))

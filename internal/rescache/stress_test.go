@@ -2,27 +2,23 @@ package rescache
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 )
 
 // TestStressConcurrentGetPutSweep hammers one tiny cache from many
-// goroutines — gets, puts, generation sweeps and full purges racing on a
-// budget small enough that eviction runs constantly — then checks the
-// books: cost accounting must recompute exactly (never negative), and
+// goroutines — gets and puts racing generation changes on a budget small
+// enough that eviction runs constantly — then checks the books: cost accounting must recompute exactly (never negative), and
 // the hit/miss/put/eviction counters must reconcile with the operations
 // issued and the entries left. Run under -race via `make race`.
 func TestStressConcurrentGetPutSweep(t *testing.T) {
 	c := New(Config{
-		MaxBytes:   4096,
-		Shards:     4,
-		SweepEvery: -1,
-		Metrics:    metrics.NewRegistry(),
+		MaxBytes: 4096,
+		Shards:   4,
+		Metrics:  metrics.NewRegistry(),
 	})
 	defer c.Close()
 
@@ -52,12 +48,7 @@ func TestStressConcurrentGetPutSweep(t *testing.T) {
 				case 3, 4, 5:
 					PutSlice(c, k, make([]int64, seq%9))
 				case 6:
-					if seq%97 == 0 {
-						c.Purge()
-					} else {
-						gen.Add(1)
-						c.Sweep(gen.Load()%gens + 1)
-					}
+					gen.Add(1)
 				}
 				if c.Stats().Bytes < 0 {
 					t.Error("byte accounting went negative under concurrency")
@@ -84,40 +75,13 @@ func TestStressConcurrentGetPutSweep(t *testing.T) {
 	t.Logf("stress: %+v", st)
 }
 
-// TestSweeperShutdownLeaksNoGoroutine proves Close joins the sweeper: the
-// process goroutine count returns to its baseline after creating and
-// closing many sweepered caches.
-func TestSweeperShutdownLeaksNoGoroutine(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		c := New(Config{
-			MaxBytes:   1 << 16,
-			SweepEvery: time.Millisecond,
-			Generation: func() (uint64, bool) { return 1, true },
-			Metrics:    metrics.NewRegistry(),
-		})
-		PutSlice(c, TermKey(1, []string{"x"}, TermOpts{}), make([]int64, 4))
-		c.Close()
-		c.Close() // idempotent
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > baseline {
-		t.Fatalf("goroutines = %d after closing all caches, baseline %d: sweeper leaked", got, baseline)
-	}
-}
-
 // TestCloseRacingTraffic: Close while readers and writers are still
 // running must not deadlock or corrupt accounting (the cache stays
-// usable; only the sweeper stops).
+// usable).
 func TestCloseRacingTraffic(t *testing.T) {
 	c := New(Config{
-		MaxBytes:   1 << 14,
-		SweepEvery: time.Millisecond,
-		Generation: func() (uint64, bool) { return 1, true },
-		Metrics:    metrics.NewRegistry(),
+		MaxBytes: 1 << 14,
+		Metrics:  metrics.NewRegistry(),
 	})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

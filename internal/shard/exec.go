@@ -103,7 +103,7 @@ func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.Term
 		}
 	}()
 	eff := s.limitsOr(opts.Limits)
-	if c, tok, ok := s.queryCache(); ok {
+	if c, tok, ok := s.termsCache(terms); ok {
 		key := rescache.TermKey(tok, terms, rescache.TermOpts{
 			Complex: opts.Complex, TopK: opts.TopK, MinScore: opts.MinScore,
 			Weights: opts.Weights, Limits: eff,
@@ -235,7 +235,7 @@ func (s *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exe
 		}
 		s.observe(opPhrase, start, len(ms), total, err)
 	}()
-	if c, tok, ok := s.queryCache(); ok {
+	if c, tok, ok := s.termsCache(phrase); ok {
 		key := rescache.PhraseKey(tok, phrase, s.opts.Limits)
 		if hit, found := rescache.GetSlice[exec.PhraseMatch](c, key); found {
 			ms = hit

@@ -66,33 +66,42 @@ func isTokenRune(r rune) bool {
 // token, including stopwords that are subsequently dropped.
 func (t *Tokenizer) Tokenize(s string) []Token {
 	var out []Token
+	t.Each(s, func(term string, offset uint32) {
+		out = append(out, Token{Term: term, Offset: offset})
+	})
+	return out
+}
+
+// Each calls fn with every token Tokenize would return, in order, without
+// building the slice. A term is a substring of s unless normalization
+// rewrote it.
+func (t *Tokenizer) Each(s string, fn func(term string, offset uint32)) {
 	off := uint32(0)
 	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		term := strings.ToLower(s[start:end])
-		if t.stem {
-			term = stem(term)
-		}
-		if t.stop == nil || !t.stop[term] {
-			out = append(out, Token{Term: term, Offset: off})
-		}
-		off++
-		start = -1
-	}
 	for i, r := range s {
 		if isTokenRune(r) {
 			if start < 0 {
 				start = i
 			}
-		} else {
-			flush(i)
+			continue
+		}
+		if start >= 0 {
+			t.emit(s[start:i], off, fn)
+			off++
+			start = -1
 		}
 	}
-	flush(len(s))
-	return out
+	if start >= 0 {
+		t.emit(s[start:], off, fn)
+	}
+}
+
+// emit normalizes one word and hands it to fn unless it is a stopword.
+func (t *Tokenizer) emit(word string, off uint32, fn func(term string, offset uint32)) {
+	term := t.Normalize(word)
+	if t.stop == nil || !t.stop[term] {
+		fn(term, off)
+	}
 }
 
 // Terms returns just the token terms of s, in order.

@@ -139,13 +139,15 @@ bench-hotpath:
 	$(GO) run ./cmd/tixbench -table hotpath -json > bench-hotpath.json
 	@echo "wrote bench-hotpath.json"
 
-# The top-k layer number: internal/bench's BenchmarkTopKCommon replays
+# The top-k layer numbers, each with ns/op, allocs/op and docs/req (mean
+# DocsEvaluated): internal/bench's BenchmarkTopKCommon replays
 # /terms-shaped (simple, k = 100) and complex top-k requests over
-# corpus-common words on the gate tier after live churn, and prints
-# ns/op, allocs/op and docs/req (mean DocsEvaluated). Timings gate
-# nothing.
+# corpus-common words on the gate tier after live churn, as wire-churn
+# sends them; BenchmarkTopKSparse runs wire-cold's two /terms shapes over
+# the gate tier's sparse pair (simple at k = 100, complex at k = 10).
+# Timings gate nothing.
 bench-topk:
-	$(GO) test ./internal/bench -run '^$$' -bench TopKCommon -benchtime 2000x
+	$(GO) test ./internal/bench -run '^$$' -bench 'TopKCommon|TopKSparse' -benchtime 2000x
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

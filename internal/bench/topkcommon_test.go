@@ -197,23 +197,47 @@ func BenchmarkTopKCommon(b *testing.B) {
 				reqs = append(reqs, r)
 			}
 		}
-		b.Run(sub.name, func(b *testing.B) {
-			docs := 0
-			for _, r := range reqs {
-				tk, _, err := r.run(idx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				docs += tk.DocsEvaluated
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := reqs[i%len(reqs)].run(idx); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(docs)/float64(len(reqs)), "docs/req")
-		})
+		b.Run(sub.name, func(b *testing.B) { benchTopK(b, idx, reqs) })
 	}
+}
+
+// BenchmarkTopKSparse times wire-cold's two /terms shapes over the gate
+// tier's sparse join pair (each term in one document in fifty, below the
+// bitmap density): simple scoring at k = 100, the server's MaxResults, and
+// complex scoring at k = 10. It reports what BenchmarkTopKCommon does.
+//
+//	go test ./internal/bench -run '^$' -bench TopKSparse
+func BenchmarkTopKSparse(b *testing.B) {
+	spec, err := HotpathTier("gate")
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, _, err := HotpathCorpus(spec, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pair := []string{"jasparse", "jbsparse"}
+	b.Run("terms", func(b *testing.B) { benchTopK(b, idx, []topkRequest{{terms: pair, k: 100}}) })
+	b.Run("complex", func(b *testing.B) { benchTopK(b, idx, []topkRequest{{terms: pair, k: 10, complex: true}}) })
+}
+
+// benchTopK runs reqs over idx, one request per op in turn, and reports
+// docs/req, their mean DocsEvaluated, from one untimed pass.
+func benchTopK(b *testing.B, idx *index.Index, reqs []topkRequest) {
+	docs := 0
+	for _, r := range reqs {
+		tk, _, err := r.run(idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs += tk.DocsEvaluated
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := reqs[i%len(reqs)].run(idx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(docs)/float64(len(reqs)), "docs/req")
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync"
+
 	"repro/internal/index"
 	"repro/internal/postings"
 	"repro/internal/storage"
@@ -70,9 +72,9 @@ func entryFirst(a, b entry) bool {
 }
 
 // group is an opened interval [lo, hi): its candidates, cands[from:to],
-// and the offset in wins of each list's window onto it. Until its first
-// document is scored, win is -1 and the candidates are unordered; from
-// then on they are a heap.
+// and the offset in the arena's bounds of its lists' decoded windows.
+// Until its first document is scored, win is -1 and the candidates are
+// unordered; from then on they are a heap.
 type group struct {
 	lo, hi        storage.DocID
 	from, to, win int32
@@ -95,6 +97,17 @@ type docCount struct {
 	n   int
 }
 
+// windowArena holds a run's decoded group windows back to back: list i's
+// window onto a scored group g is ps[bounds[g.win+i]:bounds[g.win+i+1]].
+// Runs take an arena from arenas and return it emptied, so decoding the
+// windows allocates nothing once the arena has grown to the workload.
+type windowArena struct {
+	ps     []postings.Posting
+	bounds []int32
+}
+
+var arenas = sync.Pool{New: func() any { return new(windowArena) }}
+
 // topkRun is the state of one Run; its buffers are reused by every
 // interval opened and every document scored. The per-term slices are
 // indexed by term.
@@ -116,7 +129,7 @@ type topkRun struct {
 	counts  []int
 	runs    [][]docCount // an opened interval's document counts
 	heads   []int        // merge positions in runs
-	wins    []index.List // the scored groups' windows, one per list
+	arena   *windowArena // the scored groups' windows
 	sub     []index.List // one document's sub-lists
 	cur     int          // the term collect appends to
 	collect func(storage.DocID, int) error
@@ -151,7 +164,11 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	n := len(terms)
 	r := &topkRun{TopKTermJoin: t, tk: NewTopK(t.K), floor: NewTopK(0),
 		lists: make([]index.List, n), counts: make([]int, n), runs: make([][]docCount, n),
-		heads: make([]int, n), sub: make([]index.List, n)}
+		heads: make([]int, n), sub: make([]index.List, n), arena: arenas.Get().(*windowArena)}
+	defer func() {
+		r.arena.ps, r.arena.bounds = r.arena.ps[:0], r.arena.bounds[:0]
+		arenas.Put(r.arena)
+	}()
 	if !t.Query.Complex {
 		r.floor = NewTopK(t.K)
 	}
@@ -376,18 +393,22 @@ func (r *topkRun) push(e entry) {
 }
 
 // score runs the regular TermJoin restricted to the best candidate of e's
-// group, feeding the TopK, over sub-lists cut from the lists' windows onto
-// the group's interval, and puts the group back under its next candidate
-// while that can place. The group's first score computes the windows and
-// makes a heap of the candidates that can still place.
+// group, feeding the TopK, and puts the group back under its next
+// candidate while that can place. The group's first score decodes each
+// list's window onto the group's interval into the arena, once, and makes
+// a heap of the candidates that can still place; every document of the
+// group is then scored over raw sub-slices of those windows.
 func (r *topkRun) score(e entry) error {
 	r.DocsEvaluated++
 	g := &r.groups[e.g]
+	a := r.arena
 	if g.win < 0 {
-		g.win = int32(len(r.wins))
+		g.win = int32(len(a.bounds))
 		for _, l := range r.lists {
-			r.wins = append(r.wins, l.Range(g.lo, g.hi))
+			a.bounds = append(a.bounds, int32(len(a.ps)))
+			a.ps = l.Range(g.lo, g.hi).AppendTo(a.ps)
 		}
+		a.bounds = append(a.bounds, int32(len(a.ps)))
 		keep := r.cands[g.from:g.from]
 		for _, c := range r.cands[g.from:g.to] {
 			if r.canPlace(c.bound, c.doc) {
@@ -397,8 +418,9 @@ func (r *topkRun) score(e entry) error {
 		heapify(keep, candidateFirst)
 		g.to = g.from + int32(len(keep))
 	}
-	for i, w := range r.wins[g.win:][:len(r.lists)] {
-		r.sub[i] = w.Range(e.lo, e.lo+1)
+	b := a.bounds[g.win:][:len(r.lists)+1]
+	for i := range r.sub {
+		r.sub[i] = postings.NewRawList(a.ps[b[i]:b[i+1]]).Range(e.lo, e.lo+1)
 	}
 	r.tj.Query.Lists = r.sub
 	if err := r.tj.Run(r.emit); err != nil {

@@ -3,6 +3,7 @@ package postings
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -29,7 +30,8 @@ func encodeFuzzInput(bl *BlockList) []byte {
 
 // FuzzBlockDecode feeds arbitrary skip tables and payloads through
 // NewBlockList: it must either reject them with ErrCorrupt or produce a
-// list whose decode paths (Materialize, cursor iteration, DocCounts) are
+// list whose decode paths (Materialize, cursor iteration, DocCounts, and
+// AppendTo of a window picked by the input's first and last bytes) are
 // self-consistent — and it must never panic or allocate proportionally to
 // claimed (rather than actual) sizes.
 func FuzzBlockDecode(f *testing.F) {
@@ -123,6 +125,19 @@ func FuzzBlockDecode(f *testing.F) {
 			if total != len(ps) {
 				t.Fatalf("DocCounts covered %d of %d postings", total, len(ps))
 			}
+			a, b := int(data[0])%len(ps), int(data[len(data)-1])%len(ps)
+			lo, hi := ps[min(a, b)].Doc, ps[max(a, b)].Doc+storage.DocID(b%2)
+			w := bl.All().Range(lo, hi)
+			want := []Posting{}
+			for _, p := range ps {
+				if p.Doc >= lo && p.Doc < hi {
+					want = append(want, p)
+				}
+			}
+			if got := drain(w.Cursor()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Range(%d, %d) cursor yields %d postings, want %d", lo, hi, len(got), len(want))
+			}
+			checkAppendTo(t, fmt.Sprintf("Range(%d, %d)", lo, hi), w)
 		}
 	})
 }

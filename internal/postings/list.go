@@ -108,15 +108,9 @@ func (l List) appendMaxParts(dst [][]Skip) [][]Skip {
 
 // maxRun returns the largest number of postings one document has in ps.
 func maxRun(ps []Posting) uint32 {
-	var best, run uint32
-	for i, p := range ps {
-		if i == 0 || p.Doc != ps[i-1].Doc {
-			run = 0
-		}
-		run++
-		best = max(best, run)
-	}
-	return best
+	best := 0
+	_ = countRuns(ps, func(_ storage.DocID, n int) error { best = max(best, n); return nil })
+	return uint32(best)
 }
 
 // Valid reports whether the cursor is on a block.
@@ -146,7 +140,7 @@ func (l List) DocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) 
 	case l.bl != nil:
 		return l.bl.docCounts(lo, hi, l.lo, l.hi, fn)
 	}
-	return countRuns(l.Range(lo, hi).Cursor(), fn)
+	return countRuns(l.Range(lo, hi).raw, fn)
 }
 
 // Cursor returns a fresh cursor positioned at the first posting.
@@ -158,8 +152,8 @@ func (l List) Cursor() *Cursor {
 
 // Reset repositions an existing cursor at the first posting of l, reusing
 // the decode buffer it accumulated in earlier runs — the arena-reuse hook
-// for operators that run many short cursor passes (one per document in
-// top-k evaluation). Any list shape may follow any other.
+// for operators that run many cursor passes, as TermJoin's arena does
+// across the documents top-k scores. Any list shape may follow any other.
 func (l List) Reset(c *Cursor) {
 	*c = Cursor{dec: c.dec[:0]}
 	if l.sub == nil {
@@ -249,28 +243,49 @@ func (b *BlockList) lowerBounds(lo, hi storage.DocID) (int, int) {
 	return at(lo), at(hi)
 }
 
-// Materialize returns the postings as a flat slice. Raw-backed views
-// return the underlying slice (callers must not modify it); block-backed
-// and merged views allocate and decode, and merged views exclude
-// tombstoned documents.
+// Materialize returns the postings as a flat slice: a raw view's
+// underlying slice (callers must not modify it), and otherwise a fresh
+// slice filled by AppendTo.
 func (l List) Materialize() []Posting {
-	if l.sub != nil {
-		return l.mergedMaterialize()
-	}
-	if l.bl == nil {
+	if l.bl == nil && l.sub == nil {
 		return l.raw
 	}
-	if l.lo == l.hi {
-		return nil
+	return l.AppendTo(make([]Posting, 0, l.Len()))
+}
+
+// AppendTo appends the view's postings to dst in (Doc, Pos) order and
+// returns the extended slice; dst's existing elements are left untouched.
+// A block window decodes each block it overlaps once and trims the edge
+// blocks to the window, a bitmap-form window copies its resident columns,
+// and a merged view appends its parts in turn, dropping the postings of
+// tombstoned documents, so they never appear.
+func (l List) AppendTo(dst []Posting) []Posting {
+	switch {
+	case l.sub != nil:
+		for _, p := range l.sub {
+			n := len(dst)
+			live := p.AppendTo(dst)
+			dst = live[:n]
+			for _, q := range live[n:] {
+				if !l.tomb.Dead(q.Doc) {
+					dst = append(dst, q)
+				}
+			}
+		}
+		return dst
+	case l.bl == nil:
+		return append(dst, l.raw...)
+	case l.bl.bitmap != nil:
+		var c Cursor
+		for c.open(l); c.i < c.hi; c.i++ {
+			dst = append(dst, c.bmCur())
+		}
+		return dst
 	}
-	out := make([]Posting, 0, l.hi-l.lo)
-	first := l.bl.blockFor(l.lo)
-	last := l.bl.blockFor(l.hi - 1)
+	n, first, last := len(dst), l.bl.blockFor(l.lo), l.bl.blockFor(l.hi-1)
 	for i := first; i <= last; i++ {
-		out = l.bl.mustDecodeBlock(i, out)
+		dst = l.bl.mustDecodeBlock(i, dst)
 	}
-	// Trim the partial edge blocks down to the window.
-	start := l.bl.blockStart(first)
-	out = out[l.lo-start:]
-	return out[:l.hi-l.lo]
+	from := n + l.lo - l.bl.blockStart(first)
+	return append(dst[:n], dst[from:from+l.hi-l.lo]...)
 }

@@ -180,15 +180,15 @@ func (l List) mergedLen() int {
 
 // mergedRange narrows every part and re-unions. The tombstone set is kept
 // only when a dead document falls in [lo, hi), so a window inside one part
-// with no deletions — top-k's per-document Range — comes back as that
-// part's flat view.
+// with no deletions — top-k's group windows, as a rule — comes back as
+// that part's flat view.
 func (l List) mergedRange(lo, hi storage.DocID) List {
 	tomb := l.tomb
 	if !tomb.DeadIn(lo, hi) {
 		tomb = nil
 	}
 	// The overlapping parts; nothing is allocated while at most one part
-	// overlaps, the per-document case.
+	// overlaps.
 	var one List
 	var parts []List
 	for _, p := range l.sub {
@@ -235,33 +235,16 @@ func (l List) mergedDocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n
 	return nil
 }
 
-// countRuns calls fn with each document's run length on c, in order.
-func countRuns(c *Cursor, fn func(doc storage.DocID, n int) error) error {
-	doc, n := storage.DocID(-1), 0
-	for ; c.Valid(); c.Advance() {
-		if d := c.Cur().Doc; d != doc {
-			if n > 0 {
-				if err := fn(doc, n); err != nil {
-					return err
-				}
-			}
-			doc, n = d, 0
+// countRuns calls fn with each document's run length in ps, in order.
+func countRuns(ps []Posting, fn func(doc storage.DocID, n int) error) error {
+	for i, j := 0, 0; i < len(ps); i = j {
+		for j = i + 1; j < len(ps) && ps[j].Doc == ps[i].Doc; j++ {
 		}
-		n++
-	}
-	if n > 0 {
-		return fn(doc, n)
+		if err := fn(ps[i].Doc, j-i); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// mergedMaterialize drains the cursor into a fresh slice.
-func (l List) mergedMaterialize() []Posting {
-	out := make([]Posting, 0, l.mergedLen())
-	for c := l.Cursor(); c.Valid(); c.Advance() {
-		out = append(out, c.Cur())
-	}
-	return out
 }
 
 // next moves a merged cursor onto the first posting of its next part,

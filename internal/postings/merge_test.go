@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -258,8 +259,9 @@ func TestTombstonesDeadIn(t *testing.T) {
 // merged cursor must yield exactly the sorted input minus tombstoned
 // documents, in order, under iteration, seeking, ranging and cursor reuse
 // alike. The parts are document-disjoint runs, as the live index builds
-// them. DocCounts must report exactly the live documents' counts, and the
-// block-max view must bound every one of them.
+// them. DocCounts must report exactly the live documents' counts, the
+// block-max view must bound every one of them, and AppendTo of the view
+// and of a window must equal the cursor over it.
 func FuzzMemtableMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint32(0), uint16(0), uint16(0))
 	f.Add([]byte{1, 2, 3, 4, 200, 201, 202}, uint8(3), uint32(0b1010), uint16(2), uint16(1))
@@ -351,6 +353,8 @@ func FuzzMemtableMerge(f *testing.F) {
 		if got, wantCounts := docCounts(t, u, lo, hi), runCounts(want, lo, hi); !reflect.DeepEqual(got, wantCounts) {
 			t.Fatalf("DocCounts(%d,%d) = %v, want %v", lo, hi, got, wantCounts)
 		}
+		checkAppendTo(t, "merged view", u)
+		checkAppendTo(t, fmt.Sprintf("merged Range(%d,%d)", lo, hi), u.Range(lo, hi))
 	})
 }
 

@@ -10,11 +10,12 @@ import (
 )
 
 // refWriteXML is the fmt- and encoding/xml-based writer the append-style
-// one replaced, kept as the oracle FuzzXMLString checks it against.
+// one replaced, kept as the oracle FuzzXMLString checks it against, with
+// the writer's indentation cap of maxIndentDepth levels.
 func refWriteXML(w io.Writer, n *Node, depth int, indent bool) error {
 	pad, nl := "", ""
 	if indent {
-		pad = strings.Repeat("  ", depth)
+		pad = strings.Repeat("  ", min(depth, maxIndentDepth))
 		nl = "\n"
 	}
 	if n.Kind == Text {
@@ -83,6 +84,8 @@ func FuzzXMLString(f *testing.F) {
 	for _, c := range []string{"'", `"`, "&", "<", ">", "\x01", "\t", "\n", "\r", "é", "\xff", "\x7f"} {
 		f.Add("a", "k", "v"+c, "t"+c+"t", "<a>x</a>")
 	}
+	// Nesting past the indentation cap.
+	f.Add("a", "k", "v", "t", strings.Repeat("<d>", maxIndentDepth+8)+"x"+strings.Repeat("</d>", maxIndentDepth+8))
 	f.Fuzz(func(t *testing.T, tag, attr, val, text, doc string) {
 		root := NewElement(tag)
 		root.SetAttr(attr, val)

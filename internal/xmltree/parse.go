@@ -87,7 +87,8 @@ func ParseString(s string) (*Node, error) {
 }
 
 // WriteXML serializes the subtree rooted at n as XML to w, in one Write.
-// Output is indented with two spaces per level when indent is true.
+// Output is indented with two spaces per level when indent is true, up to
+// maxIndentDepth levels.
 func WriteXML(w io.Writer, n *Node, indent bool) error {
 	var b bytes.Buffer
 	appendXML(&b, n, 0, indent)
@@ -95,19 +96,28 @@ func WriteXML(w io.Writer, n *Node, indent bool) error {
 	return err
 }
 
-// XMLString serializes the subtree rooted at n to an indented string.
+// XMLString serializes the subtree rooted at n to an indented string, as
+// WriteXML does with indent set.
 func XMLString(n *Node) string {
 	var b bytes.Buffer
 	appendXML(&b, n, 0, true)
 	return b.String()
 }
 
+// maxIndentDepth caps indentation: a node deeper than this is padded as a
+// node at this depth, so indented output stays linear in the input however
+// deep the tree nests.
+const maxIndentDepth = 32
+
+var indentPad = strings.Repeat("  ", maxIndentDepth)
+
 // appendXML writes each node on a line of its own when indenting: padded
-// two spaces per level and ended by a newline.
+// two spaces per level, up to maxIndentDepth levels, and ended by a
+// newline.
 func appendXML(b *bytes.Buffer, n *Node, depth int, indent bool) {
 	pad := func() {
-		for i := 0; indent && i < depth; i++ {
-			b.WriteString("  ")
+		if indent {
+			b.WriteString(indentPad[:2*min(depth, maxIndentDepth)])
 		}
 	}
 	pad()

@@ -380,6 +380,35 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
+// TestXMLStringLinearInDepth: indentation is capped at maxIndentDepth
+// levels, so a 100,000-deep chain serializes to a bounded number of bytes
+// per element — at two spaces a level without a cap it would be 20 GB —
+// and parses back to the same tree. Shallow levels keep two spaces each.
+func TestXMLStringLinearInDepth(t *testing.T) {
+	const depth = 100000
+	root, err := ParseString(strings.Repeat("<d>", depth) + "leaf" + strings.Repeat("</d>", depth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := XMLString(root)
+	// Each element is an opening and a closing line, each padded by at
+	// most 2·maxIndentDepth spaces; the leaf adds one more line.
+	line := 2*maxIndentDepth + len("</d>\n")
+	if limit := (2*depth + 1) * line; len(s) > limit {
+		t.Fatalf("XMLString of a %d-deep chain is %d bytes, over %d", depth, len(s), limit)
+	}
+	if want := "<d>\n  <d>\n    <d>\n"; !strings.HasPrefix(s, want) {
+		t.Errorf("output starts %q, want prefix %q", s[:len(want)], want)
+	}
+	again, err := ParseString(s)
+	if err != nil {
+		t.Fatalf("reparse: %v", err)
+	}
+	if !structurallyEqual(root, again) {
+		t.Error("round trip of the deep chain changed its structure")
+	}
+}
+
 // failWriter accepts after bytes, then fails.
 type failWriter struct{ after int }
 

@@ -87,9 +87,10 @@ cover:
 		if (pct + 0 < 70) { print "coverage below 70% floor for internal/shard"; exit 1 } }'
 
 # Ten seconds of coverage-guided fuzzing each over db.Load (corrupted
-# snapshots), postings.FuzzBlockDecode (corrupted block payloads and skip
-# tables), postings.FuzzBatchDecode (batch vs. scalar block decode),
-# postings.FuzzMemtableMerge (merged views over ordered parts —
+# segment snapshots), shard.Load (corrupted sharded containers, the one
+# format the binaries open), postings.FuzzBlockDecode (corrupted block
+# payloads and skip tables), postings.FuzzBatchDecode (batch vs. scalar
+# block decode), postings.FuzzMemtableMerge (merged views over ordered parts —
 # document-disjoint memtable runs and segments — vs. the flat oracle),
 # rescache.FuzzCacheKey, xmltree.FuzzXMLString (the append-style XML
 # writer vs. the encoding/xml-based reference, plus the parse round trip),
@@ -101,6 +102,7 @@ cover:
 # and query front-end handling without slowing CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/db
+	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/shard
 	$(GO) test -run '^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/postings
 	$(GO) test -run '^$$' -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/postings
 	$(GO) test -run '^$$' -fuzz=FuzzMemtableMerge -fuzztime=10s ./internal/postings

@@ -34,6 +34,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fixture"
 	"repro/internal/shard"
+	"repro/internal/xq"
 )
 
 type multiFlag []string
@@ -113,9 +114,7 @@ Score $a using ScoreFoo($a, {"search engine"}, {"internet", "information retriev
 Pick $a using PickFoo($a)
 Sortby(score)
 Threshold $a/@score > 4 stop after 5`
-			fmt.Println("running the paper's Query 2:")
-			fmt.Println(query)
-			fmt.Println()
+			fmt.Printf("running the paper's Query 2:\n%s\n\n", query)
 		}
 	}
 	for _, path := range loads {
@@ -143,11 +142,8 @@ Threshold $a/@score > 4 stop after 5`
 
 	if stats {
 		st := d.Stats()
-		fmt.Printf("documents:   %d\n", st.Documents)
-		fmt.Printf("nodes:       %d\n", st.Nodes)
-		fmt.Printf("elements:    %d\n", st.Elements)
-		fmt.Printf("terms:       %d\n", st.Terms)
-		fmt.Printf("occurrences: %d\n", st.Occurrences)
+		fmt.Printf("documents:   %d\nnodes:       %d\nelements:    %d\nterms:       %d\noccurrences: %d\n",
+			st.Documents, st.Nodes, st.Elements, st.Terms, st.Occurrences)
 	}
 
 	if explain && query != "" {
@@ -159,14 +155,18 @@ Threshold $a/@score > 4 stop after 5`
 		return nil
 	}
 	if query != "" {
-		rendered, results, err := d.QueryRenderedContext(ctx, query)
+		q, err := xq.Parse(query) // for its Return template
+		if err != nil {
+			return err
+		}
+		results, err := d.QueryContext(ctx, query)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%d result(s)\n", len(results))
 		for i, r := range results {
 			fmt.Printf("--- result %d: <%s> score=%.2f ---\n", i+1, r.Node.Tag, r.Score)
-			fmt.Print(rendered[i])
+			fmt.Print(q.Render(r))
 		}
 	}
 

@@ -4,10 +4,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/db"
+	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
 
@@ -32,7 +33,7 @@ const articles = `
 
 func main() {
 	// A database with the light stemmer, matching the paper's examples.
-	d := db.New(db.Options{Stemming: true})
+	d := shard.New(shard.Options{Stemming: true})
 	if err := d.LoadString("articles.xml", articles); err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func main() {
 	// relevance to "internet" and "information retrieval" is desirable but
 	// not necessary. Pick selects the right granularity; Threshold keeps
 	// high-scoring results.
-	results, err := d.Query(`
+	results, err := d.QueryContext(context.Background(), `
 		For $a in document("articles.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {"internet", "information retrieval"})
 		Pick $a using PickFoo($a)
@@ -58,7 +59,6 @@ func main() {
 
 	fmt.Printf("top %d component(s):\n", len(results))
 	for i, r := range results {
-		fmt.Printf("\n#%d <%s> score=%.2f\n", i+1, r.Node.Tag, r.Score)
-		fmt.Print(xmltree.XMLString(r.Node))
+		fmt.Printf("\n#%d <%s> score=%.2f\n%s", i+1, r.Node.Tag, r.Score, xmltree.XMLString(r.Node))
 	}
 }

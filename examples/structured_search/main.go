@@ -8,16 +8,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/db"
 	"repro/internal/fixture"
+	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
 
 func main() {
-	d := db.New(db.Options{Stemming: true})
+	d := shard.New(shard.Options{Stemming: true})
 	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 		log.Fatal(err)
 	}
@@ -33,19 +34,18 @@ func main() {
 	fmt.Println("Query 2 (Fig. 10 of the paper):")
 	fmt.Println(query)
 
-	results, err := d.Query(query)
+	results, err := d.QueryContext(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i, r := range results {
-		fmt.Printf("result %d: <%s> score=%.2f\n", i+1, r.Node.Tag, r.Score)
-		fmt.Print(xmltree.XMLString(r.Node))
+		fmt.Printf("result %d: <%s> score=%.2f\n%s", i+1, r.Node.Tag, r.Score, xmltree.XMLString(r.Node))
 	}
 
 	// Contrast: the same search without the Pick clause returns every
 	// relevant granularity — the whole article, the chapter, sections and
 	// paragraphs, with overlapping content.
-	noPick, err := d.Query(`
+	noPick, err := d.QueryContext(context.Background(), `
 		For $a := document("articles.xml")//article[/author/sname/text()="Doe"]/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {"internet", "information retrieval"})
 		Sortby(score)
@@ -60,7 +60,7 @@ func main() {
 
 	// And the structural predicate alone filters precisely: an author
 	// named Smith matches nothing.
-	smith, err := d.Query(`
+	smith, err := d.QueryContext(context.Background(), `
 		For $a in document("articles.xml")//article[/author/sname/text()="Smith"]/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {})
 	`)

@@ -395,6 +395,99 @@ func TestJoinReproducesFigure7(t *testing.T) {
 	}
 }
 
+// TestQuery3Integration runs the similarity join of Query 3 as an algebra
+// composition: articles with relevant components joined to reviews with
+// similar titles. The scored pattern tree is Fig. 4's — ScoreFoo on the
+// components, ScoreSim on the titles, ScoreBar at the root — and the
+// Threshold simScore > 1 of Fig. 10 keeps pairs whose similarity is
+// above MinSim = 1.
+func TestQuery3Integration(t *testing.T) {
+	p := pattern.NewPattern(1)
+	l := p.Root.Child(2, pattern.AD)
+	l.Child(3, pattern.PC)
+	l.Child(6, pattern.ADStar)
+	r := p.Root.Child(7, pattern.AD)
+	r.Child(8, pattern.PC)
+	p.Formula = pattern.Conj(
+		pattern.TagEq(1, ProdRootTag),
+		pattern.TagEq(2, "article"),
+		pattern.TagEq(3, "article-title"),
+		pattern.IsElement(6),
+		pattern.TagEq(7, "review"),
+		pattern.TagEq(8, "title"),
+	)
+	scores := &ScoreSet{
+		Primary: map[int]NodeScorer{
+			6: func(n *xmltree.Node) float64 {
+				return scoring.ScoreFoo(tok, n, fixture.PrimaryPhrases, fixture.SecondaryPhrases)
+			},
+		},
+		Join: map[string]JoinScorer{
+			"simScore": func(b pattern.Binding) float64 {
+				return scoring.ScoreSim(tok, b[3], b[8])
+			},
+		},
+		Secondary: map[int]ScoreExpr{
+			2: VarScore(6),
+			1: func(e ScoreEnv) float64 { return scoring.ScoreBar(e.Named["simScore"], e.Var[6]) },
+		},
+	}
+	const minSim = 1
+	type joined struct {
+		score, sim       float64
+		component, right *xmltree.Node
+	}
+	var results []joined
+	joinedTrees := Join(FromXML(mustParse(fixture.ArticlesXML)), FromXML(mustParse(fixture.ReviewsXML)), p, scores)
+	for _, w := range joinedTrees.SortByRootScore() {
+		comp := w.NodesOfVar(6)[0]
+		compScore, _ := w.Score(comp)
+		sim := 0.0
+		if compScore > 0 {
+			sim = w.RootScore() - compScore
+		}
+		if sim <= minSim || w.RootScore() <= 0 {
+			continue
+		}
+		results = append(results, joined{w.RootScore(), sim, comp.Origin(), w.NodesOfVar(7)[0].Origin()})
+	}
+	if len(results) == 0 {
+		t.Fatalf("no join results")
+	}
+	// Best result: the whole article (component score 5.6) with review 1
+	// (identical title, sim 2) → 7.6.
+	best := results[0]
+	if !approx(best.score, 7.6) || !approx(best.sim, 2) {
+		t.Errorf("best = %+v, want score 7.6 sim 2", best)
+	}
+	if best.right.FirstTag("title") == nil {
+		t.Errorf("right side lost title")
+	}
+	if id, _ := best.right.Attr("id"); id != "1" {
+		t.Errorf("best review id = %s, want 1", id)
+	}
+	// All results obey MinSim and are sorted.
+	for i, r := range results {
+		if r.sim <= minSim {
+			t.Errorf("result %d violates MinSim: %+v", i, r)
+		}
+		if i > 0 && r.score > results[i-1].score {
+			t.Errorf("not sorted at %d", i)
+		}
+	}
+	// The Fig. 7 witness — paragraph #a18 with review 1 — appears with
+	// combined score 2.8.
+	found := false
+	for _, r := range results {
+		if r.component.Tag == "p" && approx(r.score, 2.8) {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("Fig. 7 result (p, 2.8) missing")
+	}
+}
+
 func TestProductShape(t *testing.T) {
 	a := FromXML(mustParse(`<a><x>1</x></a>`), mustParse(`<a><x>2</x></a>`))
 	b := FromXML(mustParse(`<b/>`))

@@ -45,7 +45,7 @@ func (c *Corpus) IngestTable() (*Table, error) {
 			return nil, err
 		}
 	}
-	want, err := bulk.TermSearch(probe, db.TermSearchOptions{})
+	want, err := db.SearchTerms(bulk.Index(), probe, db.TermSearchOptions{}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func (c *Corpus) IngestTable() (*Table, error) {
 					return
 				default:
 				}
-				if _, err := d.TermSearch(probe, db.TermSearchOptions{}); err != nil {
+				if _, err := db.SearchTerms(d.Index(), probe, db.TermSearchOptions{}, nil, nil); err != nil {
 					qErr = err
 					return
 				}
@@ -173,7 +173,7 @@ func (c *Corpus) ingestInto(d *db.DB, lo, hi int) error {
 // checkProbe asserts the grown database answers the probe query with the
 // bulk-loaded oracle's result count.
 func (c *Corpus) checkProbe(d *db.DB, probe []string, want int) error {
-	got, err := d.TermSearch(probe, db.TermSearchOptions{})
+	got, err := db.SearchTerms(d.Index(), probe, db.TermSearchOptions{}, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,15 @@
 // Package db is one single-store segment of the reproduction's database —
 // the stand-in for the Timber system the paper ran on. A segment owns a
-// node store, its tokenizer, the live inverted index and query evaluation
-// over one snapshot: extended-XQuery strings (internal/xq) for the
-// paper's Query 1/2 shapes, and programmatic APIs for term search, phrase
-// search, twig search and the Query 3 similarity join.
+// node store, its tokenizer, the live inverted index, document mutation
+// and its snapshot format (Save/Load), and renders result labels. The free
+// functions EvalQuery, SearchTerms and SearchTwig evaluate the paper's
+// query families over one index snapshot.
 //
-// Serving concerns live one layer up, in the sharded facade
-// (internal/shard): the result cache, per-operation metrics, global
-// document numbering and the snapshot container. A segment records no
-// metrics and caches nothing, so it is also usable on its own as an
-// embedded library.
+// Queries are served one layer up, by the sharded facade (internal/shard),
+// which runs those free functions over every segment and owns the result
+// cache, per-operation metrics, global document numbering and the
+// snapshot container. One shard is the single-store case. A segment
+// records no metrics and caches nothing.
 package db
 
 import (
@@ -22,10 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/pattern"
 	"repro/internal/scoring"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
@@ -254,14 +252,11 @@ func (d *DB) Stats() Stats {
 	return st
 }
 
-// Query parses and evaluates an extended-XQuery query (the Sec. 4 dialect).
-func (d *DB) Query(src string) ([]xq.Result, error) {
-	return d.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with cooperative cancellation: the evaluation
-// stops within one check interval of ctx being canceled or its deadline
-// passing, and respects the database's default resource limits.
+// QueryContext parses and evaluates an extended-XQuery query (the Sec. 4
+// dialect) over this segment alone, under ctx and the segment's default
+// resource limits. Queries are served through the facade (internal/shard),
+// which runs EvalQuery; this method stays only because the benchmark
+// module prices one segment through it.
 func (d *DB) QueryContext(ctx context.Context, src string) (results []xq.Result, err error) {
 	defer recoverPanic(&err)
 	q, err := xq.Parse(src)
@@ -280,7 +275,8 @@ func EvalQuery(idx *index.Index, q *xq.Query, guard *exec.Guard, stats *storage.
 	return e.Eval(q)
 }
 
-// TermSearchOptions configures TermSearch.
+// TermSearchOptions configures a term search (SearchTerms and the
+// facade's TermSearchContext).
 type TermSearchOptions struct {
 	// Complex selects the complex scoring function of Sec. 6.1.
 	Complex bool
@@ -298,15 +294,10 @@ type TermSearchOptions struct {
 	Limits exec.Limits
 }
 
-// TermSearch scores every element containing at least one of the terms,
-// using the TermJoin access method, and returns results best-first.
-func (d *DB) TermSearch(terms []string, opts TermSearchOptions) ([]exec.ScoredNode, error) {
-	return d.TermSearchContext(context.Background(), terms, opts)
-}
-
-// TermSearchContext is TermSearch with cooperative cancellation and
-// resource budgets: the scan stops within one check interval of ctx being
-// canceled, the deadline passing, or a budget running out.
+// TermSearchContext runs SearchTerms over this segment alone, under ctx
+// and the per-call budget (or the segment's default). Term searches are
+// served through the facade (internal/shard); this method stays only
+// because the benchmark module prices one segment through it.
 func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSearchOptions) (results []exec.ScoredNode, err error) {
 	defer recoverPanic(&err)
 	return SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, d.limitsOr(opts.Limits)), nil)
@@ -406,28 +397,15 @@ func nonNegative(weights []float64) bool {
 	return true
 }
 
-// PhraseSearch returns every occurrence of the phrase via PhraseFinder.
-func (d *DB) PhraseSearch(phrase []string) ([]exec.PhraseMatch, error) {
-	return d.PhraseSearchContext(context.Background(), phrase)
-}
-
-// PhraseSearchContext is PhraseSearch with cooperative cancellation and
-// the database's default resource limits.
+// PhraseSearchContext returns every occurrence of the phrase in this
+// segment via PhraseFinder, under ctx and the segment's default limits.
+// Phrase searches are served through the facade (internal/shard); this
+// method stays only because the benchmark module prices one segment
+// through it.
 func (d *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exec.PhraseMatch, err error) {
 	defer recoverPanic(&err)
 	pf := &exec.PhraseFinder{Index: d.Index(), Phrase: phrase, Guard: exec.NewGuard(ctx, d.opts.Limits)}
 	return exec.CollectPhrase(pf.Run)
-}
-
-// Materialize returns the xmltree subtree for a result element.
-func (d *DB) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
-	return storage.NewAccessor(d.store).Materialize(doc, ord)
-}
-
-// NameOf returns the element tag name of a scored node (see Render).
-func (d *DB) NameOf(n exec.ScoredNode) string {
-	var one [1]string
-	return d.Render(one[:0], []exec.ScoredNode{n})[0]
 }
 
 // Render appends each node's label to dst and returns the extended slice:
@@ -443,43 +421,13 @@ func (d *DB) Render(dst []string, nodes []exec.ScoredNode) []string {
 	return dst
 }
 
-// TwigSearch runs the holistic twig join (TwigStack) for a structural tag
-// pattern against every loaded document and returns matches as
-// materialized subtrees of the pattern root's bindings, deduplicated and
-// in document order. Use exec.Twig / exec.TwigChild to build the pattern.
-func (d *DB) TwigSearch(pattern *exec.TwigNode) ([]*xmltree.Node, error) {
-	return d.TwigSearchContext(context.Background(), pattern)
-}
-
-// TwigSearchContext is TwigSearch with cooperative cancellation and the
-// database's default resource limits.
-func (d *DB) TwigSearchContext(ctx context.Context, pattern *exec.TwigNode) (out []*xmltree.Node, err error) {
-	refs, err := d.TwigRefsContext(ctx, pattern)
-	if err != nil {
-		return nil, err
-	}
-	out = make([]*xmltree.Node, 0, len(refs))
-	for _, ref := range refs {
-		out = append(out, d.store.Doc(ref.Doc).TreeNode(ref.Ord))
-	}
-	return out, nil
-}
-
 // TwigRef identifies one twig-match root element by position: the loaded
-// document and the element's start ordinal within it. Unlike the
-// materialized tree pointers of TwigSearch, refs are comparable across
-// database instances holding the same documents — the identity the
+// document and the element's start ordinal within it. Refs are comparable
+// across database instances holding the same documents — the identity the
 // differential test suites (and the sharded facade) join on.
 type TwigRef struct {
 	Doc storage.DocID
 	Ord int32
-}
-
-// TwigRefsContext runs the holistic twig join and returns the pattern
-// root's bindings as refs, deduplicated, in document order.
-func (d *DB) TwigRefsContext(ctx context.Context, pattern *exec.TwigNode) (out []TwigRef, err error) {
-	defer recoverPanic(&err)
-	return SearchTwig(d.Index(), pattern, exec.NewGuard(ctx, d.opts.Limits), nil)
 }
 
 // SearchTwig runs the holistic twig join over every live document of an
@@ -505,127 +453,6 @@ func SearchTwig(idx *index.Index, pattern *exec.TwigNode, guard *exec.Guard, sta
 			seen[root] = true
 			out = append(out, TwigRef{Doc: doc.ID, Ord: root})
 		}
-	}
-	return out, nil
-}
-
-// SimilarityJoinSpec describes a Query 3-style IR join: components of the
-// left document scored against query phrases, joined with right-document
-// elements by text similarity between LeftKey and RightKey children, with
-// root scores combined by ScoreBar.
-type SimilarityJoinSpec struct {
-	LeftDoc, RightDoc   string
-	LeftRoot, RightRoot string // element tags bound on each side
-	LeftKey, RightKey   string // tags of the similarity-compared children
-	Primary, Secondary  []string
-	// PickThreshold applies PickFoo-style pruning to the scored left
-	// components before joining (0 disables).
-	PickThreshold float64
-	// MinSim drops pairs whose similarity score is not above the given
-	// value (the Threshold simScore > 1 step of Query 3).
-	MinSim float64
-}
-
-// JoinedResult is one similarity-join result.
-type JoinedResult struct {
-	// Score is the combined ScoreBar(simScore, componentScore).
-	Score float64
-	// Sim is the title-similarity component.
-	Sim float64
-	// Component is the scored left-side component subtree.
-	Component *xmltree.Node
-	// ComponentScore is its IR score.
-	ComponentScore float64
-	// Right is the joined right-side element subtree.
-	Right *xmltree.Node
-}
-
-// SimilarityJoin evaluates a Query 3-style join through the TIX algebra,
-// best-first.
-func (d *DB) SimilarityJoin(spec SimilarityJoinSpec) ([]JoinedResult, error) {
-	return d.SimilarityJoinContext(context.Background(), spec)
-}
-
-// SimilarityJoinContext is SimilarityJoin with panic recovery and an
-// up-front cancellation check. The algebra path evaluates over xmltree
-// values in one non-streaming pass, so cancellation is only observed at
-// entry, not mid-join; use the extended-XQuery join shape (QueryContext)
-// for cooperatively cancellable joins.
-func (d *DB) SimilarityJoinContext(ctx context.Context, spec SimilarityJoinSpec) (results []JoinedResult, err error) {
-	defer recoverPanic(&err)
-	if cerr := ctx.Err(); cerr != nil {
-		if errors.Is(cerr, context.DeadlineExceeded) {
-			return nil, exec.ErrDeadlineExceeded
-		}
-		return nil, exec.ErrCanceled
-	}
-	left := d.store.DocByName(spec.LeftDoc)
-	right := d.store.DocByName(spec.RightDoc)
-	if left == nil || right == nil {
-		return nil, fmt.Errorf("db: similarity join needs both documents loaded")
-	}
-
-	p := pattern.NewPattern(1)
-	l := p.Root.Child(2, pattern.AD)
-	l.Child(3, pattern.PC)
-	l.Child(6, pattern.ADStar)
-	r := p.Root.Child(7, pattern.AD)
-	r.Child(8, pattern.PC)
-	p.Formula = pattern.Conj(
-		pattern.TagEq(1, algebra.ProdRootTag),
-		pattern.TagEq(2, spec.LeftRoot),
-		pattern.TagEq(3, spec.LeftKey),
-		pattern.IsElement(6),
-		pattern.TagEq(7, spec.RightRoot),
-		pattern.TagEq(8, spec.RightKey),
-	)
-	scores := &algebra.ScoreSet{
-		Primary: map[int]algebra.NodeScorer{
-			6: func(n *xmltree.Node) float64 {
-				return scoring.ScoreFoo(d.tok, n, spec.Primary, spec.Secondary)
-			},
-		},
-		Join: map[string]algebra.JoinScorer{
-			"simScore": func(b pattern.Binding) float64 {
-				return scoring.ScoreSim(d.tok, b[3], b[8])
-			},
-		},
-		Secondary: map[int]algebra.ScoreExpr{
-			2: algebra.VarScore(6),
-			1: func(e algebra.ScoreEnv) float64 {
-				return scoring.ScoreBar(e.Named["simScore"], e.Var[6])
-			},
-		},
-	}
-	joined := algebra.Join(
-		algebra.FromXML(left.Root), algebra.FromXML(right.Root), p, scores)
-
-	var out []JoinedResult
-	for _, w := range joined.SortByRootScore() {
-		comp := w.NodesOfVar(6)[0]
-		compScore, _ := w.Score(comp)
-		rootScore := w.RootScore()
-		sim := 0.0
-		if compScore > 0 {
-			sim = rootScore - compScore
-		}
-		if spec.MinSim > 0 && sim <= spec.MinSim {
-			continue
-		}
-		if rootScore <= 0 {
-			continue
-		}
-		if spec.PickThreshold > 0 && compScore < spec.PickThreshold {
-			continue
-		}
-		rightN := w.NodesOfVar(7)[0]
-		out = append(out, JoinedResult{
-			Score:          rootScore,
-			Sim:            sim,
-			Component:      comp.Origin(),
-			ComponentScore: compScore,
-			Right:          rightN.Origin(),
-		})
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/fixture"
+	"repro/internal/storage"
+	"repro/internal/xmltree"
 )
 
 func newFixtureDB(t testing.TB) *DB {
@@ -56,7 +59,7 @@ func TestLoadFileAndStats(t *testing.T) {
 // threshold. The expected top result is the chapter #a10 (Example 3.1).
 func TestQuery2Integration(t *testing.T) {
 	d := newFixtureDB(t)
-	results, err := d.Query(`
+	results, err := d.QueryContext(context.Background(), `
 		For $a := document("articles.xml")//article[/author/sname/text()="Doe"]/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {"internet", "information retrieval"})
 		Pick $a using PickFoo($a)
@@ -79,64 +82,9 @@ func TestQuery2Integration(t *testing.T) {
 	}
 }
 
-// TestQuery3Integration runs the similarity join of Query 3: articles with
-// relevant components joined to reviews with similar titles.
-func TestQuery3Integration(t *testing.T) {
-	d := newFixtureDB(t)
-	results, err := d.SimilarityJoin(SimilarityJoinSpec{
-		LeftDoc:   "articles.xml",
-		RightDoc:  "reviews.xml",
-		LeftRoot:  "article",
-		RightRoot: "review",
-		LeftKey:   "article-title",
-		RightKey:  "title",
-		Primary:   fixture.PrimaryPhrases,
-		Secondary: fixture.SecondaryPhrases,
-		MinSim:    1, // Threshold simScore > 1, as in Fig. 10
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) == 0 {
-		t.Fatalf("no join results")
-	}
-	// Best result: the whole article (component score 5.6) with review 1
-	// (identical title, sim 2) → 7.6.
-	best := results[0]
-	if !approx(best.Score, 7.6) || !approx(best.Sim, 2) {
-		t.Errorf("best = %+v, want score 7.6 sim 2", best)
-	}
-	if best.Right.FirstTag("title") == nil {
-		t.Errorf("right side lost title")
-	}
-	if id, _ := best.Right.Attr("id"); id != "1" {
-		t.Errorf("best review id = %s, want 1", id)
-	}
-	// All results obey MinSim and are sorted.
-	for i, r := range results {
-		if r.Sim <= 1 {
-			t.Errorf("result %d violates MinSim: %+v", i, r)
-		}
-		if i > 0 && r.Score > results[i-1].Score {
-			t.Errorf("not sorted at %d", i)
-		}
-	}
-	// The Fig. 7 witness — paragraph #a18 with review 1 — appears with
-	// combined score 2.8.
-	found := false
-	for _, r := range results {
-		if r.Component.Tag == "p" && approx(r.Score, 2.8) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Fig. 7 result (p, 2.8) missing")
-	}
-}
-
 func TestTermSearch(t *testing.T) {
 	d := newFixtureDB(t)
-	results, err := d.TermSearch([]string{"search", "retrieval"}, TermSearchOptions{TopK: 3})
+	results, err := d.TermSearchContext(context.Background(), []string{"search", "retrieval"}, TermSearchOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,30 +97,44 @@ func TestTermSearch(t *testing.T) {
 		}
 	}
 	// The article root should be the global best (contains everything).
-	if d.NameOf(results[0]) != "article" {
-		t.Errorf("best = %s, want article", d.NameOf(results[0]))
+	if best := d.Render(nil, results[:1])[0]; best != "article" {
+		t.Errorf("best = %s, want article", best)
 	}
 }
 
 func TestPhraseSearchAndMaterialize(t *testing.T) {
 	d := newFixtureDB(t)
-	ms, err := d.PhraseSearch([]string{"information", "retrieval"})
+	ms, err := d.PhraseSearchContext(context.Background(), []string{"information", "retrieval"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) != 3 {
 		t.Errorf("matches = %d, want 3 (#a15 title, #a19, #a20)", len(ms))
 	}
-	n := d.Materialize(ms[0].Doc, ms[0].Node)
+	n := storage.NewAccessor(d.Store()).Materialize(ms[0].Doc, ms[0].Node)
 	if n == nil || !strings.Contains(strings.ToLower(n.AllText()), "information retrieval") {
 		t.Errorf("materialized node does not contain the phrase: %v", n)
 	}
 }
 
+// twigSearch runs the holistic twig join over d's snapshot and returns
+// the pattern root's bindings as subtrees, in document order.
+func twigSearch(d *DB, pattern *exec.TwigNode) ([]*xmltree.Node, error) {
+	refs, err := SearchTwig(d.Index(), pattern, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*xmltree.Node, 0, len(refs))
+	for _, ref := range refs {
+		out = append(out, d.Store().Doc(ref.Doc).TreeNode(ref.Ord))
+	}
+	return out, nil
+}
+
 func TestTwigSearch(t *testing.T) {
 	d := newFixtureDB(t)
 	// Articles that have both an author with an sname and a paragraph.
-	got, err := d.TwigSearch(exec.Twig("article",
+	got, err := twigSearch(d, exec.Twig("article",
 		exec.Twig("author", exec.Twig("sname")),
 		exec.Twig("p")))
 	if err != nil {
@@ -182,7 +144,7 @@ func TestTwigSearch(t *testing.T) {
 		t.Fatalf("twig results = %v", got)
 	}
 	// Chapters directly containing a ct child.
-	got, err = d.TwigSearch(exec.Twig("chapter", exec.TwigChild("ct")))
+	got, err = twigSearch(d, exec.Twig("chapter", exec.TwigChild("ct")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,19 +152,12 @@ func TestTwigSearch(t *testing.T) {
 		t.Errorf("chapter/ct = %d, want 3", len(got))
 	}
 	// No match across documents mixes nothing up.
-	got, err = d.TwigSearch(exec.Twig("review", exec.Twig("sname")))
+	got, err = twigSearch(d, exec.Twig("review", exec.Twig("sname")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 { // review 1 has reviewer/sname
 		t.Errorf("review//sname = %d, want 1", len(got))
-	}
-}
-
-func TestSimilarityJoinErrors(t *testing.T) {
-	d := New(Options{})
-	if _, err := d.SimilarityJoin(SimilarityJoinSpec{LeftDoc: "a", RightDoc: "b"}); err == nil {
-		t.Errorf("missing documents should error")
 	}
 }
 
@@ -236,14 +191,14 @@ func TestRemoveDocument(t *testing.T) {
 		t.Fatalf("documents after remove = %d", st.Documents)
 	}
 	// Terms only present in reviews.xml no longer match anything.
-	if res, err := d.TermSearch([]string{"anonymous"}, TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"anonymous"}, TermSearchOptions{}); err != nil || len(res) != 0 {
 		t.Errorf("removed document still matches: %v, %v", res, err)
 	}
-	if res, err := d.TermSearch([]string{"search"}, TermSearchOptions{}); err != nil || len(res) == 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"search"}, TermSearchOptions{}); err != nil || len(res) == 0 {
 		t.Errorf("remaining document's terms lost: %v, %v", res, err)
 	}
 	// Queries over the remaining document still work.
-	results, err := d.Query(`
+	results, err := d.QueryContext(context.Background(), `
 		For $a in document("articles.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {})
 		Sortby(score)

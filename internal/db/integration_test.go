@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/synth"
@@ -27,7 +28,7 @@ func TestSynthCorpusEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := d.Query(`
+	results, err := d.QueryContext(context.Background(), `
 		For $a in document("corpus.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"needle haystack"}, {"straw"})
 		Sortby(score)
@@ -55,7 +56,7 @@ func TestSynthCorpusEndToEnd(t *testing.T) {
 	}
 
 	// With Pick, no returned component may contain another.
-	picked, err := d.Query(`
+	picked, err := d.QueryContext(context.Background(), `
 		For $a in document("corpus.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"needle haystack"}, {"straw"})
 		Pick $a using PickFoo($a, 0.8)
@@ -118,7 +119,7 @@ func TestSynthCorpusPersistRoundTrip(t *testing.T) {
 		Score $a using ScoreFoo($a, {"needle"}, {})
 		Sortby(score)
 		Threshold $a/@score > 0 stop after 20`
-	before, err := d.Query(q)
+	before, err := d.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestSynthCorpusPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := d2.Query(q)
+	after, err := d2.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -30,6 +32,14 @@ func savedFixture(t *testing.T) []byte {
 
 const trailerLen = len(sumMagic) + 4
 
+// reseal returns payload followed by a correct integrity trailer for it,
+// so a mutated payload passes the checksum and only the loader's own
+// structural checks and block validation can reject it.
+func reseal(payload []byte) []byte {
+	out := append(bytes.Clone(payload), sumMagic...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
 func TestSnapshotRoundTripWithTrailer(t *testing.T) {
 	data := savedFixture(t)
 	if len(data) < trailerLen || !bytes.Contains(data[len(data)-trailerLen:], []byte(sumMagic)) {
@@ -44,19 +54,19 @@ func TestSnapshotRoundTripWithTrailer(t *testing.T) {
 	}
 }
 
-// TestSnapshotLegacyWithoutTrailer: a file written before the trailer
-// existed (simulated by stripping it) still loads. This is also why a
-// truncation that lands exactly on the payload boundary is accepted: it is
-// byte-for-byte indistinguishable from a legacy file.
+// TestSnapshotLegacyWithoutTrailer: a file without the integrity trailer
+// (what writers before the trailer produced, or a truncation landing
+// exactly on the payload boundary) is rejected as corrupt; the trailer is
+// mandatory.
 func TestSnapshotLegacyWithoutTrailer(t *testing.T) {
 	data := savedFixture(t)
 	legacy := data[:len(data)-trailerLen]
 	d, err := Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
+	if !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("trailer-less file: err = %v, want ErrCorruptSnapshot", err)
 	}
-	if st := d.Stats(); st.Documents != 2 {
-		t.Errorf("legacy reload stats = %+v", st)
+	if d != nil {
+		t.Errorf("trailer-less file returned a database")
 	}
 }
 
@@ -108,10 +118,17 @@ func TestSnapshotTrailingGarbage(t *testing.T) {
 		t.Errorf("byte after trailer: err = %v, want ErrCorruptSnapshot", err)
 	}
 	// Instead of the trailer: 12+ bytes that are not the trailer magic.
-	legacy := data[:len(data)-trailerLen]
-	bad := append(bytes.Clone(legacy), []byte("not a trailer!")...)
+	payload := data[:len(data)-trailerLen]
+	bad := append(bytes.Clone(payload), []byte("not a trailer!")...)
 	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Errorf("garbage instead of trailer: err = %v, want ErrCorruptSnapshot", err)
+	}
+	// Between the payload and a trailer whose checksum covers it: the
+	// loader stops at the payload's end, so the garbage is read where the
+	// trailer belongs.
+	sealed := reseal(append(bytes.Clone(payload), []byte("not a trailer!")...))
+	if _, err := Load(bytes.NewReader(sealed)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Errorf("sealed garbage after payload: err = %v, want ErrCorruptSnapshot", err)
 	}
 }
 

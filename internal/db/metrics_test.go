@@ -1,6 +1,7 @@
 package db_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func newFacade(t *testing.T, n int) (*shard.DB, *metrics.Registry) {
 
 func TestQueryRecordsMetrics(t *testing.T) {
 	d, reg := newFacade(t, 1)
-	_, err := d.Query(`
+	_, err := d.QueryContext(context.Background(), `
 		For $a in document("articles.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {"internet"})
 		Sortby(score)
@@ -55,7 +56,7 @@ func TestQueryRecordsMetrics(t *testing.T) {
 	}
 
 	// Errors count separately and do not record results.
-	if _, err := d.Query("garbage !!"); err == nil {
+	if _, err := d.QueryContext(context.Background(), "garbage !!"); err == nil {
 		t.Fatal("bad query did not error")
 	}
 	if got := reg.Counter(`tix_query_errors_total{op="query"}`).Value(); got != 1 {
@@ -69,14 +70,14 @@ func TestTermAndPhraseSearchRecordMetrics(t *testing.T) {
 	// A top-k search runs the pruned TopKTermJoin; a search without one
 	// runs the exhaustive TermJoin. Both must surface access stats through
 	// the shared AccessReporter interface.
-	if _, err := d.TermSearch([]string{"search", "engine"}, db.TermSearchOptions{TopK: 5}); err != nil {
+	if _, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, db.TermSearchOptions{TopK: 5}); err != nil {
 		t.Fatal(err)
 	}
 	pruned := reads.Value()
 	if pruned == 0 {
 		t.Error("pruned top-k term search recorded no node reads")
 	}
-	if _, err := d.TermSearch([]string{"search", "engine"}, db.TermSearchOptions{}); err != nil {
+	if _, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, db.TermSearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(`tix_queries_total{op="terms"}`).Value(); got != 2 {
@@ -86,7 +87,7 @@ func TestTermAndPhraseSearchRecordMetrics(t *testing.T) {
 		t.Error("exhaustive term search recorded no node reads")
 	}
 
-	if _, err := d.PhraseSearch([]string{"information", "retrieval"}); err != nil {
+	if _, err := d.PhraseSearchContext(context.Background(), []string{"information", "retrieval"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Histogram(`tix_query_seconds{op="phrase"}`).Count(); got != 1 {
@@ -115,11 +116,11 @@ func TestTermSearchParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []db.TermSearchOptions{{Complex: true}, {Complex: true, TopK: 4}} {
-		seq, err := seqDB.TermSearch([]string{"search", "retrieval"}, opts)
+		seq, err := seqDB.TermSearchContext(context.Background(), []string{"search", "retrieval"}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.TermSearch([]string{"search", "retrieval"}, opts)
+		got, err := par.TermSearchContext(context.Background(), []string{"search", "retrieval"}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,10 +174,10 @@ func TestMutateSentinelsAndMetrics(t *testing.T) {
 	if seg.IsDeleted(newID) {
 		t.Fatalf("fresh id %d reported deleted", newID)
 	}
-	if res, err := d.TermSearch([]string{"alpha"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"alpha"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
 		t.Fatalf("old content after Update: %v, %v", res, err)
 	}
-	if res, err := d.TermSearch([]string{"gamma"}, db.TermSearchOptions{}); err != nil || len(res) == 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"gamma"}, db.TermSearchOptions{}); err != nil || len(res) == 0 {
 		t.Fatalf("new content missing after Update: %v, %v", res, err)
 	}
 
@@ -200,7 +201,7 @@ func TestMutateSentinelsAndMetrics(t *testing.T) {
 	// CompactNow folds the (now empty) corpus back to a flat index.
 	d.CompactNow()
 	d.WaitCompaction()
-	if res, err := d.TermSearch([]string{"gamma"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"gamma"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
 		t.Fatalf("deleted content after compaction: %v, %v", res, err)
 	}
 

@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -59,7 +60,7 @@ func TestSaveLoadAfterMutations(t *testing.T) {
 		}
 	}
 	for term, want := range map[string]int{"apple": 0, "cherry": 0, "banana": 1, "cranberry": 1} {
-		res, err := d2.TermSearch([]string{term}, TermSearchOptions{})
+		res, err := d2.TermSearchContext(context.Background(), []string{term}, TermSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := grown.TermSearch(probe, TermSearchOptions{}); err != nil {
+			if _, err := grown.TermSearchContext(context.Background(), probe, TermSearchOptions{}); err != nil {
 				select {
 				case errs <- err:
 				default:
@@ -169,11 +170,11 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 		}
 	}
 	for _, terms := range [][]string{probe, {"common"}, {"q0", "w0"}} {
-		got, err := grown.TermSearch(terms, TermSearchOptions{TopK: 25})
+		got, err := grown.TermSearchContext(context.Background(), terms, TermSearchOptions{TopK: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := scratch.TermSearch(terms, TermSearchOptions{TopK: 25})
+		want, err := scratch.TermSearchContext(context.Background(), terms, TermSearchOptions{TopK: 25})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,11 +40,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		Pick $a using PickFoo($a)
 		Sortby(score)
 		Threshold $a/@score > 4 stop after 5`
-	r1, err := d.Query(q)
+	r1, err := d.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := d2.Query(q)
+	r2, err := d2.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +127,17 @@ func TestSaveFileLoadDBFile(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadDBFile(path)
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d2, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d2.Stats() != d.Stats() {
 		t.Errorf("file round trip stats differ")
-	}
-	if _, err := LoadDBFile(filepath.Join(t.TempDir(), "missing.tix")); err == nil {
-		t.Errorf("missing file should error")
 	}
 }
 

@@ -3,56 +3,20 @@ package db
 import (
 	"bytes"
 	"errors"
-	"os"
-	"reflect"
 	"testing"
 
 	"repro/internal/postings"
 	"repro/internal/synth"
 )
 
-// The v2 snapshot persists the block-compressed postings verbatim; v1 is
-// load-only, pinned by a file a v1 writer produced from the Figure 1
-// database (Stemming on, index built). These tests pin that compatibility
-// and the v2-specific corruption defenses.
-
-// v1Fixture is a TIXDB1 snapshot of newFixtureDB.
-const v1Fixture = "testdata/fig1.v1.tix"
-
-// loadV1Fixture loads the committed v1 snapshot.
-func loadV1Fixture(t *testing.T) *DB {
-	t.Helper()
-	data, err := os.ReadFile(v1Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte(fileMagic)) {
-		t.Fatalf("%s has magic %q, want %q", v1Fixture, data[:len(fileMagic)], fileMagic)
-	}
-	d, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Load of v1 snapshot: %v", err)
-	}
-	return d
-}
+// The segment snapshot persists the block-compressed postings verbatim.
+// These tests pin that and the format's corruption defenses below the
+// checksum.
 
 func TestSaveWritesV2Magic(t *testing.T) {
 	data := savedFixture(t)
-	if !bytes.HasPrefix(data, []byte(fileMagicV2)) {
-		t.Fatalf("Save wrote magic %q, want %q", data[:len(fileMagicV2)], fileMagicV2)
-	}
-}
-
-func TestSaveV1LoadCompat(t *testing.T) {
-	d := newFixtureDB(t)
-	d2 := loadV1Fixture(t)
-	if got, want := d2.Stats(), d.Stats(); got != want {
-		t.Errorf("v1 reload stats = %+v, want %+v", got, want)
-	}
-	for _, term := range []string{"search", "engine", "internet", "doe"} {
-		if !reflect.DeepEqual(d2.Index().List(term).Materialize(), d.Index().List(term).Materialize()) {
-			t.Errorf("postings for %q differ after v1 reload", term)
-		}
+	if !bytes.HasPrefix(data, []byte(fileMagic)) {
+		t.Fatalf("Save wrote magic %q, want %q", data[:len(fileMagic)], fileMagic)
 	}
 }
 
@@ -77,31 +41,6 @@ func synthDB(t *testing.T) *DB {
 	return d
 }
 
-func TestV1AndV2SnapshotsLoadIdentically(t *testing.T) {
-	d1 := loadV1Fixture(t)
-	d2, err := Load(bytes.NewReader(savedFixture(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, t2 := d1.Index().TermsByFreq(), d2.Index().TermsByFreq()
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatal("vocabularies differ between v1 and v2 loads")
-	}
-	for _, term := range t1 {
-		if !reflect.DeepEqual(d1.Index().List(term).Materialize(), d2.Index().List(term).Materialize()) {
-			t.Errorf("postings for %q differ between v1 and v2 loads", term)
-		}
-	}
-	// Re-saving the v1 load writes v2, byte-identical to the v2 save.
-	var buf bytes.Buffer
-	if err := d1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), savedFixture(t)) {
-		t.Error("v1 load re-saved differs from the v2 snapshot of the same corpus")
-	}
-}
-
 func TestV2ReloadKeepsCompression(t *testing.T) {
 	d := synthDB(t)
 	want := d.Index().MemStats()
@@ -124,25 +63,25 @@ func TestV2ReloadKeepsCompression(t *testing.T) {
 	}
 }
 
-// TestV2TrailerlessCorruption strips the integrity trailer (the legacy
-// acceptance) and then damages the postings section near the end of the
-// payload: without a checksum to catch it, the per-block validation in
-// NewBlockList is the defense, so every flip must either error (never
-// panic) or produce a database that passed validation cleanly.
+// TestV2TrailerlessCorruption damages the postings section near the end
+// of the payload and re-seals a correct trailer, so the checksum cannot
+// catch the damage: the per-block validation in NewBlockList is the
+// defense, so every flip must either error (never panic) or produce a
+// database that passed validation cleanly.
 func TestV2TrailerlessCorruption(t *testing.T) {
 	data := savedFixture(t)
-	legacy := data[:len(data)-trailerLen]
-	if _, err := Load(bytes.NewReader(legacy)); err != nil {
-		t.Fatalf("trailerless v2 snapshot rejected: %v", err)
+	payload := data[:len(data)-trailerLen]
+	if !bytes.Equal(reseal(payload), data) {
+		t.Fatal("re-sealing the saved payload does not reproduce the saved file")
 	}
 	rejected := 0
 	// The index section sits at the tail of the payload; walk flips across
 	// it.
-	start := len(legacy) * 3 / 4
-	for at := start; at < len(legacy); at += 7 {
-		mut := bytes.Clone(legacy)
+	start := len(payload) * 3 / 4
+	for at := start; at < len(payload); at += 7 {
+		mut := bytes.Clone(payload)
 		mut[at] ^= 0xFF
-		db, err := Load(bytes.NewReader(mut))
+		db, err := Load(bytes.NewReader(reseal(mut)))
 		if err == nil {
 			if db == nil {
 				t.Fatalf("flip at %d: no database and no error", at)
@@ -156,34 +95,34 @@ func TestV2TrailerlessCorruption(t *testing.T) {
 	}
 }
 
-// TestV2TrailerlessTruncation: cutting a trailerless v2 file inside the
-// index section must fail block validation (there is no trailer left to
-// catch it).
+// TestV2TrailerlessTruncation: a payload cut inside the index section and
+// re-sealed with a correct trailer passes the checksum, so the loader's
+// structural checks must reject it.
 func TestV2TrailerlessTruncation(t *testing.T) {
 	data := savedFixture(t)
-	legacy := data[:len(data)-trailerLen]
-	for _, cut := range []int{len(legacy) - 2, len(legacy) - 9, len(legacy) * 9 / 10} {
-		_, err := Load(bytes.NewReader(legacy[:cut]))
+	payload := data[:len(data)-trailerLen]
+	for _, cut := range []int{len(payload) - 2, len(payload) - 9, len(payload) * 9 / 10} {
+		_, err := Load(bytes.NewReader(reseal(payload[:cut])))
 		if err == nil {
-			t.Errorf("trailerless truncation at %d of %d accepted", cut, len(legacy))
+			t.Errorf("re-sealed truncation at %d of %d accepted", cut, len(payload))
 		}
 	}
 }
 
 // TestV2CorruptSkipMetadata mangles bytes across the index tail — term
-// headers, per-block metadata varints, block payloads — of a trailerless
-// snapshot. Rejections must be typed: either the loader's structural
-// checks (ErrCorruptSnapshot) or the block validator (postings.ErrCorrupt,
-// wrapped in ErrCorruptSnapshot), and the block validator must fire for at
-// least one mutation.
+// headers, per-block metadata varints, block payloads — and re-seals a
+// correct trailer. Rejections must be typed: either the loader's
+// structural checks (ErrCorruptSnapshot) or the block validator
+// (postings.ErrCorrupt, wrapped in ErrCorruptSnapshot), and the block
+// validator must fire for at least one mutation.
 func TestV2CorruptSkipMetadata(t *testing.T) {
 	data := savedFixture(t)
-	legacy := data[:len(data)-trailerLen]
+	payload := data[:len(data)-trailerLen]
 	sawBlockErr := false
-	for at := len(legacy) / 2; at < len(legacy); at++ {
-		mut := bytes.Clone(legacy)
+	for at := len(payload) / 2; at < len(payload); at++ {
+		mut := bytes.Clone(payload)
 		mut[at] = 0xFF // force a multi-byte/overflowing varint mid-structure
-		_, err := Load(bytes.NewReader(mut))
+		_, err := Load(bytes.NewReader(reseal(mut)))
 		if err != nil && errors.Is(err, postings.ErrCorrupt) {
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("flip at %d: block error %v not wrapped in ErrCorruptSnapshot", at, err)

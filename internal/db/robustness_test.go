@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/exec"
-	"repro/internal/fixture"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 )
@@ -36,9 +35,9 @@ func TestQueryContextCanceled(t *testing.T) {
 
 func TestQueryLimitedDeadline(t *testing.T) {
 	d, reg := newFacade(t, 1)
-	_, err := d.QueryLimited(context.Background(),
-		`For $a := document("articles.xml")//section Sortby(score)`,
-		exec.Limits{Timeout: time.Nanosecond, CheckEvery: 1})
+	d.SetLimits(exec.Limits{Timeout: time.Nanosecond, CheckEvery: 1})
+	_, err := d.QueryContext(context.Background(),
+		`For $a := document("articles.xml")//section Sortby(score)`)
 	if !errors.Is(err, exec.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -112,8 +111,8 @@ func TestFaultInjectionSurfacesAsErrors(t *testing.T) {
 	if _, err := d.QueryContext(ctx, `For $a := document("articles.xml")//section Sortby(score)`); !errors.Is(err, storage.ErrInjectedFault) {
 		t.Errorf("QueryContext err = %v, want ErrInjectedFault", err)
 	}
-	if _, _, err := d.QueryRenderedContext(ctx, `For $a := document("articles.xml")//section Sortby(score)`); !errors.Is(err, storage.ErrInjectedFault) {
-		t.Errorf("QueryRenderedContext err = %v, want ErrInjectedFault", err)
+	if _, err := d.QueryContext(ctx, `For $a := document("articles.xml")//section Return <r>{ $a }</r> Sortby(score)`); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Errorf("QueryContext with a Return template err = %v, want ErrInjectedFault", err)
 	}
 	if _, err := d.TermSearchContext(ctx, []string{"search", "engine"}, db.TermSearchOptions{}); !errors.Is(err, storage.ErrInjectedFault) {
 		t.Errorf("TermSearchContext err = %v, want ErrInjectedFault", err)
@@ -127,18 +126,8 @@ func TestFaultInjectionSurfacesAsErrors(t *testing.T) {
 	if _, err := d.PhraseSearchContext(ctx, []string{"information", "retrieval"}); err != nil {
 		t.Errorf("PhraseSearchContext under faults: %v", err)
 	}
-	if _, err := d.TwigSearchContext(ctx, exec.Twig("article", exec.Twig("sname"))); !errors.Is(err, storage.ErrInjectedFault) {
-		t.Errorf("TwigSearchContext err = %v, want ErrInjectedFault", err)
-	}
-	// The similarity join evaluates over materialized trees without an
-	// accounting accessor; it must simply not crash.
-	if _, err := d.Segment(0).SimilarityJoinContext(ctx, db.SimilarityJoinSpec{
-		LeftDoc: "articles.xml", RightDoc: "reviews.xml",
-		LeftRoot: "article", RightRoot: "review",
-		LeftKey: "article-title", RightKey: "title",
-		Primary: fixture.PrimaryPhrases, Secondary: fixture.SecondaryPhrases,
-	}); err != nil {
-		t.Errorf("SimilarityJoinContext under faults: %v", err)
+	if _, err := d.TwigRefsContext(ctx, exec.Twig("article", exec.Twig("sname"))); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Errorf("TwigRefsContext err = %v, want ErrInjectedFault", err)
 	}
 
 	if got := counter(reg, "tix_query_faults_total", "query"); got != 2 {

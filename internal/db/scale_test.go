@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestScaleSmoke(t *testing.T) {
 	}
 
 	start := time.Now()
-	results, err := d.Query(`
+	results, err := d.QueryContext(context.Background(), `
 		For $a in document("corpus.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"needle"}, {"haystack"})
 		Pick $a using PickFoo($a)
@@ -61,7 +62,7 @@ func TestScaleSmoke(t *testing.T) {
 		st.Elements, elapsed, results[0].Score)
 
 	// TopK term search at scale through the early-terminating path.
-	results2, err := d.TermSearch([]string{"needle", "haystack"}, TermSearchOptions{TopK: 5})
+	results2, err := d.TermSearchContext(context.Background(), []string{"needle", "haystack"}, TermSearchOptions{TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type Cursor = postings.Cursor
 type List = postings.List
 
 // Index is a positional inverted index over the documents of a store. A
-// static index (Build/Restore) is a single flat segment of block lists. A
-// live snapshot (Live.Snapshot) additionally unions extra immutable
+// static index (Build/RestoreBlocks) is a single flat segment of block
+// lists. A live snapshot (Live.Snapshot) additionally unions extra immutable
 // segments, frozen/active memtable runs and a tombstone set behind the
 // same surface: every read-side method works over either shape, and a
 // snapshot is immutable — safe to share across queries without locks.
@@ -143,37 +143,8 @@ func BuildChecked(s *storage.Store, tok *tokenize.Tokenizer) (*Index, error) {
 	return idx, nil
 }
 
-// Restore reconstitutes an index from previously-built raw posting lists
-// (the v1 persistence path of internal/db): it validates ordering,
-// recomputes the derived statistics, and block-encodes each list.
-func Restore(s *storage.Store, tok *tokenize.Tokenizer, raw map[string][]Posting) (*Index, error) {
-	idx := &Index{
-		store: s,
-		tok:   tok,
-		lists: make(map[string]*postings.BlockList, len(raw)),
-	}
-	// Validate in sorted term order so a corrupt snapshot reports the
-	// same first offender on every run.
-	terms := make([]string, 0, len(raw))
-	for term := range raw {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	for _, term := range terms {
-		ps := raw[term]
-		if !sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Less(ps[j]) }) {
-			return nil, fmt.Errorf("index: restored postings for %q are out of order", term)
-		}
-		idx.total += int64(len(ps))
-		bl := postings.Encode(ps)
-		bl.MaybeBitmap()
-		idx.lists[term] = bl
-	}
-	return idx, nil
-}
-
 // RestoreBlocks reconstitutes an index from already-validated block lists
-// (the v2 persistence path of internal/db). The map is adopted, not
+// (the snapshot load path of internal/db). The map is adopted, not
 // copied; every BlockList must come from postings.NewBlockList or Encode.
 func RestoreBlocks(s *storage.Store, tok *tokenize.Tokenizer, lists map[string]*postings.BlockList) *Index {
 	idx := &Index{

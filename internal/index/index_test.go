@@ -200,29 +200,6 @@ func TestCursorSeekAcrossDocuments(t *testing.T) {
 	}
 }
 
-func TestRestoreValidation(t *testing.T) {
-	s, idx := buildIndex(t, map[string]string{"a.xml": `<a>x y x</a>`})
-	// A valid restore reproduces the statistics.
-	postings := map[string][]Posting{
-		"x": append([]Posting(nil), idx.List("x").Materialize()...),
-		"y": append([]Posting(nil), idx.List("y").Materialize()...),
-	}
-	r, err := Restore(s, idx.Tokenizer(), postings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TermFreq("x") != 2 || r.NodeFreq("x") != 1 || r.TotalOccurrences() != 3 {
-		t.Errorf("restored stats wrong: %d %d %d", r.TermFreq("x"), r.NodeFreq("x"), r.TotalOccurrences())
-	}
-	// Out-of-order postings are rejected.
-	bad := map[string][]Posting{
-		"x": {{Doc: 0, Pos: 9}, {Doc: 0, Pos: 1}},
-	}
-	if _, err := Restore(s, idx.Tokenizer(), bad); err == nil {
-		t.Errorf("out-of-order restore accepted")
-	}
-}
-
 func TestQuickIndexMatchesNaiveCount(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta"}
 	f := func(seed int64) bool {

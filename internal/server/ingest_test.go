@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -93,10 +94,10 @@ func TestIngestAddQueryDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status = %d", resp.StatusCode)
 	}
-	if res, err := d.TermSearch([]string{"flamingo"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"flamingo"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
 		t.Fatalf("stale content after update: %v, %v", res, err)
 	}
-	if res, err := d.TermSearch([]string{"pelican"}, db.TermSearchOptions{}); err != nil || len(res) == 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"pelican"}, db.TermSearchOptions{}); err != nil || len(res) == 0 {
 		t.Fatalf("updated content missing: %v, %v", res, err)
 	}
 
@@ -110,7 +111,7 @@ func TestIngestAddQueryDelete(t *testing.T) {
 	if docs != 1 {
 		t.Fatalf("documents after delete = %d, want 1", docs)
 	}
-	if res, err := d.TermSearch([]string{"pelican"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := d.TermSearchContext(context.Background(), []string{"pelican"}, db.TermSearchOptions{}); err != nil || len(res) != 0 {
 		t.Fatalf("deleted content still searchable: %v, %v", res, err)
 	}
 }

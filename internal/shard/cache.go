@@ -5,7 +5,7 @@ import (
 )
 
 // Result caching. The cache sits at the facade: TermSearchContext,
-// PhraseSearchContext and QueryLimited consult it before evaluating, keyed
+// PhraseSearchContext and QueryContext consult it before evaluating, keyed
 // by (canonicalized request, effective limits, generation token), so one
 // logical query is cached once, after the per-shard merge and the
 // local→global id translation. The token depends on the family. A /terms

@@ -202,7 +202,7 @@ func TestShardedTwigMatchesUnsharded(t *testing.T) {
 		exec.Twig("sec", exec.Twig("p")),
 	}
 	for pi, pattern := range patterns {
-		want, err := oracle.TwigRefsContext(context.Background(), pattern)
+		want, err := db.SearchTwig(oracle.Index(), pattern, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestCrossShardQueryRejected(t *testing.T) {
 		t.Fatalf("single-shard join query: %v", err)
 	}
 	// An unknown document is reported by name.
-	if _, err := s.Query(`For $a in document("missing.xml")//p Sortby(score)`); err == nil {
+	if _, err := s.QueryContext(context.Background(), `For $a in document("missing.xml")//p Sortby(score)`); err == nil {
 		t.Fatal("query over unknown document accepted")
 	}
 }
@@ -307,12 +307,16 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 	names, roots := corpusDocs(t, 5, 3)
 	oracle := newOracle(t, names, roots)
 	s := newSharded(t, 3, ByHash, names, roots)
-	res, err := s.TermSearch([]string{"ctla"}, db.TermSearchOptions{TopK: 20})
+	// The segment oracle's counterparts of the facade's Materialize and
+	// NameOf.
+	oracleNode := storage.NewAccessor(oracle.Store()).Materialize
+	oracleName := func(n exec.ScoredNode) string { return oracle.Render(nil, []exec.ScoredNode{n})[0] }
+	res, err := s.TermSearchContext(context.Background(), []string{"ctla"}, db.TermSearchOptions{TopK: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res {
-		want := oracle.Materialize(r.Doc, r.Ord)
+		want := oracleNode(r.Doc, r.Ord)
 		got := s.Materialize(r.Doc, r.Ord)
 		if got == nil || want == nil {
 			t.Fatalf("materialize (doc %d, ord %d): got %v, want %v", r.Doc, r.Ord, got, want)
@@ -321,7 +325,7 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 			t.Fatalf("materialize (doc %d, ord %d): <%s> [%d,%d], want <%s> [%d,%d]",
 				r.Doc, r.Ord, got.Tag, got.Start, got.End, want.Tag, want.Start, want.End)
 		}
-		if gn, wn := s.NameOf(r), oracle.NameOf(r); gn != wn {
+		if gn, wn := s.NameOf(r), oracleName(r); gn != wn {
 			t.Fatalf("NameOf(doc %d, ord %d) = %q, want %q", r.Doc, r.Ord, gn, wn)
 		}
 	}
@@ -336,7 +340,7 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 	// document, on both facades.
 	for _, ord := range []int32{-1, 1 << 30} {
 		bad := exec.ScoredNode{Doc: res[0].Doc, Ord: ord}
-		if gn, wn := s.NameOf(bad), oracle.NameOf(bad); gn != "" || wn != "" {
+		if gn, wn := s.NameOf(bad), oracleName(bad); gn != "" || wn != "" {
 			t.Errorf("NameOf(doc %d, ord %d) = %q sharded, %q unsharded; want empty", bad.Doc, ord, gn, wn)
 		}
 	}
@@ -348,14 +352,14 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 	batch := append([]exec.ScoredNode{}, res...)
 	var want []string
 	for _, r := range res {
-		want = append(want, oracle.NameOf(r))
+		want = append(want, oracleName(r))
 	}
-	ms, err := oracle.PhraseSearch([]string{"ctla", "ctlb"})
+	ms, err := oracle.PhraseSearchContext(context.Background(), []string{"ctla", "ctlb"})
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("phrase search: %d matches, %v", len(ms), err)
 	}
 	batch = append(batch, exec.ScoredNode{Doc: ms[0].Doc, Ord: ms[0].Node})
-	want = append(want, oracle.Materialize(ms[0].Doc, ms[0].Node).AllText())
+	want = append(want, oracleNode(ms[0].Doc, ms[0].Node).AllText())
 	batch = append(batch, exec.ScoredNode{Doc: 999}, exec.ScoredNode{Doc: res[0].Doc, Ord: -1},
 		exec.ScoredNode{Doc: res[0].Doc, Ord: 1 << 30})
 	want = append(want, "", "", "")
@@ -530,7 +534,7 @@ func TestShardedTwigOnLiveSnapshot(t *testing.T) {
 	mono, sharded := liveCorpus(t)
 	sharded["shards=1"] = mono
 	pattern := exec.Twig("article", exec.Twig("p"))
-	want, err := mono.Segment(0).TwigRefsContext(context.Background(), pattern)
+	want, err := db.SearchTwig(mono.Segment(0).Index(), pattern, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

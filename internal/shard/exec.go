@@ -11,7 +11,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/rescache"
 	"repro/internal/storage"
-	"repro/internal/xmltree"
 	"repro/internal/xq"
 )
 
@@ -72,14 +71,9 @@ func fanoutCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithCancel(ctx)
 }
 
-// TermSearch scores every element containing at least one of the terms,
-// fanning the TermJoin out across shards, and returns results best-first
-// under the exec.RankedBefore contract (see db.TermSearchOptions).
-func (s *DB) TermSearch(terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, error) {
-	return s.TermSearchContext(context.Background(), terms, opts)
-}
-
-// TermSearchContext is TermSearch with cooperative cancellation and
+// TermSearchContext scores every element containing at least one of the
+// terms and returns results best-first under the exec.RankedBefore
+// contract (see db.TermSearchOptions), with cooperative cancellation and
 // resource budgets shared across the shard workers. Each shard runs
 // db.SearchTerms over its own snapshot. With TopK set, the limit is pushed
 // down — each shard retains its own k best, through the pruned
@@ -215,15 +209,10 @@ func (s *DB) RunTermMethod(ctx context.Context, method Method, terms []string, c
 	return results, total, nil
 }
 
-// PhraseSearch returns every occurrence of the phrase via per-shard
+// PhraseSearchContext returns every occurrence of the phrase via per-shard
 // PhraseFinders, merged into (document, position) order — the same order
-// the monolithic PhraseFinder emits.
-func (s *DB) PhraseSearch(phrase []string) ([]exec.PhraseMatch, error) {
-	return s.PhraseSearchContext(context.Background(), phrase)
-}
-
-// PhraseSearchContext is PhraseSearch with cooperative cancellation and
-// the shared default resource limits.
+// one PhraseFinder over the whole corpus emits — with cooperative
+// cancellation and the shared default resource limits.
 func (s *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exec.PhraseMatch, err error) {
 	start := time.Now()
 	per := make([][]exec.PhraseMatch, len(s.segs))
@@ -311,25 +300,6 @@ func (s *DB) TwigRefsContext(ctx context.Context, pattern *exec.TwigNode) (out [
 	return out, nil
 }
 
-// TwigSearchContext is TwigRefsContext with the matches materialized as
-// subtrees, in global document order — the sharded counterpart of
-// db.TwigSearchContext.
-func (s *DB) TwigSearchContext(ctx context.Context, pattern *exec.TwigNode) ([]*xmltree.Node, error) {
-	refs, err := s.TwigRefsContext(ctx, pattern)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*xmltree.Node, 0, len(refs))
-	for _, ref := range refs {
-		loc, ok := s.refOf(ref.Doc)
-		if !ok {
-			continue
-		}
-		out = append(out, s.segs[loc.shard].Store().Doc(loc.local).TreeNode(ref.Ord))
-	}
-	return out, nil
-}
-
 // ErrCrossShard reports an extended-XQuery query whose document() clauses
 // resolve to more than one shard; the join shapes evaluate inside a
 // single store, so such queries must be routed to a co-resident layout
@@ -365,45 +335,15 @@ func (s *DB) routeQuery(src string) (*xq.Query, int, error) {
 	return q, shard, nil
 }
 
-// evalQuery parses and routes src, evaluates it over the owning segment's
-// snapshot under limits, adding the evaluation's store traffic to stats,
-// and returns the parsed query with its results in global document ids.
-func (s *DB) evalQuery(ctx context.Context, src string, limits exec.Limits, stats *storage.AccessStats) (*xq.Query, []xq.Result, error) {
-	q, i, err := s.routeQuery(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := db.EvalQuery(s.segs[i].Index(), q, exec.NewGuard(ctx, limits), stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := s.globalIDs(i)
-	for j := range results {
-		results[j].Doc = ids[results[j].Doc]
-	}
-	return q, results, nil
-}
-
-// Query parses and evaluates an extended-XQuery query against the shard
-// owning its documents. Results carry global document ids.
-func (s *DB) Query(src string) ([]xq.Result, error) {
-	return s.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with cooperative cancellation and the default
-// resource limits.
-func (s *DB) QueryContext(ctx context.Context, src string) ([]xq.Result, error) {
-	return s.QueryLimited(ctx, src, s.opts.Limits)
-}
-
-// QueryLimited is QueryContext with an explicit per-call resource budget.
-func (s *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) (results []xq.Result, err error) {
+// QueryContext parses and evaluates an extended-XQuery query against the
+// shard owning its documents, under ctx and the default resource limits.
+// Results carry global document ids.
+func (s *DB) QueryContext(ctx context.Context, src string) (results []xq.Result, err error) {
 	start := time.Now()
 	var stats storage.AccessStats
 	defer func() { s.observe(opQuery, start, len(results), stats, err) }()
-	eff := s.limitsOr(limits)
 	if c, tok, ok := s.queryCache(); ok {
-		key := rescache.QueryKey(tok, src, eff)
+		key := rescache.QueryKey(tok, src, s.opts.Limits)
 		if hit, found := rescache.GetSlice[xq.Result](c, key); found {
 			results = hit
 			return results, nil
@@ -417,27 +357,19 @@ func (s *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) (
 		}()
 	}
 	defer recoverPanic(&err)
-	_, results, err = s.evalQuery(ctx, src, eff, &stats)
-	return results, err
-}
-
-// QueryRenderedContext evaluates a query and renders each result through
-// the query's Return template (or the canonical <result> shape when the
-// query has none), under the default resource limits.
-func (s *DB) QueryRenderedContext(ctx context.Context, src string) (rendered []string, results []xq.Result, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { s.observe(opQuery, start, len(results), stats, err) }()
-	defer recoverPanic(&err)
-	q, results, err := s.evalQuery(ctx, src, s.opts.Limits, &stats)
+	q, i, err := s.routeQuery(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rendered = make([]string, len(results))
-	for i, r := range results {
-		rendered[i] = q.Render(r)
+	results, err = db.EvalQuery(s.segs[i].Index(), q, exec.NewGuard(ctx, s.opts.Limits), &stats)
+	if err != nil {
+		return nil, err
 	}
-	return rendered, results, nil
+	ids := s.globalIDs(i)
+	for j := range results {
+		results[j].Doc = ids[results[j].Doc]
+	}
+	return results, nil
 }
 
 // Explain renders the physical plan for a query without running it: the

@@ -32,11 +32,11 @@ func TestRoutedIngestMatchesBulkLoad(t *testing.T) {
 
 		for _, terms := range [][]string{{"ctla"}, {"ctla", "ctlb"}, {"ctlc"}} {
 			label := fmt.Sprintf("shards=%d terms=%v", n, terms)
-			want, err := bulk.TermSearch(terms, db.TermSearchOptions{})
+			want, err := bulk.TermSearchContext(context.Background(), terms, db.TermSearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := grown.TermSearch(terms, db.TermSearchOptions{})
+			got, err := grown.TermSearchContext(context.Background(), terms, db.TermSearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestShardUpdateDelete(t *testing.T) {
 	if got := s.DocName(2); got != oldName {
 		t.Fatalf("Update changed the global id mapping: DocName(2) = %q", got)
 	}
-	res, err := s.TermSearch([]string{"replaced"}, db.TermSearchOptions{})
+	res, err := s.TermSearchContext(context.Background(), []string{"replaced"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestShardUpdateDelete(t *testing.T) {
 			t.Fatalf("updated content surfaced under global id %d, want 2", n.Doc)
 		}
 	}
-	if res, _ := s.TermSearch([]string{"filler2"}, db.TermSearchOptions{}); len(res) != 0 {
+	if res, _ := s.TermSearchContext(context.Background(), []string{"filler2"}, db.TermSearchOptions{}); len(res) != 0 {
 		t.Fatalf("old content of an updated document still searchable: %v", res)
 	}
 
@@ -94,7 +94,7 @@ func TestShardUpdateDelete(t *testing.T) {
 	if err := s.Delete("doc4.xml"); !errors.Is(err, db.ErrDocumentNotFound) {
 		t.Fatalf("double Delete err = %v, want ErrDocumentNotFound", err)
 	}
-	if res, _ := s.TermSearch([]string{"filler4"}, db.TermSearchOptions{}); len(res) != 0 {
+	if res, _ := s.TermSearchContext(context.Background(), []string{"filler4"}, db.TermSearchOptions{}); len(res) != 0 {
 		t.Fatalf("deleted document still searchable: %v", res)
 	}
 	if got := s.DocumentCount(); got != 5 {
@@ -108,7 +108,7 @@ func TestShardUpdateDelete(t *testing.T) {
 	if err := s.Add("doc4.xml", `<d><t>stable reborn</t></d>`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.TermSearch([]string{"reborn"}, db.TermSearchOptions{})
+	res, err = s.TermSearchContext(context.Background(), []string{"reborn"}, db.TermSearchOptions{})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("re-added document not searchable: %v, %v", res, err)
 	}
@@ -138,7 +138,7 @@ func TestShardIngestWhileQuerying(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.TermSearch([]string{"stable"}, db.TermSearchOptions{}); err != nil {
+			if _, err := s.TermSearchContext(context.Background(), []string{"stable"}, db.TermSearchOptions{}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -154,7 +154,7 @@ func TestShardIngestWhileQuerying(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	s.WaitCompaction()
-	res, err := s.TermSearch([]string{"stable"}, db.TermSearchOptions{})
+	res, err := s.TermSearchContext(context.Background(), []string{"stable"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

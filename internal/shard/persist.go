@@ -1,13 +1,9 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,21 +19,17 @@ import (
 //	docs     uvarint count; per doc (global order): name, uvarint shard
 //	segments per shard: uvarint byte length, then a complete segment
 //	         snapshot (db.Save output — TIXDB2 with block-compressed
-//	         postings and its own "TIXSUM1\n"+CRC32 trailer intact;
-//	         the loader also accepts TIXDB1 segments)
+//	         postings and its own "TIXSUM1\n"+CRC32 trailer intact)
 //	trailer  "TIXSUM1\n" + 4-byte little-endian IEEE CRC32 of every byte
 //	         before the trailer
 //
-// Integrity is two-layer: the container trailer covers the whole file,
-// and each embedded segment still carries (and re-verifies through
-// db.Load) its own trailer, so a flipped bit is attributed to the shard
-// it corrupted. Unlike the legacy single-store format, the container
-// trailer is not optional.
+// This container is the only snapshot format anything opens. It is
+// written and read with the segment format's framing (db.FrameWriter,
+// db.FrameReader). Integrity is two-layer: the container trailer covers
+// the whole file, and each embedded segment still carries (and re-verifies
+// through db.Load) its own trailer, so a flipped bit is attributed to the
+// shard it corrupted. Both trailers are mandatory.
 const fileMagic = "TIXSHD1\n"
-
-// sumMagic introduces the integrity trailer (shared with the embedded
-// segment formats).
-const sumMagic = "TIXSUM1\n"
 
 // ErrCorruptSnapshot marks sharded-container integrity failures. Test
 // with errors.Is; segment-level corruption surfaces as the wrapped
@@ -51,45 +43,29 @@ const maxShards = 1 << 16
 
 // Save writes the sharded database — layout, document placement, and one
 // complete db.Save snapshot per segment — to w, followed by the container
-// integrity trailer. It is the only snapshot writer the binaries use: a
-// legacy file opened through OpenFile is re-saved as a one-shard
-// container.
+// integrity trailer. It is the only snapshot writer the binaries use.
 func (s *DB) Save(w io.Writer) error {
-	h := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	if _, err := bw.WriteString(fileMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(s.opts.Strategy)); err != nil {
-		return err
-	}
-	writeUvarint(bw, uint64(len(s.segs)))
-	writeUvarint(bw, uint64(len(s.docs)))
+	fw := db.NewFrameWriter(w)
+	_, _ = fw.WriteString(fileMagic)
+	_ = fw.WriteByte(byte(s.opts.Strategy))
+	fw.PutUvarint(uint64(len(s.segs)))
+	fw.PutUvarint(uint64(len(s.docs)))
 	for gid, ref := range s.docs {
 		if ref.shard < 0 {
 			return fmt.Errorf("shard: save: global id %d is a burned slot (drifted replica; re-sync from a healthy copy instead of saving)", gid)
 		}
-		writeString(bw, s.names[gid])
-		writeUvarint(bw, uint64(ref.shard))
+		fw.PutString(s.names[gid])
+		fw.PutUvarint(uint64(ref.shard))
 	}
 	for _, seg := range s.segs {
 		var buf bytes.Buffer
 		if err := seg.Save(&buf); err != nil {
 			return err
 		}
-		writeUvarint(bw, uint64(buf.Len()))
-		if _, err := bw.Write(buf.Bytes()); err != nil {
-			return err
-		}
+		fw.PutUvarint(uint64(buf.Len()))
+		_, _ = fw.Write(buf.Bytes())
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var tr [len(sumMagic) + 4]byte
-	copy(tr[:], sumMagic)
-	binary.LittleEndian.PutUint32(tr[len(sumMagic):], h.Sum32())
-	_, err := w.Write(tr[:])
-	return err
+	return fw.Seal()
 }
 
 // SaveFile writes the sharded database to path without ever exposing a
@@ -139,27 +115,22 @@ func (s *DB) SaveFile(path string) error {
 // document numbering. The declared placement is cross-checked against
 // each segment's actual contents.
 func Load(r io.Reader) (*DB, error) {
-	raw := bufio.NewReader(r)
-	br := &crcReader{r: raw, h: crc32.NewIEEE()}
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("shard: load: %w", err)
+	fr := db.NewFrameReader(r, "shard: load", 1<<20, ErrCorruptSnapshot)
+	if err := fr.Magic(fileMagic); err != nil {
+		return nil, err
 	}
-	if string(magic) != fileMagic {
-		return nil, fmt.Errorf("shard: load: bad magic %q", magic)
-	}
-	strat, err := br.ReadByte()
+	strat, err := fr.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("shard: load: %w", err)
 	}
-	nShards, err := readUvarint(br)
+	nShards, err := fr.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if nShards < 1 || nShards > maxShards {
 		return nil, fmt.Errorf("shard: load: implausible shard count %d: %w", nShards, ErrCorruptSnapshot)
 	}
-	nDocs, err := readUvarint(br)
+	nDocs, err := fr.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -172,11 +143,11 @@ func Load(r io.Reader) (*DB, error) {
 	}
 	placements := make([]placement, 0, min(nDocs, 1<<16))
 	for i := uint64(0); i < nDocs; i++ {
-		name, err := readString(br)
+		name, err := fr.Text()
 		if err != nil {
 			return nil, err
 		}
-		sh, err := readUvarint(br)
+		sh, err := fr.Uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -188,20 +159,20 @@ func Load(r io.Reader) (*DB, error) {
 	}
 	segs := make([]*db.DB, nShards)
 	for i := range segs {
-		segLen, err := readUvarint(br)
+		segLen, err := fr.Uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if segLen > 1<<31 {
 			return nil, fmt.Errorf("shard: load: implausible segment length %d: %w", segLen, ErrCorruptSnapshot)
 		}
-		seg, err := db.Load(io.LimitReader(br, int64(segLen)))
+		seg, err := db.Load(io.LimitReader(fr, int64(segLen)))
 		if err != nil {
 			return nil, fmt.Errorf("shard: load: segment %d: %w", i, err)
 		}
 		segs[i] = seg
 	}
-	if err := verifyTrailer(raw, br.h); err != nil {
+	if err := fr.Verify(); err != nil {
 		return nil, err
 	}
 
@@ -248,47 +219,15 @@ func Load(r io.Reader) (*DB, error) {
 	return s, nil
 }
 
-// LoadFile reads a sharded database file written by SaveFile.
-func LoadFile(path string) (*DB, error) {
+// OpenFile reads a sharded database file written by SaveFile. Any other
+// file, a bare segment snapshot included, is rejected.
+func OpenFile(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// IsShardedFile reports whether path begins with the sharded container
-// magic (as opposed to a legacy single-store TIXDB1/TIXDB2 snapshot).
-func IsShardedFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("shard: %w", err)
-	}
-	defer f.Close()
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return false, nil // too short to be a sharded container
-	}
-	return string(magic) == fileMagic, nil
-}
-
-// OpenFile opens either snapshot format behind the sharded facade: a
-// sharded container loads directly; a legacy single-store snapshot
-// (TIXDB1 or TIXDB2) is wrapped as one segment.
-func OpenFile(path string) (*DB, error) {
-	sharded, err := IsShardedFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if sharded {
-		return LoadFile(path)
-	}
-	d, err := db.LoadDBFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Wrap(d), nil
 }
 
 // Reshard redistributes the corpus across n shards under the given
@@ -313,90 +252,4 @@ func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 		}
 	}
 	return out, nil
-}
-
-// --- container primitives (mirroring the segment format's) ---
-
-// byteReader is the reading interface the loader consumes through.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// crcReader hashes exactly the bytes its consumer reads; it wraps the
-// buffered reader so readahead cannot pull trailer bytes into the
-// payload hash.
-type crcReader struct {
-	r byteReader
-	h hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.h.Write(p[:n])
-	return n, err
-}
-
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.h.Write([]byte{b})
-	}
-	return b, err
-}
-
-// verifyTrailer checks the container trailer after the payload has been
-// fully consumed. The sharded format always writes a trailer, so a
-// missing one is corruption, not legacy.
-func verifyTrailer(br *bufio.Reader, h hash.Hash32) error {
-	tr := make([]byte, len(sumMagic)+4)
-	if n, err := io.ReadFull(br, tr); err != nil {
-		return fmt.Errorf("shard: load: truncated integrity trailer (%d of %d bytes): %w", n, len(tr), ErrCorruptSnapshot)
-	}
-	if string(tr[:len(sumMagic)]) != sumMagic {
-		return fmt.Errorf("shard: load: unexpected data after payload (missing %q trailer): %w", sumMagic, ErrCorruptSnapshot)
-	}
-	want := binary.LittleEndian.Uint32(tr[len(sumMagic):])
-	if got := h.Sum32(); got != want {
-		return fmt.Errorf("shard: load: checksum mismatch (file %08x, payload %08x): %w", want, got, ErrCorruptSnapshot)
-	}
-	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("shard: load: data after integrity trailer: %w", ErrCorruptSnapshot)
-	}
-	return nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, _ = w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	_, _ = w.WriteString(s)
-}
-
-func readUvarint(r io.ByteReader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("shard: load: %w", err)
-	}
-	return v, nil
-}
-
-func readString(r byteReader) (string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	const maxString = 1 << 20
-	if n > maxString {
-		return "", fmt.Errorf("shard: load: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("shard: load: %w", err)
-	}
-	return string(buf), nil
 }

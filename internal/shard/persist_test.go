@@ -23,7 +23,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 3, 8} {
 		s := newSharded(t, n, ByHash, names, roots)
 		s.Warm()
-		want, err := s.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
+		want, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("shards=%d: doc %d = %q, want %q", n, gid, got, name)
 			}
 		}
-		got, err := loaded.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
+		got, err := loaded.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,13 +84,13 @@ func TestShardedLoadRejectsCorruption(t *testing.T) {
 	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 'x'))); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Errorf("trailing garbage: err = %v, want ErrCorruptSnapshot", err)
 	}
-	// A legacy single-store snapshot is not a sharded container.
-	var legacy bytes.Buffer
-	if err := s.Segment(0).Save(&legacy); err != nil {
+	// A bare segment snapshot is not a sharded container.
+	var segment bytes.Buffer
+	if err := s.Segment(0).Save(&segment); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(legacy.Bytes())); err == nil {
-		t.Error("legacy snapshot accepted by sharded Load")
+	if _, err := Load(bytes.NewReader(segment.Bytes())); err == nil {
+		t.Error("bare segment snapshot accepted by sharded Load")
 	}
 	// The intact file still loads (the corruption loop must not have
 	// depended on shared state).
@@ -99,6 +99,11 @@ func TestShardedLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestOpenFileSniffsBothFormats: OpenFile tells the sharded container
+// from a bare segment snapshot by its magic. The container opens and
+// answers as it was saved; a bare segment (what db.Save writes) is
+// rejected rather than wrapped as a one-shard database, and so are a file
+// too short to hold a magic and a missing file.
 func TestOpenFileSniffsBothFormats(t *testing.T) {
 	dir := t.TempDir()
 	names, roots := corpusDocs(t, 5, 4)
@@ -110,57 +115,40 @@ func TestOpenFileSniffsBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A legacy single-store file: one segment snapshot on its own.
-	legacyPath := filepath.Join(dir, "legacy.tix")
+	// A bare segment snapshot of the same corpus.
+	segmentPath := filepath.Join(dir, "segment.tix")
 	mono := newOracle(t, names, roots)
 	mono.Index()
-	var legacy bytes.Buffer
-	if err := mono.Save(&legacy); err != nil {
+	var segment bytes.Buffer
+	if err := mono.Save(&segment); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(segmentPath, segment.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
-	}
-
-	if ok, err := IsShardedFile(shardedPath); err != nil || !ok {
-		t.Fatalf("IsShardedFile(sharded) = %v, %v", ok, err)
-	}
-	if ok, err := IsShardedFile(legacyPath); err != nil || ok {
-		t.Fatalf("IsShardedFile(legacy) = %v, %v", ok, err)
 	}
 
 	want, err := mono.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{shardedPath, legacyPath} {
-		d, err := OpenFile(path)
-		if err != nil {
-			t.Fatalf("OpenFile(%s): %v", path, err)
-		}
-		got, err := d.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameScored(t, "OpenFile "+filepath.Base(path), got, want)
-	}
-
-	// The oldest format, TIXDB1, still opens.
-	v1, err := OpenFile(filepath.Join("..", "db", "testdata", "fig1.v1.tix"))
+	d, err := OpenFile(shardedPath)
 	if err != nil {
-		t.Fatalf("OpenFile(v1): %v", err)
+		t.Fatalf("OpenFile(sharded): %v", err)
 	}
-	if v1.DocumentCount() != 2 || v1.DocName(0) != "articles.xml" {
-		t.Fatalf("v1 file opened with %d documents, first %q", v1.DocumentCount(), v1.DocName(0))
+	got, err := d.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameScored(t, "OpenFile sharded", got, want)
 
-	// Sniffing tolerates short files (reports not-sharded, not an error).
 	short := filepath.Join(dir, "short")
 	if err := os.WriteFile(short, []byte("abc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := IsShardedFile(short); err != nil || ok {
-		t.Fatalf("IsShardedFile(short) = %v, %v", ok, err)
+	for _, path := range []string{segmentPath, short, filepath.Join(dir, "missing.tix")} {
+		if d, err := OpenFile(path); err == nil || d != nil {
+			t.Errorf("OpenFile(%s) = %v, %v; want an error", filepath.Base(path), d, err)
+		}
 	}
 }
 
@@ -307,7 +295,7 @@ func saveUntilKilled(t *testing.T, path string) {
 func TestReshardPreservesResults(t *testing.T) {
 	names, roots := corpusDocs(t, 6, 13)
 	s := newSharded(t, 2, ByHash, names, roots)
-	want, err := s.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	want, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,33 +310,11 @@ func TestReshardPreservesResults(t *testing.T) {
 		if r.DocumentCount() != s.DocumentCount() {
 			t.Fatalf("reshard to %d: %d documents, want %d", n, r.DocumentCount(), s.DocumentCount())
 		}
-		got, err := r.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
+		got, err := r.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameScored(t, "after reshard", got, want)
-	}
-}
-
-func TestWrapExposesMonolithicDB(t *testing.T) {
-	names, roots := corpusDocs(t, 4, 2)
-	mono := newOracle(t, names, roots)
-	w := Wrap(mono)
-	if w.Shards() != 1 || w.DocumentCount() != len(names) {
-		t.Fatalf("wrap layout: shards=%d docs=%d", w.Shards(), w.DocumentCount())
-	}
-	want, err := mono.TermSearchContext(context.Background(), []string{"ctla"}, db.TermSearchOptions{TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.TermSearch([]string{"ctla"}, db.TermSearchOptions{TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameScored(t, "wrapped", got, want)
-	// The facade rejects duplicate names just like db does.
-	if err := w.LoadTree(names[0], roots[0]); err == nil {
-		t.Error("duplicate load accepted")
 	}
 }
 

@@ -139,25 +139,6 @@ func New(opts Options) *DB {
 	return s
 }
 
-// Wrap adapts an existing monolithic database into a single-segment
-// sharded facade — the bridge the cmds use for legacy snapshot files.
-func Wrap(d *db.DB) *DB {
-	o := d.Options()
-	s := New(Options{
-		Shards:    1,
-		Stemming:  o.Stemming,
-		Stopwords: o.Stopwords,
-		Limits:    o.Limits,
-	})
-	s.segs[0] = d
-	s.mu.Lock()
-	for _, doc := range d.Store().Docs() {
-		s.track(doc.Name, 0, doc.ID)
-	}
-	s.mu.Unlock()
-	return s
-}
-
 // Shards returns the number of segments.
 func (s *DB) Shards() int { return len(s.segs) }
 
@@ -390,7 +371,7 @@ func (s *DB) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 	if !ok {
 		return nil
 	}
-	return s.segs[ref.shard].Materialize(ref.local, ord)
+	return storage.NewAccessor(s.segs[ref.shard].Store()).Materialize(ref.local, ord)
 }
 
 // NameOf returns the element tag name of a scored node (global document

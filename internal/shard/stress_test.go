@@ -32,7 +32,7 @@ func TestShardFaultSurfacesLatchedError(t *testing.T) {
 	s.Warm()
 	s.SetLimits(exec.Limits{CheckEvery: 1})
 	s.SetFaults(&storage.FaultInjector{FailEvery: 40})
-	_, err := s.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	_, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if err == nil {
 		t.Fatal("fault injection produced no error")
 	}
@@ -61,7 +61,7 @@ func TestShardFaultSurfacesLatchedError(t *testing.T) {
 
 	// Disarm: the database keeps serving.
 	s.SetFaults(nil)
-	res, err := s.TermSearch([]string{"ctla"}, db.TermSearchOptions{TopK: 5})
+	res, err := s.TermSearchContext(context.Background(), []string{"ctla"}, db.TermSearchOptions{TopK: 5})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("after disarm: results=%d err=%v", len(res), err)
 	}
@@ -92,7 +92,7 @@ func TestShardSharedAccessBudget(t *testing.T) {
 	// The budget is shared across workers: a per-shard budget of 30 would
 	// pass, a shared one must trip.
 	s.SetLimits(exec.Limits{MaxAccesses: 30, CheckEvery: 1})
-	_, err := s.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	_, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if !errors.Is(err, exec.ErrLimitExceeded) {
 		t.Fatalf("err = %v, want ErrLimitExceeded", err)
 	}
@@ -123,12 +123,12 @@ func TestShardConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (w + i) % 4 {
 				case 0:
-					if _, err := s.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{TopK: 10}); err != nil {
+					if _, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{TopK: 10}); err != nil {
 						t.Errorf("worker %d: terms: %v", w, err)
 						return
 					}
 				case 1:
-					if _, err := s.PhraseSearch([]string{"ctla", "ctlb"}); err != nil {
+					if _, err := s.PhraseSearchContext(context.Background(), []string{"ctla", "ctlb"}); err != nil {
 						t.Errorf("worker %d: phrase: %v", w, err)
 						return
 					}

@@ -63,10 +63,12 @@ race:
 # including pruned reads racing ingest, seals and background folds, and
 # the result-cache suites: term-keyed reads racing writes, and the
 # ordering rule that a term's generation is never ahead of the snapshot
-# a reader takes after observing it (DESIGN.md §13).
+# a reader takes after observing it (DESIGN.md §13). The resident-list
+# suites run here too: concurrent readers share one list's resident
+# postings, which no cursor may ever write (DESIGN.md §15).
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK|Cache|Coherent|TermsGeneration' \
-		./internal/exec ./internal/db ./internal/index ./internal/rescache ./internal/server ./internal/shard
+	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK|Cache|Coherent|TermsGeneration|Resident' \
+		./internal/exec ./internal/db ./internal/index ./internal/postings ./internal/rescache ./internal/server ./internal/shard
 
 # The replicated-serving chaos drills (DESIGN.md §12): a 3-replica fleet
 # with one replica killed or delayed mid-traffic must show zero

@@ -78,11 +78,11 @@ func hotpathWorkloads(docs int) []hotpathWorkload {
 		}
 	}
 	return []hotpathWorkload{
-		// Sparse: posting lists well below the bitmap-adoption density.
+		// Sparse: posting lists well below the resident-adoption density.
 		mk("sparse", docs/50, docs/1000, docs/20, docs/2000),
 		// Dense: one posting every other document — past the adoption
-		// threshold, so the joins and the phrase verifier run over the
-		// dense representation where it exists.
+		// threshold, so the joins and the phrase verifier run over
+		// resident postings where the list is long enough.
 		mk("dense", docs/2, docs/500, docs/4, docs/1000),
 	}
 }

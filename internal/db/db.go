@@ -197,10 +197,15 @@ func (d *DB) Index() *index.Index {
 }
 
 // liveIndex returns the live (mutable) index, creating it over the
-// store's current contents on first use. An invariant violation during
-// the initial build panics, exactly as index.Build does; the facade entry
-// points recover it into a classified error.
+// store's current contents on first use. Once it exists it is loaded
+// without the mutation lock, so reads never wait on a write in flight;
+// only the first build locks. An invariant violation during the initial
+// build panics, exactly as index.Build does; the facade entry points
+// recover it into a classified error.
 func (d *DB) liveIndex() *index.Live {
+	if l := d.live.Load(); l != nil {
+		return l
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.liveLocked()

@@ -8,6 +8,9 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/index"
 )
 
 // mutatedFixture builds a database that exercised every mutation: adds,
@@ -196,4 +199,24 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 		t.Fatalf("snapshots differ: %d vs %d bytes", gBuf.Len(), sBuf.Len())
 	}
 	t.Logf("ingested %d docs concurrently with readers; snapshot %d bytes, byte-identical to bulk build", nDocs, gBuf.Len())
+}
+
+// TestIndexDoesNotWaitOnMutationLock: once the live index exists, reads
+// load it without the mutation lock, so a write holding the lock while it
+// stores and tokenizes a document never stalls Index.
+func TestIndexDoesNotWaitOnMutationLock(t *testing.T) {
+	d := mutatedFixture(t)
+	d.Warm()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	done := make(chan *index.Index, 1)
+	go func() { done <- d.Index() }()
+	select {
+	case idx := <-done:
+		if idx == nil {
+			t.Fatal("Index returned nil on a warmed segment")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Index waited on the mutation lock")
+	}
 }

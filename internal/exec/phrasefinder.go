@@ -27,9 +27,8 @@ type PhraseMatch struct {
 //
 // The intersection gallops (DESIGN.md §15): the rarest term drives the
 // scan, and for each of its occurrences the other terms are verified in
-// ascending-frequency order with SeekPos — each verifier's skip-table (or
-// bitmap-rank) seek jumps over the postings a stepwise merge would have
-// decoded. A phrase containing one rare word therefore costs O(rare)
+// ascending-frequency order with SeekPos — each verifier's skip-table
+// seek jumps over the postings a stepwise merge would have decoded. A phrase containing one rare word therefore costs O(rare)
 // seeks regardless of how common its other words are.
 type PhraseFinder struct {
 	Index *index.Index

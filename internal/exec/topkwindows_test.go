@@ -95,18 +95,18 @@ func TestTopKGroupWindowsLive(t *testing.T) {
 	}
 }
 
-// TestTopKGroupWindowsBitmap: windows of bitmap-form lists, which copy the
-// resident columns instead of decoding blocks.
-func TestTopKGroupWindowsBitmap(t *testing.T) {
+// TestTopKGroupWindowsResident: windows of resident lists, which copy the
+// resident postings instead of decoding blocks.
+func TestTopKGroupWindowsResident(t *testing.T) {
 	var roots []*xmltree.Node
 	for d := 0; d < 1500; d++ {
 		roots = append(roots, countsDoc(2+d%5, d%3))
 	}
 	idx := flatIndex(t, roots)
-	if bl := idx.List("x").Blocks(); !bl.HasBitmap() {
-		t.Fatal("the list of x did not adopt the bitmap form")
+	if bl := idx.List("x").Blocks(); !bl.HasResident() {
+		t.Fatal("the list of x did not adopt the resident form")
 	}
-	checkGroupWindows(t, "bitmap", idx, []string{"x", "y"})
+	checkGroupWindows(t, "resident", idx, []string{"x", "y"})
 }
 
 // TestTopKGroupWindowsSpanningDocument: documents whose postings span two

@@ -137,7 +137,7 @@ func BuildChecked(s *storage.Store, tok *tokenize.Tokenizer) (*Index, error) {
 	//tixlint:ignore mapiter per-key encode writing only idx.lists[term]; no cross-key state, so iteration order cannot leak
 	for term, ps := range raw {
 		bl := postings.Encode(ps)
-		bl.MaybeBitmap() // pre-publication: the list is still exclusively ours
+		bl.MaybeResident() // pre-publication: the list is still exclusively ours
 		idx.lists[term] = bl
 	}
 	return idx, nil
@@ -157,7 +157,7 @@ func RestoreBlocks(s *storage.Store, tok *tokenize.Tokenizer, lists map[string]*
 	//tixlint:ignore mapiter per-list accumulation and adoption; no cross-key state, so iteration order cannot leak
 	for _, bl := range lists {
 		idx.total += int64(bl.Len())
-		bl.MaybeBitmap()
+		bl.MaybeResident()
 	}
 	return idx
 }
@@ -376,13 +376,14 @@ type MemStats struct {
 	PayloadBytes  int64 // block payload bytes
 	SkipBytes     int64 // skip-table bytes
 	MemtableBytes int64 // raw bytes held in uncompressed memtable runs
-	// The adaptive dense representation (postings.MaybeBitmap) is an
-	// accelerator layered over the encoded form, not a replacement for it,
-	// so its resident cost is reported separately and does not enter the
+	// Dense lists' resident decoded postings (postings.MaybeResident) are
+	// an accelerator kept beside the encoded form, not a replacement for
+	// it, so their cost is reported separately and does not enter the
 	// compression ratio — the encoded payload stays authoritative for
-	// persistence either way.
-	BitmapTerms  int     // lists carrying the adopted dense representation
-	BitmapBytes  int64   // resident bytes of the dense representation
+	// persistence either way. The Bitmap names predate the resident form
+	// and stay because the benchmark module reads them.
+	BitmapTerms  int     // lists keeping their postings resident
+	BitmapBytes  int64   // bytes of those resident postings
 	EncodedBytes int64   // PayloadBytes + SkipBytes + MemtableBytes
 	RawBytes     int64   // baseline: Postings * 16
 	Ratio        float64 // RawBytes / EncodedBytes (0 when empty)
@@ -407,9 +408,9 @@ func (idx *Index) MemStats() MemStats {
 			ms.PayloadBytes += int64(bl.PayloadBytes())
 			ms.SkipBytes += int64(bl.SkipBytes())
 			ms.RawBytes += int64(bl.RawBytes())
-			if bl.HasBitmap() {
+			if bl.HasResident() {
 				ms.BitmapTerms++
-				ms.BitmapBytes += int64(bl.BitmapBytes())
+				ms.BitmapBytes += int64(bl.ResidentBytes())
 			}
 		}
 	}

@@ -418,7 +418,7 @@ func foldSegments(segs []*segment, tomb *postings.Tombstones) *segment {
 			continue
 		}
 		bl := postings.Encode(ps)
-		bl.MaybeBitmap() // the fresh segment is unpublished until the swap below
+		bl.MaybeResident() // the fresh segment is unpublished until the swap below
 		out.lists[term] = bl
 		out.total += int64(len(ps))
 	}

@@ -50,8 +50,8 @@ func shapeDoc(r *rand.Rand) *xmltree.Node {
 }
 
 // mixedSnapshot builds a live snapshot whose lists span every shape the
-// live index produces: a base segment in which "dense" adopts the bitmap
-// representation, two folded extra segments, a sealed memtable, the active
+// live index produces: a base segment in which "dense" keeps its postings
+// resident, two folded extra segments, a sealed memtable, the active
 // memtable, and a tombstone in each of those layers.
 func mixedSnapshot(t *testing.T) *index.Index {
 	t.Helper()
@@ -73,8 +73,8 @@ func mixedSnapshot(t *testing.T) *index.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !live.Snapshot().BlockList("dense").HasBitmap() {
-		t.Fatal(`base segment did not adopt the bitmap for "dense"`)
+	if !live.Snapshot().BlockList("dense").HasResident() {
+		t.Fatal(`base segment did not keep "dense" resident`)
 	}
 	ingest := func(n int) []storage.DocID {
 		ids := add(n)

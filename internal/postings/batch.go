@@ -6,7 +6,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Batch block decode: the post-validation fast path behind mustDecodeBlock.
+// Batch block decode: the post-validation path every cursor, AppendTo and
+// resident list decodes through.
 //
 // The scalar decodeBlock makes four separate passes over the block (one per
 // stream) and pays an error check plus a slice re-header (`data[o:]` inside
@@ -43,6 +44,8 @@ func uvSlow(data []byte, o int) (uint64, int) {
 // streams. It assumes the block has been validated (Encode and NewBlockList
 // guarantee this before a BlockList is published), so structural errors are
 // impossible and range checks collapse to the final int32/uint32 narrowing.
+// A malformed block here is a corrupted-memory-level invariant violation,
+// not bad input, and surfaces as a panic from the decoder itself.
 func (b *BlockList) decodeBlockFast(i int, dst []Posting) []Posting {
 	sk := b.skips[i]
 	count := int(sk.End) - b.blockStart(i)

@@ -41,7 +41,7 @@ func TestBatchDecodeAppends(t *testing.T) {
 	if got[0] != prefix[0] {
 		t.Fatalf("prefix clobbered: %v", got[0])
 	}
-	want := bl.mustDecodeBlock(1, nil)
+	want := bl.decodeBlockFast(1, nil)
 	if !reflect.DeepEqual(got[1:], want) {
 		t.Fatalf("appended decode differs from fresh decode")
 	}

@@ -24,11 +24,11 @@ type BlockList struct {
 	n        int
 	nodeFreq int // distinct (doc, node) pairs, computed while encoding/validating
 
-	// bitmap is the optional dense representation for very high-frequency
-	// terms (see bitmap.go). Attached by MaybeBitmap strictly before the
-	// list is published to readers; nil for the overwhelming majority of
-	// terms.
-	bitmap *bitmapRep
+	// resident is the whole list decoded, kept for very high-frequency
+	// terms (see resident.go). Attached by MaybeResident strictly before
+	// the list is published to readers and never written after; nil for
+	// the overwhelming majority of terms.
+	resident []Posting
 }
 
 // Block payload layout (per block, count postings known from the skip
@@ -417,15 +417,6 @@ func (b *BlockList) decodeBlock(i int, dst []Posting) ([]Posting, error) {
 	return dst, nil
 }
 
-// mustDecodeBlock is the post-validation decode path: Encode and
-// NewBlockList prove every block decodable, so the batch decoder can skip
-// the scalar path's structural checks entirely. A malformed block here is a
-// corrupted-memory-level invariant violation, not bad input, and surfaces
-// as a panic from the decoder itself.
-func (b *BlockList) mustDecodeBlock(i int, dst []Posting) []Posting {
-	return b.decodeBlockFast(i, dst)
-}
-
 // decodeDocs decodes only block i's document stream, appending one DocID
 // per posting to dst — the cheap scan top-k counting and range boundary
 // resolution use.
@@ -452,11 +443,14 @@ func (b *BlockList) decodeDocs(i int, dst []storage.DocID) []storage.DocID {
 }
 
 // docCounts is List.DocCounts over the posting window [from, to) of b:
-// it decodes only the document streams of the blocks overlapping both the
-// window and [lo, hi).
+// it counts the resident postings of [lo, hi) when the list has them, and
+// otherwise decodes only the document streams of the blocks overlapping
+// both the window and [lo, hi).
 func (b *BlockList) docCounts(lo, hi storage.DocID, from, to int, fn func(doc storage.DocID, n int) error) error {
-	if b.bitmap != nil && from == 0 && to == b.n {
-		return b.bitmap.docCounts(lo, hi, fn)
+	if b.resident != nil {
+		ps := b.resident[from:to]
+		a, z := docBounds(ps, lo, hi)
+		return countRuns(ps[a:z], fn)
 	}
 	// First block that can contain lo, not before the window's first.
 	i := max(b.blockFor(from), sort.Search(len(b.skips), func(k int) bool { return b.skips[k].LastDoc >= lo }))

@@ -8,8 +8,9 @@ import (
 
 // Cursor iterates a posting list in document order with positional seek.
 // It operates over either representation: raw slices advance an index;
-// block-backed cursors decode lazily, one block at a time, seeking via
-// the skip table and galloping within the decoded block.
+// block-backed cursors load one block at a time, seeking via the skip
+// table and galloping within the loaded block. A block load decodes into
+// the cursor's own scratch buffer, or slices a resident list's postings.
 //
 // The contract matches the original uncompressed cursor exactly:
 // Valid/Cur/Advance/SeekPos with (Doc, Pos) ordering.
@@ -20,17 +21,10 @@ type Cursor struct {
 	lo, hi int // posting-index window into bl
 	i      int // current absolute posting index
 
-	blk  int       // decoded block index, -1 if none
-	base int       // absolute index of dec[0]
-	dec  []Posting // decoded postings of block blk
-
-	// Bitmap mode (see bitmap.go): bm points at the list's adopted dense
-	// representation and the cursor walks its resident columns instead of
-	// decoding blocks. bmDoc/bmRank track the current document lazily;
-	// bmRank == -1 means unsynced.
-	bm     *bitmapRep
-	bmDoc  storage.DocID
-	bmRank int
+	blk     int       // loaded block index, -1 if none
+	base    int       // absolute index of dec[0]
+	dec     []Posting // postings of block blk: scratch, or a resident window
+	scratch []Posting // decode buffer; never aliases resident postings
 
 	// Merged mode (see Union): the fields above walk the current part and
 	// rest holds the parts after it. dead is set while the current part's
@@ -45,9 +39,6 @@ func (c *Cursor) Valid() bool { return c.i < c.hi }
 
 // Cur returns the current posting. Call only when Valid.
 func (c *Cursor) Cur() Posting {
-	if c.bm != nil {
-		return c.bmCur()
-	}
 	if c.bl == nil {
 		return c.raw[c.i]
 	}
@@ -65,10 +56,18 @@ func (c *Cursor) Advance() {
 	}
 }
 
-// loadBlock decodes block b into the cursor's buffer.
+// loadBlock makes block b the cursor's current block: a window of the
+// resident postings, or a decode into the scratch buffer. Decoding never
+// writes into resident postings, which concurrent readers share.
 func (c *Cursor) loadBlock(b int) {
-	c.dec = c.bl.mustDecodeBlock(b, c.dec[:0])
 	c.base = c.bl.blockStart(b)
+	if r := c.bl.resident; r != nil {
+		end := c.bl.skips[b].End
+		c.dec = r[c.base:end:end]
+	} else {
+		c.scratch = c.bl.decodeBlockFast(b, c.scratch[:0])
+		c.dec = c.scratch
+	}
 	c.blk = b
 }
 
@@ -97,10 +96,6 @@ func (c *Cursor) SeekPos(doc storage.DocID, pos uint32) {
 // seek is SeekPos within the current part.
 func (c *Cursor) seek(doc storage.DocID, pos uint32) {
 	if c.i >= c.hi {
-		return
-	}
-	if c.bm != nil {
-		c.bmSeek(doc, pos)
 		return
 	}
 	ge := func(p Posting) bool {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,12 +29,42 @@ func encodeFuzzInput(bl *BlockList) []byte {
 	return append(out, bl.Payload()...)
 }
 
+// checkResidentMatches holds forced — plain with its block lists made
+// resident — to plain: cursor walks, a SeekPos to (doc, pos) from a fresh
+// cursor, the Range [lo, hi) and its cursor, DocCounts over everything and
+// over [lo, hi), and AppendTo of the view and of the window must agree.
+func checkResidentMatches(t *testing.T, plain, forced List, doc storage.DocID, pos uint32, lo, hi storage.DocID) {
+	t.Helper()
+	same := func(what string, got, want []Posting) {
+		t.Helper()
+		if !reflect.DeepEqual(append([]Posting{}, got...), append([]Posting{}, want...)) {
+			t.Fatalf("resident %s yields %d postings, decoded %d", what, len(got), len(want))
+		}
+	}
+	same("walk", drain(forced.Cursor()), drain(plain.Cursor()))
+	a, b := plain.Cursor(), forced.Cursor()
+	a.SeekPos(doc, pos)
+	b.SeekPos(doc, pos)
+	same(fmt.Sprintf("SeekPos(%d, %d)", doc, pos), drain(b), drain(a))
+	pw, fw := plain.Range(lo, hi), forced.Range(lo, hi)
+	same(fmt.Sprintf("Range(%d, %d)", lo, hi), drain(fw.Cursor()), drain(pw.Cursor()))
+	same("AppendTo", forced.AppendTo(nil), plain.AppendTo(nil))
+	same(fmt.Sprintf("Range(%d, %d) AppendTo", lo, hi), fw.AppendTo(nil), pw.AppendTo(nil))
+	for _, r := range [][2]storage.DocID{{0, math.MaxInt32}, {lo, hi}} {
+		if got, want := docCounts(t, forced, r[0], r[1]), docCounts(t, plain, r[0], r[1]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resident DocCounts(%d, %d) = %v, decoded %v", r[0], r[1], got, want)
+		}
+	}
+	checkAppendTo(t, "resident view", forced)
+}
+
 // FuzzBlockDecode feeds arbitrary skip tables and payloads through
 // NewBlockList: it must either reject them with ErrCorrupt or produce a
 // list whose decode paths (Materialize, cursor iteration, DocCounts, and
 // AppendTo of a window picked by the input's first and last bytes) are
-// self-consistent — and it must never panic or allocate proportionally to
-// claimed (rather than actual) sizes.
+// self-consistent, and whose forced resident copy reads the same — and it
+// must never panic or allocate proportionally to claimed (rather than
+// actual) sizes.
 func FuzzBlockDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, BlockSize, 2*BlockSize + 7} {
@@ -138,6 +169,7 @@ func FuzzBlockDecode(f *testing.F) {
 				t.Fatalf("Range(%d, %d) cursor yields %d postings, want %d", lo, hi, len(got), len(want))
 			}
 			checkAppendTo(t, fmt.Sprintf("Range(%d, %d)", lo, hi), w)
+			checkResidentMatches(t, bl.All(), forceResident(bl).All(), lo, ps[b].Pos, lo, hi)
 		}
 	})
 }
@@ -197,8 +229,8 @@ func parseFuzzBlockList(t *testing.T, data []byte) *BlockList {
 
 // FuzzBatchDecode is the batch-vs-scalar differential: any list NewBlockList
 // accepts must decode byte-identically through the batch fast path
-// (mustDecodeBlock → decodeBlockFast) and the scalar oracle (decodeBlock),
-// block by block, and the doc-only scan must agree with the doc column.
+// (decodeBlockFast) and the scalar oracle (decodeBlock), block by block,
+// and the doc-only scan must agree with the doc column.
 func FuzzBatchDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 3, BlockSize, 2*BlockSize + 7, 5 * BlockSize} {

@@ -155,7 +155,7 @@ func (l List) Cursor() *Cursor {
 // for operators that run many cursor passes, as TermJoin's arena does
 // across the documents top-k scores. Any list shape may follow any other.
 func (l List) Reset(c *Cursor) {
-	*c = Cursor{dec: c.dec[:0]}
+	*c = Cursor{scratch: c.scratch[:0]}
 	if l.sub == nil {
 		c.open(l)
 		return
@@ -168,10 +168,10 @@ func (l List) Reset(c *Cursor) {
 // open positions c at the first posting of the flat view l, keeping the
 // decode buffer and any merged-mode state.
 func (c *Cursor) open(l List) {
-	c.raw, c.bl, c.bm, c.blk, c.bmRank = l.raw, l.bl, nil, -1, -1
+	c.raw, c.bl, c.blk = l.raw, l.bl, -1
 	c.lo, c.hi, c.i = 0, len(l.raw), 0
 	if l.bl != nil {
-		c.lo, c.hi, c.i, c.bm = l.lo, l.hi, l.lo, l.bl.bitmap
+		c.lo, c.hi, c.i = l.lo, l.hi, l.lo
 	}
 }
 
@@ -183,8 +183,7 @@ func (l List) Range(lo, hi storage.DocID) List {
 		return l.mergedRange(lo, hi)
 	}
 	if l.bl == nil {
-		a := sort.Search(len(l.raw), func(i int) bool { return l.raw[i].Doc >= lo })
-		b := a + sort.Search(len(l.raw)-a, func(i int) bool { return l.raw[a+i].Doc >= hi })
+		a, b := docBounds(l.raw, lo, hi)
 		return List{raw: l.raw[a:b]}
 	}
 	a, b := l.bl.lowerBounds(lo, hi)
@@ -201,25 +200,17 @@ func (l List) Range(lo, hi storage.DocID) List {
 }
 
 // lowerBounds returns the indexes of the first postings with Doc >= lo
-// and with Doc >= hi, b.n for none. A boundary inside a block is resolved
-// with a doc-only decode, made once when both fall inside the same block.
+// and with Doc >= hi, b.n for none. Resident postings are searched
+// directly; otherwise a boundary inside a block is resolved with a
+// doc-only decode, made once when both fall inside the same block.
 func (b *BlockList) lowerBounds(lo, hi storage.DocID) (int, int) {
+	if b.resident != nil {
+		return docBounds(b.resident, lo, hi)
+	}
 	var buf [BlockSize]storage.DocID
 	var docs []storage.DocID
 	decoded := -1
 	at := func(doc storage.DocID) int {
-		if bm := b.bitmap; bm != nil {
-			if doc <= bm.base {
-				return 0
-			}
-			if doc > bm.last {
-				return b.n
-			}
-			// Whether doc is present or not, the first posting with
-			// Doc >= doc is the first posting of the rank-r document.
-			r, _ := bm.rankOf(doc)
-			return int(bm.cum[r])
-		}
 		// First block whose LastDoc >= doc.
 		i, j := 0, len(b.skips)
 		for i < j {
@@ -255,9 +246,9 @@ func (l List) Materialize() []Posting {
 
 // AppendTo appends the view's postings to dst in (Doc, Pos) order and
 // returns the extended slice; dst's existing elements are left untouched.
-// A block window decodes each block it overlaps once and trims the edge
-// blocks to the window, a bitmap-form window copies its resident columns,
-// and a merged view appends its parts in turn, dropping the postings of
+// A block window copies its resident postings, or else decodes each block
+// it overlaps once and trims the edge blocks to the window, and a merged
+// view appends its parts in turn, dropping the postings of
 // tombstoned documents, so they never appear.
 func (l List) AppendTo(dst []Posting) []Posting {
 	switch {
@@ -275,16 +266,12 @@ func (l List) AppendTo(dst []Posting) []Posting {
 		return dst
 	case l.bl == nil:
 		return append(dst, l.raw...)
-	case l.bl.bitmap != nil:
-		var c Cursor
-		for c.open(l); c.i < c.hi; c.i++ {
-			dst = append(dst, c.bmCur())
-		}
-		return dst
+	case l.bl.resident != nil:
+		return append(dst, l.bl.resident[l.lo:l.hi]...)
 	}
 	n, first, last := len(dst), l.bl.blockFor(l.lo), l.bl.blockFor(l.hi-1)
 	for i := first; i <= last; i++ {
-		dst = l.bl.mustDecodeBlock(i, dst)
+		dst = l.bl.decodeBlockFast(i, dst)
 	}
 	from := n + l.lo - l.bl.blockStart(first)
 	return append(dst[:n], dst[from:from+l.hi-l.lo]...)

@@ -62,8 +62,8 @@ func TestAppendToMatchesCursor(t *testing.T) {
 	}
 
 	dense := Encode(denseList(rand.New(rand.NewSource(3)), 3000))
-	if !dense.MaybeBitmap() {
-		t.Fatal("dense list did not adopt the bitmap form")
+	if !dense.MaybeResident() {
+		t.Fatal("dense list did not adopt the resident form")
 	}
 
 	// A merged view: block, raw and block parts, tombstones in and out of
@@ -87,9 +87,9 @@ func TestAppendToMatchesCursor(t *testing.T) {
 		{"whole block list", bl.All()},
 		{"block window inside blocks", inner},
 		{"one document over two blocks", one},
-		{"bitmap whole list", dense.All()},
-		{"bitmap window", dense.All().Range(700, 1900)},
-		{"bitmap one document", dense.All().Range(1000, 1001)},
+		{"resident whole list", dense.All()},
+		{"resident window", dense.All().Range(700, 1900)},
+		{"resident one document", dense.All().Range(1000, 1001)},
 		{"merged", merged},
 		{"merged window", window},
 		{"merged window without tombstones", merged.Range(310, 400)},

@@ -15,7 +15,7 @@ import (
 //
 // The parts cover disjoint, ascending document ranges (Union enforces it),
 // so the merged cursor is a concatenation: it walks one part at a time
-// with that part's own batch decode and bitmap seek, and tests tombstones
+// with that part's own block loads and skip-table seek, and tests tombstones
 // only inside parts whose span holds a dead document.
 
 // Tombstones is an immutable set of deleted documents: a bitset over

@@ -261,7 +261,8 @@ func TestTombstonesDeadIn(t *testing.T) {
 // alike. The parts are document-disjoint runs, as the live index builds
 // them. DocCounts must report exactly the live documents' counts, the
 // block-max view must bound every one of them, and AppendTo of the view
-// and of a window must equal the cursor over it.
+// and of a window must equal the cursor over it. The same union with its
+// block parts forced resident must read the same.
 func FuzzMemtableMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint32(0), uint16(0), uint16(0))
 	f.Add([]byte{1, 2, 3, 4, 200, 201, 202}, uint8(3), uint32(0b1010), uint16(2), uint16(1))
@@ -293,7 +294,8 @@ func FuzzMemtableMerge(f *testing.F) {
 			}
 		}
 		k := int(nParts%6) + 1
-		u := Union(tomb, splitRuns(ps, k)...)
+		parts := splitRuns(ps, k)
+		u := Union(tomb, parts...)
 		want := filterDead(ps, tomb)
 		if got, wantCounts := docCounts(t, u, 0, doc+1), runCounts(want, 0, doc+1); !reflect.DeepEqual(got, wantCounts) {
 			t.Fatalf("DocCounts = %v, want %v", got, wantCounts)
@@ -355,6 +357,7 @@ func FuzzMemtableMerge(f *testing.F) {
 		}
 		checkAppendTo(t, "merged view", u)
 		checkAppendTo(t, fmt.Sprintf("merged Range(%d,%d)", lo, hi), u.Range(lo, hi))
+		checkResidentMatches(t, u, Union(tomb, forceResidentParts(parts)...), target.Doc, target.Pos, lo, hi)
 	})
 }
 

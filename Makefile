@@ -97,9 +97,12 @@ cover:
 # rescache.FuzzCacheKey, xmltree.FuzzXMLString (the append-style XML
 # writer vs. the encoding/xml-based reference, plus the parse round trip),
 # xq.FuzzQuery (Parse → Compile → plan String → Eval under a small
-# budget; Compile and Eval must reject the same queries) and
+# budget; Compile and Eval must reject the same queries),
 # server.FuzzReplyEncoding (the append-style reply encoder vs.
-# encoding/json on arbitrary strings and float64 bit patterns): enough to
+# encoding/json on arbitrary strings and float64 bit patterns) and
+# server.FuzzHandlerBodies (arbitrary bodies posted to /terms, /phrase and
+# /query on a cached server: typed errors only, and a 2xx reply equal to
+# its cached repeat and to an uncached server's): enough to
 # catch regressions in the corrupted-input, merge-cursor, serialization
 # and query front-end handling without slowing CI.
 fuzz-smoke:
@@ -112,9 +115,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzXMLString -fuzztime=10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz=FuzzQuery -fuzztime=10s ./internal/xq
 	$(GO) test -run '^$$' -fuzz=FuzzReplyEncoding -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzHandlerBodies -fuzztime=10s ./internal/server
 
-# A five-second open-loop load smoke with the result cache on and ingest
-# churn in the mix: fails on any request error, and the JSON report
+# A five-second open-loop load smoke through the server's handler tree
+# with the reply cache on and ingest churn in the mix: fails on any
+# request error or when no request hit the cache, and the JSON report
 # (tixload.json) is the artifact CI uploads for trend diffing.
 loadsmoke:
 	$(GO) run ./cmd/tixload -docs 60 -qps 400 -duration 5s \

@@ -1,10 +1,17 @@
-// Command tixload drives a TIX database with an open-loop, zipfian query
+// Command tixload drives a TIX server with an open-loop, zipfian query
 // workload and reports latency percentiles, throughput, and result-cache
 // effectiveness as machine-readable JSON.
 //
 //	tixload -docs 200 -qps 2000 -duration 10s -cache-bytes 8388608
 //	tixload -zipf-s 1.0 -mix terms=0.5,topk=0.3,phrase=0.2 -json report.json
 //	tixload -ingest-every 50 -cache-bytes 8388608   # mutation churn mixin
+//
+// Requests go through the production handler tree (server.Handler()) in
+// process, through net/http/httptest rather than a socket: the reply
+// cache (-cache-bytes; see internal/rescache) is consulted by the server,
+// so this is the layer that measures it. Each request is a real JSON body
+// decoded, answered and encoded by the server, and a non-2xx reply counts
+// as an error.
 //
 // The driver is open-loop: arrivals are scheduled on a fixed clock from
 // the offered rate (-qps) regardless of completions, and each request's
@@ -14,10 +21,10 @@
 // The query population (-queries distinct requests, split across the
 // -mix families) is drawn per-arrival from a zipfian distribution with
 // exponent -zipf-s over the population ranks, so a small hot set repeats
-// heavily — the regime a result cache (-cache-bytes; see
-// internal/rescache) is built for. With -ingest-every K every K-th
-// arrival is a document Add instead of a query, bumping the corpus
-// generation and exactly invalidating the cache mid-run.
+// heavily — the regime a reply cache is built for. With -ingest-every K
+// every K-th arrival is a document add (POST /docs) instead of a query,
+// moving the generations of the terms it holds and exactly invalidating
+// the cached replies over them mid-run.
 //
 // The corpus is synthetic (see internal/synth): -docs small INEX-like
 // documents with control terms (ctla, ctlb, ctlc) and a planted
@@ -31,12 +38,14 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sort"
 	"strconv"
@@ -44,8 +53,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/synth"
 )
@@ -112,10 +121,31 @@ func (z *zipf) rank(r *rand.Rand) int {
 	return sort.SearchFloat64s(z.cum, r.Float64())
 }
 
-// request is one entry of the query population.
+// request is one entry of the query population: a JSON body posted to a
+// route.
 type request struct {
 	family string
-	run    func(ctx context.Context, d *shard.DB) error
+	path   string
+	body   []byte
+}
+
+// newRequest encodes one population entry.
+func newRequest(family, path string, v any) request {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // the request types always encode
+	}
+	return request{family: family, path: path, body: b}
+}
+
+// do posts body to path on h and returns an error for a non-2xx reply.
+func do(h http.Handler, method, path string, body []byte) error {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if rec.Code < 200 || rec.Code > 299 {
+		return fmt.Errorf("%s %s: status %d: %s", method, path, rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	return nil
 }
 
 func parseMix(s string) (map[string]float64, error) {
@@ -179,26 +209,17 @@ func buildPopulation(n int, mix map[string]float64, rng *rand.Rand) []request {
 			if rng.Intn(2) == 0 {
 				terms = append(terms, word())
 			}
-			pop = append(pop, request{family: fam, run: func(ctx context.Context, d *shard.DB) error {
-				_, err := d.TermSearchContext(ctx, terms, db.TermSearchOptions{})
-				return err
-			}})
+			pop = append(pop, newRequest(fam, "/terms", server.TermsRequest{Terms: terms}))
 		case "topk":
 			terms := []string{word(), word()}
 			k := 5 + rng.Intn(20)
-			pop = append(pop, request{family: fam, run: func(ctx context.Context, d *shard.DB) error {
-				_, err := d.TermSearchContext(ctx, terms, db.TermSearchOptions{Complex: true, TopK: k})
-				return err
-			}})
+			pop = append(pop, newRequest(fam, "/terms", server.TermsRequest{Terms: terms, TopK: k, Complex: true}))
 		case "phrase":
 			phrase := []string{"ctla", "ctlb"} // planted adjacency
 			if rng.Intn(4) == 0 {
 				phrase = []string{word(), word()}
 			}
-			pop = append(pop, request{family: fam, run: func(ctx context.Context, d *shard.DB) error {
-				_, err := d.PhraseSearchContext(ctx, phrase)
-				return err
-			}})
+			pop = append(pop, newRequest(fam, "/phrase", server.PhraseRequest{Phrase: phrase}))
 		}
 	}
 	// Shuffle so the zipf head spans all families rather than only the
@@ -316,6 +337,9 @@ func run(o options) error {
 		return err
 	}
 	defer d.Close()
+	srv := server.New(d)
+	srv.EnableIngest = o.ingestEvery > 0
+	h := srv.Handler()
 
 	rng := rand.New(rand.NewSource(o.seed))
 	pop := buildPopulation(o.queries, mix, rng)
@@ -337,7 +361,6 @@ func run(o options) error {
 	var errs, ingested, completed int64
 	var counterMu sync.Mutex
 
-	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
@@ -353,11 +376,15 @@ func run(o options) error {
 				var err error
 				if a.rank < 0 {
 					fam = "ingest"
-					err = d.Add(fmt.Sprintf("load%09d.xml", a.seq), fmt.Sprintf("<d><t>fresh w%06d ctla</t></d>", a.seq%40+1))
+					body, _ := json.Marshal(map[string]string{
+						"name": fmt.Sprintf("load%09d.xml", a.seq),
+						"xml":  fmt.Sprintf("<d><t>fresh w%06d ctla</t></d>", a.seq%40+1),
+					})
+					err = do(h, http.MethodPost, "/docs", body)
 				} else {
 					req := pop[a.rank]
 					fam = req.family
-					err = req.run(ctx, d)
+					err = do(h, http.MethodPost, req.path, req.body)
 				}
 				ms := float64(time.Since(a.due)) / float64(time.Millisecond)
 				reg.Histogram("tix_load_latency_" + fam).Observe(ms / 1e3)
@@ -461,6 +488,9 @@ func run(o options) error {
 	}
 	if errs > 0 {
 		return fmt.Errorf("%d requests failed", errs)
+	}
+	if o.cacheBytes > 0 && (rep.Cache == nil || rep.Cache.Hits == 0) {
+		return fmt.Errorf("a %d-byte cache was configured but no request hit it", o.cacheBytes)
 	}
 	return nil
 }

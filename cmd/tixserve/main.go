@@ -47,13 +47,15 @@
 //
 //	tixserve -load articles.xml -replicas 3 -fault-replica 0 -fault-every 50
 //
-// With -cache-bytes N each replica keeps a generation-keyed result cache
-// (see internal/rescache) of at most N bytes: repeated term, phrase, and
-// query requests are answered from memory, and invalidation is exact
-// because a generation is part of every key. A term or phrase entry is
-// invalidated by a write to a document holding one of its terms; a query
-// entry by any mutation. Cache traffic is visible on /metrics as
-// tix_rescache_*.
+// With -cache-bytes N the server keeps a generation-keyed reply cache
+// (see internal/rescache) of at most N bytes in front of the backend:
+// repeated term, phrase, and query requests are answered with the stored
+// reply bytes, and invalidation is exact because a generation is part of
+// every key. A term or phrase entry is invalidated by a write to a
+// document holding one of its terms; a query entry by any mutation. The
+// budget is spent once for the whole tier, not per replica: a fleet
+// serves from its first replica's cache, so only that replica builds one.
+// Cache traffic is visible on /metrics as tix_rescache_*.
 //
 // The -rate-limit and -max-inflight flags enable admission control:
 // per-client token buckets (429 when exhausted) in front of a global
@@ -140,7 +142,7 @@ func main() {
 	flag.IntVar(&o.faultReplica, "fault-replica", -1, "restrict fault injection to one replica index (-1 = all; self-healing drills)")
 	flag.Float64Var(&o.rateLimit, "rate-limit", 0, "per-client sustained requests/sec; exhaustion returns 429 (0 = off)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "global concurrent-request gate; overload sheds with 503 (0 = off)")
-	flag.Int64Var(&o.cacheBytes, "cache-bytes", 0, "per-replica result-cache budget in bytes; generation-keyed, exact (0 = off)")
+	flag.Int64Var(&o.cacheBytes, "cache-bytes", 0, "reply-cache budget in bytes for the whole tier; generation-keyed, exact (0 = off)")
 	flag.Parse()
 	o.loads = loads
 	if err := run(o); err != nil {
@@ -196,7 +198,11 @@ func run(o options) error {
 	// request.
 	replicas := make([]*shard.DB, 0, o.replicas)
 	for i := 0; i < o.replicas; i++ {
-		d, err := buildReplica(o)
+		ro := o
+		if i > 0 {
+			ro.cacheBytes = 0 // the server reads only the first replica's cache
+		}
+		d, err := buildReplica(ro)
 		if err != nil {
 			return fmt.Errorf("replica %d: %w", i, err)
 		}

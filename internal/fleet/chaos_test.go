@@ -33,18 +33,11 @@ type chaosFleet struct {
 
 func newChaosFleet(t *testing.T, cfg Config) *chaosFleet {
 	t.Helper()
-	return newChaosFleetCached(t, cfg, 0)
-}
-
-// newChaosFleetCached builds the same fleet with a per-replica result
-// cache of the given budget (0 = caching off).
-func newChaosFleetCached(t *testing.T, cfg Config, cacheBytes int64) *chaosFleet {
-	t.Helper()
 	reg := metrics.NewRegistry()
 	cf := &chaosFleet{reg: reg}
 	var backends []Backend
 	for i := 0; i < 3; i++ {
-		d := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry(), CacheBytes: cacheBytes})
+		d := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 		if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 			t.Fatal(err)
 		}
@@ -208,167 +201,6 @@ func TestChaosSlowReplicaIsHedgedAround(t *testing.T) {
 	}
 	if got := p99(lats); got > 2*time.Second {
 		t.Errorf("p99 with a slow replica = %v, want hedged down (≤ 2s)", got)
-	}
-}
-
-// driveMix fires a zipfian-flavored query mix through w workers: most
-// requests repeat a small hot set (the cache-friendly head), the rest
-// vary terms and top-k (the cold tail). Any client-visible error fails
-// the test; the return value is every observed latency.
-func (cf *chaosFleet) driveMix(t *testing.T, w, n int) []time.Duration {
-	t.Helper()
-	vocab := []string{"search", "engine", "information", "retrieval", "internet", "databases"}
-	var mu sync.Mutex
-	var lats []time.Duration
-	errc := make(chan error, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < n; j++ {
-				var err error
-				start := time.Now()
-				switch {
-				case (i+j)%4 != 0: // hot head: one repeated request
-					_, err = cf.fleet.TermSearchContext(context.Background(),
-						[]string{"search", "engine"}, db.TermSearchOptions{TopK: 5})
-				case j%2 == 0: // cold tail: varying terms
-					_, err = cf.fleet.TermSearchContext(context.Background(),
-						[]string{vocab[j%len(vocab)], vocab[(i+j)%len(vocab)]},
-						db.TermSearchOptions{TopK: 1 + j%7})
-				default:
-					_, err = cf.fleet.PhraseSearchContext(context.Background(),
-						[]string{"search", vocab[j%len(vocab)]})
-				}
-				if err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-				mu.Lock()
-				lats = append(lats, time.Since(start))
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatalf("client-visible error during warm-cache drill: %v", err)
-	default:
-	}
-	return lats
-}
-
-// driveCold fires n never-before-seen requests (a unique nonce term per
-// call) through w workers: guaranteed cache misses, so every one must
-// reach storage on whichever replica it routes to.
-func (cf *chaosFleet) driveCold(t *testing.T, w, n int, tag string) []time.Duration {
-	t.Helper()
-	var mu sync.Mutex
-	var lats []time.Duration
-	errc := make(chan error, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < n; j++ {
-				start := time.Now()
-				_, err := cf.fleet.TermSearchContext(context.Background(),
-					[]string{"search", fmt.Sprintf("%s-%d-%d", tag, i, j)},
-					db.TermSearchOptions{TopK: 5})
-				if err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-				mu.Lock()
-				lats = append(lats, time.Since(start))
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatalf("client-visible error during cold traffic: %v", err)
-	default:
-	}
-	return lats
-}
-
-// cacheTotals sums the result-cache counters across every replica.
-func (cf *chaosFleet) cacheTotals(t *testing.T) (hits, genmiss int64) {
-	t.Helper()
-	for i, d := range cf.replicas {
-		c := d.ResultCache()
-		if c == nil {
-			t.Fatalf("replica %d has no result cache; drill needs -cache-bytes wired", i)
-		}
-		st := c.Stats()
-		hits += st.Hits
-		genmiss += st.GenMiss
-	}
-	return hits, genmiss
-}
-
-// TestChaosWarmCacheReplicaKilled is the warm-cache drill: per-replica
-// result caches are heated by zipfian traffic (with a burst of replicated
-// mutations in between, so generation churn and exact invalidation are
-// in play), then 1-of-3 replicas is killed mid-traffic. The contract:
-// zero client-visible errors, the surviving replicas keep serving from
-// their hot caches (hit counters still climbing during the outage), and
-// not one request anywhere was answered from a dead generation
-// (genmiss == 0) — failover never trades staleness for availability.
-func TestChaosWarmCacheReplicaKilled(t *testing.T) {
-	cf := newChaosFleetCached(t, Config{HedgeAfter: -1, MaxRetries: 3}, 1<<20)
-	var lats []time.Duration
-
-	// Heat every cache; routing spreads the mix across replicas.
-	lats = append(lats, cf.driveMix(t, 4, 20)...)
-
-	// Replicated mutations bump every replica's generation: the warm
-	// entries die, exactly, and the next pass re-warms the new state.
-	for i := 0; i < 3; i++ {
-		if err := cf.fleet.Add(fmt.Sprintf("churn%d.xml", i),
-			fmt.Sprintf("<doc><p>churn search engine %d</p></doc>", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lats = append(lats, cf.driveMix(t, 4, 20)...)
-
-	hitsBefore, _ := cf.cacheTotals(t)
-	if hitsBefore == 0 {
-		t.Fatal("caches cold after warm-up traffic; drill would prove nothing")
-	}
-
-	// Kill replica 0 mid-traffic: every storage access faults. Its own
-	// warm cache can still answer the hot head without touching storage
-	// (caches mask storage death for cached traffic — by design), so cold
-	// nonce queries are mixed in to force storage accesses and trip the
-	// breaker; retries and routing must mask every fault from the client.
-	cf.replicas[0].SetFaults(&storage.FaultInjector{FailEvery: 1})
-	lats = append(lats, cf.driveCold(t, 4, 10, "outage")...)
-	lats = append(lats, cf.driveMix(t, 4, 30)...)
-
-	if got := cf.fleet.BreakerState(0); got != StateOpen {
-		t.Fatalf("killed replica's breaker = %v, want open", got)
-	}
-	hitsAfter, genmiss := cf.cacheTotals(t)
-	if hitsAfter <= hitsBefore {
-		t.Errorf("cache hits flat through the outage (%d -> %d); survivors served cold", hitsBefore, hitsAfter)
-	}
-	if genmiss != 0 {
-		t.Errorf("genmiss = %d; a stale-generation entry was touched — results may have been stale", genmiss)
-	}
-	if got := p99(lats); got > 2*time.Second {
-		t.Errorf("p99 across the warm-cache drill = %v, want bounded (≤ 2s)", got)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/rescache"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 	"repro/internal/xq"
@@ -66,6 +67,23 @@ type Backend interface {
 	// slice: an element's tag name, or a text node's text ("" for a node
 	// the backend does not hold). One call resolves a whole reply.
 	Render(dst []string, nodes []exec.ScoredNode) []string
+
+	// The reply cache's surface (DESIGN.md §13). The server keys encoded
+	// replies by a token it reads here before dispatch.
+
+	// ResultCache returns the cache replies are stored in, or nil when
+	// caching is off.
+	ResultCache() *rescache.Cache
+	// TermsToken returns the token a /terms or /phrase reply over terms
+	// is keyed by; it moves whenever a write touches a document holding
+	// one of the terms. ok=false while no stable token exists.
+	TermsToken(terms []string) (uint64, bool)
+	// CacheToken returns the token a /query reply is keyed by; it moves
+	// on every mutation. ok=false while no stable token exists.
+	CacheToken() (uint64, bool)
+	// Limits returns the effective per-query resource budget, which
+	// enters every key.
+	Limits() exec.Limits
 }
 
 // Ingestor is the replica mutation surface (server.Ingestor aliases it).
@@ -574,6 +592,39 @@ func (f *Fleet) NameOf(n exec.ScoredNode) string {
 func (f *Fleet) Render(dst []string, nodes []exec.ScoredNode) []string {
 	return f.anyReplica().Render(dst, nodes)
 }
+
+// ResultCache returns the first replica's cache: the fleet spends one
+// cache budget, not one per replica.
+func (f *Fleet) ResultCache() *rescache.Cache { return f.replicas[0].backend.ResultCache() }
+
+// TermsToken sums the replicas' tokens for terms, ok only when every
+// replica's is. The sum is sound because a write is acknowledged only
+// after every replica applied it (DESIGN.md §13).
+func (f *Fleet) TermsToken(terms []string) (uint64, bool) {
+	return f.sumTokens(func(b Backend) (uint64, bool) { return b.TermsToken(terms) })
+}
+
+// CacheToken sums the replicas' /query tokens, ok only when every
+// replica's is.
+func (f *Fleet) CacheToken() (uint64, bool) {
+	return f.sumTokens(Backend.CacheToken)
+}
+
+func (f *Fleet) sumTokens(token func(Backend) (uint64, bool)) (uint64, bool) {
+	var sum uint64
+	for _, r := range f.replicas {
+		g, ok := token(r.backend)
+		if !ok {
+			return 0, false
+		}
+		sum += g
+	}
+	return sum, true
+}
+
+// Limits returns the first replica's budget (replicas are configured
+// alike).
+func (f *Fleet) Limits() exec.Limits { return f.replicas[0].backend.Limits() }
 
 // anyReplica returns a closed-breaker replica for cheap deterministic
 // reads, falling back to the round-robin choice when none is closed.

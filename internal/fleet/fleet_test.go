@@ -11,6 +11,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/rescache"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 	"repro/internal/xq"
@@ -25,6 +26,11 @@ type fakeBackend struct {
 	// nil means success. Nil failFor always succeeds.
 	failFor func(call int64) error
 	delay   time.Duration
+	// token and noToken script TermsToken and CacheToken; cache is what
+	// ResultCache returns.
+	token   uint64
+	noToken bool
+	cache   *rescache.Cache
 }
 
 func (f *fakeBackend) query(ctx context.Context) error {
@@ -75,6 +81,10 @@ func (f *fakeBackend) Render(dst []string, nodes []exec.ScoredNode) []string {
 func (f *fakeBackend) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 	return nil
 }
+func (f *fakeBackend) ResultCache() *rescache.Cache             { return f.cache }
+func (f *fakeBackend) TermsToken(terms []string) (uint64, bool) { return f.token, !f.noToken }
+func (f *fakeBackend) CacheToken() (uint64, bool)               { return f.token, !f.noToken }
+func (f *fakeBackend) Limits() exec.Limits                      { return exec.Limits{MaxAccesses: int64(f.id)} }
 
 // newTestFleet builds a fleet over the given backends with fast breaker
 // and retry tunings and an isolated registry.
@@ -320,5 +330,33 @@ func TestFleetDeterministicReadsPreferHealthy(t *testing.T) {
 	}
 	if st := f.Stats(); st.Documents != 1 {
 		t.Fatalf("Stats.Documents = %d, want 1", st.Documents)
+	}
+}
+
+// TestFleetTokensSumReplicas: the fleet keys replies by the sum of its
+// replicas' tokens, has none while any replica has none, serves from its
+// first replica's cache and reports its first replica's limits.
+func TestFleetTokensSumReplicas(t *testing.T) {
+	c := rescache.New(rescache.Config{MaxBytes: 1 << 10, Metrics: metrics.NewRegistry()})
+	a, b, d := &fakeBackend{token: 1, cache: c}, &fakeBackend{token: 20}, &fakeBackend{token: 300}
+	f := newTestFleet(t, Config{}, a, b, d)
+	for name, tok := range map[string]func() (uint64, bool){
+		"TermsToken": func() (uint64, bool) { return f.TermsToken([]string{"x"}) },
+		"CacheToken": f.CacheToken,
+	} {
+		if g, ok := tok(); g != 321 || !ok {
+			t.Errorf("%s = %d, %v; want 321, true", name, g, ok)
+		}
+		b.noToken = true
+		if _, ok := tok(); ok {
+			t.Errorf("%s ok with a replica that has no token", name)
+		}
+		b.noToken = false
+	}
+	if f.ResultCache() != c {
+		t.Error("ResultCache is not the first replica's cache")
+	}
+	if got := f.Limits(); got != a.Limits() {
+		t.Errorf("Limits = %+v, want the first replica's %+v", got, a.Limits())
 	}
 }

@@ -1,44 +1,30 @@
 package rescache_test
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/db"
-	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/rescache"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/storage"
-	"repro/internal/xmltree"
-	"repro/internal/xq"
 )
 
 // The differential suite proves the tentpole property end to end: with
-// the result cache enabled, every cached query family returns results
-// byte-identical to an uncached oracle database driven through the exact
-// same mutation history, at every generation — after bulk build, adds,
-// updates, deletes, and compaction. Each family is issued twice per
-// stage on the cached database so the second call is answered from the
-// cache (asserted via the hit counter), which is the path that would
-// expose a stale or corrupted entry.
-
-// backend is the surface the suite drives: the serving facade (shard.DB)
-// and, as an independent uncached oracle, a bare segment (db.DB).
-type backend interface {
-	LoadString(name, src string) error
-	Warm()
-	Add(name, src string) error
-	Update(name, src string) error
-	Delete(name string) error
-	CompactNow()
-	WaitCompaction()
-	TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, error)
-	PhraseSearchContext(ctx context.Context, phrase []string) ([]exec.PhraseMatch, error)
-	QueryContext(ctx context.Context, src string) ([]xq.Result, error)
-}
+// the reply cache enabled, every cached request family gets reply bytes
+// and headers identical to those of an uncached oracle server driven
+// through the exact same mutation history, at every generation — after
+// bulk build, adds, updates, deletes, and compaction. Each family is
+// posted twice per stage to the cached server so the second request is
+// answered from the cache (asserted via the hit counter), which is the
+// path that would expose a stale or corrupted entry.
 
 func diffDocName(i int) string { return fmt.Sprintf("doc%06d.xml", i) }
 
@@ -61,69 +47,54 @@ func diffQuery(name string) string {
 		Threshold $a/@score stop after 10`, name)
 }
 
-// qsig projects an xq.Result into a comparable value so results from two
-// independent database instances can be compared byte-for-byte (the Node
-// pointers differ across instances; their serialized form must not).
-type qsig struct {
-	Doc         storage.DocID
-	Ord         int32
-	Score       float64
-	Sim         float64
-	Node, Right string
+// family is one cached request shape, as a client posts it.
+type family struct{ name, path, body string }
+
+// diffFamilies returns every request family the cache covers.
+func diffFamilies() []family {
+	q, err := json.Marshal(server.QueryRequest{Query: diffQuery(diffDocName(3))})
+	if err != nil {
+		panic(err)
+	}
+	return []family{
+		{"terms-simple", "/terms", `{"terms":["common","w3"]}`},
+		{"terms-complex-topk", "/terms", `{"terms":["common","alpha"],"complex":true,"topK":10}`},
+		{"terms-topk", "/terms", `{"terms":["w3","q7"],"topK":25}`},
+		{"phrase", "/phrase", `{"phrase":["alpha","beta"]}`},
+		{"query", "/query", string(q)},
+	}
 }
 
-func qsigs(rs []xq.Result) []qsig {
-	xs := func(n *xmltree.Node) string {
-		if n == nil {
-			return ""
-		}
-		return xmltree.XMLString(n)
-	}
-	out := make([]qsig, len(rs))
-	for i, r := range rs {
-		out[i] = qsig{Doc: r.Doc, Ord: r.Ord, Score: r.Score, Sim: r.Sim, Node: xs(r.Node), Right: xs(r.Right)}
-	}
-	return out
+// reply is one response as a client sees it.
+type reply struct {
+	Status int
+	Header http.Header
+	Body   string
 }
 
-// diffFamilies returns every query family the cache covers, each
-// producing a cross-instance-comparable projection.
-func diffFamilies() []struct {
-	name string
-	run  func(ctx context.Context, b backend) (any, error)
-} {
-	return []struct {
-		name string
-		run  func(ctx context.Context, b backend) (any, error)
-	}{
-		{"terms-simple", func(ctx context.Context, b backend) (any, error) {
-			return b.TermSearchContext(ctx, []string{"common", "w3"}, db.TermSearchOptions{})
-		}},
-		{"terms-complex-topk", func(ctx context.Context, b backend) (any, error) {
-			return b.TermSearchContext(ctx, []string{"common", "alpha"}, db.TermSearchOptions{Complex: true, TopK: 10})
-		}},
-		{"terms-weights-minscore", func(ctx context.Context, b backend) (any, error) {
-			return b.TermSearchContext(ctx, []string{"w3", "q7"}, db.TermSearchOptions{
-				TopK: 25, MinScore: 0.0001, Weights: []float64{2, 0.5},
-			})
-		}},
-		{"phrase", func(ctx context.Context, b backend) (any, error) {
-			return b.PhraseSearchContext(ctx, []string{"alpha", "beta"})
-		}},
-		{"query", func(ctx context.Context, b backend) (any, error) {
-			rs, err := b.QueryContext(ctx, diffQuery(diffDocName(3)))
-			if err != nil {
-				return nil, err
-			}
-			return qsigs(rs), nil
-		}},
+func post(h http.Handler, f family) reply {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, f.path, strings.NewReader(f.body)))
+	return reply{Status: rec.Code, Header: rec.Result().Header, Body: rec.Body.String()}
+}
+
+// count is a 200 reply's result count.
+func (r reply) count(t *testing.T) int {
+	t.Helper()
+	var v struct{ Count int }
+	if r.Status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.Status, r.Body)
 	}
+	if err := json.Unmarshal([]byte(r.Body), &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Count
 }
 
 // diffStages is the generation ladder both databases climb in lockstep.
 func diffStages() []struct {
 	name  string
-	apply func(t *testing.T, b backend)
+	apply func(t *testing.T, d *shard.DB)
 } {
 	must := func(t *testing.T, err error) {
 		t.Helper()
@@ -133,43 +104,67 @@ func diffStages() []struct {
 	}
 	return []struct {
 		name  string
-		apply func(t *testing.T, b backend)
+		apply func(t *testing.T, d *shard.DB)
 	}{
-		{"build", func(t *testing.T, b backend) {
+		{"build", func(t *testing.T, d *shard.DB) {
 			for i := 0; i < 30; i++ {
-				must(t, b.LoadString(diffDocName(i), diffDocSrc(i)))
+				must(t, d.LoadString(diffDocName(i), diffDocSrc(i)))
 			}
-			b.Warm()
+			d.Warm()
 		}},
-		{"adds", func(t *testing.T, b backend) {
+		{"adds", func(t *testing.T, d *shard.DB) {
 			for i := 30; i < 40; i++ {
-				must(t, b.Add(diffDocName(i), diffDocSrc(i)))
+				must(t, d.Add(diffDocName(i), diffDocSrc(i)))
 			}
 		}},
-		{"updates", func(t *testing.T, b backend) {
+		{"updates", func(t *testing.T, d *shard.DB) {
 			for i := 5; i < 10; i++ {
-				must(t, b.Update(diffDocName(i), diffDocSrc(i+1000)))
+				must(t, d.Update(diffDocName(i), diffDocSrc(i+1000)))
 			}
 		}},
-		{"deletes", func(t *testing.T, b backend) {
+		{"deletes", func(t *testing.T, d *shard.DB) {
 			for i := 10; i < 15; i++ {
-				must(t, b.Delete(diffDocName(i)))
+				must(t, d.Delete(diffDocName(i)))
 			}
 		}},
-		{"compaction", func(t *testing.T, b backend) {
-			b.CompactNow()
-			b.WaitCompaction()
+		{"compaction", func(t *testing.T, d *shard.DB) {
+			d.CompactNow()
+			d.WaitCompaction()
 		}},
 	}
 }
 
+// checkFamilies posts every family to the oracle handler and twice to
+// the cached one, requiring the computed (first) and cached (second)
+// replies to equal the oracle's in status, headers and bytes, and the
+// cache to have served the repeat.
+func checkFamilies(t *testing.T, stage string, c *rescache.Cache, cached, oracle http.Handler) {
+	t.Helper()
+	for _, fam := range diffFamilies() {
+		want := post(oracle, fam)
+		if want.count(t) == 0 {
+			t.Fatalf("%s/%s: oracle returned no results; family is vacuous", stage, fam.name)
+		}
+		before := c.Stats()
+		got1 := post(cached, fam)
+		got2 := post(cached, fam)
+		if after := c.Stats(); after.Hits <= before.Hits {
+			t.Errorf("%s/%s: repeat request not served from cache (hits %d -> %d)",
+				stage, fam.name, before.Hits, after.Hits)
+		}
+		if !reflect.DeepEqual(got1, want) {
+			t.Errorf("%s/%s: computed reply diverges from oracle:\n got  %+v\n want %+v", stage, fam.name, got1, want)
+		}
+		if !reflect.DeepEqual(got2, want) {
+			t.Errorf("%s/%s: cached reply diverges from oracle:\n got  %+v\n want %+v", stage, fam.name, got2, want)
+		}
+	}
+}
+
 // runDifferential climbs the generation ladder on a cached backend and
-// its uncached oracle twin, requiring byte-identical results from the
-// computed (first) and cached (second) call of every family at every
-// stage, and that the cache genuinely served the repeats.
+// its uncached oracle twin, each behind its own server.
 func runDifferential(t *testing.T, cached, oracle *shard.DB) {
 	t.Helper()
-	ctx := context.Background()
 	c := cached.ResultCache()
 	if c == nil {
 		t.Fatal("cached backend has no result cache")
@@ -177,41 +172,11 @@ func runDifferential(t *testing.T, cached, oracle *shard.DB) {
 	if oracle.ResultCache() != nil {
 		t.Fatal("oracle backend unexpectedly has a result cache")
 	}
-	fams := diffFamilies()
+	hc, ho := server.New(cached).Handler(), server.New(oracle).Handler()
 	for _, st := range diffStages() {
 		st.apply(t, cached)
 		st.apply(t, oracle)
-		for _, fam := range fams {
-			want, err := fam.run(ctx, oracle)
-			if err != nil {
-				t.Fatalf("%s/%s: oracle: %v", st.name, fam.name, err)
-			}
-			if reflect.ValueOf(want).Len() == 0 {
-				t.Fatalf("%s/%s: oracle returned no results; family is vacuous", st.name, fam.name)
-			}
-			before := c.Stats()
-			got1, err := fam.run(ctx, cached)
-			if err != nil {
-				t.Fatalf("%s/%s: cached (compute): %v", st.name, fam.name, err)
-			}
-			got2, err := fam.run(ctx, cached)
-			if err != nil {
-				t.Fatalf("%s/%s: cached (hit): %v", st.name, fam.name, err)
-			}
-			after := c.Stats()
-			if after.Hits <= before.Hits {
-				t.Errorf("%s/%s: repeat call not served from cache (hits %d -> %d)",
-					st.name, fam.name, before.Hits, after.Hits)
-			}
-			if !reflect.DeepEqual(got1, want) {
-				t.Errorf("%s/%s: computed result diverges from oracle:\n got  %v\n want %v",
-					st.name, fam.name, got1, want)
-			}
-			if !reflect.DeepEqual(got2, want) {
-				t.Errorf("%s/%s: cached result diverges from oracle:\n got  %v\n want %v",
-					st.name, fam.name, got2, want)
-			}
-		}
+		checkFamilies(t, st.name, c, hc, ho)
 	}
 	if st := c.Stats(); st.GenMiss != 0 {
 		t.Errorf("stale-generation lookups served a miss path %d times; keys must make this impossible", st.GenMiss)
@@ -236,60 +201,39 @@ func TestDifferentialSharded(t *testing.T) {
 }
 
 // TestDifferentialShardedVsMonolithic closes the triangle on a static
-// corpus: the cached 3-shard facade must agree with an uncached bare
-// segment (global-id rewriting happens before results enter the cache,
-// so cached entries must already be in facade coordinates). Static only —
-// an Update keeps the facade's global id while a segment allocates a
-// fresh one, so cross-topology id equality is only guaranteed for
-// identical load histories (same scope as the shard equivalence suite).
+// corpus: a server over a cached 3-shard facade must agree with one over
+// an uncached single shard (global-id rewriting happens before a reply
+// is encoded, so cached replies are already in facade coordinates).
+// Static only — an Update keeps the facade's global id while a segment
+// allocates a fresh one, so cross-topology id equality is only
+// guaranteed for identical load histories (same scope as the shard
+// equivalence suite).
 func TestDifferentialShardedVsMonolithic(t *testing.T) {
 	cached := shard.New(shard.Options{Shards: 3, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
-	oracle := db.New(db.Options{})
-	ctx := context.Background()
+	oracle := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 	for i := 0; i < 30; i++ {
-		for _, b := range []backend{cached, oracle} {
-			if err := b.LoadString(diffDocName(i), diffDocSrc(i)); err != nil {
+		for _, d := range []*shard.DB{cached, oracle} {
+			if err := d.LoadString(diffDocName(i), diffDocSrc(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	cached.Warm()
 	oracle.Warm()
-	c := cached.ResultCache()
-	for _, fam := range diffFamilies() {
-		want, err := fam.run(ctx, oracle)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", fam.name, err)
-		}
-		before := c.Stats()
-		got1, err := fam.run(ctx, cached)
-		if err != nil {
-			t.Fatalf("%s: cached (compute): %v", fam.name, err)
-		}
-		got2, err := fam.run(ctx, cached)
-		if err != nil {
-			t.Fatalf("%s: cached (hit): %v", fam.name, err)
-		}
-		if after := c.Stats(); after.Hits <= before.Hits {
-			t.Errorf("%s: repeat call not served from cache", fam.name)
-		}
-		if !reflect.DeepEqual(got1, want) || !reflect.DeepEqual(got2, want) {
-			t.Errorf("%s: sharded cached results diverge from monolithic oracle", fam.name)
-		}
-	}
+	checkFamilies(t, "static", cached.ResultCache(), server.New(cached).Handler(), server.New(oracle).Handler())
 }
 
 // TestDifferentialIngestWhileQuerying is the concurrent variant, modeled
-// on db.TestIngestWhileQueryingMatchesBuild: readers hammer the cached
-// database with a fixed set of repeat queries (so the cache is serving
-// hits continuously) while two writers stream in documents: 100k that
-// share terms with the readers' queries, and half as many that share
-// none, whose writes leave the readers' entries reachable. Every result a
-// reader observes must be error-free; after the dust settles the cached
-// database must agree, document name for name, with a scratch bulk build,
-// and the stale-generation counter must be zero — no reader ever saw a
-// result from a dead generation.
+// on db.TestIngestWhileQueryingMatchesBuild: readers hammer a server over
+// the cached database with a fixed set of repeat requests (so the cache
+// is serving hits continuously) while two writers stream documents into
+// the facade: 100k that share terms with the readers' requests, and half
+// as many that share none, whose writes leave the readers' entries
+// reachable. Every reply a reader observes must be a 200; after the dust
+// settles the cached server must agree, document name for name, with a
+// server over a scratch bulk build, and the stale-generation counter must
+// be zero — no reader ever saw a reply from a dead generation.
 func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	nDocs := 100_000
 	if testing.Short() {
@@ -303,8 +247,13 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached.Warm()
+	hc := server.New(cached).Handler()
+	reads := []family{
+		{"terms", "/terms", `{"terms":["w3","q7"],"topK":25}`},
+		{"topk", "/terms", `{"terms":["common"],"complex":true,"topK":10}`},
+		{"phrase", "/phrase", `{"phrase":["alpha","beta"]}`},
+	}
 
-	ctx := context.Background()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	readerErr := make(chan error, 4)
@@ -318,18 +267,10 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 					return
 				default:
 				}
-				var err error
-				switch (i + r) % 3 {
-				case 0:
-					_, err = cached.TermSearchContext(ctx, []string{"w3", "q7"}, db.TermSearchOptions{TopK: 25})
-				case 1:
-					_, err = cached.TermSearchContext(ctx, []string{"common"}, db.TermSearchOptions{Complex: true, TopK: 10})
-				case 2:
-					_, err = cached.PhraseSearchContext(ctx, []string{"alpha", "beta"})
-				}
-				if err != nil {
+				f := reads[(i+r)%len(reads)]
+				if got := post(hc, f); got.Status != http.StatusOK {
 					select {
-					case readerErr <- fmt.Errorf("reader %d iter %d: %w", r, i, err):
+					case readerErr <- fmt.Errorf("reader %d iter %d: %s: status %d: %s", r, i, f.name, got.Status, got.Body):
 					default:
 					}
 					return
@@ -338,7 +279,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 		}(r)
 	}
 	// The unrelated writer's documents interleave with the related ones in
-	// an unknown order, so results are compared by document name below.
+	// an unknown order, so replies are compared by document name below.
 	unrelated := nDocs / 2
 	writerErr := make(chan error, 1)
 	var writers sync.WaitGroup
@@ -370,7 +311,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	}
 	cached.WaitCompaction()
 
-	scratch := db.New(db.Options{})
+	scratch := shard.New(shard.Options{Shards: 1, Metrics: metrics.NewRegistry()})
 	for i := 0; i < nDocs; i++ {
 		if err := scratch.LoadString(diffDocName(i), diffDocSrc(i)); err != nil {
 			t.Fatal(err)
@@ -382,41 +323,18 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 		}
 	}
 	scratch.Warm()
-	scratchName := func(id storage.DocID) string { return scratch.Store().Doc(id).Name }
+	hs := server.New(scratch).Handler()
 
-	probes := []struct {
-		terms []string
-		opts  db.TermSearchOptions
-	}{
-		{[]string{"w3", "q7"}, db.TermSearchOptions{TopK: 25}},
-		{[]string{"common"}, db.TermSearchOptions{Complex: true, TopK: 10}},
-	}
-	for _, p := range probes {
-		want, err := scratch.TermSearchContext(ctx, p.terms, p.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range reads {
+		want := namedReply(t, scratch.DocName, post(hs, f))
 		// Twice: once computed at the final generation, once from cache.
-		for pass := 0; pass < 2; pass++ {
-			got, err := cached.TermSearchContext(ctx, p.terms, p.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(namedHits(cached.DocName, got), namedHits(scratchName, want)) {
-				t.Fatalf("terms %v pass %d: %d results diverge from scratch build (%d)", p.terms, pass, len(got), len(want))
-			}
+		first, second := post(hc, f), post(hc, f)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("%s: repeated reply differs:\n first  %+v\n second %+v", f.name, first, second)
 		}
-	}
-	wantPh, err := scratch.PhraseSearchContext(ctx, []string{"alpha", "beta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPh, err := cached.PhraseSearchContext(ctx, []string{"alpha", "beta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(namedMatches(cached.DocName, gotPh), namedMatches(scratchName, wantPh)) {
-		t.Fatalf("phrase results diverge from scratch build: %d vs %d", len(gotPh), len(wantPh))
+		if got := namedReply(t, cached.DocName, first); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d results diverge from scratch build (%d)", f.name, got.Count, want.Count)
+		}
 	}
 
 	st := cached.ResultCache().Stats()
@@ -430,40 +348,32 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 }
 
 // unrelatedDocSrc shares no term with the ingest-while-querying readers'
-// queries.
+// requests.
 func unrelatedDocSrc(i int) string {
 	return fmt.Sprintf("<u><v>zeta z%d</v><v>eta</v></u>", i%89)
 }
 
 func unrelatedDocName(i int) string { return fmt.Sprintf("un%06d.xml", i) }
 
-// namedHit is a scored node identified by document name, comparable
-// across databases that numbered their documents differently.
-type namedHit struct {
-	Doc   string
-	Ord   int32
-	Score float64
+// named is a /terms or /phrase reply with each result's document given
+// by name, comparable across databases that numbered their documents
+// differently.
+type named struct {
+	Count   int
+	Results []map[string]any
 }
 
-func namedHits(name func(storage.DocID) string, ns []exec.ScoredNode) []namedHit {
-	out := make([]namedHit, len(ns))
-	for i, n := range ns {
-		out[i] = namedHit{Doc: name(n.Doc), Ord: n.Ord, Score: n.Score}
+func namedReply(t *testing.T, name func(storage.DocID) string, r reply) named {
+	t.Helper()
+	var v named
+	if r.Status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.Status, r.Body)
 	}
-	return out
-}
-
-// namedMatch is a phrase match identified by document name.
-type namedMatch struct {
-	Doc  string
-	Node int32
-	Pos  uint32
-}
-
-func namedMatches(name func(storage.DocID) string, ms []exec.PhraseMatch) []namedMatch {
-	out := make([]namedMatch, len(ms))
-	for i, m := range ms {
-		out[i] = namedMatch{Doc: name(m.Doc), Node: m.Node, Pos: m.Pos}
+	if err := json.Unmarshal([]byte(r.Body), &v); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	for _, res := range v.Results {
+		res["doc"] = name(storage.DocID(res["doc"].(float64)))
+	}
+	return v
 }

@@ -11,14 +11,16 @@ import (
 )
 
 // Cache keys. A key is an injective encoding of (query family, generation
-// token, canonicalized query, effective resource limits): two calls share
-// a key exactly when the engine is obliged to return byte-identical
-// results for them. The token is the caller's: it must move whenever the
-// data the request reads may have changed, and need move at no other time.
-// The shard facade passes, for TermKey and PhraseKey, the sum over its
-// segments of the largest generation of the request's own terms (a write
-// that touches none of them, or a compaction, leaves it alone), and for
-// QueryKey the sum of the segments' corpus generations. Injectivity is
+// token, canonicalized query, effective resource limits), optionally
+// extended with a reply cap (Capped): two calls share a key exactly when
+// the server is obliged to return byte-identical replies for them. The
+// token is the caller's: it must move whenever the data the request reads
+// may have changed, and need move at no other time. The server passes,
+// for TermKey and PhraseKey, the backend's TermsToken — the sum over its
+// segments (and replicas) of the largest generation of the request's own
+// terms, which a write that touches none of them, or a compaction, leaves
+// alone — and for QueryKey the backend's CacheToken, the sum of the
+// corpus generations. Injectivity is
 // load-bearing — a collision between two non-equivalent queries would
 // serve one query's results for the other — so every variable-length
 // field is length-prefixed (no separator to inject through) and
@@ -176,6 +178,17 @@ func QueryKey(gen uint64, src string, limits exec.Limits) Key {
 	e.str(NormalizeQuery(src))
 	e.limits(limits)
 	return e.key(gen)
+}
+
+// Capped extends k with the most results a reply lists: the server
+// truncates /phrase and /query replies to its MaxResults, so replies
+// under different caps must not share an entry. Every base encoding is
+// self-delimiting (fixed-width or length-prefixed fields), so appending
+// one more field keeps the encoding injective.
+func (k Key) Capped(maxResults int) Key {
+	var b [binary.MaxVarintLen64]byte
+	n := binary.PutVarint(b[:], int64(maxResults))
+	return Key{raw: k.raw + string(b[:n]), gen: k.gen}
 }
 
 // typographic quote pairs accepted by the xq lexer, checked in the same

@@ -1,14 +1,16 @@
-// Package rescache is a sharded, bounded-memory result cache for the
-// query facades, keyed by (normalized query, effective limits, generation
-// token). The token makes invalidation exact and free: it moves whenever
-// the data a request reads may have changed, callers key lookups by the
-// token they observe at entry, and so a stale entry is simply never looked
-// up again. The owner chooses the token per family (DESIGN.md §13): the
-// shard facade keys /terms and /phrase by the generations of the
-// request's own terms, so a write to unrelated documents or a compaction
-// invalidates nothing, and /query by the corpus generation. Unreachable
-// entries age out of an LRU with per-entry cost accounting, which bounds
-// memory.
+// Package rescache is a sharded, bounded-memory reply cache for the HTTP
+// server, keyed by (normalized request, effective limits, reply cap,
+// generation token) and holding encoded reply bytes. The token makes
+// invalidation exact and free: it moves whenever the data a request reads
+// may have changed, callers key lookups by the token they observe before
+// dispatch, and so a stale entry is simply never looked up again. The
+// backend chooses the token per family (DESIGN.md §13): /terms and
+// /phrase are keyed by the generations of the request's own terms, so a
+// write to unrelated documents or a compaction invalidates nothing, and
+// /query by the corpus generation; a fleet sums its replicas' tokens.
+// Unreachable entries age out of an LRU with per-entry cost accounting,
+// which bounds memory. The shard facade builds the cache
+// (shard.Options.CacheBytes) but no longer consults it.
 //
 // Coherence argument (DESIGN.md §13): a caller reads the token g before
 // computing, and the snapshot it then evaluates over is at least as new
@@ -19,7 +21,7 @@
 // that mutation, for which serving the newer result is a valid
 // linearization. Once the mutation completes, every new caller observes
 // a later token and the entry is unreachable. In quiescent states cached
-// results are exactly the uncached results; the differential suite
+// replies are exactly the uncached replies; the differential suite
 // asserts byte equality.
 package rescache
 
@@ -166,7 +168,7 @@ func (s *stripe) removeLocked(e *entry) int64 {
 }
 
 // Get returns the value cached under k. The caller must not mutate the
-// returned value; the typed GetSlice helper hands out defensive copies.
+// returned value.
 func (c *Cache) Get(k Key) (any, bool) {
 	s := c.stripes[k.shardIndex(len(c.stripes))]
 	s.mu.Lock()
@@ -202,8 +204,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 // Put caches v under k at the given cost (bytes; the key and fixed entry
 // overhead are added). Oversized entries — cost above a full stripe
 // budget — are rejected rather than evicting an entire stripe for one
-// entry. The caller must not mutate v afterwards; the typed PutSlice
-// helper stores a private copy.
+// entry. The caller must not mutate v afterwards.
 func (c *Cache) Put(k Key, v any, cost int64) {
 	if cost < 0 {
 		cost = 0
@@ -282,9 +283,12 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// GetSlice returns a defensive copy of the slice cached under k. The
-// copy keeps callers that rewrite results in place (the shard facade's
-// global-id translation) from corrupting the cached master.
+// GetSlice returns a defensive copy of the slice cached under k, so a
+// caller that rewrites results in place cannot corrupt the cached master.
+// GetSlice and PutSlice have no production caller: they remain only for
+// the benchmark's traced replay (benchmark/replay.go), which still prices
+// a hit as a slice round trip, and go when that attribution moves to the
+// server (ROADMAP item 1).
 func GetSlice[T any](c *Cache, k Key) ([]T, bool) {
 	v, ok := c.Get(k)
 	if !ok {
@@ -303,8 +307,8 @@ func GetSlice[T any](c *Cache, k Key) ([]T, bool) {
 }
 
 // PutSlice caches a private copy of s under k, costed at the slice's
-// backing-array footprint. A nil slice round-trips as nil, so cached
-// replies stay byte-identical to computed ones.
+// backing-array footprint. A nil slice round-trips as nil. See GetSlice
+// for why it remains.
 func PutSlice[T any](c *Cache, k Key, s []T) {
 	var cp []T
 	if s != nil {

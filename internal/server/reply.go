@@ -149,12 +149,18 @@ func (e *replyEncoder) send(w http.ResponseWriter) {
 		errorJSON(w, http.StatusInternalServerError, e.err)
 		return
 	}
+	writeReply(w, e.b)
+}
+
+// writeReply writes an encoded reply with its Content-Length: the one
+// path a computed and a cached reply leave by, so their headers agree.
+func writeReply(w http.ResponseWriter, b []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(e.b)))
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	// A failed write means the client is gone; there is no one left to
 	// answer.
-	_, _ = w.Write(e.b)
+	_, _ = w.Write(b)
 }
 
 // appendFloat appends f as encoding/json writes a float64: the shortest

@@ -14,6 +14,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/rescache"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
 	"repro/internal/xq"
@@ -95,6 +96,9 @@ func (nonFiniteBackend) TermSearchContext(context.Context, []string, db.TermSear
 func (nonFiniteBackend) QueryContext(context.Context, string) ([]xq.Result, error) {
 	return []xq.Result{{Node: xmltree.NewElement("p"), Score: math.Inf(-1)}}, nil
 }
+
+// ResultCache turns reply caching off, so no other cache method is called.
+func (nonFiniteBackend) ResultCache() *rescache.Cache { return nil }
 
 func (nonFiniteBackend) Render(dst []string, nodes []exec.ScoredNode) []string {
 	for range nodes {

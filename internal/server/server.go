@@ -506,6 +506,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, fmt.Errorf("empty query"))
 		return
 	}
+	c, key := s.queryKey(req.Query)
+	if serveCached(w, c, key) {
+		return
+	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	results, err := s.DB.QueryContext(ctx, req.Query)
@@ -517,6 +521,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer putReply(sc)
 	sc.enc.queryReply(len(results), results[:min(len(results), s.maxResults())])
 	sc.enc.send(w)
+	storeReply(c, key, &sc.enc)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -565,6 +570,10 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 	if topK <= 0 || topK > s.maxResults() {
 		topK = s.maxResults()
 	}
+	c, key := s.termsKey(req.Terms, topK, req.Complex)
+	if serveCached(w, c, key) {
+		return
+	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	results, err := s.DB.TermSearchContext(ctx, req.Terms, db.TermSearchOptions{TopK: topK, Complex: req.Complex})
@@ -577,6 +586,7 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 	sc.labels = s.DB.Render(sc.labels, results)
 	sc.enc.termsReply(results, sc.labels)
 	sc.enc.send(w)
+	storeReply(c, key, &sc.enc)
 }
 
 // PhraseRequest is the /phrase payload.
@@ -602,6 +612,10 @@ func (s *Server) handlePhrase(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, fmt.Errorf("empty phrase"))
 		return
 	}
+	c, key := s.phraseKey(req.Phrase)
+	if serveCached(w, c, key) {
+		return
+	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	ms, err := s.DB.PhraseSearchContext(ctx, req.Phrase)
@@ -620,4 +634,5 @@ func (s *Server) handlePhrase(w http.ResponseWriter, r *http.Request) {
 	sc.labels = s.DB.Render(sc.labels, sc.nodes)
 	sc.enc.phraseReply(count, ms, sc.labels)
 	sc.enc.send(w)
+	storeReply(c, key, &sc.enc)
 }

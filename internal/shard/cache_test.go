@@ -1,18 +1,25 @@
 package shard
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
-	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/server"
 	"repro/internal/synth"
 	"repro/internal/xmltree"
 )
+
+// The reply-cache coherence tests. The cache is consulted by the server,
+// so each drives a server.Handler() over a cached facade and compares its
+// reply bytes with those of a handler over an uncached twin; writes go to
+// the facades directly.
 
 // A cached read the term-keyed tests issue: /terms or /phrase over terms.
 type cachedRead struct {
@@ -23,26 +30,33 @@ type cachedRead struct {
 	cplx   bool
 }
 
-// run issues r against d and returns its reply as JSON bytes.
-func (r cachedRead) run(t *testing.T, d *DB) []byte {
-	t.Helper()
-	ctx := context.Background()
-	var v any
-	var err error
+// do posts r to h and returns the status and the reply bytes.
+func (r cachedRead) do(h http.Handler) (int, []byte) {
+	path, body := "/terms", any(server.TermsRequest{Terms: r.terms, TopK: r.topK, Complex: r.cplx})
 	if r.phrase {
-		v, err = d.PhraseSearchContext(ctx, r.terms)
-	} else {
-		v, err = d.TermSearchContext(ctx, r.terms, db.TermSearchOptions{TopK: r.topK, Complex: r.cplx})
+		path, body = "/phrase", server.PhraseRequest{Phrase: r.terms}
 	}
+	b, err := json.Marshal(body)
 	if err != nil {
-		t.Fatalf("%s: %v", r.name, err)
+		panic(err)
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// run posts r to h and returns its reply, failing the test on a non-200.
+func (r cachedRead) run(t *testing.T, h http.Handler) []byte {
+	t.Helper()
+	code, b := r.do(h)
+	if code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", r.name, code, b)
 	}
 	return b
 }
+
+// handler serves d through the production handler tree.
+func handler(d *DB) http.Handler { return server.New(d).Handler() }
 
 // ctlDoc is a document holding the control terms (with "ctla ctlb"
 // adjacent) when ctl is set, and only other words otherwise.
@@ -81,6 +95,7 @@ func checkTermKeyedCache(t *testing.T, shards int) {
 		both(func(d *DB) error { return d.LoadString(fmt.Sprintf("base%02d.xml", i), ctlDoc(i, i%2 == 0)) })
 	}
 	both(func(d *DB) error { d.Warm(); return nil })
+	hc, ht := handler(cached), handler(twin)
 
 	reads := []cachedRead{
 		{name: "terms ctla", terms: []string{"ctla"}},
@@ -94,13 +109,13 @@ func checkTermKeyedCache(t *testing.T, shards int) {
 		t.Helper()
 		for _, r := range reads {
 			before := c.Stats()
-			got := r.run(t, cached)
+			got := r.run(t, hc)
 			after := c.Stats()
 			if gotHit := after.Hits == before.Hits+1 && after.Misses == before.Misses; gotHit != hit {
 				t.Errorf("%s: %s: hit = %v, want %v (hits %d -> %d, misses %d -> %d)",
 					step, r.name, gotHit, hit, before.Hits, after.Hits, before.Misses, after.Misses)
 			}
-			if want := r.run(t, twin); string(got) != string(want) {
+			if want := r.run(t, ht); string(got) != string(want) {
 				t.Errorf("%s: %s: cached reply differs from the uncached twin:\n got  %s\n want %s", step, r.name, got, want)
 			}
 		}
@@ -140,8 +155,8 @@ func checkTermKeyedCache(t *testing.T, shards int) {
 	}
 }
 
-// TestCacheCoherentUnderConcurrentWrites runs term-keyed reads on a
-// cached 3-shard facade while one writer adds, updates and deletes
+// TestCacheCoherentUnderConcurrentWrites runs term-keyed reads through a
+// server over a cached 3-shard facade while one writer adds, updates and deletes
 // documents with and without the read terms. Once the writer is done,
 // every read, computed and then served from the cache, must equal an
 // uncached twin that saw the same writes. Run under -race by `make
@@ -157,6 +172,7 @@ func TestCacheCoherentUnderConcurrentWrites(t *testing.T) {
 		}
 		d.Warm()
 	}
+	hc, ht := handler(cached), handler(twin)
 	reads := []cachedRead{
 		{name: "terms ctla", terms: []string{"ctla"}},
 		{name: "terms w1 w2", terms: []string{"w1", "w2"}, topK: 5, cplx: true},
@@ -186,7 +202,6 @@ func TestCacheCoherentUnderConcurrentWrites(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := context.Background()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -194,14 +209,8 @@ func TestCacheCoherentUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				rd := reads[i%len(reads)]
-				var err error
-				if rd.phrase {
-					_, err = cached.PhraseSearchContext(ctx, rd.terms)
-				} else {
-					_, err = cached.TermSearchContext(ctx, rd.terms, db.TermSearchOptions{TopK: rd.topK, Complex: rd.cplx})
-				}
-				if err != nil {
-					t.Error(err)
+				if code, b := rd.do(hc); code != http.StatusOK {
+					t.Errorf("%s: status %d: %s", rd.name, code, b)
 					return
 				}
 			}
@@ -218,7 +227,7 @@ func TestCacheCoherentUnderConcurrentWrites(t *testing.T) {
 	// One more write, to a document holding ctla, after every read is
 	// cached: its entries must not be served again.
 	for _, r := range reads {
-		r.run(t, cached)
+		r.run(t, hc)
 	}
 	writes = append(writes, func(d *DB) error { return d.Delete("base00.xml") })
 	if err := writes[len(writes)-1](cached); err != nil {
@@ -232,9 +241,9 @@ func TestCacheCoherentUnderConcurrentWrites(t *testing.T) {
 	cached.WaitCompaction()
 	c := cached.ResultCache()
 	for _, r := range reads {
-		want := r.run(t, twin)
+		want := r.run(t, ht)
 		for pass := 0; pass < 2; pass++ {
-			if got := r.run(t, cached); string(got) != string(want) {
+			if got := r.run(t, hc); string(got) != string(want) {
 				t.Errorf("%s pass %d: cached reply differs from the uncached twin:\n got  %s\n want %s", r.name, pass, got, want)
 			}
 		}
@@ -245,7 +254,8 @@ func TestCacheCoherentUnderConcurrentWrites(t *testing.T) {
 }
 
 // TestCacheHitRatioUnderChurn replays a seeded history of wire-churn's
-// shape on one goroutine: 90% zipf reads over a 512-request population of
+// shape on one goroutine, reads through a server over a cached facade
+// and writes to the facade: 90% zipf reads over a 512-request population of
 // /terms, complex top-k and /phrase requests on the planted control terms
 // and the 40 hottest background words, and 10% writes (add 6, update 3,
 // delete 1) of 400-word documents over 2,000 background words. Keyed by
@@ -264,6 +274,7 @@ func TestCacheHitRatioUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Warm()
+	h := handler(d)
 
 	reads := churnReads()
 	cum := zipfCDF(len(reads))
@@ -276,7 +287,7 @@ func TestCacheHitRatioUnderChurn(t *testing.T) {
 		switch {
 		case x >= 10:
 			r := reads[zipfRank(cum, rng)]
-			r.run(t, d)
+			r.run(t, h)
 		case x < 6 || len(live) == 0:
 			serial++
 			name := fmt.Sprintf("c-%07d.xml", serial)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/exec"
-	"repro/internal/rescache"
 	"repro/internal/storage"
 	"repro/internal/xq"
 )
@@ -96,28 +95,10 @@ func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.Term
 			reg.Counter(`tix_topk_blocks_skipped_total{op="terms"}`).Add(total.BlocksSkipped)
 		}
 	}()
-	eff := s.limitsOr(opts.Limits)
-	if c, tok, ok := s.termsCache(terms); ok {
-		key := rescache.TermKey(tok, terms, rescache.TermOpts{
-			Complex: opts.Complex, TopK: opts.TopK, MinScore: opts.MinScore,
-			Weights: opts.Weights, Limits: eff,
-		})
-		if hit, found := rescache.GetSlice[exec.ScoredNode](c, key); found {
-			results = hit
-			return results, nil
-		}
-		// Registered before recoverPanic so a recovered panic reaches err
-		// first and poisoned results are never cached.
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, results)
-			}
-		}()
-	}
 	defer recoverPanic(&err)
 	cctx, cancel := fanoutCtx(ctx)
 	defer cancel()
-	guard := exec.NewGuard(cctx, eff)
+	guard := exec.NewGuard(cctx, s.limitsOr(opts.Limits))
 	err = s.runShards(opTerms, cancel, func(i int, seg *db.DB) error {
 		out, rerr := db.SearchTerms(seg.Index(), terms, opts, guard, &stats[i])
 		if rerr != nil {
@@ -224,18 +205,6 @@ func (s *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exe
 		}
 		s.observe(opPhrase, start, len(ms), total, err)
 	}()
-	if c, tok, ok := s.termsCache(phrase); ok {
-		key := rescache.PhraseKey(tok, phrase, s.opts.Limits)
-		if hit, found := rescache.GetSlice[exec.PhraseMatch](c, key); found {
-			ms = hit
-			return ms, nil
-		}
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, ms)
-			}
-		}()
-	}
 	defer recoverPanic(&err)
 	cctx, cancel := fanoutCtx(ctx)
 	defer cancel()
@@ -342,20 +311,6 @@ func (s *DB) QueryContext(ctx context.Context, src string) (results []xq.Result,
 	start := time.Now()
 	var stats storage.AccessStats
 	defer func() { s.observe(opQuery, start, len(results), stats, err) }()
-	if c, tok, ok := s.queryCache(); ok {
-		key := rescache.QueryKey(tok, src, s.opts.Limits)
-		if hit, found := rescache.GetSlice[xq.Result](c, key); found {
-			results = hit
-			return results, nil
-		}
-		// Registered before recoverPanic so a recovered panic reaches err
-		// first and poisoned results are never cached.
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, results)
-			}
-		}()
-	}
 	defer recoverPanic(&err)
 	q, i, err := s.routeQuery(src)
 	if err != nil {

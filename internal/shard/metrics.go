@@ -11,7 +11,9 @@ import (
 
 // Per-operation metric families recorded by the facade. Every engine entry
 // point (query, explain, terms, phrase, twig) records under its op label,
-// cache hits and routing or parse errors included:
+// routing or parse errors included. Reply-cache hits are answered by the
+// server and never reach the facade, so they are not counted here; the
+// HTTP middleware's tix_http_requests_total counts every request:
 //
 //	tix_query_seconds{op=...}            latency histogram (log-scale buckets)
 //	tix_queries_total{op=...}            evaluations started

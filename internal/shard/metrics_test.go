@@ -1,17 +1,25 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/server"
 )
 
-// TestQueryMetricsCountCacheHitsAndErrors: the facade observes every
-// /query call, including those answered from the result cache and those
-// that fail before reaching a segment (a parse error).
+// TestQueryMetricsCountCacheHitsAndErrors: every /query request is
+// counted, cache hits and errors included. Hits are answered by the server
+// and never reach the facade, so the HTTP middleware's
+// tix_http_requests_total counts them; the facade observes every call
+// that reaches it, including one that fails before reaching a segment (a
+// parse error).
 func TestQueryMetricsCountCacheHitsAndErrors(t *testing.T) {
 	names, roots := corpusDocs(t, 3, 5)
 	reg := metrics.NewRegistry()
@@ -23,26 +31,43 @@ func TestQueryMetricsCountCacheHitsAndErrors(t *testing.T) {
 		}
 	}
 	s.Warm()
-	src := queryFor(names[0])
-	for i := 0; i < 3; i++ {
-		if _, err := s.QueryContext(context.Background(), src); err != nil {
+	h := handler(s)
+	post := func(src string) int {
+		b, err := json.Marshal(server.QueryRequest{Query: src})
+		if err != nil {
 			t.Fatal(err)
 		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(b)))
+		return rec.Code
 	}
-	if _, err := s.QueryContext(context.Background(), "garbage !!"); err == nil {
-		t.Fatal("bad query did not error")
+	src := queryFor(names[0])
+	for i := 0; i < 3; i++ {
+		if code := post(src); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+	}
+	if code := post("garbage !!"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("bad query: status %d, want 422", code)
 	}
 	if hits := s.ResultCache().Stats().Hits; hits != 2 {
 		t.Fatalf("cache hits = %d, want 2", hits)
 	}
-	if got := reg.Counter(`tix_queries_total{op="query"}`).Value(); got != 4 {
-		t.Errorf("tix_queries_total{op=query} = %d, want 4", got)
+	for status, want := range map[string]int64{"200": 3, "422": 1} {
+		name := `tix_http_requests_total{method="POST",path="/query",status="` + status + `"}`
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// The facade saw the one miss and the parse error.
+	if got := reg.Counter(`tix_queries_total{op="query"}`).Value(); got != 2 {
+		t.Errorf("tix_queries_total{op=query} = %d, want 2", got)
 	}
 	if got := reg.Counter(`tix_query_errors_total{op="query"}`).Value(); got != 1 {
 		t.Errorf("tix_query_errors_total{op=query} = %d, want 1", got)
 	}
-	if got := reg.Histogram(`tix_query_seconds{op="query"}`).Count(); got != 4 {
-		t.Errorf("query latency observations = %d, want 4", got)
+	if got := reg.Histogram(`tix_query_seconds{op="query"}`).Count(); got != 2 {
+		t.Errorf("query latency observations = %d, want 2", got)
 	}
 }
 

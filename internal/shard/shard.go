@@ -1,9 +1,10 @@
 // Package shard is the serving facade: it partitions a corpus across N
 // independent db.DB segments (each one storage.Store plus its live index),
 // executes the paper's access methods per shard in parallel, and owns
-// everything a served request needs beyond evaluation — the result cache,
-// the per-operation and ingest metrics, global document numbering and the
-// snapshot container. Every binary serves through it; one shard is the
+// everything a served request needs beyond evaluation — the reply cache
+// the server consults (built here, looked up there), the per-operation
+// and ingest metrics, global document numbering and the snapshot
+// container. Every binary serves through it; one shard is the
 // single-store case. Each document lives wholly in one segment, chosen by a
 // stable hash of its name (or round-robin); because region encodings and
 // node ordinals are per-document, an element's (doc, ord, score) identity
@@ -78,8 +79,9 @@ type Options struct {
 	// Limits is the default per-query resource budget. It is shared
 	// across the shard workers of one query, not multiplied per shard.
 	Limits exec.Limits
-	// CacheBytes, when positive, attaches a generation-keyed result cache
-	// to the facade (see cache.go).
+	// CacheBytes, when positive, builds a generation-keyed result cache
+	// of that budget, which the server fronting the facade stores
+	// encoded replies in (see cache.go).
 	CacheBytes int64
 }
 
@@ -109,8 +111,8 @@ type DB struct {
 	globalOf [][]storage.DocID        // per shard: local DocID -> global
 	next     int                      // round-robin cursor
 
-	// cache, when set, memoizes merged facade results per generation
-	// token (see cache.go).
+	// cache, when set, is the reply cache the server consults (see
+	// cache.go).
 	cache atomic.Pointer[rescache.Cache]
 }
 

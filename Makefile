@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: check lint tixlint vet build test race bench bench-json bench-hotpath bench-topk benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
+.PHONY: check lint tixlint vet build test race bench bench-json bench-hotpath bench-topk bench-query1 benchmark-build benchmark-test fmt-check stress chaos cover fuzz-smoke loadsmoke
 
 check: lint build benchmark-build benchmark-test race stress chaos cover fuzz-smoke loadsmoke
 
@@ -157,6 +157,15 @@ bench-hotpath:
 # Timings gate nothing.
 bench-topk:
 	$(GO) test ./internal/bench -run '^$$' -bench 'TopKCommon|TopKSparse' -benchtime 2000x
+
+# The paper's Query 1 as a /query request runs it, over the 300-article
+# corpus wire-cold queries (bench.Query1DB): internal/server's
+# BenchmarkQuery1 times db.EvalQuery ("eval") and the reply encoding
+# ("reply": each result's XML appended into the reused encoder's scratch
+# by xmltree.AppendXML, then quoted), with ns/op and allocs/op. Timings
+# gate nothing.
+bench-query1:
+	$(GO) test ./internal/server -run '^$$' -bench 'Query1' -benchtime 500x
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

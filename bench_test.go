@@ -8,7 +8,6 @@
 //	BenchmarkTable4  — Table 4: 2..n terms at freq ≈ 1,500
 //	BenchmarkTable5  — Table 5: 13 phrases, PhraseFinder vs Comp3
 //	BenchmarkPick    — Sec. 6 Pick experiment, 200 → 55,000 input nodes
-//	BenchmarkQuery1  — the paper's Query 1 end to end: eval, then rendering
 //
 // plus the ablation benchmarks called out in DESIGN.md §5. The benchmarks
 // run over the reduced SmallConfig corpus so `go test -bench=.` stays
@@ -17,17 +16,12 @@
 package repro
 
 import (
-	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/storage"
-	"repro/internal/synth"
-	"repro/internal/xmltree"
-	"repro/internal/xq"
 )
 
 var (
@@ -188,77 +182,6 @@ func BenchmarkPick(b *testing.B) {
 			}
 		})
 	}
-}
-
-// query1Src is the paper's Query 1 shape (Score → Pick → Threshold … stop
-// after, Sec. 4) over the planted phrase and secondary term of query1DB's
-// articles.xml — the request the wire-cold benchmark sends to /query. The
-// count gate (internal/bench/golden_test.go) pins the same query over the
-// same corpus.
-const query1Src = `For $a in document("articles.xml")//article/descendant-or-self::*
-Score $a using ScoreFoo($a, {"xqa xqb"}, {"xqc"})
-Pick $a using PickFoo($a)
-Sortby(score)
-Threshold $a/@score > 1 stop after 5`
-
-// query1DB loads a 300-article synthetic document (seed 1) as articles.xml
-// into a fresh segment, planted as the wire-cold benchmark's articles.xml
-// is: xqa, xqb and xqc each occur 900 times, and 600 of the xqa
-// occurrences are directly followed by xqb.
-func query1DB() (*db.DB, error) {
-	const articles = 300
-	cfg := synth.DefaultConfig()
-	cfg.Articles = articles
-	cfg.Seed = 1
-	cfg.ControlTerms = map[string]int{"xqa": 3 * articles, "xqb": 3 * articles, "xqc": 3 * articles}
-	cfg.Phrases = []synth.PhraseSpec{{T1: "xqa", T2: "xqb", Together: 2 * articles}}
-	c, err := synth.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d := db.New(db.Options{})
-	if err := d.LoadTree("articles.xml", c.Root); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// BenchmarkQuery1 measures the paper's Query 1 (Score → Pick → Threshold
-// stop after 5) over query1DB's 300-article document: "eval" is
-// db.EvalQuery under a guard, as a /query request runs it, and "XMLString"
-// renders the five results' subtrees as the reply does.
-func BenchmarkQuery1(b *testing.B) {
-	d, err := query1DB()
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := xq.Parse(query1Src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx := d.Index()
-	eval := func() []xq.Result {
-		rs, err := db.EvalQuery(idx, q, exec.NewGuard(context.Background(), exec.Limits{}), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rs
-	}
-	b.Run("eval", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eval()
-		}
-	})
-	results := eval()
-	b.Run("XMLString", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, r := range results {
-				_ = xmltree.XMLString(r.Node)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationChildCount measures the child-count index of Enhanced

@@ -29,7 +29,7 @@ import (
 //     TopKTermJoin and PhraseFinder result counts, the two joins' store
 //     traffic, TopKTermJoin's DocsEvaluated and BlocksSkipped, and a
 //     testing.AllocsPerRun ceiling per method (not measured under -race);
-//   - for the paper's Query 1 through db.EvalQuery over query1DB: every
+//   - for the paper's Query 1 through db.EvalQuery over Query1DB: every
 //     returned (Doc, Ord, Score), the evaluation's store traffic and an
 //     allocs/op ceiling (not measured under -race);
 //   - per topk-common row, a TopKTermJoin over corpus-common words of the
@@ -125,11 +125,11 @@ func snapshotTables(t *testing.T, c *Corpus) []goldenTable {
 // and, outside -race, again under testing.AllocsPerRun.
 func snapshotQuery1(t *testing.T) goldenTable {
 	t.Helper()
-	d, err := query1DB()
+	d, err := Query1DB()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := xq.Parse(query1Src)
+	q, err := xq.Parse(Query1Src)
 	if err != nil {
 		t.Fatal(err)
 	}

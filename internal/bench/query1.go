@@ -5,22 +5,22 @@ import (
 	"repro/internal/synth"
 )
 
-// query1Src is the paper's Query 1 shape (Score → Pick → Threshold … stop
-// after, Sec. 4) over the planted phrase and secondary term of query1DB's
-// articles.xml — the request the wire-cold benchmark sends to /query.
-// BenchmarkQuery1 (bench_test.go at the repository root) runs the same
-// query over the same corpus.
-const query1Src = `For $a in document("articles.xml")//article/descendant-or-self::*
+// Query1Src is the paper's Query 1 shape (Score → Pick → Threshold … stop
+// after, Sec. 4) over the planted phrase and secondary term of Query1DB's
+// articles.xml — the request the wire-cold benchmark sends to /query. The
+// count gate pins its results, store traffic and allocations, and
+// BenchmarkQuery1 (internal/server) times its evaluation and reply.
+const Query1Src = `For $a in document("articles.xml")//article/descendant-or-self::*
 Score $a using ScoreFoo($a, {"xqa xqb"}, {"xqc"})
 Pick $a using PickFoo($a)
 Sortby(score)
 Threshold $a/@score > 1 stop after 5`
 
-// query1DB loads a 300-article synthetic document (seed 1) as articles.xml
+// Query1DB loads a 300-article synthetic document (seed 1) as articles.xml
 // into a fresh segment, planted as the wire-cold benchmark's articles.xml
 // is: xqa, xqb and xqc each occur 900 times, and 600 of the xqa
 // occurrences are directly followed by xqb.
-func query1DB() (*db.DB, error) {
+func Query1DB() (*db.DB, error) {
 	const articles = 300
 	cfg := synth.DefaultConfig()
 	cfg.Articles = articles

@@ -88,7 +88,10 @@ type Guard struct {
 	hasDeadline bool
 	every       int64
 
-	ticks   atomic.Int64
+	ticks atomic.Int64
+	// next is the first multiple of every above the tick count of the
+	// last full check: a tick that reaches it has crossed a multiple.
+	next    atomic.Int64
 	emitted atomic.Int64
 	budget  storage.AccessBudget
 	failed  atomic.Pointer[failure]
@@ -132,6 +135,7 @@ func NewGuard(ctx context.Context, limits Limits) *Guard {
 			g.every = deadlineCheckEvery
 		}
 	}
+	g.next.Store(g.every)
 	return g
 }
 
@@ -176,10 +180,10 @@ func (g *Guard) Tick() error {
 	if g == nil {
 		return nil
 	}
-	if g.ticks.Add(1)%g.every != 0 {
-		return g.Err()
+	if t := g.ticks.Add(1); t >= g.next.Load() {
+		return g.crossed(t)
 	}
-	return g.Check()
+	return g.Err()
 }
 
 // TickN records n units of work at once — what batch consumers (block
@@ -193,11 +197,24 @@ func (g *Guard) TickN(n int) error {
 	if n <= 0 {
 		return g.Err()
 	}
-	t := g.ticks.Add(int64(n))
-	if (t-int64(n))/g.every == t/g.every {
-		return g.Err()
+	if t := g.ticks.Add(int64(n)); t >= g.next.Load() {
+		return g.crossed(t)
 	}
-	return g.Check()
+	return g.Err()
+}
+
+// crossed runs the full Check for a tick count t that reached a multiple
+// of the interval, first moving next past t. Concurrent workers may both
+// see the same crossing and both check; next only ever grows, so none
+// moves it back. The division runs once per interval, not per tick.
+func (g *Guard) crossed(t int64) error {
+	want := (t/g.every + 1) * g.every
+	for {
+		cur := g.next.Load()
+		if cur >= want || g.next.CompareAndSwap(cur, want) {
+			return g.Check()
+		}
+	}
 }
 
 // Check performs the full cooperative check immediately: latched failure,

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -242,5 +243,43 @@ func TestStackPickGuarded(t *testing.T) {
 	}
 	if _, err := new(PickArena).Pick(nodes, DefaultPickFuncs(0.5), g); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestGuardCadenceMatchesModulo holds Tick and TickN to the interval rule
+// over long mixed runs: after a cancel, the first call to fail is exactly
+// the first whose ticks cross a multiple of CheckEvery, however many
+// multiples earlier calls crossed and whatever the interval.
+func TestGuardCadenceMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 200; run++ {
+		every := int64(1 + rng.Intn(40))
+		ctx, cancel := context.WithCancel(context.Background())
+		g := NewGuard(ctx, Limits{CheckEvery: int(every)})
+		cancelAt := rng.Intn(300)
+		var ticks int64
+		for call := 0; ; call++ {
+			if call == cancelAt {
+				cancel()
+			}
+			n := int64(1)
+			var err error
+			if rng.Intn(2) == 0 {
+				err = g.Tick()
+			} else {
+				n = int64(rng.Intn(3 * int(every)))
+				err = g.TickN(int(n))
+			}
+			crossed := n > 0 && ticks/every != (ticks+n)/every
+			ticks += n
+			if want := call >= cancelAt && crossed; (err != nil) != want {
+				t.Fatalf("run %d (every %d, cancel at call %d): call %d to tick %d returned %v, want a failure: %v",
+					run, every, cancelAt, call, ticks, err, want)
+			}
+			if err != nil {
+				cancel()
+				break
+			}
+		}
 	}
 }

@@ -34,6 +34,10 @@ type PhraseFinder struct {
 	Index *index.Index
 	// Phrase is the term sequence, e.g. ["information", "retrieval"].
 	Phrase []string
+	// Lists, when non-nil, are the phrase terms' posting lists in Phrase
+	// order, read in place of the index's: a caller scopes the search by
+	// Range-scoping them, as TermQuery.Lists does for TermJoin.
+	Lists []index.List
 	// Guard, when non-nil, is the cooperative cancellation and resource
 	// budget, checked once per first-term occurrence and per match.
 	Guard *Guard
@@ -44,15 +48,20 @@ func (p *PhraseFinder) Run(emit func(PhraseMatch)) error {
 	if len(p.Phrase) == 0 {
 		return fmt.Errorf("exec: PhraseFinder requires a non-empty phrase")
 	}
+	if p.Lists != nil && len(p.Lists) != len(p.Phrase) {
+		return fmt.Errorf("exec: PhraseFinder has %d lists for %d phrase terms", len(p.Lists), len(p.Phrase))
+	}
 	if err := p.Guard.Check(); err != nil {
 		return err
 	}
-	terms := normalizeTerms(p.Index, p.Phrase)
-	lists := make([]index.List, len(terms))
-	for i, t := range terms {
-		lists[i] = p.Index.List(t)
+	lists := p.Lists
+	if lists == nil {
+		lists = make([]index.List, len(p.Phrase))
+		for i, t := range normalizeTerms(p.Index, p.Phrase) {
+			lists[i] = p.Index.List(t)
+		}
 	}
-	if len(terms) == 1 {
+	if len(lists) == 1 {
 		for cur := lists[0].Cursor(); cur.Valid(); cur.Advance() {
 			occ := cur.Cur()
 			if err := p.Guard.NoteEmit(); err != nil {
@@ -70,8 +79,8 @@ func (p *PhraseFinder) Run(emit func(PhraseMatch)) error {
 			di = i
 		}
 	}
-	order := make([]int, 0, len(terms)-1)
-	for i := range terms {
+	order := make([]int, 0, len(lists)-1)
+	for i := range lists {
 		if i != di {
 			order = append(order, i)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -39,7 +40,7 @@ func getReply() *replyScratch {
 }
 
 func putReply(sc *replyScratch) {
-	if cap(sc.enc.b) > maxPooledReply {
+	if cap(sc.enc.b) > maxPooledReply || cap(sc.enc.xml) > maxPooledReply {
 		return
 	}
 	clear(sc.labels) // do not pin the store's strings from the pool
@@ -53,6 +54,7 @@ func putReply(sc *replyScratch) {
 // is kept in err and the reply must not be sent.
 type replyEncoder struct {
 	b   []byte
+	xml []byte // queryReply's scratch: one result's XML before it is quoted
 	err error
 }
 
@@ -118,7 +120,9 @@ func (e *replyEncoder) phraseReply(count int, ms []exec.PhraseMatch, texts []str
 
 // queryReply appends the /query reply for count results of which results
 // are returned: what json.Encoder writes for {"count": count, "results":
-// []QueryResult}.
+// []QueryResult}. Each result's XML is appended into the encoder's
+// scratch and quoted from there, so a warm encoder allocates nothing per
+// result.
 func (e *replyEncoder) queryReply(count int, results []xq.Result) {
 	e.raw(`{"count":`)
 	e.int(int64(count))
@@ -136,7 +140,8 @@ func (e *replyEncoder) queryReply(count int, results []xq.Result) {
 			e.float(res.Sim)
 		}
 		e.raw(`,"xml":`)
-		e.str(xmltree.XMLString(res.Node))
+		e.xml = xmltree.AppendXML(e.xml[:0], res.Node, true)
+		e.b = appendString(e.b, e.xml)
 		e.raw("}")
 	}
 	e.raw("]}\n")
@@ -187,21 +192,31 @@ func appendFloat(b []byte, f float64) ([]byte, bool) {
 
 const hexDigits = "0123456789abcdef"
 
+// jsonPlain[c] reports whether appendString copies byte c as it is: an
+// ASCII byte that is neither a control character nor one of "\<>&.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
+
 // appendString appends s quoted as encoding/json writes a string with
 // HTML escaping: the quote, the backslash and the control characters
 // escaped (\b \f \n \r \t by name, the rest as \u00XX), <, > and & as
 // \u003c, \u003e and \u0026, the separators U+2028 and U+2029 as \u2028
-// and \u2029, and each byte of invalid UTF-8 as \ufffd.
-func appendString(b []byte, s string) []byte {
+// and \u2029, and each byte of invalid UTF-8 as \ufffd. Like
+// encoding/json's, it takes a string or a byte slice.
+func appendString[S string | []byte](b []byte, s S) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
+		if jsonPlain[c] {
+			i++
+			continue
+		}
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"', '\\':
@@ -223,7 +238,9 @@ func appendString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// Only the rune's own bytes are converted, which stays on the
+		// stack for a byte slice.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)

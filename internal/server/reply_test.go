@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
@@ -57,6 +57,9 @@ func FuzzReplyEncoding(f *testing.F) {
 		want, _ := json.Marshal(s)
 		if got := appendString(nil, s); !bytes.Equal(got, want) {
 			t.Fatalf("appendString(%q) = %s, encoding/json %s", s, got, want)
+		}
+		if got := appendString(nil, []byte(s)); !bytes.Equal(got, want) {
+			t.Fatalf("appendString([]byte(%q)) = %s, encoding/json %s", s, got, want)
 		}
 		want, err := json.Marshal(x)
 		got, ok := appendFloat(nil, x)
@@ -142,50 +145,141 @@ func (w *discardWriter) WriteHeader(int)             {}
 // random and allocation counts mean nothing.
 var raceEnabled bool
 
-// TestReplyAllocsFlatInHits pins the reply path's per-hit cost at zero
-// allocations: over a cached backend, a 100-hit /terms or /phrase reply
-// allocates at most two more times than a 1-hit reply.
+// replayBackend answers each kind of search with the answer its backend
+// gave the first such request, and caches no reply: every request runs
+// the server's whole reply path — Render and the encoder — while the
+// search, whose own allocations grow with the hits it finds, runs once.
+type replayBackend struct {
+	Backend
+	terms  []exec.ScoredNode
+	phrase []exec.PhraseMatch
+	query  []xq.Result
+}
+
+func (b *replayBackend) TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) (rs []exec.ScoredNode, err error) {
+	if b.terms == nil {
+		b.terms, err = b.Backend.TermSearchContext(ctx, terms, opts)
+	}
+	return b.terms, err
+}
+
+func (b *replayBackend) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exec.PhraseMatch, err error) {
+	if b.phrase == nil {
+		b.phrase, err = b.Backend.PhraseSearchContext(ctx, phrase)
+	}
+	return b.phrase, err
+}
+
+func (b *replayBackend) QueryContext(ctx context.Context, q string) (rs []xq.Result, err error) {
+	if b.query == nil {
+		b.query, err = b.Backend.QueryContext(ctx, q)
+	}
+	return b.query, err
+}
+
+func (*replayBackend) ResultCache() *rescache.Cache { return nil }
+
+// TestReplyAllocsFlatInHits pins the reply path's per-result cost at zero
+// allocations. Each request is computed, not served from a cached reply,
+// over a replayBackend, so what is measured is the server's own work: a
+// 100-hit /terms or /phrase reply, and a /query reply whose five results
+// each carry a subtree of 200 elements, allocate at most two more times
+// than a reply with one small result.
 func TestReplyAllocsFlatInHits(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under -race")
 	}
 	// 120 <p> elements hold "alpha beta" over three documents; "gamma
-	// delta" occurs once.
+	// delta" occurs once. big.xml has five <sec> elements whose own text
+	// holds "omega" and whose subtrees hold 200 <p> each; one.xml has one
+	// small <sec>.
 	p := strings.Repeat("<p>alpha beta &amp; more</p>", 40)
-	docs := []string{"<r>" + p + "<q>gamma delta</q></r>", "<r>" + p + "</r>", "<r>" + p + "</r>"}
+	sec := "<sec>omega" + strings.Repeat("<p>filler &lt;text&gt; caf\u00e9</p>", 200) + "</sec>"
+	docs := []struct{ name, src string }{
+		{"0.xml", "<r>" + p + "<q>gamma delta</q></r>"}, {"1.xml", "<r>" + p + "</r>"}, {"2.xml", "<r>" + p + "</r>"},
+		{"big.xml", "<r>" + strings.Repeat(sec, 5) + "</r>"}, {"one.xml", "<r><sec>omega</sec></r>"},
+	}
+	query := func(doc string) string {
+		b, _ := json.Marshal(QueryRequest{Query: `For $a in document("` + doc + `")//sec/descendant-or-self::* Score $a using ScoreFoo($a, {"omega"}, {}) Sortby(score)`})
+		return string(b)
+	}
 	for _, shards := range []int{1, 3} {
-		d := shard.New(shard.Options{Shards: shards, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
-		for i, doc := range docs {
-			if err := d.LoadString(fmt.Sprintf("%d.xml", i), doc); err != nil {
+		d := shard.New(shard.Options{Shards: shards, Metrics: metrics.NewRegistry()})
+		for _, doc := range docs {
+			if err := d.LoadString(doc.name, doc.src); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := New(d)
-		h := s.Handler()
 		allocs := func(path, body string, hits int) float64 {
+			h := New(&replayBackend{Backend: d}).Handler()
 			run := func() {
 				w := &discardWriter{h: http.Header{}}
 				r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 				h.ServeHTTP(w, r)
 			}
-			// Check the hit count once, then measure with the reply cached.
+			// Check the hit count once, which also records the search's
+			// answer and warms the pooled reply scratch, then measure.
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 			var out struct{ Results []json.RawMessage }
 			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Results) != hits {
-				t.Fatalf("%s %s: %d results (%v), want %d: %s", path, body, len(out.Results), err, hits, rec.Body.Bytes())
+				t.Fatalf("%s %s: %d results (%v), want %d: %.200s", path, body, len(out.Results), err, hits, rec.Body.Bytes())
 			}
 			return testing.AllocsPerRun(50, run)
 		}
-		for _, c := range []struct{ path, one, many string }{
-			{"/terms", `{"terms":["alpha"],"topK":1}`, `{"terms":["alpha"],"topK":100}`},
-			{"/phrase", `{"phrase":["gamma","delta"]}`, `{"phrase":["alpha","beta"]}`},
+		for _, c := range []struct {
+			path, one, many string
+			manyHits        int
+		}{
+			{"/terms", `{"terms":["alpha"],"topK":1}`, `{"terms":["alpha"],"topK":100}`, 100},
+			{"/phrase", `{"phrase":["gamma","delta"]}`, `{"phrase":["alpha","beta"]}`, 100},
+			{"/query", query("one.xml"), query("big.xml"), 5},
 		} {
 			one := allocs(c.path, c.one, 1)
-			many := allocs(c.path, c.many, 100)
+			many := allocs(c.path, c.many, c.manyHits)
 			if many > one+2 {
-				t.Errorf("%d shards: %s allocates %.1f times for 100 hits, %.1f for 1 hit", shards, c.path, many, one)
+				t.Errorf("%d shards: %s allocates %.1f times for %d hits, %.1f for 1 hit", shards, c.path, many, c.manyHits, one)
 			}
 		}
 	}
+}
+
+// BenchmarkQuery1 measures the paper's Query 1 (Score → Pick → Threshold
+// stop after 5) over bench.Query1DB's 300-article document: "eval" is
+// db.EvalQuery under a guard, as a /query request runs it, and "reply"
+// encodes the five results into a reused encoder as the server writes
+// them — each result's XML appended into the encoder's scratch by
+// xmltree.AppendXML, then quoted by appendString.
+func BenchmarkQuery1(b *testing.B) {
+	d, err := bench.Query1DB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := xq.Parse(bench.Query1Src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := d.Index()
+	eval := func() []xq.Result {
+		rs, err := db.EvalQuery(idx, q, exec.NewGuard(context.Background(), exec.Limits{}), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rs
+	}
+	b.Run("eval", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eval()
+		}
+	})
+	results := eval()
+	b.Run("reply", func(b *testing.B) {
+		b.ReportAllocs()
+		var e replyEncoder
+		for i := 0; i < b.N; i++ {
+			e.b = e.b[:0]
+			e.queryReply(len(results), results)
+		}
+	})
 }

@@ -51,7 +51,8 @@ func refWriteXML(w io.Writer, n *Node, depth int, indent bool) error {
 }
 
 // checkAgainstRef fails unless both indent modes of WriteXML, and
-// XMLString, match the reference writer byte for byte.
+// XMLString, match the reference writer byte for byte, and AppendXML onto
+// a non-empty dst keeps the prefix and appends exactly those bytes.
 func checkAgainstRef(t *testing.T, root *Node) {
 	t.Helper()
 	for _, indent := range []bool{false, true} {
@@ -67,6 +68,13 @@ func checkAgainstRef(t *testing.T, root *Node) {
 		}
 		if indent && XMLString(root) != want.String() {
 			t.Fatalf("XMLString differs from WriteXML:\n got %q\nwant %q", XMLString(root), want.String())
+		}
+		const prefix = "<prefix/>"
+		dst := make([]byte, len(prefix), len(prefix)+1)
+		copy(dst, prefix)
+		appended := AppendXML(dst, root, indent)
+		if string(appended[:len(prefix)]) != prefix || !bytes.Equal(appended[len(prefix):], want.Bytes()) {
+			t.Fatalf("indent=%v: AppendXML onto %q = %q, want the prefix and %q", indent, prefix, appended, want.Bytes())
 		}
 	}
 }

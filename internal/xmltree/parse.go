@@ -1,12 +1,13 @@
 package xmltree
 
 import (
-	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parse reads one XML document from r and returns its numbered tree. If the
@@ -86,22 +87,26 @@ func ParseString(s string) (*Node, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// WriteXML serializes the subtree rooted at n as XML to w, in one Write.
-// Output is indented with two spaces per level when indent is true, up to
-// maxIndentDepth levels.
+// WriteXML serializes the subtree rooted at n as XML to w, in one Write:
+// AppendXML's bytes.
 func WriteXML(w io.Writer, n *Node, indent bool) error {
-	var b bytes.Buffer
-	appendXML(&b, n, 0, indent)
-	_, err := w.Write(b.Bytes())
+	_, err := w.Write(AppendXML(nil, n, indent))
 	return err
 }
 
-// XMLString serializes the subtree rooted at n to an indented string, as
-// WriteXML does with indent set.
+// XMLString serializes the subtree rooted at n to an indented string:
+// AppendXML's bytes with indent set.
 func XMLString(n *Node) string {
-	var b bytes.Buffer
-	appendXML(&b, n, 0, true)
-	return b.String()
+	return string(AppendXML(nil, n, true))
+}
+
+// AppendXML appends the XML serialization of the subtree rooted at n to
+// dst and returns the extended slice. When indent is true each node sits
+// on a line of its own, padded two spaces per level up to maxIndentDepth
+// levels and ended by a newline. It is the package's one XML writer:
+// WriteXML and XMLString wrap it.
+func AppendXML(dst []byte, n *Node, indent bool) []byte {
+	return appendXML(dst, n, 0, indent)
 }
 
 // maxIndentDepth caps indentation: a node deeper than this is padded as a
@@ -111,58 +116,101 @@ const maxIndentDepth = 32
 
 var indentPad = strings.Repeat("  ", maxIndentDepth)
 
-// appendXML writes each node on a line of its own when indenting: padded
-// two spaces per level, up to maxIndentDepth levels, and ended by a
-// newline.
-func appendXML(b *bytes.Buffer, n *Node, depth int, indent bool) {
-	pad := func() {
-		if indent {
-			b.WriteString(indentPad[:2*min(depth, maxIndentDepth)])
-		}
+func appendXML(b []byte, n *Node, depth int, indent bool) []byte {
+	// Grow by doubling, as bytes.Buffer does: append alone grows a large
+	// slice by about a quarter, which for a document of megabytes copies
+	// and allocates about half again as much.
+	if cap(b)-len(b) < 256 {
+		b = slices.Grow(b, len(b)+256)
 	}
-	pad()
+	pad := ""
+	if indent {
+		pad = indentPad[:2*min(depth, maxIndentDepth)]
+	}
+	b = append(b, pad...)
 	if n.Kind == Text {
-		escapeText(b, n.Text)
+		b = escapeText(b, n.Text)
 	} else {
-		b.WriteByte('<')
-		b.WriteString(n.Tag)
+		b = append(b, '<')
+		b = append(b, n.Tag...)
 		for _, a := range n.Attrs {
-			b.WriteByte(' ')
-			b.WriteString(a.Name)
-			b.WriteString(`="`)
-			escapeText(b, a.Value)
-			b.WriteByte('"')
+			b = append(b, ' ')
+			b = append(b, a.Name...)
+			b = append(b, `="`...)
+			b = escapeText(b, a.Value)
+			b = append(b, '"')
 		}
 		if len(n.Children) == 0 {
-			b.WriteString("/>")
+			b = append(b, "/>"...)
 		} else {
-			b.WriteByte('>')
+			b = append(b, '>')
 			if indent {
-				b.WriteByte('\n')
+				b = append(b, '\n')
 			}
 			for _, c := range n.Children {
-				appendXML(b, c, depth+1, indent)
+				b = appendXML(b, c, depth+1, indent)
 			}
-			pad()
-			b.WriteString("</")
-			b.WriteString(n.Tag)
-			b.WriteByte('>')
+			b = append(b, pad...)
+			b = append(b, "</"...)
+			b = append(b, n.Tag...)
+			b = append(b, '>')
 		}
 	}
 	if indent {
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
+	return b
 }
 
-// escapeText writes s escaped as xml.EscapeText does. A string with no
-// byte EscapeText could rewrite — a control character, non-ASCII, or one
-// of &<>"' — is copied as it is.
-func escapeText(b *bytes.Buffer, s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '&' || c == '<' || c == '>' || c == '"' || c == '\'' {
-			_ = xml.EscapeText(b, []byte(s))
-			return
-		}
+// xmlPlain[c] reports whether escapeText copies byte c as it is: an ASCII
+// byte that is neither a control character nor one of &<>"'.
+var xmlPlain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`&<>"'`, rune(c))
 	}
-	b.WriteString(s)
+	return t
+}()
+
+// xmlEscapes[c] is what escapeText writes for an ASCII byte c it does not
+// copy: an entity for &<>"' and the three whitespace controls, U+FFFD for
+// the other control characters, which XML cannot carry.
+var xmlEscapes = func() (t [utf8.RuneSelf]string) {
+	for c := range t {
+		t[c] = "\uFFFD"
+	}
+	for c, e := range map[byte]string{'"': "&#34;", '\'': "&#39;", '&': "&amp;", '<': "&lt;", '>': "&gt;",
+		'\t': "&#x9;", '\n': "&#xA;", '\r': "&#xD;"} {
+		t[c] = e
+	}
+	return t
+}()
+
+// escapeText appends s escaped as xml.EscapeText writes it: the table's
+// escape for each ASCII byte it does not copy, and U+FFFD for each byte of
+// invalid UTF-8 and each rune outside XML's character range.
+func escapeText(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if xmlPlain[c] {
+			i++
+			continue
+		}
+		esc, width := "", 1
+		if c < utf8.RuneSelf {
+			esc = xmlEscapes[c]
+		} else {
+			r, w := utf8.DecodeRuneInString(s[i:])
+			if !(r == utf8.RuneError && w == 1) && (r <= 0xD7FF || r >= 0xE000 && r <= 0xFFFD || r >= 0x10000) {
+				i += w
+				continue
+			}
+			esc, width = "\uFFFD", w
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		i += width
+		last = i
+	}
+	return append(b, s[last:]...)
 }

@@ -3,7 +3,6 @@ package xq
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/index"
@@ -88,10 +87,18 @@ func (e *Engine) run(p *Plan) ([]Result, error) {
 		case opFilter:
 			*cur, err = e.filter(acc, doc, *cur, s.pred)
 		case opPhrase:
-			pf := &exec.PhraseFinder{Index: p.idx, Phrase: s.terms, Guard: e.Guard}
+			// PhraseFinder reads only the bound document's postings, so
+			// matches elsewhere are neither paid for nor charged to
+			// the guard's result budget.
+			tok := p.idx.Tokenizer()
+			lists := make([]index.List, len(s.terms))
+			for j, term := range s.terms {
+				lists[j] = p.idx.List(tok.Normalize(term)).Range(doc.ID, doc.ID+1)
+			}
+			pf := &exec.PhraseFinder{Index: p.idx, Phrase: s.terms, Lists: lists, Guard: e.Guard}
 			var ms []exec.PhraseMatch
 			ms, err = exec.CollectPhrase(pf.Run)
-			p.lists[s.term] = exec.PhrasePostings(ms).Range(doc.ID, doc.ID+1) // the bound document's postings only
+			p.lists[s.term] = exec.PhrasePostings(ms)
 		case opTermJoin:
 			scored, err = e.termJoin(acc, p)
 		case opExpand:
@@ -276,7 +283,18 @@ func directTextOf(acc *storage.Accessor, doc *storage.Document, ord int32) strin
 }
 
 // termJoin scores every element of the bound document containing a
-// pseudo-term, in document order.
+// pseudo-term, in document order, placing each element at its final
+// position as TermJoin emits it (postorder) instead of sorting afterwards.
+// TermJoin pushes an occurrence's whole parent chain, so the scored set is
+// closed under ancestors, and an element's scored predecessors in document
+// order are exactly its ancestors — as many as its depth below the root —
+// and the elements emitted before its own subtree's block. Its rank is
+// therefore where that block starts in the postorder stream plus its
+// depth. The block starts at its first scored child's block, or at the
+// element itself when it has none; pending holds, per depth, the block
+// start of the first emitted element whose parent is not yet emitted,
+// and when an element at depth d is emitted, the pending elements at
+// depth d+1 are exactly its scored children.
 func (e *Engine) termJoin(acc *storage.Accessor, p *Plan) ([]exec.ScoredNode, error) {
 	tj := &exec.TermJoin{
 		Index: p.idx,
@@ -288,30 +306,58 @@ func (e *Engine) termJoin(acc *storage.Accessor, p *Plan) ([]exec.ScoredNode, er
 		},
 		Guard: e.Guard,
 	}
-	scored, err := exec.Collect(tj.Run)
+	var (
+		doc     = p.docs[0]
+		root    = doc.Nodes[0].Level
+		scored  []exec.ScoredNode
+		emitted int32
+		buf     [64]int32
+		pending = buf[:0] // per depth: a block start, -1 for none
+	)
+	err := tj.Run(func(n exec.ScoredNode) {
+		d := int(doc.Nodes[n.Ord].Level - root)
+		for len(pending) < d+2 {
+			pending = append(pending, -1)
+		}
+		start := emitted
+		if c := pending[d+1]; c >= 0 {
+			start, pending[d+1] = c, -1
+		}
+		if pending[d] < 0 {
+			pending[d] = start
+		}
+		emitted++
+		rank := int(start) + d
+		if rank >= len(scored) {
+			scored = slices.Grow(scored, rank+1-len(scored))[:rank+1]
+		}
+		scored[rank] = n
+	})
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(scored, func(a, b exec.ScoredNode) int { return cmp.Compare(a.Ord, b.Ord) })
 	return scored, nil
-}
-
-// window returns the scored elements (document order) in anchor's subtree.
-func window(doc *storage.Document, scored []exec.ScoredNode, anchor int32) []exec.ScoredNode {
-	end := doc.SubtreeEnd(anchor)
-	lo := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= anchor })
-	hi := sort.Search(len(scored), func(i int) bool { return scored[i].Ord >= end })
-	return scored[lo:hi]
 }
 
 // expand returns descendant-or-self::* of each anchor as results: the
 // scored elements of its subtree when the query scores, else every element
-// with a null score.
+// with a null score. Anchors and scored elements are both in document
+// order, so one forward cursor finds each anchor's first scored element,
+// and its subtree's run ends at the first element starting past its
+// region.
 func expand(doc *storage.Document, anchors []int32, scored []exec.ScoredNode, scoring bool) []Result {
 	var out []Result
+	lo := 0
 	for _, a := range anchors {
 		if scoring {
-			for _, n := range window(doc, scored, a) {
+			for lo < len(scored) && scored[lo].Ord < a {
+				lo++
+			}
+			end := doc.Nodes[a].End
+			for _, n := range scored[lo:] {
+				if doc.Nodes[n.Ord].Start > end {
+					break
+				}
 				out = append(out, Result{Doc: doc.ID, Ord: n.Ord, Score: n.Score})
 			}
 			continue
@@ -326,16 +372,25 @@ func expand(doc *storage.Document, anchors []int32, scored []exec.ScoredNode, sc
 }
 
 // pick runs Pick over each anchor's scored elements; one arena, stream
-// buffer and decision logic serve every anchor.
+// buffer and decision logic serve every anchor. As in expand, one forward
+// cursor over the document-ordered scored elements finds each anchor's.
 func (e *Engine) pick(doc *storage.Document, anchors []int32, scored []exec.ScoredNode, threshold float64) ([]Result, error) {
 	var results []Result
 	var arena exec.PickArena
 	var stream []exec.PickNode
 	funcs := exec.DefaultPickFuncs(threshold)
+	lo := 0
 	for _, anchor := range anchors {
+		for lo < len(scored) && scored[lo].Ord < anchor {
+			lo++
+		}
 		stream = stream[:0]
-		for _, n := range window(doc, scored, anchor) {
+		end := doc.Nodes[anchor].End
+		for _, n := range scored[lo:] {
 			rec := doc.Nodes[n.Ord]
+			if rec.Start > end {
+				break
+			}
 			stream = append(stream, exec.PickNode{Ord: n.Ord, Start: rec.Start, End: rec.End, Level: rec.Level, Score: n.Score, HasScore: true})
 		}
 		picked, err := arena.Pick(stream, funcs, e.Guard)

@@ -91,8 +91,9 @@ cover:
 # Ten seconds of coverage-guided fuzzing each over db.Load (corrupted
 # segment snapshots), shard.Load (corrupted sharded containers, the one
 # format the binaries open), postings.FuzzBlockDecode (corrupted block
-# payloads and skip tables), postings.FuzzBatchDecode (batch vs. scalar
-# block decode), postings.FuzzMemtableMerge (merged views over ordered parts —
+# payloads and skip tables), postings.FuzzBatchDecode (an accepted list
+# must be Encode's output for the postings the batch decoder reads),
+# postings.FuzzMemtableMerge (merged views over ordered parts —
 # document-disjoint memtable runs and segments — vs. the flat oracle),
 # rescache.FuzzCacheKey, xmltree.FuzzXMLString (the append-style XML
 # writer vs. the encoding/xml-based reference, plus the parse round trip),

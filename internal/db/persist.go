@@ -106,9 +106,12 @@ func (d *DB) Save(w io.Writer) error {
 		fw.PutString(sw)
 	}
 	fw.PutUvarint(uint64(len(docs)))
+	var xml []byte // one buffer for every document's XML
 	for _, doc := range docs {
 		fw.PutString(doc.Name)
-		fw.PutString(xmltree.XMLString(doc.Root))
+		xml = xmltree.AppendXML(xml[:0], doc.Root, true)
+		fw.PutUvarint(uint64(len(xml)))
+		_, _ = fw.Write(xml)
 	}
 	if idx == nil {
 		_ = fw.WriteByte(0)

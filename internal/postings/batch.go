@@ -6,18 +6,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Batch block decode: the post-validation path every cursor, AppendTo and
-// resident list decodes through.
+// Batch block decode: the one full-block decoder, which every cursor,
+// AppendTo, resident list and NewBlockList's validation decodes through.
 //
-// The scalar decodeBlock makes four separate passes over the block (one per
-// stream) and pays an error check plus a slice re-header (`data[o:]` inside
-// binary.Uvarint) for every varint. After Encode or NewBlockList has proven
-// the block well-formed none of those checks can fire, so this path drops
-// them: one merged loop walks all four streams in lockstep with plain integer
+// One merged loop walks all four streams in lockstep with plain integer
 // offsets, and the varint read is a tiny inlinable helper whose single-byte
 // case — the overwhelming majority of deltas — never leaves the caller's
-// frame. decodeBlock remains the differential oracle; TestBatchDecode and
-// FuzzBatchDecode pin the two byte-identical.
+// frame. It has no error path: NewBlockList proves each stream holds
+// exactly its count of short varints before the first decode, and then
+// that the block is the canonical encoding of what it decoded to.
 
 // uv decodes one uvarint at data[o]. The single-byte case is small enough
 // for the inliner, so hot decode loops pay one bounds check and one compare
@@ -41,26 +38,17 @@ func uvSlow(data []byte, o int) (uint64, int) {
 }
 
 // decodeBlockFast decodes block i into dst in one merged pass over the four
-// streams. It assumes the block has been validated (Encode and NewBlockList
-// guarantee this before a BlockList is published), so structural errors are
-// impossible and range checks collapse to the final int32/uint32 narrowing.
-// A malformed block here is a corrupted-memory-level invariant violation,
+// streams. It assumes the block's framing is sound (Encode writes it so;
+// NewBlockList checks it before decoding), so structural errors are
+// impossible and values are narrowed to int32/uint32 unchecked — the
+// re-encoding NewBlockList does afterwards catches any that wrapped. A
+// malformed block here is a corrupted-memory-level invariant violation,
 // not bad input, and surfaces as a panic from the decoder itself.
 func (b *BlockList) decodeBlockFast(i int, dst []Posting) []Posting {
 	sk := b.skips[i]
 	count := int(sk.End) - b.blockStart(i)
-	data := b.blockBytes(i)
-
-	docLen, n0 := uv(data, 0)
-	nodeLen, n1 := uv(data, n0)
-	posLen, n2 := uv(data, n0+n1)
-	o := n0 + n1 + n2
-	docS := data[o : o+int(docLen)]
-	o += int(docLen)
-	nodeS := data[o : o+int(nodeLen)]
-	o += int(nodeLen)
-	posS := data[o : o+int(posLen)]
-	offS := data[o+int(posLen):]
+	st := b.streams(i)
+	docS, nodeS, posS, offS := st[0], st[1], st[2], st[3]
 
 	base := len(dst)
 	dst = append(dst, make([]Posting, count)...)

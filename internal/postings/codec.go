@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,58 +54,56 @@ type BlockList struct {
 // retained. Encode panics on unsorted input: every caller validates or
 // sorts first, so disorder here is a programming error, not bad data.
 func Encode(ps []Posting) *BlockList {
-	bl := &BlockList{n: len(ps)}
-	if len(ps) == 0 {
-		return bl
-	}
-	var docB, nodeB, posB, offB []byte
+	bl := &BlockList{n: len(ps), nodeFreq: nodeFreqOf(ps)}
+	var w blockWriter
 	for start := 0; start < len(ps); start += BlockSize {
-		end := start + BlockSize
-		if end > len(ps) {
-			end = len(ps)
+		end := min(start+BlockSize, len(ps))
+		if start > 0 && ps[start].Less(ps[start-1]) {
+			panic(fmt.Sprintf("postings: Encode on unsorted input at index %d", start))
 		}
-		blk := ps[start:end]
-		docB, nodeB, posB, offB = docB[:0], nodeB[:0], posB[:0], offB[:0]
-		prev := Posting{Doc: blk[0].Doc}
-		var maxFreq, runFreq uint32
-		for i, p := range blk {
-			if i > 0 && p.Less(prev) {
-				panic(fmt.Sprintf("postings: Encode on unsorted input at index %d", start+i))
-			}
-			docB = binary.AppendUvarint(docB, uint64(p.Doc-prev.Doc))
-			if i == 0 || p.Doc != prev.Doc {
-				nodeB = appendZigzag(nodeB, int64(p.Node))
-				posB = binary.AppendUvarint(posB, uint64(p.Pos))
-				runFreq = 1
-			} else {
-				nodeB = appendZigzag(nodeB, int64(p.Node)-int64(prev.Node))
-				posB = binary.AppendUvarint(posB, uint64(p.Pos-prev.Pos))
-				runFreq++
-			}
-			if runFreq > maxFreq {
-				maxFreq = runFreq
-			}
-			offB = binary.AppendUvarint(offB, uint64(p.Offset))
-			prev = p
-		}
-		bl.skips = append(bl.skips, Skip{
-			FirstDoc: blk[0].Doc,
-			LastDoc:  prev.Doc,
-			LastPos:  prev.Pos,
-			MaxFreq:  maxFreq,
-			Off:      uint32(len(bl.buf)),
-			End:      uint32(end),
-		})
-		bl.buf = binary.AppendUvarint(bl.buf, uint64(len(docB)))
-		bl.buf = binary.AppendUvarint(bl.buf, uint64(len(nodeB)))
-		bl.buf = binary.AppendUvarint(bl.buf, uint64(len(posB)))
-		bl.buf = append(bl.buf, docB...)
-		bl.buf = append(bl.buf, nodeB...)
-		bl.buf = append(bl.buf, posB...)
-		bl.buf = append(bl.buf, offB...)
+		var sk Skip
+		bl.buf, sk = w.appendBlock(bl.buf, ps[start:end])
+		sk.End = uint32(end)
+		bl.skips = append(bl.skips, sk)
 	}
-	bl.nodeFreq = nodeFreqOf(ps)
 	return bl
+}
+
+// blockWriter is the stream scratch appendBlock reuses across blocks.
+type blockWriter struct{ doc, node, pos, off []byte }
+
+// appendBlock appends the payload of blk, one block of sorted postings, to
+// buf, and returns it with the block's skip entry (End left zero). It is
+// the one block encoder: Encode writes with it and NewBlockList checks
+// every restored block against it.
+func (w *blockWriter) appendBlock(buf []byte, blk []Posting) ([]byte, Skip) {
+	doc, node, pos, off := w.doc[:0], w.node[:0], w.pos[:0], w.off[:0]
+	prev := Posting{Doc: blk[0].Doc}
+	var maxFreq, runFreq uint32
+	for i, p := range blk {
+		if p.Less(prev) {
+			panic(fmt.Sprintf("postings: unsorted postings at index %d of a block", i))
+		}
+		doc = binary.AppendUvarint(doc, uint64(p.Doc-prev.Doc))
+		if i == 0 || p.Doc != prev.Doc {
+			node = appendZigzag(node, int64(p.Node))
+			pos = binary.AppendUvarint(pos, uint64(p.Pos))
+			runFreq = 1
+		} else {
+			node = appendZigzag(node, int64(p.Node)-int64(prev.Node))
+			pos = binary.AppendUvarint(pos, uint64(p.Pos-prev.Pos))
+			runFreq++
+		}
+		maxFreq = max(maxFreq, runFreq)
+		off = binary.AppendUvarint(off, uint64(p.Offset))
+		prev = p
+	}
+	w.doc, w.node, w.pos, w.off = doc, node, pos, off
+	sk := Skip{FirstDoc: blk[0].Doc, LastDoc: prev.Doc, LastPos: prev.Pos, MaxFreq: maxFreq, Off: uint32(len(buf))}
+	buf = binary.AppendUvarint(buf, uint64(len(doc)))
+	buf = binary.AppendUvarint(buf, uint64(len(node)))
+	buf = binary.AppendUvarint(buf, uint64(len(pos)))
+	return append(append(append(append(buf, doc...), node...), pos...), off...), sk
 }
 
 // nodeFreqOf counts distinct (doc, node) pairs over a sorted list by run
@@ -125,11 +124,13 @@ func nodeFreqOf(ps []Posting) int {
 
 // NewBlockList reconstitutes a block list from snapshot data: n postings,
 // the skip table, and the concatenated block payloads (adopted, not
-// copied). Every block is structurally checked and fully decoded here —
-// bad counts, offsets, stream lengths, overflowing deltas or disordered
-// postings are rejected — so the lazy cursor decode downstream operates
-// on proven-good bytes. MaxFreq entries are recomputed from the payload
-// rather than trusted.
+// copied). A block is valid only if it is exactly what Encode writes for
+// the postings it decodes to: after the skip table's structure and each
+// block's stream framing are checked, the block is decoded, its postings
+// are checked for (Doc, Pos) order and range, and it is re-encoded and
+// compared byte for byte, with its skip entry. So the lazy cursor decode
+// downstream operates on proven-good bytes. MaxFreq entries are
+// recomputed rather than trusted.
 func NewBlockList(n int, skips []Skip, buf []byte) (*BlockList, error) {
 	if n == 0 {
 		if len(skips) != 0 || len(buf) != 0 {
@@ -161,42 +162,87 @@ func NewBlockList(n int, skips []Skip, buf []byte) (*BlockList, error) {
 		return nil, fmt.Errorf("postings: skip table covers %d of %d postings: %w", prevEnd, n, ErrCorrupt)
 	}
 	bl := &BlockList{buf: buf, skips: skips, n: n}
-	// Full decode validation: the one pass that makes every later decode
-	// infallible. It also recomputes the block-max statistics and the
-	// node frequency, so a tampered skip table cannot skew scoring.
-	var prev Posting
-	first := true
-	dec := make([]Posting, 0, BlockSize)
-	lastDoc := storage.DocID(-1)
-	lastNode := int32(-1)
+	var w blockWriter
+	var enc []byte
+	dec := make([]Posting, 0, min(n, BlockSize))
+	prev := Posting{Doc: -1}
 	for i := range skips {
-		var err error
-		dec, err = bl.decodeBlock(i, dec[:0])
-		if err != nil {
-			return nil, err
+		data, cnt := bl.blockBytes(i), int(skips[i].End)-bl.blockStart(i)
+		// Framing first: with every stream holding exactly cnt short
+		// varints, decodeBlockFast cannot read out of range.
+		s, ok := split(data)
+		if !ok {
+			return nil, fmt.Errorf("postings: block %d stream lengths overrun its %d bytes: %w", i, len(data), ErrCorrupt)
 		}
-		var maxFreq, runFreq uint32
+		for k := range s {
+			if !shortVarints(s[k], cnt) {
+				return nil, fmt.Errorf("postings: block %d stream %d does not hold %d varints: %w", i, k, cnt, ErrCorrupt)
+			}
+		}
+		dec = bl.decodeBlockFast(i, dec[:0])
 		for j, p := range dec {
-			if !first && p.Less(prev) {
-				return nil, fmt.Errorf("postings: block %d posting %d out of (doc, pos) order: %w", i, j, ErrCorrupt)
+			if p.Less(prev) || p.Doc < 0 || p.Doc == math.MaxInt32 || p.Node < 0 {
+				return nil, fmt.Errorf("postings: block %d posting %d out of (doc, pos) order or range: %w", i, j, ErrCorrupt)
 			}
-			if j == 0 || p.Doc != prev.Doc {
-				runFreq = 1
-			} else {
-				runFreq++
-			}
-			if runFreq > maxFreq {
-				maxFreq = runFreq
-			}
-			if p.Doc != lastDoc || p.Node != lastNode {
+			if p.Doc != prev.Doc || p.Node != prev.Node {
 				bl.nodeFreq++
-				lastDoc, lastNode = p.Doc, p.Node
 			}
-			prev, first = p, false
+			prev = p
 		}
-		skips[i].MaxFreq = maxFreq
+		// Canonical re-encoding: overflowing gaps, values that wrapped when
+		// narrowed, padded varints, a nonzero first gap and a wrong last
+		// document or position all change the bytes or the skip entry.
+		var sk Skip
+		enc, sk = w.appendBlock(enc[:0], dec)
+		if want := skips[i]; !bytes.Equal(enc, data) || sk.FirstDoc != want.FirstDoc || sk.LastDoc != want.LastDoc || sk.LastPos != want.LastPos {
+			return nil, fmt.Errorf("postings: block %d is not the encoding of the postings it decodes to: %w", i, ErrCorrupt)
+		}
+		skips[i].MaxFreq = sk.MaxFreq
 	}
 	return bl, nil
+}
+
+// split cuts a block payload into its four streams after the three
+// stream-length headers, reporting false when a header is malformed or the
+// streams overrun the payload.
+func split(data []byte) (s [4][]byte, ok bool) {
+	var lens [3]uint64
+	o := 0
+	for k := range lens {
+		v, n := binary.Uvarint(data[o:])
+		if n <= 0 {
+			return s, false
+		}
+		lens[k], o = v, o+n
+	}
+	for k, l := range lens {
+		if l > uint64(len(data)-o) {
+			return s, false
+		}
+		s[k], o = data[o:o+int(l)], o+int(l)
+	}
+	s[3] = data[o:]
+	return s, true
+}
+
+// streams returns the four streams of validated block i.
+func (b *BlockList) streams(i int) [4][]byte {
+	s, _ := split(b.blockBytes(i))
+	return s
+}
+
+// shortVarints reports whether s is exactly n uvarints of at most five
+// bytes each, the widest a 32-bit value needs.
+func shortVarints(s []byte, n int) bool {
+	run := 0
+	for _, c := range s {
+		if c < 0x80 {
+			n, run = n-1, 0
+		} else if run++; run == 5 {
+			return false
+		}
+	}
+	return n == 0 && run == 0
 }
 
 // Len returns the number of postings (nil-safe).
@@ -287,150 +333,13 @@ func (b *BlockList) blockFor(i int) int {
 	return lo
 }
 
-// decodeBlock decodes block i's four streams into dst, returning the
-// extended slice. All structural and range errors are reported; after
-// NewBlockList/Encode has validated the list, decode cannot fail.
-func (b *BlockList) decodeBlock(i int, dst []Posting) ([]Posting, error) {
-	sk := b.skips[i]
-	count := int(sk.End) - b.blockStart(i)
-	data := b.blockBytes(i)
-	o := 0
-	var lens [3]int
-	for s := range lens {
-		v, n, err := uvarintAt(data, o, i)
-		if err != nil {
-			return nil, err
-		}
-		if v > uint64(len(data)) {
-			return nil, fmt.Errorf("postings: block %d stream %d length %d exceeds %d payload bytes: %w", i, s, v, len(data), ErrCorrupt)
-		}
-		lens[s], o = int(v), o+n
-	}
-	if rem := len(data) - o; lens[0]+lens[1]+lens[2] > rem {
-		return nil, fmt.Errorf("postings: block %d streams need %d of %d remaining bytes: %w", i, lens[0]+lens[1]+lens[2], rem, ErrCorrupt)
-	}
-	docS := data[o : o+lens[0]]
-	nodeS := data[o+lens[0] : o+lens[0]+lens[1]]
-	posS := data[o+lens[0]+lens[1] : o+lens[0]+lens[1]+lens[2]]
-	offS := data[o+lens[0]+lens[1]+lens[2]:]
-
-	base := len(dst)
-	dst = append(dst, make([]Posting, count)...)
-	out := dst[base:]
-
-	// Document stream: cumulative gaps from FirstDoc; the first gap must
-	// be zero so FirstDoc is authoritative.
-	doc := uint64(sk.FirstDoc)
-	if sk.FirstDoc < 0 || sk.FirstDoc > sk.LastDoc {
-		return nil, fmt.Errorf("postings: block %d document range [%d, %d] invalid: %w", i, sk.FirstDoc, sk.LastDoc, ErrCorrupt)
-	}
-	o = 0
-	for j := 0; j < count; j++ {
-		gap, n, err := uvarintAt(docS, o, i)
-		if err != nil {
-			return nil, err
-		}
-		o += n
-		if j == 0 && gap != 0 {
-			return nil, fmt.Errorf("postings: block %d first document gap %d (want 0): %w", i, gap, ErrCorrupt)
-		}
-		doc += gap
-		// Stay clear of the DocID ceiling so doc+1 range bounds cannot
-		// overflow downstream.
-		if doc >= math.MaxInt32 {
-			return nil, fmt.Errorf("postings: block %d document id %d overflows: %w", i, doc, ErrCorrupt)
-		}
-		out[j].Doc = storage.DocID(doc)
-	}
-	if o != len(docS) {
-		return nil, fmt.Errorf("postings: block %d document stream has %d trailing bytes: %w", i, len(docS)-o, ErrCorrupt)
-	}
-	if out[count-1].Doc != sk.LastDoc {
-		return nil, fmt.Errorf("postings: block %d ends at document %d, skip says %d: %w", i, out[count-1].Doc, sk.LastDoc, ErrCorrupt)
-	}
-
-	// Node stream: absolute on document change, signed delta within a run.
-	o = 0
-	node := int64(0)
-	for j := 0; j < count; j++ {
-		d, n, err := zigzagAt(nodeS, o, i)
-		if err != nil {
-			return nil, err
-		}
-		o += n
-		if j == 0 || out[j].Doc != out[j-1].Doc {
-			node = d
-		} else {
-			node += d
-		}
-		if node < 0 || node > math.MaxInt32 {
-			return nil, fmt.Errorf("postings: block %d node ordinal %d overflows: %w", i, node, ErrCorrupt)
-		}
-		out[j].Node = int32(node)
-	}
-	if o != len(nodeS) {
-		return nil, fmt.Errorf("postings: block %d node stream has %d trailing bytes: %w", i, len(nodeS)-o, ErrCorrupt)
-	}
-
-	// Position stream: absolute on document change, gap within a run.
-	o = 0
-	pos := uint64(0)
-	for j := 0; j < count; j++ {
-		v, n, err := uvarintAt(posS, o, i)
-		if err != nil {
-			return nil, err
-		}
-		o += n
-		if j == 0 || out[j].Doc != out[j-1].Doc {
-			pos = v
-		} else {
-			pos += v
-		}
-		if pos > math.MaxUint32 {
-			return nil, fmt.Errorf("postings: block %d position %d overflows: %w", i, pos, ErrCorrupt)
-		}
-		out[j].Pos = uint32(pos)
-	}
-	if o != len(posS) {
-		return nil, fmt.Errorf("postings: block %d position stream has %d trailing bytes: %w", i, len(posS)-o, ErrCorrupt)
-	}
-	if out[count-1].Pos != sk.LastPos {
-		return nil, fmt.Errorf("postings: block %d ends at position %d, skip says %d: %w", i, out[count-1].Pos, sk.LastPos, ErrCorrupt)
-	}
-
-	// Offset stream: raw uvarints, must consume the rest exactly.
-	o = 0
-	for j := 0; j < count; j++ {
-		v, n, err := uvarintAt(offS, o, i)
-		if err != nil {
-			return nil, err
-		}
-		o += n
-		if v > math.MaxUint32 {
-			return nil, fmt.Errorf("postings: block %d offset %d overflows: %w", i, v, ErrCorrupt)
-		}
-		out[j].Offset = uint32(v)
-	}
-	if o != len(offS) {
-		return nil, fmt.Errorf("postings: block %d offset stream has %d trailing bytes: %w", i, len(offS)-o, ErrCorrupt)
-	}
-	return dst, nil
-}
-
 // decodeDocs decodes only block i's document stream, appending one DocID
 // per posting to dst — the cheap scan top-k counting and range boundary
 // resolution use.
 func (b *BlockList) decodeDocs(i int, dst []storage.DocID) []storage.DocID {
 	sk := b.skips[i]
 	count := int(sk.End) - b.blockStart(i)
-	data := b.blockBytes(i)
-	// Skip the three stream-length headers; the doc stream follows them.
-	// The block is validated, so the unchecked reader is safe here.
-	docLen, n0 := uv(data, 0)
-	_, n1 := uv(data, n0)
-	_, n2 := uv(data, n0+n1)
-	hdr := n0 + n1 + n2
-	docS := data[hdr : hdr+int(docLen)]
+	docS := b.streams(i)[0]
 	o := 0
 	doc := uint64(sk.FirstDoc)
 	for j := 0; j < count; j++ {
@@ -488,26 +397,4 @@ func (b *BlockList) docCounts(lo, hi storage.DocID, from, to int, fn func(doc st
 // appendZigzag appends v in zigzag varint encoding.
 func appendZigzag(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
-}
-
-// uvarintAt reads one uvarint from data at offset o, reporting block for
-// error context.
-func uvarintAt(data []byte, o, block int) (uint64, int, error) {
-	if o >= len(data) {
-		return 0, 0, fmt.Errorf("postings: block %d truncated at byte %d: %w", block, o, ErrCorrupt)
-	}
-	v, n := binary.Uvarint(data[o:])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("postings: block %d malformed varint at byte %d: %w", block, o, ErrCorrupt)
-	}
-	return v, n, nil
-}
-
-// zigzagAt reads one zigzag-encoded signed varint.
-func zigzagAt(data []byte, o, block int) (int64, int, error) {
-	u, n, err := uvarintAt(data, o, block)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), n, nil
 }

@@ -106,18 +106,21 @@ func (c *Cursor) seek(doc storage.DocID, pos uint32) {
 		return
 	}
 	skips := c.bl.skips
-	// First block, at or after the one holding c.i, whose final posting
-	// is not before the target — found on the skip table alone.
-	lo, hi := c.bl.blockFor(c.i), len(skips)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		sk := skips[mid]
-		if sk.LastDoc < doc || (sk.LastDoc == doc && sk.LastPos < pos) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	before := func(k int) bool {
+		return skips[k].LastDoc < doc || (skips[k].LastDoc == doc && skips[k].LastPos < pos)
 	}
+	// First block, at or after the one holding c.i, whose final posting
+	// is not before the target — found on the skip table alone, galloping
+	// forward from the cursor's block and then binary-searching the bracket.
+	lo := c.blk
+	if lo < 0 || c.i >= c.base+len(c.dec) {
+		lo = c.bl.blockFor(c.i)
+	}
+	hi := lo
+	for step := 1; hi < len(skips) && before(hi); step <<= 1 {
+		lo, hi = hi+1, min(hi+step, len(skips))
+	}
+	lo += sort.Search(hi-lo, func(k int) bool { return !before(lo + k) })
 	if lo == len(skips) {
 		c.i = c.hi
 		return

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,60 +75,14 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o := 0
-		readUv := func() (uint64, bool) {
-			if o >= len(data) {
-				return 0, false
-			}
-			v, n := binary.Uvarint(data[o:])
-			if n <= 0 {
-				return 0, false
-			}
-			o += n
-			return v, true
-		}
-		nPost, ok := readUv()
-		if !ok || nPost > 1<<20 {
-			return
-		}
-		nBlocks, ok := readUv()
-		// A real table needs at least one posting per block; anything the
-		// input cannot back with bytes is not worth allocating for.
-		if !ok || nBlocks > nPost || nBlocks > uint64(len(data)) {
-			return
-		}
-		skips := make([]Skip, 0, nBlocks)
-		for i := uint64(0); i < nBlocks; i++ {
-			var vs [6]uint64
-			for j := range vs {
-				v, ok := readUv()
-				if !ok {
-					return
-				}
-				vs[j] = v
-			}
-			skips = append(skips, Skip{
-				FirstDoc: storage.DocID(int32(vs[0])),
-				LastDoc:  storage.DocID(int32(vs[1])),
-				LastPos:  uint32(vs[2]),
-				MaxFreq:  uint32(vs[3]),
-				Off:      uint32(vs[4]),
-				End:      uint32(vs[5]),
-			})
-		}
-		payload := data[o:]
-
-		bl, err := NewBlockList(int(nPost), skips, payload)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("rejection not marked ErrCorrupt: %v", err)
-			}
+		bl := parseFuzzBlockList(t, data)
+		if bl == nil {
 			return
 		}
 		// Accepted: every downstream decode must agree with itself.
 		ps := bl.All().Materialize()
-		if len(ps) != int(nPost) {
-			t.Fatalf("accepted list materializes %d of %d postings", len(ps), nPost)
+		if len(ps) != bl.Len() {
+			t.Fatalf("accepted list materializes %d of %d postings", len(ps), bl.Len())
 		}
 		for i := 1; i < len(ps); i++ {
 			if ps[i].Less(ps[i-1]) {
@@ -174,9 +129,10 @@ func FuzzBlockDecode(f *testing.F) {
 	})
 }
 
-// parseFuzzBlockList decodes the FuzzBlockDecode input format into a
-// validated BlockList, or nil if the bytes are rejected (shared by the
-// decode and batch-differential fuzz targets).
+// parseFuzzBlockList decodes the FuzzBlockDecode input format — a posting
+// count, a block count, six uvarints per skip entry, then the payload —
+// into a validated BlockList, or nil if the bytes are rejected (shared by
+// FuzzBlockDecode and FuzzBatchDecode).
 func parseFuzzBlockList(t *testing.T, data []byte) *BlockList {
 	o := 0
 	readUv := func() (uint64, bool) {
@@ -195,6 +151,8 @@ func parseFuzzBlockList(t *testing.T, data []byte) *BlockList {
 		return nil
 	}
 	nBlocks, ok := readUv()
+	// A real table needs at least one posting per block; anything the
+	// input cannot back with bytes is not worth allocating for.
 	if !ok || nBlocks > nPost || nBlocks > uint64(len(data)) {
 		return nil
 	}
@@ -227,10 +185,11 @@ func parseFuzzBlockList(t *testing.T, data []byte) *BlockList {
 	return bl
 }
 
-// FuzzBatchDecode is the batch-vs-scalar differential: any list NewBlockList
-// accepts must decode byte-identically through the batch fast path
-// (decodeBlockFast) and the scalar oracle (decodeBlock), block by block,
-// and the doc-only scan must agree with the doc column.
+// FuzzBatchDecode holds the one block decoder, decodeBlockFast, to Encode:
+// any list NewBlockList accepts must be exactly what Encode writes for the
+// postings decodeBlockFast reads out of it, block by block (payload, skip
+// table with MaxFreq, and NodeFreq), and the doc-only scan must agree with
+// the decoded doc column.
 func FuzzBatchDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 3, BlockSize, 2*BlockSize + 7, 5 * BlockSize} {
@@ -242,27 +201,27 @@ func FuzzBatchDecode(f *testing.F) {
 		if bl == nil || bl.Len() == 0 {
 			return
 		}
-		var scalar, batch []Posting
+		var ps, blk []Posting
 		var docs []storage.DocID
 		for i := 0; i < bl.NumBlocks(); i++ {
-			var err error
-			scalar, err = bl.decodeBlock(i, scalar[:0])
-			if err != nil {
-				t.Fatalf("scalar decode failed on accepted block %d: %v", i, err)
-			}
-			batch = bl.decodeBlockFast(i, batch[:0])
-			if !reflect.DeepEqual(batch, scalar) {
-				t.Fatalf("block %d: batch decode differs from scalar\n got %v\nwant %v", i, batch, scalar)
-			}
+			blk = bl.decodeBlockFast(i, blk[:0])
+			ps = append(ps, blk...)
 			docs = bl.decodeDocs(i, docs[:0])
-			if len(docs) != len(scalar) {
-				t.Fatalf("block %d: decodeDocs returned %d of %d docs", i, len(docs), len(scalar))
+			if len(docs) != len(blk) {
+				t.Fatalf("block %d: decodeDocs returned %d of %d docs", i, len(docs), len(blk))
 			}
 			for j := range docs {
-				if docs[j] != scalar[j].Doc {
-					t.Fatalf("block %d doc %d: decodeDocs %d, scalar %d", i, j, docs[j], scalar[j].Doc)
+				if docs[j] != blk[j].Doc {
+					t.Fatalf("block %d doc %d: decodeDocs %d, batch %d", i, j, docs[j], blk[j].Doc)
 				}
 			}
+		}
+		re := Encode(ps)
+		if !bytes.Equal(re.Payload(), bl.Payload()) || !reflect.DeepEqual(re.Skips(), bl.Skips()) {
+			t.Fatalf("accepted list is not Encode's output for its postings:\n skips %v\n want %v", bl.Skips(), re.Skips())
+		}
+		if re.NodeFreq() != bl.NodeFreq() {
+			t.Fatalf("NodeFreq %d, Encode says %d", bl.NodeFreq(), re.NodeFreq())
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -39,6 +40,10 @@ func genList(r *rand.Rand, n int) []Posting {
 func roundtrip(t *testing.T, ps []Posting) *BlockList {
 	t.Helper()
 	bl := Encode(ps)
+	// Whatever Encode writes, the load validator must accept.
+	if _, err := NewBlockList(bl.Len(), append([]Skip(nil), bl.Skips()...), bl.Payload()); err != nil {
+		t.Fatalf("NewBlockList rejects Encode's output: %v", err)
+	}
 	got := bl.All().Materialize()
 	if len(got) == 0 && len(ps) == 0 {
 		return bl
@@ -87,12 +92,22 @@ func TestEncodeSingleDocManyBlocks(t *testing.T) {
 }
 
 func TestEncodePanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Encode on unsorted input did not panic")
-		}
-	}()
-	Encode([]Posting{{Doc: 2, Pos: 1}, {Doc: 1, Pos: 9}})
+	// Disorder inside a block, and across a block boundary.
+	across := make([]Posting, BlockSize+1)
+	for i := range across {
+		across[i] = Posting{Doc: storage.DocID(i)}
+	}
+	across[BlockSize].Doc = 0
+	for _, ps := range [][]Posting{{{Doc: 2, Pos: 1}, {Doc: 1, Pos: 9}}, across} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Encode on unsorted input of %d postings did not panic", len(ps))
+				}
+			}()
+			Encode(ps)
+		}()
+	}
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
@@ -197,6 +212,28 @@ func TestNewBlockListRejectsCorruption(t *testing.T) {
 			b[len(b)/2] ^= 0xFF
 			return n, s, b
 		}},
+		{"zero-padded varint", func(n int, s []Skip, b []byte) (int, []Skip, []byte) {
+			// Block 0's first document gap, 0x00, written as 0x80 0x00:
+			// the same value in a byte more, with the doc stream's length
+			// header and the later blocks' offsets moved to match.
+			docLen, h0 := binary.Uvarint(b)
+			_, h1 := binary.Uvarint(b[h0:])
+			_, h2 := binary.Uvarint(b[h0+h1:])
+			blk := binary.AppendUvarint(nil, docLen+1)
+			blk = append(append(blk, b[h0:h0+h1+h2]...), 0x80)
+			blk = append(blk, b[h0+h1+h2:s[1].Off]...)
+			rest, grow := b[s[1].Off:], uint32(len(blk))-s[1].Off
+			for i := 1; i < len(s); i++ {
+				s[i].Off += grow
+			}
+			return n, s, append(blk, rest...)
+		}},
+		{"negative node", func(int, []Skip, []byte) (int, []Skip, []byte) {
+			bad := append([]Posting(nil), ps...)
+			bad[BlockSize+1].Node = -1
+			e := Encode(bad)
+			return e.Len(), e.Skips(), e.Payload()
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,9 +258,15 @@ func TestNewBlockListRejectsCorruption(t *testing.T) {
 // an identical randomized sequence of Advance and SeekPos operations and
 // requires byte-identical observations throughout.
 func TestCursorMatchesRaw(t *testing.T) {
-	for seed := int64(10); seed < 30; seed++ {
+	for seed := int64(10); seed <= 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(4 * BlockSize)
+		// The last seed seeks far ahead on a long list, so the skip-table
+		// gallop crosses many blocks at a time.
+		far := seed == 30
+		if far {
+			n = 64 * BlockSize
+		}
 		ps := genList(r, n)
 		bl := Encode(ps)
 		cb := bl.All().Cursor()
@@ -250,6 +293,9 @@ func TestCursorMatchesRaw(t *testing.T) {
 			}
 			if r.Intn(3) == 0 {
 				d := storage.DocID(r.Intn(int(maxDoc) + 1))
+				if far {
+					d = cr.Cur().Doc + storage.DocID(r.Intn(1<<r.Intn(12)))
+				}
 				p := uint32(r.Intn(600))
 				cb.SeekPos(d, p)
 				cr.SeekPos(d, p)

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/storage"
@@ -45,17 +46,7 @@ func (b *BlockList) MaybeResident() bool {
 	// Distinct-document count from the doc streams alone — cheap enough to
 	// probe every candidate without committing to a full decode.
 	distinct := 0
-	prev := storage.DocID(-1)
-	var docs []storage.DocID
-	for i := range b.skips {
-		docs = b.decodeDocs(i, docs[:0])
-		for _, d := range docs {
-			if d != prev {
-				distinct++
-				prev = d
-			}
-		}
-	}
+	_ = b.All().DocCounts(0, math.MaxInt32, func(storage.DocID, int) error { distinct++; return nil })
 	span := int64(b.skips[len(b.skips)-1].LastDoc-b.skips[0].FirstDoc) + 1
 	if span > int64(distinct)*ResidentMaxSpread {
 		return false

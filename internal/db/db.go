@@ -2,8 +2,8 @@
 // the stand-in for the Timber system the paper ran on. A segment owns a
 // node store, its tokenizer, the live inverted index, document mutation
 // and its snapshot format (Save/Load), and renders result labels. The free
-// functions EvalQuery, SearchTerms and SearchTwig evaluate the paper's
-// query families over one index snapshot.
+// functions EvalQuery and SearchTerms evaluate the paper's query families
+// over one index snapshot.
 //
 // Queries are served one layer up, by the sharded facade (internal/shard),
 // which runs those free functions over every segment and owns the result
@@ -424,40 +424,4 @@ func (d *DB) Render(dst []string, nodes []exec.ScoredNode) []string {
 		dst = append(dst, v.Label(n.Doc, n.Ord))
 	}
 	return dst
-}
-
-// TwigRef identifies one twig-match root element by position: the loaded
-// document and the element's start ordinal within it. Refs are comparable
-// across database instances holding the same documents — the identity the
-// differential test suites (and the sharded facade) join on.
-type TwigRef struct {
-	Doc storage.DocID
-	Ord int32
-}
-
-// SearchTwig runs the holistic twig join over every live document of an
-// index snapshot under guard, adding the evaluation's store traffic to
-// stats when it is non-nil, and returns the pattern root's bindings as
-// refs, deduplicated, in document order. Tombstoned documents are not in
-// the snapshot, so they never match.
-func SearchTwig(idx *index.Index, pattern *exec.TwigNode, guard *exec.Guard, stats *storage.AccessStats) ([]TwigRef, error) {
-	var out []TwigRef
-	for _, doc := range idx.Docs() {
-		ts := &exec.TwigStack{Store: idx.Store(), Doc: doc.ID, Root: pattern, Guard: guard}
-		matches, terr := ts.Run()
-		addStats(stats, ts)
-		if terr != nil {
-			return nil, terr
-		}
-		seen := map[int32]bool{}
-		for _, m := range matches {
-			root := m[0]
-			if seen[root] {
-				continue
-			}
-			seen[root] = true
-			out = append(out, TwigRef{Doc: doc.ID, Ord: root})
-		}
-	}
-	return out, nil
 }

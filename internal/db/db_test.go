@@ -9,10 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/fixture"
 	"repro/internal/storage"
-	"repro/internal/xmltree"
 )
 
 func newFixtureDB(t testing.TB) *DB {
@@ -114,50 +112,6 @@ func TestPhraseSearchAndMaterialize(t *testing.T) {
 	n := storage.NewAccessor(d.Store()).Materialize(ms[0].Doc, ms[0].Node)
 	if n == nil || !strings.Contains(strings.ToLower(n.AllText()), "information retrieval") {
 		t.Errorf("materialized node does not contain the phrase: %v", n)
-	}
-}
-
-// twigSearch runs the holistic twig join over d's snapshot and returns
-// the pattern root's bindings as subtrees, in document order.
-func twigSearch(d *DB, pattern *exec.TwigNode) ([]*xmltree.Node, error) {
-	refs, err := SearchTwig(d.Index(), pattern, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*xmltree.Node, 0, len(refs))
-	for _, ref := range refs {
-		out = append(out, d.Store().Doc(ref.Doc).TreeNode(ref.Ord))
-	}
-	return out, nil
-}
-
-func TestTwigSearch(t *testing.T) {
-	d := newFixtureDB(t)
-	// Articles that have both an author with an sname and a paragraph.
-	got, err := twigSearch(d, exec.Twig("article",
-		exec.Twig("author", exec.Twig("sname")),
-		exec.Twig("p")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Tag != "article" {
-		t.Fatalf("twig results = %v", got)
-	}
-	// Chapters directly containing a ct child.
-	got, err = twigSearch(d, exec.Twig("chapter", exec.TwigChild("ct")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("chapter/ct = %d, want 3", len(got))
-	}
-	// No match across documents mixes nothing up.
-	got, err = twigSearch(d, exec.Twig("review", exec.Twig("sname")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 { // review 1 has reviewer/sname
-		t.Errorf("review//sname = %d, want 1", len(got))
 	}
 }
 

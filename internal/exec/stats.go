@@ -39,9 +39,6 @@ func (g *GenMeet) AccessStats() storage.AccessStats { return accStats(g.Acc) }
 // AccessStats reports the store traffic of the last Run.
 func (c *Comp3) AccessStats() storage.AccessStats { return accStats(c.Acc) }
 
-// AccessStats reports the store traffic of the last Run.
-func (t *TwigStack) AccessStats() storage.AccessStats { return t.Stats }
-
 // AccessStats is zero by construction: PhraseFinder verifies adjacency
 // from word offsets during posting intersection and never reads the store.
 func (p *PhraseFinder) AccessStats() storage.AccessStats { return storage.AccessStats{} }

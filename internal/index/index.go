@@ -174,8 +174,8 @@ func (idx *Index) Generation() uint64 { return idx.gen }
 
 // Docs returns the documents visible to this index snapshot, in DocID
 // order: the store's table capped at the snapshot's document count, with
-// tombstoned documents removed. Operators that walk the corpus (twig
-// matching, composite baselines) iterate these so deleted documents
+// tombstoned documents removed. Operators that walk the corpus (the
+// composite and meet baselines) iterate these so deleted documents
 // vanish from their results too.
 func (idx *Index) Docs() []*storage.Document {
 	var docs []*storage.Document

@@ -194,39 +194,6 @@ func TestShardedPhraseMatchesUnsharded(t *testing.T) {
 	}
 }
 
-func TestShardedTwigMatchesUnsharded(t *testing.T) {
-	names, roots := corpusDocs(t, 6, 123)
-	oracle := newOracle(t, names, roots)
-	patterns := []*exec.TwigNode{
-		exec.Twig("article", exec.Twig("snm")),
-		exec.Twig("sec", exec.Twig("p")),
-	}
-	for pi, pattern := range patterns {
-		want, err := db.SearchTwig(oracle.Index(), pattern, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("pattern %d: oracle found no twig matches", pi)
-		}
-		for _, n := range equivShardCounts {
-			s := newSharded(t, n, ByHash, names, roots)
-			got, err := s.TwigRefsContext(context.Background(), pattern)
-			if err != nil {
-				t.Fatalf("pattern %d shards=%d: %v", pi, n, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pattern %d shards=%d: %d refs, want %d", pi, n, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("pattern %d shards=%d: ref %d = %+v, want %+v", pi, n, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // queryFor builds the full query pipeline (Score, Pick, Sortby, Threshold)
 // against one document — the per-document-routed family the facade
 // supports.
@@ -526,35 +493,4 @@ func liveCorpus(t *testing.T) (mono *DB, sharded map[string]*DB) {
 func TestPrunedTermSearchOnLiveSnapshot(t *testing.T) {
 	mono, sharded := liveCorpus(t)
 	checkTermCases(t, "live", mono, sharded)
-}
-
-// TestShardedTwigOnLiveSnapshot holds every facade's twig search on the
-// live corpus to the segment oracle: the deleted document must not match.
-func TestShardedTwigOnLiveSnapshot(t *testing.T) {
-	mono, sharded := liveCorpus(t)
-	sharded["shards=1"] = mono
-	pattern := exec.Twig("article", exec.Twig("p"))
-	want, err := db.SearchTwig(mono.Segment(0).Index(), pattern, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ref := range want {
-		if ref.Doc == 2 {
-			t.Fatalf("oracle matched the deleted document: %+v", ref)
-		}
-	}
-	for name, s := range sharded {
-		got, err := s.TwigRefsContext(context.Background(), pattern)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d refs, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: ref %d = %+v, want %+v", name, i, got[i], want[i])
-			}
-		}
-	}
 }

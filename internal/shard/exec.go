@@ -230,45 +230,6 @@ func (s *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exe
 	return ms, nil
 }
 
-// TwigRefsContext runs the holistic twig join per shard in parallel and
-// returns the deduplicated pattern-root bindings in global document
-// order, as db.TwigRef values carrying global document ids.
-func (s *DB) TwigRefsContext(ctx context.Context, pattern *exec.TwigNode) (out []db.TwigRef, err error) {
-	start := time.Now()
-	per := make([][]db.TwigRef, len(s.segs))
-	stats := make([]storage.AccessStats, len(s.segs))
-	defer func() {
-		var total storage.AccessStats
-		for _, st := range stats {
-			total.Add(st)
-		}
-		s.observe(opTwig, start, len(out), total, err)
-	}()
-	defer recoverPanic(&err)
-	cctx, cancel := fanoutCtx(ctx)
-	defer cancel()
-	guard := exec.NewGuard(cctx, s.opts.Limits)
-	err = s.runShards(opTwig, cancel, func(i int, seg *db.DB) error {
-		// Over the segment's snapshot, so tombstoned documents never match;
-		// the id table is read after it and covers every document it names.
-		refs, rerr := db.SearchTwig(seg.Index(), pattern, guard, &stats[i])
-		if rerr != nil {
-			return rerr
-		}
-		ids := s.globalIDs(i)
-		for j := range refs {
-			refs[j].Doc = ids[refs[j].Doc]
-		}
-		per[i] = refs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = mergeTwigRefs(per)
-	return out, nil
-}
-
 // ErrCrossShard reports an extended-XQuery query whose document() clauses
 // resolve to more than one shard; the join shapes evaluate inside a
 // single store, so such queries must be routed to a co-resident layout

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"repro/internal/db"
 	"repro/internal/exec"
 )
 
@@ -69,14 +68,5 @@ func mergePhrase(runs [][]exec.PhraseMatch) []exec.PhraseMatch {
 			return a.Pos < b.Pos
 		}
 		return a.Node < b.Node
-	})
-}
-
-// mergeTwigRefs merges twig-match runs by global document order. A
-// document lives wholly in one shard, so comparing by document alone
-// preserves each document's internal match order unchanged.
-func mergeTwigRefs(runs [][]db.TwigRef) []db.TwigRef {
-	return kwayMerge(runs, func(a, b db.TwigRef) bool {
-		return a.Doc < b.Doc
 	})
 }

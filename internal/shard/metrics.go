@@ -10,7 +10,7 @@ import (
 )
 
 // Per-operation metric families recorded by the facade. Every engine entry
-// point (query, explain, terms, phrase, twig) records under its op label,
+// point (query, explain, terms, phrase) records under its op label,
 // routing or parse errors included. Reply-cache hits are answered by the
 // server and never reach the facade, so they are not counted here; the
 // HTTP middleware's tix_http_requests_total counts every request:
@@ -59,7 +59,6 @@ const (
 	opExplain = "explain"
 	opTerms   = "terms"
 	opPhrase  = "phrase"
-	opTwig    = "twig"
 
 	opAdd    = "add"
 	opUpdate = "update"

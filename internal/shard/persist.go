@@ -16,7 +16,8 @@ import (
 //
 //	magic    "TIXSHD1\n"
 //	layout   strategy byte, uvarint shard count
-//	docs     uvarint count; per doc (global order): name, uvarint shard
+//	docs     uvarint count; per live document, in global order: name,
+//	         uvarint shard
 //	segments per shard: uvarint byte length, then a complete segment
 //	         snapshot (db.Save output — TIXDB2 with block-compressed
 //	         postings and its own "TIXSUM1\n"+CRC32 trailer intact)
@@ -41,21 +42,54 @@ var ErrCorruptSnapshot = errors.New("shard: corrupt sharded database file")
 // allocations.
 const maxShards = 1 << 16
 
-// Save writes the sharded database — layout, document placement, and one
-// complete db.Save snapshot per segment — to w, followed by the container
-// integrity trailer. It is the only snapshot writer the binaries use.
+// liveDoc is one live document: its global id and where its segment
+// holds it.
+type liveDoc struct {
+	gid   storage.DocID
+	shard int
+	local storage.DocID
+}
+
+// liveDocsLocked lists the documents each segment saves: its locals in
+// order, minus those it holds as deleted (superseded versions included),
+// merged across segments by global id with each segment's order kept, as
+// Load's placement check needs. A never-mutated facade lists every global
+// id in ascending order. Caller holds s.mu.
+func (s *DB) liveDocsLocked() []liveDoc {
+	per := make([][]liveDoc, len(s.segs))
+	for i, seg := range s.segs {
+		for local, gid := range s.globalOf[i] {
+			if !seg.IsDeleted(storage.DocID(local)) {
+				per[i] = append(per[i], liveDoc{gid: gid, shard: i, local: storage.DocID(local)})
+			}
+		}
+	}
+	return kwayMerge(per, func(a, b liveDoc) bool { return a.gid < b.gid })
+}
+
+// Save writes the sharded database — layout, the placement of every live
+// document, and one complete db.Save snapshot per segment — to w,
+// followed by the container integrity trailer. It is the only snapshot
+// writer the binaries use. It holds the routing lock throughout, so a
+// concurrent Add, Update or Delete cannot land between the placement
+// table and the segment snapshots it must agree with.
 func (s *DB) Save(w io.Writer) error {
-	fw := db.NewFrameWriter(w)
-	_, _ = fw.WriteString(fileMagic)
-	_ = fw.WriteByte(byte(s.opts.Strategy))
-	fw.PutUvarint(uint64(len(s.segs)))
-	fw.PutUvarint(uint64(len(s.docs)))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for gid, ref := range s.docs {
 		if ref.shard < 0 {
 			return fmt.Errorf("shard: save: global id %d is a burned slot (drifted replica; re-sync from a healthy copy instead of saving)", gid)
 		}
-		fw.PutString(s.names[gid])
-		fw.PutUvarint(uint64(ref.shard))
+	}
+	live := s.liveDocsLocked()
+	fw := db.NewFrameWriter(w)
+	_, _ = fw.WriteString(fileMagic)
+	_ = fw.WriteByte(byte(s.opts.Strategy))
+	fw.PutUvarint(uint64(len(s.segs)))
+	fw.PutUvarint(uint64(len(live)))
+	for _, d := range live {
+		fw.PutString(s.names[d.gid])
+		fw.PutUvarint(uint64(d.shard))
 	}
 	for _, seg := range s.segs {
 		var buf bytes.Buffer
@@ -230,10 +264,13 @@ func OpenFile(path string) (*DB, error) {
 	return Load(f)
 }
 
-// Reshard redistributes the corpus across n shards under the given
-// strategy, reusing the already-parsed document trees. Indexes are
-// rebuilt lazily (or via Warm) on the new instance.
+// Reshard redistributes the live corpus across n shards under the given
+// strategy, reusing the already-parsed document trees: the documents Save
+// would write, in the same order. Indexes are rebuilt lazily (or via Warm)
+// on the new instance.
 func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := New(Options{
 		Shards:    n,
 		Strategy:  strategy,
@@ -242,10 +279,10 @@ func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 		Metrics:   s.opts.Metrics,
 		Limits:    s.opts.Limits,
 	})
-	for gid, ref := range s.docs {
-		doc := s.segs[ref.shard].Store().Doc(ref.local)
+	for _, d := range s.liveDocsLocked() {
+		doc := s.segs[d.shard].Store().Doc(d.local)
 		if doc == nil {
-			return nil, fmt.Errorf("shard: reshard: document %q missing from segment %d", s.names[gid], ref.shard)
+			return nil, fmt.Errorf("shard: reshard: document %q missing from segment %d", s.names[d.gid], d.shard)
 		}
 		if err := out.LoadTree(doc.Name, doc.Root); err != nil {
 			return nil, fmt.Errorf("shard: reshard: %w", err)

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,117 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameScored(t, "after round trip", got, want)
+	}
+
+	// A history with a delete and an update: the snapshot holds only the
+	// live version of each document, and it must open. Global ids
+	// renumber on reload, so results compare by document name.
+	for _, n := range []int{1, 3} {
+		s := newSharded(t, n, ByHash, names, roots)
+		mutateHistory(t, s, names)
+		want := namedResults(t, s)
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatalf("shards=%d history: save: %v", n, err)
+		}
+		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("shards=%d history: load: %v", n, err)
+		}
+		if loaded.DocumentCount() != s.DocumentCount() {
+			t.Fatalf("shards=%d history: loaded %d documents, want %d", n, loaded.DocumentCount(), s.DocumentCount())
+		}
+		sameNamed(t, fmt.Sprintf("shards=%d history: after round trip", n), namedResults(t, loaded), want)
+	}
+}
+
+// mutateHistory deletes, updates and adds documents on a facade loaded
+// with names, leaving dead and superseded versions in its segments.
+func mutateHistory(t *testing.T, s *DB, names []string) {
+	t.Helper()
+	if err := s.Delete(names[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(names[4], `<article><p>ctla ctlb updated</p></article>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add("late.xml", `<article><sec><p>ctla ctlb ctla</p></sec></article>`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// namedResults runs the ctla/ctlb term search and renders each result as
+// document name, ordinal and score, sorted: the identity that survives
+// the global renumbering of a reload or a reshard.
+func namedResults(t *testing.T, s *DB) []string {
+	t.Helper()
+	res, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(res))
+	for i, r := range res {
+		out[i] = fmt.Sprintf("%s/%d/%.12g", s.DocName(r.Doc), r.Ord, r.Score)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sameNamed asserts two namedResults lists are equal.
+func sameNamed(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("%s: results\n%s\nwant\n%s", label, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestShardSaveDuringIngest saves while a writer adds documents: every
+// snapshot must load, its placement table agreeing with the segment
+// snapshots written after it.
+func TestShardSaveDuringIngest(t *testing.T) {
+	names, roots := corpusDocs(t, 4, 77)
+	s := newSharded(t, 3, RoundRobin, names, roots)
+	s.Warm()
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		for i := 0; i < 2000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Add(fmt.Sprintf("w%04d.xml", i), fmt.Sprintf(`<a><p>ctla w%d</p></a>`, i)); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	saveAndLoad := func(k int) error {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			return fmt.Errorf("save %d: %w", k, err)
+		}
+		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			return fmt.Errorf("snapshot %d: %w", k, err)
+		}
+		if loaded.DocumentCount() < len(names) {
+			return fmt.Errorf("snapshot %d: %d documents, want at least %d", k, loaded.DocumentCount(), len(names))
+		}
+		return nil
+	}
+	var err error
+	for k := 0; k < 10 && err == nil; k++ {
+		err = saveAndLoad(k)
+	}
+	close(stop)
+	if werr := <-errc; werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -315,6 +427,28 @@ func TestReshardPreservesResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameScored(t, "after reshard", got, want)
+	}
+
+	// A history with a delete, an update and a burned slot: a reshard
+	// carries exactly the live documents, in their current versions.
+	h := newSharded(t, 2, ByHash, names, roots)
+	mutateHistory(t, h, names)
+	if err := h.BurnDocID(); err != nil {
+		t.Fatal(err)
+	}
+	wantNamed := namedResults(t, h)
+	for _, n := range []int{1, 3} {
+		r, err := h.Reshard(n, RoundRobin)
+		if err != nil {
+			t.Fatalf("history: reshard to %d: %v", n, err)
+		}
+		if r.DocumentCount() != h.DocumentCount() {
+			t.Fatalf("history: reshard to %d: %d documents, want %d", n, r.DocumentCount(), h.DocumentCount())
+		}
+		if _, ok := r.ShardOf(names[1]); ok {
+			t.Fatalf("history: reshard to %d brought back deleted %q", n, names[1])
+		}
+		sameNamed(t, fmt.Sprintf("history: reshard to %d", n), namedResults(t, r), wantNamed)
 	}
 }
 

@@ -80,9 +80,6 @@ func TestShardCancellationStopsAllWorkers(t *testing.T) {
 	if _, err := s.PhraseSearchContext(ctx, []string{"ctla", "ctlb"}); !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("phrase: err = %v, want ErrCanceled", err)
 	}
-	if _, err := s.TwigRefsContext(ctx, exec.Twig("article", exec.Twig("p"))); !errors.Is(err, exec.ErrCanceled) {
-		t.Fatalf("twig: err = %v, want ErrCanceled", err)
-	}
 }
 
 func TestShardSharedAccessBudget(t *testing.T) {

@@ -88,10 +88,10 @@ cover:
 		print; \
 		if (pct + 0 < 70) { print "coverage below 70% floor for internal/shard"; exit 1 } }'
 
-# Ten seconds of coverage-guided fuzzing each over db.Load (corrupted
-# segment snapshots), shard.Load (corrupted sharded containers, the one
-# format the binaries open), postings.FuzzBlockDecode (corrupted block
-# payloads and skip tables), postings.FuzzBatchDecode (an accepted list
+# Ten seconds of coverage-guided fuzzing each over shard.Load (corrupted
+# snapshot files, the one format anything opens),
+# postings.FuzzBlockDecode (corrupted block payloads and skip tables),
+# postings.FuzzBatchDecode (an accepted list
 # must be Encode's output for the postings the batch decoder reads),
 # postings.FuzzMemtableMerge (merged views over ordered parts —
 # document-disjoint memtable runs and segments — vs. the flat oracle),
@@ -107,7 +107,6 @@ cover:
 # catch regressions in the corrupted-input, merge-cursor, serialization
 # and query front-end handling without slowing CI.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/shard
 	$(GO) test -run '^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/postings
 	$(GO) test -run '^$$' -fuzz=FuzzBatchDecode -fuzztime=10s ./internal/postings

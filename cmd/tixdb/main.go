@@ -82,6 +82,9 @@ func run(loads, deletes []string, query, terms, phrase string, topk int, complex
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
+	if shards > shard.MaxShards {
+		return fmt.Errorf("-shards %d: at most %d", shards, shard.MaxShards)
+	}
 	var d *shard.DB
 	if open != "" {
 		var err error

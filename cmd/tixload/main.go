@@ -327,6 +327,9 @@ func run(o options) error {
 	if o.qps <= 0 || o.duration <= 0 || o.queries <= 0 || o.workers <= 0 {
 		return fmt.Errorf("qps, duration, queries, and workers must be positive")
 	}
+	if o.shards > shard.MaxShards {
+		return fmt.Errorf("-shards %d: at most %d", o.shards, shard.MaxShards)
+	}
 	mix, err := parseMix(o.mix)
 	if err != nil {
 		return err

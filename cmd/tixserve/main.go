@@ -122,7 +122,7 @@ func main() {
 	var loads multiFlag
 	flag.Var(&loads, "load", "XML file to load (repeatable)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&o.open, "open", "", "database file written by tixdb -save (the sharded snapshot format)")
+	flag.StringVar(&o.open, "open", "", "snapshot file written by tixdb -save")
 	flag.IntVar(&o.shards, "shards", 0, "number of corpus shards queried in parallel (0 = keep an opened file's layout, else 1)")
 	flag.BoolVar(&o.stem, "stem", true, "index with the light plural stemmer")
 	flag.IntVar(&o.maxResults, "max-results", 100, "per-request result cap")
@@ -188,6 +188,9 @@ func buildReplica(o options) (*shard.DB, error) {
 func run(o options) error {
 	if len(o.loads) == 0 && o.open == "" && !o.ingest {
 		return fmt.Errorf("nothing to serve; use -load, -open, or -ingest to start empty")
+	}
+	if o.shards > shard.MaxShards {
+		return fmt.Errorf("-shards %d: at most %d", o.shards, shard.MaxShards)
 	}
 	if o.replicas < 1 {
 		o.replicas = 1

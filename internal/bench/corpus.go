@@ -301,14 +301,20 @@ func Build(cfg Config) (*Corpus, error) {
 	return c, nil
 }
 
-// Snapshot writes the corpus database (store and index) in the segment
-// snapshot format db.Save writes (TIXDB2). Because synth generation,
-// loading, and index construction are all deterministic in Config.Seed,
-// two corpora built from the same Config snapshot to identical bytes — the
-// determinism test pins exactly that.
+// Snapshot writes the corpus, store and index, as a one-shard snapshot
+// file (shard.DB.Save). Because synth generation, loading, and index
+// construction are all deterministic in Config.Seed, two corpora built
+// from the same Config snapshot to identical bytes — the determinism test
+// pins exactly that.
 func (c *Corpus) Snapshot(w io.Writer) error {
-	c.DB.Index() // persist the index too
-	return c.DB.Save(w)
+	s := shard.New(shard.Options{})
+	for _, doc := range c.DB.Store().Docs() {
+		if err := s.LoadTree(doc.Name, doc.Root); err != nil {
+			return err
+		}
+	}
+	s.Warm() // persist the index too
+	return s.Save(w)
 }
 
 // SplitParts re-partitions the single corpus document into parts contiguous

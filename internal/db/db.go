@@ -1,14 +1,14 @@
 // Package db is one single-store segment of the reproduction's database —
 // the stand-in for the Timber system the paper ran on. A segment owns a
 // node store, its tokenizer, the live inverted index, document mutation
-// and its snapshot format (Save/Load), and renders result labels. The free
-// functions EvalQuery and SearchTerms evaluate the paper's query families
-// over one index snapshot.
+// and the pieces of it a snapshot embeds (persist.go), and renders result
+// labels. The free functions EvalQuery and SearchTerms evaluate the
+// paper's query families over one index snapshot.
 //
 // Queries are served one layer up, by the sharded facade (internal/shard),
 // which runs those free functions over every segment and owns the result
 // cache, per-operation metrics, global document numbering and the
-// snapshot container. One shard is the single-store case. A segment
+// snapshot file. One shard is the single-store case. A segment
 // records no metrics and caches nothing.
 package db
 
@@ -133,11 +133,6 @@ func (d *DB) Warm() { d.Index() }
 
 // Tokenizer exposes the tokenizer documents are indexed with.
 func (d *DB) Tokenizer() *tokenize.Tokenizer { return d.tok }
-
-// Options returns a copy of the options the database was created with,
-// so wrappers (the sharded facade, resharding) can build compatible
-// instances.
-func (d *DB) Options() Options { return d.opts }
 
 // LoadTree loads an already-parsed tree under the given document name.
 // Before the index is first built this is a plain store append (bulk

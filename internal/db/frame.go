@@ -10,11 +10,11 @@ import (
 	"io"
 )
 
-// The framing both snapshot formats are written and read with: a segment
-// (persist.go) and the sharded container (internal/shard). A payload is a
-// sequence of bytes, uvarints and uvarint-length-prefixed strings, and it
-// ends in the integrity trailer: sumMagic and the little-endian IEEE CRC32
-// of every byte before the trailer.
+// The framing the snapshot file (internal/shard) is written and read
+// with. A payload is a sequence of bytes, uvarints and
+// uvarint-length-prefixed strings, and it ends in the integrity trailer:
+// sumMagic and the little-endian IEEE CRC32 of every byte before the
+// trailer.
 
 // sumMagic introduces the integrity trailer.
 const sumMagic = "TIXSUM1\n"
@@ -59,25 +59,37 @@ func (f *FrameWriter) Seal() error {
 	return err
 }
 
+// maxString bounds a string a payload may declare, so that a corrupted
+// length fails as implausible instead of reading on to the end of input.
+const maxString = 1 << 30
+
 // FrameReader reads a payload written through a FrameWriter, hashing
 // exactly the bytes its consumer takes, and Verify checks the trailer
-// after them. Errors start with the caller's prefix; strings are bounded
-// by the caller's maxString, and integrity failures wrap the caller's
-// corrupt sentinel.
+// after them. Every error it returns starts with the caller's prefix and
+// wraps the caller's corrupt sentinel: a payload that cannot be read as
+// written, short input included, is a corrupt one.
 type FrameReader struct {
 	// raw is the buffered source. The hash is taken above it, not under
 	// it: bufio's readahead would otherwise pull trailer bytes into the
 	// payload hash.
-	raw       *bufio.Reader
-	h         hash.Hash32
-	prefix    string
-	maxString uint64
-	corrupt   error
+	raw     *bufio.Reader
+	h       hash.Hash32
+	prefix  string
+	corrupt error
 }
 
 // NewFrameReader starts reading a snapshot payload from r.
-func NewFrameReader(r io.Reader, prefix string, maxString uint64, corrupt error) *FrameReader {
-	return &FrameReader{raw: bufio.NewReader(r), h: crc32.NewIEEE(), prefix: prefix, maxString: maxString, corrupt: corrupt}
+func NewFrameReader(r io.Reader, prefix string, corrupt error) *FrameReader {
+	return &FrameReader{raw: bufio.NewReader(r), h: crc32.NewIEEE(), prefix: prefix, corrupt: corrupt}
+}
+
+// Corrupt returns the error for a payload that holds what, wrapping the
+// corrupt sentinel and cause when it is non-nil.
+func (f *FrameReader) Corrupt(what string, cause error) error {
+	if cause == nil {
+		return fmt.Errorf("%s: %s: %w", f.prefix, what, f.corrupt)
+	}
+	return fmt.Errorf("%s: %s: %w: %w", f.prefix, what, f.corrupt, cause)
 }
 
 // Read reads and hashes up to len(p) bytes.
@@ -87,7 +99,8 @@ func (f *FrameReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadByte reads and hashes one byte.
+// ReadByte reads and hashes one byte. It is the io.ByteReader the uvarint
+// decoder reads through; Byte is its checked form.
 func (f *FrameReader) ReadByte() (byte, error) {
 	b, err := f.raw.ReadByte()
 	if err == nil {
@@ -96,14 +109,23 @@ func (f *FrameReader) ReadByte() (byte, error) {
 	return b, err
 }
 
+// Byte reads one byte.
+func (f *FrameReader) Byte() (byte, error) {
+	b, err := f.ReadByte()
+	if err != nil {
+		return 0, f.Corrupt("short read", err)
+	}
+	return b, nil
+}
+
 // Magic reads the format's magic and checks it is want.
 func (f *FrameReader) Magic(want string) error {
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(f, got); err != nil {
-		return fmt.Errorf("%s: %w", f.prefix, err)
+		return f.Corrupt("no magic", err)
 	}
 	if string(got) != want {
-		return fmt.Errorf("%s: bad magic %q", f.prefix, got)
+		return f.Corrupt(fmt.Sprintf("bad magic %q, want %q", got, want), nil)
 	}
 	return nil
 }
@@ -112,7 +134,7 @@ func (f *FrameReader) Magic(want string) error {
 func (f *FrameReader) Uvarint() (uint64, error) {
 	v, err := binary.ReadUvarint(f)
 	if err != nil {
-		return 0, fmt.Errorf("%s: %w", f.prefix, err)
+		return 0, f.Corrupt("bad uvarint", err)
 	}
 	return v, nil
 }
@@ -128,7 +150,7 @@ func (f *FrameReader) Bytes(n uint64) ([]byte, error) {
 		start := len(buf)
 		buf = append(buf, make([]byte, k)...)
 		if _, err := io.ReadFull(f, buf[start:]); err != nil {
-			return nil, fmt.Errorf("%s: %w", f.prefix, err)
+			return nil, f.Corrupt("short read", err)
 		}
 		remaining -= k
 	}
@@ -141,8 +163,8 @@ func (f *FrameReader) Text() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > f.maxString {
-		return "", fmt.Errorf("%s: implausible string length %d", f.prefix, n)
+	if n > maxString {
+		return "", f.Corrupt(fmt.Sprintf("implausible string length %d", n), nil)
 	}
 	buf, err := f.Bytes(n)
 	if err != nil {
@@ -156,17 +178,17 @@ func (f *FrameReader) Text() (string, error) {
 func (f *FrameReader) Verify() error {
 	tr := make([]byte, len(sumMagic)+4)
 	if n, err := io.ReadFull(f.raw, tr); err != nil {
-		return fmt.Errorf("%s: truncated integrity trailer (%d of %d bytes): %w", f.prefix, n, len(tr), f.corrupt)
+		return f.Corrupt(fmt.Sprintf("truncated integrity trailer (%d of %d bytes)", n, len(tr)), nil)
 	}
 	if string(tr[:len(sumMagic)]) != sumMagic {
-		return fmt.Errorf("%s: unexpected data after payload (missing %q trailer): %w", f.prefix, sumMagic, f.corrupt)
+		return f.Corrupt(fmt.Sprintf("unexpected data after payload (missing %q trailer)", sumMagic), nil)
 	}
 	want := binary.LittleEndian.Uint32(tr[len(sumMagic):])
 	if got := f.h.Sum32(); got != want {
-		return fmt.Errorf("%s: checksum mismatch (file %08x, payload %08x): %w", f.prefix, want, got, f.corrupt)
+		return f.Corrupt(fmt.Sprintf("checksum mismatch (file %08x, payload %08x)", want, got), nil)
 	}
 	if _, err := f.raw.ReadByte(); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("%s: data after integrity trailer: %w", f.prefix, f.corrupt)
+		return f.Corrupt("data after integrity trailer", nil)
 	}
 	return nil
 }

@@ -1,12 +1,10 @@
 package db
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"repro/internal/synth"
-	"repro/internal/xmltree"
 )
 
 // TestSynthCorpusEndToEnd loads a mid-sized synthetic corpus and validates
@@ -98,7 +96,7 @@ func TestSynthCorpusEndToEnd(t *testing.T) {
 }
 
 // TestSynthCorpusPersistRoundTrip saves and reloads a synthetic-corpus
-// database and checks that a ranked query returns identical results.
+// segment and checks that a ranked query returns identical results.
 func TestSynthCorpusPersistRoundTrip(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Articles = 25
@@ -113,38 +111,9 @@ func TestSynthCorpusPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Index()
-
-	q := `
+	sameQuery(t, d, roundTrip(t, d, Options{}), `
 		For $a in document("corpus.xml")//sec/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"needle"}, {})
 		Sortby(score)
-		Threshold $a/@score > 0 stop after 20`
-	before, err := d.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := d2.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before) != len(after) {
-		t.Fatalf("result counts differ: %d vs %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i].Ord != after[i].Ord || before[i].Score != after[i].Score {
-			t.Errorf("result %d differs after reload", i)
-		}
-		if xmltree.XMLString(before[i].Node) != xmltree.XMLString(after[i].Node) {
-			t.Errorf("result %d XML differs after reload", i)
-		}
-	}
+		Threshold $a/@score > 0 stop after 20`)
 }

@@ -36,61 +36,34 @@ func mutatedFixture(t *testing.T) *DB {
 	return d
 }
 
-// TestSaveLoadAfterMutations pins the persistence strategy for a mutated
-// database: the snapshot contains only live documents (renumbered
-// densely), loads into a database that answers identically, and carries a
-// checked flat index.
+// TestSaveLoadAfterMutations pins persistence of a mutated segment: it
+// holds only live documents (renumbered densely), loads into a database
+// that answers identically, and carries a checked flat index.
 func TestSaveLoadAfterMutations(t *testing.T) {
-	d := mutatedFixture(t)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := roundTrip(t, mutatedFixture(t), Options{})
 	if got := d2.DocumentCount(); got != 2 {
 		t.Fatalf("reloaded DocumentCount = %d, want 2", got)
 	}
 	if d2.Store().DocByName("a.xml") != nil {
 		t.Fatal("deleted document resurrected by reload")
 	}
-	// Dense renumbering: ids are 0..n-1 with no gaps.
 	for i, doc := range d2.Store().Docs() {
 		if int(doc.ID) != i {
 			t.Fatalf("reloaded doc %d has id %d; not densely renumbered", i, doc.ID)
 		}
 	}
-	for term, want := range map[string]int{"apple": 0, "cherry": 0, "banana": 1, "cranberry": 1} {
+	for term, want := range map[string]bool{"apple": false, "cherry": false, "banana": true, "cranberry": true} {
 		res, err := d2.TermSearchContext(context.Background(), []string{term}, TermSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := 0
-		if len(res) > 0 {
-			got = 1
-		}
-		if got != want {
-			t.Fatalf("term %q searchable=%d after reload, want %d", term, got, want)
+		if got := len(res) > 0; got != want {
+			t.Fatalf("term %q searchable=%v after reload, want %v", term, got, want)
 		}
 	}
-
-	// A second save of the reloaded database round-trips byte-identically:
-	// the rebuild path is a fixed point.
-	var buf2, buf3 bytes.Buffer
-	if err := d2.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := append([]byte(nil), buf2.Bytes()...)
-	d3, err := Load(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d3.Save(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap2, buf3.Bytes()) {
+	// Saving the reloaded segment again is a fixed point.
+	_, sec2 := persisted(t, d2)
+	if _, sec3 := persisted(t, roundTrip(t, d2, Options{})); !bytes.Equal(sec2, sec3) {
 		t.Fatal("save → load → save is not a fixed point after mutations")
 	}
 }
@@ -186,19 +159,14 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 		}
 	}
 
-	// Byte-identical persisted snapshots: add-only ingestion compacts to
-	// the exact index a bulk build produces.
-	var gBuf, sBuf bytes.Buffer
-	if err := grown.Save(&gBuf); err != nil {
-		t.Fatal(err)
+	// Byte-identical persisted index sections: add-only ingestion
+	// compacts to the exact index a bulk build produces.
+	_, gSec := persisted(t, grown)
+	_, sSec := persisted(t, scratch)
+	if !bytes.Equal(gSec, sSec) {
+		t.Fatalf("index sections differ: %d vs %d bytes", len(gSec), len(sSec))
 	}
-	if err := scratch.Save(&sBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gBuf.Bytes(), sBuf.Bytes()) {
-		t.Fatalf("snapshots differ: %d vs %d bytes", gBuf.Len(), sBuf.Len())
-	}
-	t.Logf("ingested %d docs concurrently with readers; snapshot %d bytes, byte-identical to bulk build", nDocs, gBuf.Len())
+	t.Logf("ingested %d docs concurrently with readers; index section %d bytes, byte-identical to bulk build", nDocs, len(gSec))
 }
 
 // TestIndexDoesNotWaitOnMutationLock: once the live index exists, reads

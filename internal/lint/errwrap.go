@@ -9,7 +9,7 @@ import (
 
 // ErrWrap enforces PR 2's error-taxonomy invariant in every package:
 // typed sentinel errors (exec.ErrCanceled, exec.ErrLimitExceeded,
-// storage.ErrInjectedFault, db.ErrCorruptSnapshot, ...) must stay
+// storage.ErrInjectedFault, shard.ErrCorruptSnapshot, ...) must stay
 // classifiable with errors.Is through arbitrary wrapping.
 //
 // Two patterns silently break that chain:

@@ -32,10 +32,10 @@ var MapIter = &Analyzer{
 }
 
 // mapiterPkgs are the determinism-critical package segments: corpus
-// generation, sharded execution + snapshot container, benchmark/golden
-// emission, index + snapshot persistence (db owns the snapshot writers),
-// and the postings codec (block encoding must be byte-stable for the v2
-// snapshot format and the differential tests). Non-test files only; tests
+// generation, sharded execution + the snapshot file, benchmark/golden
+// emission, index + snapshot persistence (db writes the index sections),
+// and the postings codec (block encoding must be byte-stable for the
+// snapshot file and the differential tests). Non-test files only; tests
 // assert on artifacts rather than produce them.
 var mapiterPkgs = map[string]bool{
 	"synth":    true,

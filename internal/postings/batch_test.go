@@ -54,6 +54,30 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	}
 }
 
+// raceEnabled is set in race builds, where sync.Pool drops items at
+// random, so allocation counts that rely on a pool do not hold.
+var raceEnabled bool
+
+// TestNewBlockListReusesScratch pins that restoring a list allocates only
+// the list itself: the decode and re-encode scratch of the block check is
+// reused across lists, as a snapshot open restores one list per term.
+func TestNewBlockListReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	r := rand.New(rand.NewSource(42))
+	bl := Encode(genList(r, 64*BlockSize))
+	skips := append([]Skip(nil), bl.Skips()...)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := NewBlockList(bl.Len(), skips, bl.Payload()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("NewBlockList on a 64-block list: %.0f allocations, want at most 1", allocs)
+	}
+}
+
 // BenchmarkNewBlockList measures restoring and validating a 64-block list,
 // the per-term cost of opening a snapshot.
 func BenchmarkNewBlockList(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -162,9 +163,8 @@ func NewBlockList(n int, skips []Skip, buf []byte) (*BlockList, error) {
 		return nil, fmt.Errorf("postings: skip table covers %d of %d postings: %w", prevEnd, n, ErrCorrupt)
 	}
 	bl := &BlockList{buf: buf, skips: skips, n: n}
-	var w blockWriter
-	var enc []byte
-	dec := make([]Posting, 0, min(n, BlockSize))
+	sc := restoreScratchPool.Get().(*restoreScratch)
+	defer restoreScratchPool.Put(sc)
 	prev := Posting{Doc: -1}
 	for i := range skips {
 		data, cnt := bl.blockBytes(i), int(skips[i].End)-bl.blockStart(i)
@@ -179,8 +179,8 @@ func NewBlockList(n int, skips []Skip, buf []byte) (*BlockList, error) {
 				return nil, fmt.Errorf("postings: block %d stream %d does not hold %d varints: %w", i, k, cnt, ErrCorrupt)
 			}
 		}
-		dec = bl.decodeBlockFast(i, dec[:0])
-		for j, p := range dec {
+		sc.dec = bl.decodeBlockFast(i, sc.dec[:0])
+		for j, p := range sc.dec {
 			if p.Less(prev) || p.Doc < 0 || p.Doc == math.MaxInt32 || p.Node < 0 {
 				return nil, fmt.Errorf("postings: block %d posting %d out of (doc, pos) order or range: %w", i, j, ErrCorrupt)
 			}
@@ -193,14 +193,25 @@ func NewBlockList(n int, skips []Skip, buf []byte) (*BlockList, error) {
 		// narrowed, padded varints, a nonzero first gap and a wrong last
 		// document or position all change the bytes or the skip entry.
 		var sk Skip
-		enc, sk = w.appendBlock(enc[:0], dec)
-		if want := skips[i]; !bytes.Equal(enc, data) || sk.FirstDoc != want.FirstDoc || sk.LastDoc != want.LastDoc || sk.LastPos != want.LastPos {
+		sc.enc, sk = sc.w.appendBlock(sc.enc[:0], sc.dec)
+		if want := skips[i]; !bytes.Equal(sc.enc, data) || sk.FirstDoc != want.FirstDoc || sk.LastDoc != want.LastDoc || sk.LastPos != want.LastPos {
 			return nil, fmt.Errorf("postings: block %d is not the encoding of the postings it decodes to: %w", i, ErrCorrupt)
 		}
 		skips[i].MaxFreq = sk.MaxFreq
 	}
 	return bl, nil
 }
+
+// restoreScratch is the decode and re-encode scratch NewBlockList checks
+// blocks with. A snapshot open restores every term of every segment, so
+// the scratch is pooled across lists rather than grown anew for each.
+type restoreScratch struct {
+	w   blockWriter
+	enc []byte
+	dec []Posting
+}
+
+var restoreScratchPool = sync.Pool{New: func() any { return new(restoreScratch) }}
 
 // split cuts a block payload into its four streams after the three
 // stream-length headers, reporting false when a header is malformed or the

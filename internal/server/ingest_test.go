@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/metrics"
 	"repro/internal/shard"
+	"repro/internal/xmltree"
 )
 
 // The serving facade must satisfy the optional mutation surface.
@@ -141,6 +143,15 @@ func TestIngestErrorMapping(t *testing.T) {
 		IngestRequest{Name: "bad.xml", XML: `<d><unclosed`})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad xml: status %d code %q", resp.StatusCode, errCode(t, out))
+	}
+	// XML that parses but that the tree cannot keep: a name whose local
+	// part is not a name, and nesting past xmltree.MaxDepth.
+	deep := xmltree.MaxDepth + 1
+	for _, src := range []string{`<x:a A:0="" A00="">hi</x:a>`, strings.Repeat("<d>", deep) + strings.Repeat("</d>", deep)} {
+		resp, out = doJSON(t, http.MethodPost, ts.URL+"/docs", IngestRequest{Name: "kept.xml", XML: src})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%.40s: status %d code %q", src, resp.StatusCode, errCode(t, out))
+		}
 	}
 
 	// Missing fields.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,95 +8,112 @@ import (
 	"path/filepath"
 
 	"repro/internal/db"
+	"repro/internal/index"
 	"repro/internal/storage"
+	"repro/internal/xmltree"
 )
 
-// Sharded database file format (version 1):
+// Snapshot file format:
 //
-//	magic    "TIXSHD1\n"
-//	layout   strategy byte, uvarint shard count
-//	docs     uvarint count; per live document, in global order: name,
-//	         uvarint shard
-//	segments per shard: uvarint byte length, then a complete segment
-//	         snapshot (db.Save output — TIXDB2 with block-compressed
-//	         postings and its own "TIXSUM1\n"+CRC32 trailer intact)
+//	magic    "TIXSHD2\n"
+//	header   strategy byte, uvarint shard count, stemming byte (0/1),
+//	         uvarint stopword count, stopwords
+//	docs     uvarint count; per live document, in global order: uvarint
+//	         shard, name, serialized XML
+//	indexes  per shard, the index section of its segment (db.WriteIndex)
 //	trailer  "TIXSUM1\n" + 4-byte little-endian IEEE CRC32 of every byte
 //	         before the trailer
 //
-// This container is the only snapshot format anything opens. It is
-// written and read with the segment format's framing (db.FrameWriter,
-// db.FrameReader). Integrity is two-layer: the container trailer covers
-// the whole file, and each embedded segment still carries (and re-verifies
-// through db.Load) its own trailer, so a flipped bit is attributed to the
-// shard it corrupted. Both trailers are mandatory.
-const fileMagic = "TIXSHD1\n"
+// Strings are uvarint length + bytes, framed by db.FrameWriter and read
+// back through db.FrameReader. Save writes the format and Load reads it;
+// nothing else does. Each segment's documents appear in the order of its
+// persisted view (db.DB.PersistView), which its index section numbers
+// them by, so loading them in file order reproduces the saved store. The
+// XML round-trips through the parser used at load, so a reloaded
+// document has the region encoding and node ordinals its index names.
+// Global ids renumber densely in global order.
+const fileMagic = "TIXSHD2\n"
 
-// ErrCorruptSnapshot marks sharded-container integrity failures. Test
-// with errors.Is; segment-level corruption surfaces as the wrapped
-// db.ErrCorruptSnapshot instead.
-var ErrCorruptSnapshot = errors.New("shard: corrupt sharded database file")
+// ErrCorruptSnapshot marks every snapshot integrity failure: a file of
+// another format, truncation, a checksum mismatch, trailing garbage, an
+// implausible count or length, a document that does not parse, and an
+// index section whose blocks do not validate. Test with errors.Is.
+var ErrCorruptSnapshot = errors.New("shard: corrupt snapshot file")
 
-// maxShards bounds the shard count a container may declare — far above
-// any real deployment, low enough that a corrupted count cannot drive
-// allocations.
-const maxShards = 1 << 16
+// MaxShards is the most segments a database holds — far above any real
+// deployment, low enough that the empty segments a corrupted count makes
+// Load build stay small. New caps Options.Shards at it, Reshard refuses
+// more, and a snapshot declaring more is corrupt, so every database Save
+// writes opens again.
+const MaxShards = 1 << 12
 
-// liveDoc is one live document: its global id and where its segment
-// holds it.
-type liveDoc struct {
-	gid   storage.DocID
-	shard int
-	local storage.DocID
-}
-
-// liveDocsLocked lists the documents each segment saves: its locals in
-// order, minus those it holds as deleted (superseded versions included),
-// merged across segments by global id with each segment's order kept, as
-// Load's placement check needs. A never-mutated facade lists every global
-// id in ascending order. Caller holds s.mu.
-func (s *DB) liveDocsLocked() []liveDoc {
-	per := make([][]liveDoc, len(s.segs))
-	for i, seg := range s.segs {
-		for local, gid := range s.globalOf[i] {
-			if !seg.IsDeleted(storage.DocID(local)) {
-				per[i] = append(per[i], liveDoc{gid: gid, shard: i, local: storage.DocID(local)})
-			}
+// liveLocked lists the live documents in global order, what Save writes
+// and Reshard loads, and counts the burned slots it skips. A global id is
+// live while its name still routes to it. Caller holds s.mu.
+func (s *DB) liveLocked() (live []docRef, burned int) {
+	live = make([]docRef, 0, len(s.byName))
+	for gid, ref := range s.docs {
+		switch {
+		case ref.shard < 0:
+			burned++
+		case s.byName[s.names[gid]] == storage.DocID(gid):
+			live = append(live, ref)
 		}
 	}
-	return kwayMerge(per, func(a, b liveDoc) bool { return a.gid < b.gid })
+	return live, burned
 }
 
-// Save writes the sharded database — layout, the placement of every live
-// document, and one complete db.Save snapshot per segment — to w,
-// followed by the container integrity trailer. It is the only snapshot
-// writer the binaries use. It holds the routing lock throughout, so a
-// concurrent Add, Update or Delete cannot land between the placement
-// table and the segment snapshots it must agree with.
+// Save writes the snapshot file to w. It holds the routing lock
+// throughout, so no Add, Update or Delete lands between the document
+// records and the index sections they must agree with.
 func (s *DB) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for gid, ref := range s.docs {
-		if ref.shard < 0 {
-			return fmt.Errorf("shard: save: global id %d is a burned slot (drifted replica; re-sync from a healthy copy instead of saving)", gid)
+	live, burned := s.liveLocked()
+	if burned > 0 {
+		return fmt.Errorf("shard: save: %d burned global id slots (drifted replica; re-sync from a healthy copy instead of saving)", burned)
+	}
+	locals := make([][]storage.DocID, len(s.segs))
+	for _, ref := range live {
+		locals[ref.shard] = append(locals[ref.shard], ref.local)
+	}
+	docs := make([][]*storage.Document, len(s.segs))
+	idxs := make([]*index.Index, len(s.segs))
+	for i, seg := range s.segs {
+		var err error
+		if docs[i], idxs[i], err = seg.PersistView(locals[i]); err != nil {
+			return err
 		}
 	}
-	live := s.liveDocsLocked()
+
 	fw := db.NewFrameWriter(w)
 	_, _ = fw.WriteString(fileMagic)
 	_ = fw.WriteByte(byte(s.opts.Strategy))
 	fw.PutUvarint(uint64(len(s.segs)))
-	fw.PutUvarint(uint64(len(live)))
-	for _, d := range live {
-		fw.PutString(s.names[d.gid])
-		fw.PutUvarint(uint64(d.shard))
+	stem := byte(0)
+	if s.opts.Stemming {
+		stem = 1
 	}
-	for _, seg := range s.segs {
-		var buf bytes.Buffer
-		if err := seg.Save(&buf); err != nil {
+	_ = fw.WriteByte(stem)
+	fw.PutUvarint(uint64(len(s.opts.Stopwords)))
+	for _, sw := range s.opts.Stopwords {
+		fw.PutString(sw)
+	}
+	fw.PutUvarint(uint64(len(live)))
+	var xml []byte // one buffer for every document's XML
+	for _, ref := range live {
+		doc := docs[ref.shard][0]
+		docs[ref.shard] = docs[ref.shard][1:]
+		fw.PutUvarint(uint64(ref.shard))
+		fw.PutString(doc.Name)
+		xml = xmltree.AppendXML(xml[:0], doc.Root, true)
+		fw.PutUvarint(uint64(len(xml)))
+		_, _ = fw.Write(xml)
+	}
+	for _, idx := range idxs {
+		if err := db.WriteIndex(fw, idx); err != nil {
 			return err
 		}
-		fw.PutUvarint(uint64(buf.Len()))
-		_, _ = fw.Write(buf.Bytes())
 	}
 	return fw.Seal()
 }
@@ -144,117 +160,85 @@ func (s *DB) SaveFile(path string) error {
 	return nil
 }
 
-// Load reads a sharded database written by Save, verifying the container
-// trailer and every segment's own trailer, and rebuilding the global
-// document numbering. The declared placement is cross-checked against
-// each segment's actual contents.
+// Load reads a snapshot written by Save. Every way the input can fail to
+// be one wraps ErrCorruptSnapshot.
 func Load(r io.Reader) (*DB, error) {
-	fr := db.NewFrameReader(r, "shard: load", 1<<20, ErrCorruptSnapshot)
+	fr := db.NewFrameReader(r, "shard: load", ErrCorruptSnapshot)
 	if err := fr.Magic(fileMagic); err != nil {
 		return nil, err
 	}
-	strat, err := fr.ReadByte()
+	strat, err := fr.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("shard: load: %w", err)
+		return nil, err
 	}
 	nShards, err := fr.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if nShards < 1 || nShards > maxShards {
-		return nil, fmt.Errorf("shard: load: implausible shard count %d: %w", nShards, ErrCorruptSnapshot)
+	stem, err := fr.Byte()
+	if err != nil {
+		return nil, err
 	}
+	if Strategy(strat) > RoundRobin || stem > 1 || nShards < 1 || nShards > MaxShards {
+		return nil, fr.Corrupt(fmt.Sprintf("implausible header: strategy %d, stemming %d, %d shards", strat, stem, nShards), nil)
+	}
+	nStop, err := fr.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	var stopwords []string
+	for i := uint64(0); i < nStop; i++ {
+		sw, err := fr.Text()
+		if err != nil {
+			return nil, err
+		}
+		stopwords = append(stopwords, sw)
+	}
+	s := New(Options{Shards: int(nShards), Strategy: Strategy(strat), Stemming: stem == 1, Stopwords: stopwords})
+
 	nDocs, err := fr.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if nDocs > 1<<31 {
-		return nil, fmt.Errorf("shard: load: implausible document count %d: %w", nDocs, ErrCorruptSnapshot)
-	}
-	type placement struct {
-		name  string
-		shard int
-	}
-	placements := make([]placement, 0, min(nDocs, 1<<16))
 	for i := uint64(0); i < nDocs; i++ {
-		name, err := fr.Text()
-		if err != nil {
-			return nil, err
-		}
 		sh, err := fr.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if sh >= nShards {
-			return nil, fmt.Errorf("shard: load: document %q placed on shard %d of %d: %w",
-				name, sh, nShards, ErrCorruptSnapshot)
-		}
-		placements = append(placements, placement{name: name, shard: int(sh)})
-	}
-	segs := make([]*db.DB, nShards)
-	for i := range segs {
-		segLen, err := fr.Uvarint()
+		name, err := fr.Text()
 		if err != nil {
 			return nil, err
 		}
-		if segLen > 1<<31 {
-			return nil, fmt.Errorf("shard: load: implausible segment length %d: %w", segLen, ErrCorruptSnapshot)
-		}
-		seg, err := db.Load(io.LimitReader(fr, int64(segLen)))
+		src, err := fr.Text()
 		if err != nil {
-			return nil, fmt.Errorf("shard: load: segment %d: %w", i, err)
+			return nil, err
 		}
-		segs[i] = seg
+		if sh >= nShards {
+			return nil, fr.Corrupt(fmt.Sprintf("document %q on shard %d of %d", name, sh, nShards), nil)
+		}
+		if _, dup := s.byName[name]; dup {
+			return nil, fr.Corrupt(fmt.Sprintf("duplicate document %q", name), nil)
+		}
+		seg := s.segs[sh]
+		local := storage.DocID(seg.Store().NumDocs())
+		if err := seg.LoadString(name, src); err != nil {
+			return nil, fr.Corrupt(fmt.Sprintf("document %q", name), err)
+		}
+		s.track(name, int(sh), local)
+	}
+	for _, seg := range s.segs {
+		if err := seg.ReadIndex(fr); err != nil {
+			return nil, err
+		}
 	}
 	if err := fr.Verify(); err != nil {
 		return nil, err
 	}
-
-	// Rebuild the facade: segment options drive the shard options, and
-	// the declared placement must match what each segment actually holds,
-	// in order.
-	var base db.Options
-	if len(segs) > 0 {
-		base = segs[0].Options()
-	}
-	s := New(Options{
-		Shards:    int(nShards),
-		Strategy:  Strategy(strat),
-		Stemming:  base.Stemming,
-		Stopwords: base.Stopwords,
-	})
-	s.segs = segs
-	// One table per segment, taken once: the placement check must stay
-	// linear in the document count.
-	tables := make([][]*storage.Document, nShards)
-	for i, seg := range segs {
-		tables[i] = seg.Store().Docs()
-	}
-	cursors := make([]int, nShards)
-	for _, p := range placements {
-		segDocs := tables[p.shard]
-		k := cursors[p.shard]
-		if k >= len(segDocs) || segDocs[k].Name != p.name {
-			return nil, fmt.Errorf("shard: load: placement of %q does not match segment %d contents: %w",
-				p.name, p.shard, ErrCorruptSnapshot)
-		}
-		cursors[p.shard]++
-		if _, dup := s.byName[p.name]; dup {
-			return nil, fmt.Errorf("shard: load: duplicate document %q: %w", p.name, ErrCorruptSnapshot)
-		}
-		s.track(p.name, p.shard, segDocs[k].ID)
-	}
-	for i, table := range tables {
-		if cursors[i] != len(table) {
-			return nil, fmt.Errorf("shard: load: segment %d holds %d documents, placement lists %d: %w",
-				i, len(table), cursors[i], ErrCorruptSnapshot)
-		}
-	}
 	return s, nil
 }
 
-// OpenFile reads a sharded database file written by SaveFile. Any other
-// file, a bare segment snapshot included, is rejected.
+// OpenFile reads a snapshot file written by SaveFile. A file of any
+// other format is rejected with ErrCorruptSnapshot.
 func OpenFile(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -269,6 +253,9 @@ func OpenFile(path string) (*DB, error) {
 // would write, in the same order. Indexes are rebuilt lazily (or via Warm)
 // on the new instance.
 func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
+	if n > MaxShards {
+		return nil, fmt.Errorf("shard: reshard: %d shards, more than %d", n, MaxShards)
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := New(Options{
@@ -279,10 +266,11 @@ func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 		Metrics:   s.opts.Metrics,
 		Limits:    s.opts.Limits,
 	})
-	for _, d := range s.liveDocsLocked() {
-		doc := s.segs[d.shard].Store().Doc(d.local)
+	live, _ := s.liveLocked()
+	for _, ref := range live {
+		doc := s.segs[ref.shard].Store().Doc(ref.local)
 		if doc == nil {
-			return nil, fmt.Errorf("shard: reshard: document %q missing from segment %d", s.names[d.gid], d.shard)
+			return nil, fmt.Errorf("shard: reshard: document %d missing from segment %d", ref.local, ref.shard)
 		}
 		if err := out.LoadTree(doc.Name, doc.Root); err != nil {
 			return nil, fmt.Errorf("shard: reshard: %w", err)

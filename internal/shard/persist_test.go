@@ -4,19 +4,31 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/fixture"
+	"repro/internal/metrics"
+	"repro/internal/postings"
+	"repro/internal/server"
+	"repro/internal/storage"
+	"repro/internal/xmltree"
 )
 
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
@@ -53,27 +65,13 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameScored(t, "after round trip", got, want)
-	}
-
-	// A history with a delete and an update: the snapshot holds only the
-	// live version of each document, and it must open. Global ids
-	// renumber on reload, so results compare by document name.
-	for _, n := range []int{1, 3} {
-		s := newSharded(t, n, ByHash, names, roots)
-		mutateHistory(t, s, names)
-		want := namedResults(t, s)
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatalf("shards=%d history: save: %v", n, err)
+		// The blocks are adopted as saved: the reloaded indexes are as
+		// compressed as the originals.
+		for i := 0; i < n; i++ {
+			if got, want := loaded.Segment(i).Index().MemStats(), s.Segment(i).Index().MemStats(); got != want {
+				t.Fatalf("shards=%d: segment %d MemStats after reload = %+v, want %+v", n, i, got, want)
+			}
 		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("shards=%d history: load: %v", n, err)
-		}
-		if loaded.DocumentCount() != s.DocumentCount() {
-			t.Fatalf("shards=%d history: loaded %d documents, want %d", n, loaded.DocumentCount(), s.DocumentCount())
-		}
-		sameNamed(t, fmt.Sprintf("shards=%d history: after round trip", n), namedResults(t, loaded), want)
 	}
 }
 
@@ -92,12 +90,15 @@ func mutateHistory(t *testing.T, s *DB, names []string) {
 	}
 }
 
-// namedResults runs the ctla/ctlb term search and renders each result as
-// document name, ordinal and score, sorted: the identity that survives
-// the global renumbering of a reload or a reshard.
-func namedResults(t *testing.T, s *DB) []string {
+// namedResults runs a term search, ctla/ctlb unless terms are given, and
+// renders each result as document name, ordinal and score, sorted: the
+// identity that survives the global renumbering of a reload or a reshard.
+func namedResults(t *testing.T, s *DB, terms ...string) []string {
 	t.Helper()
-	res, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	if len(terms) == 0 {
+		terms = []string{"ctla", "ctlb"}
+	}
+	res, err := s.TermSearchContext(context.Background(), terms, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +119,8 @@ func sameNamed(t *testing.T, label string, got, want []string) {
 }
 
 // TestShardSaveDuringIngest saves while a writer adds documents: every
-// snapshot must load, its placement table agreeing with the segment
-// snapshots written after it.
+// snapshot must load, its document records agreeing with the index
+// sections written after them.
 func TestShardSaveDuringIngest(t *testing.T) {
 	names, roots := corpusDocs(t, 4, 77)
 	s := newSharded(t, 3, RoundRobin, names, roots)
@@ -167,99 +168,454 @@ func TestShardSaveDuringIngest(t *testing.T) {
 	}
 }
 
-func TestShardedLoadRejectsCorruption(t *testing.T) {
-	names, roots := corpusDocs(t, 5, 9)
-	s := newSharded(t, 3, ByHash, names, roots)
-	s.Warm()
+// sumMagic introduces the integrity trailer (db.FrameWriter.Seal).
+const sumMagic = "TIXSUM1\n"
+
+const trailerLen = len(sumMagic) + 4
+
+// saved returns the snapshot file of s.
+func saved(t testing.TB, s *DB) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
+	return buf.Bytes()
+}
 
-	// Any single flipped bit anywhere in the payload or trailer must be
-	// rejected (sampled positions across the whole file).
-	for _, pos := range []int{9, len(good) / 4, len(good) / 2, len(good) - 2} {
-		bad := append([]byte(nil), good...)
-		bad[pos] ^= 0x40
-		if _, err := Load(bytes.NewReader(bad)); err == nil {
-			t.Errorf("flipped bit at %d of %d accepted", pos, len(bad))
-		}
-	}
-	// Truncations at the container level and inside a segment.
-	for _, cut := range []int{4, len(good) / 2, len(good) - 3} {
-		if _, err := Load(bytes.NewReader(good[:cut])); err == nil {
-			t.Errorf("truncation at %d of %d accepted", cut, len(good))
-		}
-	}
-	// Trailing garbage after the trailer.
-	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 'x'))); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Errorf("trailing garbage: err = %v, want ErrCorruptSnapshot", err)
-	}
-	// A bare segment snapshot is not a sharded container.
-	var segment bytes.Buffer
-	if err := s.Segment(0).Save(&segment); err != nil {
+// reseal returns payload followed by a correct integrity trailer for it,
+// so a mutated payload passes the checksum and only the loader's own
+// structural checks and block validation can reject it.
+func reseal(payload []byte) []byte {
+	out := append(bytes.Clone(payload), sumMagic...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// fixtureDB holds the paper's Figure 1 documents on shards shards, with
+// stemming and its index built.
+func fixtureDB(t testing.TB, shards int) *DB {
+	t.Helper()
+	s := New(Options{Shards: shards, Strategy: RoundRobin, Stemming: true, Metrics: metrics.NewRegistry()})
+	if err := s.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(segment.Bytes())); err == nil {
-		t.Error("bare segment snapshot accepted by sharded Load")
+	if err := s.LoadString("reviews.xml", fixture.ReviewsXML); err != nil {
+		t.Fatal(err)
 	}
-	// The intact file still loads (the corruption loop must not have
-	// depended on shared state).
+	s.Warm()
+	return s
+}
+
+// craft seals a file written by hand: the magic, then what write puts.
+func craft(write func(fw *db.FrameWriter)) []byte {
+	var buf bytes.Buffer
+	fw := db.NewFrameWriter(&buf)
+	_, _ = fw.WriteString(fileMagic)
+	write(fw)
+	_ = fw.Seal()
+	return buf.Bytes()
+}
+
+// header writes the header of a file without stemming or stopwords.
+func header(fw *db.FrameWriter, strategy byte, shards uint64) {
+	_ = fw.WriteByte(strategy)
+	fw.PutUvarint(shards)
+	_ = fw.WriteByte(0)
+	fw.PutUvarint(0)
+}
+
+// oneDoc writes the header and records of a one-shard file holding a.xml,
+// "<a>x</a>", the shape the hand-written index sections below describe.
+func oneDoc(fw *db.FrameWriter) {
+	header(fw, 0, 1)
+	fw.PutUvarint(1)
+	fw.PutUvarint(0)
+	fw.PutString("a.xml")
+	fw.PutString("<a>x</a>")
+}
+
+// legacySnapshot is a file in the retired TIXSHD1 format: one shard
+// embedding an empty TIXDB2 segment, each with its own trailer.
+func legacySnapshot() []byte {
+	var seg, buf bytes.Buffer
+	fw := db.NewFrameWriter(&seg)
+	_, _ = fw.WriteString("TIXDB2\n\x00\x00\x00\x00")
+	_ = fw.Seal()
+	fw = db.NewFrameWriter(&buf)
+	_, _ = fw.WriteString("TIXSHD1\n\x00\x01\x00")
+	fw.PutUvarint(uint64(seg.Len()))
+	_, _ = fw.Write(seg.Bytes())
+	_ = fw.Seal()
+	return buf.Bytes()
+}
+
+// TestShardedLoadRejectsCorruption runs one named case per class of
+// damage a snapshot can take. Every rejection wraps ErrCorruptSnapshot.
+func TestShardedLoadRejectsCorruption(t *testing.T) {
+	good := saved(t, fixtureDB(t, 3))
+	payload := good[:len(good)-trailerLen]
+	rejects := func(t *testing.T, label string, data []byte) error {
+		t.Helper()
+		d, err := Load(bytes.NewReader(data))
+		if !errors.Is(err, ErrCorruptSnapshot) || d != nil {
+			t.Fatalf("%s: Load = %v, %v; want ErrCorruptSnapshot", label, d, err)
+		}
+		return err
+	}
+
+	flipped := func(at int, mask byte) []byte {
+		bad := bytes.Clone(good)
+		bad[at] ^= mask
+		return bad
+	}
+
+	t.Run("truncation", func(t *testing.T) {
+		// Cuts across the header, the records, the index sections and
+		// every partial trailer length.
+		cuts := []int{0, 1, 3, len(fileMagic) + 2, len(payload) / 4, len(payload) / 2, len(payload) - 1}
+		for i := 1; i < trailerLen; i++ {
+			cuts = append(cuts, len(payload)+i)
+		}
+		for _, cut := range cuts {
+			rejects(t, fmt.Sprintf("cut at %d of %d", cut, len(good)), good[:cut])
+		}
+	})
+	t.Run("bit-flip", func(t *testing.T) {
+		// A letter of document text still parses: only the checksum sees
+		// it.
+		err := rejects(t, "flipped letter", flipped(bytes.Index(good, []byte("Internet")), 0x20))
+		if !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Errorf("error does not name the checksum: %v", err)
+		}
+		for _, pos := range []int{9, len(good) / 4, len(good) / 2, len(good) - 2} {
+			rejects(t, fmt.Sprintf("flipped bit at %d", pos), flipped(pos, 0x40))
+		}
+	})
+	t.Run("trailer", func(t *testing.T) {
+		rejects(t, "payload alone", payload)
+		rejects(t, "flipped checksum", flipped(len(good)-1, 0xff))
+		rejects(t, "byte after the trailer", append(bytes.Clone(good), 'x'))
+		rejects(t, "garbage instead of the trailer", append(bytes.Clone(payload), "not a trailer!"...))
+		// Sealed with the garbage: the loader stops at the payload's end,
+		// so the garbage is read where the trailer belongs.
+		rejects(t, "sealed garbage after the payload", reseal(append(bytes.Clone(payload), "not a trailer!"...)))
+	})
+	t.Run("resealed-index", func(t *testing.T) {
+		// Damage the back half, where the index sections sit, and re-seal
+		// so the checksum passes: an overflowing varint at every byte, and
+		// cuts. Every rejection is typed, and block validation fires for
+		// at least one.
+		sawBlockErr := false
+		for at := len(payload) / 2; at < len(payload); at++ {
+			mut := bytes.Clone(payload)
+			mut[at] = 0xFF
+			_, err := Load(bytes.NewReader(reseal(mut)))
+			if err != nil && !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("0xFF at %d: untyped error %v", at, err)
+			}
+			sawBlockErr = sawBlockErr || errors.Is(err, postings.ErrCorrupt)
+		}
+		if !sawBlockErr {
+			t.Error("no mutation surfaced through postings.ErrCorrupt block validation")
+		}
+		for _, cut := range []int{len(payload) - 2, len(payload) - 9, len(payload) * 9 / 10} {
+			rejects(t, fmt.Sprintf("re-sealed cut at %d", cut), reseal(payload[:cut]))
+		}
+	})
+	t.Run("lying-lengths-and-counts", func(t *testing.T) {
+		index := func(words ...uint64) func(fw *db.FrameWriter) {
+			return func(fw *db.FrameWriter) {
+				oneDoc(fw)
+				for _, w := range words {
+					fw.PutUvarint(w)
+				}
+			}
+		}
+		cases := map[string]func(fw *db.FrameWriter){
+			"zero shards":      func(fw *db.FrameWriter) { header(fw, 0, 0) },
+			"too many shards":  func(fw *db.FrameWriter) { header(fw, 0, MaxShards+1) },
+			"unknown strategy": func(fw *db.FrameWriter) { header(fw, 7, 1) },
+			"document on a missing shard": func(fw *db.FrameWriter) {
+				header(fw, 0, 1)
+				fw.PutUvarint(1)
+				fw.PutUvarint(1)
+				fw.PutString("a.xml")
+				fw.PutString("<a>x</a>")
+			},
+			"implausible string length": func(fw *db.FrameWriter) {
+				header(fw, 0, 1)
+				fw.PutUvarint(1)
+				fw.PutUvarint(0)
+				fw.PutUvarint(1 << 40)
+			},
+			"string past the end": func(fw *db.FrameWriter) {
+				header(fw, 0, 1)
+				fw.PutUvarint(1)
+				fw.PutUvarint(0)
+				fw.PutUvarint(1000)
+				_, _ = fw.WriteString("a.xml")
+			},
+			"duplicate document": func(fw *db.FrameWriter) {
+				header(fw, 0, 1)
+				fw.PutUvarint(2)
+				for range 2 {
+					fw.PutUvarint(0)
+					fw.PutString("a.xml")
+					fw.PutString("<a>x</a>")
+				}
+			},
+			"unparsable document": func(fw *db.FrameWriter) {
+				header(fw, 0, 1)
+				fw.PutUvarint(1)
+				fw.PutUvarint(0)
+				fw.PutString("a.xml")
+				fw.PutString("<a>")
+				_ = fw.WriteByte(0)
+			},
+			"index presence byte":       index(2),
+			"term count past the end":   index(1, 1<<50),
+			"blocks outnumber postings": index(1, 1, 1, 'x', 1, 2),
+			"oversized block":           index(1, 1, 1, 'x', 1000, 1, 1000, 4, 0, 0, 0, 1),
+			"block past the documents":  index(1, 1, 1, 'x', 1, 1, 1, 4, 5, 0, 0, 1),
+		}
+		for name, write := range cases {
+			rejects(t, name, craft(write))
+		}
+		// The control: the hand-written file itself, without an index,
+		// loads.
+		if _, err := Load(bytes.NewReader(craft(index(0)))); err != nil {
+			t.Fatalf("hand-written file rejected: %v", err)
+		}
+	})
+
+	// The intact file still loads (the cases must not have depended on
+	// shared state).
 	if _, err := Load(bytes.NewReader(good)); err != nil {
 		t.Fatalf("intact file rejected: %v", err)
 	}
 }
 
-// TestOpenFileSniffsBothFormats: OpenFile tells the sharded container
-// from a bare segment snapshot by its magic. The container opens and
-// answers as it was saved; a bare segment (what db.Save writes) is
-// rejected rather than wrapped as a one-shard database, and so are a file
-// too short to hold a magic and a missing file.
+// TestOpenFileSniffsBothFormats: OpenFile opens a snapshot file and
+// rejects the retired formats — a TIXSHD1 container and a bare TIXDB2
+// segment — and a file too short to hold a magic with ErrCorruptSnapshot;
+// a missing file is an error of its own.
 func TestOpenFileSniffsBothFormats(t *testing.T) {
 	dir := t.TempDir()
 	names, roots := corpusDocs(t, 5, 4)
-
-	shardedPath := filepath.Join(dir, "sharded.tix")
+	path := filepath.Join(dir, "db.tix")
 	s := newSharded(t, 2, RoundRobin, names, roots)
 	s.Warm()
-	if err := s.SaveFile(shardedPath); err != nil {
+	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	// A bare segment snapshot of the same corpus.
-	segmentPath := filepath.Join(dir, "segment.tix")
-	mono := newOracle(t, names, roots)
-	mono.Index()
-	var segment bytes.Buffer
-	if err := mono.Save(&segment); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(segmentPath, segment.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := mono.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	want, err := newOracle(t, names, roots).TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenFile(shardedPath)
+	d, err := OpenFile(path)
 	if err != nil {
-		t.Fatalf("OpenFile(sharded): %v", err)
+		t.Fatalf("OpenFile: %v", err)
 	}
 	got, err := d.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameScored(t, "OpenFile sharded", got, want)
+	sameScored(t, "OpenFile", got, want)
 
-	short := filepath.Join(dir, "short")
-	if err := os.WriteFile(short, []byte("abc"), 0o644); err != nil {
+	for name, data := range map[string][]byte{
+		"legacy.tix":  legacySnapshot(),
+		"segment.tix": []byte("TIXDB2\n\x00\x00\x00\x00TIXSUM1\n\x00\x00\x00\x00"),
+		"short":       []byte("abc"),
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := OpenFile(p); !errors.Is(err, ErrCorruptSnapshot) || d != nil {
+			t.Errorf("OpenFile(%s) = %v, %v; want ErrCorruptSnapshot", name, d, err)
+		}
+	}
+	if d, err := OpenFile(filepath.Join(dir, "missing.tix")); err == nil || errors.Is(err, ErrCorruptSnapshot) || d != nil {
+		t.Errorf("OpenFile(missing.tix) = %v, %v; want a not-found error", d, err)
+	}
+}
+
+// TestSnapshotHoldsEachFactOnce: a file carries one magic and one
+// trailer, and each document name and each option once; the options
+// round-trip, and so does a database that never built its index, whose
+// reload builds it lazily.
+func TestSnapshotHoldsEachFactOnce(t *testing.T) {
+	// "and" is a stopword the documents hold, so it shows in the
+	// occurrence count, and "zzstop" one they do not, so it can be
+	// counted in the file.
+	stop := []string{"zzstop", "and"}
+	for _, n := range []int{1, 3} {
+		s := New(Options{Shards: n, Stopwords: stop, Metrics: metrics.NewRegistry()})
+		names := []string{"first-doc.xml", "second-doc.xml", "third-doc.xml", "fourth-doc.xml"}
+		for i, name := range names {
+			if err := s.LoadString(name, fmt.Sprintf("<a>cat%d and <b>hat</b></a>", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, warm := range []bool{false, true} {
+			if warm {
+				s.Warm()
+			}
+			data := saved(t, s)
+			for _, fact := range append([]string{fileMagic, sumMagic, "zzstop"}, names...) {
+				if c := bytes.Count(data, []byte(fact)); c != 1 {
+					t.Errorf("shards=%d warm=%v: %q appears %d times, want once", n, warm, fact, c)
+				}
+			}
+			d, err := Load(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("shards=%d warm=%v: %v", n, warm, err)
+			}
+			if !slices.Equal(d.opts.Stopwords, stop) || d.opts.Stemming || d.Shards() != n {
+				t.Fatalf("shards=%d warm=%v: options after reload = %+v", n, warm, d.opts)
+			}
+			if st := d.Stats(); st.Documents != len(names) || st.Occurrences != int64(2*len(names)) {
+				t.Fatalf("shards=%d warm=%v: stats after reload = %+v", n, warm, st)
+			}
+		}
+	}
+	// Stemming round-trips too.
+	d, err := Load(bytes.NewReader(saved(t, fixtureDB(t, 1))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{segmentPath, short, filepath.Join(dir, "missing.tix")} {
-		if d, err := OpenFile(path); err == nil || d != nil {
-			t.Errorf("OpenFile(%s) = %v, %v; want an error", filepath.Base(path), d, err)
+	res, err := d.TermSearchContext(context.Background(), []string{"engines"}, db.TermSearchOptions{})
+	if err != nil || !d.opts.Stemming || len(res) == 0 {
+		t.Fatalf("stemming lost on reload: %v results, %v", len(res), err)
+	}
+}
+
+// TestSaveLoadAfterMutations pins the same behaviour across a reload for
+// 1 and 3 shards, after adds, an update and a delete: the reopened
+// database answers /query byte for byte, and /terms and /phrase with the
+// same results once document ids are read as names (ids renumber densely
+// on open) and results are put in one order (a live facade lists an
+// updated document where its segment holds it, not by its global id);
+// saving it again gives the same bytes; and saves of one never-mutated
+// corpus are identical.
+func TestSaveLoadAfterMutations(t *testing.T) {
+	names, roots := corpusDocs(t, 6, 21)
+	reads := []cachedRead{
+		{name: "terms", terms: []string{"ctla", "ctlb"}},
+		{name: "complex", terms: []string{"ctla", "ctlc"}, cplx: true},
+		{name: "phrase", terms: []string{"ctla", "ctlb"}, phrase: true},
+	}
+	for _, n := range []int{1, 3} {
+		s, twin := newSharded(t, n, ByHash, names, roots), newSharded(t, n, ByHash, names, roots)
+		s.Warm()
+		twin.Warm()
+		if first := saved(t, s); !bytes.Equal(first, saved(t, s)) || !bytes.Equal(first, saved(t, twin)) {
+			t.Fatalf("shards=%d: saves of one never-mutated corpus differ", n)
+		}
+		mutateHistory(t, s, names)
+		data := saved(t, s)
+		loaded, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, lh := handler(s), handler(loaded)
+		for _, r := range reads {
+			if got, want := namedReply(t, loaded, r.run(t, lh)), namedReply(t, s, r.run(t, h)); got != want {
+				t.Fatalf("shards=%d %s: reloaded reply\n%s\nwant\n%s", n, r.name, got, want)
+			}
+		}
+		for _, name := range []string{names[0], names[4], "late.xml"} {
+			q := queryFor(name)
+			if got, want := queryReply(t, lh, q), queryReply(t, h, q); !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d query over %s: reloaded reply\n%s\nwant\n%s", n, name, got, want)
+			}
+		}
+		if !bytes.Equal(saved(t, loaded), data) {
+			t.Fatalf("shards=%d: save(open(save(d))) differs from save(d)", n)
+		}
+	}
+}
+
+// queryReply posts q to /query on h and returns the 200 reply.
+func queryReply(t *testing.T, h http.Handler, q string) []byte {
+	t.Helper()
+	body, err := json.Marshal(server.QueryRequest{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/query: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
+// namedReply re-encodes a /terms or /phrase reply of d with each document
+// id replaced by the document's name and the results sorted.
+func namedReply(t *testing.T, d *DB, reply []byte) string {
+	t.Helper()
+	var v struct {
+		Count   int              `json:"count"`
+		Results []map[string]any `json:"results"`
+	}
+	if err := json.Unmarshal(reply, &v); err != nil {
+		t.Fatalf("%v: %s", err, reply)
+	}
+	lines := []string{fmt.Sprint(v.Count)}
+	for _, r := range v.Results {
+		r["doc"] = d.DocName(storage.DocID(r["doc"].(float64)))
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(line))
+	}
+	slices.Sort(lines[1:])
+	return strings.Join(lines, "\n")
+}
+
+// TestAcceptedDocumentsSaveAndOpen: after every document Add accepts, a
+// save opens again and holds every document. The inputs are the shapes
+// that once parsed to trees whose serialization did not parse back the
+// same: prefixed names, split character data, nesting at the limit,
+// several top-level elements, escapes; the ones Add rejects must not
+// change that.
+func TestAcceptedDocumentsSaveAndOpen(t *testing.T) {
+	deep := strings.Repeat("<d>", xmltree.MaxDepth) + "leaf" + strings.Repeat("</d>", xmltree.MaxDepth)
+	inputs := []string{
+		`<x:a A:0="" A00="">hi</x:a>`,
+		`<x:a xmlns:x="u" y:b="1" A00="">hi there</x:a>`,
+		`<a xmlns="u"><b c:d="e">f</b></a>`,
+		`<a><b>alpha<!--c-->beta <?pi x?> gamma<![CDATA[ <d>]]></b>tail</a>`,
+		`<r>one</r><r>two<s>three</s></r>`,
+		`<a t="&#xD;&#9;&lt;&quot;">x &amp; y &#xA; z caf&#233;</a>`,
+		deep,
+		deep + "<e/>",
+		strings.Repeat("<d>", xmltree.MaxDepth+1) + strings.Repeat("</d>", xmltree.MaxDepth+1),
+	}
+	for _, n := range []int{1, 3} {
+		s := New(Options{Shards: n, Metrics: metrics.NewRegistry()})
+		s.Warm()
+		accepted := 0
+		for i, src := range inputs {
+			if err := s.Add(fmt.Sprintf("d%d.xml", i), src); err != nil {
+				continue
+			}
+			accepted++
+			d, err := Load(bytes.NewReader(saved(t, s)))
+			if err != nil {
+				t.Fatalf("shards=%d: after adding input %d: %v", n, i, err)
+			}
+			if d.DocumentCount() != accepted {
+				t.Fatalf("shards=%d: after adding input %d: %d documents, want %d", n, i, d.DocumentCount(), accepted)
+			}
+			for _, term := range []string{"gamma", "hi", "three", "leaf"} {
+				sameNamed(t, fmt.Sprintf("shards=%d: after adding input %d: %q", n, i, term), namedResults(t, d, term), namedResults(t, s, term))
+			}
+		}
+		if accepted != len(inputs)-3 {
+			t.Fatalf("shards=%d: Add accepted %d of %d inputs, want all but the three invalid ones", n, accepted, len(inputs))
 		}
 	}
 }
@@ -449,6 +805,22 @@ func TestReshardPreservesResults(t *testing.T) {
 			t.Fatalf("history: reshard to %d brought back deleted %q", n, names[1])
 		}
 		sameNamed(t, fmt.Sprintf("history: reshard to %d", n), namedResults(t, r), wantNamed)
+	}
+}
+
+// TestShardCountIsCapped: no layout can be built that a snapshot cannot
+// hold. New caps the shard count at MaxShards, such a database saves and
+// opens again, and Reshard refuses more.
+func TestShardCountIsCapped(t *testing.T) {
+	s := New(Options{Shards: MaxShards + 1})
+	if s.Shards() != MaxShards {
+		t.Fatalf("New with %d shards built %d, want %d", MaxShards+1, s.Shards(), MaxShards)
+	}
+	if d, err := Load(bytes.NewReader(saved(t, s))); err != nil || d.Shards() != MaxShards {
+		t.Fatalf("reopening %d shards: %v", MaxShards, err)
+	}
+	if _, err := s.Reshard(MaxShards+1, RoundRobin); err == nil {
+		t.Fatalf("Reshard to %d shards succeeded", MaxShards+1)
 	}
 }
 

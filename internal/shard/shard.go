@@ -4,7 +4,7 @@
 // everything a served request needs beyond evaluation — the reply cache
 // the server consults (built here, looked up there), the per-operation
 // and ingest metrics, global document numbering and the snapshot
-// container. Every binary serves through it; one shard is the
+// file. Every binary serves through it; one shard is the
 // single-store case. Each document lives wholly in one segment, chosen by a
 // stable hash of its name (or round-robin); because region encodings and
 // node ordinals are per-document, an element's (doc, ord, score) identity
@@ -117,11 +117,9 @@ type DB struct {
 }
 
 // New creates an empty sharded database. Options.Shards below 1 is
-// treated as 1.
+// treated as 1, and above MaxShards as MaxShards.
 func New(opts Options) *DB {
-	if opts.Shards < 1 {
-		opts.Shards = 1
-	}
+	opts.Shards = min(max(opts.Shards, 1), MaxShards)
 	s := &DB{
 		opts:     opts,
 		segs:     make([]*db.DB, opts.Shards),

@@ -10,17 +10,53 @@ import (
 	"unicode/utf8"
 )
 
+// MaxDepth is the deepest element nesting Parse accepts, counting the
+// root as depth 1 and the synthetic wrapper root when it adds one. It
+// bounds the recursion of every tree walk, keeps Level well inside its
+// uint16 range, and is far above the nesting of real XML.
+const MaxDepth = 4096
+
+// ErrTooDeep marks a document nested deeper than MaxDepth.
+var ErrTooDeep = errors.New("xmltree: document nested too deeply")
+
+// ErrInvalidName marks an element or attribute name that the tree cannot
+// keep: the tree stores only a name's local part, and a local part such as
+// the "0" of "A:0" is not a name on its own, so the document's
+// serialization would not parse back.
+var ErrInvalidName = errors.New("xmltree: name does not survive serialization")
+
 // Parse reads one XML document from r and returns its numbered tree. If the
 // input contains multiple top-level elements (as reviews.xml in the paper's
 // Fig. 1 does), they are wrapped under a synthetic root element named
 // wrapper, mirroring what an XML database's document node would do.
 //
 // Character data is whitespace-trimmed; whitespace-only text nodes are
-// dropped. Comments and processing instructions are ignored.
+// dropped. Comments and processing instructions are ignored, and the
+// character data on either side of one (or of a CDATA section) joins into
+// one text node, so the serialization of every tree Parse returns parses
+// back to the same tree. Names keep their local part; a document whose
+// local parts are not names fails with ErrInvalidName, and one nested
+// deeper than MaxDepth with ErrTooDeep.
 func Parse(r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	var roots []*Node
 	var stack []*Node
+	var text []byte // character data not yet attached to stack's top
+	deepest := 0
+	local := func(n xml.Name) (string, error) {
+		// A name without a prefix is its own local part; only a split one
+		// can lose what made it a name.
+		if n.Space != "" && !isName(n.Local) {
+			return "", fmt.Errorf("xmltree: parse: %q in %s:%s: %w", n.Local, n.Space, n.Local, ErrInvalidName)
+		}
+		return n.Local, nil
+	}
+	flush := func() {
+		if t := strings.TrimSpace(string(text)); t != "" {
+			stack[len(stack)-1].AppendChild(NewText(t))
+		}
+		text = text[:0]
+	}
 	for {
 		tok, err := dec.Token()
 		if errors.Is(err, io.EOF) {
@@ -31,32 +67,41 @@ func Parse(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := NewElement(t.Name.Local)
+			if len(stack) == MaxDepth {
+				return nil, fmt.Errorf("xmltree: parse: more than %d nested elements: %w", MaxDepth, ErrTooDeep)
+			}
+			tag, err := local(t.Name)
+			if err != nil {
+				return nil, err
+			}
+			n := NewElement(tag)
 			for _, a := range t.Attr {
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
+				name, err := local(a.Name)
+				if err != nil {
+					return nil, err
+				}
+				n.Attrs = append(n.Attrs, Attr{Name: name, Value: a.Value})
 			}
 			if len(stack) > 0 {
+				flush()
 				stack[len(stack)-1].AppendChild(n)
 			}
 			stack = append(stack, n)
+			deepest = max(deepest, len(stack))
 		case xml.EndElement:
 			if len(stack) == 0 {
 				return nil, fmt.Errorf("xmltree: parse: unbalanced end element </%s>", t.Name.Local)
 			}
+			flush()
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if len(stack) == 0 {
 				roots = append(roots, top)
 			}
 		case xml.CharData:
-			if len(stack) == 0 {
-				continue // ignore top-level whitespace
+			if len(stack) > 0 { // top-level character data is ignored
+				text = append(text, t...)
 			}
-			text := strings.TrimSpace(string(t))
-			if text == "" {
-				continue
-			}
-			stack[len(stack)-1].AppendChild(NewText(text))
 		}
 	}
 	if len(stack) != 0 {
@@ -69,6 +114,9 @@ func Parse(r io.Reader) (*Node, error) {
 	case 1:
 		root = roots[0]
 	default:
+		if deepest == MaxDepth {
+			return nil, fmt.Errorf("xmltree: parse: %d nested elements under the wrapper root: %w", MaxDepth, ErrTooDeep)
+		}
 		root = NewElement("wrapper")
 		for _, r := range roots {
 			root.AppendChild(r)
@@ -76,6 +124,14 @@ func Parse(r io.Reader) (*Node, error) {
 	}
 	Number(root)
 	return root, nil
+}
+
+// isName reports whether s, written as an element name, reads back as
+// exactly s: the decoder that wrote the tree is the judge.
+func isName(s string) bool {
+	tok, err := xml.NewDecoder(strings.NewReader("<" + s + "/>")).RawToken()
+	el, ok := tok.(xml.StartElement)
+	return err == nil && ok && el.Name == xml.Name{Local: s}
 }
 
 // ParseString is Parse over an in-memory document.

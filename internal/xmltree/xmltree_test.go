@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -382,15 +383,24 @@ func TestDeepNesting(t *testing.T) {
 
 // TestXMLStringLinearInDepth: indentation is capped at maxIndentDepth
 // levels, so a 100,000-deep chain serializes to a bounded number of bytes
-// per element — at two spaces a level without a cap it would be 20 GB —
-// and parses back to the same tree. Shallow levels keep two spaces each.
+// per element — at two spaces a level without a cap it would be 20 GB.
+// Shallow levels keep two spaces each. The chain is built directly, as
+// Parse stops at MaxDepth; a chain at that depth parses back to itself.
 func TestXMLStringLinearInDepth(t *testing.T) {
-	const depth = 100000
-	root, err := ParseString(strings.Repeat("<d>", depth) + "leaf" + strings.Repeat("</d>", depth))
-	if err != nil {
-		t.Fatal(err)
+	chain := func(depth int) *Node {
+		root := NewElement("d")
+		n := root
+		for i := 1; i < depth; i++ {
+			c := NewElement("d")
+			n.AppendChild(c)
+			n = c
+		}
+		n.AppendChild(NewText("leaf"))
+		Number(root)
+		return root
 	}
-	s := XMLString(root)
+	const depth = 100000
+	s := XMLString(chain(depth))
 	// Each element is an opening and a closing line, each padded by at
 	// most 2·maxIndentDepth spaces; the leaf adds one more line.
 	line := 2*maxIndentDepth + len("</d>\n")
@@ -400,12 +410,87 @@ func TestXMLStringLinearInDepth(t *testing.T) {
 	if want := "<d>\n  <d>\n    <d>\n"; !strings.HasPrefix(s, want) {
 		t.Errorf("output starts %q, want prefix %q", s[:len(want)], want)
 	}
-	again, err := ParseString(s)
+	if _, err := ParseString(s); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("reparse of the %d-deep chain: err = %v, want ErrTooDeep", depth, err)
+	}
+	root := chain(MaxDepth)
+	again, err := ParseString(XMLString(root))
 	if err != nil {
-		t.Fatalf("reparse: %v", err)
+		t.Fatalf("reparse at MaxDepth: %v", err)
 	}
 	if !structurallyEqual(root, again) {
 		t.Error("round trip of the deep chain changed its structure")
+	}
+}
+
+// TestParseDepthLimit: MaxDepth nested elements parse and one more is
+// ErrTooDeep, and so are several top-level elements at MaxDepth, which the
+// wrapper root would push one level past it.
+func TestParseDepthLimit(t *testing.T) {
+	nest := func(depth int) string {
+		return strings.Repeat("<d>", depth) + "leaf" + strings.Repeat("</d>", depth)
+	}
+	if _, err := ParseString(nest(MaxDepth)); err != nil {
+		t.Fatalf("%d levels: %v", MaxDepth, err)
+	}
+	if _, err := ParseString(nest(MaxDepth-1) + nest(MaxDepth-1)); err != nil {
+		t.Fatalf("two roots of %d levels under the wrapper: %v", MaxDepth-1, err)
+	}
+	for _, src := range []string{nest(MaxDepth + 1), nest(MaxDepth) + "<e/>"} {
+		if _, err := ParseString(src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%d bytes of nesting: err = %v, want ErrTooDeep", len(src), err)
+		}
+	}
+}
+
+// TestParseRejectsLostNames: a prefixed name whose local part is not a
+// name on its own is ErrInvalidName, since the tree keeps only the local
+// part; prefixed names whose local parts are names parse, and every
+// accepted document's serialization parses back to the same tree.
+func TestParseRejectsLostNames(t *testing.T) {
+	for _, src := range []string{
+		`<x:a A:0="" A00="">hi</x:a>`,
+		`<a xmlns:1x="u"/>`,
+		`<p:1a/>`,
+		`<a><p:-b/></a>`,
+	} {
+		if _, err := ParseString(src); !errors.Is(err, ErrInvalidName) {
+			t.Errorf("%s: err = %v, want ErrInvalidName", src, err)
+		}
+	}
+	for _, src := range []string{
+		`<x:a xmlns:x="u" y:b="1" A00="">hi</x:a>`,
+		`<a xmlns="u"><b c:d="e">f</b></a>`,
+		`<p:_a p:é="1"/>`,
+	} {
+		root, err := ParseString(src)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		again, err := ParseString(XMLString(root))
+		if err != nil || XMLString(again) != XMLString(root) {
+			t.Errorf("%s: serialization %q does not parse back (%v)", src, XMLString(root), err)
+		}
+	}
+}
+
+// TestParseJoinsSplitText: character data split by a comment, a
+// processing instruction or a CDATA section is one text node, as the
+// serialization writes it, so the serialization parses back to the same
+// tree.
+func TestParseJoinsSplitText(t *testing.T) {
+	root, err := ParseString(`<a><b>alpha<!--c-->beta <?pi x?> gamma<![CDATA[ <d>]]></b></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := root.FirstTag("b")
+	if len(b.Children) != 1 || b.Children[0].Text != "alphabeta  gamma <d>" {
+		t.Fatalf("children of <b> = %v, want one text node", b.Children)
+	}
+	again, err := ParseString(XMLString(root))
+	if err != nil || XMLString(again) != XMLString(root) {
+		t.Fatalf("serialization %q does not parse back (%v)", XMLString(root), err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/postings"
 	"repro/internal/scoring"
-	"repro/internal/storage"
 )
 
 // TestTopKPrunedReadsDuringIngest: two readers run the pruned top-k while
@@ -20,8 +20,8 @@ import (
 // documents and background folds swapping segments underneath. On every
 // snapshot a reader takes, each top-k — simple, complex, weighted — must
 // equal the exhaustive TermJoin+TopK over that same snapshot, and each
-// term's cursor must agree with its DocCounts (checkCursorWalks). Run under
-// -race (make stress).
+// term's cursor must agree with its AppendDocCounts (checkCursorWalks).
+// Run under -race (make stress).
 func TestTopKPrunedReadsDuringIngest(t *testing.T) {
 	d := New(Options{Ingest: index.LiveConfig{SealPostings: 64, MaxSegments: 3}})
 	src := func(i int) string {
@@ -120,39 +120,33 @@ func TestTopKPrunedReadsDuringIngest(t *testing.T) {
 	}
 }
 
-// checkCursorWalks holds a list's cursor to its DocCounts: the per-document
+// checkCursorWalks holds a list's cursor to its AppendDocCounts: the per-document
 // run lengths of a full walk must equal the reported counts, and a walk
 // that hops with SeekPos(d+1, 0) must visit the same documents.
 func checkCursorWalks(l index.List) error {
-	var counts, runs [][2]int
-	err := l.DocCounts(0, math.MaxInt32, func(d storage.DocID, n int) error {
-		counts = append(counts, [2]int{int(d), n})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	var runs []postings.DocCount
+	counts := l.AppendDocCounts(0, math.MaxInt32, nil)
 	for c := l.Cursor(); c.Valid(); c.Advance() {
-		if d, n := int(c.Cur().Doc), len(runs); n > 0 && runs[n-1][0] == d {
-			runs[n-1][1]++
+		if d, n := c.Cur().Doc, len(runs); n > 0 && runs[n-1].Doc == d {
+			runs[n-1].N++
 		} else {
-			runs = append(runs, [2]int{d, 1})
+			runs = append(runs, postings.DocCount{Doc: d, N: 1})
 		}
 	}
 	for i := range max(len(runs), len(counts)) {
 		if i == len(runs) || i == len(counts) || runs[i] != counts[i] {
-			return fmt.Errorf("cursor walk and DocCounts differ at document #%d (%d vs %d documents)", i, len(runs), len(counts))
+			return fmt.Errorf("cursor walk and AppendDocCounts differ at document #%d (%d vs %d documents)", i, len(runs), len(counts))
 		}
 	}
 	i := 0
 	for c := l.Cursor(); c.Valid(); c.SeekPos(c.Cur().Doc+1, 0) {
-		if i == len(counts) || int(c.Cur().Doc) != counts[i][0] {
+		if i == len(counts) || c.Cur().Doc != counts[i].Doc {
 			return fmt.Errorf("seek walk step %d lands on document %d", i, c.Cur().Doc)
 		}
 		i++
 	}
 	if i != len(counts) {
-		return fmt.Errorf("seek walk visits %d documents, DocCounts %d", i, len(counts))
+		return fmt.Errorf("seek walk visits %d documents, AppendDocCounts %d", i, len(counts))
 	}
 	return nil
 }

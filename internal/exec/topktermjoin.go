@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/index"
@@ -92,49 +93,47 @@ type boundMemo struct {
 	bound float64
 }
 
-type docCount struct {
-	doc storage.DocID
-	n   int
-}
-
-// windowArena holds a run's decoded group windows back to back: list i's
-// window onto a scored group g is ps[bounds[g.win+i]:bounds[g.win+i+1]].
-// Runs take an arena from arenas and return it emptied, so decoding the
-// windows allocates nothing once the arena has grown to the workload.
-type windowArena struct {
+// topkArena holds the buffers of a run that grow with its lists or k: the
+// heap, the opened groups and their candidates, each term's document
+// counts of the interval being opened, the scored groups' windows back to
+// back — list i's window onto a scored group g is
+// ps[bounds[g.win+i]:bounds[g.win+i+1]] — the two TopKs and the inner
+// TermJoin's arena. Runs take an arena from arenas and return it emptied,
+// so a run allocates none of them once the arena has grown to the
+// workload.
+type topkArena struct {
+	heap   []entry
+	groups []group
+	cands  []candidate
+	runs   [][]postings.DocCount
 	ps     []postings.Posting
 	bounds []int32
+	tk     TopK
+	// floor holds, under simple scoring, the k best bounds of the
+	// documents seen: a document's root contains every occurrence in it,
+	// so it scores exactly its bound, and the k-th of them ranks no better
+	// than the k-th element. Under complex scoring it keeps nothing.
+	floor TopK
+	tj    TJArena
 }
 
-var arenas = sync.Pool{New: func() any { return new(windowArena) }}
+var arenas = sync.Pool{New: func() any { return new(topkArena) }}
 
 // topkRun is the state of one Run; its buffers are reused by every
 // interval opened and every document scored. The per-term slices are
 // indexed by term.
 type topkRun struct {
 	*TopKTermJoin
-	tk *TopK
-	// floor holds, under simple scoring, the k best bounds of the
-	// documents seen: a document's root contains every occurrence in it,
-	// so it scores exactly its bound, and the k-th of them ranks no better
-	// than the k-th element. Under complex scoring it keeps nothing.
-	floor *TopK
 	// memo caches document bounds: the documents of an interval share few
 	// count vectors.
-	memo    [64]boundMemo
-	heap    []entry
-	groups  []group
-	cands   []candidate
-	lists   []index.List
-	counts  []int
-	runs    [][]docCount // an opened interval's document counts
-	heads   []int        // merge positions in runs
-	arena   *windowArena // the scored groups' windows
-	sub     []index.List // one document's sub-lists
-	cur     int          // the term collect appends to
-	collect func(storage.DocID, int) error
-	emit    Emit
-	tj      TermJoin
+	memo [64]boundMemo
+	*topkArena
+	lists  []index.List
+	counts []int
+	heads  []int        // merge positions in runs
+	sub    []index.List // one document's sub-lists
+	emit   Emit
+	tj     TermJoin
 }
 
 // Run evaluates and returns the top-k elements, best first.
@@ -162,24 +161,22 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 		t.pairMax = 1
 	}
 	n := len(terms)
-	r := &topkRun{TopKTermJoin: t, tk: NewTopK(t.K), floor: NewTopK(0),
-		lists: make([]index.List, n), counts: make([]int, n), runs: make([][]docCount, n),
-		heads: make([]int, n), sub: make([]index.List, n), arena: arenas.Get().(*windowArena)}
-	defer func() {
-		r.arena.ps, r.arena.bounds = r.arena.ps[:0], r.arena.bounds[:0]
-		arenas.Put(r.arena)
-	}()
+	a := arenas.Get().(*topkArena)
+	// Each term's counts keep the capacity an earlier run gave them.
+	a.runs = slices.Grow(a.runs[:0], n)[:n]
+	a.tk, a.floor = TopK{k: t.K, h: a.tk.h}, TopK{h: a.floor.h}
 	if !t.Query.Complex {
-		r.floor = NewTopK(t.K)
+		a.floor.k = t.K
 	}
+	defer func() {
+		a.heap, a.groups, a.cands = a.heap[:0], a.groups[:0], a.cands[:0]
+		a.ps, a.bounds, a.tk.h, a.floor.h = a.ps[:0], a.bounds[:0], a.tk.h[:0], a.floor.h[:0]
+		arenas.Put(a)
+	}()
+	r := &topkRun{TopKTermJoin: t, topkArena: a,
+		lists: make([]index.List, n), counts: make([]int, n), heads: make([]int, n), sub: make([]index.List, n)}
 	for i := range terms {
 		r.lists[i] = t.Query.list(t.Index, terms, i)
-		// An interval overlaps one block of a list, as a rule.
-		r.runs[i] = make([]docCount, 0, postings.BlockSize)
-	}
-	r.collect = func(doc storage.DocID, n int) error {
-		r.runs[r.cur] = append(r.runs[r.cur], docCount{doc, n})
-		return nil
 	}
 	// One evaluation context for the whole run: the accessor, the inner
 	// TermJoin with its arena, the sub-list scratch and the heap's emit
@@ -187,7 +184,7 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	r.emit = r.tk.Emit()
 	q := t.Query
 	q.Lists = nil
-	r.tj = TermJoin{Index: t.Index, Acc: t.acc, Query: q, ChildCounts: t.ChildCounts, Guard: t.Guard, Arena: &TJArena{}}
+	r.tj = TermJoin{Index: t.Index, Acc: t.acc, Query: q, ChildCounts: t.ChildCounts, Guard: t.Guard, Arena: &a.tj}
 
 	if err := r.enumerate(); err != nil {
 		return nil, err
@@ -218,16 +215,9 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 // from its blocks' MaxFreq alone.
 func (r *topkRun) enumerate() error {
 	views := make([]postings.BlockMax, len(r.lists))
-	// An interval starts at a block's first document or just past a
-	// block's last, so there are at most twice as many as blocks.
-	blocks := 0
 	for i, l := range r.lists {
 		views[i] = l.BlockMax()
-		for v := views[i]; v.Valid(); v.Next() {
-			blocks++
-		}
 	}
-	r.heap = make([]entry, 0, 2*blocks)
 	next := storage.DocID(0) // the intervals below next are enumerated
 	for {
 		if err := r.Guard.Tick(); err != nil {
@@ -281,7 +271,7 @@ func (r *topkRun) enumerate() error {
 // canPlace reports whether an element scoring at most bound, from doc or a
 // later document, can rank ahead of the k-th element and of the floor's.
 func (r *topkRun) canPlace(bound float64, doc storage.DocID) bool {
-	return r.disablePruning || !below(r.tk, bound, doc) && !below(r.floor, bound, doc)
+	return r.disablePruning || !below(&r.tk, bound, doc) && !below(&r.floor, bound, doc)
 }
 
 // below reports whether h is full and an element scoring at most bound,
@@ -299,16 +289,12 @@ func below(h *TopK, bound float64, doc storage.DocID) bool {
 func (r *topkRun) open(iv entry) error {
 	drive := 0
 	for i, l := range r.lists {
-		r.runs[i], r.cur = r.runs[i][:0], i
-		err := l.DocCounts(iv.lo, iv.hi, r.collect)
+		r.runs[i] = l.AppendDocCounts(iv.lo, iv.hi, r.runs[i][:0])
 		occ, most := 0, 0
 		for _, c := range r.runs[i] {
-			occ, most = occ+c.n, max(most, c.n)
+			occ, most = occ+c.N, max(most, c.N)
 		}
-		if err == nil {
-			err = r.Guard.TickN(occ)
-		}
-		if err != nil {
+		if err := r.Guard.TickN(occ); err != nil {
 			return err
 		}
 		r.heads[i], r.counts[i] = 0, most
@@ -328,8 +314,8 @@ func (r *topkRun) open(iv entry) error {
 	for {
 		doc := storage.DocID(-1)
 		for i, run := range r.runs {
-			if h := r.heads[i]; h < len(run) && (doc < 0 || run[h].doc < doc) && (drive < 0 || i == drive) {
-				doc = run[h].doc
+			if h := r.heads[i]; h < len(run) && (doc < 0 || run[h].Doc < doc) && (drive < 0 || i == drive) {
+				doc = run[h].Doc
 			}
 		}
 		if doc < 0 {
@@ -337,12 +323,12 @@ func (r *topkRun) open(iv entry) error {
 		}
 		for i, run := range r.runs {
 			h := r.heads[i]
-			for h < len(run) && run[h].doc < doc {
+			for h < len(run) && run[h].Doc < doc {
 				h++ // only the driving list's documents are bounded
 			}
 			r.counts[i] = 0
-			if h < len(run) && run[h].doc == doc {
-				r.counts[i] = run[h].n
+			if h < len(run) && run[h].Doc == doc {
+				r.counts[i] = run[h].N
 				h++
 			}
 			r.heads[i] = h
@@ -400,13 +386,12 @@ func (r *topkRun) push(e entry) {
 // group is then scored over raw sub-slices of those windows.
 func (r *topkRun) score(e entry) error {
 	r.DocsEvaluated++
-	g := &r.groups[e.g]
-	a := r.arena
+	g, a := &r.groups[e.g], r.topkArena
 	if g.win < 0 {
 		g.win = int32(len(a.bounds))
 		for _, l := range r.lists {
 			a.bounds = append(a.bounds, int32(len(a.ps)))
-			a.ps = l.Range(g.lo, g.hi).AppendTo(a.ps)
+			a.ps = l.AppendRange(g.lo, g.hi, a.ps)
 		}
 		a.bounds = append(a.bounds, int32(len(a.ps)))
 		keep := r.cands[g.from:g.from]

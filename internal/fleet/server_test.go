@@ -32,6 +32,14 @@ type servedFleet struct {
 	h        http.Handler
 }
 
+// chaosBreaker trips after two samples at half failures and stays open for
+// openFor.
+func chaosBreaker(openFor time.Duration) fleet.BreakerConfig {
+	return fleet.BreakerConfig{Window: 8, MinSamples: 2, FailureRatio: 0.5, OpenFor: openFor, HalfOpenProbes: 1}
+}
+
+// newServedFleet serves a fleet over three replicas of the fixture corpus,
+// with cfg's breaker, or chaosBreaker(30ms) when cfg sets none.
 func newServedFleet(t *testing.T, cfg fleet.Config) *servedFleet {
 	t.Helper()
 	sf := &servedFleet{}
@@ -49,12 +57,8 @@ func newServedFleet(t *testing.T, cfg fleet.Config) *servedFleet {
 		backends = append(backends, d)
 	}
 	cfg.Metrics = metrics.NewRegistry()
-	cfg.Breaker = fleet.BreakerConfig{
-		Window:         8,
-		MinSamples:     2,
-		FailureRatio:   0.5,
-		OpenFor:        30 * time.Millisecond,
-		HalfOpenProbes: 1,
+	if cfg.Breaker == (fleet.BreakerConfig{}) {
+		cfg.Breaker = chaosBreaker(30 * time.Millisecond)
 	}
 	cfg.Backoff = fleet.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 	f, err := fleet.New(cfg, backends...)
@@ -151,7 +155,9 @@ func p99(lats []time.Duration) time.Duration {
 // answered from a dead generation (genmiss == 0) — failover never trades
 // staleness for availability.
 func TestChaosWarmCacheReplicaKilled(t *testing.T) {
-	sf := newServedFleet(t, fleet.Config{HedgeAfter: -1, MaxRetries: 3})
+	// The breaker stays open for longer than any pass takes, so the check
+	// after the outage sees it open however slowly the passes run.
+	sf := newServedFleet(t, fleet.Config{HedgeAfter: -1, MaxRetries: 3, Breaker: chaosBreaker(time.Minute)})
 	c := sf.fleet.ResultCache()
 	var lats []time.Duration
 

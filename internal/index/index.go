@@ -226,7 +226,7 @@ func (idx *Index) List(term string) List {
 // terms. Only a flat (static) index has a single block list per term —
 // live snapshots return nil, which makes persistence flatten first.
 // Operators read a live snapshot's blocks through List (BlockMax,
-// DocCounts).
+// AppendDocCounts).
 func (idx *Index) BlockList(term string) *postings.BlockList {
 	if idx.live() {
 		return nil

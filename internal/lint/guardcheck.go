@@ -37,7 +37,7 @@ var indexAccessorMethods = map[string]bool{"Postings": true}
 // (exec aliases index.Cursor/List to these, so the named types resolve
 // to package postings.)
 var postingsCursorMethods = map[string]bool{"Cur": true, "Advance": true, "SeekPos": true}
-var postingsListMethods = map[string]bool{"Materialize": true, "DocCounts": true}
+var postingsListMethods = map[string]bool{"Materialize": true, "AppendDocCounts": true}
 
 func runGuardCheck(pass *Pass) {
 	if !guardcheckPkgs[pass.Pkg.Segment()] {

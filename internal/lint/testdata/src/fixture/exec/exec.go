@@ -101,6 +101,16 @@ func DecodeUnguarded(lists []postings.List) int {
 	return total
 }
 
+// CountUnguarded counts documents list by list without a guard, as a
+// top-k interval open would.
+func CountUnguarded(lists []postings.List) int {
+	var counts []postings.DocCount
+	for _, l := range lists { // want "guardcheck: loop calls storage accessor List.AppendDocCounts without consulting exec.Guard"
+		counts = l.AppendDocCounts(counts[:0])
+	}
+	return len(counts)
+}
+
 // GallopUnguarded mirrors the galloping phrase intersection: a driver
 // cursor scanned occurrence by occurrence, verifier cursors skipped
 // forward with SeekPos. The verifier seeks may each decode a block (or

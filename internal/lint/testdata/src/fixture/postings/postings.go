@@ -24,13 +24,22 @@ func (l List) Len() int { return len(l.ps) }
 // Materialize decodes the whole list; charged.
 func (l List) Materialize() []Posting { return l.ps }
 
-// DocCounts decodes per-document frequencies; charged.
-func (l List) DocCounts() map[int32]int {
-	m := make(map[int32]int)
+// DocCount is a document and its posting count.
+type DocCount struct {
+	Doc int32
+	N   int
+}
+
+// AppendDocCounts decodes per-document frequencies onto dst; charged.
+func (l List) AppendDocCounts(dst []DocCount) []DocCount {
 	for _, p := range l.ps {
-		m[p.Doc]++
+		if n := len(dst); n > 0 && dst[n-1].Doc == p.Doc {
+			dst[n-1].N++
+		} else {
+			dst = append(dst, DocCount{p.Doc, 1})
+		}
 	}
-	return m
+	return dst
 }
 
 // Cursor steps through a list, decoding blocks lazily.

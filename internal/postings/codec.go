@@ -362,47 +362,30 @@ func (b *BlockList) decodeDocs(i int, dst []storage.DocID) []storage.DocID {
 	return dst
 }
 
-// docCounts is List.DocCounts over the posting window [from, to) of b:
-// it counts the resident postings of [lo, hi) when the list has them, and
-// otherwise decodes only the document streams of the blocks overlapping
-// both the window and [lo, hi).
-func (b *BlockList) docCounts(lo, hi storage.DocID, from, to int, fn func(doc storage.DocID, n int) error) error {
-	if b.resident != nil {
-		ps := b.resident[from:to]
-		a, z := docBounds(ps, lo, hi)
-		return countRuns(ps[a:z], fn)
-	}
+// appendDocCounts is List.AppendDocCounts over the posting window
+// [from, to) of b without resident postings: it decodes only the document
+// streams of the blocks overlapping both the window and [lo, hi). A
+// document spanning two blocks extends the run the first one appended.
+func (b *BlockList) appendDocCounts(lo, hi storage.DocID, from, to int, dst []DocCount) []DocCount {
 	// First block that can contain lo, not before the window's first.
 	i := max(b.blockFor(from), sort.Search(len(b.skips), func(k int) bool { return b.skips[k].LastDoc >= lo }))
 	var buf [BlockSize]storage.DocID
-	docs := buf[:0]
-	curDoc := storage.DocID(-1)
-	cnt := 0
+	n := len(dst)
 	for ; i < len(b.skips) && b.skips[i].FirstDoc < hi && b.blockStart(i) < to; i++ {
 		start := b.blockStart(i)
-		docs = b.decodeDocs(i, docs[:0])
-		for k, d := range docs {
-			if d < lo || start+k < from {
-				continue
+		for k, d := range b.decodeDocs(i, buf[:0]) {
+			switch {
+			case d < lo || start+k < from: // not yet in range
+			case d >= hi || start+k >= to:
+				return dst
+			case len(dst) > n && dst[len(dst)-1].Doc == d:
+				dst[len(dst)-1].N++
+			default:
+				dst = append(dst, DocCount{d, 1})
 			}
-			if d >= hi || start+k >= to {
-				break
-			}
-			if d != curDoc {
-				if cnt > 0 {
-					if err := fn(curDoc, cnt); err != nil {
-						return err
-					}
-				}
-				curDoc, cnt = d, 0
-			}
-			cnt++
 		}
 	}
-	if cnt > 0 {
-		return fn(curDoc, cnt)
-	}
-	return nil
+	return dst
 }
 
 // appendZigzag appends v in zigzag varint encoding.

@@ -32,7 +32,7 @@ func encodeFuzzInput(bl *BlockList) []byte {
 
 // checkResidentMatches holds forced — plain with its block lists made
 // resident — to plain: cursor walks, a SeekPos to (doc, pos) from a fresh
-// cursor, the Range [lo, hi) and its cursor, DocCounts over everything and
+// cursor, the Range [lo, hi) and its cursor, AppendDocCounts over everything and
 // over [lo, hi), and AppendTo of the view and of the window must agree.
 func checkResidentMatches(t *testing.T, plain, forced List, doc storage.DocID, pos uint32, lo, hi storage.DocID) {
 	t.Helper()
@@ -52,8 +52,8 @@ func checkResidentMatches(t *testing.T, plain, forced List, doc storage.DocID, p
 	same("AppendTo", forced.AppendTo(nil), plain.AppendTo(nil))
 	same(fmt.Sprintf("Range(%d, %d) AppendTo", lo, hi), fw.AppendTo(nil), pw.AppendTo(nil))
 	for _, r := range [][2]storage.DocID{{0, math.MaxInt32}, {lo, hi}} {
-		if got, want := docCounts(t, forced, r[0], r[1]), docCounts(t, plain, r[0], r[1]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("resident DocCounts(%d, %d) = %v, decoded %v", r[0], r[1], got, want)
+		if got, want := docCounts(forced, r[0], r[1]), docCounts(plain, r[0], r[1]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resident AppendDocCounts(%d, %d) = %v, decoded %v", r[0], r[1], got, want)
 		}
 	}
 	checkAppendTo(t, "resident view", forced)
@@ -61,7 +61,7 @@ func checkResidentMatches(t *testing.T, plain, forced List, doc storage.DocID, p
 
 // FuzzBlockDecode feeds arbitrary skip tables and payloads through
 // NewBlockList: it must either reject them with ErrCorrupt or produce a
-// list whose decode paths (Materialize, cursor iteration, DocCounts, and
+// list whose decode paths (Materialize, cursor iteration, AppendDocCounts, and
 // AppendTo of a window picked by the input's first and last bytes) are
 // self-consistent, and whose forced resident copy reads the same — and it
 // must never panic or allocate proportionally to claimed (rather than
@@ -101,15 +101,11 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		if len(ps) > 0 {
 			total := 0
-			err := bl.All().DocCounts(0, ps[len(ps)-1].Doc+1, func(d storage.DocID, n int) error {
-				total += n
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			for _, c := range bl.All().AppendDocCounts(0, ps[len(ps)-1].Doc+1, nil) {
+				total += c.N
 			}
 			if total != len(ps) {
-				t.Fatalf("DocCounts covered %d of %d postings", total, len(ps))
+				t.Fatalf("AppendDocCounts covered %d of %d postings", total, len(ps))
 			}
 			a, b := int(data[0])%len(ps), int(data[len(data)-1])%len(ps)
 			lo, hi := ps[min(a, b)].Doc, ps[max(a, b)].Doc+storage.DocID(b%2)

@@ -88,7 +88,7 @@ type BlockMax struct {
 // pseudo-block bounded by its exact per-document maximum. A merged view
 // concatenates its parts' views, which Union keeps document-ascending.
 func (l List) BlockMax() BlockMax {
-	return BlockMax{parts: l.appendMaxParts(nil)}
+	return BlockMax{parts: l.appendMaxParts(make([][]Skip, 0, max(1, len(l.sub))))}
 }
 
 func (l List) appendMaxParts(dst [][]Skip) [][]Skip {
@@ -108,8 +108,12 @@ func (l List) appendMaxParts(dst [][]Skip) [][]Skip {
 
 // maxRun returns the largest number of postings one document has in ps.
 func maxRun(ps []Posting) uint32 {
-	best := 0
-	_ = countRuns(ps, func(_ storage.DocID, n int) error { best = max(best, n); return nil })
+	best, n := 0, 0
+	for i := range ps {
+		if n++; i+1 == len(ps) || ps[i+1].Doc != ps[i].Doc {
+			best, n = max(best, n), 0
+		}
+	}
 	return uint32(best)
 }
 
@@ -126,21 +130,31 @@ func (b *BlockMax) Next() {
 	}
 }
 
-// DocCounts calls fn once per live document in [lo, hi) with at least one
-// posting in the view, in ascending document order, with that document's
-// posting count. Tombstoned documents are never reported. Block-backed
-// parts decode only the document streams of the blocks they touch. fn
-// returning an error aborts the scan with that error.
-func (l List) DocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
+// DocCount is a document and its number of postings in a list.
+type DocCount struct {
+	Doc storage.DocID
+	N   int
+}
+
+// AppendDocCounts appends to dst, in ascending document order, each live
+// document in [lo, hi) with at least one posting in the view and that
+// document's posting count, and returns the extended slice; dst's existing
+// elements are left untouched. Tombstoned documents are never reported.
+// Block-backed parts decode only the document streams of the blocks they
+// touch.
+func (l List) AppendDocCounts(lo, hi storage.DocID, dst []DocCount) []DocCount {
 	switch {
-	case lo >= hi || l.Len() == 0:
-		return nil
 	case l.sub != nil:
-		return l.mergedDocCounts(lo, hi, fn)
-	case l.bl != nil:
-		return l.bl.docCounts(lo, hi, l.lo, l.hi, fn)
+		return l.mergedDocCounts(lo, hi, dst)
+	case lo >= hi || l.Len() == 0:
+		return dst
+	case l.bl == nil:
+		return appendRuns(dst, l.Range(lo, hi).raw)
+	case l.bl.resident != nil:
+		w := l.Range(lo, hi)
+		return appendRuns(dst, l.bl.resident[w.lo:w.hi])
 	}
-	return countRuns(l.Range(lo, hi).raw, fn)
+	return l.bl.appendDocCounts(lo, hi, l.lo, l.hi, dst)
 }
 
 // Cursor returns a fresh cursor positioned at the first posting.
@@ -234,6 +248,30 @@ func (b *BlockList) lowerBounds(lo, hi storage.DocID) (int, int) {
 	return at(lo), at(hi)
 }
 
+// AppendRange appends the postings of l.Range(lo, hi) to dst, as AppendTo
+// does, without building the narrowed view: a merged view appends the
+// window of each part that meets [lo, hi) in turn and then drops the dead
+// documents' postings in place.
+func (l List) AppendRange(lo, hi storage.DocID, dst []Posting) []Posting {
+	if l.sub == nil {
+		return l.Range(lo, hi).AppendTo(dst)
+	}
+	n := len(dst)
+	for _, p := range l.partsIn(lo, hi) {
+		dst = p.Range(lo, hi).AppendTo(dst)
+	}
+	if !l.tomb.DeadIn(lo, hi) {
+		return dst
+	}
+	live := dst[:n]
+	for _, p := range dst[n:] {
+		if !l.tomb.Dead(p.Doc) {
+			live = append(live, p)
+		}
+	}
+	return live
+}
+
 // Materialize returns the postings as a flat slice: a raw view's
 // underlying slice (callers must not modify it), and otherwise a fresh
 // slice filled by AppendTo.
@@ -253,17 +291,8 @@ func (l List) Materialize() []Posting {
 func (l List) AppendTo(dst []Posting) []Posting {
 	switch {
 	case l.sub != nil:
-		for _, p := range l.sub {
-			n := len(dst)
-			live := p.AppendTo(dst)
-			dst = live[:n]
-			for _, q := range live[n:] {
-				if !l.tomb.Dead(q.Doc) {
-					dst = append(dst, q)
-				}
-			}
-		}
-		return dst
+		first, last := l.span()
+		return l.AppendRange(first, last+1, dst)
 	case l.bl == nil:
 		return append(dst, l.raw...)
 	case l.bl.resident != nil:

@@ -3,6 +3,7 @@ package postings
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"repro/internal/storage"
 )
@@ -178,73 +179,62 @@ func (l List) mergedLen() int {
 	return n
 }
 
-// mergedRange narrows every part and re-unions. The tombstone set is kept
-// only when a dead document falls in [lo, hi), so a window inside one part
-// with no deletions — top-k's group windows, as a rule — comes back as
-// that part's flat view.
+// partsIn returns the parts of a merged view whose spans meet [lo, hi):
+// the parts are disjoint and document-ascending, so they are found by
+// binary search, and the others are never narrowed or scanned.
+func (l List) partsIn(lo, hi storage.DocID) []List {
+	i := sort.Search(len(l.sub), func(k int) bool { _, last := l.sub[k].span(); return last >= lo })
+	j := i + sort.Search(len(l.sub)-i, func(k int) bool { first, _ := l.sub[i+k].span(); return first >= hi })
+	return l.sub[i:j]
+}
+
+// mergedRange narrows the parts that meet [lo, hi) and re-unions. The
+// tombstone set is kept only when a dead document falls in [lo, hi), so a
+// window inside one part with no deletions comes back as that part's flat
+// view, with nothing allocated.
 func (l List) mergedRange(lo, hi storage.DocID) List {
-	tomb := l.tomb
+	tomb, in := l.tomb, l.partsIn(lo, hi)
 	if !tomb.DeadIn(lo, hi) {
-		tomb = nil
-	}
-	// The overlapping parts; nothing is allocated while at most one part
-	// overlaps.
-	var one List
-	var parts []List
-	for _, p := range l.sub {
-		r := p.Range(lo, hi)
-		switch {
-		case r.Len() == 0:
-		case one.Len() == 0:
-			one = r
-		default:
-			if parts == nil {
-				parts = append(make([]List, 0, len(l.sub)), one)
-			}
-			parts = append(parts, r)
+		if tomb = nil; len(in) == 1 {
+			return in[0].Range(lo, hi)
 		}
 	}
-	if parts == nil {
-		if tomb == nil {
-			return one
-		}
-		parts = []List{one}
+	parts := make([]List, len(in))
+	for i, p := range in {
+		parts[i] = p.Range(lo, hi)
 	}
 	return Union(tomb, parts...)
 }
 
-// mergedDocCounts is DocCounts over a merged view: each document lives in
-// exactly one part and the parts come in document order, so the parts are
-// counted in turn, behind a dead-document filter only when a tombstone falls
-// in [lo, hi).
-func (l List) mergedDocCounts(lo, hi storage.DocID, fn func(doc storage.DocID, n int) error) error {
-	if l.tomb.DeadIn(lo, hi) {
-		report := fn
-		fn = func(doc storage.DocID, n int) error {
-			if l.tomb.Dead(doc) {
-				return nil
-			}
-			return report(doc, n)
+// mergedDocCounts is AppendDocCounts over a merged view: each document
+// lives in exactly one part and the parts come in document order, so the
+// parts are counted in turn, and the dead documents then dropped in place
+// when a tombstone falls in [lo, hi).
+func (l List) mergedDocCounts(lo, hi storage.DocID, dst []DocCount) []DocCount {
+	n := len(dst)
+	for _, p := range l.partsIn(lo, hi) {
+		dst = p.AppendDocCounts(lo, hi, dst)
+	}
+	if !l.tomb.DeadIn(lo, hi) {
+		return dst
+	}
+	live := dst[:n]
+	for _, c := range dst[n:] {
+		if !l.tomb.Dead(c.Doc) {
+			live = append(live, c)
 		}
 	}
-	for _, p := range l.sub {
-		if err := p.DocCounts(lo, hi, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return live
 }
 
-// countRuns calls fn with each document's run length in ps, in order.
-func countRuns(ps []Posting, fn func(doc storage.DocID, n int) error) error {
+// appendRuns appends each document's run length in ps, in order.
+func appendRuns(dst []DocCount, ps []Posting) []DocCount {
 	for i, j := 0, 0; i < len(ps); i = j {
 		for j = i + 1; j < len(ps) && ps[j].Doc == ps[i].Doc; j++ {
 		}
-		if err := fn(ps[i].Doc, j-i); err != nil {
-			return err
-		}
+		dst = append(dst, DocCount{ps[i].Doc, j - i})
 	}
-	return nil
+	return dst
 }
 
 // next moves a merged cursor onto the first posting of its next part,

@@ -259,9 +259,9 @@ func TestTombstonesDeadIn(t *testing.T) {
 // merged cursor must yield exactly the sorted input minus tombstoned
 // documents, in order, under iteration, seeking, ranging and cursor reuse
 // alike. The parts are document-disjoint runs, as the live index builds
-// them. DocCounts must report exactly the live documents' counts, the
-// block-max view must bound every one of them, and AppendTo of the view
-// and of a window must equal the cursor over it. The same union with its
+// them. AppendDocCounts must report exactly the live documents' counts,
+// the block-max view must bound every one of them, and AppendTo of the
+// view and of a window, and AppendRange, must equal the cursor over it. The same union with its
 // block parts forced resident must read the same.
 func FuzzMemtableMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint32(0), uint16(0), uint16(0))
@@ -297,8 +297,8 @@ func FuzzMemtableMerge(f *testing.F) {
 		parts := splitRuns(ps, k)
 		u := Union(tomb, parts...)
 		want := filterDead(ps, tomb)
-		if got, wantCounts := docCounts(t, u, 0, doc+1), runCounts(want, 0, doc+1); !reflect.DeepEqual(got, wantCounts) {
-			t.Fatalf("DocCounts = %v, want %v", got, wantCounts)
+		if got, wantCounts := docCounts(u, 0, doc+1), runCounts(want, 0, doc+1); !reflect.DeepEqual(got, wantCounts) {
+			t.Fatalf("AppendDocCounts = %v, want %v", got, wantCounts)
 		}
 		checkBlockMax(t, u, want)
 
@@ -352,8 +352,11 @@ func FuzzMemtableMerge(f *testing.F) {
 		if !reflect.DeepEqual(gotRange, wantRange) {
 			t.Fatalf("Range(%d,%d): %d postings, want %d", lo, hi, len(gotRange), len(wantRange))
 		}
-		if got, wantCounts := docCounts(t, u, lo, hi), runCounts(want, lo, hi); !reflect.DeepEqual(got, wantCounts) {
-			t.Fatalf("DocCounts(%d,%d) = %v, want %v", lo, hi, got, wantCounts)
+		if got := u.AppendRange(lo, hi, []Posting{}); !reflect.DeepEqual(got, wantRange) {
+			t.Fatalf("AppendRange(%d,%d): %d postings, want %d", lo, hi, len(got), len(wantRange))
+		}
+		if got, wantCounts := docCounts(u, lo, hi), runCounts(want, lo, hi); !reflect.DeepEqual(got, wantCounts) {
+			t.Fatalf("AppendDocCounts(%d,%d) = %v, want %v", lo, hi, got, wantCounts)
 		}
 		checkAppendTo(t, "merged view", u)
 		checkAppendTo(t, fmt.Sprintf("merged Range(%d,%d)", lo, hi), u.Range(lo, hi))
@@ -361,35 +364,27 @@ func FuzzMemtableMerge(f *testing.F) {
 	})
 }
 
-// runCounts is the DocCounts oracle: the per-document posting counts of
-// the sorted ps within [lo, hi), in document order, as (doc, count) pairs.
-func runCounts(ps []Posting, lo, hi storage.DocID) [][2]int {
-	out := [][2]int{}
+// runCounts is the AppendDocCounts oracle: the per-document posting
+// counts of the sorted ps within [lo, hi), in document order.
+func runCounts(ps []Posting, lo, hi storage.DocID) []DocCount {
+	out := []DocCount{}
 	for _, p := range ps {
 		if p.Doc < lo || p.Doc >= hi {
 			continue
 		}
-		if n := len(out); n > 0 && out[n-1][0] == int(p.Doc) {
-			out[n-1][1]++
+		if n := len(out); n > 0 && out[n-1].Doc == p.Doc {
+			out[n-1].N++
 		} else {
-			out = append(out, [2]int{int(p.Doc), 1})
+			out = append(out, DocCount{p.Doc, 1})
 		}
 	}
 	return out
 }
 
-// docCounts collects l.DocCounts(lo, hi) as (doc, count) pairs.
-func docCounts(t *testing.T, l List, lo, hi storage.DocID) [][2]int {
-	t.Helper()
-	out := [][2]int{}
-	err := l.DocCounts(lo, hi, func(d storage.DocID, n int) error {
-		out = append(out, [2]int{int(d), n})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+// docCounts returns l.AppendDocCounts(lo, hi) onto a non-nil empty slice,
+// comparable with runCounts.
+func docCounts(l List, lo, hi storage.DocID) []DocCount {
+	return l.AppendDocCounts(lo, hi, []DocCount{})
 }
 
 // checkBlockMax holds l's block-max view to its contract: blocks come in
@@ -409,12 +404,12 @@ func checkBlockMax(t *testing.T, l List, live []Posting) {
 	for _, c := range runCounts(live, 0, math.MaxInt32) {
 		bound := 0
 		for _, b := range blocks {
-			if int(b.FirstDoc) <= c[0] && c[0] <= int(b.LastDoc) {
+			if b.FirstDoc <= c.Doc && c.Doc <= b.LastDoc {
 				bound += int(b.MaxFreq)
 			}
 		}
-		if c[1] > bound {
-			t.Fatalf("document %d has %d postings, above its block-max bound %d", c[0], c[1], bound)
+		if c.N > bound {
+			t.Fatalf("document %d has %d postings, above its block-max bound %d", c.Doc, c.N, bound)
 		}
 	}
 }

@@ -431,44 +431,19 @@ func TestDocCountsMatchesRaw(t *testing.T) {
 						want[p.Doc]++
 					}
 				}
-				var gotDocs []storage.DocID
+				counts := view.AppendDocCounts(lo, hi, nil)
 				got := map[storage.DocID]int{}
-				err := view.DocCounts(lo, hi, func(d storage.DocID, n int) error {
-					gotDocs = append(gotDocs, d)
-					got[d] = n
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
+				for i, c := range counts {
+					got[c.Doc] = c.N
+					if i > 0 && c.Doc <= counts[i-1].Doc {
+						t.Fatalf("%s AppendDocCounts(%d, %d) out of order: %v", name, lo, hi, counts)
+					}
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s DocCounts(%d, %d) = %v, want %v", name, lo, hi, got, want)
-				}
-				for i := 1; i < len(gotDocs); i++ {
-					if gotDocs[i] <= gotDocs[i-1] {
-						t.Fatalf("%s DocCounts(%d, %d) out of order: %v", name, lo, hi, gotDocs)
-					}
+					t.Fatalf("%s AppendDocCounts(%d, %d) = %v, want %v", name, lo, hi, got, want)
 				}
 			}
 		}
-	}
-}
-
-func TestDocCountsAbortsOnError(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	ps := genList(r, BlockSize)
-	bl := Encode(ps)
-	sentinel := errors.New("stop")
-	calls := 0
-	err := bl.All().DocCounts(0, ps[len(ps)-1].Doc+1, func(storage.DocID, int) error {
-		calls++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if calls != 1 {
-		t.Fatalf("fn called %d times after error", calls)
 	}
 }
 

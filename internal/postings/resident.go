@@ -1,7 +1,6 @@
 package postings
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/storage"
@@ -45,8 +44,15 @@ func (b *BlockList) MaybeResident() bool {
 	}
 	// Distinct-document count from the doc streams alone — cheap enough to
 	// probe every candidate without committing to a full decode.
-	distinct := 0
-	_ = b.All().DocCounts(0, math.MaxInt32, func(storage.DocID, int) error { distinct++; return nil })
+	distinct, last := 0, storage.DocID(-1)
+	var buf [BlockSize]storage.DocID
+	for i := range b.skips {
+		for _, d := range b.decodeDocs(i, buf[:0]) {
+			if d != last {
+				distinct, last = distinct+1, d
+			}
+		}
+	}
 	span := int64(b.skips[len(b.skips)-1].LastDoc-b.skips[0].FirstDoc) + 1
 	if span > int64(distinct)*ResidentMaxSpread {
 		return false

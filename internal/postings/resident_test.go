@@ -121,7 +121,7 @@ func TestResidentCursorDifferential(t *testing.T) {
 }
 
 // TestResidentRangeDifferential pins windowed views: Range results, their
-// cursors, lowerBound boundaries and DocCounts must match the block path.
+// cursors, lowerBound boundaries and AppendDocCounts must match the block path.
 func TestResidentRangeDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	ps := denseList(r, 4000)
@@ -148,21 +148,8 @@ func TestResidentRangeDifferential(t *testing.T) {
 			b.Advance()
 		}
 
-		var pc, dc []int
-		collect := func(dst *[]int) func(storage.DocID, int) error {
-			return func(d storage.DocID, n int) error {
-				*dst = append(*dst, int(d), n)
-				return nil
-			}
-		}
-		if err := plain.All().DocCounts(lo, hi, collect(&pc)); err != nil {
-			t.Fatal(err)
-		}
-		if err := dense.All().DocCounts(lo, hi, collect(&dc)); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pc, dc) {
-			t.Fatalf("DocCounts(%d,%d) differ:\n   block %v\nresident %v", lo, hi, pc, dc)
+		if pc, dc := docCounts(plain.All(), lo, hi), docCounts(dense.All(), lo, hi); !reflect.DeepEqual(pc, dc) {
+			t.Fatalf("AppendDocCounts(%d,%d) differ:\n   block %v\nresident %v", lo, hi, pc, dc)
 		}
 	}
 }
@@ -233,7 +220,7 @@ func TestResidentCursorResetOntoDecoded(t *testing.T) {
 	}
 }
 
-// TestResidentConcurrentReaders runs cursor walks, SeekPos and DocCounts
+// TestResidentConcurrentReaders runs cursor walks, SeekPos and AppendDocCounts
 // over one resident list from eight goroutines at once; under -race any
 // write to the shared resident postings is reported.
 func TestResidentConcurrentReaders(t *testing.T) {
@@ -268,13 +255,8 @@ func TestResidentConcurrentReaders(t *testing.T) {
 					return
 				}
 			}
-			var got [][2]int
-			_ = l.DocCounts(0, maxDoc+1, func(d storage.DocID, n int) error {
-				got = append(got, [2]int{int(d), n})
-				return nil
-			})
-			if !reflect.DeepEqual(got, wantCounts) {
-				t.Errorf("goroutine %d: DocCounts differ", seed)
+			if got := docCounts(l, 0, maxDoc+1); !reflect.DeepEqual(got, wantCounts) {
+				t.Errorf("goroutine %d: AppendDocCounts differ", seed)
 			}
 		}(int64(g))
 	}

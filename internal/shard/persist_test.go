@@ -620,6 +620,63 @@ func TestAcceptedDocumentsSaveAndOpen(t *testing.T) {
 	}
 }
 
+// TestLoadTreeRejectsUnparsableTrees: LoadTree holds a tree built in code
+// to what Parse returns, so a tree whose serialization would reopen as a
+// different one fails at load with the xmltree sentinel, and leaves
+// nothing behind that a search or a save could trip on. The first case is
+// text children "alpha" and "beta", which a snapshot used to reopen as one
+// text node, after which a search for "beta" panicked.
+func TestLoadTreeRejectsUnparsableTrees(t *testing.T) {
+	elem := func(tag string, children ...*xmltree.Node) *xmltree.Node {
+		n := xmltree.NewElement(tag)
+		for _, c := range children {
+			n.AppendChild(c)
+		}
+		return n
+	}
+	deep := xmltree.NewText("beta")
+	for range xmltree.MaxDepth + 1 {
+		deep = elem("d", deep)
+	}
+	badAttr := elem("a", xmltree.NewText("beta"))
+	badAttr.Attrs = []xmltree.Attr{{Name: "x:y", Value: "1"}}
+	cases := []struct {
+		root *xmltree.Node
+		want error
+	}{
+		{elem("a", xmltree.NewText("alpha"), xmltree.NewText("beta")), xmltree.ErrSplitText},
+		{elem("a", elem("b", xmltree.NewText(" beta"))), xmltree.ErrSplitText},
+		{elem("a", xmltree.NewText(""), elem("b", xmltree.NewText("beta"))), xmltree.ErrSplitText},
+		{elem("0a", xmltree.NewText("beta")), xmltree.ErrInvalidName},
+		{elem("a", elem("p:b", xmltree.NewText("beta"))), xmltree.ErrInvalidName},
+		{badAttr, xmltree.ErrInvalidName},
+		{deep, xmltree.ErrTooDeep},
+	}
+	s := New(Options{Shards: 1, Metrics: metrics.NewRegistry()})
+	s.Warm()
+	if err := s.LoadTree("ok.xml", elem("a", xmltree.NewText("alpha beta"), elem("b", xmltree.NewText("beta")))); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		xmltree.Number(c.root)
+		if err := s.LoadTree(fmt.Sprintf("bad%d.xml", i), c.root); !errors.Is(err, c.want) {
+			t.Fatalf("case %d: LoadTree = %v, want %v", i, err, c.want)
+		}
+	}
+	d, err := Load(bytes.NewReader(saved(t, s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.DocumentCount() != 1 {
+		t.Fatalf("reopened %d documents, want 1", d.DocumentCount())
+	}
+	for _, db := range []*DB{s, d} {
+		if got := namedResults(t, db, "beta"); len(got) == 0 {
+			t.Fatal(`no result for "beta"`)
+		}
+	}
+}
+
 // TestSaveFileFailureKeepsPreviousSnapshot pins crash-safe saving: a save
 // that fails after it has started writing (here on a burned id slot,
 // after the header) leaves the previous snapshot byte-identical and

@@ -210,6 +210,9 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 		if n.Ord != int32(i) {
 			return 0, fmt.Errorf("storage: node ordinals not preorder-contiguous (got %d at %d); tree not numbered?", n.Ord, i)
 		}
+		if err := n.Check(); err != nil {
+			return 0, fmt.Errorf("storage: document %q: %w", name, err)
+		}
 		ordOf[n] = int32(i)
 	}
 	for i, n := range nodes {

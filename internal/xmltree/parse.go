@@ -25,6 +25,40 @@ var ErrTooDeep = errors.New("xmltree: document nested too deeply")
 // serialization would not parse back.
 var ErrInvalidName = errors.New("xmltree: name does not survive serialization")
 
+// ErrSplitText marks a text node that Parse never returns: one beside
+// another text node, or with no character data or untrimmed whitespace.
+// Its serialization parses back to a different tree.
+var ErrSplitText = errors.New("xmltree: text node does not survive serialization")
+
+// Check reports why n, a node of a numbered tree, is not one Parse could
+// return: an element nested deeper than MaxDepth (ErrTooDeep), a tag or
+// attribute name that is not a name (ErrInvalidName), or a text child
+// beside another, empty or untrimmed (ErrSplitText). Store.AddTree calls it
+// on every node it loads, so a tree built in code saves to a snapshot that
+// reopens to the same tree.
+func (n *Node) Check() error {
+	if n.Kind == Text {
+		return nil
+	}
+	if n.Level >= MaxDepth {
+		return fmt.Errorf("xmltree: <%s> nested more than %d elements deep: %w", n.Tag, MaxDepth, ErrTooDeep)
+	}
+	if !validName(n.Tag) {
+		return fmt.Errorf("xmltree: tag %q: %w", n.Tag, ErrInvalidName)
+	}
+	for _, a := range n.Attrs {
+		if !validName(a.Name) {
+			return fmt.Errorf("xmltree: attribute %q of <%s>: %w", a.Name, n.Tag, ErrInvalidName)
+		}
+	}
+	for i, c := range n.Children {
+		if c.Kind == Text && (c.Text == "" || c.Text != strings.TrimSpace(c.Text) || i > 0 && n.Children[i-1].Kind == Text) {
+			return fmt.Errorf("xmltree: text child %d of <%s>: %w", i, n.Tag, ErrSplitText)
+		}
+	}
+	return nil
+}
+
 // Parse reads one XML document from r and returns its numbered tree. If the
 // input contains multiple top-level elements (as reviews.xml in the paper's
 // Fig. 1 does), they are wrapped under a synthetic root element named
@@ -124,6 +158,18 @@ func Parse(r io.Reader) (*Node, error) {
 	}
 	Number(root)
 	return root, nil
+}
+
+// validName is isName with a fast path for the ASCII names nearly every
+// document uses.
+func validName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || i > 0 && ('0' <= c && c <= '9' || c == '-' || c == '.')) {
+			return isName(s)
+		}
+	}
+	return s != ""
 }
 
 // isName reports whether s, written as an element name, reads back as

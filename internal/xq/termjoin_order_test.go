@@ -43,7 +43,13 @@ func nestedDoc(rng *rand.Rand, depth int, words []string) *xmltree.Node {
 		for w := range text {
 			text[w] = words[rng.Intn(len(words))]
 		}
-		parent.AppendChild(xmltree.NewText(strings.Join(text, " ")))
+		// Text beside text joins, as Parse joins it: the store takes
+		// only trees Parse could return.
+		if last := len(parent.Children) - 1; last >= 0 && parent.Children[last].Kind == xmltree.Text {
+			parent.Children[last].Text += " " + strings.Join(text, " ")
+		} else {
+			parent.AppendChild(xmltree.NewText(strings.Join(text, " ")))
+		}
 	}
 	xmltree.Number(root)
 	return root

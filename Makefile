@@ -65,9 +65,11 @@ race:
 # ordering rule that a term's generation is never ahead of the snapshot
 # a reader takes after observing it (DESIGN.md §13). The resident-list
 # suites run here too: concurrent readers share one list's resident
-# postings, which no cursor may ever write (DESIGN.md §15).
+# postings, which no cursor may ever write (DESIGN.md §15). So do the
+# parallel snapshot open's suites: concurrent opens of one file, and the
+# first bad record in file order winning whichever worker finishes first.
 stress:
-	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK|Cache|Coherent|TermsGeneration|Resident' \
+	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard|TopK|Cache|Coherent|TermsGeneration|Resident|LoadConcurrentOpens|LoadFirstError' \
 		./internal/exec ./internal/db ./internal/index ./internal/postings ./internal/rescache ./internal/server ./internal/shard
 
 # The replicated-serving chaos drills (DESIGN.md §12): a 3-replica fleet

@@ -241,3 +241,22 @@ func benchTopK(b *testing.B, idx *index.Index, reqs []topkRequest) {
 	}
 	b.ReportMetric(float64(docs)/float64(len(reqs)), "docs/req")
 }
+
+// TestTopKCommonLiveAllocs pins the allocations of one two-term complex
+// request over a live snapshot (the churned gate tier): reading each
+// term's list over the live layers builds one parts slice, which the
+// union keeps rather than copying, so the request allocates at most 18
+// times.
+func TestTopKCommonLiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not measured under -race")
+	}
+	idx := churnedGateIndex(t, 42)
+	r := topkRequest{terms: []string{"jadense", "jbdense"}, k: 20, complex: true}
+	if _, _, err := r.run(idx); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { _, _, _ = r.run(idx) }); got > 18 {
+		t.Fatalf("two-term complex top-k over a live snapshot: %.0f allocations, want at most 18", got)
+	}
+}

@@ -2,8 +2,8 @@ package db
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -59,28 +59,42 @@ func (f *FrameWriter) Seal() error {
 	return err
 }
 
-// maxString bounds a string a payload may declare, so that a corrupted
-// length fails as implausible instead of reading on to the end of input.
-const maxString = 1 << 30
-
-// FrameReader reads a payload written through a FrameWriter, hashing
-// exactly the bytes its consumer takes, and Verify checks the trailer
-// after them. Every error it returns starts with the caller's prefix and
-// wraps the caller's corrupt sentinel: a payload that cannot be read as
-// written, short input included, is a corrupt one.
+// FrameReader decodes a payload written through a FrameWriter from
+// memory. NewFrameReader checks the integrity trailer before anything is
+// decoded, so a damaged payload fails before any work is spent on it, and
+// Done checks that decoding consumed the payload exactly. Failures are
+// sticky: the first is kept for Err and Done, and every later read
+// returns a zero value. Every error it returns starts with the caller's
+// prefix and wraps the caller's corrupt sentinel: a payload that cannot
+// be read as written, short input included, is a corrupt one.
 type FrameReader struct {
-	// raw is the buffered source. The hash is taken above it, not under
-	// it: bufio's readahead would otherwise pull trailer bytes into the
-	// payload hash.
-	raw     *bufio.Reader
-	h       hash.Hash32
+	buf     []byte // the payload, trailer excluded
+	off     int
+	err     error
 	prefix  string
 	corrupt error
 }
 
-// NewFrameReader starts reading a snapshot payload from r.
-func NewFrameReader(r io.Reader, prefix string, corrupt error) *FrameReader {
-	return &FrameReader{raw: bufio.NewReader(r), h: crc32.NewIEEE(), prefix: prefix, corrupt: corrupt}
+// NewFrameReader checks that data starts with magic and ends in an
+// integrity trailer whose checksum matches every byte before it, and
+// returns a reader positioned after the magic. The reader decodes from
+// data without copying it; Text copies what it returns.
+func NewFrameReader(data []byte, magic, prefix string, corrupt error) (*FrameReader, error) {
+	f := &FrameReader{prefix: prefix, corrupt: corrupt}
+	n := len(data) - len(sumMagic) - 4
+	switch {
+	case !bytes.HasPrefix(data, []byte(magic)):
+		return nil, f.Corrupt(fmt.Sprintf("bad magic %q, want %q", data[:min(len(data), len(magic))], magic), nil)
+	case n < len(magic):
+		return nil, f.Corrupt(fmt.Sprintf("truncated integrity trailer (%d bytes after the magic)", len(data)-len(magic)), nil)
+	case string(data[n:n+len(sumMagic)]) != sumMagic:
+		return nil, f.Corrupt(fmt.Sprintf("no %q trailer at the end of the input", sumMagic), nil)
+	}
+	if want, got := binary.LittleEndian.Uint32(data[n+len(sumMagic):]), crc32.ChecksumIEEE(data[:n]); got != want {
+		return nil, f.Corrupt(fmt.Sprintf("checksum mismatch (file %08x, payload %08x)", want, got), nil)
+	}
+	f.buf, f.off = data[:n], len(magic)
+	return f, nil
 }
 
 // Corrupt returns the error for a payload that holds what, wrapping the
@@ -92,103 +106,61 @@ func (f *FrameReader) Corrupt(what string, cause error) error {
 	return fmt.Errorf("%s: %s: %w: %w", f.prefix, what, f.corrupt, cause)
 }
 
-// Read reads and hashes up to len(p) bytes.
-func (f *FrameReader) Read(p []byte) (int, error) {
-	n, err := f.raw.Read(p)
-	f.h.Write(p[:n])
-	return n, err
-}
+// Err returns the first failure, or nil.
+func (f *FrameReader) Err() error { return f.err }
 
-// ReadByte reads and hashes one byte. It is the io.ByteReader the uvarint
-// decoder reads through; Byte is its checked form.
-func (f *FrameReader) ReadByte() (byte, error) {
-	b, err := f.raw.ReadByte()
-	if err == nil {
-		f.h.Write([]byte{b})
+// Fail records that the payload holds what, unless a failure is recorded
+// already, and ends the input, so every later read returns zero. The
+// reads call it when the input runs short; decoders call it when what
+// they read does not hold.
+func (f *FrameReader) Fail(what string, cause error) {
+	if f.err == nil {
+		f.err = f.Corrupt(what, cause)
 	}
-	return b, err
+	f.off = len(f.buf)
 }
 
 // Byte reads one byte.
-func (f *FrameReader) Byte() (byte, error) {
-	b, err := f.ReadByte()
-	if err != nil {
-		return 0, f.Corrupt("short read", err)
+func (f *FrameReader) Byte() byte {
+	if f.off == len(f.buf) {
+		f.Fail("short read", io.ErrUnexpectedEOF)
+		return 0
 	}
-	return b, nil
-}
-
-// Magic reads the format's magic and checks it is want.
-func (f *FrameReader) Magic(want string) error {
-	got := make([]byte, len(want))
-	if _, err := io.ReadFull(f, got); err != nil {
-		return f.Corrupt("no magic", err)
-	}
-	if string(got) != want {
-		return f.Corrupt(fmt.Sprintf("bad magic %q, want %q", got, want), nil)
-	}
-	return nil
+	f.off++
+	return f.buf[f.off-1]
 }
 
 // Uvarint reads one uvarint.
-func (f *FrameReader) Uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(f)
-	if err != nil {
-		return 0, f.Corrupt("bad uvarint", err)
+func (f *FrameReader) Uvarint() uint64 {
+	v, n := binary.Uvarint(f.buf[f.off:])
+	if n <= 0 {
+		f.Fail("bad uvarint", nil)
+		return 0
 	}
-	return v, nil
+	f.off += n
+	return v
 }
 
-// Bytes reads exactly n bytes in bounded chunks: a lying length on a
-// corrupted file must not force a giant up-front allocation before the
-// short read surfaces.
-func (f *FrameReader) Bytes(n uint64) ([]byte, error) {
-	const chunk = 1 << 16
-	buf := make([]byte, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		k := min(remaining, chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(f, buf[start:]); err != nil {
-			return nil, f.Corrupt("short read", err)
-		}
-		remaining -= k
+// Bytes returns the next n bytes, a slice of the input: a declared length
+// longer than what remains is corrupt before anything is allocated.
+func (f *FrameReader) Bytes(n uint64) []byte {
+	if n > uint64(len(f.buf)-f.off) {
+		f.Fail(fmt.Sprintf("%d bytes declared, %d left", n, len(f.buf)-f.off), io.ErrUnexpectedEOF)
+		return nil
 	}
-	return buf, nil
+	f.off += int(n)
+	//tixlint:ignore aliasret the slice is the caller's own input, which the reader never writes; the loaders parse it or copy it before they return
+	return f.buf[f.off-int(n) : f.off]
 }
 
 // Text reads a string written by PutString.
-func (f *FrameReader) Text() (string, error) {
-	n, err := f.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxString {
-		return "", f.Corrupt(fmt.Sprintf("implausible string length %d", n), nil)
-	}
-	buf, err := f.Bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
+func (f *FrameReader) Text() string { return string(f.Bytes(f.Uvarint())) }
 
-// Verify checks the trailer once the payload has been consumed: it must
-// be present in full, match the payload's checksum and end the input.
-func (f *FrameReader) Verify() error {
-	tr := make([]byte, len(sumMagic)+4)
-	if n, err := io.ReadFull(f.raw, tr); err != nil {
-		return f.Corrupt(fmt.Sprintf("truncated integrity trailer (%d of %d bytes)", n, len(tr)), nil)
+// Done returns the first failure, or an error if decoding stopped short
+// of the trailer.
+func (f *FrameReader) Done() error {
+	if f.err == nil && f.off != len(f.buf) {
+		return f.Corrupt(fmt.Sprintf("%d bytes of unexpected data after payload", len(f.buf)-f.off), nil)
 	}
-	if string(tr[:len(sumMagic)]) != sumMagic {
-		return f.Corrupt(fmt.Sprintf("unexpected data after payload (missing %q trailer)", sumMagic), nil)
-	}
-	want := binary.LittleEndian.Uint32(tr[len(sumMagic):])
-	if got := f.h.Sum32(); got != want {
-		return f.Corrupt(fmt.Sprintf("checksum mismatch (file %08x, payload %08x)", want, got), nil)
-	}
-	if _, err := f.raw.ReadByte(); !errors.Is(err, io.EOF) {
-		return f.Corrupt("data after integrity trailer", nil)
-	}
-	return nil
+	return f.err
 }

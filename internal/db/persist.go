@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -20,9 +21,10 @@ import (
 // block count, then per block the skip entry as uvarints (posting count
 // in block, payload byte length, first doc, last doc − first doc, last
 // pos, max per-doc frequency), followed by the concatenated block
-// payloads. Loading adopts the payload bytes without re-encoding, and
-// postings.NewBlockList validates every block, so a section that passes
-// the checksum but holds malformed blocks is still rejected.
+// payloads. Loading adopts copies of the payload bytes without
+// re-encoding, and postings.NewBlockList validates every block, so a
+// section that passes the checksum but holds malformed blocks is still
+// rejected.
 
 // PersistView returns the segment as a snapshot holds it: the documents at
 // locals, in that order, and a flat index in which the k-th of them is
@@ -120,65 +122,68 @@ func WriteIndex(fw *FrameWriter, idx *index.Index) error {
 	return nil
 }
 
-// ReadIndex reads an index section written by WriteIndex and installs it
-// as the segment's index. The segment must already hold the documents the
-// section was written over, in their saved order. Skip tables are rebuilt
-// from their uvarints and payloads adopted verbatim; every block is
-// validated here rather than at query decode, and a section that does not
-// fit the segment fails with fr's corrupt sentinel.
-func (d *DB) ReadIndex(fr *FrameReader) error {
-	has, err := fr.Byte()
-	if err != nil || has == 0 {
-		return err
+// IndexSection is an index section decoded by DecodeIndex: per term, the
+// skip table rebuilt from its uvarints and the block payloads, not yet
+// validated. Validate checks one list and InstallIndex adopts them all.
+type IndexSection struct {
+	fr     *FrameReader
+	lists  []sectionList
+	byTerm map[string]*postings.BlockList // nil without an index
+}
+
+// sectionList is one term's posting list in an IndexSection.
+type sectionList struct {
+	term    string
+	n       int
+	skips   []postings.Skip
+	payload []byte // a slice of the frame's input until Validate copies it
+	bl      *postings.BlockList
+	err     error
+}
+
+// DecodeIndex reads an index section written by WriteIndex for a segment
+// of numDocs documents, as far as fr lets it. It checks the counts and
+// skip entries as it reads them and fails fr on the first that does not
+// hold; the blocks themselves are left to Validate.
+func DecodeIndex(fr *FrameReader, numDocs int) *IndexSection {
+	sec := &IndexSection{fr: fr}
+	if has := fr.Byte(); has != 1 {
+		if has > 1 {
+			fr.Fail(fmt.Sprintf("index presence byte %d", has), nil)
+		}
+		return sec
 	}
-	if has != 1 {
-		return fr.Corrupt(fmt.Sprintf("index presence byte %d", has), nil)
-	}
-	numDocs := uint64(d.store.NumDocs())
-	nTerms, err := fr.Uvarint()
-	if err != nil {
-		return err
-	}
-	lists := make(map[string]*postings.BlockList, min(nTerms, 1<<16))
-	for i := uint64(0); i < nTerms; i++ {
-		term, err := fr.Text()
-		if err != nil {
-			return err
+	nDocs, nTerms := uint64(numDocs), fr.Uvarint()
+	sec.byTerm = make(map[string]*postings.BlockList, min(nTerms, 1<<16))
+	for i := uint64(0); i < nTerms && fr.Err() == nil; i++ {
+		term := fr.Text()
+		_, dup := sec.byTerm[term]
+		nPost, nBlocks := fr.Uvarint(), fr.Uvarint()
+		switch {
+		case dup:
+			fr.Fail(fmt.Sprintf("term %q listed twice", term), nil)
+		case nPost > math.MaxInt32 || nBlocks > nPost:
+			fr.Fail(fmt.Sprintf("%d blocks for %d postings of %q", nBlocks, nPost, term), nil)
 		}
-		if _, dup := lists[term]; dup {
-			return fr.Corrupt(fmt.Sprintf("term %q listed twice", term), nil)
-		}
-		nPost, err := fr.Uvarint()
-		if err != nil {
-			return err
-		}
-		nBlocks, err := fr.Uvarint()
-		if err != nil {
-			return err
-		}
-		if nPost > math.MaxInt32 || nBlocks > nPost {
-			return fr.Corrupt(fmt.Sprintf("%d blocks for %d postings of %q", nBlocks, nPost, term), nil)
-		}
+		sec.byTerm[term] = nil
 		skips := make([]postings.Skip, 0, min(nBlocks, 1<<16))
 		var off, end uint64
-		for b := uint64(0); b < nBlocks; b++ {
+		for b := uint64(0); b < nBlocks && fr.Err() == nil; b++ {
 			var v [6]uint64
 			for k := range v {
-				if v[k], err = fr.Uvarint(); err != nil {
-					return err
-				}
+				v[k] = fr.Uvarint()
 			}
 			cnt, byteLen, firstDoc, docSpan, lastPos, maxFreq := v[0], v[1], v[2], v[3], v[4], v[5]
 			end += cnt
 			switch {
 			case cnt < 1 || cnt > postings.BlockSize || end > nPost:
-				return fr.Corrupt(fmt.Sprintf("block %d of %q holds %d postings", b, term, cnt), nil)
+				fr.Fail(fmt.Sprintf("block %d of %q holds %d postings", b, term, cnt), nil)
 			case byteLen == 0 || off+byteLen > math.MaxUint32:
-				return fr.Corrupt(fmt.Sprintf("block %d of %q is %d bytes", b, term, byteLen), nil)
-			case docSpan >= numDocs || firstDoc >= numDocs-docSpan:
-				return fr.Corrupt(fmt.Sprintf("block %d of %q names documents past %d", b, term, numDocs), nil)
+				fr.Fail(fmt.Sprintf("block %d of %q is %d bytes", b, term, byteLen), nil)
+			case docSpan >= nDocs || firstDoc >= nDocs-docSpan:
+				fr.Fail(fmt.Sprintf("block %d of %q names documents past %d", b, term, nDocs), nil)
 			case lastPos > math.MaxUint32 || maxFreq > cnt:
-				return fr.Corrupt(fmt.Sprintf("implausible skip entry %d of %q", b, term), nil)
+				fr.Fail(fmt.Sprintf("implausible skip entry %d of %q", b, term), nil)
 			}
 			skips = append(skips, postings.Skip{
 				FirstDoc: storage.DocID(firstDoc),
@@ -191,18 +196,45 @@ func (d *DB) ReadIndex(fr *FrameReader) error {
 			off += byteLen
 		}
 		if end != nPost {
-			return fr.Corrupt(fmt.Sprintf("blocks of %q cover %d of %d postings", term, end, nPost), nil)
+			fr.Fail(fmt.Sprintf("blocks of %q cover %d of %d postings", term, end, nPost), nil)
 		}
-		payload, err := fr.Bytes(off)
-		if err != nil {
-			return err
+		if payload := fr.Bytes(off); fr.Err() == nil {
+			sec.lists = append(sec.lists, sectionList{term: term, n: int(nPost), skips: skips, payload: payload})
 		}
-		bl, err := postings.NewBlockList(int(nPost), skips, payload)
-		if err != nil {
-			return fr.Corrupt(fmt.Sprintf("postings for %q", term), err)
-		}
-		lists[term] = bl
 	}
-	d.adoptIndex(index.RestoreBlocks(d.store, d.tok, lists))
+	return sec
+}
+
+// Lists returns the number of posting lists the section decoded.
+func (sec *IndexSection) Lists() int { return len(sec.lists) }
+
+// Validate builds list i from a copy of its payload, so the frame's input
+// is not kept alive by the index; postings.NewBlockList validates every
+// block. Distinct lists may be validated concurrently.
+func (sec *IndexSection) Validate(i int) {
+	l := &sec.lists[i]
+	bl, err := postings.NewBlockList(l.n, l.skips, bytes.Clone(l.payload))
+	if err != nil {
+		l.err = sec.fr.Corrupt(fmt.Sprintf("postings for %q", l.term), err)
+	}
+	l.bl, l.payload = bl, nil
+}
+
+// InstallIndex installs a section whose lists have all been validated as
+// the segment's index. The segment must already hold the documents the
+// section was written over, in their saved order. It returns the error of
+// the first list, in file order, that failed validation. It installs
+// nothing once the frame has failed, or for a section written without an
+// index: the segment then builds its index lazily.
+func (d *DB) InstallIndex(sec *IndexSection) error {
+	for _, l := range sec.lists {
+		if l.err != nil {
+			return l.err
+		}
+		sec.byTerm[l.term] = l.bl
+	}
+	if sec.byTerm != nil && sec.fr.Err() == nil {
+		d.adoptIndex(index.RestoreBlocks(d.store, d.tok, sec.byTerm))
+	}
 	return nil
 }

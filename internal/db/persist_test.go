@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,9 +21,9 @@ import (
 // The snapshot file (internal/shard) embeds the pieces this package owns:
 // a segment's persisted view, its index section, and the frame both are
 // written through. These tests check those pieces directly: an index
-// section sealed by a FrameWriter, read back by ReadIndex into a segment
-// holding the view's documents. The file's own records and its
-// corruption classes are tested in internal/shard.
+// section sealed by a FrameWriter, read back by DecodeIndex and
+// InstallIndex into a segment holding the view's documents. The file's
+// own records and its corruption classes are tested in internal/shard.
 
 var errCorrupt = errors.New("corrupt")
 
@@ -54,24 +53,28 @@ func persisted(t testing.TB, d *DB) ([]*storage.Document, []byte) {
 }
 
 // restore loads docs, in order, into a segment with opts and reads the
-// sealed index section in data into it.
+// sealed index section in data into it, as the snapshot loader does:
+// decode, validate every list, install, then check the payload was
+// consumed.
 func restore(docs []*storage.Document, opts Options, data []byte) (*DB, error) {
-	return restoreFrom(docs, opts, bytes.NewReader(data))
-}
-
-// restoreFrom is restore reading the section from r.
-func restoreFrom(docs []*storage.Document, opts Options, r io.Reader) (*DB, error) {
 	d := New(opts)
 	for _, doc := range docs {
 		if err := d.LoadTree(doc.Name, doc.Root); err != nil {
 			return nil, err
 		}
 	}
-	fr := NewFrameReader(r, "section", errCorrupt)
-	if err := d.ReadIndex(fr); err != nil {
+	fr, err := NewFrameReader(data, "", "section", errCorrupt)
+	if err != nil {
 		return nil, err
 	}
-	if err := fr.Verify(); err != nil {
+	sec := DecodeIndex(fr, len(docs))
+	for i := range sec.Lists() {
+		sec.Validate(i)
+	}
+	if err := d.InstallIndex(sec); err != nil {
+		return nil, err
+	}
+	if err := fr.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -197,7 +200,7 @@ func TestSaveLoadPreservesOptions(t *testing.T) {
 	}
 }
 
-// TestSaveFileLoadDBFile: a section read back through a file reads as it
+// TestSaveFileLoadDBFile: a section read back from a file reads as it
 // does from memory.
 func TestSaveFileLoadDBFile(t *testing.T) {
 	docs, data := sealedFixture(t)
@@ -205,12 +208,11 @@ func TestSaveFileLoadDBFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	read, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	d, err := restoreFrom(docs, fixtureOpts, f)
+	d, err := restore(docs, fixtureOpts, read)
 	if err != nil {
 		t.Fatal(err)
 	}

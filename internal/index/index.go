@@ -18,9 +18,12 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/postings"
 	"repro/internal/storage"
@@ -329,18 +332,25 @@ func (idx *Index) TotalOccurrences() int64 { return idx.total }
 // TermsByFreq returns all terms sorted by descending total frequency; ties
 // break lexicographically. Useful for workload construction.
 func (idx *Index) TermsByFreq() []string {
-	freqs := idx.termFreqs()
-	terms := make([]string, 0, len(freqs))
-	for t := range freqs {
-		terms = append(terms, t)
+	type termFreq struct {
+		term string
+		freq int
 	}
-	sort.Slice(terms, func(i, j int) bool {
-		fi, fj := freqs[terms[i]], freqs[terms[j]]
-		if fi != fj {
-			return fi > fj
+	freqs := idx.termFreqs()
+	pairs := make([]termFreq, 0, len(freqs))
+	for t, f := range freqs {
+		pairs = append(pairs, termFreq{t, f})
+	}
+	slices.SortFunc(pairs, func(a, b termFreq) int {
+		if a.freq != b.freq {
+			return cmp.Compare(b.freq, a.freq)
 		}
-		return terms[i] < terms[j]
+		return strings.Compare(a.term, b.term)
 	})
+	terms := make([]string, len(pairs))
+	for i, p := range pairs {
+		terms[i] = p.term
+	}
 	return terms
 }
 

@@ -3,6 +3,7 @@ package postings
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
@@ -136,8 +137,14 @@ func (t *Tombstones) IDs() []storage.DocID {
 // Under tombstones, Len counts suppressed postings too — it becomes an
 // upper bound, which is the same contract the block-max view (BlockMax)
 // assumes of its statistics.
+//
+// Union owns parts: when no part is itself merged, the view keeps the
+// parts in parts' own backing array, so the caller must not reuse it.
 func Union(tomb *Tombstones, parts ...List) List {
-	kept := make([]List, 0, len(parts))
+	kept := parts[:0]
+	if slices.ContainsFunc(parts, func(p List) bool { return p.sub != nil }) {
+		kept = make([]List, 0, len(parts))
+	}
 	for _, p := range parts {
 		switch {
 		case p.Len() == 0:

@@ -295,6 +295,7 @@ func FuzzMemtableMerge(f *testing.F) {
 		}
 		k := int(nParts%6) + 1
 		parts := splitRuns(ps, k)
+		resident := forceResidentParts(parts) // before Union, which owns parts
 		u := Union(tomb, parts...)
 		want := filterDead(ps, tomb)
 		if got, wantCounts := docCounts(u, 0, doc+1), runCounts(want, 0, doc+1); !reflect.DeepEqual(got, wantCounts) {
@@ -360,7 +361,7 @@ func FuzzMemtableMerge(f *testing.F) {
 		}
 		checkAppendTo(t, "merged view", u)
 		checkAppendTo(t, fmt.Sprintf("merged Range(%d,%d)", lo, hi), u.Range(lo, hi))
-		checkResidentMatches(t, u, Union(tomb, forceResidentParts(parts)...), target.Doc, target.Pos, lo, hi)
+		checkResidentMatches(t, u, Union(tomb, resident...), target.Doc, target.Pos, lo, hi)
 	})
 }
 

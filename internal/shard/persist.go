@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/db"
 	"repro/internal/index"
@@ -160,92 +164,114 @@ func (s *DB) SaveFile(path string) error {
 	return nil
 }
 
-// Load reads a snapshot written by Save. Every way the input can fail to
-// be one wraps ErrCorruptSnapshot.
+// Load reads a snapshot written by Save from r, which it reads to the
+// end. Every way the input can fail to be one wraps ErrCorruptSnapshot.
 func Load(r io.Reader) (*DB, error) {
-	fr := db.NewFrameReader(r, "shard: load", ErrCorruptSnapshot)
-	if err := fr.Magic(fileMagic); err != nil {
-		return nil, err
-	}
-	strat, err := fr.Byte()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: load: %w", err)
 	}
-	nShards, err := fr.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	stem, err := fr.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if Strategy(strat) > RoundRobin || stem > 1 || nShards < 1 || nShards > MaxShards {
-		return nil, fr.Corrupt(fmt.Sprintf("implausible header: strategy %d, stemming %d, %d shards", strat, stem, nShards), nil)
-	}
-	nStop, err := fr.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	var stopwords []string
-	for i := uint64(0); i < nStop; i++ {
-		sw, err := fr.Text()
-		if err != nil {
-			return nil, err
-		}
-		stopwords = append(stopwords, sw)
-	}
-	s := New(Options{Shards: int(nShards), Strategy: Strategy(strat), Stemming: stem == 1, Stopwords: stopwords})
-
-	nDocs, err := fr.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nDocs; i++ {
-		sh, err := fr.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		name, err := fr.Text()
-		if err != nil {
-			return nil, err
-		}
-		src, err := fr.Text()
-		if err != nil {
-			return nil, err
-		}
-		if sh >= nShards {
-			return nil, fr.Corrupt(fmt.Sprintf("document %q on shard %d of %d", name, sh, nShards), nil)
-		}
-		if _, dup := s.byName[name]; dup {
-			return nil, fr.Corrupt(fmt.Sprintf("duplicate document %q", name), nil)
-		}
-		seg := s.segs[sh]
-		local := storage.DocID(seg.Store().NumDocs())
-		if err := seg.LoadString(name, src); err != nil {
-			return nil, fr.Corrupt(fmt.Sprintf("document %q", name), err)
-		}
-		s.track(name, int(sh), local)
-	}
-	for _, seg := range s.segs {
-		if err := seg.ReadIndex(fr); err != nil {
-			return nil, err
-		}
-	}
-	if err := fr.Verify(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return load(data)
 }
 
 // OpenFile reads a snapshot file written by SaveFile. A file of any
 // other format is rejected with ErrCorruptSnapshot.
 func OpenFile(path string) (*DB, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	defer f.Close()
-	return Load(f)
+	return load(data)
+}
+
+// load opens the snapshot in data. The payload is summed once, and every
+// record decoded with the checks that need file order (header, shard
+// range, duplicate names, skip entries); each document enters the routing
+// tables as it is read. GOMAXPROCS workers then parse the documents and
+// validate the posting lists, and last the documents are loaded and the
+// indexes installed in file order, so the first bad record is reported.
+func load(data []byte) (*DB, error) {
+	fr, err := db.NewFrameReader(data, fileMagic, "shard: load", ErrCorruptSnapshot)
+	if err != nil {
+		return nil, err
+	}
+	strat, nShards, stem := fr.Byte(), fr.Uvarint(), fr.Byte()
+	var stopwords []string
+	for i, n := uint64(0), fr.Uvarint(); i < n && fr.Err() == nil; i++ {
+		stopwords = append(stopwords, fr.Text())
+	}
+	switch {
+	case fr.Err() != nil:
+		return nil, fr.Err()
+	case Strategy(strat) > RoundRobin || stem > 1 || nShards < 1 || nShards > MaxShards:
+		return nil, fr.Corrupt(fmt.Sprintf("implausible header: strategy %d, stemming %d, %d shards", strat, stem, nShards), nil)
+	}
+	s := New(Options{Shards: int(nShards), Strategy: Strategy(strat), Stemming: stem == 1, Stopwords: stopwords})
+	var xmls [][]byte // each document's XML, a slice of data
+	for i, n := uint64(0), fr.Uvarint(); i < n && fr.Err() == nil; i++ {
+		sh, name, xml := fr.Uvarint(), fr.Text(), fr.Bytes(fr.Uvarint())
+		_, dup := s.byName[name]
+		switch {
+		case sh >= nShards:
+			fr.Fail(fmt.Sprintf("document %q on shard %d of %d", name, sh, nShards), nil)
+		case dup:
+			fr.Fail(fmt.Sprintf("duplicate document %q", name), nil)
+		case fr.Err() == nil:
+			s.track(name, int(sh), storage.DocID(len(s.globalOf[sh])))
+			xmls = append(xmls, xml)
+		}
+	}
+	var secs []*db.IndexSection
+	for i := 0; i < len(s.segs) && fr.Err() == nil; i++ {
+		secs = append(secs, db.DecodeIndex(fr, len(s.globalOf[i])))
+	}
+
+	roots, errs := make([]*xmltree.Node, len(xmls)), make([]error, len(xmls))
+	parallel(len(xmls), func(k int) {
+		if roots[k], errs[k] = xmltree.Parse(bytes.NewReader(xmls[k])); errs[k] != nil {
+			errs[k] = fmt.Errorf("db: load %s: %w", s.names[k], errs[k])
+		}
+	})
+	for _, sec := range secs {
+		parallel(sec.Lists(), sec.Validate)
+	}
+	for k, err := range errs {
+		if err == nil {
+			err = s.segs[s.docs[k].shard].LoadTree(s.names[k], roots[k])
+		}
+		if err != nil {
+			return nil, fr.Corrupt(fmt.Sprintf("document %q", s.names[k]), err)
+		}
+	}
+	for i, sec := range secs {
+		if err := s.segs[i].InstallIndex(sec); err != nil {
+			return nil, err
+		}
+	}
+	if err := fr.Done(); err != nil {
+		return nil, err
+	}
+	for i := range s.segs {
+		s.shardGauge(i)
+	}
+	return s, nil
+}
+
+// parallel calls do(0), …, do(n-1) on GOMAXPROCS workers, which take the
+// next index from one shared counter until none is left.
+func parallel(n int, do func(int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
+				do(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Reshard redistributes the live corpus across n shards under the given
@@ -272,9 +298,15 @@ func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 		if doc == nil {
 			return nil, fmt.Errorf("shard: reshard: document %d missing from segment %d", ref.local, ref.shard)
 		}
-		if err := out.LoadTree(doc.Name, doc.Root); err != nil {
+		// out is not shared and the names are distinct: no lock, no check.
+		i := out.pickShard(doc.Name)
+		if err := out.segs[i].LoadTree(doc.Name, doc.Root); err != nil {
 			return nil, fmt.Errorf("shard: reshard: %w", err)
 		}
+		out.track(doc.Name, i, storage.DocID(len(out.globalOf[i])))
+	}
+	for i := range out.segs {
+		out.shardGauge(i)
 	}
 	return out, nil
 }

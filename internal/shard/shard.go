@@ -245,7 +245,6 @@ func (s *DB) track(name string, shard int, local storage.DocID) {
 	s.byName[name] = gid
 	s.globalOf[shard] = append(s.globalOf[shard], gid)
 	s.next++
-	s.shardGauge(shard)
 }
 
 // shardGauge publishes one segment's live-document count. Caller holds
@@ -269,6 +268,7 @@ func (s *DB) LoadTree(name string, root *xmltree.Node) error {
 		return err
 	}
 	s.track(name, i, local)
+	s.shardGauge(i)
 	return nil
 }
 

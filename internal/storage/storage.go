@@ -205,7 +205,8 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 	}
 	nodes := xmltree.Nodes(root)
 	doc.Nodes = make([]NodeRec, len(nodes))
-	ordOf := make(map[*xmltree.Node]int32, len(nodes))
+	// After this walk a node's Ord is its index in nodes and, by Check,
+	// every child points back at its parent, so Ords link the records.
 	for i, n := range nodes {
 		if n.Ord != int32(i) {
 			return 0, fmt.Errorf("storage: node ordinals not preorder-contiguous (got %d at %d); tree not numbered?", n.Ord, i)
@@ -213,7 +214,6 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 		if err := n.Check(); err != nil {
 			return 0, fmt.Errorf("storage: document %q: %w", name, err)
 		}
-		ordOf[n] = int32(i)
 	}
 	for i, n := range nodes {
 		rec := NodeRec{
@@ -226,11 +226,11 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 			NextSibling: NoNode,
 			ChildCount:  int32(len(n.Children)),
 		}
-		if n.Parent != nil {
-			rec.Parent = ordOf[n.Parent]
+		if i > 0 {
+			rec.Parent = n.Parent.Ord
 		}
 		if len(n.Children) > 0 {
-			rec.FirstChild = ordOf[n.Children[0]]
+			rec.FirstChild = n.Children[0].Ord
 		}
 		if n.Kind == xmltree.Element {
 			rec.Tag = s.Tags.Intern(n.Tag)
@@ -242,7 +242,7 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 	// Next-sibling links.
 	for _, n := range nodes {
 		for ci := 0; ci+1 < len(n.Children); ci++ {
-			doc.Nodes[ordOf[n.Children[ci]]].NextSibling = ordOf[n.Children[ci+1]]
+			doc.Nodes[n.Children[ci].Ord].NextSibling = n.Children[ci+1].Ord
 		}
 	}
 	// Tag extents.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -309,6 +310,21 @@ func TestAddTreeRejectsUnnumberedOrdinals(t *testing.T) {
 	s := NewStore()
 	if _, err := s.AddTree("bad", root); err == nil {
 		t.Errorf("tampered ordinals accepted")
+	}
+}
+
+// TestAddTreeRejectsStrayParent: a built tree whose child points at a
+// node other than the one holding it would store a wrong parent link; it
+// is rejected with a typed error and leaves the store empty.
+func TestAddTreeRejectsStrayParent(t *testing.T) {
+	root := mustParse(`<a><b><c>x</c></b><d/></a>`)
+	root.Children[0].Children[0].Parent = root.Children[1]
+	s := NewStore()
+	if _, err := s.AddTree("bad", root); !errors.Is(err, xmltree.ErrStrayParent) {
+		t.Fatalf("AddTree = %v, want ErrStrayParent", err)
+	}
+	if s.NumDocs() != 0 {
+		t.Fatalf("store holds %d documents after a rejected tree", s.NumDocs())
 	}
 }
 

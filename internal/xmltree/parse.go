@@ -30,10 +30,14 @@ var ErrInvalidName = errors.New("xmltree: name does not survive serialization")
 // Its serialization parses back to a different tree.
 var ErrSplitText = errors.New("xmltree: text node does not survive serialization")
 
+// ErrStrayParent marks a child whose Parent is not the node that holds it.
+var ErrStrayParent = errors.New("xmltree: child does not point back at its parent")
+
 // Check reports why n, a node of a numbered tree, is not one Parse could
 // return: an element nested deeper than MaxDepth (ErrTooDeep), a tag or
-// attribute name that is not a name (ErrInvalidName), or a text child
-// beside another, empty or untrimmed (ErrSplitText). Store.AddTree calls it
+// attribute name that is not a name (ErrInvalidName), a text child
+// beside another, empty or untrimmed (ErrSplitText), or a child whose
+// Parent is another node (ErrStrayParent). Store.AddTree calls it
 // on every node it loads, so a tree built in code saves to a snapshot that
 // reopens to the same tree.
 func (n *Node) Check() error {
@@ -52,6 +56,9 @@ func (n *Node) Check() error {
 		}
 	}
 	for i, c := range n.Children {
+		if c.Parent != n {
+			return fmt.Errorf("xmltree: child %d of <%s>: %w", i, n.Tag, ErrStrayParent)
+		}
 		if c.Kind == Text && (c.Text == "" || c.Text != strings.TrimSpace(c.Text) || i > 0 && n.Children[i-1].Kind == Text) {
 			return fmt.Errorf("xmltree: text child %d of <%s>: %w", i, n.Tag, ErrSplitText)
 		}

@@ -243,9 +243,12 @@ func run(o options) error {
 		for i, d := range replicas {
 			bs[i] = d
 		}
+		// The first replica's registry: the process-wide one, or a
+		// reshard's own, so /metrics keeps its shard gauges.
 		f, err := fleet.New(fleet.Config{
 			HedgeAfter:  o.hedgeAfter,
 			PanicErrors: []error{shard.ErrPanic},
+			Metrics:     replicas[0].MetricsRegistry(),
 		}, bs...)
 		if err != nil {
 			return err

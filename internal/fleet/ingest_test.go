@@ -213,6 +213,13 @@ func TestFleetPartialUpdateDegrades(t *testing.T) {
 	if f.MetricsRegistry().Gauge("tix_fleet_degraded").Value() != 1 {
 		t.Error("tix_fleet_degraded gauge not set")
 	}
+	// The replicas that applied the update gave it a fresh global id;
+	// realignment burns one on the replica that did not, so the next add
+	// is numbered alike everywhere.
+	if err := f.Add("after.xml", "<doc><p>x</p></doc>"); err != nil {
+		t.Fatal(err)
+	}
+	assertAligned(t, wraps, "after.xml")
 }
 
 func TestFleetPartialDeleteDegrades(t *testing.T) {

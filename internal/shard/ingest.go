@@ -17,9 +17,8 @@ import (
 // Every attempt is observed (see metrics.go) while the lock is held, so
 // tix_index_generation is published in mutation order.
 //
-// Global ids are never reused. An Update keeps the document's global id
-// (results for the new content carry the old identity) while the segment
-// allocates a fresh local id underneath; a Delete retires the name and
+// Global ids are never reused. An Update retires the document's global id
+// and allocates a fresh one, as Add does; a Delete retires the name and
 // leaves a dead global slot behind.
 
 // syncTables realigns the routing tables after a segment mutation failed:
@@ -28,14 +27,12 @@ import (
 // (the document was indexed partially and tombstoned), the dead mapping
 // stays, keeping globalOf aligned with the segment's local numbering.
 // Caller holds s.mu.
-func (s *DB) syncTables(i int, popDocs bool) {
+func (s *DB) syncTables(i int) {
 	n := s.segs[i].Store().NumDocs()
 	if len(s.globalOf[i]) > n {
 		s.globalOf[i] = s.globalOf[i][:n]
-		if popDocs {
-			s.docs = s.docs[:len(s.docs)-1]
-			s.names = s.names[:len(s.names)-1]
-		}
+		s.docs = s.docs[:len(s.docs)-1]
+		s.names = s.names[:len(s.names)-1]
 	}
 }
 
@@ -61,7 +58,7 @@ func (s *DB) Add(name, src string) (err error) {
 	s.names = append(s.names, name)
 	s.globalOf[i] = append(s.globalOf[i], gid)
 	if err := seg.Add(name, src); err != nil {
-		s.syncTables(i, true)
+		s.syncTables(i)
 		return err
 	}
 	s.byName[name] = gid
@@ -70,36 +67,37 @@ func (s *DB) Add(name, src string) (err error) {
 	return nil
 }
 
-// Update replaces the named document in place: same global id, same
-// segment, fresh content (and a fresh segment-local id underneath).
+// Update replaces the named document: same segment, fresh content, and a
+// fresh global id (with a fresh segment-local id underneath), as Add
+// allocates, so the new version takes its place at the end of document
+// order both live and after a reopen.
 func (s *DB) Update(name, src string) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
 	defer func() { s.observeIngest(opUpdate, start, err) }()
-	gid, ok := s.byName[name]
+	old, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("shard: update %q: %w", name, db.ErrDocumentNotFound)
 	}
-	old := s.docs[gid]
-	seg := s.segs[old.shard]
-	local := storage.DocID(seg.Store().NumDocs())
-	s.docs[gid] = docRef{shard: old.shard, local: local}
-	s.globalOf[old.shard] = append(s.globalOf[old.shard], gid)
-	if err := seg.Update(name, src); err != nil {
-		s.syncTables(old.shard, false)
+	i := s.docs[old].shard
+	seg := s.segs[i]
+	gid := storage.DocID(len(s.docs))
+	s.docs = append(s.docs, docRef{shard: i, local: storage.DocID(seg.Store().NumDocs())})
+	s.names = append(s.names, name)
+	s.globalOf[i] = append(s.globalOf[i], gid)
+	if err = seg.Update(name, src); err == nil {
+		s.byName[name] = gid
+	} else {
+		s.syncTables(i)
 		if seg.Store().DocByName(name) == nil {
 			// The old version was tombstoned before the failure: the
 			// document is gone, not restored.
 			delete(s.byName, name)
-		} else {
-			s.docs[gid] = old
 		}
-		s.shardGauge(old.shard)
-		return err
 	}
-	s.shardGauge(old.shard)
-	return nil
+	s.shardGauge(i)
+	return err
 }
 
 // Delete tombstones the named document in its segment and retires its

@@ -63,13 +63,17 @@ func TestShardUpdateDelete(t *testing.T) {
 		t.Fatalf("duplicate Add err = %v, want ErrDocumentExists", err)
 	}
 
-	// Update keeps the global id but swaps content.
+	// Update swaps content under a fresh global id, the next one Add
+	// would have taken; the old id stays retired.
 	oldName := s.DocName(2)
 	if err := s.Update(oldName, `<d><t>stable replaced</t></d>`); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DocName(2); got != oldName {
-		t.Fatalf("Update changed the global id mapping: DocName(2) = %q", got)
+	if got := s.DocName(6); got != oldName {
+		t.Fatalf("Update did not move the document to global id 6: DocName(6) = %q", got)
+	}
+	if got := s.AllocatedDocIDs(); got != 7 {
+		t.Fatalf("AllocatedDocIDs = %d after an update, want 7", got)
 	}
 	res, err := s.TermSearchContext(context.Background(), []string{"replaced"}, db.TermSearchOptions{})
 	if err != nil {
@@ -79,8 +83,8 @@ func TestShardUpdateDelete(t *testing.T) {
 		t.Fatal("updated content not searchable")
 	}
 	for _, n := range res {
-		if n.Doc != 2 {
-			t.Fatalf("updated content surfaced under global id %d, want 2", n.Doc)
+		if n.Doc != 6 {
+			t.Fatalf("updated content surfaced under global id %d, want 6", n.Doc)
 		}
 	}
 	if res, _ := s.TermSearchContext(context.Background(), []string{"filler2"}, db.TermSearchOptions{}); len(res) != 0 {

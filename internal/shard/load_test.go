@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -251,5 +252,47 @@ func TestShardGaugesAfterBulkLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gauges(reg, r)
+	gauges(r.MetricsRegistry(), r)
+}
+
+// TestReshardKeepsItsOwnGauges: a reshard records into a registry of its
+// own, so after 2→4 and 4→2 the source's tix_shard_documents gauges still
+// read its own segments' counts, and each registry holds exactly one such
+// gauge per shard of its database.
+func TestReshardKeepsItsOwnGauges(t *testing.T) {
+	shardGauges := func(d *DB) (got, want []string) {
+		var buf bytes.Buffer
+		if err := d.MetricsRegistry().WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "tix_shard_documents{") {
+				got = append(got, line)
+			}
+		}
+		for i := range d.Shards() {
+			want = append(want, fmt.Sprintf(`tix_shard_documents{shard="%d"} %d`, i, d.Segment(i).DocumentCount()))
+		}
+		return got, want
+	}
+	for _, c := range []struct{ from, to int }{{2, 4}, {4, 2}} {
+		s := New(Options{Shards: c.from, Strategy: RoundRobin, Metrics: metrics.NewRegistry()})
+		for i := range 9 {
+			if err := s.LoadString(fmt.Sprintf("d%d.xml", i), fmt.Sprintf("<d>w%d</d>", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := s.Reshard(c.to, RoundRobin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.MetricsRegistry() == s.MetricsRegistry() {
+			t.Fatalf("%d→%d: the reshard shares the source's registry", c.from, c.to)
+		}
+		for _, d := range []*DB{s, r} {
+			if got, want := shardGauges(d); !slices.Equal(got, want) {
+				t.Errorf("%d→%d, %d-shard database: gauges %q, want %q", c.from, c.to, d.Shards(), got, want)
+			}
+		}
+	}
 }

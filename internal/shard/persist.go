@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
@@ -277,7 +278,7 @@ func parallel(n int, do func(int)) {
 // Reshard redistributes the live corpus across n shards under the given
 // strategy, reusing the already-parsed document trees: the documents Save
 // would write, in the same order. Indexes are rebuilt lazily (or via Warm)
-// on the new instance.
+// on the new instance, which records into a metrics registry of its own.
 func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 	if n > MaxShards {
 		return nil, fmt.Errorf("shard: reshard: %d shards, more than %d", n, MaxShards)
@@ -289,7 +290,7 @@ func (s *DB) Reshard(n int, strategy Strategy) (*DB, error) {
 		Strategy:  strategy,
 		Stemming:  s.opts.Stemming,
 		Stopwords: s.opts.Stopwords,
-		Metrics:   s.opts.Metrics,
+		Metrics:   metrics.NewRegistry(),
 		Limits:    s.opts.Limits,
 	})
 	live, _ := s.liveLocked()

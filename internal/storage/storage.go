@@ -22,7 +22,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,10 +64,10 @@ type Document struct {
 	Root  *xmltree.Node // retained for result materialization
 	Nodes []NodeRec     // document order; index == ordinal
 
-	tagExtent map[TagID][]int32 // element ordinals per tag, document order
-	elements  []int32           // all element ordinals, document order
-	ordOnce   sync.Once         // builds ordToNode exactly once
-	ordToNode []*xmltree.Node   // lazy ordinal → tree node map
+	// ords holds every element ordinal twice: the first half in document
+	// order, the second grouped by tag, groups in TagID order and each in
+	// document order, so a tag's group is found by binary search on Tag.
+	ords []int32
 }
 
 // TagDict interns element tag names store-wide. It is safe for concurrent
@@ -198,15 +200,12 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 	if root.End == 0 && len(root.Children) > 0 {
 		xmltree.Number(root)
 	}
-	doc := &Document{
-		Name:      name,
-		Root:      root,
-		tagExtent: make(map[TagID][]int32),
-	}
+	doc := &Document{Name: name, Root: root}
 	nodes := xmltree.Nodes(root)
 	doc.Nodes = make([]NodeRec, len(nodes))
 	// After this walk a node's Ord is its index in nodes and, by Check,
 	// every child points back at its parent, so Ords link the records.
+	elements := 0
 	for i, n := range nodes {
 		if n.Ord != int32(i) {
 			return 0, fmt.Errorf("storage: node ordinals not preorder-contiguous (got %d at %d); tree not numbered?", n.Ord, i)
@@ -214,7 +213,11 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 		if err := n.Check(); err != nil {
 			return 0, fmt.Errorf("storage: document %q: %w", name, err)
 		}
+		if n.Kind == xmltree.Element {
+			elements++
+		}
 	}
+	ords := make([]int32, 0, 2*elements) // both halves, allocated once
 	for i, n := range nodes {
 		rec := NodeRec{
 			Start:       n.Start,
@@ -234,6 +237,7 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 		}
 		if n.Kind == xmltree.Element {
 			rec.Tag = s.Tags.Intern(n.Tag)
+			ords = append(ords, int32(i))
 		} else {
 			rec.Text = n.Text
 		}
@@ -245,14 +249,10 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 			doc.Nodes[n.Children[ci].Ord].NextSibling = n.Children[ci+1].Ord
 		}
 	}
-	// Tag extents.
-	for i := range doc.Nodes {
-		if doc.Nodes[i].Kind == xmltree.Element {
-			tid := doc.Nodes[i].Tag
-			doc.tagExtent[tid] = append(doc.tagExtent[tid], int32(i))
-			doc.elements = append(doc.elements, int32(i))
-		}
-	}
+	doc.ords = append(ords, ords...)
+	slices.SortFunc(doc.ords[elements:], func(a, b int32) int {
+		return cmp.Or(cmp.Compare(doc.Nodes[a].Tag, doc.Nodes[b].Tag), cmp.Compare(a, b))
+	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.byName[name]; dup {
@@ -397,16 +397,29 @@ func (s *Store) NumNodes() int {
 }
 
 // TagExtent returns the ordinals of all elements with the given tag in doc,
-// in document order. The returned slice must not be modified.
-//
-//tixlint:ignore aliasret Document is immutable after construction and TagExtent sits on the per-query hot path; callers hold a read-only view by documented contract
-func (d *Document) TagExtent(tag TagID) []int32 { return d.tagExtent[tag] }
+// in document order, or nil for a tag the document does not use. The
+// returned slice must not be modified; its capacity ends with it, so an
+// append copies instead of writing into the next tag's ordinals.
+func (d *Document) TagExtent(tag TagID) []int32 {
+	byTagID := func(ord int32, t TagID) int { return cmp.Compare(d.Nodes[ord].Tag, t) }
+	lo, found := slices.BinarySearchFunc(d.ords[len(d.ords)/2:], tag, byTagID)
+	if !found {
+		return nil
+	}
+	lo += len(d.ords) / 2
+	hi, _ := slices.BinarySearchFunc(d.ords[lo:], tag+1, byTagID)
+	hi += lo
+	//tixlint:ignore aliasret Document is immutable after construction and TagExtent sits on the per-query hot path; callers hold a read-only view by documented contract
+	return d.ords[lo:hi:hi]
+}
 
 // Elements returns the ordinals of all element nodes in document order. The
-// returned slice must not be modified.
-//
-//tixlint:ignore aliasret Document is immutable after construction and Elements backs every structural join; copying per query would dominate operator cost
-func (d *Document) Elements() []int32 { return d.elements }
+// returned slice must not be modified; its capacity ends with it.
+func (d *Document) Elements() []int32 {
+	n := len(d.ords) / 2
+	//tixlint:ignore aliasret Document is immutable after construction and Elements backs every structural join; copying per query would dominate operator cost
+	return d.ords[:n:n]
+}
 
 // OrdByStart returns the ordinal of the node whose Start equals start, or
 // NoNode. Because ordinals are preorder, Start keys are strictly increasing
@@ -428,19 +441,18 @@ func (d *Document) SubtreeEnd(ord int32) int32 {
 }
 
 // TreeNode returns the xmltree node with the given ordinal (for result
-// materialization). It costs a subtree walk on first use per document, after
-// which lookups are O(1). Safe for concurrent use: the lazy map is built
-// exactly once.
+// materialization and attribute predicates), or nil for an ordinal outside
+// the document. It walks down from Root, choosing at each level the last
+// child whose Ord does not pass ord (children are in preorder): O(depth ·
+// log fanout), with nothing cached.
 func (d *Document) TreeNode(ord int32) *xmltree.Node {
-	d.ordOnce.Do(func() {
-		d.ordToNode = make([]*xmltree.Node, len(d.Nodes))
-		d.Root.Walk(func(n *xmltree.Node) bool {
-			d.ordToNode[n.Ord] = n
-			return true
-		})
-	})
-	if int(ord) < 0 || int(ord) >= len(d.ordToNode) {
+	if ord < 0 || int(ord) >= len(d.Nodes) {
 		return nil
 	}
-	return d.ordToNode[ord]
+	n := d.Root
+	for n.Ord != ord {
+		ch := n.Children
+		n = ch[sort.Search(len(ch), func(i int) bool { return ch[i].Ord > ord })-1]
+	}
+	return n
 }

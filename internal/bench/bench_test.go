@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // smallCorpus caches the test corpus across tests.
@@ -98,6 +100,39 @@ func TestRunTermMethodsAgree(t *testing.T) {
 	}
 	if _, err := c.RunTermMethod("bogus", []string{a}, false); err == nil {
 		t.Errorf("unknown method should error")
+	}
+}
+
+// TestShardTermStats pins what the shards table reports for the facade's
+// exhaustive term search: 702 results and the access stats the facade's
+// tix_access_*_total{op="terms"} counters gained, the same at every shard
+// count because each shard reads only its own documents.
+func TestShardTermStats(t *testing.T) {
+	c := corpus(t)
+	a, b, err := c.PairTerms(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[bool]storage.AccessStats{
+		false: {NodeReads: 902, PageReads: 168},
+		true:  {NodeReads: 3928, PageReads: 507, NavSteps: 2324},
+	}
+	for _, n := range []int{1, 2, 4} {
+		s, err := c.ShardDB(n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, complex := range []bool{false, true} {
+			m, err := c.RunShardTermMethod(s, []string{a, b}, complex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, w := m.Stats, want[complex]
+			if m.Results != 702 || got.NodeReads != w.NodeReads || got.PageReads != w.PageReads ||
+				got.TextReads != w.TextReads || got.NavSteps != w.NavSteps {
+				t.Errorf("shards=%d complex=%v: %d results, %s; want 702 results, %s", n, complex, m.Results, got.String(), w.String())
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/synth"
 	"repro/internal/xmltree"
@@ -356,7 +357,8 @@ func (c *Corpus) ShardDB(shards, parts int) (*shard.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := shard.New(shard.Options{Shards: shards, Strategy: shard.RoundRobin})
+	// Its own registry: RunShardTermMethod reads the call's cost off it.
+	s := shard.New(shard.Options{Shards: shards, Strategy: shard.RoundRobin, Metrics: metrics.NewRegistry()})
 	for i, r := range roots {
 		if err := s.LoadTree(fmt.Sprintf("part%03d.xml", i), r); err != nil {
 			return nil, err

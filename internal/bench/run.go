@@ -8,7 +8,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/exec"
+	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -116,14 +118,23 @@ func (c *Corpus) RunTermMethod(method Method, terms []string, complex bool) (Mea
 	return m, nil
 }
 
-// RunShardTermMethod times the sharded TermJoin fan-out (scored merge
-// included) over an already-built sharded database; the store-access
-// stats are summed over the shards.
+// RunShardTermMethod times the facade's term search, exhaustive
+// TermSearchContext with its scored merge, over an already-built sharded
+// database. The store-access stats are what the facade records for the
+// call: the change in its tix_access_*_total{op="terms"} counters.
 func (c *Corpus) RunShardTermMethod(s *shard.DB, terms []string, complex bool) (Measurement, error) {
+	var counters [4]*metrics.Counter
+	for i, stat := range []string{"node_reads", "page_reads", "text_reads", "nav_steps"} {
+		counters[i] = s.MetricsRegistry().Counter("tix_access_" + stat + `_total{op="terms"}`)
+	}
 	m, err := timeIt(c.runs(), func() (int, storage.AccessStats, error) {
-		//tixlint:ignore ctxhygiene the bench harness is the root caller: there is no ambient context to propagate, and measured runs must not inherit one
-		res, stats, rerr := s.RunTermMethod(context.Background(), shard.MethodTermJoin, terms, complex)
-		return len(res), stats, rerr
+		var before [4]int64
+		for i, ctr := range counters {
+			before[i] = ctr.Value()
+		}
+		res, err := s.TermSearchContext(context.Background(), terms, db.TermSearchOptions{Complex: complex})
+		gained := func(i int) int64 { return counters[i].Value() - before[i] }
+		return len(res), storage.AccessStats{NodeReads: gained(0), PageReads: gained(1), TextReads: gained(2), NavSteps: gained(3)}, err
 	})
 	if err != nil {
 		return m, err

@@ -36,7 +36,7 @@ func (r topkRequest) String() string {
 // run evaluates r as db.SearchTerms does and returns the operator, whose
 // counters describe the run, with the results.
 func (r topkRequest) run(idx *index.Index) (*exec.TopKTermJoin, []exec.ScoredNode, error) {
-	tk := &exec.TopKTermJoin{Index: idx, K: r.k, ChildCounts: exec.ChildCountNavigate,
+	tk := &exec.TopKTermJoin{Index: idx, K: r.k,
 		Query: exec.TermQuery{Terms: r.terms, Complex: r.complex, Scorer: exec.DefaultScorer{}}}
 	res, err := tk.Run()
 	return tk, res, err

@@ -3,10 +3,11 @@
 // node store, its tokenizer, the live inverted index, document mutation
 // and the pieces of it a snapshot embeds (persist.go), and renders result
 // labels. The free functions EvalQuery and SearchTerms evaluate the
-// paper's query families over one index snapshot.
+// paper's query families over one index snapshot; Eval and Compile bind a
+// query to the segment's current one.
 //
 // Queries are served one layer up, by the sharded facade (internal/shard),
-// which runs those free functions over every segment and owns the result
+// which evaluates over every segment this way and owns the result
 // cache, per-operation metrics, global document numbering and the
 // snapshot file. One shard is the single-store case. A segment
 // records no metrics and caches nothing.
@@ -19,12 +20,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/index"
-	"repro/internal/scoring"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
 	"repro/internal/xmltree"
@@ -52,10 +53,9 @@ type Options struct {
 	// Stopwords, when non-empty, are dropped from the index (they still
 	// consume word offsets so phrase adjacency is preserved).
 	Stopwords []string
-	// Limits is the default per-query resource budget (wall-clock
-	// timeout, result cap, store-access cap) applied by every Context
-	// entry point. The zero value means unlimited. A per-call budget
-	// (TermSearchOptions.Limits) takes precedence.
+	// Limits is the per-query resource budget (wall-clock timeout, result
+	// cap, store-access cap) applied by every Context entry point. The
+	// zero value means unlimited.
 	Limits exec.Limits
 	// Ingest tunes the live-index LSM behaviour (memtable seal size,
 	// segment fold bound, background compaction). The zero value selects
@@ -84,17 +84,9 @@ func recoverPanic(errp *error) {
 	*errp = fmt.Errorf("%w: %v", ErrPanic, r)
 }
 
-// SetLimits replaces the database's default per-query resource budget
-// (applied by every Context entry point when no per-call budget is given).
+// SetLimits replaces the database's per-query resource budget, applied by
+// every Context entry point.
 func (d *DB) SetLimits(l exec.Limits) { d.opts.Limits = l }
-
-// limitsOr returns the per-call budget when set, else the database default.
-func (d *DB) limitsOr(limits exec.Limits) exec.Limits {
-	if limits == (exec.Limits{}) {
-		return d.opts.Limits
-	}
-	return limits
-}
 
 // New creates an empty database.
 func New(opts Options) *DB {
@@ -255,7 +247,7 @@ func (d *DB) Stats() Stats {
 // QueryContext parses and evaluates an extended-XQuery query (the Sec. 4
 // dialect) over this segment alone, under ctx and the segment's default
 // resource limits. Queries are served through the facade (internal/shard),
-// which runs EvalQuery; this method stays only because the benchmark
+// which runs Eval; this method stays only because the benchmark
 // module prices one segment through it.
 func (d *DB) QueryContext(ctx context.Context, src string) (results []xq.Result, err error) {
 	defer recoverPanic(&err)
@@ -263,44 +255,60 @@ func (d *DB) QueryContext(ctx context.Context, src string) (results []xq.Result,
 	if err != nil {
 		return nil, err
 	}
-	return EvalQuery(d.Index(), q, exec.NewGuard(ctx, d.opts.Limits), nil)
+	return d.Eval(q, exec.NewGuard(ctx, d.opts.Limits), nil)
 }
 
 // EvalQuery evaluates a parsed query over an index snapshot under guard,
 // adding the evaluation's store traffic to stats when it is non-nil. The
 // engine reads the snapshot's own store, so every document the snapshot
-// names is visible to the evaluation.
+// names is visible to the evaluation. A document name bound to a version
+// the snapshot does not hold fails with xq.ErrStaleSnapshot.
 func EvalQuery(idx *index.Index, q *xq.Query, guard *exec.Guard, stats *storage.AccessStats) ([]xq.Result, error) {
 	e := &xq.Engine{Index: idx, Stats: stats, Guard: guard}
 	return e.Eval(q)
 }
 
+// Eval is EvalQuery over the segment's current snapshot.
+func (d *DB) Eval(q *xq.Query, guard *exec.Guard, stats *storage.AccessStats) ([]xq.Result, error) {
+	return onFreshSnapshot(d, func(idx *index.Index) ([]xq.Result, error) { return EvalQuery(idx, q, guard, stats) })
+}
+
+// Compile compiles a parsed query against the segment's current snapshot.
+func (d *DB) Compile(q *xq.Query) (*xq.Plan, error) {
+	return onFreshSnapshot(d, func(idx *index.Index) (*xq.Plan, error) { return xq.Compile(q, idx) })
+}
+
+// onFreshSnapshot runs f on the segment's current snapshot, and again on a
+// fresh one while f fails with xq.ErrStaleSnapshot, which only a write in
+// flight on the named document causes; the write never waits on readers,
+// and a stale compile runs no operator.
+func onFreshSnapshot[T any](d *DB, f func(*index.Index) (T, error)) (T, error) {
+	for {
+		v, err := f(d.Index())
+		if !errors.Is(err, xq.ErrStaleSnapshot) {
+			return v, err
+		}
+		runtime.Gosched()
+	}
+}
+
 // TermSearchOptions configures a term search (SearchTerms and the
-// facade's TermSearchContext).
+// facade's TermSearchContext). The resource budget is the database's
+// (SetLimits).
 type TermSearchOptions struct {
 	// Complex selects the complex scoring function of Sec. 6.1.
 	Complex bool
 	// TopK limits results to the k best scores (0 = all).
 	TopK int
-	// MinScore drops elements whose score is not strictly greater than
-	// the given value (the Threshold operator's V condition; 0 = keep
-	// all). Applied before TopK, so the k results are the k best above
-	// the threshold.
-	MinScore float64
-	// Weights per term (defaults to 1 each).
-	Weights []float64
-	// Limits is the per-call resource budget; the zero value falls back
-	// to the database's default (Options.Limits).
-	Limits exec.Limits
 }
 
 // TermSearchContext runs SearchTerms over this segment alone, under ctx
-// and the per-call budget (or the segment's default). Term searches are
-// served through the facade (internal/shard); this method stays only
-// because the benchmark module prices one segment through it.
+// and the segment's budget. Term searches are served through the facade
+// (internal/shard); this method stays only because the benchmark module
+// prices one segment through it.
 func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSearchOptions) (results []exec.ScoredNode, err error) {
 	defer recoverPanic(&err)
-	return SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, d.limitsOr(opts.Limits)), nil)
+	return SearchTerms(d.Index(), terms, opts, exec.NewGuard(ctx, d.opts.Limits), nil)
 }
 
 // SearchStats is what a term search cost: its store traffic and, when the
@@ -324,77 +332,33 @@ func (s *SearchStats) Add(o SearchStats) {
 // adding the evaluation's cost to stats when it is non-nil (on failure
 // too). It is the term-search evaluation of one segment.
 //
-// There is one rule. A top-k search with non-negative weights runs the
-// pruned TopKTermJoin — best-first block-max, over flat block lists and a
-// live snapshot's merged lists alike — and applies MinScore to its k
-// results, which is exact because the elements above a threshold are a
-// prefix of the ranking. Anything else (no top-k, or a negative or NaN
-// weight, for which the pruning bound does not hold) runs the exhaustive
-// TermJoin, feeding a TopK when one is asked for. Every path returns the
-// same elements. Child counts come from navigation; the paper's Enhanced
-// TermJoin stays reachable through the benchmark entry points
-// (shard.RunTermMethod, internal/bench).
+// There is one rule. A top-k search runs the pruned TopKTermJoin —
+// best-first block-max, over flat block lists and a live snapshot's merged
+// lists alike; anything else runs the exhaustive TermJoin and sorts its
+// results. Both return the same elements. Child counts come from
+// navigation; the paper's Enhanced TermJoin and its baselines stay in
+// internal/bench.
 func SearchTerms(idx *index.Index, terms []string, opts TermSearchOptions, guard *exec.Guard, stats *SearchStats) ([]exec.ScoredNode, error) {
 	if stats == nil {
 		stats = new(SearchStats)
 	}
-	q := exec.TermQuery{
-		Terms:   terms,
-		Complex: opts.Complex,
-		Scorer: exec.DefaultScorer{
-			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
-			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
-		},
-	}
-	if opts.TopK > 0 && nonNegative(opts.Weights) {
-		tk := &exec.TopKTermJoin{Index: idx, Query: q, K: opts.TopK, ChildCounts: exec.ChildCountNavigate, Guard: guard}
+	q := exec.TermQuery{Terms: terms, Complex: opts.Complex, Scorer: exec.DefaultScorer{}}
+	if opts.TopK > 0 {
+		tk := &exec.TopKTermJoin{Index: idx, Query: q, K: opts.TopK, Guard: guard}
 		results, err := tk.Run()
 		stats.Add(SearchStats{Access: tk.AccessStats(), DocsEvaluated: int64(tk.DocsEvaluated), BlocksSkipped: int64(tk.BlocksSkipped)})
-		if err != nil {
-			return nil, err
-		}
-		return exec.AboveMinScore(results, opts.MinScore), nil
+		return results, err
 	}
 	// The accessor is made after the caller took idx, so its view of the
 	// document table covers every document idx can name.
 	tj := &exec.TermJoin{Index: idx, Acc: guard.NewAccessor(idx.Store()), Query: q, ChildCounts: exec.ChildCountNavigate, Guard: guard}
-	run := func(emit exec.Emit) error {
-		if opts.MinScore > 0 {
-			emit = exec.FilterMinScore(opts.MinScore, emit)
-		}
-		return tj.Run(emit)
-	}
-	defer addStats(&stats.Access, tj)
-	if opts.TopK > 0 {
-		tk := exec.NewTopK(opts.TopK)
-		if err := run(tk.Emit()); err != nil {
-			return nil, err
-		}
-		return tk.Results(), nil
-	}
-	out, err := exec.Collect(run)
+	defer func() { stats.Access.Add(tj.AccessStats()) }()
+	out, err := exec.Collect(tj.Run)
 	if err != nil {
 		return nil, err
 	}
 	exec.SortRanked(out)
 	return out, nil
-}
-
-// addStats adds an operator's store traffic to an optional stats sink.
-func addStats(stats *storage.AccessStats, op exec.AccessReporter) {
-	if stats != nil {
-		stats.Add(op.AccessStats())
-	}
-}
-
-// nonNegative reports whether every weight is ≥ 0 (NaN is not).
-func nonNegative(weights []float64) bool {
-	for _, w := range weights {
-		if !(w >= 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // PhraseSearchContext returns every occurrence of the phrase in this

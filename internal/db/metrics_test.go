@@ -68,8 +68,7 @@ func TestTermAndPhraseSearchRecordMetrics(t *testing.T) {
 	d, reg := newFacade(t, 1)
 	reads := reg.Counter(`tix_access_node_reads_total{op="terms"}`)
 	// A top-k search runs the pruned TopKTermJoin; a search without one
-	// runs the exhaustive TermJoin. Both must surface access stats through
-	// the shared AccessReporter interface.
+	// runs the exhaustive TermJoin. Both must surface their access stats.
 	if _, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, db.TermSearchOptions{TopK: 5}); err != nil {
 		t.Fatal(err)
 	}

@@ -106,13 +106,15 @@ func (d *DB) Update(name, src string) error {
 		return fmt.Errorf("%w: %q", ErrDocumentNotFound, name)
 	}
 	live := d.liveLocked()
+	// The name moves to the flattened new version in one step, so a query
+	// binding it meanwhile finds one version or the other, never no
+	// document; one that finds the new version retries until it is indexed.
+	id, err := d.store.ReplaceTree(name, root)
 	live.Delete(old.ID)
-	d.store.ReleaseName(name)
-	id, err := d.store.AddTree(name, root)
-	if err != nil {
-		return fmt.Errorf("db: update %s: %w", name, err)
+	if err == nil {
+		err = live.IndexDoc(d.store.Doc(id))
 	}
-	if err := live.IndexDoc(d.store.Doc(id)); err != nil {
+	if err != nil {
 		d.store.ReleaseName(name)
 		return fmt.Errorf("db: update %s: %w", name, err)
 	}

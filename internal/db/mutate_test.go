@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/xq"
 )
 
 // mutatedFixture builds a database that exercised every mutation: adds,
@@ -186,5 +188,64 @@ func TestIndexDoesNotWaitOnMutationLock(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Index waited on the mutation lock")
+	}
+}
+
+// TestQueryBindsItsSnapshotsDocument: a query binds document(name) through
+// the store's current name table, so on a snapshot taken before an
+// Update, or before a Delete and an Add under the same name, the name
+// leads to a version the snapshot does not hold. EvalQuery on that
+// snapshot must say so (xq.ErrStaleSnapshot), not answer from the
+// snapshot's lists for the other version, and the segment's Eval must
+// answer for the current one. A plain Delete leaves the name unbound:
+// "not loaded", as a fresh snapshot answers too.
+func TestQueryBindsItsSnapshotsDocument(t *testing.T) {
+	q, err := xq.Parse(`For $a in document("a.xml")//p`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v1, v2 = `<d><p>x</p><p>y</p></d>`, `<d><p>x</p><p>y</p><p>z</p></d>`
+	for _, tc := range []struct {
+		label  string
+		change func(d *DB) error
+		now    int // results on a fresh snapshot; -1 for "not loaded"
+	}{
+		{"update", func(d *DB) error { return d.Update("a.xml", v2) }, 3},
+		{"delete and add", func(d *DB) error {
+			if err := d.Delete("a.xml"); err != nil {
+				return err
+			}
+			return d.Add("a.xml", v2)
+		}, 3},
+		{"delete", func(d *DB) error { return d.Delete("a.xml") }, -1},
+	} {
+		d := New(Options{})
+		if err := d.Add("a.xml", v1); err != nil {
+			t.Fatal(err)
+		}
+		old := d.Index()
+		if res, err := EvalQuery(old, q, nil, nil); err != nil || len(res) != 2 {
+			t.Fatalf("%s: before: %d results, err %v; want 2", tc.label, len(res), err)
+		}
+		if err := tc.change(d); err != nil {
+			t.Fatal(err)
+		}
+		res, err := EvalQuery(old, q, nil, nil)
+		switch {
+		case tc.now < 0 && (err == nil || errors.Is(err, xq.ErrStaleSnapshot)):
+			t.Errorf("%s: old snapshot: %d results, err %v; want not loaded", tc.label, len(res), err)
+		case tc.now >= 0 && !errors.Is(err, xq.ErrStaleSnapshot):
+			t.Errorf("%s: old snapshot: %d results, err %v; want ErrStaleSnapshot", tc.label, len(res), err)
+		}
+		res, err = d.Eval(q, nil, nil)
+		if tc.now < 0 {
+			if err == nil {
+				t.Errorf("%s: Eval: %d results, want not loaded", tc.label, len(res))
+			}
+			continue
+		}
+		if err != nil || len(res) != tc.now {
+			t.Errorf("%s: Eval: %d results, err %v; want %d", tc.label, len(res), err, tc.now)
+		}
 	}
 }

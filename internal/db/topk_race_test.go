@@ -12,13 +12,12 @@ import (
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/postings"
-	"repro/internal/scoring"
 )
 
 // TestTopKPrunedReadsDuringIngest: two readers run the pruned top-k while
 // one writer adds, updates and deletes, with memtables sealing every few
 // documents and background folds swapping segments underneath. On every
-// snapshot a reader takes, each top-k — simple, complex, weighted — must
+// snapshot a reader takes, each top-k — simple and complex — must
 // equal the exhaustive TermJoin+TopK over that same snapshot, and each
 // term's cursor must agree with its AppendDocCounts (checkCursorWalks).
 // Run under -race (make stress).
@@ -38,7 +37,6 @@ func TestTopKPrunedReadsDuringIngest(t *testing.T) {
 	cases := []TermSearchOptions{
 		{TopK: 5},
 		{TopK: 3, Complex: true},
-		{TopK: 10, Weights: []float64{0.8, 0.3}},
 	}
 
 	done := make(chan struct{})
@@ -62,10 +60,7 @@ func TestTopKPrunedReadsDuringIngest(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					q := exec.TermQuery{Terms: terms, Complex: opts.Complex, Scorer: exec.DefaultScorer{
-						SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
-						ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
-					}}
+					q := exec.TermQuery{Terms: terms, Complex: opts.Complex, Scorer: exec.DefaultScorer{}}
 					all, err := exec.RunTermJoin(idx, q, exec.ChildCountNavigate)
 					if err != nil {
 						t.Error(err)

@@ -2,17 +2,6 @@ package exec
 
 import "repro/internal/storage"
 
-// AccessReporter is implemented by every access method that accounts its
-// store traffic, exposing the storage.AccessStats accumulated by the most
-// recent Run uniformly — so harnesses (internal/bench, the sharded
-// facade's per-query metrics) can report store touches without knowing
-// which operator ran. Methods that never touch the node store
-// (PhraseFinder resolves phrases entirely from the inverted index) report
-// zero stats.
-type AccessReporter interface {
-	AccessStats() storage.AccessStats
-}
-
 func accStats(a *storage.Accessor) storage.AccessStats {
 	if a == nil {
 		return storage.AccessStats{}

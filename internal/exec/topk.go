@@ -128,29 +128,6 @@ func popHeap[T any](h []T, first func(a, b T) bool) []T {
 	return h
 }
 
-// FilterMinScore returns an Emit that forwards only elements with score
-// strictly greater than min — the Threshold operator's V condition.
-func FilterMinScore(min float64, next Emit) Emit {
-	return func(n ScoredNode) {
-		if n.Score > min {
-			next(n)
-		}
-	}
-}
-
-// AboveMinScore returns the prefix of ranked (best-first under
-// RankedBefore) whose scores are strictly greater than min; min <= 0 keeps
-// everything, as FilterMinScore's callers do. Because the order is score
-// descending, the survivors of the V condition are always a prefix, so
-// applying it after a top-k selection equals applying it before.
-func AboveMinScore(ranked []ScoredNode, min float64) []ScoredNode {
-	if min <= 0 {
-		return ranked
-	}
-	n := sort.Search(len(ranked), func(i int) bool { return ranked[i].Score <= min })
-	return ranked[:n]
-}
-
 // ScoreHistogram is the auxiliary data Sec. 5.3 proposes for Pick: an
 // equi-width histogram of data IR-node scores that lets users (and the
 // Pick evaluator) turn a fraction — "the top 10% most relevant nodes" —

@@ -108,17 +108,6 @@ func TestSortStability(t *testing.T) {
 	}
 }
 
-func TestFilterMinScore(t *testing.T) {
-	var kept []ScoredNode
-	emit := FilterMinScore(2.0, func(n ScoredNode) { kept = append(kept, n) })
-	emit(ScoredNode{Ord: 1, Score: 1.0})
-	emit(ScoredNode{Ord: 2, Score: 2.0}) // strictly greater required
-	emit(ScoredNode{Ord: 3, Score: 2.5})
-	if len(kept) != 1 || kept[0].Ord != 3 {
-		t.Errorf("kept = %v", kept)
-	}
-}
-
 func TestScoreHistogram(t *testing.T) {
 	var nodes []ScoredNode
 	for i := 0; i < 100; i++ {

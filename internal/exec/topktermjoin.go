@@ -26,12 +26,14 @@ import (
 // and the run stops when neither the next document nor the next interval
 // can displace the k-th element. The result is exactly the full TermJoin's
 // top k (DESIGN.md §17).
+//
+// The bounds need a Query.Scorer that never scores lower when a term count
+// grows (DefaultScorer: no negative weight). Nothing checks this; any other
+// scorer needs TermJoin and a TopK. Child counts come from navigation.
 type TopKTermJoin struct {
 	Index *index.Index
 	Query TermQuery
 	K     int
-	// ChildCounts as in TermJoin (complex scoring only).
-	ChildCounts ChildCountMode
 	// DocsEvaluated reports, after Run, how many documents were actually
 	// scored (the early-termination payoff).
 	DocsEvaluated int
@@ -184,7 +186,7 @@ func (t *TopKTermJoin) Run() ([]ScoredNode, error) {
 	r.emit = r.tk.Emit()
 	q := t.Query
 	q.Lists = nil
-	r.tj = TermJoin{Index: t.Index, Acc: t.acc, Query: q, ChildCounts: t.ChildCounts, Guard: t.Guard, Arena: &a.tj}
+	r.tj = TermJoin{Index: t.Index, Acc: t.acc, Query: q, ChildCounts: ChildCountNavigate, Guard: t.Guard, Arena: &a.tj}
 
 	if err := r.enumerate(); err != nil {
 		return nil, err

@@ -18,7 +18,7 @@
 //   - Retries and hedges. Replica faults are retried on a healthy twin
 //     under a per-request retry budget with jittered exponential backoff.
 //     Independently, when the first replica's response exceeds an adaptive
-//     hedge delay — the configured quantile of its own live latency
+//     hedge delay — the 95th percentile of its own live latency
 //     histogram, floored by Config.HedgeAfter — a hedge request fires to a
 //     second replica; the first response wins and the loser is cancelled
 //     through its context, which exec.Guard turns into a cooperative abort
@@ -107,12 +107,6 @@ type Config struct {
 	// and the latency histograms cannot yet vote (default 25ms; negative
 	// disables hedging).
 	HedgeAfter time.Duration
-	// HedgeQuantile is the latency quantile of the primary replica's live
-	// histogram used as the adaptive hedge delay once HedgeMinSamples
-	// observations exist (default 0.95).
-	HedgeQuantile float64
-	// HedgeMinSamples gates the adaptive delay (default 20).
-	HedgeMinSamples int
 	// MaxRetries bounds the sequential re-attempts after a replica fault
 	// (default 2; the hedge does not consume retry budget).
 	MaxRetries int
@@ -136,12 +130,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 25 * time.Millisecond
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 20
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
@@ -308,13 +296,17 @@ func (f *Fleet) pick(tried map[int]bool) (rep *replica, reserved bool) {
 	return nil, false
 }
 
+// The adaptive hedge delay is the hedgeQuantile of the primary replica's
+// live latency histogram once it holds hedgeMinSamples observations.
+const hedgeQuantile, hedgeMinSamples = 0.95, 20
+
 // hedgeDelay computes the adaptive hedge delay for a primary replica:
-// the configured quantile of its live latency histogram once enough
-// samples exist, floored by HedgeAfter; before that, HedgeAfter alone.
+// hedgeQuantile of its live latency histogram once enough samples exist,
+// floored by HedgeAfter; before that, HedgeAfter alone.
 func (f *Fleet) hedgeDelay(rep *replica) time.Duration {
 	d := f.cfg.HedgeAfter
-	if rep.latency.Count() >= int64(f.cfg.HedgeMinSamples) {
-		if q := rep.latency.Quantile(f.cfg.HedgeQuantile); q > 0 {
+	if rep.latency.Count() >= hedgeMinSamples {
+		if q := rep.latency.Quantile(hedgeQuantile); q > 0 {
 			if qd := time.Duration(q * float64(time.Second)); qd > d {
 				d = qd
 			}

@@ -59,15 +59,14 @@ type Index struct {
 	extra  []*segment           // immutable segments beyond the base, doc-ascending
 	mems   []*memView           // memtable runs, oldest first
 	tomb   *postings.Tombstones // deleted documents, filtered at the cursor layer
-	capped bool                 // limit visible documents to docCap
-	docCap int                  // visible document count when capped
+	docCap int                  // visible documents: the store's first docCap ids
 	gen    uint64               // generation the snapshot was built at
 }
 
 // live reports whether the index is a multi-part live snapshot rather
 // than a single flat segment.
 func (idx *Index) live() bool {
-	return idx.extra != nil || idx.mems != nil || idx.tomb != nil || idx.capped
+	return idx.extra != nil || idx.mems != nil || idx.tomb != nil
 }
 
 // Build tokenizes every text node of every document in s and returns the
@@ -97,7 +96,9 @@ func BuildChecked(s *storage.Store, tok *tokenize.Tokenizer) (*Index, error) {
 		tok:   tok,
 	}
 	raw := make(map[string][]Posting)
-	for _, doc := range s.Docs() {
+	docs := s.Docs()
+	idx.docCap = len(docs)
+	for _, doc := range docs {
 		if err := checkOrdinalCap(len(doc.Nodes), doc.Name); err != nil {
 			return nil, err
 		}
@@ -151,9 +152,10 @@ func BuildChecked(s *storage.Store, tok *tokenize.Tokenizer) (*Index, error) {
 // copied; every BlockList must come from postings.NewBlockList or Encode.
 func RestoreBlocks(s *storage.Store, tok *tokenize.Tokenizer, lists map[string]*postings.BlockList) *Index {
 	idx := &Index{
-		store: s,
-		tok:   tok,
-		lists: lists,
+		store:  s,
+		tok:    tok,
+		lists:  lists,
+		docCap: s.NumDocs(),
 	}
 	// Adoption here covers the snapshot-load path: the lists were just
 	// validated by NewBlockList and are not yet visible to any reader.
@@ -175,18 +177,19 @@ func (idx *Index) Tokenizer() *tokenize.Tokenizer { return idx.tok }
 // a static index.
 func (idx *Index) Generation() uint64 { return idx.gen }
 
+// Visible reports whether document id belongs to this snapshot: below
+// the snapshot's document count and not tombstoned. It takes no lock.
+func (idx *Index) Visible(id storage.DocID) bool {
+	return id >= 0 && int(id) < idx.docCap && !idx.tomb.Dead(id)
+}
+
 // Docs returns the documents visible to this index snapshot, in DocID
 // order: the store's table capped at the snapshot's document count, with
 // tombstoned documents removed. Operators that walk the corpus (the
 // composite and meet baselines) iterate these so deleted documents
 // vanish from their results too.
 func (idx *Index) Docs() []*storage.Document {
-	var docs []*storage.Document
-	if idx.capped {
-		docs = idx.store.DocsPrefix(idx.docCap)
-	} else {
-		docs = idx.store.Docs()
-	}
+	docs := idx.store.DocsPrefix(idx.docCap)
 	if idx.tomb.Len() == 0 {
 		return docs
 	}

@@ -260,12 +260,12 @@ func (l *Live) buildSnapshotLocked(gen uint64) *Index {
 		return &Index{
 			store: l.store, tok: l.tok,
 			lists: l.segs[0].lists, total: l.segs[0].total,
-			gen: gen,
+			docCap: storeDocs, gen: gen,
 		}
 	}
 	idx := &Index{
 		store: l.store, tok: l.tok,
-		tomb: l.tomb, capped: true, docCap: l.indexed, gen: gen,
+		tomb: l.tomb, docCap: l.indexed, gen: gen,
 	}
 	if len(l.segs) > 0 {
 		idx.lists = l.segs[0].lists

@@ -121,7 +121,7 @@ func TestTopKOnEveryLiveListShape(t *testing.T) {
 					for _, n := range all {
 						oracle.Offer(n)
 					}
-					tk := &exec.TopKTermJoin{Index: idx, Query: q, K: k, ChildCounts: exec.ChildCountNavigate}
+					tk := &exec.TopKTermJoin{Index: idx, Query: q, K: k}
 					got, err := tk.Run()
 					if err != nil {
 						t.Fatal(err)

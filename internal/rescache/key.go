@@ -3,7 +3,6 @@ package rescache
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"strings"
 	"unicode"
 
@@ -33,9 +32,7 @@ import (
 //     literals (the xq lexer skips any whitespace run between tokens, and
 //     the Return clause's raw template only affects rendering, which is
 //     never cached).
-//   - Trailing 1.0 term weights are trimmed: scoring.SimpleScorer and
-//     ComplexScorer default every out-of-range weight to 1.
-//   - TopK and MinScore at or below zero mean "disabled" and fold to 0.
+//   - TopK at or below zero means "all results" and folds to 0.
 //
 // The key holds exactly the request fields that can change results.
 // Which operator answers (pruned TopKTermJoin or exhaustive TermJoin) and
@@ -95,10 +92,6 @@ func (e *keyEnc) i64(v int64) {
 	e.b = binary.AppendVarint(e.b, v)
 }
 
-func (e *keyEnc) f64(v float64) {
-	e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(v))
-}
-
 func (e *keyEnc) bool(v bool) {
 	if v {
 		e.b = append(e.b, 1)
@@ -119,25 +112,12 @@ func (e *keyEnc) key(gen uint64) Key {
 }
 
 // TermOpts are the result-relevant term-search options entering the key:
-// the fields of db.TermSearchOptions minus the execution hints.
+// the fields of db.TermSearchOptions and the budget the search runs under.
 type TermOpts struct {
-	Complex  bool
-	TopK     int
-	MinScore float64
-	Weights  []float64
-	// Limits is the effective per-call budget (after the database default
-	// has been applied).
+	Complex bool
+	TopK    int
+	// Limits is the database's per-query budget.
 	Limits exec.Limits
-}
-
-// canonWeights trims trailing 1.0 entries: the scorers default every
-// weight past the end of the slice to 1, so the spellings are equivalent.
-func canonWeights(w []float64) []float64 {
-	n := len(w)
-	for n > 0 && w[n-1] == 1 {
-		n--
-	}
-	return w[:n]
 }
 
 // TermKey builds the cache key for a term search.
@@ -145,21 +125,7 @@ func TermKey(gen uint64, terms []string, o TermOpts) Key {
 	e := newKeyEnc(familyTerms, gen)
 	e.strs(terms)
 	e.bool(o.Complex)
-	topK := o.TopK
-	if topK < 0 {
-		topK = 0
-	}
-	e.i64(int64(topK))
-	min := o.MinScore
-	if min <= 0 {
-		min = 0
-	}
-	e.f64(min)
-	w := canonWeights(o.Weights)
-	e.i64(int64(len(w)))
-	for _, v := range w {
-		e.f64(v)
-	}
+	e.i64(int64(max(o.TopK, 0)))
 	e.limits(o.Limits)
 	return e.key(gen)
 }

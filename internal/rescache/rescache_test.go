@@ -165,11 +165,10 @@ func TestMetricsMirrorStats(t *testing.T) {
 // the same properties adversarially.
 
 func TestKeyEquivalentSpellingsShare(t *testing.T) {
-	base := TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3})
+	base := TermKey(5, []string{"a", "b"}, TermOpts{})
 	cases := []Key{
-		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, Weights: []float64{1, 1}}),
-		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, MinScore: -1}),
-		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, Weights: []float64{}}),
+		TermKey(5, []string{"a", "b"}, TermOpts{TopK: -1}),
+		TermKey(5, []string{"a", "b"}, TermOpts{TopK: -100}),
 	}
 	for i, k := range cases {
 		if k != base {
@@ -183,11 +182,9 @@ func TestKeyNonEquivalentSpellingsDiffer(t *testing.T) {
 	cases := []Key{
 		TermKey(6, []string{"a", "b"}, TermOpts{TopK: 3}),                                      // generation
 		TermKey(5, []string{"a b"}, TermOpts{TopK: 3}),                                         // term split
-		TermKey(5, []string{"b", "a"}, TermOpts{TopK: 3}),                                      // order (weights pair by index)
 		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 4}),                                      // k
+		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 0}),                                      // all results
 		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, Complex: true}),                       // scoring fn
-		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, MinScore: 0.5}),                       // threshold
-		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, Weights: []float64{2}}),               // weight
 		TermKey(5, []string{"a", "b"}, TermOpts{TopK: 3, Limits: exec.Limits{MaxResults: 10}}), // budget
 		PhraseKey(5, []string{"a", "b"}, exec.Limits{}),                                        // family
 	}
@@ -255,8 +252,8 @@ func exportedLeaves(t reflect.Type, prefix []int, name string) []keyField {
 }
 
 // setNonCanonical stores a value in v that the key encoder must keep
-// distinct from zero: positive numbers (TopK and MinScore fold values at
-// or below zero) and weights other than the trailing 1.0 that is trimmed.
+// distinct from zero: positive numbers (TopK folds values at or below
+// zero).
 func setNonCanonical(t *testing.T, v reflect.Value, name string) {
 	t.Helper()
 	switch v.Kind() {

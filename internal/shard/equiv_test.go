@@ -10,7 +10,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/scoring"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/synth"
@@ -122,48 +121,6 @@ func TestShardedTermSearchMatchesUnsharded(t *testing.T) {
 		}
 	}
 	checkTermCases(t, "bulk", mono, sharded)
-}
-
-func TestShardedMethodsMatchMonolithic(t *testing.T) {
-	names, roots := corpusDocs(t, 6, 77)
-	oracle := newOracle(t, names, roots)
-	terms := []string{"ctla", "ctlc"}
-	for _, method := range []Method{
-		MethodTermJoin, MethodEnhancedTermJoin, MethodComp1, MethodComp2, MethodGenMeet,
-	} {
-		// Monolithic reference: the same operator over the oracle's index.
-		q := exec.TermQuery{Terms: terms, Scorer: exec.DefaultScorer{}}
-		acc := storage.NewAccessor(oracle.Store())
-		var runner interface{ Run(exec.Emit) error }
-		switch method {
-		case MethodTermJoin:
-			runner = &exec.TermJoin{Index: oracle.Index(), Acc: acc, Query: q, ChildCounts: exec.ChildCountNavigate}
-		case MethodEnhancedTermJoin:
-			runner = &exec.TermJoin{Index: oracle.Index(), Acc: acc, Query: q, ChildCounts: exec.ChildCountIndexed}
-		case MethodComp1:
-			runner = &exec.Comp1{Index: oracle.Index(), Acc: acc, Query: q}
-		case MethodComp2:
-			runner = &exec.Comp2{Index: oracle.Index(), Acc: acc, Query: q}
-		case MethodGenMeet:
-			runner = &exec.GenMeet{Index: oracle.Index(), Acc: acc, Query: q}
-		}
-		want, err := exec.Collect(runner.Run)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", method, err)
-		}
-		exec.SortRanked(want)
-		if len(want) == 0 {
-			t.Fatalf("%s: oracle returned no results", method)
-		}
-		for _, n := range equivShardCounts {
-			s := newSharded(t, n, ByHash, names, roots)
-			got, _, err := s.RunTermMethod(context.Background(), method, terms, false)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", method, n, err)
-			}
-			sameScored(t, fmt.Sprintf("%s shards=%d", method, n), got, want)
-		}
-	}
 }
 
 func TestShardedPhraseMatchesUnsharded(t *testing.T) {
@@ -372,19 +329,16 @@ func TestShardedStatsMatchUnsharded(t *testing.T) {
 }
 
 // exhaustiveTopK is the oracle the term-search facades are held to: the
-// full TermJoin over d's current snapshot, the MinScore filter, then a
-// TopK (or a full sort when opts.TopK is 0). It also returns the join's
-// store traffic, the cost an exhaustive facade would report.
+// full TermJoin over d's current snapshot, then a TopK (or a full sort
+// when opts.TopK is 0). It also returns the join's store traffic, the
+// cost an exhaustive facade would report.
 func exhaustiveTopK(t *testing.T, d *db.DB, terms []string, opts db.TermSearchOptions) ([]exec.ScoredNode, storage.AccessStats) {
 	t.Helper()
 	idx := d.Index()
 	tj := &exec.TermJoin{
-		Index: idx,
-		Acc:   storage.NewAccessor(idx.Store()),
-		Query: exec.TermQuery{Terms: terms, Complex: opts.Complex, Scorer: exec.DefaultScorer{
-			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
-			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
-		}},
+		Index:       idx,
+		Acc:         storage.NewAccessor(idx.Store()),
+		Query:       exec.TermQuery{Terms: terms, Complex: opts.Complex, Scorer: exec.DefaultScorer{}},
 		ChildCounts: exec.ChildCountNavigate,
 	}
 	all, err := exec.Collect(tj.Run)
@@ -397,32 +351,22 @@ func exhaustiveTopK(t *testing.T, d *db.DB, terms []string, opts db.TermSearchOp
 	}
 	tk := exec.NewTopK(k)
 	for _, n := range all {
-		if opts.MinScore <= 0 || n.Score > opts.MinScore {
-			tk.Offer(n)
-		}
+		tk.Offer(n)
 	}
 	return tk.Results(), tj.AccessStats()
 }
 
-// termCases are the TermSearch shapes the differential suites sweep. The
-// top-k shapes run the pruned TopKTermJoin, except the negative-weight
-// one, which must stay the exhaustive join.
+// termCases are the TermSearch shapes the differential suites sweep: the
+// exhaustive join without TopK, the pruned TopKTermJoin with it.
 var termCases = []struct {
-	label      string
-	opts       db.TermSearchOptions
-	exhaustive bool // answered by the exhaustive join, never pruned
+	label string
+	opts  db.TermSearchOptions
 }{
-	{"simple", db.TermSearchOptions{}, true},
-	{"complex", db.TermSearchOptions{Complex: true}, true},
-	{"minscore", db.TermSearchOptions{MinScore: 1.5}, true},
-	{"weights", db.TermSearchOptions{Complex: true, Weights: []float64{0.9, 0.3}}, true},
-	{"topk", db.TermSearchOptions{TopK: 10}, false},
-	{"topk-complex", db.TermSearchOptions{Complex: true, TopK: 7}, false},
-	{"topk-weights", db.TermSearchOptions{TopK: 6, Weights: []float64{0.9, 0.3}}, false},
-	{"topk-weights-complex", db.TermSearchOptions{Complex: true, TopK: 6, Weights: []float64{0.9, 0.3}}, false},
-	{"topk-100-ties", db.TermSearchOptions{TopK: 100}, false},
-	{"minscore-topk", db.TermSearchOptions{MinScore: 1.0, TopK: 5}, false},
-	{"negative-weight", db.TermSearchOptions{TopK: 10, Weights: []float64{1, -0.5}}, true},
+	{"simple", db.TermSearchOptions{}},
+	{"complex", db.TermSearchOptions{Complex: true}},
+	{"topk", db.TermSearchOptions{TopK: 10}},
+	{"topk-complex", db.TermSearchOptions{Complex: true, TopK: 7}},
+	{"topk-100-ties", db.TermSearchOptions{TopK: 100}},
 }
 
 // checkTermCases runs every case through the single-shard facade mono and
@@ -447,7 +391,7 @@ func checkTermCases(t *testing.T, label string, mono *DB, sharded map[string]*DB
 		sameScored(t, fmt.Sprintf("%s %s mono", label, tc.label), got, want)
 		// A pruned search reads no node the exhaustive join would not.
 		switch used := reads() - before; {
-		case tc.exhaustive && used != cost.NodeReads:
+		case tc.opts.TopK == 0 && used != cost.NodeReads:
 			t.Errorf("%s %s: %d node reads, want the exhaustive %d", label, tc.label, used, cost.NodeReads)
 		case used > cost.NodeReads:
 			t.Errorf("%s %s: %d node reads, more than the exhaustive %d", label, tc.label, used, cost.NodeReads)

@@ -73,12 +73,12 @@ func fanoutCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 // TermSearchContext scores every element containing at least one of the
 // terms and returns results best-first under the exec.RankedBefore
 // contract (see db.TermSearchOptions), with cooperative cancellation and
-// resource budgets shared across the shard workers. Each shard runs
+// the default resource budget (SetLimits) shared across the shard
+// workers. It is the facade's one term search: each shard runs
 // db.SearchTerms over its own snapshot. With TopK set, the limit is pushed
-// down — each shard retains its own k best, through the pruned
-// TopKTermJoin where its bound holds — and the merger re-thresholds to the
-// global k, which is exact because any globally top-k element is in its
-// shard's top k.
+// down — each shard retains its own k best through the pruned
+// TopKTermJoin — and the merger re-thresholds to the global k, which is
+// exact because any globally top-k element is in its shard's top k.
 func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.TermSearchOptions) (results []exec.ScoredNode, err error) {
 	start := time.Now()
 	per := make([][]exec.ScoredNode, len(s.segs))
@@ -98,7 +98,7 @@ func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.Term
 	defer recoverPanic(&err)
 	cctx, cancel := fanoutCtx(ctx)
 	defer cancel()
-	guard := exec.NewGuard(cctx, s.limitsOr(opts.Limits))
+	guard := exec.NewGuard(cctx, s.opts.Limits)
 	err = s.runShards(opTerms, cancel, func(i int, seg *db.DB) error {
 		out, rerr := db.SearchTerms(seg.Index(), terms, opts, guard, &stats[i])
 		if rerr != nil {
@@ -116,78 +116,6 @@ func (s *DB) TermSearchContext(ctx context.Context, terms []string, opts db.Term
 		results = results[:opts.TopK]
 	}
 	return results, nil
-}
-
-// Method selects the access method RunTermMethod fans out — the paper's
-// Table 1–4 columns.
-type Method string
-
-// The sharded term access methods.
-const (
-	MethodTermJoin         Method = "TermJoin"
-	MethodEnhancedTermJoin Method = "EnhTermJoin"
-	MethodComp1            Method = "Comp1"
-	MethodComp2            Method = "Comp2"
-	MethodGenMeet          Method = "GenMeet"
-)
-
-// RunTermMethod executes one term access method — TermJoin, the Enhanced
-// variant, or the Comp1/Comp2/GenMeet baselines — per shard in parallel
-// and returns the merged results under the RankedBefore contract, with
-// the store traffic summed over the shards. It is the benchmark and
-// differential-test entry point; TermSearchContext is the production
-// facade.
-func (s *DB) RunTermMethod(ctx context.Context, method Method, terms []string, complex bool) (results []exec.ScoredNode, total storage.AccessStats, err error) {
-	start := time.Now()
-	per := make([][]exec.ScoredNode, len(s.segs))
-	stats := make([]storage.AccessStats, len(s.segs))
-	defer func() {
-		for _, st := range stats {
-			total.Add(st)
-		}
-		s.observe(opTerms, start, len(results), total, err)
-	}()
-	defer recoverPanic(&err)
-	cctx, cancel := fanoutCtx(ctx)
-	defer cancel()
-	guard := exec.NewGuard(cctx, s.opts.Limits)
-	q := exec.TermQuery{Terms: terms, Complex: complex, Scorer: exec.DefaultScorer{}}
-	err = s.runShards(opTerms, cancel, func(i int, seg *db.DB) error {
-		// Snapshot first, accessor second: the accessor's view of the
-		// document table then covers every document the snapshot names,
-		// even when an Add lands between the two lines.
-		idx := seg.Index()
-		acc := guard.NewAccessor(idx.Store())
-		var runner interface{ Run(exec.Emit) error }
-		switch method {
-		case MethodTermJoin:
-			runner = &exec.TermJoin{Index: idx, Acc: acc, Query: q, ChildCounts: exec.ChildCountNavigate, Guard: guard}
-		case MethodEnhancedTermJoin:
-			runner = &exec.TermJoin{Index: idx, Acc: acc, Query: q, ChildCounts: exec.ChildCountIndexed, Guard: guard}
-		case MethodComp1:
-			runner = &exec.Comp1{Index: idx, Acc: acc, Query: q, Guard: guard}
-		case MethodComp2:
-			runner = &exec.Comp2{Index: idx, Acc: acc, Query: q, Guard: guard}
-		case MethodGenMeet:
-			runner = &exec.GenMeet{Index: idx, Acc: acc, Query: q, Guard: guard}
-		default:
-			return fmt.Errorf("shard: unknown term method %q", method)
-		}
-		out, rerr := exec.Collect(runner.Run)
-		stats[i] = acc.Stats
-		if rerr != nil {
-			return rerr
-		}
-		exec.SortRanked(out)
-		s.toGlobal(i, out)
-		per[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, total, err
-	}
-	results = mergeRanked(per)
-	return results, total, nil
 }
 
 // PhraseSearchContext returns every occurrence of the phrase via per-shard
@@ -277,7 +205,7 @@ func (s *DB) QueryContext(ctx context.Context, src string) (results []xq.Result,
 	if err != nil {
 		return nil, err
 	}
-	results, err = db.EvalQuery(s.segs[i].Index(), q, exec.NewGuard(ctx, s.opts.Limits), &stats)
+	results, err = s.segs[i].Eval(q, exec.NewGuard(ctx, s.opts.Limits), &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +226,7 @@ func (s *DB) Explain(src string) (plan string, err error) {
 	if err != nil {
 		return "", err
 	}
-	p, err := xq.Compile(q, s.segs[i].Index())
+	p, err := s.segs[i].Compile(q)
 	if err != nil {
 		return "", err
 	}

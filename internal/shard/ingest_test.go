@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/xmltree"
+	"repro/internal/xq"
 )
 
 // TestRoutedIngestMatchesBulkLoad grows a sharded database one Add at a
@@ -168,8 +170,8 @@ func TestShardIngestWhileQuerying(t *testing.T) {
 }
 
 // TestShardReadersDuringAdd runs one writer doing Add against two readers
-// on the facade — one on TermSearchContext, one cycling RunTermMethod
-// through every method — and requires every reply to succeed,
+// on the facade's exhaustive TermSearchContext — one with simple, one
+// with complex scoring — and requires every reply to succeed,
 // materialize and render. A reader that made its
 // accessor before taking the segment's index snapshot could be handed a
 // posting for a document its accessor had never seen: an Add landing
@@ -213,17 +215,87 @@ func TestShardReadersDuringAdd(t *testing.T) {
 	go read("TermSearchContext", func() ([]exec.ScoredNode, error) {
 		return s.TermSearchContext(context.Background(), []string{"stable"}, db.TermSearchOptions{})
 	})
-	methods := []Method{MethodTermJoin, MethodEnhancedTermJoin, MethodComp1, MethodComp2, MethodGenMeet}
-	calls := 0
-	go read("RunTermMethod", func() ([]exec.ScoredNode, error) {
-		calls++
-		res, _, err := s.RunTermMethod(context.Background(), methods[calls%len(methods)], []string{"stable"}, false)
-		return res, err
+	go read("TermSearchContext complex", func() ([]exec.ScoredNode, error) {
+		return s.TermSearchContext(context.Background(), []string{"stable"}, db.TermSearchOptions{Complex: true})
 	})
 	for i := 0; i < 400; i++ {
 		// Each document interns a fresh tag, so Render's tag view races
 		// the dictionary's growth.
 		if err := s.Add(fmt.Sprintf("live%03d.xml", i), fmt.Sprintf(`<d><t%d>stable w%d</t%d></d>`, i, i%7, i)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestShardQueryDuringUpdates runs /query's facade call against a writer
+// that keeps replacing the document the query names with one of two
+// versions. The query takes its segment's snapshot before it binds the
+// name, so an Update landing in between used to hand it the new version's
+// document over the old snapshot's lists: an empty reply with no error.
+// Every reply must be one version's answer. Run under -race (make stress).
+func TestShardQueryDuringUpdates(t *testing.T) {
+	versions := []string{
+		`<d><p>alpha beta</p><p>alpha</p><q>beta</q></d>`,
+		`<d><p>alpha</p><q>alpha beta alpha</q></d>`,
+	}
+	const q = `For $a in document("a.xml")/descendant-or-self::* Score $a using ScoreFoo($a, {"alpha"}, {"beta"}) Sortby(score)`
+	s := New(Options{Shards: 2, Strategy: RoundRobin})
+	if err := s.Add("b.xml", `<d><p>alpha</p></d>`); err != nil {
+		t.Fatal(err)
+	}
+	// answer is a reply without document ids, which every Update renews.
+	answer := func(res []xq.Result) string {
+		var b strings.Builder
+		for _, r := range res {
+			fmt.Fprintf(&b, "%d:%g ", r.Ord, r.Score)
+		}
+		return b.String()
+	}
+	var want []string
+	for i, v := range versions {
+		if err := s.Add("a.xml", v); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.QueryContext(context.Background(), q)
+		if err != nil || len(res) == 0 {
+			t.Fatalf("version %d: %d results, err %v", i, len(res), err)
+		}
+		want = append(want, answer(res))
+		if err := s.Delete("a.xml"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0] == want[1] {
+		t.Fatal("the two versions answer alike")
+	}
+	if err := s.Add("a.xml", versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := s.QueryContext(context.Background(), q)
+				if got := answer(res); err != nil || got != want[0] && got != want[1] {
+					t.Errorf("reply %q, err %v; want %q or %q", got, err, want[0], want[1])
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 300; i++ {
+		if err := s.Update("a.xml", versions[i%2]); err != nil {
 			t.Error(err)
 			break
 		}

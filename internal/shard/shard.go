@@ -76,7 +76,7 @@ type Options struct {
 	// Metrics, when non-nil, receives the facade's instrumentation (see
 	// metrics.go) instead of the process-wide metrics.Default registry.
 	Metrics *metrics.Registry
-	// Limits is the default per-query resource budget. It is shared
+	// Limits is the per-query resource budget. It is shared
 	// across the shard workers of one query, not multiplied per shard.
 	Limits exec.Limits
 	// CacheBytes, when positive, builds a generation-keyed result cache
@@ -157,21 +157,13 @@ func (s *DB) MetricsRegistry() *metrics.Registry {
 	return metrics.Default
 }
 
-// SetLimits replaces the default per-query resource budget (shared by the
-// shard workers of one query).
+// SetLimits replaces the per-query resource budget (shared by the shard
+// workers of one query).
 func (s *DB) SetLimits(l exec.Limits) {
 	s.opts.Limits = l
 	for _, seg := range s.segs {
 		seg.SetLimits(l)
 	}
-}
-
-// limitsOr returns the per-call budget when set, else the default.
-func (s *DB) limitsOr(limits exec.Limits) exec.Limits {
-	if limits == (exec.Limits{}) {
-		return s.opts.Limits
-	}
-	return limits
 }
 
 // SetFaults installs one fault injector on every segment store. The

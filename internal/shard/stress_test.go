@@ -137,8 +137,10 @@ func TestShardConcurrentStress(t *testing.T) {
 						return
 					}
 				case 3:
-					opts := db.TermSearchOptions{Limits: exec.Limits{Timeout: time.Nanosecond, CheckEvery: 1}}
-					if _, err := s.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, opts); !errors.Is(err, exec.ErrDeadlineExceeded) {
+					ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+					_, err := s.TermSearchContext(ctx, []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+					cancel()
+					if !errors.Is(err, exec.ErrDeadlineExceeded) {
 						t.Errorf("worker %d: deadline err = %v", w, err)
 						return
 					}

@@ -118,3 +118,23 @@ func TestAddTreeAllocs(t *testing.T) {
 		t.Errorf("Document is %d bytes, want at most 80", size)
 	}
 }
+
+// BenchmarkAddTreeArticles loads the synthetic articles corpus at 300
+// articles (17,932 elements), one document, into a fresh store per
+// iteration: the cost of flattening a large document and grouping its
+// elements by tag.
+func BenchmarkAddTreeArticles(b *testing.B) {
+	cfg := synth.DefaultConfig()
+	cfg.Articles = 300
+	corpus, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewStore().AddTree("articles.xml", corpus.Root); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -24,6 +24,7 @@ package storage
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -191,10 +192,22 @@ func NewStore() *Store {
 // segments document-disjoint. The flattening work runs outside the store
 // lock; only the final publication is serialized.
 func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
+	return s.addTree(name, root, false)
+}
+
+// ReplaceTree loads root as AddTree does and binds name to it whether or
+// not name is bound already, in one step: a reader looking name up finds
+// the old document or the new one, never neither. The old record stays
+// in place under its id.
+func (s *Store) ReplaceTree(name string, root *xmltree.Node) (DocID, error) {
+	return s.addTree(name, root, true)
+}
+
+func (s *Store) addTree(name string, root *xmltree.Node, replace bool) (DocID, error) {
 	s.mu.RLock()
 	_, dup := s.byName[name]
 	s.mu.RUnlock()
-	if dup {
+	if dup && !replace {
 		return 0, fmt.Errorf("storage: document %q already loaded", name)
 	}
 	if root.End == 0 && len(root.Children) > 0 {
@@ -217,7 +230,8 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 			elements++
 		}
 	}
-	ords := make([]int32, 0, 2*elements) // both halves, allocated once
+	ords := make([]int32, 0, 2*elements)     // both halves, allocated once
+	lo, hi := TagID(math.MaxInt32), TagID(0) // the document's tag range
 	for i, n := range nodes {
 		rec := NodeRec{
 			Start:       n.Start,
@@ -237,6 +251,7 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 		}
 		if n.Kind == xmltree.Element {
 			rec.Tag = s.Tags.Intern(n.Tag)
+			lo, hi = min(lo, rec.Tag), max(hi, rec.Tag)
 			ords = append(ords, int32(i))
 		} else {
 			rec.Text = n.Text
@@ -249,13 +264,11 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 			doc.Nodes[n.Children[ci].Ord].NextSibling = n.Children[ci+1].Ord
 		}
 	}
-	doc.ords = append(ords, ords...)
-	slices.SortFunc(doc.ords[elements:], func(a, b int32) int {
-		return cmp.Or(cmp.Compare(doc.Nodes[a].Tag, doc.Nodes[b].Tag), cmp.Compare(a, b))
-	})
+	doc.ords = ords[:2*elements]
+	groupByTag(doc.Nodes, doc.ords[:elements], doc.ords[elements:], lo, hi)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.byName[name]; dup {
+	if _, dup := s.byName[name]; dup && !replace {
 		return 0, fmt.Errorf("storage: document %q already loaded", name)
 	}
 	id := DocID(len(s.docs))
@@ -263,6 +276,34 @@ func (s *Store) AddTree(name string, root *xmltree.Node) (DocID, error) {
 	s.docs = append(s.docs, doc)
 	s.byName[name] = id
 	return id, nil
+}
+
+// groupByTag fills byTag with the element ordinals of inOrder (document
+// order, tags in [lo, hi]) grouped by tag in TagID order, each group still
+// in document order. Over at most 256 tags it counts the tags, then places
+// each ordinal: two passes that read the records in order, with the
+// counters on the stack. A wider tag range sorts by (tag, ordinal).
+func groupByTag(nodes []NodeRec, inOrder, byTag []int32, lo, hi TagID) {
+	var next [256]int32
+	if len(inOrder) == 0 || int(hi-lo) >= len(next) {
+		copy(byTag, inOrder)
+		slices.SortFunc(byTag, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(nodes[a].Tag, nodes[b].Tag), cmp.Compare(a, b))
+		})
+		return
+	}
+	for _, ord := range inOrder {
+		next[nodes[ord].Tag-lo]++
+	}
+	start := int32(0)
+	for i, n := range next[:hi-lo+1] {
+		next[i], start = start, start+n
+	}
+	for _, ord := range inOrder {
+		t := nodes[ord].Tag - lo
+		byTag[next[t]] = ord
+		next[t]++
+	}
 }
 
 // ReleaseName forgets the name→id binding of a deleted document so the

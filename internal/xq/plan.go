@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -133,13 +134,23 @@ func (p *Plan) compileSingle() error {
 	return nil
 }
 
+// ErrStaleSnapshot reports a document name that the store binds to a
+// document the index snapshot does not hold: it changed after the snapshot
+// was taken. The caller takes a fresh snapshot and compiles again.
+var ErrStaleSnapshot = errors.New("xq: document changed after the index snapshot was taken")
+
 // compilePath resolves a For binding's document, adds the structural
 // steps of its path, and reports whether a final descendant-or-self::*
 // expands each anchor to the elements of its subtree.
 func (p *Plan) compilePath(side int, path PathExpr) (expand bool, err error) {
-	if p.docs[side] = p.idx.Store().DocByName(path.Document); p.docs[side] == nil {
+	doc := p.idx.Store().DocByName(path.Document)
+	switch {
+	case doc == nil:
 		return false, fmt.Errorf("xq: document %q not loaded", path.Document)
+	case !p.idx.Visible(doc.ID):
+		return false, fmt.Errorf("%w: %q", ErrStaleSnapshot, path.Document)
 	}
+	p.docs[side] = doc
 	p.add(step{op: opDocument, side: side, name: path.Document})
 	steps := path.Steps
 	for i, s := range steps {
